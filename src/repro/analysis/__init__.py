@@ -25,12 +25,7 @@ from repro.analysis.findings import (
     Severity,
 )
 from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
-from repro.analysis.sanitizer import (
-    SANITIZE_ENV,
-    SANITIZE_PROPERTY_KEY,
-    check_pool,
-    sanitize_enabled_from_env,
-)
+from repro.analysis.sanitizer import SANITIZE_ENV, check_pool
 from repro.analysis.trace_lint import lint_trace
 from repro.analysis.validator import describe_deadlock, validate_pool
 
@@ -48,6 +43,4 @@ __all__ = [
     "check_pool",
     "lint_trace",
     "SANITIZE_ENV",
-    "SANITIZE_PROPERTY_KEY",
-    "sanitize_enabled_from_env",
 ]

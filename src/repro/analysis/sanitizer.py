@@ -1,8 +1,8 @@
 """Opt-in runtime sanitizer mode.
 
 When enabled — ``MULTICL_SANITIZE=1`` in the environment,
-``MultiCL(sanitize=True)``, or the ``"multicl.sanitize"`` context property —
-the context validates the ready-queue pool at **every scheduler trigger**
+``MultiCL(sanitize=True)``, or ``SchedulerConfig(sanitize=True)`` — the
+context validates the ready-queue pool at **every scheduler trigger**
 (sync epoch, flush, blocking wait, per-kernel trigger) before any command
 issues:
 
@@ -19,7 +19,6 @@ run's schedule and simulated timings are identical with the sanitizer on.
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import List, Sequence, TYPE_CHECKING
 
@@ -29,25 +28,10 @@ from repro.analysis.validator import validate_pool
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.queue import CommandQueue
 
-__all__ = [
-    "SANITIZE_ENV",
-    "SANITIZE_PROPERTY_KEY",
-    "sanitize_enabled_from_env",
-    "check_pool",
-]
+__all__ = ["SANITIZE_ENV", "check_pool"]
 
 #: Environment variable turning the runtime sanitizer on for a process.
 SANITIZE_ENV = "MULTICL_SANITIZE"
-
-#: Context-property key overriding the environment (bool value).
-SANITIZE_PROPERTY_KEY = "multicl.sanitize"
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def sanitize_enabled_from_env() -> bool:
-    """Whether ``MULTICL_SANITIZE`` requests runtime sanitizing."""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() not in _FALSY
 
 
 def check_pool(pool: Sequence["CommandQueue"]) -> List[Finding]:

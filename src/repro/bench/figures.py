@@ -38,6 +38,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import knobs
 from repro.bench.harness import ExperimentResult
 from repro.core.flags import SchedulerConfig
 from repro.ocl.enums import SchedFlag
@@ -92,7 +93,7 @@ def _profile_dir() -> str:
     """
     global _PROFILE_DIR, _PROFILE_DIR_OWNED
     if _PROFILE_DIR is None:
-        env = os.environ.get(PROFILE_DIR_ENV)
+        env = knobs.get(PROFILE_DIR_ENV)
         if env:
             os.makedirs(env, exist_ok=True)
             _PROFILE_DIR = env

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro import knobs
 
 __all__ = [
     "MappingResult",
@@ -64,40 +64,11 @@ class MapperError(RuntimeError):
 
 
 #: Environment variable overriding the queue-count threshold above which
-#: :func:`optimal_mapping` falls back to :func:`greedy_mapping`.
+#: :func:`optimal_mapping` falls back to :func:`greedy_mapping`.  Its
+#: default, 16 queues: exact search with the greedy seed and lower-bound
+#: pruning is comfortably sub-millisecond at paper scale (≤8 queues);
+#: beyond ~16 queues the worst case turns pathological.
 EXACT_LIMIT_ENV = "MULTICL_MAPPER_EXACT_MAX_QUEUES"
-
-#: Default exact-search threshold (queues).  Exact search with the greedy
-#: seed and lower-bound pruning is comfortably sub-millisecond at paper
-#: scale (≤8 queues); beyond ~16 queues the worst case turns pathological.
-DEFAULT_EXACT_LIMIT = 16
-
-
-#: Raw values of EXACT_LIMIT_ENV already warned about (warn once per value,
-#: not once per scheduler trigger — _exact_limit runs on the hot path).
-_warned_exact_limits: Set[str] = set()
-
-
-def _exact_limit() -> int:
-    raw = os.environ.get(EXACT_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_EXACT_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        if raw not in _warned_exact_limits:
-            _warned_exact_limits.add(raw)
-            warnings.warn(
-                f"ignoring invalid {EXACT_LIMIT_ENV}={raw!r}: expected a "
-                f"non-negative integer queue count; using the default "
-                f"({DEFAULT_EXACT_LIMIT})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return DEFAULT_EXACT_LIMIT
-    return value
 
 
 @dataclass(frozen=True)
@@ -335,8 +306,7 @@ def optimal_mapping(
     """
     _validate(queues, devices, cost)
     preferred = dict(preferred or {})
-    if exact_limit is None:
-        exact_limit = _exact_limit()
+    exact_limit = knobs.get(EXACT_LIMIT_ENV, exact_limit)
     if len(queues) > exact_limit:
         return greedy_mapping(queues, devices, cost, preferred)
     # Order queues by decreasing best-case cost: placing the expensive,

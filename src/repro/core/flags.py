@@ -16,24 +16,17 @@ Two layers of knobs, mirroring the paper:
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro import knobs
 from repro.ocl.enums import SchedFlag
 
 __all__ = [
     "ScheduleOptions",
     "SchedulerConfig",
     "CONFIG_PROPERTY_KEY",
-    "PREDICT_ENV",
-    "PREDICT_TOLERANCE_ENV",
-    "PREDICT_CONFIDENCE_ENV",
-    "MAPPER_REPAIR_ENV",
-    "MAPPER_REPAIR_THRESHOLD_ENV",
-    "SPLIT_ENV",
-    "SPLIT_GRANULARITY_ENV",
+    "ITERATIVE_FREQ_ENV",
 ]
 
 #: SchedFlag value -> the (frozen) options instance it denotes.
@@ -48,45 +41,21 @@ CONFIG_PROPERTY_KEY = "multicl.config"
 #: scheduler frequency", Section V.C.1).  0 = never re-profile.
 ITERATIVE_FREQ_ENV = "MULTICL_ITERATIVE_FREQUENCY"
 
-#: Enable profiling-free scheduling from static kernel features
-#: (:mod:`repro.predict`).  "1"/"true"/"yes"/"on" enable, anything else
-#: disables.  Off by default: prediction changes mapping decisions, and
-#: all paper-reproduction figures are defined against measured profiles.
-PREDICT_ENV = "MULTICL_PREDICT"
-
-#: Relative observed-vs-predicted error above which the corrector folds the
-#: observation back into the model (float, default 0.25).
-PREDICT_TOLERANCE_ENV = "MULTICL_PREDICT_TOLERANCE"
-
-#: Minimum predictor confidence (leverage-gated, in [0, 1]) required to
-#: skip measurement for a kernel (float, default 0.5).
-PREDICT_CONFIDENCE_ENV = "MULTICL_PREDICT_CONFIDENCE"
-
-#: Incremental mapping repair (:mod:`repro.core.constraints`) on device
-#: failure, plus result reuse when the scheduler's inputs are unchanged.
-#: On by default; "0"/"false"/... disables, restoring the always-re-solve
-#: path.  With no fault injected the mapping decisions are bit-identical
-#: either way (reuse returns the cached result of the same pure solve).
-MAPPER_REPAIR_ENV = "MULTICL_MAPPER_REPAIR"
-
-#: Repair acceptance threshold: a repaired assignment is kept only while
-#: its makespan stays within this factor of the previous makespan scaled
-#: for the lost capacity (float >= 1.0, default 1.25); beyond it the
-#: scheduler falls back to a full re-solve.
-MAPPER_REPAIR_THRESHOLD_ENV = "MULTICL_MAPPER_REPAIR_THRESHOLD"
-
-#: Context-wide kill switch / opt-in for multi-device kernel splitting: all
-#: dynamically scheduled queues behave as if they carried ``SCHED_SPLIT``.
-#: Per-queue flags still opt individual queues in when this is unset.
-SPLIT_ENV = "MULTICL_SPLIT"
-
-#: Work-splitting granularity: each device's sub-range is rounded to a
-#: multiple of (its effective workgroup size in dim 0) × this factor
-#: (positive integer, default 1).  Coarser granularity trades balance
-#: precision for fewer, larger sub-transfers.
-SPLIT_GRANULARITY_ENV = "MULTICL_SPLIT_GRANULARITY"
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
+#: SchedulerConfig field -> the :mod:`repro.knobs` row it is read from.
+#: Each knob's table default equals the field's default, except that
+#: ``overlap`` and ``sanitize`` default to None (defer to the environment).
+_ENV_FIELDS = {
+    "iterative_refresh": ITERATIVE_FREQ_ENV,
+    "predict": "MULTICL_PREDICT",
+    "predict_tolerance": "MULTICL_PREDICT_TOLERANCE",
+    "predict_confidence": "MULTICL_PREDICT_CONFIDENCE",
+    "mapper_repair": "MULTICL_MAPPER_REPAIR",
+    "repair_threshold": "MULTICL_MAPPER_REPAIR_THRESHOLD",
+    "split": "MULTICL_SPLIT",
+    "split_granularity": "MULTICL_SPLIT_GRANULARITY",
+    "overlap": "MULTICL_OVERLAP",
+    "sanitize": "MULTICL_SANITIZE",
+}
 
 
 @dataclass(frozen=True)
@@ -145,82 +114,36 @@ class SchedulerConfig:
     #: Sub-range rounding granularity in units of the per-device effective
     #: workgroup size along dimension 0 (positive integer).
     split_granularity: int = 1
+    #: Overlap-aware pool issue (:mod:`repro.ocl.overlap`) for every
+    #: scheduled in-order queue, as if each carried ``SCHED_OVERLAP``.
+    #: None = ``MULTICL_OVERLAP`` decides when the context resolves this
+    #: config.
+    overlap: Optional[bool] = None
+    #: Runtime sanitizer (:mod:`repro.analysis.sanitizer`) at every
+    #: scheduler trigger.  None = ``MULTICL_SANITIZE`` decides when the
+    #: context resolves this config.
+    sanitize: Optional[bool] = None
 
     def with_(self, **kw) -> "SchedulerConfig":
         """Functional update helper."""
         return replace(self, **kw)
 
     @staticmethod
-    def from_env(base: Optional["SchedulerConfig"] = None) -> "SchedulerConfig":
-        cfg = base or SchedulerConfig()
-        freq = os.environ.get(ITERATIVE_FREQ_ENV)
-        if freq is not None:
-            try:
-                value = int(freq)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid {ITERATIVE_FREQ_ENV}={freq!r}: "
-                    f"expected an integer trigger count",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                cfg = cfg.with_(iterative_refresh=max(0, value))
-        predict = os.environ.get(PREDICT_ENV)
-        if predict is not None:
-            cfg = cfg.with_(predict=predict.strip().lower() in _TRUE_WORDS)
-        repair = os.environ.get(MAPPER_REPAIR_ENV)
-        if repair is not None:
-            cfg = cfg.with_(mapper_repair=repair.strip().lower() in _TRUE_WORDS)
-        split = os.environ.get(SPLIT_ENV)
-        if split is not None:
-            cfg = cfg.with_(split=split.strip().lower() in _TRUE_WORDS)
-        raw = os.environ.get(SPLIT_GRANULARITY_ENV)
-        if raw is not None:
-            try:
-                value = int(raw)
-                if value < 1:
-                    raise ValueError(raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid {SPLIT_GRANULARITY_ENV}={raw!r}: "
-                    f"expected a positive integer",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                cfg = cfg.with_(split_granularity=value)
-        for env, attr in (
-            (PREDICT_TOLERANCE_ENV, "predict_tolerance"),
-            (PREDICT_CONFIDENCE_ENV, "predict_confidence"),
-        ):
-            raw = os.environ.get(env)
-            if raw is None:
-                continue
-            try:
-                value_f = float(raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid {env}={raw!r}: expected a float",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                cfg = cfg.with_(**{attr: max(0.0, value_f)})
-        raw = os.environ.get(MAPPER_REPAIR_THRESHOLD_ENV)
-        if raw is not None:
-            try:
-                value_f = float(raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid {MAPPER_REPAIR_THRESHOLD_ENV}={raw!r}: "
-                    f"expected a float >= 1.0",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                cfg = cfg.with_(repair_threshold=max(1.0, value_f))
-        return cfg
+    def from_env() -> "SchedulerConfig":
+        """The defaults, with every knob set in the environment applied."""
+        return SchedulerConfig(
+            **{attr: knobs.get(name) for attr, name in _ENV_FIELDS.items()}
+        )
+
+    def resolved(self) -> "SchedulerConfig":
+        """This config with every switch left at None read from the
+        environment (explicit values win)."""
+        unset = {
+            attr: knobs.get(name)
+            for attr, name in _ENV_FIELDS.items()
+            if getattr(self, attr) is None
+        }
+        return replace(self, **unset) if unset else self
 
 
 @dataclass(frozen=True)

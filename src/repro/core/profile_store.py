@@ -30,6 +30,7 @@ try:  # POSIX; on platforms without fcntl the lock degrades to a no-op.
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro import knobs
 from repro.hardware.specs import NodeSpec
 from repro.lru import BoundedLRU
 
@@ -70,7 +71,7 @@ def _fp_memo_key(spec: NodeSpec) -> Any:
 
 def default_cache_dir() -> Path:
     """Resolve the cache directory (env var, else ``~/.cache/multicl``)."""
-    env = os.environ.get(PROFILE_CACHE_ENV)
+    env = knobs.get(PROFILE_CACHE_ENV)
     if env:
         return Path(env)
     return Path.home() / ".cache" / "multicl"

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.sanitizer import SANITIZE_PROPERTY_KEY
 from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
 from repro.hardware.specs import NodeSpec
 from repro.ocl.context import Context
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
-from repro.ocl.overlap import OVERLAP_PROPERTY_KEY
 from repro.ocl.platform import Platform
 from repro.ocl.queue import CommandQueue
 from repro.sim.faults import FaultInjector, FaultPlan, FaultPolicy
@@ -155,7 +153,9 @@ class MultiCL:
         Global scheduling policy, or ``None`` for a manual (stock OpenCL)
         context.
     config:
-        Runtime :class:`~repro.core.flags.SchedulerConfig` (ablation knobs).
+        Runtime :class:`~repro.core.flags.SchedulerConfig` (ablation knobs
+        and mode switches).  ``None`` reads every knob from the environment
+        (:meth:`SchedulerConfig.from_env`).
     profile_dir:
         Device-profile cache directory (tests pass a tmp dir).
     fault_plan:
@@ -168,28 +168,25 @@ class MultiCL:
         Opt-in runtime sanitizer (:mod:`repro.analysis`): validate the
         ready-queue pool at every scheduler trigger, raising
         :class:`~repro.analysis.findings.SanitizerError` on cycles, data
-        races and orphaned events, and warning on stale reads.  ``None``
-        (the default) defers to the ``MULTICL_SANITIZE`` environment
-        variable; ``True``/``False`` override it.
+        races and orphaned events, and warning on stale reads.
     predict:
         Profiling-free scheduling from static kernel features
-        (:mod:`repro.predict`).  ``None`` (the default) defers to the
-        ``MULTICL_PREDICT`` environment variable (via
-        :meth:`SchedulerConfig.from_env`); ``True``/``False`` override it
-        and any passed ``config``.
+        (:mod:`repro.predict`).
     overlap:
         Overlap-aware pool issue (:mod:`repro.ocl.overlap`): every
         scheduled in-order queue behaves as if it carried
         ``SCHED_OVERLAP``, and the platform models each link as two
-        directional DMA engines.  ``None`` (the default) defers to the
-        ``MULTICL_OVERLAP`` environment variable; ``True``/``False``
-        override it.
+        directional DMA engines.
     split:
         Multi-device kernel splitting (``SCHED_SPLIT`` for every
-        dynamically scheduled queue).  ``None`` (the default) defers to
-        the ``MULTICL_SPLIT`` environment variable (via
-        :meth:`SchedulerConfig.from_env`); ``True``/``False`` override it
-        and any passed ``config``.
+        dynamically scheduled queue).
+
+    The four mode switches are fields of the one ``config``.  For each,
+    ``True``/``False`` here wins; ``None`` (the default) keeps the
+    ``config`` value, and without a ``config`` the ``MULTICL_SANITIZE``,
+    ``MULTICL_PREDICT``, ``MULTICL_OVERLAP`` and ``MULTICL_SPLIT``
+    environment variables decide.  A ``config`` that leaves ``sanitize``
+    or ``overlap`` at ``None`` also defers those two to the environment.
     """
 
     def __init__(
@@ -205,29 +202,29 @@ class MultiCL:
         overlap: Optional[bool] = None,
         split: Optional[bool] = None,
     ) -> None:
+        switches = {
+            name: bool(value)
+            for name, value in (
+                ("sanitize", sanitize),
+                ("predict", predict),
+                ("overlap", overlap),
+                ("split", split),
+            )
+            if value is not None
+        }
+        if switches:
+            config = (config or SchedulerConfig.from_env()).with_(**switches)
         self.platform = Platform(
             node_spec,
             profile=True,
             profile_dir=profile_dir,
-            duplex_links=overlap if overlap is not None else None,
+            duplex_links=config.overlap if config is not None else None,
         )
         properties: Dict = {}
         if policy is not None:
             properties[ContextProperty.CL_CONTEXT_SCHEDULER] = policy
-        if predict is not None:
-            config = (config or SchedulerConfig.from_env()).with_(
-                predict=bool(predict)
-            )
-        if split is not None:
-            config = (config or SchedulerConfig.from_env()).with_(
-                split=bool(split)
-            )
         if config is not None:
             properties[CONFIG_PROPERTY_KEY] = config
-        if sanitize is not None:
-            properties[SANITIZE_PROPERTY_KEY] = bool(sanitize)
-        if overlap is not None:
-            properties[OVERLAP_PROPERTY_KEY] = bool(overlap)
         self.context: Context = self.platform.create_context(properties=properties)
         self._marks: List[float] = []
         self.fault_policy = fault_policy

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.constraints import MappingDelta, repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
-from repro.core.flags import CONFIG_PROPERTY_KEY, ScheduleOptions, SchedulerConfig
+from repro.core.flags import ScheduleOptions
 from repro.core.kernel_profiler import KernelProfiler
 from repro.core.minikernel import transform_program
 from repro.core.split import plan_split
@@ -60,21 +60,14 @@ def _snucl_device_order(context: "Context") -> List[str]:
 
 
 class MultiCLSchedulerBase(SchedulerBase):
-    """Shared machinery: config resolution, minikernel build hook, history."""
+    """Shared machinery: the context's config, minikernel build hook,
+    history."""
 
     def __init__(self, context: "Context") -> None:
         super().__init__(context)
-        cfg = context.properties.get(CONFIG_PROPERTY_KEY)
-        if cfg is None:
-            cfg = SchedulerConfig.from_env()
-        elif not isinstance(cfg, SchedulerConfig):
-            raise TypeError(
-                f"context property {CONFIG_PROPERTY_KEY!r} must be a "
-                f"SchedulerConfig, got {type(cfg).__name__}"
-            )
-        self.config = cfg
-        self.profiler = KernelProfiler(context, cfg)
-        if cfg.predict:
+        self.config = context.config
+        self.profiler = KernelProfiler(context, self.config)
+        if self.config.predict:
             # Profiling-free scheduling from static kernel features: the
             # profiler consults the predictor before measuring anything.
             # Imported lazily — repro.predict sits above repro.core in the

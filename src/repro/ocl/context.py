@@ -88,34 +88,26 @@ class Context:
         #: which tenants' ready pools dispatch (and in what order) before
         #: falling back to each context's own policy for the mapping.
         self.arbiter: Optional[Any] = None
-        # Opt-in runtime sanitizer: the "multicl.sanitize" context property
-        # wins; otherwise MULTICL_SANITIZE in the environment decides.
-        from repro.analysis.sanitizer import (
-            SANITIZE_PROPERTY_KEY,
-            sanitize_enabled_from_env,
-        )
+        # Runtime switches, resolved once: a SchedulerConfig passed in the
+        # properties, else the environment; switches it leaves at None also
+        # come from the environment.  The scheduler reads this same object.
+        # (Imported here: repro.core sits above repro.ocl.)
+        from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
 
-        sanitize_prop = self.properties.get(SANITIZE_PROPERTY_KEY)
-        self.sanitize: bool = (
-            bool(sanitize_prop)
-            if sanitize_prop is not None
-            else sanitize_enabled_from_env()
-        )
-        # Opt-in overlap-aware issue, resolved the same way: the
-        # "multicl.overlap" context property wins; otherwise MULTICL_OVERLAP
-        # in the environment decides.  Individual queues can also opt in
-        # with SchedFlag.SCHED_OVERLAP.
-        from repro.ocl.overlap import (
-            OVERLAP_PROPERTY_KEY,
-            overlap_enabled_from_env,
-        )
-
-        overlap_prop = self.properties.get(OVERLAP_PROPERTY_KEY)
-        self.overlap: bool = (
-            bool(overlap_prop)
-            if overlap_prop is not None
-            else overlap_enabled_from_env()
-        )
+        cfg = self.properties.get(CONFIG_PROPERTY_KEY)
+        if cfg is None:
+            cfg = SchedulerConfig.from_env()
+        elif not isinstance(cfg, SchedulerConfig):
+            raise TypeError(
+                f"context property {CONFIG_PROPERTY_KEY!r} must be a "
+                f"SchedulerConfig, got {type(cfg).__name__}"
+            )
+        self.config: SchedulerConfig = cfg.resolved()
+        #: Opt-in runtime sanitizer (checked at every scheduler trigger).
+        self.sanitize: bool = self.config.sanitize
+        #: Opt-in overlap-aware issue for every in-order queue; individual
+        #: queues can also opt in with SchedFlag.SCHED_OVERLAP.
+        self.overlap: bool = self.config.overlap
         policy = self.properties.get(ContextProperty.CL_CONTEXT_SCHEDULER)
         if policy is not None:
             try:
@@ -247,8 +239,8 @@ class Context:
         """Runtime sanitizer hook: validate ``pool`` before it is issued.
 
         No-op unless sanitize mode is on (``MULTICL_SANITIZE=1``,
-        ``MultiCL(sanitize=True)``, or the ``"multicl.sanitize"`` context
-        property).  Error findings raise
+        ``MultiCL(sanitize=True)``, or ``SchedulerConfig(sanitize=True)``).
+        Error findings raise
         :class:`~repro.analysis.findings.SanitizerError`; warnings emit
         :class:`~repro.analysis.findings.SanitizerWarning`.
         """
@@ -262,8 +254,8 @@ class Context:
         """Issue every deferred command of ``pool`` respecting cross-queue
         event dependencies (schedulers call this after mapping).
 
-        Queues opted into overlap-aware issue (``SCHED_OVERLAP``, the
-        ``"multicl.overlap"`` context property, or ``MULTICL_OVERLAP``)
+        Queues opted into overlap-aware issue (``SCHED_OVERLAP``, or the
+        context-wide ``overlap`` switch of its config or ``MULTICL_OVERLAP``)
         route through :mod:`repro.ocl.overlap`, which relaxes FIFO order to
         a dependency-driven ready queue; everything else takes the FIFO
         path, whose issue sequence is bit-identical to the historical

@@ -39,7 +39,6 @@ instead of issuing.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
@@ -51,22 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.queue import CommandQueue
     from repro.sim.engine import SimTask
 
-__all__ = [
-    "OVERLAP_ENV",
-    "OVERLAP_PROPERTY_KEY",
-    "overlap_enabled_from_env",
-    "issue_pool_overlap",
-]
-
-#: Context property key opting the whole context into overlap-aware issue
-#: (wins over the environment variable when present).
-OVERLAP_PROPERTY_KEY = "multicl.overlap"
-
-#: Context-wide overlap opt-in: every in-order queue in a scheduled pool
-#: behaves as if it carried ``SCHED_OVERLAP``.
-OVERLAP_ENV = "MULTICL_OVERLAP"
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
+__all__ = ["issue_pool_overlap"]
 
 _OVERLAP_MASK = SchedFlag.SCHED_OVERLAP.value
 
@@ -81,11 +65,6 @@ _KIND_RANK = {
     CommandKind.MARKER: 3,
     CommandKind.BARRIER: 3,
 }
-
-
-def overlap_enabled_from_env() -> bool:
-    raw = os.environ.get(OVERLAP_ENV)
-    return raw is not None and raw.strip().lower() in _TRUE_WORDS
 
 
 def _queue_eligible(context: "Context", queue: "CommandQueue") -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import knobs
 from repro.hardware.presets import aji_cluster15_node
 from repro.hardware.specs import DeviceKind, NodeSpec
 from repro.hardware.topology import SimDevice, SimNode
@@ -44,14 +45,10 @@ class Platform:
         duplex_links: Optional[bool] = None,
     ) -> None:
         self.engine = SimEngine()
-        if duplex_links is None:
-            # Overlap-aware contexts need independent upload/download DMA
-            # engines to actually overlap; resolve from the same env opt-in.
-            from repro.ocl.overlap import overlap_enabled_from_env
-
-            duplex_links = overlap_enabled_from_env()
-        #: separate per-direction link resources (see SimNode.duplex_links)
-        self.duplex_links = bool(duplex_links)
+        #: separate per-direction link resources (see SimNode.duplex_links).
+        #: Overlap-aware contexts need independent upload/download DMA
+        #: engines to actually overlap, so None follows the same env opt-in.
+        self.duplex_links = bool(knobs.get("MULTICL_OVERLAP", duplex_links))
         # A ClusterSpec (SnuCL cluster mode) binds through SimCluster but
         # exposes the same interface; everything above is agnostic.
         self._cluster_spec = None

@@ -60,8 +60,8 @@ _AUTO_MASK = (SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_AUTO_DYNAMIC).value
 _EXPLICIT_REGION_MASK = SchedFlag.SCHED_EXPLICIT_REGION.value
 
 #: Flag values already warned about as contradictory (warn once per value,
-#: mirroring MULTICL_MAPPER_EXACT_MAX_QUEUES's warn-once pattern — queue
-#: creation sits on workload hot paths).
+#: mirroring the knob reader's warn-once pattern in :mod:`repro.knobs` —
+#: queue creation sits on workload hot paths).
 _warned_flag_values: set = set()
 
 

@@ -326,10 +326,9 @@ def _quadratic_form(inv: List[List[float]], x: List[float]) -> float:
 def attach_predictor(profiler: "KernelProfiler") -> Predictor:
     """Build (or load) the predictor for ``profiler``'s platform and attach.
 
-    Resolution order for the model directory: ``SchedulerConfig.predict_dir``
-    (which :meth:`~repro.core.flags.SchedulerConfig.from_env` fills from
-    ``MULTICL_PREDICT_DIR``), else ``<platform profile_dir>/predict``, else
-    ``<default profile cache>/predict``.  Loading is single-flight across
+    Resolution order for the model directory: ``SchedulerConfig.predict_dir``,
+    else ``MULTICL_PREDICT_DIR``, else ``<platform profile_dir>/predict``,
+    else ``<default profile cache>/predict``.  Loading is single-flight across
     processes; fitting charges a throwaway simulated platform, never the
     application's clock.
     """

@@ -19,10 +19,10 @@ trips over stale incompatible files — it just fits fresh alongside them.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional, Tuple
 
+from repro import knobs
 from repro.core import profile_store
 from repro.hardware.specs import NodeSpec
 from repro.lru import BoundedLRU
@@ -58,11 +58,9 @@ def default_predict_dir(
     device-profile default) — so profile and predictor caches travel
     together unless told otherwise.
     """
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(PREDICT_DIR_ENV)
-    if env:
-        return Path(env)
+    chosen = knobs.get(PREDICT_DIR_ENV, explicit or None)
+    if chosen:
+        return Path(chosen)
     if profile_dir:
         return Path(profile_dir) / "predict"
     return profile_store.default_cache_dir() / "predict"

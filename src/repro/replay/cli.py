@@ -20,13 +20,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.replay.runner import (
-    CHUNK_ENV,
-    SHARDS_ENV,
-    SPILL_ENV,
-    ReplayConfig,
-    _env_int,
-)
+from repro import knobs
+from repro.replay.runner import CHUNK_ENV, SHARDS_ENV, SPILL_ENV, ReplayConfig
 
 __all__ = ["build_config", "main"]
 
@@ -216,9 +211,7 @@ def main(argv: Optional[List[str]] = None, prog: Optional[str] = None) -> int:
             verify_against_serial,
         )
 
-        shards = args.shards
-        if shards is None:
-            shards = _env_int(SHARDS_ENV, 1)
+        shards = knobs.get(SHARDS_ENV, args.shards)
         report = (
             run_serial(config) if shards <= 1 else run_sharded(config, shards)
         )

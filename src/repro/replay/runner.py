@@ -26,7 +26,8 @@ dicts, and the completion-callback list are shared per kernel family, and
 the arrival timestamp rides in the :class:`~repro.sim.engine.SimTask`
 ``arrival_time`` slot.
 
-Environment knobs (all overridable per :class:`ReplayConfig`):
+Environment knobs (all overridable per :class:`ReplayConfig`; read through
+:mod:`repro.knobs`, so an invalid value warns and uses the default):
 
 * ``MULTICL_REPLAY_CHUNK`` — arrivals injected per epoch (default 8192);
 * ``MULTICL_REPLAY_SPILL_EVERY`` — streaming-trace spill threshold
@@ -37,10 +38,10 @@ Environment knobs (all overridable per :class:`ReplayConfig`):
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import knobs
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
     KernelFamily,
@@ -67,19 +68,6 @@ CHUNK_ENV = "MULTICL_REPLAY_CHUNK"
 SPILL_ENV = "MULTICL_REPLAY_SPILL_EVERY"
 #: Default shard count for ``python -m repro.replay`` / ``repro.bench replay``.
 SHARDS_ENV = "MULTICL_REPLAY_SHARDS"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -131,13 +119,11 @@ class ReplayConfig:
     family_churn: int = 0
 
     def resolved_chunk(self) -> int:
-        return self.chunk if self.chunk > 0 else _env_int(CHUNK_ENV, 8192)
+        return knobs.get(CHUNK_ENV, self.chunk if self.chunk > 0 else None)
 
     def resolved_spill(self) -> int:
-        return (
-            self.spill_every
-            if self.spill_every > 0
-            else _env_int(SPILL_ENV, 16384)
+        return knobs.get(
+            SPILL_ENV, self.spill_every if self.spill_every > 0 else None
         )
 
     def tenant_name(self, index: int) -> str:

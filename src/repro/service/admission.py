@@ -23,10 +23,10 @@ session cap).  Unset means unlimited.
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, TYPE_CHECKING
+
+from repro import knobs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.session import TenantSession
@@ -54,22 +54,6 @@ class QuotaExceeded(AdmissionError):
     """A tenant exhausted a quota mid-run (e.g. its device-time budget)."""
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {name}={raw!r}: expected an integer",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return value if value >= 0 else None
-
-
 @dataclass(frozen=True)
 class TenantQuota:
     """Per-tenant resource bounds (``None`` = unlimited).
@@ -89,24 +73,19 @@ class TenantQuota:
     def from_env(base: Optional["TenantQuota"] = None) -> "TenantQuota":
         """Fill unset knobs from the environment (operator defaults)."""
         quota = base or TenantQuota()
-        if quota.max_resident_bytes is None:
-            env_bytes = _env_int(QUOTA_BYTES_ENV)
-            if env_bytes is not None:
-                quota = TenantQuota(
-                    max_resident_bytes=env_bytes,
-                    max_queues=quota.max_queues,
-                    max_device_seconds=quota.max_device_seconds,
-                )
-        return quota
+        return replace(
+            quota,
+            max_resident_bytes=knobs.get(
+                QUOTA_BYTES_ENV, quota.max_resident_bytes
+            ),
+        )
 
 
 class AdmissionController:
     """Session cap + per-tenant quota enforcement for one service."""
 
     def __init__(self, max_sessions: Optional[int] = None) -> None:
-        if max_sessions is None:
-            max_sessions = _env_int(MAX_SESSIONS_ENV)
-        self.max_sessions = max_sessions
+        self.max_sessions = knobs.get(MAX_SESSIONS_ENV, max_sessions)
         self.active: List["TenantSession"] = []
         #: FIFO of sessions waiting for an active slot (``on_overload="queue"``).
         self.waitlist: List["TenantSession"] = []

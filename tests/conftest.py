@@ -8,12 +8,21 @@ dirs.
 
 import pytest
 
+from repro import knobs
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import aji_cluster15_node
 from repro.hardware.topology import SimNode
 from repro.ocl.enums import ContextScheduler
 from repro.ocl.platform import Platform
 from repro.sim.engine import SimEngine
+
+
+@pytest.fixture(autouse=True)
+def _fresh_knob_warnings():
+    """Each test sees invalid knob values warn afresh, whatever ran before."""
+    knobs._warned.clear()
+    yield
+    knobs._warned.clear()
 
 
 @pytest.fixture(scope="session")

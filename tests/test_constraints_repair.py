@@ -361,41 +361,17 @@ def test_solve_estimate_matches_lpt_assign_bitwise():
 # MULTICL_MAPPER_EXACT_MAX_QUEUES invalid-value handling (satellite 2)
 # ---------------------------------------------------------------------------
 def test_exact_limit_invalid_value_warns_once_and_defaults(monkeypatch):
+    """A bad value must not raise mid-schedule, nor warn on every trigger:
+    the mapper warns once and keeps exact search (default limit 16)."""
+    queues = [f"q{i}" for i in range(4)]
+    cost = {q: {"d0": 1.0, "d1": 1.0} for q in queues}
     monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "banana")
-    dm._warned_exact_limits.clear()
     with pytest.warns(RuntimeWarning, match="banana"):
-        assert dm._exact_limit() == dm.DEFAULT_EXACT_LIMIT
-    # Warn once per value, not once per scheduler trigger.
+        res = optimal_mapping(queues, ["d0", "d1"], cost)
+    assert res.exact and res.makespan == pytest.approx(2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dm._exact_limit() == dm.DEFAULT_EXACT_LIMIT
-    # Mid-schedule safety: optimal_mapping must not raise either.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = optimal_mapping(
-            ["a", "b"], ["d0"], {"a": {"d0": 1.0}, "b": {"d0": 1.0}}
-        )
-    assert res.makespan == pytest.approx(2.0)
-
-
-def test_exact_limit_negative_value_warns_and_defaults(monkeypatch):
-    monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "-5")
-    dm._warned_exact_limits.clear()
-    with pytest.warns(RuntimeWarning):
-        assert dm._exact_limit() == dm.DEFAULT_EXACT_LIMIT
-
-
-def test_exact_limit_valid_values_still_parse(monkeypatch):
-    monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "5")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert dm._exact_limit() == 5
-    monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert dm._exact_limit() == 0  # 0 = always greedy, a valid choice
-    monkeypatch.delenv(dm.EXACT_LIMIT_ENV)
-    assert dm._exact_limit() == dm.DEFAULT_EXACT_LIMIT
+        assert optimal_mapping(queues, ["d0", "d1"], cost).exact
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +487,3 @@ def test_repair_flag_off_forces_full_solves(profile_dir):
     assert sched.mapper_repairs == 0
     assert sched.mapper_reuses == 0
     assert sched.mapper_solves == len(sched.mapping_history)
-
-
-def test_env_flags_parse(monkeypatch):
-    from repro.core.flags import (
-        MAPPER_REPAIR_ENV,
-        MAPPER_REPAIR_THRESHOLD_ENV,
-    )
-
-    assert SchedulerConfig().mapper_repair is True
-    monkeypatch.setenv(MAPPER_REPAIR_ENV, "0")
-    assert SchedulerConfig.from_env().mapper_repair is False
-    monkeypatch.setenv(MAPPER_REPAIR_ENV, "on")
-    assert SchedulerConfig.from_env().mapper_repair is True
-    monkeypatch.setenv(MAPPER_REPAIR_THRESHOLD_ENV, "2.5")
-    assert SchedulerConfig.from_env().repair_threshold == 2.5
-    monkeypatch.setenv(MAPPER_REPAIR_THRESHOLD_ENV, "0.2")
-    assert SchedulerConfig.from_env().repair_threshold == 1.0  # clamped
-    monkeypatch.setenv(MAPPER_REPAIR_THRESHOLD_ENV, "junk")
-    with pytest.warns(RuntimeWarning):
-        cfg = SchedulerConfig.from_env()
-    assert cfg.repair_threshold == SchedulerConfig().repair_threshold

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import knobs
 from repro.core.flags import (
+    _ENV_FIELDS,
     CONFIG_PROPERTY_KEY,
     ITERATIVE_FREQ_ENV,
     ScheduleOptions,
@@ -68,24 +70,83 @@ def test_config_with_():
 
 
 def test_config_from_env(monkeypatch):
-    monkeypatch.setenv(ITERATIVE_FREQ_ENV, "5")
-    assert SchedulerConfig.from_env().iterative_refresh == 5
-    monkeypatch.setenv(ITERATIVE_FREQ_ENV, "-3")
-    assert SchedulerConfig.from_env().iterative_refresh == 0
+    """from_env reads each field from its knob-table row, whose default is
+    the field's own (overlap and sanitize default to None: the context
+    reads the environment for them)."""
+    defaults = SchedulerConfig()
+    for attr, name in _ENV_FIELDS.items():
+        expect = None if attr in ("overlap", "sanitize") else knobs.KNOBS[name].default
+        assert getattr(defaults, attr) == expect, attr
+    env = {
+        ITERATIVE_FREQ_ENV: "5",
+        "MULTICL_PREDICT": "yes",
+        "MULTICL_PREDICT_TOLERANCE": "0.4",
+        "MULTICL_PREDICT_CONFIDENCE": "0.7",
+        "MULTICL_MAPPER_REPAIR": "off",
+        "MULTICL_MAPPER_REPAIR_THRESHOLD": "2.5",
+        "MULTICL_SPLIT": "1",
+        "MULTICL_SPLIT_GRANULARITY": "4",
+        "MULTICL_OVERLAP": "on",
+        "MULTICL_SANITIZE": "true",
+    }
+    assert set(env) == set(_ENV_FIELDS.values())
+    for name, raw in env.items():
+        monkeypatch.setenv(name, raw)
+    assert SchedulerConfig.from_env() == SchedulerConfig(
+        iterative_refresh=5,
+        predict=True,
+        predict_tolerance=0.4,
+        predict_confidence=0.7,
+        mapper_repair=False,
+        repair_threshold=2.5,
+        split=True,
+        split_granularity=4,
+        overlap=True,
+        sanitize=True,
+    )
 
 
 def test_config_from_env_warns_on_invalid(monkeypatch):
-    """A typo'd MULTICL_ITERATIVE_FREQUENCY must not be silently ignored."""
+    """A typo'd MULTICL_ITERATIVE_FREQUENCY warns, once per process (every
+    tenant session resolves a config), and keeps the default."""
     monkeypatch.setenv(ITERATIVE_FREQ_ENV, "junk")
-    with pytest.warns(RuntimeWarning, match=ITERATIVE_FREQ_ENV):
-        cfg = SchedulerConfig.from_env()
-    assert cfg.iterative_refresh == 0
+    with pytest.warns(RuntimeWarning, match=ITERATIVE_FREQ_ENV) as record:
+        cfgs = [SchedulerConfig.from_env() for _ in range(3)]
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert all(cfg.iterative_refresh == 0 for cfg in cfgs)
 
 
 def test_config_from_env_valid_value_does_not_warn(monkeypatch, recwarn):
     monkeypatch.setenv(ITERATIVE_FREQ_ENV, "7")
     assert SchedulerConfig.from_env().iterative_refresh == 7
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("switch", ["sanitize", "predict", "overlap", "split"])
+def test_mode_switch_precedence(switch, monkeypatch, profile_dir):
+    """MultiCL argument > explicit config value > environment > default,
+    and the context hands its one resolved config to the scheduler."""
+    env = f"MULTICL_{switch.upper()}"
+
+    def resolved(config=None, **kw):
+        mcl = MultiCL(
+            policy=ContextScheduler.ROUND_ROBIN, config=config,
+            profile_dir=profile_dir, **kw,
+        )
+        assert mcl.context.scheduler.config is mcl.context.config
+        return getattr(mcl.context.config, switch)
+
+    monkeypatch.delenv(env, raising=False)
+    assert resolved() is False
+    monkeypatch.setenv(env, "1")
+    assert resolved() is True
+    assert resolved(SchedulerConfig(**{switch: False})) is False
+    assert resolved(SchedulerConfig(**{switch: True}), **{switch: False}) is False
+    # A config that leaves sanitize/overlap unset still defers to the
+    # environment; predict/split are plain fields whose default wins.
+    assert resolved(SchedulerConfig(iterative_refresh=3)) is (
+        switch in ("sanitize", "overlap")
+    )
 
 
 def test_config_property_type_checked(profile_dir):

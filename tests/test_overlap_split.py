@@ -14,7 +14,6 @@ from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec, NodeSpec
 from repro.ocl.enums import ContextScheduler, SchedFlag
 from repro.ocl.errors import InvalidValue, InvalidWorkGroupSize
 from repro.ocl.kernel import WorkGroupConfig
-from repro.ocl.overlap import OVERLAP_PROPERTY_KEY, overlap_enabled_from_env
 
 STREAM_SRC = """
 // @multicl flops_per_item=200 bytes_per_item=8 writes=1
@@ -90,22 +89,29 @@ def test_overlap_reduces_streaming_makespan(profile_dir):
     assert t_over <= 0.75 * t_fifo
 
 
-def test_overlap_env_opt_in(monkeypatch):
-    monkeypatch.delenv("MULTICL_OVERLAP", raising=False)
-    assert not overlap_enabled_from_env()
-    monkeypatch.setenv("MULTICL_OVERLAP", "1")
-    assert overlap_enabled_from_env()
-    monkeypatch.setenv("MULTICL_OVERLAP", "off")
-    assert not overlap_enabled_from_env()
+def test_overlap_env_opt_in(monkeypatch, profile_dir):
+    """MULTICL_OVERLAP engages both halves of overlap — the context's issue
+    mode and the platform's duplex links — also under a config that leaves
+    overlap unset."""
+    for raw, on in (("1", True), ("off", False)):
+        monkeypatch.setenv("MULTICL_OVERLAP", raw)
+        for config in (None, SchedulerConfig(split=True)):
+            mcl = MultiCL(
+                policy=ContextScheduler.AUTO_FIT, config=config,
+                profile_dir=profile_dir,
+            )
+            assert mcl.context.overlap is on
+            assert mcl.platform.duplex_links is on
 
 
 def test_overlap_property_wins_over_env(monkeypatch, profile_dir):
+    """MultiCL(overlap=False) beats MULTICL_OVERLAP=1."""
     monkeypatch.setenv("MULTICL_OVERLAP", "1")
     mcl = MultiCL(
         policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir, overlap=False
     )
     assert mcl.context.overlap is False
-    assert mcl.context.properties[OVERLAP_PROPERTY_KEY] is False
+    assert mcl.platform.duplex_links is False
 
 
 def test_duplex_links_split_directions(profile_dir):
@@ -360,17 +366,6 @@ def test_sub_range_config_rejects_out_of_bounds(manual_context):
         k.sub_range_config("gpu0", launch, 512, 512)  # empty
     with pytest.raises(InvalidValue):
         k.sub_range_config("gpu0", launch, 0, 2048)  # past the end
-
-
-def test_split_granularity_env(monkeypatch):
-    monkeypatch.setenv("MULTICL_SPLIT_GRANULARITY", "4")
-    assert SchedulerConfig.from_env().split_granularity == 4
-    monkeypatch.setenv("MULTICL_SPLIT_GRANULARITY", "0")
-    with pytest.warns(RuntimeWarning, match="positive integer"):
-        assert SchedulerConfig.from_env().split_granularity == 1
-    monkeypatch.setenv("MULTICL_SPLIT", "1")
-    monkeypatch.delenv("MULTICL_SPLIT_GRANULARITY")
-    assert SchedulerConfig.from_env().split is True
 
 
 # ---------------------------------------------------------------------------

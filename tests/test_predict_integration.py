@@ -93,18 +93,6 @@ def test_env_var_and_constructor_toggle(profile_dir, monkeypatch):
     assert on.context.scheduler.profiler.predictor is not None
 
 
-def test_env_tolerance_and_confidence_parse(monkeypatch):
-    monkeypatch.setenv("MULTICL_PREDICT_TOLERANCE", "0.4")
-    monkeypatch.setenv("MULTICL_PREDICT_CONFIDENCE", "0.7")
-    cfg = SchedulerConfig.from_env()
-    assert cfg.predict_tolerance == 0.4
-    assert cfg.predict_confidence == 0.7
-    monkeypatch.setenv("MULTICL_PREDICT_TOLERANCE", "bogus")
-    with pytest.warns(RuntimeWarning):
-        cfg = SchedulerConfig.from_env()
-    assert cfg.predict_tolerance == SchedulerConfig().predict_tolerance
-
-
 # ---------------------------------------------------------------------------
 # Corrector loop: measurements feed residuals and online re-fits
 # ---------------------------------------------------------------------------

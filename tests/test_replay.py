@@ -297,12 +297,11 @@ def test_env_knobs(small_config, monkeypatch):
     monkeypatch.setenv(SPILL_ENV, "456")
     assert cfg.resolved_chunk() == 123
     assert cfg.resolved_spill() == 456
-    monkeypatch.setenv(CHUNK_ENV, "0")
-    with pytest.raises(ValueError):
-        cfg.resolved_chunk()
-    monkeypatch.setenv(CHUNK_ENV, "soon")
-    with pytest.raises(ValueError):
-        cfg.resolved_chunk()
+    # A bad value warns and keeps the default instead of failing mid-run.
+    for raw in ("0", "soon"):
+        monkeypatch.setenv(CHUNK_ENV, raw)
+        with pytest.warns(RuntimeWarning, match=CHUNK_ENV):
+            assert cfg.resolved_chunk() == 8192
     # Explicit config values beat the environment.
     assert small_config.resolved_chunk() == 256
 
