@@ -72,7 +72,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
                 # Non-kernel commands ride along on the current binding.
                 if not cmd.deps_ready():
                     break  # cross-queue wait; the other queue will trigger
-                q.issue(q.pending.pop(0))
+                q.issue_pending()
         self._record(pool)
 
     def _place_kernel(self, q: "CommandQueue", cmd: "Command", profile) -> None:

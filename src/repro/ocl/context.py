@@ -88,6 +88,10 @@ class Context:
         #: which tenants' ready pools dispatch (and in what order) before
         #: falling back to each context's own policy for the mapping.
         self.arbiter: Optional[Any] = None
+        #: Count of kernel changes that can re-price a launch already
+        #: deferred (per-device configs, cost models, and arguments a cost
+        #: model reads); the arbiter re-prices everything when it moves.
+        self.cost_edits = 0
         # Runtime switches, resolved once: a SchedulerConfig passed in the
         # properties, else the environment; switches it leaves at None also
         # come from the environment.  The scheduler reads this same object.
@@ -301,8 +305,7 @@ class Context:
                 scheduled.discard(id(q))
                 pending = q.pending
                 while pending and pending[0].deps_ready():
-                    cmd = pending.pop(0)
-                    q.issue(cmd)
+                    cmd = q.issue_pending()
                     woken = waiters.pop(id(cmd), None)
                     if woken:
                         for w in woken:

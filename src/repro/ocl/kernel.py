@@ -157,6 +157,10 @@ class Kernel:
                 f"kernel {self.name!r} arg {index} "
                 f"({self.info.args[index].declaration!r}) expects a scalar"
             )
+        # The cost model prices from self.args: a new value re-prices
+        # launches already deferred.
+        if self._cost_model is not None and self.args.get(index) is not value:
+            self.program.context.cost_edits += 1
         self.args[index] = value
 
     def check_args_set(self) -> None:
@@ -201,6 +205,7 @@ class Kernel:
         self.device_configs[device_name] = WorkGroupConfig.normalize(
             global_size, local_size
         )
+        self.program.context.cost_edits += 1
 
     def effective_config(
         self, device_name: str, launch: WorkGroupConfig
@@ -242,6 +247,7 @@ class Kernel:
     def set_cost_model(self, fn: CostModel) -> None:
         """Override the annotation-derived cost model."""
         self._cost_model = fn
+        self.program.context.cost_edits += 1
 
     def set_host_function(self, fn: HostFunction) -> None:
         """Attach a functional numpy payload executed when the kernel runs."""

@@ -251,8 +251,7 @@ def issue_pool_overlap(
                 t = nodes[p].command.event.task
                 if t is not None:
                     odeps.append(t)
-            q.pending.remove(node.command)
-            q.issue(node.command, ordering_deps=odeps)
+            q.issue_pending(node.command, ordering_deps=odeps)
         else:
             extra = [
                 nodes[p].command.event.task
@@ -260,8 +259,7 @@ def issue_pool_overlap(
                 if nodes[p].command.event.task is not None
             ]
             assert q.pending and q.pending[0] is node.command
-            q.pending.pop(0)
-            q.issue(node.command, extra_deps=extra or None)
+            q.issue_pending(extra_deps=extra or None)
         issued_nodes[id(q)].append(node)
         issued += 1
         for s in succ[i]:

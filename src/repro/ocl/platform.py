@@ -10,6 +10,7 @@ unit tests.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import knobs
@@ -68,6 +69,9 @@ class Platform:
         self._device_profile = None
         self._profile_dir = profile_dir
         self._contexts_created = 0
+        #: contexts created here, weakly held in creation order (dead
+        #: references are pruned when read)
+        self._contexts: List["weakref.ref[Context]"] = []
         #: devices taken offline by fault injection (permanent failures)
         self._failed_devices: set = set()
         if profile:
@@ -196,7 +200,15 @@ class Platform:
     ) -> Context:
         """clCreateContext (with the proposed CL_CONTEXT_SCHEDULER)."""
         self._contexts_created += 1
-        return Context(self, device_names, properties)
+        context = Context(self, device_names, properties)
+        self._contexts.append(weakref.ref(context))
+        return context
+
+    @property
+    def contexts(self) -> List[Context]:
+        """Live contexts created on this platform, in creation order."""
+        self._contexts = [ref for ref in self._contexts if ref() is not None]
+        return [c for c in (ref() for ref in self._contexts) if c is not None]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Platform({self.spec.name!r}, devices={self.device_names})"

@@ -206,8 +206,14 @@ class CommandQueue:
         _check_flag_hygiene(sched_flags)
         #: Explicit-region state: scheduling active inside start/stop marks.
         self.region_active = False
-        #: Deferred commands awaiting a scheduler trigger.
+        #: Deferred commands awaiting a scheduler trigger.  Commands join
+        #: by append only; every other change goes through
+        #: :meth:`issue_pending` or :meth:`requeue_unfinished`.
         self.pending: List[Command] = []
+        #: Count of changes to :attr:`pending` other than an append, so
+        #: incremental readers of the list (the fair-share arbiter's running
+        #: cost sums) know when what they summed is no longer a prefix.
+        self.pending_edits = 0
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these).
@@ -429,6 +435,23 @@ class CommandQueue:
     # ------------------------------------------------------------------
     # Issue path (runs once the queue is bound to a device)
     # ------------------------------------------------------------------
+    def issue_pending(
+        self,
+        cmd: Optional[Command] = None,
+        ordering_deps: Optional[List["SimTask"]] = None,
+        extra_deps: Optional[List["SimTask"]] = None,
+    ) -> Command:
+        """Take ``cmd`` (default: the head) off :attr:`pending`, issue it,
+        and return it.  Issuers must use this, not ``pending.pop``, so
+        :attr:`pending_edits` counts the removal."""
+        if cmd is None:
+            cmd = self.pending.pop(0)
+        else:
+            self.pending.remove(cmd)
+        self.pending_edits += 1
+        self.issue(cmd, ordering_deps, extra_deps)
+        return cmd
+
     def issue(
         self,
         cmd: Command,
@@ -555,7 +578,6 @@ class CommandQueue:
         ]
         self._check_capacity(*buffers, extra=buffers)
         migrations = self._migrations_for(buffers, deps, category="migration")
-        config = kernel.effective_config(self.device, launch)
         cost = kernel.launch_cost(device.spec, launch)
         meta = {"queue": self.name, "epoch": self.epoch_index}
         if self._tenant_meta is not None:
@@ -579,7 +601,6 @@ class CommandQueue:
                 kernel.args = saved
         for buf in self._written_buffers(kernel, cmd.args_snapshot):
             buf.mark_exclusive(self.device)
-        del config  # config folded into cost via launch_cost
         return task
 
     def _issue_split_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
@@ -822,6 +843,7 @@ class CommandQueue:
             self._barrier = None
         # Replays go to the *front* of the deferred list, in original order.
         self.pending[:0] = victims
+        self.pending_edits += 1
         return victims
 
     # ------------------------------------------------------------------

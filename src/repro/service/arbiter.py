@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 from repro.hardware.cost import kernel_time
 from repro.ocl.enums import CommandKind
@@ -95,6 +96,11 @@ class FairShareArbiter:
         # the pass).  The nested trigger bypasses arbitration — its pool
         # dispatches immediately under the already-running round's credit.
         self._in_trigger = False
+        #: queue -> ((pending_edits, cost_edits), {device: (commands summed,
+        #: seconds)}): the running sums behind estimate_pool_seconds.
+        self._sums: "WeakKeyDictionary[CommandQueue, tuple]" = (
+            WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # Cost model (the same analytic model the simulator charges)
@@ -109,30 +115,45 @@ class FairShareArbiter:
         the queue's current binding, so identical epochs cost identical
         credit for every tenant — binding-dependent estimates would let a
         tenant's fair-share price drift with its mapping history.
+
+        The per-device sums are running sums: each round only prices the
+        commands appended since the last estimate, adding them in command
+        order onto the stored partial sum, so every float equals a fresh
+        left-to-right sum from ``0.0``.  A queue's sums restart from zero
+        when its :attr:`~repro.ocl.queue.CommandQueue.pending_edits` or its
+        context's :attr:`~repro.ocl.context.Context.cost_edits` moves.
         """
         node = context.platform.node
         devices = context.active_device_names or list(context.device_names)
         total = 0.0
         for q in pool:
+            pending = q.pending
+            edits = (q.pending_edits, context.cost_edits)
+            entry = self._sums.get(q)
+            if entry is None or entry[0] != edits:
+                entry = self._sums[q] = (edits, {})
+            sums = entry[1]
             best = math.inf
             for dev in devices:
-                spec = node.device(dev).spec
-                seconds = 0.0
-                for cmd in q.pending:
-                    if cmd.kind is CommandKind.NDRANGE_KERNEL:
-                        assert cmd.kernel is not None and cmd.launch is not None
-                        seconds += kernel_time(
-                            spec, cmd.kernel.launch_cost(spec, cmd.launch)
-                        )
-                    elif cmd.kind is CommandKind.WRITE_BUFFER:
-                        seconds += node.h2d_seconds(dev, cmd.nbytes)
-                    elif cmd.kind is CommandKind.READ_BUFFER:
-                        seconds += node.d2h_seconds(dev, cmd.nbytes)
-                    elif cmd.kind in (
-                        CommandKind.FILL_BUFFER, CommandKind.COPY_BUFFER
-                    ):
-                        seconds += node.d2d_seconds(dev, dev, cmd.nbytes)
-                    # markers/barriers are free
+                summed, seconds = sums.get(dev, (0, 0.0))
+                if summed < len(pending):
+                    spec = node.device(dev).spec
+                    for cmd in pending[summed:]:
+                        if cmd.kind is CommandKind.NDRANGE_KERNEL:
+                            assert cmd.kernel is not None and cmd.launch is not None
+                            seconds += kernel_time(
+                                spec, cmd.kernel.launch_cost(spec, cmd.launch)
+                            )
+                        elif cmd.kind is CommandKind.WRITE_BUFFER:
+                            seconds += node.h2d_seconds(dev, cmd.nbytes)
+                        elif cmd.kind is CommandKind.READ_BUFFER:
+                            seconds += node.d2h_seconds(dev, cmd.nbytes)
+                        elif cmd.kind in (
+                            CommandKind.FILL_BUFFER, CommandKind.COPY_BUFFER
+                        ):
+                            seconds += node.d2d_seconds(dev, dev, cmd.nbytes)
+                        # markers/barriers are free
+                    sums[dev] = (len(pending), seconds)
                 best = min(best, seconds)
             total += 0.0 if best is math.inf else best
         return total
@@ -158,14 +179,8 @@ class FairShareArbiter:
     ) -> None:
         """Forced trigger: the host is blocked until ``context`` drains."""
         if self._in_trigger:
-            # Nested (fault-recovery) trigger: drain directly, charging the
-            # owner so the replayed work still counts against its share.
-            cost = self.estimate_pool_seconds(context, pool)
-            tenant = context.tenant
-            if tenant is not None:
-                self.deficit[tenant] = self.deficit.get(tenant, 0.0) - cost
-                self.charged[tenant] = self.charged.get(tenant, 0.0) + cost
-            self._dispatch(context, list(pool), trigger_queue, cost)
+            # Nested (fault-recovery) trigger: drain directly.
+            self._dispatch_charged(context, pool, trigger_queue)
             return
         session = self._session_of(context)
         if session is not None and self.is_parked(session):
@@ -185,17 +200,9 @@ class FairShareArbiter:
                     break
                 forced_rounds += 1
                 if forced_rounds >= _MAX_FORCED_ROUNDS:  # pragma: no cover
-                    live = context.pending_queues()
-                    cost = self.estimate_pool_seconds(context, live)
-                    tenant = context.tenant
-                    if tenant is not None:
-                        self.deficit[tenant] = (
-                            self.deficit.get(tenant, 0.0) - cost
-                        )
-                        self.charged[tenant] = (
-                            self.charged.get(tenant, 0.0) + cost
-                        )
-                    self._dispatch(context, live, trigger_queue, cost)
+                    self._dispatch_charged(
+                        context, context.pending_queues(), trigger_queue
+                    )
                     break
         finally:
             self._in_trigger = False
@@ -269,6 +276,21 @@ class FairShareArbiter:
     # ------------------------------------------------------------------
     # Dispatch plumbing
     # ------------------------------------------------------------------
+    def _dispatch_charged(
+        self,
+        context: "Context",
+        pool: Sequence["CommandQueue"],
+        trigger_queue: Optional["CommandQueue"],
+    ) -> None:
+        """Dispatch ``pool`` outside a DRR round, charging its owner's
+        deficit and quota so the work still counts against its share."""
+        cost = self.estimate_pool_seconds(context, pool)
+        tenant = context.tenant
+        if tenant is not None:
+            self.deficit[tenant] = self.deficit.get(tenant, 0.0) - cost
+            self.charged[tenant] = self.charged.get(tenant, 0.0) + cost
+        self._dispatch(context, list(pool), trigger_queue, cost)
+
     def _dispatch(
         self,
         context: "Context",

@@ -11,7 +11,9 @@ virtual timestamps:
   issued-but-unfinished command of the queues it served is requeued, the
   affected kernel/epoch profile-cache entries are invalidated, buffer
   copies that lived only on the dead device fall back to their host shadow,
-  and the context scheduler is re-triggered over the *degraded* device set;
+  and the context scheduler is re-triggered over the *degraded* device set
+  — on every context of the platform that lost in-flight work there, since
+  they share the device;
 * **transient slowdowns** — a device serves kernels ``factor``× slower for
   a window (thermal throttling, a noisy neighbour);
 * **link outages** — a host↔device link is unavailable for a window, so
@@ -28,7 +30,8 @@ replay budget) recovery raises a clean
 
 Layering: this module lives in :mod:`repro.sim` but orchestrates objects
 from the OpenCL layer through duck-typed interfaces (``context.queues``,
-``queue.requeue_unfinished``, ``platform.mark_device_failed``); it imports
+``queue.requeue_unfinished``, ``platform.mark_device_failed``,
+``platform.contexts``); it imports
 nothing from :mod:`repro.ocl` at module scope so the simulation substrate
 stays standalone.
 """
@@ -272,46 +275,48 @@ class FaultInjector:
             meta={"kind": "device-failure"},
         )
 
-        # Copies that lived only on the dead device fall back to the host
-        # shadow (the functional contents are host-resident by construction).
-        for buf in list(context.buffers):
-            buf.drop_device(dev)
-
-        # Invalidate kernel/epoch profile-cache entries measured on the dead
-        # device and forget any static queue→device assignments to it.
-        scheduler = context.scheduler
-        if scheduler is not None and hasattr(scheduler, "on_device_failure"):
-            scheduler.on_device_failure(dev)
-
-        survivors = list(context.active_device_names)
-        if not survivors:
+        if not context.active_device_names:
             raise _mapper_error(
                 f"device {dev!r} failed and no feasible device remains"
             )
 
-        # Requeue every issued-but-unfinished command that depended on the
-        # dead device (capped replay accounting per command).
-        affected, replayed = self._requeue(dev, now)
+        # The device is gone for every context on the platform (the tenants
+        # of a scheduling service share one fleet), not only for the one
+        # this injector is armed on.  Each sheds its state on the dead
+        # device; the ones that must act now recover below, in creation
+        # order, alongside this injector's own.  A scheduler maps deferred
+        # work over the live devices at its next trigger anyway, so only a
+        # context that lost in-flight work is re-triggered — forcing any
+        # other would drain its pool outside fair share (or trip a parked
+        # tenant's quota).  A scheduler-less context issues straight to its
+        # queues' devices, so each one bound to the dead device fails over.
+        recoveries = []
+        replayed = 0
+        for ctx in platform.contexts:
+            # Copies that lived only on the dead device fall back to the
+            # host shadow (the functional contents are host-resident by
+            # construction).
+            for buf in list(ctx.buffers):
+                buf.drop_device(dev)
+            # Invalidate kernel/epoch profile-cache entries measured on the
+            # dead device and forget any static queue→device assignments.
+            scheduler = ctx.scheduler
+            if scheduler is not None and hasattr(scheduler, "on_device_failure"):
+                scheduler.on_device_failure(dev)
+            # Requeue every issued-but-unfinished command that depended on
+            # the dead device (capped replay accounting per command) —
+            # before the orphan sweep below, which would release their
+            # waiters onto the dead device.
+            affected, n = self._requeue(ctx, dev, now)
+            replayed += n
+            if ctx.scheduler is not None:
+                recovers = n > 0
+            else:
+                recovers = bool(affected)
+            if recovers or ctx is context:
+                record = self._remap_recorder(ctx, affected, dev)
+                recoveries.append((ctx, affected, record))
         self.replayed_commands += replayed
-
-        # Snapshot queue→device at *injection time*, before the backoff
-        # elapse below can run a nested fault handler: a second failure
-        # inside the backoff window triggers a full scheduling pass that
-        # already moves this fault's queues, so a later snapshot would
-        # under-count remaps and name the wrong origin device.  The guard
-        # makes the record idempotent — whichever sync pass completes first
-        # (the nested one or ours) does the accounting, exactly once.
-        before = {q.name: q.device for q in affected}
-        recorded = [False]
-
-        def record() -> None:
-            if recorded[0]:
-                return
-            recorded[0] = True
-            self._record_remaps(affected, before, dev)
-
-        if context.scheduler is not None:
-            context.after_sync(record)
 
         # Sweep orphaned simulated work (e.g. profiling launches) off the
         # dead execution resource; their waiters are released so a blocked
@@ -331,26 +336,58 @@ class FaultInjector:
                     backoff, category=RECOVERY_CATEGORY, name=f"backoff:{dev}"
                 )
 
-        # Re-trigger the scheduler over the degraded pool.  If a scheduling
+        # Re-trigger each scheduler over the degraded pool.  If a scheduling
         # pass is already in flight (failure during profiling) the context
         # folds this request into it; the remap accounting runs after the
         # pass completes either way.
-        if context.scheduler is not None:
-            context._sync_pending()
-        else:
-            # Scheduler-less context: simple failover to the first survivor.
-            for q in affected:
-                q.rebind(survivors[0])
-            context.issue_pool([q for q in affected if q.pending])
-            record()
+        for ctx, affected, record in recoveries:
+            if ctx.scheduler is not None:
+                ctx._sync_pending()
+            else:
+                # Scheduler-less context: simple failover to its first
+                # surviving device.
+                live = ctx.active_device_names
+                if not live:
+                    raise _mapper_error(
+                        f"device {dev!r} failed and no feasible device remains"
+                    )
+                for q in affected:
+                    q.rebind(live[0])
+                ctx.issue_pool([q for q in affected if q.pending])
+                record()
 
-    def _requeue(self, dev: str, now: float) -> Tuple[list, int]:
-        """Requeue unfinished commands touching ``dev``; returns
+    def _remap_recorder(self, ctx, affected, dev: str):
+        """Snapshot queue→device of ``affected`` now and return the
+        callback that records their remaps once recovery has mapped them.
+
+        The snapshot is taken at *injection time*, before the backoff
+        elapse can run a nested fault handler: a second failure inside the
+        backoff window triggers a full scheduling pass that already moves
+        this fault's queues, so a later snapshot would under-count remaps
+        and name the wrong origin device.  The guard makes the record
+        idempotent — whichever sync pass completes first (the nested one or
+        ours) does the accounting, exactly once.
+        """
+        before = {q.name: q.device for q in affected}
+        recorded = [False]
+
+        def record() -> None:
+            if recorded[0]:
+                return
+            recorded[0] = True
+            self._record_remaps(ctx, affected, before, dev)
+
+        if ctx.scheduler is not None:
+            ctx.after_sync(record)
+        return record
+
+    def _requeue(self, ctx, dev: str, now: float) -> Tuple[list, int]:
+        """Requeue ``ctx``'s unfinished commands touching ``dev``; returns
         (affected queues, replayed command count)."""
         engine = self.engine
         affected = []
         replayed = 0
-        for q in self.context.queues:
+        for q in ctx.queues:
             if q.released:
                 continue
             cmds = q.requeue_unfinished(dev)
@@ -378,12 +415,12 @@ class FaultInjector:
             replayed += len(cmds)
         return affected, replayed
 
-    def _record_remaps(self, affected, before, dev: str) -> None:
+    def _record_remaps(self, ctx, affected, before, dev: str) -> None:
         engine = self.engine
         now = engine.now
         repaired = bool(
             getattr(
-                getattr(self.context.scheduler, "last_mapping", None),
+                getattr(ctx.scheduler, "last_mapping", None),
                 "repaired",
                 False,
             )

@@ -1,5 +1,7 @@
 """Contexts, platforms, events, and the flat C-style API."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ def test_device_profile_cached_across_platforms(profile_dir):
 def test_context_device_subset(bare_platform):
     ctx = bare_platform.create_context(["gpu0", "gpu1"])
     assert ctx.device_names == ("gpu0", "gpu1")
+
+
+def test_platform_forgets_dropped_contexts(bare_platform):
+    keep = bare_platform.create_context()
+    for _ in range(3):
+        bare_platform.create_context()
+    gc.collect()
+    assert bare_platform.contexts == [keep]
+    assert len(bare_platform._contexts) == 1  # dead references pruned
+    # Dropped contexts still count: sub-devices must precede every context.
+    with pytest.raises(InvalidDevice, match="before creating contexts"):
+        bare_platform.create_sub_devices("cpu", 2)
 
 
 def test_context_rejects_unknown_devices(bare_platform):

@@ -1,9 +1,14 @@
-"""Multi-tenant scheduling service: admission, fair share, telemetry."""
+"""Multi-tenant scheduling service: admission, fair share, telemetry,
+incremental pool costing, and device failures."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.hardware.cost import KernelCost, kernel_time
+from repro.ocl.enums import CommandKind, ContextScheduler, SchedFlag
 from repro.service import (
     UNTAGGED,
     AdmissionError,
@@ -11,6 +16,7 @@ from repro.service import (
     SchedulingService,
     TenantQuota,
 )
+from repro.sim.faults import FaultInjector, FaultPlan
 
 PROGRAM = """
 // @multicl flops_per_item=200 bytes_per_item=8 writes=0
@@ -320,3 +326,346 @@ class TestSessionLifecycle:
     def test_invalid_overload_mode_rejected(self, service):
         with pytest.raises(ValueError, match="on_overload"):
             service.create_session("bad", on_overload="panic")
+
+
+# ---------------------------------------------------------------------------
+# Incremental pool costing
+# ---------------------------------------------------------------------------
+def _reference_pool_seconds(context, pool):
+    """The arbiter's pool estimate re-summed from scratch: every deferred
+    command priced on every active device, left to right from ``0.0``."""
+    node = context.platform.node
+    devices = context.active_device_names or list(context.device_names)
+    total = 0.0
+    for q in pool:
+        best = math.inf
+        for dev in devices:
+            spec = node.device(dev).spec
+            seconds = 0.0
+            for cmd in q.pending:
+                if cmd.kind is CommandKind.NDRANGE_KERNEL:
+                    seconds += kernel_time(
+                        spec, cmd.kernel.launch_cost(spec, cmd.launch)
+                    )
+                elif cmd.kind is CommandKind.WRITE_BUFFER:
+                    seconds += node.h2d_seconds(dev, cmd.nbytes)
+                elif cmd.kind is CommandKind.READ_BUFFER:
+                    seconds += node.d2h_seconds(dev, cmd.nbytes)
+                elif cmd.kind in (
+                    CommandKind.FILL_BUFFER, CommandKind.COPY_BUFFER
+                ):
+                    seconds += node.d2d_seconds(dev, dev, cmd.nbytes)
+            best = min(best, seconds)
+        total += 0.0 if best is math.inf else best
+    return total
+
+
+def _scalar_priced_model(factor):
+    """A cost model that reads the kernel's scalar argument, so
+    ``set_arg`` re-prices launches that are already deferred."""
+
+    def model(spec, config, args):
+        items = config.work_items
+        return KernelCost(
+            flops=factor * args[1] * items,
+            bytes=0.0,  # compute-bound: the price follows args[1]
+            work_items=items,
+            workgroup_size=config.workgroup_size,
+        )
+
+    return model
+
+
+_TENANT = st.integers(0, 1)
+_QUEUE = st.integers(0, 1)
+_STEP = st.one_of(
+    st.tuples(st.just("kernel"), _TENANT, _QUEUE, st.integers(8, 16)),
+    st.tuples(
+        st.sampled_from(["write", "read", "fill"]),
+        _TENANT,
+        _QUEUE,
+        st.integers(1, 1 << 14),
+    ),
+    st.tuples(st.just("voluntary")),
+    st.tuples(st.just("forced"), _TENANT, _QUEUE),
+    st.tuples(st.just("config"), _TENANT, st.integers(0, 2), st.integers(8, 16)),
+    st.tuples(st.just("cost_model"), _TENANT, st.floats(1.0, 1e3)),
+    st.tuples(st.just("set_arg"), _TENANT, st.floats(0.5, 4.0)),
+    # Delays short enough to land while dispatched kernels still run.
+    st.tuples(st.just("fail"), _TENANT, _QUEUE, st.sampled_from([0.0, 1e-6, 1e-5])),
+    st.tuples(st.just("run"), st.sampled_from([1e-6, 1e-5, 1e-3])),
+)
+
+
+class TestIncrementalCosting:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=st.lists(_STEP, min_size=1, max_size=25))
+    # One fixed example per way a summed prefix goes stale: issue empties
+    # the queue, a failure requeues in-flight work at the front, a per-device
+    # config or a cost model lands on a deferred launch, and set_arg changes
+    # what a cost model reads.
+    @example(steps=[("kernel", 0, 0, 10), ("forced", 0, 0), ("kernel", 0, 0, 14)])
+    @example(
+        steps=[
+            ("kernel", 0, 0, 10),
+            ("forced", 0, 0),
+            ("kernel", 0, 0, 14),
+            ("fail", 0, 0, 0.0),
+        ]
+    )
+    @example(
+        steps=[("kernel", 0, 0, 12)] + [("config", 0, d, 16) for d in range(3)]
+    )
+    @example(steps=[("kernel", 1, 0, 12), ("cost_model", 1, 500.0)])
+    @example(
+        steps=[
+            ("cost_model", 1, 10.0),
+            ("kernel", 1, 0, 12),
+            ("set_arg", 1, 3.0),
+        ]
+    )
+    def test_estimate_equals_full_recosting(self, profile_dir, steps):
+        svc = SchedulingService(profile_dir=profile_dir)
+        clients = []
+        for i, policy in enumerate(
+            (ContextScheduler.AUTO_FIT, ContextScheduler.ROUND_ROBIN)
+        ):
+            c = Client(svc.create_session(f"t{i}", weight=2.0 - i, policy=policy))
+            c.queues = [c.queue, c.session.create_queue()]
+            c.kernel.set_arg(0, c.buffer)
+            c.kernel.set_arg(1, 2.0)
+            clients.append(c)
+        devices = svc.platform.device_names
+        # Check every estimate the arbiter makes, inside its voluntary,
+        # forced and fault-recovery rounds too.
+        estimate = svc.arbiter.estimate_pool_seconds
+
+        def checked_estimate(context, pool):
+            seconds = estimate(context, pool)
+            assert seconds == _reference_pool_seconds(context, pool)
+            return seconds
+
+        svc.arbiter.estimate_pool_seconds = checked_estimate
+
+        def check():
+            for c in clients:
+                ctx = c.session.context
+                checked_estimate(ctx, ctx.pending_queues())
+
+        for step in steps:
+            op = step[0]
+            if op == "kernel":
+                _, t, qi, log2 = step
+                c = clients[t]
+                c.queues[qi].enqueue_nd_range_kernel(c.kernel, (1 << log2,), (64,))
+            elif op in ("write", "read", "fill"):
+                _, t, qi, words = step
+                c = clients[t]
+                enqueue = getattr(c.queues[qi], f"enqueue_{op}_buffer")
+                enqueue(c.buffer, None, 4 * words)
+            elif op == "voluntary":
+                svc.trigger()
+            elif op == "forced":
+                _, t, qi = step
+                clients[t].queues[qi].flush()
+            elif op == "config":
+                _, t, d, log2 = step
+                clients[t].kernel.set_work_group_info(devices[d], (1 << log2,))
+            elif op == "cost_model":
+                _, t, factor = step
+                clients[t].kernel.set_cost_model(_scalar_priced_model(factor))
+            elif op == "set_arg":
+                _, t, value = step
+                clients[t].kernel.set_arg(1, value)
+            elif op == "fail":
+                # Fail the device a queue is bound to (likely where its
+                # in-flight work runs), keeping at least one survivor.
+                _, t, qi, delay = step
+                ctx = clients[t].session.context
+                dev = clients[t].queues[qi].device
+                if dev in ctx.active_device_names and len(ctx.active_device_names) > 1:
+                    at = svc.now + delay
+                    FaultInjector(ctx).arm(FaultPlan().fail_device(dev, at=at))
+                    svc.run_until_time(at)
+            else:
+                svc.run_until_time(svc.now + step[1])
+            check()
+        svc.drain()
+        check()
+        assert not any(c.session.pending_queues() for c in clients)
+
+    def test_set_arg_reprices_only_on_a_new_value(self, service):
+        c = Client(service.create_session("t"))
+        c.kernel.set_cost_model(_scalar_priced_model(10.0))
+        c.enqueue_epoch()
+        context = c.session.context
+        edits = context.cost_edits
+        c.enqueue_epoch()  # the same buffer and scalar again
+        assert context.cost_edits == edits
+        c.kernel.set_arg(1, 3.0)
+        assert context.cost_edits == edits + 1
+
+    def test_replay_costs_each_command_once_per_device(
+        self, profile_dir, monkeypatch
+    ):
+        from repro.replay.runner import ReplayConfig, run_service_replay
+        from repro.service import arbiter
+
+        calls = [0]
+
+        def counting_kernel_time(spec, cost):
+            calls[0] += 1
+            return kernel_time(spec, cost)
+
+        monkeypatch.setattr(arbiter, "kernel_time", counting_kernel_time)
+        config = ReplayConfig(
+            commands=100,
+            tenants=4,
+            rate=40.0,
+            seed=1,
+            weights=(4.0, 2.0, 1.0, 1.0),
+            chunk=64,
+            profile_dir=profile_dir,
+        )
+        report = run_service_replay(config)
+        commands = config.commands * config.tenants
+        assert report.total_commands == commands
+        devices = SchedulingService(profile_dir=profile_dir).platform.device_names
+        assert 0 < calls[0] <= commands * len(devices)
+
+
+# ---------------------------------------------------------------------------
+# Device failure under the service
+# ---------------------------------------------------------------------------
+class TestServiceFaults:
+    def _run(self, profile_dir, fail):
+        """Two tenants, each with one dispatched (in-flight) and one
+        deferred epoch of functional kernels; optionally fail the device
+        both tenants' in-flight work runs on."""
+        svc = SchedulingService(profile_dir=profile_dir, quantum=1e6)
+        runs = {}
+        clients = {}
+        events = {"a": [], "b": []}
+        for name, factor in (("a", 2.0), ("b", 3.0)):
+            c = Client(svc.create_session(name))
+            c.buffer.array[:] = 1.0
+
+            def payload(args, name=name, factor=factor):
+                runs[name] = runs.get(name, 0) + 1
+                args["x"] *= factor
+
+            c.kernel.set_host_function(payload)
+            c.factor = factor
+            clients[name] = c
+
+        def epoch():
+            for name, c in clients.items():
+                c.kernel.set_arg(0, c.buffer)
+                c.kernel.set_arg(1, c.factor)
+                for _ in range(4):
+                    events[name].append(
+                        c.queue.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
+                    )
+
+        epoch()
+        assert svc.trigger() == 2  # huge quantum: both pools dispatch
+        epoch()  # deferred behind the in-flight epoch
+        dead, failed_at = None, None
+        if fail:
+            dead = clients["a"].queue.device
+            for name, c in clients.items():
+                assert c.queue.device == dead
+                assert c.queue.pending  # the deferred epoch
+                assert not events[name][3].task.done  # the in-flight one
+            # One injector, armed on tenant a: the failure is still
+            # platform-wide, so tenant b must recover too.
+            failed_at = svc.now
+            FaultInjector(clients["a"].session.context).arm(
+                FaultPlan().fail_device(dead, at=failed_at)
+            )
+            svc.run_until_time(failed_at)
+            replayed = {
+                iv.meta["queue"]
+                for iv in svc.platform.engine.trace
+                if iv.task.startswith("replay:")
+            }
+            assert replayed == {c.queue.name for c in clients.values()}
+        svc.drain()
+        outputs = {n: c.buffer.array.copy() for n, c in clients.items()}
+        return svc, runs, events, outputs, dead, failed_at
+
+    def test_failure_recovers_every_tenant(self, profile_dir):
+        _, runs_ok, _, outputs_ok, _, _ = self._run(profile_dir, fail=False)
+        svc, runs, events, outputs, dead, failed_at = self._run(
+            profile_dir, fail=True
+        )
+        # Every payload ran exactly once (replays only re-charge time).
+        assert runs == runs_ok == {"a": 8, "b": 8}
+        # drain() completed every command, the replayed ones included.
+        assert all(
+            e.task is not None and e.task.done
+            for tenant in events.values()
+            for e in tenant
+        )
+        assert not any(s.pending_queues() for s in svc.active_sessions())
+        # Nothing ran on the dead device after it failed.
+        late = [
+            iv
+            for iv in svc.platform.engine.trace
+            if iv.resource == f"dev:{dead}"
+            and iv.end > failed_at
+            and iv.category != "fault"
+        ]
+        assert late == []
+        for name in outputs_ok:
+            np.testing.assert_array_equal(outputs[name], outputs_ok[name])
+
+    def test_failure_leaves_a_parked_tenant_deferred(self, profile_dir):
+        svc = SchedulingService(profile_dir=profile_dir, quantum=1e6)
+        parked = Client(
+            svc.create_session(
+                "parked", quota=TenantQuota(max_device_seconds=1e-12)
+            )
+        )
+        parked.enqueue_epoch()
+        parked.queue.finish()  # runs to completion, charged past its quota
+        assert svc.arbiter.is_parked(parked.session)
+        parked.enqueue_epoch()  # deferred, with nothing of it in flight
+        deferred = list(parked.queue.pending)
+        busy = [Client(svc.create_session(name)) for name in ("a", "b")]
+        for c in busy:
+            c.enqueue_epoch()
+        assert svc.trigger() == 2  # the parked tenant is skipped
+        dispatched = [t for _, t, _ in svc.arbiter.dispatch_log]
+        # Fail the device running tenant a's epoch: recovery must neither
+        # force the parked tenant's pool (QuotaExceeded) nor dispatch it.
+        failed_at = svc.now
+        FaultInjector(busy[0].session.context).arm(
+            FaultPlan().fail_device(busy[0].queue.device, at=failed_at)
+        )
+        svc.run_until_time(failed_at)
+        replayed = {
+            iv.meta["queue"]
+            for iv in svc.platform.engine.trace
+            if iv.task.startswith("replay:")
+        }
+        assert replayed  # in-flight work was lost and recovered
+
+        def still_deferred():
+            pending = parked.queue.pending
+            return len(pending) == len(deferred) and all(
+                a is b and not a.issued for a, b in zip(pending, deferred)
+            )
+
+        assert still_deferred()
+        later = [t for _, t, _ in svc.arbiter.dispatch_log[len(dispatched):]]
+        assert "parked" not in later
+        for c in busy:
+            c.session.finish()
+        svc.run_until_idle()
+        assert not any(c.session.pending_queues() for c in busy)
+        assert still_deferred()
