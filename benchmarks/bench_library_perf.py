@@ -143,7 +143,7 @@ def test_full_scheduled_epoch(benchmark, tmp_path_factory):
 
 def test_issue_pool_wide(benchmark, tmp_path_factory):
     """Wide-pool issue: 24 auto queues with cross-queue wait events
-    (the indegree ready-list in ``Context.issue_pool``)."""
+    (the pool issuer's FIFO ready heap, behind ``Context.issue_pool``)."""
     from repro.core.runtime import MultiCL
     from repro.ocl.enums import ContextScheduler, SchedFlag
 
@@ -180,8 +180,9 @@ def test_issue_pool_wide(benchmark, tmp_path_factory):
 
 def test_overlap_issue(benchmark, tmp_path_factory):
     """Overlap-aware issue of a double-buffered streaming pool under
-    ``SCHED_OVERLAP`` (graph build + happens-before validation + ready
-    queue), and its makespan win over FIFO issue."""
+    ``SCHED_OVERLAP`` (the pool issuer's relaxed branch: graph build,
+    conflict restoration and its safety check, ranked ready heap), and its
+    makespan win over FIFO issue."""
     import numpy as np
 
     from repro.core.runtime import MultiCL

@@ -141,8 +141,8 @@ _WIDE_PROFILE_DIR = None
 
 def bench_issue_pool_wide() -> float:
     """Wide-pool issue throughput: 24 auto queues x 12 kernels with
-    cross-queue wait events — the indegree ready-list hot path of
-    ``Context.issue_pool`` (formerly an O(n^2) rescan)."""
+    cross-queue wait events — the FIFO ready heap of the pool issuer
+    (:mod:`repro.ocl.issue`, behind ``Context.issue_pool``)."""
     global _WIDE_PROFILE_DIR
     if _WIDE_PROFILE_DIR is None:
         _WIDE_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-wide-")
@@ -180,8 +180,9 @@ _OVERLAP_PROFILE_DIR = None
 def bench_overlap_issue() -> float:
     """Overlap-aware issue of a double-buffered streaming pool: 8 rounds of
     upload + kernel + read-back on one in-order queue under
-    ``SCHED_OVERLAP`` (ready-queue construction, happens-before validation,
-    duplex-link scheduling).  The checksum is the virtual makespan, so a
+    ``SCHED_OVERLAP``: the pool issuer's relaxed branch (graph build,
+    conflict restoration and its safety check, kind-ranked ready heap) and
+    duplex-link scheduling.  The checksum is the virtual makespan, so a
     change to the relaxed issue order fails the gate."""
     global _OVERLAP_PROFILE_DIR
     if _OVERLAP_PROFILE_DIR is None:

@@ -7,11 +7,11 @@ command graph itself: intra-queue program order (in-order queues), barriers
 that graph for a pool of queues holding deferred commands, in two views:
 
 * **issue-blocking edges** (:attr:`CommandNode.blocks_on`) — what must
-  issue before a command can issue.  Mirrors
-  :meth:`~repro.ocl.context.Context.issue_pool` exactly: every command
-  blocks on its queue predecessor (head-of-line issue, even on
-  out-of-order queues) and on every still-deferred wait-list event.  A
-  cycle here is a guaranteed issue deadlock.
+  issue before a command can issue.  These are the FIFO edges of the pool
+  issuer (:mod:`repro.ocl.issue`): every command blocks on its queue
+  predecessor (head-of-line issue, even on out-of-order queues) and on
+  every still-deferred wait-list event.  A cycle here is a guaranteed
+  issue deadlock.
 * **happens-before edges** (:attr:`CommandNode.hb_succ`) — what is
   guaranteed to *execute* before what.  In-order queues chain program
   order; out-of-order queues order only around barriers; wait lists order
@@ -22,7 +22,7 @@ that graph for a pool of queues holding deferred commands, in two views:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.ocl.enums import CommandKind
 
@@ -31,7 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.memory import Buffer
     from repro.ocl.queue import Command, CommandQueue
 
-__all__ = ["CommandNode", "CommandGraph", "build_command_graph"]
+__all__ = [
+    "CommandNode",
+    "CommandGraph",
+    "build_command_graph",
+    "conflict_pairs",
+    "reach_masks",
+]
 
 
 @dataclass
@@ -74,28 +80,11 @@ class CommandGraph:
     def _reach_masks(self) -> List[int]:
         """Per-node bitmask of transitively reachable nodes (hb edges)."""
         cached = getattr(self, "_reach_cache", None)
-        if cached is not None:
-            return cached
-        n = len(self.nodes)
-        masks = [0] * n
-        for start in range(n):
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                # Reuse already-computed masks (cur < start is complete).
-                done = masks[cur]
-                if cur != start and done:
-                    seen |= done
-                    continue
-                for succ in self.nodes[cur].hb_succ:
-                    bit = 1 << succ
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(succ)
-            masks[start] = seen & ~(1 << start)
-        self._reach_cache = masks
-        return masks
+        if cached is None:
+            cached = self._reach_cache = reach_masks(
+                [node.hb_succ for node in self.nodes]
+            )
+        return cached
 
     # -- deadlock detection over issue-blocking edges --------------------
     def find_issue_cycle(self) -> Optional[List[CommandNode]]:
@@ -133,6 +122,58 @@ class CommandGraph:
                     path.pop()
                     color[node] = BLACK
         return None
+
+
+def reach_masks(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Per-node bitmask of the nodes transitively reachable over ``succ``
+    (bit ``j`` of entry ``i`` set when a path runs from ``i`` to ``j``)."""
+    n = len(succ)
+    masks = [0] * n
+    for start in range(n):
+        seen = 1 << start
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            # Reuse already-computed masks (cur < start is complete).
+            done = masks[cur]
+            if cur != start and done:
+                seen |= done
+                continue
+            for nxt in succ[cur]:
+                bit = 1 << nxt
+                if not seen & bit:
+                    seen |= bit
+                    stack.append(nxt)
+        masks[start] = seen & ~(1 << start)
+    return masks
+
+
+def conflict_pairs(
+    nodes: Sequence[CommandNode],
+) -> Iterator[Tuple["Buffer", CommandNode, CommandNode, bool]]:
+    """Every ``(buffer, a, b, both_write)`` where nodes ``a`` and ``b``
+    touch ``buffer`` and at least one of them writes it.
+
+    Built on per-buffer touch lists: buffers come in first-touch order,
+    and ``a`` precedes ``b`` in node order.  A pair touching several
+    buffers appears once per buffer.
+    """
+    #: buffer id -> (buffer, [(node, writes?)] in node order)
+    touches: Dict[int, Tuple["Buffer", List[Tuple[CommandNode, bool]]]] = {}
+    for node in nodes:
+        write_ids = {id(b) for b in node.writes}
+        for buf in node.writes + node.reads:
+            entry = touches.get(id(buf))
+            if entry is None:
+                entry = touches[id(buf)] = (buf, [])
+            elif entry[1][-1][0] is node:
+                continue  # this node already touched the buffer
+            entry[1].append((node, id(buf) in write_ids))
+    for buf, accesses in touches.values():
+        for i, (a, a_writes) in enumerate(accesses):
+            for b, b_writes in accesses[i + 1:]:
+                if a_writes or b_writes:
+                    yield buf, a, b, a_writes and b_writes
 
 
 def _node_label(queue: "CommandQueue", position: int, command: "Command") -> str:

@@ -24,10 +24,15 @@ The checks are pure: nothing is issued, no simulated time passes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.findings import Finding, FindingKind, Severity
-from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
+from repro.analysis.graph import (
+    CommandGraph,
+    CommandNode,
+    build_command_graph,
+    conflict_pairs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.queue import CommandQueue
@@ -108,41 +113,24 @@ def _orphan_findings(graph: CommandGraph) -> List[Finding]:
 # Data races
 # ---------------------------------------------------------------------------
 def _race_findings(graph: CommandGraph) -> List[Finding]:
-    # buffer id -> [(node, writes?)] in node order
-    touches: Dict[int, List[Tuple[CommandNode, bool]]] = {}
-    buffer_names: Dict[int, str] = {}
-    for node in graph.nodes:
-        write_ids = {id(b) for b in node.writes}
-        seen = set()
-        for buf in tuple(node.writes) + tuple(node.reads):
-            if id(buf) in seen:
-                continue
-            seen.add(id(buf))
-            buffer_names[id(buf)] = buf.name
-            touches.setdefault(id(buf), []).append((node, id(buf) in write_ids))
     findings = []
-    for buf_id, accesses in touches.items():
-        for i, (a, a_writes) in enumerate(accesses):
-            for b, b_writes in accesses[i + 1:]:
-                if not (a_writes or b_writes):
-                    continue  # two reads never conflict
-                if graph.ordered(a.index, b.index):
-                    continue
-                mode = "write/write" if a_writes and b_writes else "read/write"
-                findings.append(
-                    Finding(
-                        kind=FindingKind.DATA_RACE,
-                        severity=Severity.ERROR,
-                        message=(
-                            f"{mode} race on buffer "
-                            f"{buffer_names[buf_id]!r}: {a.label} and "
-                            f"{b.label} are not ordered by any event, "
-                            f"program-order, or barrier path"
-                        ),
-                        subjects=(a.label, b.label),
-                        buffer=buffer_names[buf_id],
-                    )
-                )
+    for buf, a, b, both_write in conflict_pairs(graph.nodes):
+        if graph.ordered(a.index, b.index):
+            continue
+        mode = "write/write" if both_write else "read/write"
+        findings.append(
+            Finding(
+                kind=FindingKind.DATA_RACE,
+                severity=Severity.ERROR,
+                message=(
+                    f"{mode} race on buffer {buf.name!r}: {a.label} and "
+                    f"{b.label} are not ordered by any event, "
+                    f"program-order, or barrier path"
+                ),
+                subjects=(a.label, b.label),
+                buffer=buf.name,
+            )
+        )
     return findings
 
 
@@ -219,7 +207,7 @@ def _stale_read_findings(graph: CommandGraph) -> List[Finding]:
 def describe_deadlock(pool: Sequence["CommandQueue"]) -> Optional[str]:
     """Explain why issuing ``pool`` stalled, or None if no cause is found.
 
-    Used by :meth:`~repro.ocl.context.Context.issue_pool` to turn the
+    Used by the pool issuer (:mod:`repro.ocl.issue`) to turn the
     opaque "pending counts" deadlock error into the actual dependency
     cycle (or orphaned-event) diagnosis.
     """

@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.flags import ScheduleOptions
-from repro.core.scheduler import MultiCLSchedulerBase
+from repro.core.scheduler import MultiCLSchedulerBase, trigger_pool
+from repro.ocl.issue import issue_pool
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.scheduling import register_scheduler
 
@@ -56,26 +57,25 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
     # Every kernel is a trigger of its own.
     def on_enqueue(self, queue: "CommandQueue", command: "Command") -> None:
         if command.is_kernel:
-            self.on_sync([queue], trigger_queue=queue)
+            self.on_sync(trigger_pool(queue), trigger_queue=queue)
 
     def on_sync(
         self,
         pool: Sequence["CommandQueue"],
         trigger_queue: Optional["CommandQueue"] = None,
     ) -> None:
-        profile = self.context.platform.device_profile
-        for q in sorted(pool, key=lambda q: q.id):
-            while q.pending:
-                cmd = q.pending[0]
-                if cmd.is_kernel:
-                    self._place_kernel(q, cmd, profile)
-                # Non-kernel commands ride along on the current binding.
-                if not cmd.deps_ready():
-                    break  # cross-queue wait; the other queue will trigger
-                q.issue_pending()
+        # The pool issuer places each kernel just before it issues;
+        # non-kernel commands ride along on the current binding.
+        issue_pool(
+            self.context, sorted(pool, key=lambda q: q.id),
+            before_issue=self._place_kernel,
+        )
         self._record(pool)
 
-    def _place_kernel(self, q: "CommandQueue", cmd: "Command", profile) -> None:
+    def _place_kernel(self, q: "CommandQueue", cmd: "Command") -> None:
+        if not cmd.is_kernel:
+            return
+        profile = self.context.platform.device_profile
         options = ScheduleOptions.from_flags(q.sched_flags)
         epoch = self.profiler.profile_epoch(q, [cmd], options)
         best, best_cost = None, float("inf")

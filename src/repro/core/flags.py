@@ -114,7 +114,7 @@ class SchedulerConfig:
     #: Sub-range rounding granularity in units of the per-device effective
     #: workgroup size along dimension 0 (positive integer).
     split_granularity: int = 1
-    #: Overlap-aware pool issue (:mod:`repro.ocl.overlap`) for every
+    #: Overlap-aware pool issue (:mod:`repro.ocl.issue`) for every
     #: scheduled in-order queue, as if each carried ``SCHED_OVERLAP``.
     #: None = ``MULTICL_OVERLAP`` decides when the context resolves this
     #: config.

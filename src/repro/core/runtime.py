@@ -173,7 +173,7 @@ class MultiCL:
         Profiling-free scheduling from static kernel features
         (:mod:`repro.predict`).
     overlap:
-        Overlap-aware pool issue (:mod:`repro.ocl.overlap`): every
+        Overlap-aware pool issue (:mod:`repro.ocl.issue`): every
         scheduled in-order queue behaves as if it carried
         ``SCHED_OVERLAP``, and the platform models each link as two
         directional DMA engines.

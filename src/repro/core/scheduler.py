@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.program import Program
     from repro.ocl.queue import Command, CommandQueue
 
-__all__ = ["RoundRobinScheduler", "AutoFitScheduler"]
+__all__ = ["RoundRobinScheduler", "AutoFitScheduler", "trigger_pool"]
 
 
 def _snucl_device_order(context: "Context") -> List[str]:
@@ -57,6 +57,22 @@ def _snucl_device_order(context: "Context") -> List[str]:
     # rank (the seed's names.index(n) tie-break was an accidental O(n^2)).
     pos = {n: i for i, n in enumerate(names)}
     return sorted(names, key=lambda n: (rank[node.device(n).spec.kind], pos[n]))
+
+
+def trigger_pool(queue: "CommandQueue") -> List["CommandQueue"]:
+    """The pool of a per-kernel trigger on ``queue``: the queue itself,
+    then every queue holding a transitive deferred producer of its
+    pending commands (a wait on a deferred command of another queue can
+    only issue once that queue is pooled too)."""
+    pool = [queue]
+    seen = {id(queue)}
+    for q in pool:  # grows while iterating
+        for cmd in q.pending:
+            for event in cmd.wait_events:
+                if event.deferred and id(event.queue) not in seen:
+                    seen.add(id(event.queue))
+                    pool.append(event.queue)
+    return pool
 
 
 class MultiCLSchedulerBase(SchedulerBase):
@@ -130,11 +146,12 @@ class MultiCLSchedulerBase(SchedulerBase):
             # sanitizer hooks run here to keep "every scheduler trigger"
             # covered — in service mode the per-kernel trigger is still a
             # fair-share arbitration point.
+            pool = trigger_pool(queue)
             arbiter = self.context.arbiter
             if arbiter is not None:
-                arbiter.on_trigger(self.context, [queue], queue)
+                arbiter.on_trigger(self.context, pool, queue)
             else:
-                self.dispatch([queue], trigger_queue=queue)
+                self.dispatch(pool, trigger_queue=queue)
 
     # -- arbitration hook ---------------------------------------------------
     def dispatch(
@@ -187,9 +204,6 @@ class MultiCLSchedulerBase(SchedulerBase):
     def _record(self, pool: Sequence["CommandQueue"]) -> None:
         self.mapping_history.append({q.name: q.device for q in pool})
 
-    def _issue(self, pool: Sequence["CommandQueue"]) -> None:
-        self.context.issue_pool(pool)
-
 
 class RoundRobinScheduler(MultiCLSchedulerBase):
     """Cyclic queue→device assignment; zero profiling overhead."""
@@ -219,7 +233,7 @@ class RoundRobinScheduler(MultiCLSchedulerBase):
                 self._cursor += 1
             q.rebind(dev)
         self._record(pool)
-        self._issue(pool)
+        self.context.issue_pool(pool)
 
     def on_device_failure(self, device: str) -> None:
         super().on_device_failure(device)
@@ -247,7 +261,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         if dynamic_qs:
             self._map_dynamic(dynamic_qs)
         self._record(pool)
-        self._issue(pool)
+        self.context.issue_pool(pool)
 
     # ------------------------------------------------------------------
     # Static mapping: device profiles + hints only (Section V.B)

@@ -97,7 +97,7 @@ class SimNode:
     upload/download DMA engines of modern PCIe devices, so an H2D prefetch
     and a D2H read-back can be in flight simultaneously (the hardware half
     of transfer/compute overlap; the software half is
-    :mod:`repro.ocl.overlap`).  Off by default: the single shared resource
+    :mod:`repro.ocl.issue`).  Off by default: the single shared resource
     per link keeps traces and utilization reports bit-identical for every
     existing workload.
     """

@@ -9,7 +9,6 @@ global scheduler for the context's automatically scheduled queues.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -34,10 +33,6 @@ __all__ = ["Context", "TENANT_PROPERTY_KEY"]
 TENANT_PROPERTY_KEY = "multicl.tenant"
 
 _ids = itertools.count(1)
-
-#: Raw bit for the overlap opt-in flag (hot-path mask check, see
-#: CommandQueue.auto_active for the idiom).
-_OVERLAP_MASK = SchedFlag.SCHED_OVERLAP.value
 
 
 class Context:
@@ -148,8 +143,6 @@ class Context:
     ) -> CommandQueue:
         """clCreateCommandQueue (with the proposed SCHED_* properties and
         the stock CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE)."""
-        from repro.ocl.enums import SchedFlag
-
         flags = SchedFlag.SCHED_OFF if sched_flags is None else SchedFlag(sched_flags)
         return CommandQueue(self, device_name, flags, name=name,
                             out_of_order=out_of_order)
@@ -258,93 +251,15 @@ class Context:
         """Issue every deferred command of ``pool`` respecting cross-queue
         event dependencies (schedulers call this after mapping).
 
-        Queues opted into overlap-aware issue (``SCHED_OVERLAP``, or the
-        context-wide ``overlap`` switch of its config or ``MULTICL_OVERLAP``)
-        route through :mod:`repro.ocl.overlap`, which relaxes FIFO order to
-        a dependency-driven ready queue; everything else takes the FIFO
-        path, whose issue sequence is bit-identical to the historical
-        pass-based loop.
+        One dependency-driven issuer (:mod:`repro.ocl.issue`) serves every
+        pool: FIFO order for plain queues, a relaxed ready queue for
+        queues opted into overlap-aware issue (``SCHED_OVERLAP``, or the
+        context-wide ``overlap`` switch of its config or
+        ``MULTICL_OVERLAP``).
         """
-        queues = [q for q in pool if q.pending]
-        if not queues:
-            return
-        if self.overlap or any(
-            q.sched_flags.value & _OVERLAP_MASK for q in queues
-        ):
-            from repro.ocl.overlap import issue_pool_overlap
+        from repro.ocl.issue import issue_pool
 
-            issue_pool_overlap(self, queues)
-            return
-        self._issue_pool_fifo(queues)
-
-    def _issue_pool_fifo(self, queues: List[CommandQueue]) -> None:
-        """FIFO issue via an order-preserving wake list.
-
-        Semantically this reproduces the historical algorithm — repeated
-        passes over the pool in order, draining each queue's head while its
-        wait list is satisfied — but a queue is only revisited when a
-        command it stalls on actually issues, so the work is
-        O(commands + wake events) instead of O(passes × queues).  The issue
-        *sequence* is identical: a queue woken at pool position > the one
-        currently draining joins the current sweep (the old inner loop
-        would still reach it); one woken at an earlier position waits for
-        the next sweep (the old loop had already passed it).
-        """
-        pos = {id(q): i for i, q in enumerate(queues)}
-        #: id(producer Command) -> queues whose head stalls on it
-        waiters: Dict[int, List[CommandQueue]] = {}
-        #: ids of queues already sitting in a sweep (wake dedup)
-        scheduled: set = set()
-        sweep: List[CommandQueue] = queues
-        while sweep:
-            heap = [(pos[id(q)], q) for q in sweep]
-            heapq.heapify(heap)
-            sweep = []
-            while heap:
-                i, q = heapq.heappop(heap)
-                scheduled.discard(id(q))
-                pending = q.pending
-                while pending and pending[0].deps_ready():
-                    cmd = q.issue_pending()
-                    woken = waiters.pop(id(cmd), None)
-                    if woken:
-                        for w in woken:
-                            wid = id(w)
-                            if wid in scheduled or not w.pending:
-                                continue
-                            scheduled.add(wid)
-                            if pos[wid] > i:
-                                heapq.heappush(heap, (pos[wid], w))
-                            else:
-                                sweep.append(w)
-                if pending:
-                    # Stalled: park the queue under the first still-unissued
-                    # producer; issuing it re-schedules the queue.  (Heads
-                    # with several unissued producers re-park under the next
-                    # one each time — at most one live registration each.)
-                    producer = next(
-                        (
-                            e.command
-                            for e in pending[0].wait_events
-                            if e.task is None
-                        ),
-                        None,
-                    )
-                    if producer is not None:
-                        waiters.setdefault(id(producer), []).append(q)
-        remaining = [q for q in queues if q.pending]
-        if remaining:
-            # Name the actual dependency cycle (or orphaned event) instead
-            # of opaque pending counts.
-            from repro.analysis.validator import describe_deadlock
-
-            detail = describe_deadlock(remaining)
-            if detail is None:
-                stuck = {q.name: len(q.pending) for q in remaining}
-                detail = f"stuck pending counts: {stuck}"
-            raise InvalidOperation(
-                f"cross-queue dependency deadlock while issuing: {detail}"
-            )
+        issue_pool(self, pool)
 
     def finish_all(self) -> None:
         """Finish every queue in the context (a full synchronization epoch)."""

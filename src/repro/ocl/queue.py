@@ -460,11 +460,11 @@ class CommandQueue:
     ) -> None:
         """Issue one command to the queue's current device.
 
-        ``ordering_deps`` (overlap-aware issue, :mod:`repro.ocl.overlap`)
-        *replaces* the implicit in-order tail / out-of-order barrier
-        chaining with an explicit dependency list, and leaves ``_tail``
-        untouched — the overlap issuer installs a per-epoch join task
-        instead.  ``extra_deps`` *adds* dependencies on top of the normal
+        ``ordering_deps`` (relaxed queues of the pool issuer,
+        :mod:`repro.ocl.issue`) *replaces* the implicit in-order tail /
+        out-of-order barrier chaining with an explicit dependency list, and
+        leaves ``_tail`` untouched — the issuer installs a per-epoch join
+        task instead.  ``extra_deps`` *adds* dependencies on top of the normal
         chaining (used to restore cross-queue conflict ordering whose
         original happens-before path ran through a relaxed queue).
         """

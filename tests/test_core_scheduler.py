@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.baselines import KERNEL_GRANULARITY_POLICY
 from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
@@ -273,3 +274,70 @@ def test_static_memory_bound_picks_highest_bandwidth(autofit):
     # GPUs have the highest measured memory bandwidth on this node.
     assert q.device in ("gpu0", "gpu1")
     assert autofit.engine.trace.count(category="profile-kernel") == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-kernel triggers and the SOCL-style baseline
+# ---------------------------------------------------------------------------
+#: policy -> (CL_CONTEXT_SCHEDULER value, per_kernel_trigger); the
+#: kernel-granularity baseline triggers on every kernel by design.
+PER_KERNEL_POLICIES = {
+    "auto-fit": (ContextScheduler.AUTO_FIT, True),
+    "round-robin": (ContextScheduler.ROUND_ROBIN, True),
+    "kernel-granularity": (KERNEL_GRANULARITY_POLICY, False),
+}
+
+
+@pytest.mark.parametrize("waiter_first", [True, False],
+                         ids=["waiter-first", "producer-first"])
+@pytest.mark.parametrize("policy", sorted(PER_KERNEL_POLICIES))
+def test_per_kernel_trigger_pools_cross_queue_producers(
+    profile_dir, policy, waiter_first
+):
+    """A kernel waiting on another queue's deferred write issues at its
+    own trigger: the trigger pools the producer's queue too."""
+    token, per_kernel = PER_KERNEL_POLICIES[policy]
+    mcl = MultiCL(
+        policy=token,
+        config=SchedulerConfig(per_kernel_trigger=per_kernel),
+        profile_dir=profile_dir,
+    )
+    k, n = _setup_kernel(mcl, "gpuish")
+    names = ["waiter", "producer"] if waiter_first else ["producer", "waiter"]
+    queues = {name: mcl.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC, name=name)
+              for name in names}
+    waiter, producer = queues["waiter"], queues["producer"]
+    src = mcl.context.create_buffer(4 * n)
+    k.set_arg(0, src)
+    write = producer.enqueue_write_buffer(src, np.ones(n, np.float32))
+    ev = waiter.enqueue_nd_range_kernel(k, (n,), (64,), wait_events=[write])
+    # Both issued at the kernel's trigger, the write first.
+    assert write.task is not None and ev.task is not None
+    other = producer.enqueue_nd_range_kernel(k, (n,), (64,))
+    assert other.task is not None
+    waiter.finish()
+    producer.finish()
+    assert ev.profile_start >= write.profile_end
+    if policy == "kernel-granularity":
+        # A kernel is placed once, when it issues.
+        assert mcl.context.scheduler.decisions == 2
+
+
+def test_kernel_granularity_places_each_kernel_once(profile_dir):
+    mcl = MultiCL(policy=KERNEL_GRANULARITY_POLICY, profile_dir=profile_dir)
+    gk, n = _setup_kernel(mcl, "gpuish")
+    ck, _ = _setup_kernel(mcl, "cpuish")
+    q = mcl.queue(flags=DYN, name="mixed")
+    events = [q.enqueue_nd_range_kernel(k, (n,), (64,)) for k in (gk, ck, gk)]
+    # Every kernel is a trigger of its own: issued at enqueue.
+    assert all(ev.task is not None for ev in events)
+    q.finish()
+    sched = mcl.context.scheduler
+    assert sched.decisions == 3
+    assert len(sched.mapping_history) == 3
+    devices = {f"dev:{d}" for d in mcl.device_names}
+    assert all(ev.task.resource.name in devices for ev in events)
+    maps = mcl.engine.trace.filter(
+        category="schedule", predicate=lambda iv: iv.task == "per-kernel-map"
+    )
+    assert len(maps) == 3

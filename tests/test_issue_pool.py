@@ -1,0 +1,218 @@
+"""The pool issuer (:mod:`repro.ocl.issue`) against the FIFO issuer it replaced.
+
+Pools are drawn at random: in-order and out-of-order queues with markers,
+barriers, transfers, multi-producer cross-queue wait lists and orphaned
+waits.  A pool with no relaxed queue must issue the exact command sequence
+of the historical wake-list FIFO issuer (kept below as the reference) and
+fail with the same deadlock message.  A pool where a random subset of the
+in-order queues carries ``SCHED_OVERLAP`` must issue every command once,
+and every conflicting pair FIFO happens-before ordered must still execute
+in that order.
+"""
+
+import heapq
+import re
+from typing import Dict, List
+
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.graph import build_command_graph, conflict_pairs
+from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
+from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
+from repro.ocl.errors import InvalidOperation
+from repro.ocl.platform import Platform
+
+AUTO = SchedFlag.SCHED_AUTO_DYNAMIC
+KINDS = ("write", "read", "marker", "barrier")
+BUFFERS = 3
+
+
+def reference_issue_fifo(queues):
+    """The wake-list FIFO issuer: repeated in-order sweeps over the pool,
+    draining each queue's head while its wait list is satisfied; a queue
+    is revisited only when the command it stalls on issues."""
+    pos = {id(q): i for i, q in enumerate(queues)}
+    waiters: Dict[int, list] = {}
+    scheduled: set = set()
+    sweep = queues
+    while sweep:
+        heap = [(pos[id(q)], q) for q in sweep]
+        heapq.heapify(heap)
+        sweep = []
+        while heap:
+            i, q = heapq.heappop(heap)
+            scheduled.discard(id(q))
+            pending = q.pending
+            while pending and pending[0].deps_ready():
+                cmd = q.issue_pending()
+                for w in waiters.pop(id(cmd), ()):
+                    wid = id(w)
+                    if wid in scheduled or not w.pending:
+                        continue
+                    scheduled.add(wid)
+                    if pos[wid] > i:
+                        heapq.heappush(heap, (pos[wid], w))
+                    else:
+                        sweep.append(w)
+            if pending:
+                producer = next(
+                    e.command for e in pending[0].wait_events if e.task is None
+                )
+                waiters.setdefault(id(producer), []).append(q)
+    remaining = [q for q in queues if q.pending]
+    if remaining:
+        from repro.analysis.validator import describe_deadlock
+
+        detail = describe_deadlock(remaining)
+        if detail is None:
+            stuck = {q.name: len(q.pending) for q in remaining}
+            detail = f"stuck pending counts: {stuck}"
+        raise InvalidOperation(
+            f"cross-queue dependency deadlock while issuing: {detail}"
+        )
+
+
+@st.composite
+def pools(draw, mixed: bool):
+    """A pool spec: queue shapes, commands, and (FIFO pools only) an
+    orphaned wait and a closed wait-list cycle."""
+    nq = draw(st.integers(1, 4))
+    queues = [  # (device index, out-of-order, overlap)
+        (draw(st.integers(0, 2)), draw(st.booleans()), mixed and draw(st.booleans()))
+        for _ in range(nq)
+    ]
+    commands = []
+    for c in range(draw(st.integers(1, 10))):
+        waits = draw(st.lists(st.integers(0, c - 1), max_size=3)) if c else []
+        commands.append((
+            draw(st.integers(0, nq - 1)),
+            draw(st.sampled_from(KINDS)),
+            draw(st.integers(0, BUFFERS - 1)),
+            sorted(set(waits)),
+        ))
+    orphan = None if mixed else draw(st.none() | st.integers(0, len(commands) - 1))
+    cycle = not mixed and draw(st.integers(0, 5)) == 0
+    return queues, commands, orphan, cycle
+
+
+def build(spec):
+    """Enqueue ``spec`` on a fresh context; return it, the pool, and a
+    tag (queue name, enqueue index) per deferred command id and per event
+    id.  Links are duplex, as under overlap, so a relaxed queue's upload
+    and read-back can run at once."""
+    queue_specs, commands, orphan, cycle = spec
+    platform = Platform(profile=False, duplex_links=True)
+    ctx = platform.create_context(properties={
+        ContextProperty.CL_CONTEXT_SCHEDULER: ContextScheduler.ROUND_ROBIN,
+        CONFIG_PROPERTY_KEY: SchedulerConfig(overlap=False, sanitize=False),
+    })
+    devices = ctx.device_names
+    pool = [
+        ctx.create_queue(
+            devices[device],
+            AUTO | (SchedFlag.SCHED_OVERLAP if overlap else SchedFlag.SCHED_OFF),
+            name=f"q{i}",
+            out_of_order=ooo,
+        )
+        for i, (device, ooo, overlap) in enumerate(queue_specs)
+    ]
+    buffers = [
+        ctx.create_buffer(1024 << 5 * i, name=f"b{i}") for i in range(BUFFERS)
+    ]
+    outside = ctx.create_queue(devices[0], AUTO, name="outside")
+    stray = outside.enqueue_marker()
+    events, tags, event_tags = [], {}, {}
+    for c, (qi, kind, bi, waits) in enumerate(commands):
+        q = pool[qi]
+        wait = [events[w] for w in waits]
+        if c == orphan:
+            wait.append(stray)  # its producer is never pooled
+        if kind == "write":
+            ev = q.enqueue_write_buffer(buffers[bi], wait_events=wait)
+        elif kind == "read":
+            ev = q.enqueue_read_buffer(buffers[bi], wait_events=wait)
+        elif kind == "marker":
+            ev = q.enqueue_marker(wait)
+        else:
+            ev = q.enqueue_barrier(wait)
+        events.append(ev)
+        tags[id(ev.command)] = event_tags[ev.id] = (q.name, c)
+    if cycle:
+        # An event cannot be waited on before it exists; close the loop by
+        # mutating the first deferred command's wait list.
+        events[0].command.wait_events.append(events[-1])
+    return ctx, pool, tags, event_tags
+
+
+def run(issue, spec):
+    """Issue ``spec``'s pool with ``issue``; return the issue sequence and
+    the deadlock message with event ids replaced by command tags."""
+    ctx, pool, tags, event_tags = build(spec)
+    sequence: List[tuple] = []
+    for q in pool:
+        def logged(*args, _q=q, **kwargs):
+            cmd = type(_q).issue_pending(_q, *args, **kwargs)
+            sequence.append(tags[id(cmd)])
+            return cmd
+        q.issue_pending = logged
+    try:
+        issue(ctx, pool)
+        error = None
+    except InvalidOperation as exc:
+        error = re.sub(
+            r"ev#(\d+)",
+            lambda m: f"ev{event_tags.get(int(m.group(1)), 'stray')}",
+            str(exc),
+        )
+    return sequence, error
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools(mixed=False))
+def test_fifo_pools_issue_in_reference_order(spec):
+    got = run(lambda ctx, pool: ctx.issue_pool(pool), spec)
+    want = run(lambda ctx, pool: reference_issue_fifo(pool), spec)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools(mixed=True))
+def test_mixed_pools_keep_fifo_happens_before(spec):
+    ctx, pool, tags, _ = build(spec)
+    graph = build_command_graph(pool)
+    ordered = [
+        (a.command, b.command) if graph.happens_before(a.index, b.index)
+        else (b.command, a.command)
+        for _, a, b, _ in conflict_pairs(graph.nodes)
+        if graph.ordered(a.index, b.index)
+    ]
+    commands = [node.command for node in graph.nodes]
+    ctx.issue_pool(pool)
+    assert not any(q.pending for q in pool)
+    assert all(cmd.issued for cmd in commands)
+    tasks = [cmd.event.task for cmd in commands]
+    assert len({id(t) for t in tasks}) == len(commands)
+    ctx.platform.engine.run_until_idle()
+    for first, then in ordered:
+        assert then.event.task.start_time >= first.event.task.end_time, (
+            tags[id(first)], tags[id(then)]
+        )
+
+
+def test_restored_order_reaches_a_fifo_queue_through_a_relaxed_one():
+    """q0 is relaxed: its big upload and small read-back run at once on the
+    duplex link.  q1 keeps FIFO order and reads the uploaded buffer after
+    waiting only on the read-back; FIFO ordered the upload before it
+    through q0's program order, so the issuer must add the upload to the
+    read's dependencies."""
+    spec = (
+        [(0, False, True), (0, False, False)],
+        [(0, "write", 2, []), (0, "read", 0, []), (1, "read", 2, [1])],
+        None,
+        False,
+    )
+    ctx, pool, _, _ = build(spec)
+    upload, _, read = [c for q in pool for c in q.pending]
+    ctx.issue_pool(pool)
+    ctx.platform.engine.run_until_idle()
+    assert read.event.task.start_time >= upload.event.task.end_time
