@@ -1,12 +1,13 @@
 """Incremental repair vs full re-solve — the fault-path mapping speedup.
 
 On the pinned 64-queue / 8-device acceptance instance (two device classes,
-seed 217, device ``d2`` failed), the constraint-based repair in
+seed 217, device ``d2`` failed), the incremental repair in
 :mod:`repro.core.constraints` must be at least **5x** faster than a fresh
 :func:`~repro.core.device_mapper.optimal_mapping` over the degraded pool,
 while migrating only the dead device's queues and matching or beating the
 fresh greedy makespan.  Both halves run as a test (CI smoke via the
-``repair-smoke`` job) and as a standalone table.
+``repair-smoke`` job) and as a standalone table; ``run_perf_baseline.py``
+times the same instance as its ``mapper_repair`` bench.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_mapper_repair.py
 """
@@ -15,7 +16,7 @@ import random
 import statistics
 import time
 
-from repro.core.constraints import MappingDelta, repair_mapping
+from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import optimal_mapping
 
 QUEUES = 64
@@ -27,7 +28,10 @@ MIN_SPEEDUP = 5.0
 
 
 def pinned_instance():
-    """The acceptance instance: two device classes with per-pair noise."""
+    """The acceptance instance: two device classes with per-pair noise.
+
+    Returns the healthy pool ``(queues, devices, cost)``.
+    """
     rng = random.Random(SEED)
     queues = [f"q{i}" for i in range(QUEUES)]
     devices = [f"d{j}" for j in range(DEVICES)]
@@ -53,11 +57,10 @@ def run() -> dict:
     prev = optimal_mapping(queues, devices, cost)
     degraded = [d for d in devices if d != DEAD]
     cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    delta = MappingDelta(removed_devices=(DEAD,))
 
     solve_s, fresh = _median_time(lambda: optimal_mapping(queues, degraded, cost2))
     repair_s, repaired = _median_time(
-        lambda: repair_mapping(prev, delta, queues, degraded, cost2)
+        lambda: repair_mapping(prev, queues, degraded, cost2)
     )
     orphans = {q for q, d in prev.mapping.items() if d == DEAD}
     return {

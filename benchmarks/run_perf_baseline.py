@@ -483,19 +483,14 @@ _REPAIR_INSTANCE = None
 
 
 def _repair_instance():
-    """Healthy 64x8 solve shared across repeats (the failure's *prior*)."""
+    """Healthy solve of the pinned 64x8 instance of
+    ``bench_mapper_repair.py``, shared across repeats (the failure's
+    *prior*)."""
     global _REPAIR_INSTANCE
     if _REPAIR_INSTANCE is None:
-        import random
+        from bench_mapper_repair import pinned_instance
 
-        rng = random.Random(217)
-        queues = [f"q{i}" for i in range(64)]
-        devices = [f"d{j}" for j in range(8)]
-        speed = {d: (1.0 if j < 4 else 2.5) for j, d in enumerate(devices)}
-        cost = {
-            q: {d: rng.uniform(1.0, 10.0) * speed[d] for d in devices}
-            for q in queues
-        }
+        queues, devices, cost = pinned_instance()
         prev = optimal_mapping(queues, devices, cost)
         _REPAIR_INSTANCE = (queues, devices, cost, prev)
     return _REPAIR_INSTANCE
@@ -509,15 +504,13 @@ def bench_mapper_repair() -> float:
     folds the repaired makespan with the migration count so any change to
     the placement search or its acceptance gate shows up.
     """
-    from repro.core.constraints import MappingDelta, repair_mapping
+    from bench_mapper_repair import DEAD
+    from repro.core.constraints import repair_mapping
 
     queues, devices, cost, prev = _repair_instance()
-    dead = "d2"
-    degraded = [d for d in devices if d != dead]
+    degraded = [d for d in devices if d != DEAD]
     cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    result = repair_mapping(
-        prev, MappingDelta(removed_devices=(dead,)), queues, degraded, cost2
-    )
+    result = repair_mapping(prev, queues, degraded, cost2)
     if not result.repaired:
         raise RuntimeError("mapper_repair bench instance fell back to full solve")
     return result.makespan + float(len(result.migrated_queues))

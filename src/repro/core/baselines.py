@@ -30,7 +30,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.flags import ScheduleOptions
-from repro.core.scheduler import MultiCLSchedulerBase, trigger_pool
+from repro.core.scheduler import (
+    MAPPING_HOST_SECONDS,
+    MultiCLSchedulerBase,
+    trigger_pool,
+)
 from repro.ocl.issue import issue_pool
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.scheduling import register_scheduler
@@ -97,7 +101,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         self.decisions += 1
         # Per-kernel host decision cost (a profile lookup + argmin).
         self.context.platform.engine.elapse(
-            self.config.mapping_host_seconds, category="schedule",
+            MAPPING_HOST_SECONDS, category="schedule",
             name="per-kernel-map",
         )
         q.rebind(best)

@@ -1,39 +1,26 @@
-"""Composable mapping constraints and incremental assignment repair.
+"""Incremental repair of a queue→device mapping after device loss.
 
 The branch-and-bound mapper (:mod:`repro.core.device_mapper`) re-solves the
 whole queue pool on every trigger.  That is the right cost model for the
-paper's eight-queue nodes, but a production pool re-triggered on every
-device failure or tenant arrival pays a full solve for what is usually a
-local perturbation: one device vanished, its queues need homes, everyone
-else should stay put.
+paper's eight-queue nodes, but a pool re-triggered after a device failure
+pays a full solve for what is usually a local perturbation: one device
+vanished, its queues need homes, everyone else should stay put.
 
-This module provides the two pieces the ROADMAP's constraint-mapper item
-calls for:
-
-* **Declarative constraints** — device capacity (resident bytes), link/NUMA
-  affinity, per-tenant device quotas, and queue co-location expressed as
-  :class:`Constraint` objects with a uniform
-  ``violations(assignment)`` / ``candidates(queue, devices)`` interface,
-  composed by :class:`ConstraintSet`.  Constraints bridge into the existing
-  solvers through :meth:`ConstraintSet.mask_cost`, which marks disallowed
-  (queue, device) pairs infeasible (``math.inf``) so `optimal_mapping` /
-  `greedy_mapping` and the repair below all honour them.
-
-* **Incremental repair** — :func:`repair_mapping` takes the previous
-  :class:`~repro.core.device_mapper.MappingResult` plus a
-  :class:`MappingDelta` (devices removed by a fault, queues arrived or
-  retired) and migrates only the *affected* queues: survivors keep their
-  binding, orphans are re-placed by a bounded branch-and-bound over the
-  affected subset alone (seeded with an LPT insert into the surviving
-  loads).  The repaired assignment is accepted only when the
-  affected-subset search completed within its node budget (the placement
-  is then optimal over the pinned survivors), its makespan is no worse
-  than a fresh solve estimate — the LPT list-scheduling bound that seeds
-  the full solver, computed in O(Q·D) — and it stays within
-  ``threshold`` × the capacity-scaled previous makespan; otherwise the
-  repair *falls back to the full solve* (`optimal_mapping` with the
-  surviving bindings as ``preferred``), so a rejected repair is exactly a
-  fresh solve and the caller never does worse than re-solving.
+:func:`repair_mapping` takes the previous
+:class:`~repro.core.device_mapper.MappingResult` and the post-fault pool
+and migrates only the *affected* queues — those bound to a device that is
+gone, and queues with no previous binding: survivors keep their binding,
+and the affected queues are re-placed by a bounded branch-and-bound over
+that subset alone (seeded with an LPT insert into the surviving loads).
+The repaired assignment is accepted only when the affected-subset search
+completed within its node budget (the placement is then optimal over the
+pinned survivors), its makespan is no worse than a fresh solve estimate —
+the LPT list-scheduling bound that seeds the full solver, computed in
+O(Q·D) — and it stays within :data:`DEFAULT_REPAIR_THRESHOLD` × the
+capacity-scaled previous makespan; otherwise the repair *falls back to the
+full solve* (`optimal_mapping` with the surviving bindings as
+``preferred``), so a rejected repair is exactly a fresh solve and the
+caller never does worse than re-solving.
 
 Determinism: every scan below iterates queues and devices in caller order
 with explicit tie-breaks, and device loads are summed in a fixed queue
@@ -45,7 +32,7 @@ keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.device_mapper import (
@@ -57,14 +44,6 @@ from repro.core.device_mapper import (
 )
 
 __all__ = [
-    "Constraint",
-    "Violation",
-    "CapacityConstraint",
-    "AffinityConstraint",
-    "TenantQuotaConstraint",
-    "CoLocationConstraint",
-    "ConstraintSet",
-    "MappingDelta",
     "repair_mapping",
     "DEFAULT_REPAIR_THRESHOLD",
     "REPAIR_NODE_BUDGET",
@@ -72,8 +51,6 @@ __all__ = [
 
 #: Accept a repair only when its makespan is within this factor of the
 #: capacity-scaled previous makespan (see :func:`repair_mapping`).
-#: Overridable per call; ``SchedulerConfig`` reads the
-#: ``MULTICL_MAPPER_REPAIR_THRESHOLD`` env var into its own knob.
 DEFAULT_REPAIR_THRESHOLD = 1.25
 
 #: Node budget for the affected-subset branch-and-bound.  The affected set
@@ -88,292 +65,34 @@ REPAIR_NODE_BUDGET = 4096
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One constraint violation in a (partial) assignment."""
-
-    constraint: str
-    queue: str
-    device: str
-    detail: str = ""
-
-
-class Constraint:
-    """Base class: everything is allowed, nothing is violated.
-
-    Subclasses narrow :meth:`candidates` (which devices may this queue use)
-    and/or report :meth:`violations` over a full or partial assignment
-    (mapping of queue name → device name).  Both views are needed: candidate
-    filtering steers the solvers away from illegal placements up front,
-    while violation reporting lets :func:`repair_mapping` find the kept
-    queues a fault pushed out of feasibility (e.g. survivors whose device
-    no longer has capacity headroom).
-    """
-
-    name = "constraint"
-
-    def candidates(
-        self, queue: str, devices: Sequence[str]
-    ) -> Tuple[str, ...]:
-        return tuple(devices)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        return []
-
-
-class CapacityConstraint(Constraint):
-    """Per-device byte capacity against per-queue resident demand.
-
-    ``demand`` maps queue → bytes it keeps resident; ``capacity`` maps
-    device → byte budget.  A queue with no demand entry consumes nothing;
-    a device with no capacity entry is unconstrained.
-    """
-
-    name = "capacity"
-
-    def __init__(
-        self,
-        capacity: Mapping[str, float],
-        demand: Mapping[str, float],
-    ) -> None:
-        self.capacity = dict(capacity)
-        self.demand = dict(demand)
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        need = self.demand.get(queue, 0.0)
-        return tuple(
-            d for d in devices if need <= self.capacity.get(d, math.inf)
-        )
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        used: Dict[str, float] = {}
-        by_device: Dict[str, List[str]] = {}
-        for q, d in assignment.items():
-            used[d] = used.get(d, 0.0) + self.demand.get(q, 0.0)
-            by_device.setdefault(d, []).append(q)
-        out: List[Violation] = []
-        for d, total in used.items():
-            cap = self.capacity.get(d, math.inf)
-            if total > cap:
-                # Report the last-assigned queues first: evicting the most
-                # recent arrivals restores feasibility with the fewest
-                # migrations of long-resident queues.
-                for q in reversed(by_device[d]):
-                    out.append(
-                        Violation(
-                            self.name,
-                            q,
-                            d,
-                            f"device over capacity ({total} > {cap})",
-                        )
-                    )
-                    total -= self.demand.get(q, 0.0)
-                    if total <= cap:
-                        break
-        return out
-
-
-class AffinityConstraint(Constraint):
-    """Link/NUMA affinity: each queue may only use its allowed devices.
-
-    ``allowed`` maps queue → the devices it may run on (e.g. the devices
-    sharing its data's NUMA domain or host link).  Queues without an entry
-    are unconstrained.
-    """
-
-    name = "affinity"
-
-    def __init__(self, allowed: Mapping[str, Sequence[str]]) -> None:
-        self.allowed = {q: tuple(ds) for q, ds in allowed.items()}
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        allow = self.allowed.get(queue)
-        if allow is None:
-            return tuple(devices)
-        allow_set = set(allow)
-        return tuple(d for d in devices if d in allow_set)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out = []
-        for q, d in assignment.items():
-            allow = self.allowed.get(q)
-            if allow is not None and d not in allow:
-                out.append(
-                    Violation(self.name, q, d, f"allowed: {sorted(allow)}")
-                )
-        return out
-
-
-class TenantQuotaConstraint(Constraint):
-    """Per-tenant cap on queues co-resident on one device.
-
-    ``tenant_of`` maps queue → tenant; ``max_per_device`` maps tenant → the
-    most queues that tenant may place on any single device (an
-    anti-monopoly spread quota, the mapper-level analogue of the service
-    layer's byte/queue quotas).  Tenants without an entry are uncapped.
-    """
-
-    name = "tenant-quota"
-
-    def __init__(
-        self,
-        tenant_of: Mapping[str, str],
-        max_per_device: Mapping[str, int],
-    ) -> None:
-        self.tenant_of = dict(tenant_of)
-        self.max_per_device = dict(max_per_device)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        counts: Dict[Tuple[str, str], List[str]] = {}
-        for q, d in assignment.items():
-            tenant = self.tenant_of.get(q)
-            if tenant is None or tenant not in self.max_per_device:
-                continue
-            counts.setdefault((tenant, d), []).append(q)
-        out: List[Violation] = []
-        for (tenant, d), qs in counts.items():
-            cap = self.max_per_device[tenant]
-            if len(qs) > cap:
-                for q in reversed(qs[cap:]):
-                    out.append(
-                        Violation(
-                            self.name,
-                            q,
-                            d,
-                            f"tenant {tenant!r} has {len(qs)} queues on one "
-                            f"device (cap {cap})",
-                        )
-                    )
-        return out
-
-
-class CoLocationConstraint(Constraint):
-    """Groups of queues that must share one device (e.g. a pipeline whose
-    stages exchange device-resident buffers every epoch)."""
-
-    name = "co-location"
-
-    def __init__(self, groups: Sequence[Sequence[str]]) -> None:
-        self.groups = [tuple(g) for g in groups]
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out: List[Violation] = []
-        for group in self.groups:
-            placed = [(q, assignment[q]) for q in group if q in assignment]
-            if len({d for _, d in placed}) > 1:
-                anchor = placed[0][1]
-                for q, d in placed[1:]:
-                    if d != anchor:
-                        out.append(
-                            Violation(
-                                self.name,
-                                q,
-                                d,
-                                f"group {group} split across devices",
-                            )
-                        )
-        return out
-
-
-class ConstraintSet:
-    """Conjunction of constraints with the same interface as one."""
-
-    def __init__(self, constraints: Sequence[Constraint] = ()) -> None:
-        self.constraints = list(constraints)
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        out = tuple(devices)
-        for c in self.constraints:
-            allow = set(c.candidates(queue, out))
-            out = tuple(d for d in out if d in allow)
-            if not out:
-                break
-        return out
-
-    def allows(self, queue: str, device: str) -> bool:
-        return device in self.candidates(queue, (device,))
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out: List[Violation] = []
-        for c in self.constraints:
-            out.extend(c.violations(assignment))
-        return out
-
-    def mask_cost(
-        self,
-        cost: Mapping[str, Mapping[str, float]],
-        queues: Sequence[str],
-        devices: Sequence[str],
-    ) -> Dict[str, Dict[str, float]]:
-        """Cost matrix with disallowed (queue, device) pairs set infeasible.
-
-        This is the bridge into `optimal_mapping`/`greedy_mapping`, which
-        already treat ``math.inf`` as "cannot place here".
-        """
-        masked: Dict[str, Dict[str, float]] = {}
-        for q in queues:
-            allow = set(self.candidates(q, devices))
-            row = cost[q]
-            masked[q] = {
-                d: (row.get(d, math.inf) if d in allow else math.inf)
-                for d in devices
-            }
-        return masked
-
-
-@dataclass(frozen=True)
-class MappingDelta:
-    """What changed since ``prev`` was solved.
-
-    ``removed_devices`` — devices that failed or were withdrawn;
-    ``added_queues`` — queues with no previous binding (arrivals);
-    ``removed_queues`` — queues retired from the pool (informational: the
-    caller simply omits them from ``queues``).
-    """
-
-    removed_devices: Tuple[str, ...] = ()
-    added_queues: Tuple[str, ...] = ()
-    removed_queues: Tuple[str, ...] = ()
-
-
 def repair_mapping(
     prev: MappingResult,
-    delta: MappingDelta,
     queues: Sequence[str],
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
-    constraints: Optional[ConstraintSet] = None,
-    threshold: float = DEFAULT_REPAIR_THRESHOLD,
-    node_budget: int = REPAIR_NODE_BUDGET,
 ) -> MappingResult:
-    """Repair ``prev`` against the post-delta pool instead of re-solving.
+    """Repair ``prev`` against the current pool instead of re-solving.
 
-    ``queues``/``devices``/``cost`` describe the *current* (post-delta)
-    pool.  Queues still bound to a surviving, still-allowed device keep
-    their binding; only the affected set — queues on removed devices,
-    arrivals, and kept queues displaced by constraint violations — is
-    re-placed, by a bounded branch-and-bound over those queues alone.
+    ``queues``/``devices``/``cost`` describe the *current* (post-fault)
+    pool.  Queues still bound to a surviving device on which they remain
+    feasible keep their binding; only the affected set — queues whose
+    device is gone, and queues with no previous binding — is re-placed, by
+    a bounded branch-and-bound over those queues alone.
 
     Decision rule (documented in DESIGN.md §11): the repair is **accepted**
     iff its makespan is (a) no worse than a fresh solve estimate — the LPT
     list-scheduling assignment that seeds the full solver, computed in
-    O(Q·D) — and (b) within ``threshold`` × the previous makespan scaled by
-    the capacity lost (``len(prev devices) / len(devices)``).  Otherwise it
-    **falls back** to `optimal_mapping` over the whole pool with the
-    surviving bindings preferred, so a rejected repair costs one solve and
-    returns exactly the fresh solution.
+    O(Q·D) — and (b) within :data:`DEFAULT_REPAIR_THRESHOLD` × the previous
+    makespan scaled by the capacity lost (``len(prev devices) /
+    len(devices)``).  Otherwise it **falls back** to `optimal_mapping` over
+    the whole pool with the surviving bindings preferred, so a rejected
+    repair costs one solve and returns exactly the fresh solution.
 
     The result's ``repaired`` flag records which path ran and
     ``migrated_queues`` lists every queue whose device changed (or that was
     newly placed), so callers can tell repair from re-solve in telemetry.
     """
     _validate(queues, devices, cost)
-    if constraints is not None and constraints.constraints:
-        cost = constraints.mask_cost(cost, queues, devices)
-        _validate(queues, devices, cost)
-
-    removed = set(delta.removed_devices)
-    added = set(delta.added_queues)
     device_set = set(devices)
 
     kept: Dict[str, str] = {}
@@ -381,28 +100,13 @@ def repair_mapping(
     for q in queues:
         d = prev.mapping.get(q)
         if (
-            q in added
-            or d is None
-            or d in removed
+            d is None
             or d not in device_set
             or not math.isfinite(cost[q].get(d, math.inf))
         ):
             affected.append(q)
         else:
             kept[q] = d
-
-    # Displace kept queues that violate constraints on their kept device
-    # (e.g. capacity headroom shrank when orphans lost their device).
-    # Each round evicts the reported violators; bounded by the pool size.
-    if constraints is not None and constraints.constraints:
-        for _ in range(len(queues)):
-            bad = constraints.violations(kept)
-            if not bad:
-                break
-            for v in bad:
-                if v.queue in kept:
-                    del kept[v.queue]
-                    affected.append(v.queue)
 
     dev_index = {d: i for i, d in enumerate(devices)}
 
@@ -415,7 +119,7 @@ def repair_mapping(
             base[d] += cost[q][d]
 
     placed, repair_makespan, explored, complete = _place_affected(
-        affected, devices, cost, base, dev_index, node_budget
+        affected, devices, cost, base, dev_index
     )
 
     migrated = tuple(
@@ -430,7 +134,7 @@ def repair_mapping(
     # subproblem is as hard as re-solving); (b) the repaired makespan is no
     # worse than the fresh solve estimate (the LPT list-scheduling
     # assignment that seeds the full solver, O(Q·D)); and (c) it stays
-    # within ``threshold`` × the previous makespan scaled for the lost
+    # within the threshold × the previous makespan scaled for the lost
     # capacity.  Rejection falls back to the full solve below.
     accept = complete
     if accept:
@@ -440,7 +144,7 @@ def repair_mapping(
         if math.isfinite(prev.makespan) and prev.makespan > 0.0:
             prev_devices = len(set(prev.mapping.values())) or 1
             scale = prev_devices / max(len(devices), 1)
-            bound = threshold * prev.makespan * max(scale, 1.0)
+            bound = DEFAULT_REPAIR_THRESHOLD * prev.makespan * max(scale, 1.0)
 
         accept = (
             repair_makespan <= solve_estimate * (1.0 + _REL_TOL)
@@ -521,7 +225,6 @@ def _place_affected(
     cost: Mapping[str, Mapping[str, float]],
     base: Mapping[str, float],
     dev_index: Mapping[str, int],
-    node_budget: int,
 ) -> Tuple[Dict[str, str], float, int, bool]:
     """Place ``affected`` onto ``base`` loads minimising the makespan.
 
@@ -537,7 +240,7 @@ def _place_affected(
     3. Depth-first branch-and-bound over the affected queues, seeded with
        the incumbent from (2), pruned by the same suffix-max and
        load-balance lower bounds as the exact mapper, and capped at
-       ``node_budget`` explored nodes.
+       :data:`REPAIR_NODE_BUDGET` explored nodes.
 
     Returns ``(placement, makespan, explored, complete)`` where
     ``complete`` is True iff the search exhausted the subtree within its
@@ -639,7 +342,7 @@ def _place_affected(
 
     def rec(i: int, current_max: float, placed_total: float) -> None:
         nonlocal best_makespan, best_assign, explored
-        if explored >= node_budget:
+        if explored >= REPAIR_NODE_BUDGET:
             return
         if i == n:
             if current_max < best_makespan:
@@ -673,7 +376,7 @@ def _place_affected(
             node[i] = ""
 
     rec(0, max(base.values()) if base else 0.0, 0.0)
-    complete = explored < node_budget
+    complete = explored < REPAIR_NODE_BUDGET
 
     # Recompute the winning makespan drift-free from base in order-sequence.
     final = dict(base)

@@ -20,11 +20,10 @@ Three solvers are provided:
   with an LPT-greedy upper bound and prunes on two lower bounds (the
   largest best-case cost of any unplaced queue, and the load-balance bound
   ``total work / #devices``), so it explores a tiny fraction of the space
-  for realistic pool sizes.  Above a configurable pool-size threshold
-  (``exact_limit``, default from ``MULTICL_MAPPER_EXACT_MAX_QUEUES``, 16
-  queues) it switches to the greedy heuristic below — exact search is
-  exponential in the worst case, and a 32-queue × 8-device pool must map in
-  milliseconds, not minutes.
+  for realistic pool sizes.  Above :data:`EXACT_LIMIT` (16 queues) it
+  switches to the greedy heuristic below — exact search is exponential in
+  the worst case, and a 32-queue × 8-device pool must map in milliseconds,
+  not minutes.
 * :func:`greedy_mapping` — deterministic LPT (longest-processing-time)
   list scheduling followed by single-queue makespan refinement.  Used as
   the large-pool fallback; near-optimal in practice (typically within a few
@@ -47,15 +46,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro import knobs
-
 __all__ = [
     "MappingResult",
     "optimal_mapping",
     "greedy_mapping",
     "brute_force_mapping",
     "MapperError",
-    "EXACT_LIMIT_ENV",
+    "EXACT_LIMIT",
 ]
 
 
@@ -63,12 +60,11 @@ class MapperError(RuntimeError):
     """No feasible assignment exists."""
 
 
-#: Environment variable overriding the queue-count threshold above which
-#: :func:`optimal_mapping` falls back to :func:`greedy_mapping`.  Its
-#: default, 16 queues: exact search with the greedy seed and lower-bound
-#: pruning is comfortably sub-millisecond at paper scale (≤8 queues);
-#: beyond ~16 queues the worst case turns pathological.
-EXACT_LIMIT_ENV = "MULTICL_MAPPER_EXACT_MAX_QUEUES"
+#: Queue-count threshold above which :func:`optimal_mapping` falls back to
+#: :func:`greedy_mapping`: exact search with the greedy seed and
+#: lower-bound pruning is comfortably sub-millisecond at paper scale (≤8
+#: queues); beyond ~16 queues the worst case turns pathological.
+EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,6 @@ def optimal_mapping(
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
     preferred: Optional[Mapping[str, str]] = None,
-    exact_limit: Optional[int] = None,
 ) -> MappingResult:
     """Exact makespan-minimising assignment with pruning.
 
@@ -299,15 +294,13 @@ def optimal_mapping(
     then using lexicographically earlier devices) wins, avoiding pointless
     migrations.
 
-    Pools with more than ``exact_limit`` queues (default: the
-    ``MULTICL_MAPPER_EXACT_MAX_QUEUES`` env var, else 16) are solved by
+    Pools with more than :data:`EXACT_LIMIT` queues are solved by
     :func:`greedy_mapping` instead — the returned result then carries
     ``exact=False`` and may be slightly above the true optimum.
     """
     _validate(queues, devices, cost)
     preferred = dict(preferred or {})
-    exact_limit = knobs.get(EXACT_LIMIT_ENV, exact_limit)
-    if len(queues) > exact_limit:
+    if len(queues) > EXACT_LIMIT:
         return greedy_mapping(queues, devices, cost, preferred)
     # Order queues by decreasing best-case cost: placing the expensive,
     # constrained queues first makes pruning effective.

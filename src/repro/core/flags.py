@@ -47,12 +47,7 @@ ITERATIVE_FREQ_ENV = "MULTICL_ITERATIVE_FREQUENCY"
 _ENV_FIELDS = {
     "iterative_refresh": ITERATIVE_FREQ_ENV,
     "predict": "MULTICL_PREDICT",
-    "predict_tolerance": "MULTICL_PREDICT_TOLERANCE",
-    "predict_confidence": "MULTICL_PREDICT_CONFIDENCE",
-    "mapper_repair": "MULTICL_MAPPER_REPAIR",
-    "repair_threshold": "MULTICL_MAPPER_REPAIR_THRESHOLD",
     "split": "MULTICL_SPLIT",
-    "split_granularity": "MULTICL_SPLIT_GRANULARITY",
     "overlap": "MULTICL_OVERLAP",
     "sanitize": "MULTICL_SANITIZE",
 }
@@ -76,10 +71,6 @@ class SchedulerConfig:
     per_kernel_trigger: bool = False
     #: Re-measure kernel profiles every N scheduler triggers (0 = never).
     iterative_refresh: int = 0
-    #: Simulated host cost of one mapping computation (dynamic programming
-    #: over the queue pool); "negligible because the number of devices in
-    #: present-day nodes is not high".
-    mapping_host_seconds: float = 20e-6
     #: Relative noise injected into kernel-profiling measurements
     #: (deterministic per kernel/device).  0 = exact.  Used by the
     #: robustness ablation: how wrong can measurements be before the
@@ -90,30 +81,11 @@ class SchedulerConfig:
     #: are scheduled with zero profiling launches.  Off by default — the
     #: paper's figures are defined against measured profiles.
     predict: bool = False
-    #: Corrector-loop tolerance: when a kernel *is* measured (decline or
-    #: iterative refresh) and the prediction's relative error exceeds this,
-    #: the observation is folded back into the model.
-    predict_tolerance: float = 0.25
-    #: Minimum leverage-gated confidence required to skip measurement.
-    predict_confidence: float = 0.5
-    #: Directory holding fitted predictor models ("" = resolve from
-    #: ``MULTICL_PREDICT_DIR``, else the profile cache directory).
-    predict_dir: str = ""
-    #: Repair the existing queue→device assignment incrementally on device
-    #: failure (and reuse it outright when nothing changed) instead of
-    #: re-solving the whole pool (:mod:`repro.core.constraints`).
-    mapper_repair: bool = True
-    #: Accept a repair only while its makespan stays within this factor of
-    #: the capacity-scaled previous makespan (>= 1.0).
-    repair_threshold: float = 1.25
     #: Split every dynamically scheduled queue's kernel epochs across the
     #: active devices (context-wide ``SCHED_SPLIT``).  Off by default —
     #: splitting changes the issue plan, and individual queues opt in with
     #: the flag.
     split: bool = False
-    #: Sub-range rounding granularity in units of the per-device effective
-    #: workgroup size along dimension 0 (positive integer).
-    split_granularity: int = 1
     #: Overlap-aware pool issue (:mod:`repro.ocl.issue`) for every
     #: scheduled in-order queue, as if each carried ``SCHED_OVERLAP``.
     #: None = ``MULTICL_OVERLAP`` decides when the context resolves this

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.constraints import MappingDelta, repair_mapping
+from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
 from repro.core.flags import ScheduleOptions
 from repro.core.kernel_profiler import KernelProfiler
@@ -41,7 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.program import Program
     from repro.ocl.queue import Command, CommandQueue
 
-__all__ = ["RoundRobinScheduler", "AutoFitScheduler", "trigger_pool"]
+__all__ = [
+    "RoundRobinScheduler",
+    "AutoFitScheduler",
+    "trigger_pool",
+    "MAPPING_HOST_SECONDS",
+]
+
+#: Simulated host cost of one mapping computation (dynamic programming over
+#: the queue pool); "negligible because the number of devices in
+#: present-day nodes is not high".
+MAPPING_HOST_SECONDS = 20e-6
 
 
 def _snucl_device_order(context: "Context") -> List[str]:
@@ -301,23 +311,66 @@ class AutoFitScheduler(MultiCLSchedulerBase):
     # Dynamic mapping: kernel profiling + exact mapper (Section V.C)
     # ------------------------------------------------------------------
     def _map_dynamic(self, queues: Sequence["CommandQueue"]) -> None:
-        profile = self.context.platform.device_profile
+        platform = self.context.platform
+        profile = platform.device_profile
         epochs: Dict[str, "EpochProfile"] = {}
         for q in queues:
             options = ScheduleOptions.from_flags(q.sched_flags)
             epochs[q.name] = self.profiler.profile_epoch(q, q.pending, options)
-        # Profiling advances the virtual clock, so a device may have failed
-        # *during* this pass (fault injection): map over the devices active
-        # now, treating any device without a measurement as infeasible.
-        devices = self._active_devices()
+        while True:
+            # Profiling advances the virtual clock, so a device may have
+            # failed *during* this pass (fault injection): map over the
+            # devices active now, treating any device without a measurement
+            # as infeasible.
+            mapping, split, interval_name = self._place_dynamic(
+                queues, epochs, self._active_devices(), profile
+            )
+            # The mapping computation itself is host work (Section V.A: the
+            # DP "incurs negligible overhead").  Repair and reuse are
+            # charged the same host interval as a solve so virtual time
+            # stays bit-identical whichever path produced the mapping.
+            platform.engine.elapse(
+                MAPPING_HOST_SECONDS, category="schedule", name=interval_name
+            )
+            # A device that failed during that step leaves the fresh
+            # placement pointing at it: place again over the survivors
+            # (the repair path handles the smaller pool).
+            used = set(mapping.values())
+            for q in split:
+                used.add(q.device)
+                for cmd in q.pending:
+                    if cmd.split_plan is not None:
+                        used.update(cmd.split_plan.devices)
+            if all(platform.is_available(d) for d in used):
+                break
+            for q in split:
+                for cmd in q.pending:
+                    cmd.split_plan = None
+        for q in queues:
+            if q.name in mapping:
+                q.rebind(mapping[q.name])
+
+    def _place_dynamic(
+        self,
+        queues: Sequence["CommandQueue"],
+        epochs: Dict[str, "EpochProfile"],
+        devices: List[str],
+        profile,
+    ) -> Tuple[Dict[str, str], List["CommandQueue"], str]:
+        """Place ``queues`` on ``devices``: split plans first, then one
+        mapping of the rest.  Returns (queue name → device for the mapped
+        queues, the split queues, the mapping step's trace interval name).
+        Split queues are rebound here; mapped queues are left to the
+        caller."""
         # Work-splitting (SCHED_SPLIT / config.split): a split queue's kernel
         # epoch is partitioned across devices instead of mapped to one, so it
         # leaves the cost matrix entirely.  Guarded by a cheap any() — the
         # default path never pays for the option.
+        split: List["CommandQueue"] = []
         if self.config.split or any(
             ScheduleOptions.from_flags(q.sched_flags).split for q in queues
         ):
-            planned = [
+            split = [
                 q
                 for q in queues
                 if (
@@ -326,18 +379,13 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 )
                 and self._plan_split_epoch(q, epochs[q.name])
             ]
-            if planned:
-                split_ids = {id(q) for q in planned}
+            if split:
+                split_ids = {id(q) for q in split}
                 queues = [q for q in queues if id(q) not in split_ids]
                 if not queues:
-                    # The whole pool splits: charge the mapping host cost
-                    # (the partition computation) and skip the solver.
-                    self.context.platform.engine.elapse(
-                        self.config.mapping_host_seconds,
-                        category="schedule",
-                        name="device-map",
-                    )
-                    return
+                    # The whole pool splits: the mapping step is the
+                    # partition computation, and the solver is skipped.
+                    return {}, split, "device-map"
         cost: Dict[str, Dict[str, float]] = {}
         for q in queues:
             # One epoch-buffer walk per queue for the whole sync pass; the
@@ -355,15 +403,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         preferred = {q.name: q.device for q in queues}
         names = [q.name for q in queues]
         result, interval_name = self._solve_mapping(names, devices, cost, preferred)
-        # The mapping computation itself is host work (Section V.A: the DP
-        # "incurs negligible overhead").  Repair and reuse are charged the
-        # same host interval as a solve so virtual time stays bit-identical
-        # whichever path produced the mapping.
-        self.context.platform.engine.elapse(
-            self.config.mapping_host_seconds, category="schedule", name=interval_name
-        )
-        for q in queues:
-            q.rebind(result.mapping[q.name])
+        return result.mapping, split, interval_name
 
     def _solve_mapping(
         self,
@@ -374,38 +414,29 @@ class AutoFitScheduler(MultiCLSchedulerBase):
     ) -> Tuple[MappingResult, str]:
         """Pick the cheapest correct mapping path: reuse, repair, or solve.
 
-        With ``config.mapper_repair`` on, the previous trigger's inputs and
-        result are memoised.  Identical inputs return the cached result of
-        the same pure solve (bit-identical by construction).  A shrunk
-        device pool over a surviving queue subset — the fault signature —
-        goes through :func:`repair_mapping`, which migrates only orphaned
-        queues when that stays within the quality gate and otherwise falls
-        back to a full solve.  Any other change re-solves from scratch.
+        The previous trigger's inputs and result are memoised.  Identical
+        inputs return the cached result of the same pure solve
+        (bit-identical by construction).  A shrunk device pool over a
+        surviving queue subset — the fault signature — goes through
+        :func:`repair_mapping`, which migrates only orphaned queues when
+        that stays within the quality gate and otherwise falls back to a
+        full solve.  Any other change re-solves from scratch.
         """
         key = (tuple(names), tuple(devices))
         state = self._mapper_state
-        if self.config.mapper_repair and state is not None:
+        if state is not None:
             prev_key, prev_cost, prev_pref, prev_result = state
             if key == prev_key and cost == prev_cost and preferred == prev_pref:
                 self.mapper_reuses += 1
                 self.last_mapping = prev_result
                 return prev_result, "device-map"
             prev_names, prev_devices = prev_key
-            removed = tuple(d for d in prev_devices if d not in devices)
             if (
-                removed
+                any(d not in devices for d in prev_devices)
                 and set(names) <= set(prev_names)
                 and all(d in prev_devices for d in devices)
             ):
-                delta = MappingDelta(removed_devices=removed)
-                result = repair_mapping(
-                    prev_result,
-                    delta,
-                    names,
-                    list(devices),
-                    cost,
-                    threshold=self.config.repair_threshold,
-                )
+                result = repair_mapping(prev_result, names, list(devices), cost)
                 if result.repaired:
                     self.mapper_repairs += 1
                 else:
@@ -415,8 +446,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 return result, ("device-repair" if result.repaired else "device-map")
         result = optimal_mapping(names, devices, cost, preferred)
         self.mapper_solves += 1
-        if self.config.mapper_repair:
-            self._mapper_state = (key, cost, dict(preferred), result)
+        self._mapper_state = (key, cost, dict(preferred), result)
         self.last_mapping = result
         return result, "device-map"
 
@@ -425,7 +455,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         ``q``'s pending epoch; returns whether the epoch was split.
 
         All-or-nothing per epoch: if any kernel cannot split (global size
-        too small for two granularity-aligned shares, fewer than two
+        too small for two workgroup-aligned shares, fewer than two
         profiled devices), no command in the epoch is split and the queue
         falls back to the ordinary single-device mapping.  Split shares are
         proportional to the epoch's profiled per-device seconds; the queue
@@ -447,13 +477,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             if not cmd.is_kernel:
                 continue
             assert cmd.kernel is not None and cmd.launch is not None
-            plan = plan_split(
-                cmd.kernel,
-                cmd.launch,
-                order,
-                epoch.seconds,
-                granularity=self.config.split_granularity,
-            )
+            plan = plan_split(cmd.kernel, cmd.launch, order, epoch.seconds)
             if plan is None:
                 return False
             plans.append((cmd, plan))

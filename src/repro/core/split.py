@@ -10,8 +10,7 @@ contiguous per-device sub-ranges:
   device that runs the epoch twice as fast receives twice the work items);
 * each share is rounded down to a multiple of the device's *effective*
   workgroup size along dimension 0 (per-device ``clSetKernelWorkGroupInfo``
-  overrides included) times the configured granularity, so no workgroup
-  straddles a device boundary;
+  overrides included), so no workgroup straddles a device boundary;
 * rounding remainders go to the fastest device;
 * devices whose share rounds to zero drop out; if fewer than two devices
   survive, the kernel is not worth splitting and ``None`` is returned
@@ -54,7 +53,6 @@ def plan_split(
     launch: "WorkGroupConfig",
     devices: Sequence[str],
     seconds: Dict[str, float],
-    granularity: int = 1,
 ) -> Optional[SplitPlan]:
     """Partition ``launch`` across ``devices`` proportionally to rate.
 
@@ -62,7 +60,7 @@ def plan_split(
     non-finite / non-positive entries and devices missing from the mapping
     are excluded.  Returns ``None`` when splitting is not applicable: fewer
     than two usable devices, or a global size too small for more than one
-    granularity-aligned share.
+    workgroup-aligned share.
     """
     total = launch.global_size[0]
     if total <= 0:
@@ -78,8 +76,7 @@ def plan_split(
     weight = sum(rates[d] for d in usable)
     shares: Dict[str, int] = {}
     for d in usable:
-        base = kernel.effective_config(d, launch)
-        chunk = max(1, base.local_size[0] * max(1, int(granularity)))
+        chunk = max(1, kernel.effective_config(d, launch).local_size[0])
         raw = total * rates[d] / weight
         shares[d] = int(raw // chunk) * chunk
     # All rounding remainders go to the fastest device (first on ties).

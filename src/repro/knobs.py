@@ -36,12 +36,12 @@ class Knob:
     """One environment variable: name, type, default, valid range, doc."""
 
     name: str
-    #: ``bool``, ``int``, ``float`` or ``str`` (a path)
+    #: ``bool``, ``int`` or ``str`` (a path)
     type: type
     default: Any
     doc: str
-    #: smallest valid value (numeric knobs); None = unbounded
-    minimum: Optional[float] = None
+    #: smallest valid value (integer knobs); None = unbounded
+    minimum: Optional[int] = None
     #: clamp values below ``minimum`` up to it instead of rejecting them
     clamp: bool = False
 
@@ -49,8 +49,7 @@ class Knob:
         """Human description of a valid value, for the warning text."""
         if self.type is bool:
             return "one of 1/true/yes/on or 0/false/no/off"
-        noun = "an integer" if self.type is int else "a number"
-        return noun if self.minimum is None else f"{noun} >= {self.minimum}"
+        return "an integer" + ("" if self.minimum is None else f" >= {self.minimum}")
 
 
 KNOBS: Dict[str, Knob] = {
@@ -62,30 +61,12 @@ KNOBS: Dict[str, Knob] = {
              minimum=0, clamp=True),
         Knob("MULTICL_PREDICT", bool, False,
              "Schedule unseen kernels from static-feature predictions."),
-        Knob("MULTICL_PREDICT_TOLERANCE", float, 0.25,
-             "Relative prediction error above which the corrector re-fits.",
-             minimum=0.0),
-        Knob("MULTICL_PREDICT_CONFIDENCE", float, 0.5,
-             "Minimum predictor confidence needed to skip measurement.",
-             minimum=0.0),
-        Knob("MULTICL_MAPPER_REPAIR", bool, True,
-             "Repair the mapping in place on device loss; reuse it if unchanged."),
-        Knob("MULTICL_MAPPER_REPAIR_THRESHOLD", float, 1.25,
-             "Keep a repair within this factor of the scaled previous makespan.",
-             minimum=1.0, clamp=True),
         Knob("MULTICL_SPLIT", bool, False,
              "Split every dynamic queue's kernels across devices."),
-        Knob("MULTICL_SPLIT_GRANULARITY", int, 1,
-             "Split shares round to this many effective workgroups.",
-             minimum=1),
         Knob("MULTICL_OVERLAP", bool, False,
              "Overlap-aware issue for every scheduled in-order queue."),
         Knob("MULTICL_SANITIZE", bool, False,
              "Validate the ready-queue pool at every scheduler trigger."),
-        # -- mapper ----------------------------------------------------------
-        Knob("MULTICL_MAPPER_EXACT_MAX_QUEUES", int, 16,
-             "Largest pool solved exactly; larger pools map greedily.",
-             minimum=0),
         # -- caches (paths; unset = the documented fallback) -----------------
         Knob("MULTICL_PROFILE_CACHE", str, None,
              "Device-profile cache directory (unset: ~/.cache/multicl)."),
@@ -100,14 +81,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("MULTICL_TENANT_MAX_SESSIONS", int, None,
              "Default cap on active tenant sessions (unset: unlimited).",
              minimum=0),
-        # -- replay ----------------------------------------------------------
-        Knob("MULTICL_REPLAY_CHUNK", int, 8192,
-             "Replay arrivals injected per epoch.", minimum=1),
-        Knob("MULTICL_REPLAY_SPILL_EVERY", int, 16384,
-             "Replay streaming-trace spill threshold (resident intervals).",
-             minimum=1),
-        Knob("MULTICL_REPLAY_SHARDS", int, 1,
-             "Default engine-mode replay shard count.", minimum=1),
     )
 }
 
@@ -128,13 +101,11 @@ def _parse(knob: Knob, raw: str) -> Any:
         raise ValueError(raw)
     if knob.type is str:
         return raw
-    value = knob.type(raw)
-    if value != value:  # NaN
-        raise ValueError(raw)
+    value = int(raw)
     if knob.minimum is not None and value < knob.minimum:
         if not knob.clamp:
             raise ValueError(raw)
-        value = knob.type(knob.minimum)
+        value = knob.minimum
     return value
 
 

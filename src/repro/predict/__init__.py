@@ -20,7 +20,7 @@ epochs, leaving the dynamic profiler as a corrector:
   models (``MULTICL_PREDICT_DIR``), so a ``--jobs N`` fleet fits once;
 * :class:`Predictor` — the runtime object the kernel profiler consults:
   confidence-gated prediction, observed-vs-predicted residual tracking,
-  online re-fit when relative error exceeds ``MULTICL_PREDICT_TOLERANCE``,
+  online re-fit when relative error exceeds :attr:`Predictor.tolerance`,
   and per-device invalidation on fault-driven device loss.
 """
 
@@ -96,21 +96,24 @@ class Predictor:
     loaded from the store can safely back many runtimes in one process.
     """
 
+    #: Corrector-loop tolerance: when a kernel *is* measured (decline or
+    #: iterative refresh) and the prediction's relative error exceeds this,
+    #: the observation is folded back into the model.
+    tolerance = 0.25
+    #: Minimum leverage-gated confidence required to skip measurement.
+    min_confidence = 0.5
+
     def __init__(
         self,
         model: PredictorModel,
         kinds: Dict[str, str],
         overheads: Dict[str, float],
-        tolerance: float = 0.25,
-        min_confidence: float = 0.5,
     ) -> None:
         self.model = model
         #: device name -> DeviceKind value ("cpu"/"gpu"/"accelerator")
         self.kinds = dict(kinds)
         #: device name -> measured per-launch overhead (static profile)
         self.overheads = dict(overheads)
-        self.tolerance = float(tolerance)
-        self.min_confidence = float(min_confidence)
         self.stats = PredictorStats()
         #: device -> list of (kernel name, relative error), bounded
         self.residuals: Dict[str, List[Tuple[str, float]]] = {}
@@ -326,18 +329,15 @@ def _quadratic_form(inv: List[List[float]], x: List[float]) -> float:
 def attach_predictor(profiler: "KernelProfiler") -> Predictor:
     """Build (or load) the predictor for ``profiler``'s platform and attach.
 
-    Resolution order for the model directory: ``SchedulerConfig.predict_dir``,
-    else ``MULTICL_PREDICT_DIR``, else ``<platform profile_dir>/predict``,
-    else ``<default profile cache>/predict``.  Loading is single-flight across
+    Resolution order for the model directory: ``MULTICL_PREDICT_DIR``, else
+    ``<platform profile_dir>/predict``, else
+    ``<default profile cache>/predict``.  Loading is single-flight across
     processes; fitting charges a throwaway simulated platform, never the
     application's clock.
     """
     context = profiler.context
     platform = context.platform
-    cfg = profiler.config
-    predict_dir = default_predict_dir(
-        cfg.predict_dir or None, profile_dir=platform._profile_dir
-    )
+    predict_dir = default_predict_dir(profile_dir=platform._profile_dir)
     model, _computed = load_or_fit(platform.spec, predict_dir)
     profile = platform.device_profile
     kinds = {
@@ -347,8 +347,6 @@ def attach_predictor(profiler: "KernelProfiler") -> Predictor:
         model,
         kinds=kinds,
         overheads=dict(profile.launch_overhead_s),
-        tolerance=cfg.predict_tolerance,
-        min_confidence=cfg.predict_confidence,
     )
     profiler.predictor = predictor
     return predictor

@@ -47,18 +47,15 @@ PREDICT_DIR_ENV = "MULTICL_PREDICT_DIR"
 _model_memo: BoundedLRU = BoundedLRU(8)
 
 
-def default_predict_dir(
-    explicit: Optional[str] = None, profile_dir: Optional[str] = None
-) -> Path:
+def default_predict_dir(profile_dir: Optional[str] = None) -> Path:
     """Resolve the model directory.
 
-    Priority: explicit argument (``SchedulerConfig.predict_dir``), then
-    ``MULTICL_PREDICT_DIR``, then a ``predict/`` subdirectory of the
-    profile cache directory in use (explicit ``profile_dir`` or the
+    Priority: ``MULTICL_PREDICT_DIR``, then a ``predict/`` subdirectory of
+    the profile cache directory in use (explicit ``profile_dir`` or the
     device-profile default) — so profile and predictor caches travel
     together unless told otherwise.
     """
-    chosen = knobs.get(PREDICT_DIR_ENV, explicit or None)
+    chosen = knobs.get(PREDICT_DIR_ENV)
     if chosen:
         return Path(chosen)
     if profile_dir:

@@ -20,8 +20,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro import knobs
-from repro.replay.runner import CHUNK_ENV, SHARDS_ENV, SPILL_ENV, ReplayConfig
+from repro.replay.runner import ReplayConfig
 
 __all__ = ["build_config", "main"]
 
@@ -80,18 +79,17 @@ def _build_parser(prog: Optional[str]) -> argparse.ArgumentParser:
         "service: shared fair-share fleet with real contention",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=f"fan tenants across N processes (engine mode; default "
-        f"${SHARDS_ENV} or 1; results are bit-identical to serial)",
+        "--shards", type=int, default=1, metavar="N",
+        help="fan tenants across N processes (engine mode; default 1; "
+        "results are bit-identical to serial)",
     )
     parser.add_argument(
-        "--chunk", type=int, default=0, metavar="K",
-        help=f"arrivals injected per epoch (default ${CHUNK_ENV} or 8192)",
+        "--chunk", type=int, default=8192, metavar="K",
+        help="arrivals injected per epoch (default 8192)",
     )
     parser.add_argument(
-        "--spill-every", type=int, default=0, metavar="K",
-        help=f"streaming-trace spill threshold (default ${SPILL_ENV} "
-        f"or 16384)",
+        "--spill-every", type=int, default=16384, metavar="K",
+        help="streaming-trace spill threshold (default 16384)",
     )
     parser.add_argument(
         "--no-streaming", action="store_true",
@@ -190,7 +188,7 @@ def main(argv: Optional[List[str]] = None, prog: Optional[str] = None) -> int:
         return 2
 
     if args.mode == "service":
-        if args.shards not in (None, 1):
+        if args.shards != 1:
             print(
                 "error: --shards applies to engine mode only (service mode "
                 "shares one fleet)",
@@ -211,9 +209,10 @@ def main(argv: Optional[List[str]] = None, prog: Optional[str] = None) -> int:
             verify_against_serial,
         )
 
-        shards = knobs.get(SHARDS_ENV, args.shards)
         report = (
-            run_serial(config) if shards <= 1 else run_sharded(config, shards)
+            run_serial(config)
+            if args.shards <= 1
+            else run_sharded(config, args.shards)
         )
         if args.verify_serial:
             if not verify_against_serial(report, config):

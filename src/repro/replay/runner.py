@@ -25,14 +25,6 @@ allocations are held to the task tuple itself: request names, metadata
 dicts, and the completion-callback list are shared per kernel family, and
 the arrival timestamp rides in the :class:`~repro.sim.engine.SimTask`
 ``arrival_time`` slot.
-
-Environment knobs (all overridable per :class:`ReplayConfig`; read through
-:mod:`repro.knobs`, so an invalid value warns and uses the default):
-
-* ``MULTICL_REPLAY_CHUNK`` — arrivals injected per epoch (default 8192);
-* ``MULTICL_REPLAY_SPILL_EVERY`` — streaming-trace spill threshold
-  (default 16384);
-* ``MULTICL_REPLAY_SHARDS`` — default shard count for the CLI.
 """
 
 from __future__ import annotations
@@ -41,7 +33,6 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro import knobs
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
     KernelFamily,
@@ -53,22 +44,11 @@ from repro.sim.export import JsonlTraceSink
 from repro.sim.trace import TraceSink
 
 __all__ = [
-    "CHUNK_ENV",
-    "SPILL_ENV",
-    "SHARDS_ENV",
     "ReplayConfig",
     "DiscardSink",
     "run_tenant",
     "run_service_replay",
 ]
-
-#: Arrivals injected per ``schedule_batch`` epoch.
-CHUNK_ENV = "MULTICL_REPLAY_CHUNK"
-#: Streaming-trace spill threshold (resident intervals before a spill).
-SPILL_ENV = "MULTICL_REPLAY_SPILL_EVERY"
-#: Default shard count for ``python -m repro.replay`` / ``repro.bench replay``.
-SHARDS_ENV = "MULTICL_REPLAY_SHARDS"
-
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -90,10 +70,10 @@ class ReplayConfig:
     weights: Tuple[float, ...] = (1.0,)
     #: engine-mode dispatch: ``jsq`` (join shortest queue) | ``rr``
     policy: str = "jsq"
-    #: arrivals injected per epoch (0 -> MULTICL_REPLAY_CHUNK or 8192)
-    chunk: int = 0
-    #: streaming spill threshold (0 -> MULTICL_REPLAY_SPILL_EVERY or 16384)
-    spill_every: int = 0
+    #: arrivals injected per ``schedule_batch`` epoch
+    chunk: int = 8192
+    #: streaming-trace spill threshold (resident intervals before a spill)
+    spill_every: int = 16384
     #: stream the trace through a sink (flat memory); False keeps the
     #: resident trace — only sane for small runs
     streaming: bool = True
@@ -118,14 +98,6 @@ class ReplayConfig:
     #: population keeps changing (0 = only the very first sight is cold)
     family_churn: int = 0
 
-    def resolved_chunk(self) -> int:
-        return knobs.get(CHUNK_ENV, self.chunk if self.chunk > 0 else None)
-
-    def resolved_spill(self) -> int:
-        return knobs.get(
-            SPILL_ENV, self.spill_every if self.spill_every > 0 else None
-        )
-
     def tenant_name(self, index: int) -> str:
         return f"tenant-{index}"
 
@@ -139,6 +111,10 @@ class ReplayConfig:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
         if self.rate <= 0.0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if self.spill_every < 1:
+            raise ValueError(f"spill_every must be >= 1, got {self.spill_every}")
         if self.policy not in ("jsq", "rr"):
             raise ValueError(f"policy must be 'jsq' or 'rr', got {self.policy!r}")
         if self.family_churn < 0:
@@ -360,7 +336,7 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
             sink = JsonlTraceSink(f"{config.trace_path}.tenant{index}.jsonl")
         else:
             sink = DiscardSink()
-        trace.attach_sink(sink, spill_every=config.resolved_spill())
+        trace.attach_sink(sink, spill_every=config.spill_every)
 
     tenant = config.tenant_name(index)
     state = _EngineTenant(platform, config, tenant)
@@ -370,7 +346,7 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     # cold-cache run valid instead of scheduling into the past
 
     arrive = state.arrive
-    chunk = config.resolved_chunk()
+    chunk = config.chunk
     schedule_batch = engine.schedule_batch
     run_until_time = engine.run_until_time
     batch: List[Tuple[float, object, int]] = []
@@ -545,7 +521,7 @@ def run_service_replay(config: ReplayConfig):
         tenants[tenant_idx].enqueue(fam)
 
     base = engine.now
-    chunk = config.resolved_chunk()
+    chunk = config.chunk
     batch: List[Tuple[float, object, Tuple[int, int]]] = []
     for t, tenant_idx, fam in merged_arrivals:
         batch.append((base + t, fire, (tenant_idx, fam)))

@@ -1,36 +1,23 @@
-"""Constraint objects and incremental mapping repair.
+"""Incremental mapping repair.
 
-Covers the constraint interface units (capacity, affinity, tenant quota,
-co-location, composition + cost masking), the `repair_mapping` properties
-the issue demands — bit-identical determinism, migration bounded by the
-failed device's queues, never worse than a fresh greedy on the degraded
-pool for related-machines cost structures — the pinned 64-queue/8-device
-acceptance scenario (repair beats fresh greedy while migrating exactly the
-orphans), the `_solve_estimate` ≡ LPT-assign equivalence, the
-`MULTICL_MAPPER_EXACT_MAX_QUEUES` warn-once fix, and the scheduler-level
-reuse/repair wiring (counters, bit-identical defaults without faults).
+Covers the `repair_mapping` properties — bit-identical determinism,
+migration bounded by the failed device's queues, never worse than a fresh
+greedy on the degraded pool for related-machines cost structures — the
+pinned 64-queue/8-device acceptance scenario (repair beats fresh greedy
+while migrating exactly the orphans), the `_solve_estimate` ≡ LPT-assign
+equivalence, and the scheduler-level reuse/repair wiring (counters, reused
+mappings equal to a fresh solve, the repair path at the default threshold).
 """
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import device_mapper as dm
-from repro.core.constraints import (
-    AffinityConstraint,
-    CapacityConstraint,
-    CoLocationConstraint,
-    ConstraintSet,
-    MappingDelta,
-    TenantQuotaConstraint,
-    _solve_estimate,
-    repair_mapping,
-)
+from repro.core.constraints import _solve_estimate, repair_mapping
 from repro.core.device_mapper import greedy_mapping, optimal_mapping
-from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import symmetric_dual_gpu_node
 from repro.ocl.enums import ContextScheduler, SchedFlag
@@ -95,97 +82,12 @@ def _fail_device(queues, devices, cost, dead):
     prev = optimal_mapping(queues, devices, cost)
     degraded = [d for d in devices if d != dead]
     cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    res = repair_mapping(
-        prev, MappingDelta(removed_devices=(dead,)), queues, degraded, cost2
-    )
+    res = repair_mapping(prev, queues, degraded, cost2)
     return prev, degraded, cost2, res
 
 
 # ---------------------------------------------------------------------------
-# Constraint units
-# ---------------------------------------------------------------------------
-def test_capacity_constraint():
-    c = CapacityConstraint(
-        capacity={"d0": 100.0, "d1": 10.0}, demand={"a": 50.0, "b": 60.0}
-    )
-    assert c.candidates("a", ("d0", "d1")) == ("d0",)
-    assert c.candidates("zero-demand", ("d0", "d1")) == ("d0", "d1")
-    # d0 over capacity by 10: evicting the last-assigned queue suffices.
-    bad = c.violations({"a": "d0", "b": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("b", "d0")]
-    assert c.violations({"a": "d0", "b": "d1"}) == [] or True  # b alone > 10
-    assert [(v.queue,) for v in c.violations({"b": "d1"})] == [("b",)]
-
-
-def test_affinity_constraint():
-    c = AffinityConstraint({"a": ("d1",)})
-    assert c.candidates("a", ("d0", "d1", "d2")) == ("d1",)
-    assert c.candidates("free", ("d0", "d1")) == ("d0", "d1")
-    bad = c.violations({"a": "d0", "free": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("a", "d0")]
-
-
-def test_tenant_quota_constraint():
-    c = TenantQuotaConstraint(
-        tenant_of={"a": "t1", "b": "t1", "c": "t1", "x": "t2"},
-        max_per_device={"t1": 2},
-    )
-    # Three t1 queues on one device: one overflow violation.
-    bad = c.violations({"a": "d0", "b": "d0", "c": "d0", "x": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("c", "d0")]
-    # Spread across devices: fine.  Uncapped tenant: fine.
-    assert c.violations({"a": "d0", "b": "d0", "c": "d1"}) == []
-
-
-def test_colocation_constraint():
-    c = CoLocationConstraint([("a", "b")])
-    assert c.violations({"a": "d0", "b": "d0"}) == []
-    bad = c.violations({"a": "d0", "b": "d1"})
-    assert [(v.queue, v.device) for v in bad] == [("b", "d1")]
-    # Partially placed groups anchor on the first placed member.
-    assert c.violations({"a": "d0"}) == []
-
-
-def test_constraint_set_intersects_and_masks():
-    cs = ConstraintSet(
-        [
-            AffinityConstraint({"a": ("d0", "d1")}),
-            CapacityConstraint(
-                capacity={"d0": 1.0, "d2": 1.0}, demand={"a": 5.0}
-            ),
-        ]
-    )
-    assert cs.candidates("a", ("d0", "d1", "d2")) == ("d1",)
-    assert cs.allows("a", "d1") and not cs.allows("a", "d0")
-    cost = {"a": {"d0": 1.0, "d1": 2.0, "d2": 3.0}}
-    masked = cs.mask_cost(cost, ["a"], ["d0", "d1", "d2"])
-    assert masked["a"]["d1"] == 2.0
-    assert math.isinf(masked["a"]["d0"]) and math.isinf(masked["a"]["d2"])
-    # Violations concatenate across members.
-    bad = cs.violations({"a": "d2"})
-    assert {v.constraint for v in bad} == {"affinity", "capacity"}
-
-
-def test_repair_honours_constraints():
-    queues, devices, cost = _speed_instance(3, nq=12, nd=4)
-    prev = optimal_mapping(queues, devices, cost)
-    degraded = devices[:-1]
-    cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    pinned = AffinityConstraint({queues[0]: (degraded[1],)})
-    res = repair_mapping(
-        prev,
-        MappingDelta(removed_devices=(devices[-1],)),
-        queues,
-        degraded,
-        cost2,
-        constraints=ConstraintSet([pinned]),
-    )
-    assert res.mapping[queues[0]] == degraded[1]
-    assert set(res.mapping.values()) <= set(degraded)
-
-
-# ---------------------------------------------------------------------------
-# Repair properties (the issue's satellite 4)
+# Repair properties
 # ---------------------------------------------------------------------------
 def test_repair_bit_identical_across_runs():
     for seed in (0, 7, 217):
@@ -193,9 +95,8 @@ def test_repair_bit_identical_across_runs():
         prev = optimal_mapping(queues, devices, cost)
         degraded = [d for d in devices if d != "d2"]
         cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-        delta = MappingDelta(removed_devices=("d2",))
-        a = repair_mapping(prev, delta, queues, degraded, cost2)
-        b = repair_mapping(prev, delta, queues, degraded, cost2)
+        a = repair_mapping(prev, queues, degraded, cost2)
+        b = repair_mapping(prev, queues, degraded, cost2)
         assert a == b  # mapping, makespan bits, explored, flags — everything
 
 
@@ -266,25 +167,18 @@ def test_repair_noop_delta_keeps_everything():
     dead = "d3"
     degraded = [d for d in devices if d != dead]
     cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    res = repair_mapping(
-        prev, MappingDelta(removed_devices=(dead,)), queues, degraded, cost2
-    )
+    res = repair_mapping(prev, queues, degraded, cost2)
     assert res.repaired
     assert res.migrated_queues == ()
     assert res.mapping == prev.mapping
 
 
 def test_repair_places_added_queues():
+    """Queues without a previous binding are placed like orphans."""
     queues, devices, cost = _speed_instance(11, nq=12, nd=4)
     old = queues[:10]
     prev = optimal_mapping(old, devices, {q: cost[q] for q in old})
-    res = repair_mapping(
-        prev,
-        MappingDelta(added_queues=tuple(queues[10:])),
-        queues,
-        devices,
-        cost,
-    )
+    res = repair_mapping(prev, queues, devices, cost)
     assert set(res.mapping) == set(queues)
     assert set(res.migrated_queues) >= set(queues[10:])
 
@@ -294,13 +188,7 @@ def test_repair_infeasible_raises():
     prev = optimal_mapping(queues, devices, cost)
     bad = {q: {d: math.inf for d in devices[:1]} for q in queues}
     with pytest.raises(dm.MapperError):
-        repair_mapping(
-            prev,
-            MappingDelta(removed_devices=(devices[1],)),
-            queues,
-            devices[:1],
-            bad,
-        )
+        repair_mapping(prev, queues, devices[:1], bad)
 
 
 # ---------------------------------------------------------------------------
@@ -358,60 +246,42 @@ def test_solve_estimate_matches_lpt_assign_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# MULTICL_MAPPER_EXACT_MAX_QUEUES invalid-value handling (satellite 2)
-# ---------------------------------------------------------------------------
-def test_exact_limit_invalid_value_warns_once_and_defaults(monkeypatch):
-    """A bad value must not raise mid-schedule, nor warn on every trigger:
-    the mapper warns once and keeps exact search (default limit 16)."""
-    queues = [f"q{i}" for i in range(4)]
-    cost = {q: {"d0": 1.0, "d1": 1.0} for q in queues}
-    monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "banana")
-    with pytest.warns(RuntimeWarning, match="banana"):
-        res = optimal_mapping(queues, ["d0", "d1"], cost)
-    assert res.exact and res.makespan == pytest.approx(2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert optimal_mapping(queues, ["d0", "d1"], cost).exact
-
-
-# ---------------------------------------------------------------------------
-# Scheduler wiring: reuse/repair counters, flag, fault path
+# Scheduler wiring: reuse/repair counters, fault path
 # ---------------------------------------------------------------------------
 PROGRAM = """
-// @multicl flops_per_item=220 bytes_per_item=8 writes=1
-__kernel void scale_a(__global float* a, int n) {
+// @multicl flops_per_item={flops} bytes_per_item=8 writes=1
+__kernel void scale_a(__global float* a, int n) {{
   int i = get_global_id(0);
   a[i] = a[i] * 2.0f;
-}
+}}
 
-// @multicl flops_per_item=220 bytes_per_item=8 writes=1
-__kernel void scale_b(__global float* b, int n) {
+// @multicl flops_per_item={flops} bytes_per_item=8 writes=1
+__kernel void scale_b(__global float* b, int n) {{
   int i = get_global_id(0);
   b[i] = b[i] * 2.0f;
-}
+}}
 """
 
 N = 1 << 20
 AUTO = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
 
 
-def _dual_gpu_run(profile_dir, config=None, epochs=3, fail_at=None):
+def _dual_gpu_run(profile_dir, epochs=3, fail_at=None, flops=220, n=N):
     mcl = MultiCL(
         node_spec=symmetric_dual_gpu_node(),
         policy=ContextScheduler.AUTO_FIT,
-        config=config,
         profile_dir=profile_dir,
     )
     ctx = mcl.context
-    program = ctx.create_program(PROGRAM).build()
+    program = ctx.create_program(PROGRAM.format(flops=flops)).build()
     kernels = []
     for name in ("scale_a", "scale_b"):
         buf = ctx.create_buffer(
-            4 * N, host_array=np.ones(N, np.float32), name=name[-1]
+            4 * n, host_array=np.ones(n, np.float32), name=name[-1]
         )
         k = program.create_kernel(name)
         k.set_arg(0, buf)
-        k.set_arg(1, N)
+        k.set_arg(1, n)
         kernels.append(k)
     queues = [mcl.queue(flags=AUTO, name=f"q{i}") for i in (1, 2)]
     injector = None
@@ -422,39 +292,32 @@ def _dual_gpu_run(profile_dir, config=None, epochs=3, fail_at=None):
                 FaultPlan().fail_device(dead, at=mcl.now + 2e-4)
             )
         for q, k in zip(queues, kernels):
-            q.enqueue_nd_range_kernel(k, (N,), (128,))
+            q.enqueue_nd_range_kernel(k, (n,), (128,))
         for q in queues:
             q.finish()
     return mcl, queues, injector
 
 
-def test_no_fault_defaults_bit_identical_with_repair_off(profile_dir):
-    # Warm the on-disk device-profile cache so both measured runs start
-    # from the same virtual-clock baseline.
-    _dual_gpu_run(profile_dir, epochs=1)
-    on, _, _ = _dual_gpu_run(profile_dir)  # mapper_repair defaults on
-    off, _, _ = _dual_gpu_run(
-        profile_dir, config=SchedulerConfig(mapper_repair=False)
-    )
-    assert on.context.scheduler.mapping_history == (
-        off.context.scheduler.mapping_history
-    )
-    assert on.now == off.now  # virtual time bit-identical
-    # With no fault the repair path never fires; only reuse may.
-    assert on.context.scheduler.mapper_repairs == 0
-    assert off.context.scheduler.mapper_repairs == 0
-    assert off.context.scheduler.mapper_reuses == 0
+def test_reused_mapping_equals_fresh_solve(profile_dir):
+    """Without a fault the repair path never fires, and the memoised
+    mapping the scheduler reuses is exactly what a fresh solve of its
+    memoised inputs returns."""
+    _dual_gpu_run(profile_dir, epochs=1)  # warm the device-profile cache
+    mcl, _, _ = _dual_gpu_run(profile_dir)
+    sched = mcl.context.scheduler
+    assert sched.mapper_repairs == 0
+    assert sched.mapper_reuses >= 1
+    (names, devices), cost, preferred, result = sched._mapper_state
+    assert optimal_mapping(names, devices, cost, preferred) == result
+    assert sched.mapping_history[-1] == result.mapping
 
 
 def test_device_failure_takes_repair_path(profile_dir):
-    # The orphan's post-fault cost includes re-staging its buffer from the
-    # host shadow, so the default 1.25 threshold rejects the repair on this
-    # transfer-heavy toy epoch; widen the knob to exercise the accept path.
+    # Compute-heavy kernels on a small range: the orphan's re-staging cost
+    # stays small against its kernel time, so the default threshold
+    # accepts the repair.
     mcl, queues, injector = _dual_gpu_run(
-        profile_dir,
-        config=SchedulerConfig(repair_threshold=4.0),
-        epochs=5,
-        fail_at=2,
+        profile_dir, epochs=5, fail_at=2, flops=5000, n=1 << 14
     )
     sched = mcl.context.scheduler
     assert injector.failures == 1
@@ -462,7 +325,7 @@ def test_device_failure_takes_repair_path(profile_dir):
     assert sched.last_mapping is not None
     # RunStats sees the split via the schedule-interval names.  Cached
     # reuses record the same "device-map" interval as a solve (the trace
-    # must be bit-identical to the repair-off path), so they count there.
+    # must be bit-identical to a fresh solve), so they count there.
     stats = mcl.stats_between(0.0, mcl.now)
     assert stats.mapper_repairs == sched.mapper_repairs
     assert stats.mapper_solves == sched.mapper_solves + sched.mapper_reuses
@@ -473,17 +336,3 @@ def test_device_failure_takes_repair_path(profile_dir):
         if iv.category == RECOVERY_CATEGORY and iv.meta.get("op") == "remap"
     ]
     assert remaps and all("repaired" in iv.meta for iv in remaps)
-
-
-def test_repair_flag_off_forces_full_solves(profile_dir):
-    mcl, queues, injector = _dual_gpu_run(
-        profile_dir,
-        config=SchedulerConfig(mapper_repair=False),
-        epochs=5,
-        fail_at=2,
-    )
-    sched = mcl.context.scheduler
-    assert injector.failures == 1
-    assert sched.mapper_repairs == 0
-    assert sched.mapper_reuses == 0
-    assert sched.mapper_solves == len(sched.mapping_history)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.device_mapper import (
-    EXACT_LIMIT_ENV,
+    EXACT_LIMIT,
     MapperError,
     MappingResult,
     brute_force_mapping,
@@ -258,21 +258,15 @@ def test_greedy_fallback_quality_and_determinism(n_queues, n_devices, data):
     assert greedy.makespan <= 2.0 * exact.makespan + 1e-9
 
 
-def test_exact_limit_forces_greedy_fallback(monkeypatch):
-    queues = [f"q{i}" for i in range(4)]
+def test_exact_limit_forces_greedy_fallback():
     devices = ["a", "b"]
+    queues = [f"q{i}" for i in range(EXACT_LIMIT + 1)]
     cost = {q: {d: 1.0 for d in devices} for q in queues}
-    res = optimal_mapping(queues, devices, cost, exact_limit=3)
+    res = optimal_mapping(queues, devices, cost)
     assert not res.exact
-    assert res.makespan == pytest.approx(2.0)
-    # Same threshold via the environment knob.
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "3")
-    res_env = optimal_mapping(queues, devices, cost)
-    assert not res_env.exact
-    assert res_env.mapping == res.mapping
-    # Raising it back re-enables exact search.
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "16")
-    assert optimal_mapping(queues, devices, cost).exact
+    assert res.makespan == pytest.approx(9.0)
+    # One queue fewer stays on exact search.
+    assert optimal_mapping(queues[:-1], devices, cost).exact
 
 
 def test_greedy_seed_preserves_exact_results_on_bench_instance():

@@ -80,12 +80,7 @@ def test_config_from_env(monkeypatch):
     env = {
         ITERATIVE_FREQ_ENV: "5",
         "MULTICL_PREDICT": "yes",
-        "MULTICL_PREDICT_TOLERANCE": "0.4",
-        "MULTICL_PREDICT_CONFIDENCE": "0.7",
-        "MULTICL_MAPPER_REPAIR": "off",
-        "MULTICL_MAPPER_REPAIR_THRESHOLD": "2.5",
         "MULTICL_SPLIT": "1",
-        "MULTICL_SPLIT_GRANULARITY": "4",
         "MULTICL_OVERLAP": "on",
         "MULTICL_SANITIZE": "true",
     }
@@ -95,12 +90,7 @@ def test_config_from_env(monkeypatch):
     assert SchedulerConfig.from_env() == SchedulerConfig(
         iterative_refresh=5,
         predict=True,
-        predict_tolerance=0.4,
-        predict_confidence=0.7,
-        mapper_repair=False,
-        repair_threshold=2.5,
         split=True,
-        split_granularity=4,
         overlap=True,
         sanitize=True,
     )

@@ -38,7 +38,7 @@ N = 1 << 20
 AUTO = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
 
 
-def _dual_gpu(profile_dir, policy=ContextScheduler.AUTO_FIT):
+def _dual_gpu(profile_dir, policy=ContextScheduler.AUTO_FIT, flags=AUTO):
     """Two doubling kernels on two auto queues over a 2×GPU node."""
     mcl = MultiCL(
         node_spec=symmetric_dual_gpu_node(), policy=policy, profile_dir=profile_dir
@@ -66,8 +66,8 @@ def _dual_gpu(profile_dir, policy=ContextScheduler.AUTO_FIT):
 
     ka.set_host_function(host_a)
     kb.set_host_function(host_b)
-    q1 = mcl.queue(flags=AUTO, name="q1")
-    q2 = mcl.queue(flags=AUTO, name="q2")
+    q1 = mcl.queue(flags=flags, name="q1")
+    q2 = mcl.queue(flags=flags, name="q2")
     return mcl, (q1, q2), (ka, kb), (buf_a, buf_b), counts
 
 
@@ -159,6 +159,47 @@ def test_failure_during_profiling_pass(profile_dir):
     for iv in mcl.engine.trace:
         if iv.category == "kernel" and iv.resource == "dev:gpu1":
             assert iv.start < t_fault, iv
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["map", "split"])
+def test_failure_during_mapping_step(profile_dir, split):
+    """A device dying inside the mapping step itself (the host interval
+    charged after the mapping is computed, or after the whole pool's split
+    plans are) must not leave queues or split shares bound to it: the run
+    re-maps over the survivors, every payload runs exactly once, every
+    event completes, and no kernel lands on the dead device afterwards."""
+    flags = AUTO | SchedFlag.SCHED_SPLIT if split else AUTO
+
+    def run(fault=None):
+        mcl, queues, kernels, bufs, counts = _dual_gpu(profile_dir, flags=flags)
+        if fault is not None:
+            mcl.inject_faults(FaultPlan().fail_device(*fault))
+        events = []
+        for _ in range(3):
+            for q, k in zip(queues, kernels):
+                events.append(q.enqueue_nd_range_kernel(k, (N,), (128,)))
+            for q in queues:
+                q.finish()
+        return mcl, bufs, counts, events
+
+    run()  # warm the device-profile cache: both runs below start alike
+    clean, _, _, _ = run()
+    steps = [
+        iv for iv in clean.engine.trace
+        if iv.category == "schedule" and iv.task == "device-map"
+    ]
+    assert len(steps) == 3
+    for dead in ("gpu0", "gpu1"):
+        for step in steps:
+            t_fault = (step.start + step.end) / 2
+            mcl, bufs, counts, events = run((dead, t_fault))
+            assert not mcl.platform.is_available(dead)
+            assert counts == {"a": 3, "b": 3}
+            assert float(bufs[0].array[0]) == float(bufs[1].array[-1]) == 8.0
+            assert all(e.complete for e in events)
+            for iv in mcl.engine.trace:
+                if iv.category == "kernel" and iv.resource == f"dev:{dead}":
+                    assert iv.start < t_fault, iv
 
 
 def test_all_devices_failed_raises_mapper_error(profile_dir):

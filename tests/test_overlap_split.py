@@ -279,15 +279,6 @@ def test_plan_split_proportional_and_aligned():
     assert plan.share_of("fast") > 2 * plan.share_of("slow")
 
 
-def test_plan_split_granularity_coarsens_chunks():
-    launch = WorkGroupConfig.normalize((4096,), (32,))
-    plan = plan_split(
-        _FakeKernel(), launch, ["a", "b"], {"a": 1.0, "b": 1.0}, granularity=8
-    )
-    assert plan is not None
-    assert plan.share_of("b") % (32 * 8) == 0
-
-
 def test_plan_split_odd_global_size_remainder_to_fastest():
     launch = WorkGroupConfig.normalize((1001,), (64,))
     plan = plan_split(

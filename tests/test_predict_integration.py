@@ -12,6 +12,7 @@ from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import symmetric_dual_gpu_node
 from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.predict import Predictor
 from repro.replay.runner import ReplayConfig, run_tenant
 from repro.sim.faults import FaultPlan
 from repro.workloads.base import ProblemClass
@@ -96,13 +97,13 @@ def test_env_var_and_constructor_toggle(profile_dir, monkeypatch):
 # ---------------------------------------------------------------------------
 # Corrector loop: measurements feed residuals and online re-fits
 # ---------------------------------------------------------------------------
-def test_declined_predictions_flow_into_corrector(profile_dir):
+def test_declined_predictions_flow_into_corrector(profile_dir, monkeypatch):
     # An impossible confidence bar forces the predictor to decline every
     # kernel; measurements then flow through observe(), and a zero
     # tolerance turns every observation into an online re-fit.
-    cfg = SchedulerConfig(
-        predict=True, predict_confidence=1.1, predict_tolerance=0.0
-    )
+    monkeypatch.setattr(Predictor, "min_confidence", 1.1)
+    monkeypatch.setattr(Predictor, "tolerance", 0.0)
+    cfg = SchedulerConfig(predict=True)
     run = run_npb(_cg(), mode="auto", config=cfg, profile_dir=profile_dir)
     assert run.profiler_stats["kernels_predicted"] == 0
     assert run.profiler_stats["predict_declines"] > 0
@@ -168,10 +169,10 @@ def test_corrector_refit_moves_the_prediction(profile_dir):
 # ---------------------------------------------------------------------------
 # Fault-driven invalidation
 # ---------------------------------------------------------------------------
-def test_device_failure_drops_predictor_state(profile_dir):
-    cfg = SchedulerConfig(
-        predict=True, predict_confidence=1.1, predict_tolerance=0.0
-    )
+def test_device_failure_drops_predictor_state(profile_dir, monkeypatch):
+    monkeypatch.setattr(Predictor, "min_confidence", 1.1)
+    monkeypatch.setattr(Predictor, "tolerance", 0.0)
+    cfg = SchedulerConfig(predict=True)
     mcl = MultiCL(
         node_spec=symmetric_dual_gpu_node(),
         policy=ContextScheduler.AUTO_FIT,
@@ -252,14 +253,16 @@ def test_invalidate_device_rearms_next_observe(profile_dir):
     assert predictor.stats.refits == before + 1  # armed exactly once
 
 
-def test_slowdown_then_clear_rearms_predictor(profile_dir):
+def test_slowdown_then_clear_rearms_predictor(profile_dir, monkeypatch):
     """A transient slowdown window must invalidate the device's predictor
     state at both edges (slowdown-era residuals are wrong once cleared) and
     re-fit on the first healthy measurement after recovery."""
+    # Decline everything → always measure; re-fits can only come from the
+    # re-arm.
+    monkeypatch.setattr(Predictor, "min_confidence", 1.1)
+    monkeypatch.setattr(Predictor, "tolerance", 1e9)
     cfg = SchedulerConfig(
         predict=True,
-        predict_confidence=1.1,  # decline everything → always measure
-        predict_tolerance=1e9,  # re-fits can only come from the re-arm
         iterative_refresh=1,  # re-measure every trigger → observe() flows
     )
     mcl = MultiCL(

@@ -289,21 +289,17 @@ def test_config_validation():
         ReplayConfig(process="unknown").validate()
 
 
-def test_env_knobs(small_config, monkeypatch):
-    from repro.replay.runner import CHUNK_ENV, SPILL_ENV
+def test_chunk_and_spill_defaults_and_validation():
+    from repro.replay.cli import main
 
     cfg = ReplayConfig()
-    monkeypatch.setenv(CHUNK_ENV, "123")
-    monkeypatch.setenv(SPILL_ENV, "456")
-    assert cfg.resolved_chunk() == 123
-    assert cfg.resolved_spill() == 456
-    # A bad value warns and keeps the default instead of failing mid-run.
-    for raw in ("0", "soon"):
-        monkeypatch.setenv(CHUNK_ENV, raw)
-        with pytest.warns(RuntimeWarning, match=CHUNK_ENV):
-            assert cfg.resolved_chunk() == 8192
-    # Explicit config values beat the environment.
-    assert small_config.resolved_chunk() == 256
+    assert (cfg.chunk, cfg.spill_every) == (8192, 16384)
+    for bad in ({"chunk": 0}, {"spill_every": 0}, {"chunk": -5}):
+        with pytest.raises(ValueError):
+            ReplayConfig(**bad).validate()
+    # The CLI flags are the only other way to set them, and reject the same.
+    assert main(["--chunk", "0"]) == 2
+    assert main(["--spill-every", "0"]) == 2
 
 
 # ---------------------------------------------------------------------------
