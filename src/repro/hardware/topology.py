@@ -46,19 +46,30 @@ class SimDevice:
         minikernel: bool = False,
         meta: Optional[dict] = None,
     ) -> SimTask:
-        """Enqueue a kernel launch on this device's execution resource."""
-        duration = (
-            workgroup_time(self.spec, cost) if minikernel else kernel_time(self.spec, cost)
-        )
+        """Enqueue a kernel launch on this device's execution resource.
+
+        ``deps`` is handed to the task as is (the engine reads it once at
+        submit); the task's meta is one new dict, ``meta`` merged in.
+        """
+        spec = self.spec
+        if minikernel:
+            duration = workgroup_time(spec, cost)
+        elif cost.times is None:
+            duration = kernel_time(spec, cost)
+        else:
+            # A cost reused across launches memoises its time per device.
+            duration = cost.times.get(self)
+            if duration is None:
+                duration = cost.times[self] = kernel_time(spec, cost)
         duration *= self.slowdown
-        info = {"device": self.name, "kernel": name, "minikernel": minikernel}
+        info = {"device": spec.name, "kernel": name, "minikernel": minikernel}
         if meta:
             info.update(meta)
         return self.engine.task(
-            name=f"{name}@{self.name}",
+            name=f"{name}@{spec.name}",
             duration=duration,
             resource=self.resource,
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -80,7 +91,7 @@ class SimDevice:
             name=f"{name}@{self.name}",
             duration=duration,
             resource=self.resource,
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -187,7 +198,7 @@ class SimNode:
             name=f"{name}:host->{device}",
             duration=duration,
             resource=self.links[device],
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -209,7 +220,7 @@ class SimNode:
             name=f"{name}:{device}->host",
             duration=duration,
             resource=self.d2h_links[device],
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )

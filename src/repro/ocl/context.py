@@ -65,7 +65,6 @@ class Context:
         #: memory-fit check run in O(1) instead of scanning all buffers.
         self._resident_bytes: Dict[str, int] = {}
         self.queues: List[CommandQueue] = []
-        self.programs: List[Program] = []
         self.scheduler: Optional[SchedulerBase] = None
         # Re-entrancy guards for _sync_pending: fault injection can fire
         # *inside* a scheduling pass (the profiler advances virtual time)
@@ -130,9 +129,7 @@ class Context:
 
     def create_program(self, source: str) -> Program:
         """clCreateProgramWithSource."""
-        program = Program(self, source)
-        self.programs.append(program)
-        return program
+        return Program(self, source)
 
     def create_queue(
         self,

@@ -34,24 +34,33 @@ _ids = itertools.count(1)
 class Event:
     """Completion handle for one enqueued command."""
 
+    __slots__ = ("id", "queue", "command")
+
     def __init__(self, queue: "CommandQueue", command: "Command") -> None:
         self.id = next(_ids)
         self.queue = queue
+        #: The event owns its command; the command never points back, so
+        #: neither object is part of a reference cycle (DESIGN.md §6).
         self.command = command
-        self.task: Optional["SimTask"] = None
-        self._callbacks = []
+
+    @property
+    def task(self) -> Optional["SimTask"]:
+        """The command's simulated task; ``None`` while deferred."""
+        return self.command.task
 
     @property
     def status(self) -> EventStatus:
-        if self.task is None:
+        task = self.command.task
+        if task is None:
             return EventStatus.QUEUED
-        if self.task.done:
+        if task.done:
             return EventStatus.COMPLETE
         return EventStatus.SUBMITTED
 
     @property
     def complete(self) -> bool:
-        return self.task is not None and self.task.done
+        task = self.command.task
+        return task is not None and task.done
 
     @property
     def deferred(self) -> bool:
@@ -60,7 +69,8 @@ class Event:
         The command-graph sanitizer treats deferred events as live graph
         edges; issued events are ordered before the whole pool.
         """
-        return self.task is None and not self.command.issued
+        command = self.command
+        return command.task is None and not command.issued
 
     # Profiling info (CL_PROFILING_COMMAND_START/END analogues) ----------
     @property
@@ -77,25 +87,29 @@ class Event:
         assert self.task is not None and self.task.end_time is not None
         return self.task.end_time
 
-    def _bind_task(self, task: "SimTask") -> None:
-        self.task = task
-        for fn in self._callbacks:
-            task.on_complete(lambda _t, f=fn: f(self))
-        self._callbacks = []
-
     def set_callback(self, fn) -> None:
         """clSetEventCallback(CL_COMPLETE): run ``fn(event)`` on completion.
 
         Fires immediately if already complete; otherwise defers until the
-        command's simulated task finishes (even if the command is still
-        deferred awaiting the scheduler).
+        command's simulated task finishes.  While the command is still
+        deferred awaiting the scheduler, the callback waits on the command
+        and :meth:`~repro.ocl.queue.CommandQueue.issue` moves it onto the
+        task.
         """
         if self.complete:
             fn(self)
-        elif self.task is not None:
-            self.task.on_complete(lambda _t: fn(self))
+            return
+
+        def callback(_task: "SimTask") -> None:
+            fn(self)
+
+        command = self.command
+        if command.task is not None:
+            command.task.on_complete(callback)
+        elif command.callbacks is None:
+            command.callbacks = [callback]
         else:
-            self._callbacks.append(fn)
+            command.callbacks.append(callback)
 
     def wait(self) -> None:
         """Block the simulated host until this command completes."""

@@ -100,7 +100,7 @@ def issue_pool(
                 odeps = [] if tails[pos] is None else [tails[pos]]
                 odeps += [
                     t for p in preds[i]
-                    if (t := commands[p].event.task) is not None
+                    if (t := commands[p].task) is not None
                 ]
                 q.issue_pending(cmd, ordering_deps=odeps)
                 epochs[pos].append(cmd)
@@ -108,7 +108,7 @@ def issue_pool(
                 assert q.pending[0] is cmd
                 extra = restore and [
                     t for p in restore[i]
-                    if (t := commands[p].event.task) is not None
+                    if (t := commands[p].task) is not None
                 ]
                 q.issue_pending(extra_deps=extra or None)
             issued += 1
@@ -137,7 +137,7 @@ def issue_pool(
             join = engine.task(
                 name=f"overlap-join@{q.name}",
                 duration=0.0,
-                deps=[t for c in epoch if (t := c.event.task) is not None],
+                deps=[t for c in epoch if (t := c.task) is not None],
                 category="marker",
             )
             q._tail = join

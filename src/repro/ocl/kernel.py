@@ -42,6 +42,9 @@ CostModel = Callable[[DeviceSpec, "WorkGroupConfig", Dict[int, Any]], KernelCost
 #: arguments are delivered as their numpy arrays.
 HostFunction = Callable[[Dict[str, Any]], None]
 
+#: Marks an argument index that was never set (``set_arg`` identity test).
+_UNSET = object()
+
 _EFF_KEYS = {
     "cpu_eff": DeviceKind.CPU,
     "gpu_eff": DeviceKind.GPU,
@@ -134,6 +137,11 @@ class Kernel:
         #: WorkGroupConfig -> KernelCost for the annotation cost model
         #: (pure in config; KernelCost is frozen, so sharing is safe).
         self._annotation_cost_memo: Dict[WorkGroupConfig, KernelCost] = {}
+        #: ``(args copy, buffer args, written buffer args)`` for enqueue,
+        #: built on first use after ``set_arg`` changes an argument.
+        self._snapshot: Optional[
+            Tuple[Dict[int, Any], Tuple[Buffer, ...], Tuple[Buffer, ...]]
+        ] = None
 
     # ------------------------------------------------------------------
     # Standard OpenCL surface
@@ -157,10 +165,12 @@ class Kernel:
                 f"kernel {self.name!r} arg {index} "
                 f"({self.info.args[index].declaration!r}) expects a scalar"
             )
-        # The cost model prices from self.args: a new value re-prices
-        # launches already deferred.
-        if self._cost_model is not None and self.args.get(index) is not value:
-            self.program.context.cost_edits += 1
+        if self.args.get(index, _UNSET) is not value:
+            self._snapshot = None
+            # The cost model prices from self.args: a new value re-prices
+            # launches already deferred.
+            if self._cost_model is not None:
+                self.program.context.cost_edits += 1
         self.args[index] = value
 
     def check_args_set(self) -> None:
@@ -175,6 +185,30 @@ class Kernel:
             raise InvalidKernelArgs(
                 f"kernel {self.name!r}: arguments {missing} not set"
             )
+
+    def snapshot(
+        self,
+    ) -> Tuple[Dict[int, Any], Tuple[Buffer, ...], Tuple[Buffer, ...]]:
+        """``(args, buffers, written)`` captured for one enqueue.
+
+        ``args`` is a copy of :attr:`args` (never mutated, so enqueues with
+        unchanged arguments share it); ``buffers`` are the buffer arguments
+        in argument order and ``written`` those the kernel writes (the
+        ``writes=`` annotation, else every buffer argument).  Built in one
+        pass and reused until ``set_arg`` changes an argument.
+        """
+        snap = self._snapshot
+        if snap is None:
+            writes = self.info.writes
+            buffers = []
+            written = []
+            for i, v in self.args.items():
+                if isinstance(v, Buffer):
+                    buffers.append(v)
+                    if not writes or i in writes:
+                        written.append(v)
+            snap = self._snapshot = (dict(self.args), tuple(buffers), tuple(written))
+        return snap
 
     def buffer_args(self) -> Dict[int, Buffer]:
         """Index -> Buffer for all buffer-typed arguments currently set."""
@@ -293,17 +327,21 @@ class Kernel:
             divergence=a.get("divergence", 0.0),
             irregularity=a.get("irregularity", 0.0),
             efficiency=eff,
+            times={},
         )
         self._annotation_cost_memo[config] = cost
         return cost
 
-    def run_host_function(self) -> None:
-        """Execute the functional payload (if any) against current args."""
+    def run_host_function(self, args: Optional[Dict[int, Any]] = None) -> None:
+        """Execute the functional payload (if any) against ``args``
+        (default: the current :attr:`args`)."""
         if self.host_fn is None:
             return
+        if args is None:
+            args = self.args
         named: Dict[str, Any] = {}
         for i, arg in enumerate(self.info.args):
-            value = self.args.get(i)
+            value = args.get(i)
             if isinstance(value, Buffer):
                 named[arg.name] = value.array
             else:

@@ -250,7 +250,9 @@ class Buffer:
 
     def mark_exclusive(self, holder: str) -> None:
         """The copy on ``holder`` is now the only valid one (it was written)."""
-        self.valid_on = {holder}
+        valid = self._valid_on
+        if len(valid) != 1 or holder not in valid:
+            self.valid_on = {holder}
         self.host_shadow_stale = False
 
     def invalidate(self, holder: str) -> None:

@@ -42,7 +42,6 @@ class Program:
         #: (the paper builds the minikernels into a separate binary).
         self.minikernel_source: Optional[str] = None
         self.minikernel_infos: Dict[str, KernelSourceInfo] = {}
-        self._kernels: List[Kernel] = []
 
     def build(self) -> "Program":
         """clBuildProgram: parse the source, run scheduler build hooks."""
@@ -76,9 +75,7 @@ class Program:
                 f"no kernel {name!r} in program; available: "
                 f"{sorted(self.kernel_infos)}"
             )
-        kernel = Kernel(self, info)
-        self._kernels.append(kernel)
-        return kernel
+        return Kernel(self, info)
 
     def kernel_names(self) -> List[str]:
         if not self.built:

@@ -111,8 +111,17 @@ class Command:
     kernel: Optional[Kernel] = None
     launch: Optional[WorkGroupConfig] = None
     args_snapshot: Dict[int, Any] = field(default_factory=dict)
+    #: buffer arguments of ``args_snapshot`` in argument order, and the
+    #: ones the kernel writes (:meth:`Kernel.snapshot`)
+    arg_buffers: Tuple[Buffer, ...] = ()
+    written_buffers: Tuple[Buffer, ...] = ()
     # filled in by the queue
-    event: Optional[Event] = None
+    #: simulated task of the issued command (``None`` while deferred); the
+    #: command never holds its :class:`Event`, so neither is in a cycle
+    task: Optional["SimTask"] = None
+    #: completion callbacks registered while deferred; issue moves them
+    #: onto :attr:`task`
+    callbacks: Optional[List[Any]] = None
     issued: bool = False
     #: failed issue attempts (fault injection); replays skip the functional
     #: payload so non-idempotent kernels run exactly once
@@ -129,28 +138,20 @@ class Command:
 
     def deps_ready(self) -> bool:
         """All wait-list events already have simulated tasks bound."""
-        return all(e.task is not None for e in self.wait_events)
+        return all(e.command.task is not None for e in self.wait_events)
 
     def access_sets(self) -> "Tuple[Tuple[Buffer, ...], Tuple[Buffer, ...]]":
         """``(reads, writes)`` buffer tuples for hazard analysis.
 
-        Kernel write sets follow the ``writes=`` source annotation
-        (without one, every buffer argument counts as written — the same
-        conservative rule :meth:`CommandQueue._written_buffers` applies at
-        issue time); kernel arguments are all counted as read, since the
-        runtime cannot see whether a written argument is also consumed.
-        Markers and barriers touch no buffers.
+        Kernel write sets are :attr:`written_buffers`, which follow the
+        ``writes=`` source annotation (without one, every buffer argument
+        counts as written — the same rule issue applies to residency);
+        kernel arguments are all counted as read, since the runtime cannot
+        see whether a written argument is also consumed.  Markers and
+        barriers touch no buffers.
         """
         if self.kind is CommandKind.NDRANGE_KERNEL:
-            assert self.kernel is not None
-            bufs = {
-                i: v for i, v in self.args_snapshot.items() if isinstance(v, Buffer)
-            }
-            writes_idx = self.kernel.info.writes
-            writes = tuple(
-                b for i, b in bufs.items() if not writes_idx or i in writes_idx
-            )
-            return tuple(bufs.values()), writes
+            return self.arg_buffers, self.written_buffers
         if self.kind in (CommandKind.WRITE_BUFFER, CommandKind.FILL_BUFFER):
             assert self.buffer is not None
             return (), (self.buffer,)
@@ -214,6 +215,9 @@ class CommandQueue:
         #: incremental readers of the list (the fair-share arbiter's running
         #: cost sums) know when what they summed is no longer a prefix.
         self.pending_edits = 0
+        #: Shared kernel-task meta of the current epoch (:meth:`_issue_kernel`
+        #: builds it once per epoch; each task copies it into its own meta).
+        self._kernel_meta: Optional[Dict[str, Any]] = None
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these).
@@ -381,12 +385,15 @@ class CommandQueue:
         self._check_alive()
         kernel.check_args_set()
         launch = WorkGroupConfig.normalize(global_size, local_size)
+        args, buffers, written = kernel.snapshot()
         cmd = Command(
             kind=CommandKind.NDRANGE_KERNEL,
             wait_events=list(wait_events),
             kernel=kernel,
             launch=launch,
-            args_snapshot=dict(kernel.args),
+            args_snapshot=args,
+            arg_buffers=buffers,
+            written_buffers=written,
         )
         return self._enqueue(cmd)
 
@@ -409,7 +416,6 @@ class CommandQueue:
 
     def _enqueue(self, cmd: Command) -> Event:
         event = Event(self, cmd)
-        cmd.event = event
         if self.auto_active:
             self.pending.append(cmd)
             scheduler = self.context.scheduler
@@ -424,7 +430,7 @@ class CommandQueue:
         """An immediate command whose wait list references deferred events
         forces those queues to schedule first (a cross-queue sync point)."""
         for e in cmd.wait_events:
-            if e.task is None and not e.command.issued:
+            if e.deferred:
                 self.context._sync_pending(trigger_queue=e.queue)
         if not cmd.deps_ready():
             raise InvalidOperation(
@@ -481,7 +487,9 @@ class CommandQueue:
             )
         node = self.context.platform.node
         engine = self.context.platform.engine
-        deps: List["SimTask"] = [e.task for e in cmd.wait_events if e.task is not None]
+        deps: List["SimTask"] = [
+            t for e in cmd.wait_events if (t := e.command.task) is not None
+        ]
         if extra_deps:
             deps.extend(extra_deps)
         if ordering_deps is not None:
@@ -501,7 +509,7 @@ class CommandQueue:
                 task = self._issue_kernel(cmd, deps)
         elif cmd.kind is CommandKind.WRITE_BUFFER:
             assert cmd.buffer is not None
-            self._check_capacity(cmd.buffer, extra=(cmd.buffer,))
+            self._check_capacity((cmd.buffer,))
             task = node.submit_h2d(
                 self.device, cmd.nbytes, deps=deps, category="transfer",
                 name=f"write:{cmd.buffer.name}", meta=self._tenant_meta,
@@ -522,7 +530,7 @@ class CommandQueue:
             cmd.buffer.mark_valid(HOST)
         elif cmd.kind is CommandKind.FILL_BUFFER:
             assert cmd.buffer is not None
-            self._check_capacity(cmd.buffer, extra=(cmd.buffer,))
+            self._check_capacity((cmd.buffer,))
             task = node.device(self.device).submit_intradevice_copy(
                 cmd.nbytes, deps=deps, category="transfer",
                 name=f"fill:{cmd.buffer.name}", meta=self._tenant_meta,
@@ -557,8 +565,11 @@ class CommandQueue:
             raise InvalidValue(f"unknown command kind {cmd.kind}")
 
         cmd.issued = True
-        assert cmd.event is not None
-        cmd.event._bind_task(task)
+        cmd.task = task
+        if cmd.callbacks is not None:
+            for fn in cmd.callbacks:
+                task.on_complete(fn)
+            cmd.callbacks = None
         if cmd.aborted_task is not None:
             # Replay: waiters of the aborted incarnation follow this task.
             engine.adopt(cmd.aborted_task, task)
@@ -572,20 +583,27 @@ class CommandQueue:
         kernel = cmd.kernel
         launch = cmd.launch
         assert kernel is not None and launch is not None
-        device = self.context.platform.node.device(self.device)
-        buffers = [
-            v for v in cmd.args_snapshot.values() if isinstance(v, Buffer)
-        ]
-        self._check_capacity(*buffers, extra=buffers)
-        migrations = self._migrations_for(buffers, deps, category="migration")
-        cost = kernel.launch_cost(device.spec, launch)
-        meta = {"queue": self.name, "epoch": self.epoch_index}
-        if self._tenant_meta is not None:
-            meta.update(self._tenant_meta)
+        device_name = self.device
+        device = self.context.platform.node.device(device_name)
+        buffers = cmd.arg_buffers
+        for buf in buffers:
+            if device_name not in buf.valid_on:
+                # Some argument is not resident yet: check room, move data.
+                self._check_capacity(buffers)
+                migrations = self._migrations_for(buffers, deps, "migration")
+                if migrations:
+                    deps = deps + migrations
+                break
+        meta = self._kernel_meta
+        if meta is None or meta["epoch"] != self.epoch_index:
+            meta = {"queue": self.name, "epoch": self.epoch_index}
+            if self._tenant_meta is not None:
+                meta.update(self._tenant_meta)
+            self._kernel_meta = meta
         task = device.submit_kernel(
             name=kernel.name,
-            cost=cost,
-            deps=deps + migrations,
+            cost=kernel.launch_cost(device.spec, launch),
+            deps=deps,
             category="kernel",
             meta=meta,
         )
@@ -593,14 +611,9 @@ class CommandQueue:
         # doc.  Replays after a device failure only re-charge simulated time:
         # in-place kernels are not idempotent, so exactly-once matters.
         if cmd.attempts == 0:
-            saved = kernel.args
-            kernel.args = cmd.args_snapshot
-            try:
-                kernel.run_host_function()
-            finally:
-                kernel.args = saved
-        for buf in self._written_buffers(kernel, cmd.args_snapshot):
-            buf.mark_exclusive(self.device)
+            kernel.run_host_function(cmd.args_snapshot)
+        for buf in cmd.written_buffers:
+            buf.mark_exclusive(device_name)
         return task
 
     def _issue_split_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
@@ -614,7 +627,7 @@ class CommandQueue:
         launch costed with its own effective workgroup configuration, and
         streams written slices back to the host where the partial results
         merge.  A zero-duration join task stands for the merged completion;
-        the command's event binds to it, so downstream consumers observe
+        it becomes the command's task, so downstream consumers observe
         exactly one kernel-completion point, bit-identical to the unsplit
         execution (the functional payload runs once, on the host, over the
         full range).
@@ -626,13 +639,8 @@ class CommandQueue:
         node = self.context.platform.node
         engine = self.context.platform.engine
         total = launch.global_size[0]
-        seen: Dict[int, Buffer] = {}
-        for v in cmd.args_snapshot.values():
-            if isinstance(v, Buffer) and id(v) not in seen:
-                seen[id(v)] = v
-        buffers = list(seen.values())
-        written = self._written_buffers(kernel, cmd.args_snapshot)
-        written = list({id(b): b for b in written}.values())
+        buffers = list({id(b): b for b in cmd.arg_buffers}.values())
+        written = list({id(b): b for b in cmd.written_buffers}.values())
         finals: List["SimTask"] = []
         for device, lo, hi in plan.shares:
             share = hi - lo
@@ -712,27 +720,11 @@ class CommandQueue:
         )
         # Functional payload: once, over the full range (see _issue_kernel).
         if cmd.attempts == 0:
-            saved = kernel.args
-            kernel.args = cmd.args_snapshot
-            try:
-                kernel.run_host_function()
-            finally:
-                kernel.args = saved
+            kernel.run_host_function(cmd.args_snapshot)
         # Merged results live on the host after the gather transfers.
         for buf in written:
             buf.mark_exclusive(HOST)
         return join
-
-    @staticmethod
-    def _written_buffers(kernel: Kernel, snapshot: Dict[int, Any]) -> List[Buffer]:
-        writes = kernel.info.writes
-        out = []
-        for i, v in snapshot.items():
-            if not isinstance(v, Buffer):
-                continue
-            if not writes or i in writes:
-                out.append(v)
-        return out
 
     def _migrations_for(
         self,
@@ -767,15 +759,15 @@ class CommandQueue:
             tasks.append(t)
         return tasks
 
-    def _check_capacity(self, *incoming: Buffer, extra: Sequence[Buffer]) -> None:
-        """Device-memory capacity check before making buffers resident."""
+    def _check_capacity(self, incoming: Sequence[Buffer]) -> None:
+        """Device-memory capacity check before making ``incoming`` resident."""
         spec = self.context.platform.node.device(self.device).spec
         # O(1) via the context's per-device resident-byte counters plus the
         # not-yet-resident newcomers (deduplicated: a kernel may pass the
         # same buffer for several arguments).
         total = self.context.resident_bytes(self.device)
         seen = set()
-        for b in extra:
+        for b in incoming:
             if id(b) in seen or b.resident_on(self.device):
                 continue
             seen.add(id(b))
@@ -804,15 +796,11 @@ class CommandQueue:
         engine = self.context.platform.engine
         resname = f"dev:{device}"
         self._inflight = [
-            c
-            for c in self._inflight
-            if c.event is not None
-            and c.event.task is not None
-            and not c.event.task.done
+            c for c in self._inflight if c.task is not None and not c.task.done
         ]
 
         def on_dead(c: Command) -> bool:
-            t = c.event.task  # type: ignore[union-attr]
+            t = c.task
             return t is not None and t.resource is not None and t.resource.name == resname
 
         if self.out_of_order:
@@ -827,18 +815,17 @@ class CommandQueue:
         victim_ids = {id(c) for c in victims}
         self._inflight = [c for c in self._inflight if id(c) not in victim_ids]
         for cmd in victims:
-            task = cmd.event.task  # type: ignore[union-attr]
+            task = cmd.task
+            assert task is not None
             engine.abort(task)
             cmd.aborted_task = task
-            cmd.event.task = None  # type: ignore[union-attr]
+            cmd.task = None
             cmd.issued = False
             cmd.attempts += 1
         # The in-order tail must point at the surviving prefix (or nothing);
         # aborted tasks would otherwise anchor the replayed chain.
         if not self.out_of_order:
-            self._tail = (
-                self._inflight[-1].event.task if self._inflight else None
-            )
+            self._tail = self._inflight[-1].task if self._inflight else None
         if self._barrier is not None and self._barrier.aborted:
             self._barrier = None
         # Replays go to the *front* of the deferred list, in original order.

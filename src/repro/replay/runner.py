@@ -282,9 +282,8 @@ class _EngineTenant:
             start = now
         free[dev] = start + duration
         task = engine.task(self.names[fam], duration, self.resources[dev])
-        # engine.task() copies caller metadata defensively; assigning the
-        # shared read-only dict afterwards keeps the per-request cost to
-        # the task object itself.
+        # One shared read-only meta dict per family keeps the per-request
+        # cost to the task object itself.
         task.meta = self.metas[fam]
         task.arrival_time = now
         task._callbacks = self.callbacks

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.trace import EMPTY_META, Trace, TraceInterval
@@ -57,12 +57,16 @@ class SimTask:
         Optional :class:`~repro.sim.resources.FifoResource`; when ``None``
         the task runs "in the air" (host-side latency) without queueing.
     deps:
-        Tasks that must complete before this one starts.
+        Tasks that must complete before this one starts.  Kept as given,
+        not copied; :meth:`SimEngine.submit` reads it once and then drops
+        it, so a finished task never keeps the graph behind it alive.
     category:
         Free-form label used by the trace for time accounting, e.g.
         ``"kernel"``, ``"transfer"``, ``"profile"``.
     meta:
         Arbitrary metadata propagated to the trace (kernel names, sizes...).
+        Kept as given, not copied: callers hand over a dict they no longer
+        mutate.
     """
 
     __slots__ = (
@@ -88,7 +92,7 @@ class SimTask:
         name: str,
         duration: float,
         resource: Optional["FifoResource"] = None,  # noqa: F821
-        deps: Optional[List["SimTask"]] = None,
+        deps: Optional[Sequence["SimTask"]] = None,
         category: str = "work",
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -97,11 +101,11 @@ class SimTask:
         self.name = name
         self.duration = float(duration)
         self.resource = resource
-        self.deps: List[SimTask] = list(deps) if deps else []
+        self.deps: Sequence[SimTask] = deps if deps else ()
         self.category = category
         # Shared sentinel for the metadata-free common case; treated as
         # read-only (callers wanting task-local metadata pass a dict).
-        self.meta: Dict[str, Any] = dict(meta) if meta else _EMPTY_META
+        self.meta: Dict[str, Any] = meta if meta else _EMPTY_META
         self.state = _PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
@@ -260,7 +264,8 @@ class SimEngine:
         if task.state != _PENDING:
             raise SimError(f"task {task.name!r} submitted twice")
         self._open_tasks += 1
-        if not task.deps:
+        deps = task.deps
+        if not deps:
             # Fast path: independent task — straight to ready (inlined
             # _make_ready; this is the per-task common case).
             task.state = _READY
@@ -270,15 +275,17 @@ class SimEngine:
             else:
                 resource._enqueue(task)
             return task
+        # The edges registered below are all the engine needs: drop the
+        # list so the task does not keep its predecessors alive.
+        task.deps = ()
         task.state = _WAITING
         unmet = 0
-        for i, dep in enumerate(task.deps):
+        for dep in deps:
             # A dependency aborted by fault injection resolves through its
             # replacement chain (the replayed incarnation); an orphaned
             # abort with released dependents counts as satisfied.
             while dep.state == _ABORTED and dep.replacement is not None:
                 dep = dep.replacement
-            task.deps[i] = dep
             if dep.done:
                 continue
             if dep.state == _ABORTED and dep.released_deps:
@@ -304,7 +311,7 @@ class SimEngine:
         name: str,
         duration: float,
         resource: Optional["FifoResource"] = None,  # noqa: F821
-        deps: Optional[List[SimTask]] = None,
+        deps: Optional[Sequence[SimTask]] = None,
         category: str = "work",
         meta: Optional[Dict[str, Any]] = None,
     ) -> SimTask:

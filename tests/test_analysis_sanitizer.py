@@ -80,8 +80,7 @@ def test_issued_event_waits_are_clean(mcl):
 def _crafted_cycle(mcl):
     qa, qb = _two_queues(mcl)
     ev_a = qa.enqueue_marker()
-    qb.enqueue_marker(wait_events=[ev_a])
-    ev_b = qb.pending[0].event
+    ev_b = qb.enqueue_marker(wait_events=[ev_a])
     # An event cannot legally be waited on before it exists, so close the
     # loop by mutating the already-deferred command's wait list.
     qa.pending[0].wait_events.append(ev_b)

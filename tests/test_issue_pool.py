@@ -190,11 +190,11 @@ def test_mixed_pools_keep_fifo_happens_before(spec):
     ctx.issue_pool(pool)
     assert not any(q.pending for q in pool)
     assert all(cmd.issued for cmd in commands)
-    tasks = [cmd.event.task for cmd in commands]
+    tasks = [cmd.task for cmd in commands]
     assert len({id(t) for t in tasks}) == len(commands)
     ctx.platform.engine.run_until_idle()
     for first, then in ordered:
-        assert then.event.task.start_time >= first.event.task.end_time, (
+        assert then.task.start_time >= first.task.end_time, (
             tags[id(first)], tags[id(then)]
         )
 
@@ -215,4 +215,4 @@ def test_restored_order_reaches_a_fifo_queue_through_a_relaxed_one():
     upload, _, read = [c for q in pool for c in q.pending]
     ctx.issue_pool(pool)
     ctx.platform.engine.run_until_idle()
-    assert read.event.task.start_time >= upload.event.task.end_time
+    assert read.task.start_time >= upload.task.end_time

@@ -42,8 +42,9 @@ _SOURCE = "\n".join(
 )
 
 
-def _build_workload(mcl: MultiCL, layout, flags):
-    """layout: list per queue of (kernel_index, log2_items, launches)."""
+def _build_workload(mcl: MultiCL, layout, flags, events=None):
+    """layout: list per queue of (kernel_index, log2_items, launches);
+    ``events`` (a list), when given, collects every enqueue's event."""
     ctx = mcl.context
     program = ctx.create_program(_SOURCE).build()
     queues = []
@@ -62,7 +63,9 @@ def _build_workload(mcl: MultiCL, layout, flags):
         else:
             q = mcl.queue(flags=flags, name=f"q{qi}")
         for _ in range(launches):
-            q.enqueue_nd_range_kernel(k, (n,), (64,))
+            ev = q.enqueue_nd_range_kernel(k, (n,), (64,))
+            if events is not None:
+                events.append(ev)
         queues.append(q)
     return queues
 
@@ -169,12 +172,10 @@ def test_residency_and_event_consistency(layout, profile_dir):
     queue is empty, every written buffer is resident exactly where its
     final writer ran, and per-queue kernel intervals never overlap."""
     mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir)
-    queues = _build_workload(mcl, layout, DYN)
     events = []
-    for q in queues:
-        for cmd in q.pending:
-            assert cmd.event is not None
-            events.append(cmd.event)
+    queues = _build_workload(mcl, layout, DYN, events)
+    # Every deferred command has its event.
+    assert [e.command for e in events] == [c for q in queues for c in q.pending]
     for q in queues:
         q.finish()
     assert all(e.complete for e in events)
