@@ -160,10 +160,27 @@ def _make_app(name: str, pc: str, queues: int, fast: bool, **kw):
     return cls(ProblemClass(pc), queues, iterations_override=override, **kw)
 
 
+def _rows(
+    name: str, title: str, columns: List[str], *notes: str
+) -> Callable[[bool, List[Any]], ExperimentResult]:
+    """Merge for experiments whose units each return one row and whose
+    notes are fixed text."""
+
+    def merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
+        res = ExperimentResult(name=name, title=title, columns=list(columns))
+        for row in payloads:
+            res.add(**row)
+        res.notes.extend(notes)
+        return res
+
+    return merge
+
+
 # ---------------------------------------------------------------------------
 # Fig. 3 — single-device CPU vs GPU
 # ---------------------------------------------------------------------------
-def _fig3_units(fast: bool) -> List[Any]:
+def _npb_units(fast: bool) -> List[Any]:
+    """(benchmark, class) pairs: the units of every per-NPB-app sweep."""
     return list(_fig3_classes(fast).items())
 
 
@@ -188,19 +205,13 @@ def _fig3_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _fig3_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="fig3",
-        title="Fig. 3: relative execution time of SNU-NPB on CPU vs GPU (CPU = 1)",
-        columns=["benchmark", "class", "cpu_s", "gpu_s", "gpu_over_cpu", "paper_ratio"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "shape claim: every benchmark except EP is faster on the CPU; "
-        "EP is faster on the GPU (ratio < 1)."
-    )
-    return res
+_fig3_merge = _rows(
+    "fig3",
+    "Fig. 3: relative execution time of SNU-NPB on CPU vs GPU (CPU = 1)",
+    ["benchmark", "class", "cpu_s", "gpu_s", "gpu_over_cpu", "paper_ratio"],
+    "shape claim: every benchmark except EP is faster on the CPU; "
+    "EP is faster on the GPU (ratio < 1).",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +283,6 @@ def table2(fast: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Fig. 4 — manual schedules vs AUTO_FIT (4 queues)
 # ---------------------------------------------------------------------------
-def _fig4_units(fast: bool) -> List[Any]:
-    return list(_fig3_classes(fast).items())
-
-
 def _fig4_unit(key: Any, fast: bool) -> Dict[str, Any]:
     name, pc = key
     manual: Dict[str, float] = {}
@@ -340,10 +347,6 @@ def _fig4_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Fig. 5 — kernel distribution across devices under AUTO_FIT
 # ---------------------------------------------------------------------------
-def _fig5_units(fast: bool) -> List[Any]:
-    return list(_fig3_classes(fast).items())
-
-
 def _fig5_unit(key: Any, fast: bool) -> Dict[str, Any]:
     name, pc = key
     run = run_npb(
@@ -358,21 +361,15 @@ def _fig5_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _fig5_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="fig5",
-        title="Fig. 5: distribution of SNU-NPB-MD kernels to devices "
-        "(AUTO_FIT, 4 queues)",
-        columns=["benchmark", "cpu_pct", "gpu0_pct", "gpu1_pct"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "shape claim: CPU receives the majority of kernels for all "
-        "benchmarks except EP, whose kernels go (almost) entirely to GPUs "
-        "— mirroring the Fig. 3 affinities."
-    )
-    return res
+_fig5_merge = _rows(
+    "fig5",
+    "Fig. 5: distribution of SNU-NPB-MD kernels to devices "
+    "(AUTO_FIT, 4 queues)",
+    ["benchmark", "cpu_pct", "gpu0_pct", "gpu1_pct"],
+    "shape claim: CPU receives the majority of kernels for all "
+    "benchmarks except EP, whose kernels go (almost) entirely to GPUs "
+    "— mirroring the Fig. 3 affinities.",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,8 @@ def _ft_class(fast: bool) -> str:
     return "S" if fast else "A"
 
 
-def _fig6_units(fast: bool) -> List[Any]:
+def _ft_queue_units(fast: bool) -> List[Any]:
+    """FT queue counts: the units of the Fig. 6 and Fig. 7 sweeps."""
     return [1, 2, 4, 8]
 
 
@@ -411,36 +409,26 @@ def _fig6_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _fig6_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="fig6",
-        title="Fig. 6: FT profiling (data-transfer) overhead vs queue count",
-        columns=[
-            "queues",
-            "data_per_queue_mb",
-            "ideal_s",
-            "auto_s",
-            "overhead_pct",
-            "profile_transfer_s",
-        ],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "shape claim: data per queue halves as queues double, and the "
-        "profiling overhead (dominated by staging that data) falls with "
-        "queue count (paper: ~45% at 4 queues for FT.A)."
-    )
-    return res
+_fig6_merge = _rows(
+    "fig6",
+    "Fig. 6: FT profiling (data-transfer) overhead vs queue count",
+    [
+        "queues",
+        "data_per_queue_mb",
+        "ideal_s",
+        "auto_s",
+        "overhead_pct",
+        "profile_transfer_s",
+    ],
+    "shape claim: data per queue halves as queues double, and the "
+    "profiling overhead (dominated by staging that data) falls with "
+    "queue count (paper: ~45% at 4 queues for FT.A).",
+)
 
 
 # ---------------------------------------------------------------------------
 # Fig. 7 — effect of data caching on FT profiling overhead
 # ---------------------------------------------------------------------------
-def _fig7_units(fast: bool) -> List[Any]:
-    return [1, 2, 4, 8]
-
-
 def _fig7_unit(key: Any, fast: bool) -> Dict[str, Any]:
     q_count = key
     pc = _ft_class(fast)
@@ -469,28 +457,22 @@ def _fig7_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _fig7_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="fig7",
-        title="Fig. 7: data caching's effect on FT profiling transfer overhead",
-        columns=[
-            "queues",
-            "without_caching_s",
-            "with_caching_s",
-            "reduction_pct",
-        ],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "shape claim: caching profiled data on the host (1×D2H + (n-1)×H2D, "
-        "copies kept) consistently cuts the scheduler's data-movement time "
-        "at every queue count.  The paper reports ≈50%; with our 3-device "
-        "topology the op-count arithmetic ((n-1)(D2H+H2D) → 1 D2H+(n-1) "
-        "H2D) bounds the saving near ≈30%, which is what we measure — see "
-        "EXPERIMENTS.md."
-    )
-    return res
+_fig7_merge = _rows(
+    "fig7",
+    "Fig. 7: data caching's effect on FT profiling transfer overhead",
+    [
+        "queues",
+        "without_caching_s",
+        "with_caching_s",
+        "reduction_pct",
+    ],
+    "shape claim: caching profiled data on the host (1×D2H + (n-1)×H2D, "
+    "copies kept) consistently cuts the scheduler's data-movement time "
+    "at every queue count.  The paper reports ≈50%; with our 3-device "
+    "topology the op-count arithmetic ((n-1)(D2H+H2D) → 1 D2H+(n-1) "
+    "H2D) bounds the saving near ≈30%, which is what we measure — see "
+    "EXPERIMENTS.md.",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -730,20 +712,14 @@ def _ablations_unit(key: Any, fast: bool) -> Dict[str, Any]:
     return {"experiment": experiment, "variant": variant, "seconds": run.seconds}
 
 
-def _ablations_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="ablations",
-        title="Ablations: trigger frequency, profile caching, static hints",
-        columns=["experiment", "variant", "seconds"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "per-kernel triggering and disabled profile caching increase "
-        "overhead; static hints are cheap but can pick the wrong device "
-        "(the speed-vs-optimality tradeoff of Section V.B)."
-    )
-    return res
+_ablations_merge = _rows(
+    "ablations",
+    "Ablations: trigger frequency, profile caching, static hints",
+    ["experiment", "variant", "seconds"],
+    "per-kernel triggering and disabled profile caching increase "
+    "overhead; static hints are cheap but can pick the wrong device "
+    "(the speed-vs-optimality tradeoff of Section V.B).",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -776,20 +752,14 @@ def _robustness_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _robustness_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="robustness",
-        title="Measurement-noise robustness of AUTO_FIT mapping",
-        columns=["noise_pct", "layout", "mapping", "optimal", "seconds"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "the device gaps in this workload (≈2.3-2.7x) tolerate substantial "
-        "measurement error before the mapping flips — one profiling run "
-        "per device suffices, as the paper assumes."
-    )
-    return res
+_robustness_merge = _rows(
+    "robustness",
+    "Measurement-noise robustness of AUTO_FIT mapping",
+    ["noise_pct", "layout", "mapping", "optimal", "seconds"],
+    "the device gaps in this workload (≈2.3-2.7x) tolerate substantial "
+    "measurement error before the mapping flips — one profiling run "
+    "per device suffices, as the paper assumes.",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -889,32 +859,22 @@ def _baselines_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _baselines_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="baselines",
-        title="Scheduling granularity: MultiCL epochs vs SOCL-style "
-        "per-kernel decisions",
-        columns=["workload", "policy", "seconds", "decisions", "migrations"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "coherent queues (the paper's regime): epoch batching matches "
-        "per-kernel placement quality with far fewer scheduling decisions "
-        "— the Section III.B overhead argument.  Mixed queues: per-kernel "
-        "placement can exploit the intra-queue split, the flexibility "
-        "limit the paper addresses with SCHED_EXPLICIT_REGION rescoping."
-    )
-    return res
+_baselines_merge = _rows(
+    "baselines",
+    "Scheduling granularity: MultiCL epochs vs SOCL-style "
+    "per-kernel decisions",
+    ["workload", "policy", "seconds", "decisions", "migrations"],
+    "coherent queues (the paper's regime): epoch batching matches "
+    "per-kernel placement quality with far fewer scheduling decisions "
+    "— the Section III.B overhead argument.  Mixed queues: per-kernel "
+    "placement can exploit the intra-queue split, the flexibility "
+    "limit the paper addresses with SCHED_EXPLICIT_REGION rescoping.",
+)
 
 
 # ---------------------------------------------------------------------------
 # Predicted vs profiled: the repro.predict ablation
 # ---------------------------------------------------------------------------
-def _predicted_units(fast: bool) -> List[Any]:
-    return list(_fig3_classes(fast).items())
-
-
 def _predicted_unit(key: Any, fast: bool) -> Dict[str, Any]:
     """One benchmark under AUTO_FIT, profiled vs predicted.
 
@@ -1060,28 +1020,20 @@ def _cluster_unit(key: Any, fast: bool) -> Dict[str, Any]:
     }
 
 
-def _cluster_merge(fast: bool, payloads: List[Any]) -> ExperimentResult:
-    res = ExperimentResult(
-        name="cluster",
-        title="MultiCL over SnuCL cluster mode: when are remote GPUs worth it?",
-        columns=["workload", "platform", "seconds", "remote_queues"],
-    )
-    for row in payloads:
-        res.add(**row)
-    res.notes.append(
-        "compute-heavy pools speed up by borrowing the remote GPUs; "
-        "bandwidth-bound pools stay entirely on the root node (shipping "
-        "their data over InfiniBand would dominate)."
-    )
-    res.notes.append(
-        "the bandwidth-bound pool is slower on the cluster even though no "
-        "remote device is chosen: dynamic profiling stages the inputs to "
-        "every candidate device, including the remote ones — profiling "
-        "overhead grows with cluster size, which is exactly why the "
-        "paper's overhead-reduction optimisations matter more in cluster "
-        "mode."
-    )
-    return res
+_cluster_merge = _rows(
+    "cluster",
+    "MultiCL over SnuCL cluster mode: when are remote GPUs worth it?",
+    ["workload", "platform", "seconds", "remote_queues"],
+    "compute-heavy pools speed up by borrowing the remote GPUs; "
+    "bandwidth-bound pools stay entirely on the root node (shipping "
+    "their data over InfiniBand would dominate).",
+    "the bandwidth-bound pool is slower on the cluster even though no "
+    "remote device is chosen: dynamic profiling stages the inputs to "
+    "every candidate device, including the remote ones — profiling "
+    "overhead grows with cluster size, which is exactly why the "
+    "paper's overhead-reduction optimisations matter more in cluster "
+    "mode.",
+)
 
 
 def _two_node_cluster_spec():
@@ -1158,7 +1110,7 @@ def _whole(fn: Callable[..., ExperimentResult]) -> Dict[str, Any]:
 REGISTRY: Dict[str, Experiment] = {
     "fig3": Experiment(
         describe="Single-device CPU vs GPU relative times",
-        units=_fig3_units, run_unit=_fig3_unit, merge=_fig3_merge,
+        units=_npb_units, run_unit=_fig3_unit, merge=_fig3_merge,
     ),
     "table1": Experiment(
         describe="Proposed OpenCL extensions (introspected)", **_whole(table1),
@@ -1169,19 +1121,19 @@ REGISTRY: Dict[str, Experiment] = {
     ),
     "fig4": Experiment(
         describe="Manual vs automatic scheduling, 4 queues",
-        units=_fig4_units, run_unit=_fig4_unit, merge=_fig4_merge,
+        units=_npb_units, run_unit=_fig4_unit, merge=_fig4_merge,
     ),
     "fig5": Experiment(
         describe="Kernel distribution across devices",
-        units=_fig5_units, run_unit=_fig5_unit, merge=_fig5_merge,
+        units=_npb_units, run_unit=_fig5_unit, merge=_fig5_merge,
     ),
     "fig6": Experiment(
         describe="FT profiling overhead vs queue count",
-        units=_fig6_units, run_unit=_fig6_unit, merge=_fig6_merge,
+        units=_ft_queue_units, run_unit=_fig6_unit, merge=_fig6_merge,
     ),
     "fig7": Experiment(
         describe="Data caching effect on FT profiling",
-        units=_fig7_units, run_unit=_fig7_unit, merge=_fig7_merge,
+        units=_ft_queue_units, run_unit=_fig7_unit, merge=_fig7_merge,
     ),
     "fig8": Experiment(
         describe="Minikernel profiling impact for EP",
@@ -1206,7 +1158,7 @@ REGISTRY: Dict[str, Experiment] = {
     ),
     "predicted_vs_profiled": Experiment(
         describe="Static-feature prediction vs dynamic profiling",
-        units=_predicted_units, run_unit=_predicted_unit,
+        units=_npb_units, run_unit=_predicted_unit,
         merge=_predicted_merge,
     ),
     "cluster": Experiment(

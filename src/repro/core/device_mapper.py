@@ -15,15 +15,18 @@ the same device serialise; different devices run concurrently).
 
 Three solvers are provided:
 
-* :func:`optimal_mapping` — memoised depth-first search with
-  branch-and-bound pruning (the production path).  The search is seeded
-  with an LPT-greedy upper bound and prunes on two lower bounds (the
-  largest best-case cost of any unplaced queue, and the load-balance bound
-  ``total work / #devices``), so it explores a tiny fraction of the space
-  for realistic pool sizes.  Above :data:`EXACT_LIMIT` (16 queues) it
-  switches to the greedy heuristic below — exact search is exponential in
-  the worst case, and a 32-queue × 8-device pool must map in milliseconds,
-  not minutes.
+* :func:`optimal_mapping` — depth-first branch-and-bound (the production
+  path).  The search is seeded with an LPT-greedy upper bound and prunes
+  on two lower bounds (the largest best-case cost of any unplaced queue,
+  and the load-balance bound ``total work / #devices``), so it explores a
+  tiny fraction of the space for realistic pool sizes.  Above
+  :data:`EXACT_LIMIT` (16 queues) it switches to the greedy heuristic
+  below — exact search is exponential in the worst case, and a 32-queue ×
+  8-device pool must map in milliseconds, not minutes.  The same search
+  repairs a mapping after device loss
+  (:func:`repro.core.constraints.repair_mapping`): the surviving bindings
+  are passed as ``fixed`` and become starting loads, and a
+  ``node_budget`` bounds the search over the remaining queues.
 * :func:`greedy_mapping` — deterministic LPT (longest-processing-time)
   list scheduling followed by single-queue makespan refinement.  Used as
   the large-pool fallback; near-optimal in practice (typically within a few
@@ -35,8 +38,10 @@ Three solvers are provided:
   the optimal device combination" is an assertable claim).
 
 Infeasible pairs (e.g. the data does not fit in device memory) carry
-``math.inf`` cost.  Ties are broken toward each queue's current device (to
-avoid gratuitous migrations), then toward lower device index.
+``math.inf`` cost.  Among equal-makespan assignments the exact search
+prefers fewer migrations away from each queue's current device, then
+better load balance, then lower device indices; the greedy insert prefers
+the current device, then the lower device index.
 """
 
 from __future__ import annotations
@@ -74,9 +79,9 @@ class MappingResult:
     ``exact`` is False when the result came from the greedy large-pool
     fallback rather than the exact branch-and-bound search.
 
-    ``repaired`` is True when the result came from
-    :func:`repro.core.constraints.repair_mapping`'s incremental path (the
-    surviving assignment patched in place) rather than a full solve;
+    ``repaired`` is True when :func:`repro.core.constraints.repair_mapping`
+    accepted its pinned solve (surviving bindings kept, only the affected
+    queues placed) rather than falling back to a full solve;
     ``migrated_queues`` then lists every queue whose device changed.  Full
     solves reached through a rejected repair also fill ``migrated_queues``
     (with ``repaired=False``), so telemetry can always see churn.
@@ -109,7 +114,10 @@ def _validate(
         row = cost.get(q)
         if row is None:
             raise MapperError(f"no cost row for queue {q!r}")
-        if all(not math.isfinite(row.get(d, math.inf)) for d in devices):
+        for d in devices:
+            if math.isfinite(row.get(d, math.inf)):
+                break
+        else:
             raise MapperError(f"queue {q!r} infeasible on every device")
 
 
@@ -150,10 +158,13 @@ def _lpt_order(
     cost: Mapping[str, Mapping[str, float]],
 ) -> List[str]:
     """Queues by decreasing best-case cost (LPT; also the DFS order)."""
-    return sorted(
-        queues,
-        key=lambda q: -min(cost[q].get(d, math.inf) for d in devices),
-    )
+    inf = math.inf
+
+    def key(q: str) -> float:
+        row = cost[q]
+        return -min([row.get(d, inf) for d in devices])
+
+    return sorted(queues, key=key)
 
 
 def _lpt_assign(
@@ -161,33 +172,38 @@ def _lpt_assign(
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
     preferred: Mapping[str, str],
-    dev_index: Mapping[str, int],
+    start: Mapping[str, float],
 ) -> Tuple[List[str], Dict[str, float], int]:
-    """Greedy list scheduling: place each queue (largest first) on the
-    device where it finishes earliest.  Deterministic; ties prefer the
-    queue's current device, then lower device index."""
-    loads: Dict[str, float] = {d: 0.0 for d in devices}
+    """Greedy list scheduling onto the ``start`` loads: place each queue
+    (largest first) on the device where it finishes earliest.
+    Deterministic; ties prefer the queue's current device, then lower
+    device index (devices are scanned in order, so the first of equal
+    finish times wins unless a later one is the preferred device)."""
+    inf, isfinite = math.inf, math.isfinite
+    loads = dict(start)
     assign: List[str] = []
-    explored = 0
+    infeasible = 0
     for q in order:
         row = cost[q]
         pref = preferred.get(q)
-        best_key: Optional[Tuple[float, bool, int]] = None
+        best_t = inf
         best_dev: Optional[str] = None
-        best_cost = 0.0
+        best_pref = False
         for d in devices:
-            c = row.get(d, math.inf)
-            if not math.isfinite(c):
+            c = row.get(d, inf)
+            if not isfinite(c):
+                infeasible += 1
                 continue
-            explored += 1
-            key = (loads[d] + c, d != pref, dev_index[d])
-            if best_key is None or key < best_key:
-                best_key, best_dev, best_cost = key, d, c
+            t = loads[d] + c
+            if best_dev is None or t < best_t:
+                best_t, best_dev, best_pref = t, d, d == pref
+            elif t == best_t and not best_pref and d == pref:
+                best_dev, best_pref = d, True
         if best_dev is None:
             raise MapperError(f"queue {q!r} infeasible on every device")
         assign.append(best_dev)
-        loads[best_dev] += best_cost
-    return assign, loads, explored
+        loads[best_dev] = best_t
+    return assign, loads, len(order) * len(devices) - infeasible
 
 
 def _seq_load(
@@ -195,15 +211,16 @@ def _seq_load(
     cost: Mapping[str, Mapping[str, float]],
     assign: Sequence[str],
     device: str,
+    start: float,
 ) -> float:
-    """Load of ``device`` summed in DFS queue order.
+    """Load of ``device`` summed from ``start`` in DFS queue order.
 
     Exactly the float the branch-and-bound search computes for the same
     assignment — incremental ``+=``/``-=`` updates drift by ULPs under
     backtracking/moves, and a drifted incumbent below any true path sum
     would prune the optimum itself.
     """
-    total = 0.0
+    total = start
     for q, d in zip(order, assign):
         if d == device:
             total += cost[q][device]
@@ -216,11 +233,12 @@ def _refine(
     cost: Mapping[str, Mapping[str, float]],
     assign: List[str],
     loads: Dict[str, float],
-    dev_index: Mapping[str, int],
+    start: Mapping[str, float],
 ) -> int:
     """Single-queue moves off the bottleneck device while the makespan
     strictly improves.  First-improvement, deterministic scan order,
-    bounded passes — a cheap polish that closes most of LPT's gap."""
+    bounded passes — a cheap polish that closes most of LPT's gap.  Only
+    the queues in ``order`` move; ``start`` holds the pinned loads."""
     explored = 0
     for _ in range(2 * len(order)):
         makespan = max(loads.values())
@@ -230,7 +248,7 @@ def _refine(
             if loads[src] != makespan:
                 continue
             row = cost[q]
-            for d in sorted(devices, key=dev_index.__getitem__):
+            for d in devices:
                 if d == src:
                     continue
                 c_dst = row.get(d, math.inf)
@@ -240,8 +258,8 @@ def _refine(
                 # Tentatively move and recompute both affected loads
                 # drift-free; the other devices are unchanged.
                 assign[i] = d
-                new_src = _seq_load(order, cost, assign, src)
-                new_dst = _seq_load(order, cost, assign, d)
+                new_src = _seq_load(order, cost, assign, src, start[src])
+                new_dst = _seq_load(order, cost, assign, d, start[d])
                 if new_dst < makespan and new_src < makespan:
                     loads[src] = new_src
                     loads[d] = new_dst
@@ -255,6 +273,28 @@ def _refine(
     return explored
 
 
+def _greedy(
+    order: Sequence[str],
+    devices: Sequence[str],
+    cost: Mapping[str, Mapping[str, float]],
+    preferred: Mapping[str, str],
+    start: Mapping[str, float],
+    fixed: Mapping[str, str],
+) -> MappingResult:
+    """LPT insert of ``order`` onto the ``start`` loads, then refinement:
+    the large-pool answer and the exact search's incumbent."""
+    assign, loads, explored = _lpt_assign(order, devices, cost, preferred, start)
+    explored += _refine(order, devices, cost, assign, loads, start)
+    mapping = dict(fixed)
+    mapping.update(zip(order, assign))
+    return MappingResult(
+        mapping=mapping,
+        makespan=max(loads.values()),
+        explored=explored,
+        exact=False,
+    )
+
+
 def greedy_mapping(
     queues: Sequence[str],
     devices: Sequence[str],
@@ -263,21 +303,18 @@ def greedy_mapping(
 ) -> MappingResult:
     """Deterministic near-optimal heuristic: LPT + makespan refinement.
 
-    Used by :func:`optimal_mapping` for pools above the exact-search
-    threshold; may return a makespan above the true optimum (``exact`` is
-    False), but runs in O(Q·D) per refinement pass.
+    :func:`optimal_mapping` answers pools above the exact-search threshold
+    with the same assignment; may return a makespan above the true optimum
+    (``exact`` is False), but runs in O(Q·D) per refinement pass.
     """
     _validate(queues, devices, cost)
-    preferred = dict(preferred or {})
-    dev_index = {d: i for i, d in enumerate(devices)}
-    order = _lpt_order(queues, devices, cost)
-    assign, loads, explored = _lpt_assign(order, devices, cost, preferred, dev_index)
-    explored += _refine(order, devices, cost, assign, loads, dev_index)
-    return MappingResult(
-        mapping=dict(zip(order, assign)),
-        makespan=max(loads.values()),
-        explored=explored,
-        exact=False,
+    return _greedy(
+        _lpt_order(queues, devices, cost),
+        devices,
+        cost,
+        preferred or {},
+        dict.fromkeys(devices, 0.0),
+        {},
     )
 
 
@@ -286,25 +323,42 @@ def optimal_mapping(
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
     preferred: Optional[Mapping[str, str]] = None,
+    *,
+    fixed: Optional[Mapping[str, str]] = None,
+    node_budget: Optional[int] = None,
 ) -> MappingResult:
     """Exact makespan-minimising assignment with pruning.
 
     ``preferred`` maps queue → its current device; among equal-makespan
-    solutions the one keeping more queues on their preferred device (and
-    then using lexicographically earlier devices) wins, avoiding pointless
-    migrations.
+    solutions the one keeping more queues on their preferred device (then
+    the better-balanced one, then lexicographically earlier devices) wins,
+    avoiding pointless migrations.
 
-    Pools with more than :data:`EXACT_LIMIT` queues are solved by
-    :func:`greedy_mapping` instead — the returned result then carries
-    ``exact=False`` and may be slightly above the true optimum.
+    ``fixed`` pins queues to devices: their costs, summed in queue order,
+    are each device's starting load, and the search places only the other
+    (*free*) queues.  ``node_budget`` caps the explored nodes; a search
+    that reaches the cap returns its best assignment so far with
+    ``exact=False``.
+
+    Without a budget, pools with more than :data:`EXACT_LIMIT` free queues
+    get the greedy answer (:func:`greedy_mapping` over the free queues)
+    instead — the returned result then carries ``exact=False`` and may be
+    slightly above the true optimum.
     """
     _validate(queues, devices, cost)
-    preferred = dict(preferred or {})
-    if len(queues) > EXACT_LIMIT:
-        return greedy_mapping(queues, devices, cost, preferred)
+    preferred = preferred or {}
+    fixed = fixed or {}
+    start = dict.fromkeys(devices, 0.0)
+    free: List[str] = []
+    for q in queues:
+        d = fixed.get(q)
+        if d is None:
+            free.append(q)
+        else:
+            start[d] += cost[q][d]
     # Order queues by decreasing best-case cost: placing the expensive,
     # constrained queues first makes pruning effective.
-    order = _lpt_order(queues, devices, cost)
+    order = _lpt_order(free, devices, cost)
     n = len(order)
     dev_index = {d: i for i, d in enumerate(devices)}
     n_devices = len(devices)
@@ -313,37 +367,41 @@ def optimal_mapping(
     # its assignment: the exact search below re-derives the best assignment
     # under the full tie-break rules, so results are identical to an
     # unseeded search — just reached with far less branching).
-    greedy_assign, greedy_loads, _ = _lpt_assign(
-        order, devices, cost, preferred, dev_index
-    )
-    _refine(order, devices, cost, greedy_assign, greedy_loads, dev_index)
-    best_makespan = max(greedy_loads.values())
-    del greedy_assign, greedy_loads
+    seed = _greedy(order, devices, cost, preferred, start, fixed)
+    if node_budget is None and n > EXACT_LIMIT:
+        return seed
+    best_makespan = seed.makespan
+    budget = math.inf if node_budget is None else node_budget
 
-    # Per-queue best-case cost and suffix lower bounds over the DFS order:
+    # Feasible (device, cost) candidates per DFS position, the preferred
+    # device first so ties resolve without migration.  Per-queue best-case
+    # cost gives the suffix lower bounds over the DFS order:
     # suffix_max[i] = the largest best-case cost among unplaced queues
     # (some device must take at least that); suffix_sum[i] = total
     # best-case work still to place (the load-balance bound divides the
     # grand total across all devices).
-    min_cost = {
-        q: min(c for c in (cost[q].get(d, math.inf) for d in devices)
-               if math.isfinite(c))
-        for q in order
-    }
+    cands: List[List[Tuple[str, float]]] = []
+    for q in order:
+        row = cost[q]
+        pref = preferred.get(q)
+        ranked = [pref] if pref in dev_index else []
+        ranked += [d for d in devices if d != pref]
+        cands.append(
+            [(d, row[d]) for d in ranked if math.isfinite(row.get(d, math.inf))]
+        )
     suffix_max = [0.0] * (n + 1)
     suffix_sum = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        mc = min_cost[order[i]]
+        mc = min(c for _, c in cands[i])
         suffix_max[i] = mc if mc > suffix_max[i + 1] else suffix_max[i + 1]
         suffix_sum[i] = suffix_sum[i + 1] + mc
 
     best_assign: Optional[List[str]] = None
     best_score: Tuple[int, float, Tuple[int, ...]] = (0, 0.0, ())
     explored = 0
-    loads: Dict[str, float] = {d: 0.0 for d in devices}
-    assigned_total = 0.0
+    loads = dict(start)
+    assigned_total = sum(start.values())
     assign: List[str] = [""] * n
-    seen: Dict[Tuple[int, Tuple[float, ...]], float] = {}
 
     def tie_score(assignment: Sequence[str]) -> Tuple[int, float, Tuple[int, ...]]:
         """Among equal-makespan assignments prefer, in order: fewer
@@ -358,13 +416,17 @@ def optimal_mapping(
 
     def rec(i: int, current_max: float) -> None:
         nonlocal best_makespan, best_assign, best_score, explored, assigned_total
-        if current_max > best_makespan:
+        if explored >= budget:
             return
         if i == n:
+            # Children above the incumbent are never entered, so here
+            # current_max <= best_makespan: equal makespans go to the
+            # tie-break.
             score = tie_score(assign)
-            if current_max < best_makespan or (
-                current_max == best_makespan
-                and (best_assign is None or score < best_score)
+            if (
+                current_max < best_makespan
+                or best_assign is None
+                or score < best_score
             ):
                 best_makespan = current_max
                 best_assign = list(assign)
@@ -384,50 +446,33 @@ def optimal_mapping(
             lb = avg
         if lb > best_makespan * (1.0 + 1e-12):
             return
-        # Memoisation on (queue index, per-device load vector): identical
-        # residual subproblems cannot improve — this is the "dynamic
-        # programming" over partial load states.  The vector keeps device
-        # identity (costs are device-dependent, so sorting loads would
-        # conflate genuinely different states).
-        state = (i, tuple(loads[d] for d in devices))
-        prev = seen.get(state)
-        # Strict inequality: a revisit at *equal* makespan must still be
-        # explored, or the migration-avoiding tie-break could be pruned
-        # away (leaving, e.g., two queues piled on one GPU while its twin
-        # idles, despite equal makespan).
-        if prev is not None and prev < current_max:
-            return
-        seen[state] = current_max
-        q = order[i]
-        # Try the preferred device first so ties resolve without migration.
-        cand = sorted(
-            devices,
-            key=lambda d: (d != preferred.get(q), dev_index[d]),
-        )
-        for d in cand:
-            c = cost[q].get(d, math.inf)
-            if not math.isfinite(c):
-                continue
+        for d, c in cands[i]:
             explored += 1
-            assign[i] = d
             # Save/restore instead of += / -=: float addition is not exactly
             # reversible, and a few ULPs of backtracking drift would push
             # completions past the greedy-seeded incumbent and prune the
             # (tied-)optimal assignment itself.
-            old_load, old_total = loads[d], assigned_total
-            loads[d] = old_load + c
+            old_load = loads[d]
+            new = old_load + c
+            child_max = current_max if current_max > new else new
+            if child_max > best_makespan:
+                continue
+            old_total = assigned_total
+            assign[i] = d
+            loads[d] = new
             assigned_total = old_total + c
-            rec(i + 1, max(current_max, loads[d]))
+            rec(i + 1, child_max)
             loads[d] = old_load
             assigned_total = old_total
-            assign[i] = ""
-        return
 
-    rec(0, 0.0)
+    rec(0, max(start.values()))
     if best_assign is None:
-        raise MapperError("no feasible assignment")
+        return seed
+    mapping = dict(fixed)
+    mapping.update(zip(order, best_assign))
     return MappingResult(
-        mapping=dict(zip(order, best_assign)),
+        mapping=mapping,
         makespan=best_makespan,
         explored=explored,
+        exact=explored < budget,
     )

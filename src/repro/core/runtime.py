@@ -56,8 +56,8 @@ class RunStats:
     #: intervals: fresh solves plus cached reuses of an identical solve,
     #: which deliberately record the same interval)
     mapper_solves: int = 0
-    #: mapping computations satisfied by incremental repair of the
-    #: surviving assignment (:mod:`repro.core.constraints`)
+    #: mapping computations satisfied by an accepted repair: a solve with
+    #: the surviving bindings pinned (:mod:`repro.core.constraints`)
     mapper_repairs: int = 0
 
     @property

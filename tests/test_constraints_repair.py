@@ -2,11 +2,12 @@
 
 Covers the `repair_mapping` properties — bit-identical determinism,
 migration bounded by the failed device's queues, never worse than a fresh
-greedy on the degraded pool for related-machines cost structures — the
-pinned 64-queue/8-device acceptance scenario (repair beats fresh greedy
-while migrating exactly the orphans), the `_solve_estimate` ≡ LPT-assign
-equivalence, and the scheduler-level reuse/repair wiring (counters, reused
-mappings equal to a fresh solve, the repair path at the default threshold).
+greedy on the degraded pool for related-machines cost structures, the
+balanced placement of tied orphans — the pinned 64-queue/8-device
+acceptance scenario (repair beats fresh greedy while migrating exactly the
+orphans), the scalar LPT insert ≡ its tuple-key reference, and the
+scheduler-level reuse/repair wiring (counters, reused mappings equal to a
+fresh solve, the repair path at the default threshold).
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import device_mapper as dm
-from repro.core.constraints import _solve_estimate, repair_mapping
+from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import greedy_mapping, optimal_mapping
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import symmetric_dual_gpu_node
@@ -183,6 +184,26 @@ def test_repair_places_added_queues():
     assert set(res.migrated_queues) >= set(queues[10:])
 
 
+def test_repair_tied_orphans_take_balanced_placement():
+    """The pinned ``big`` queue fixes the makespan at 10 wherever the two
+    orphans land, so their placement is a tie.  The LPT insert piles both
+    on d1 (loads 10/4/0); the mapper's tie-break picks the better-balanced
+    split (10/2/3)."""
+    cost = {
+        "big": {"d0": 10.0, "d1": 10.0, "d2": 10.0},
+        "a": {"d0": 5.0, "d1": 2.0, "d2": 3.0},
+        "b": {"d0": 5.0, "d1": 2.0, "d2": 6.0},
+    }
+    prev = dm.MappingResult(
+        mapping={"big": "d0", "a": "d3", "b": "d3"}, makespan=10.0
+    )
+    res = repair_mapping(prev, ["big", "a", "b"], ["d0", "d1", "d2"], cost)
+    assert res.repaired
+    assert res.makespan == 10.0
+    assert res.mapping == {"big": "d0", "a": "d2", "b": "d1"}
+    assert res.migrated_queues == ("a", "b")
+
+
 def test_repair_infeasible_raises():
     queues, devices, cost = _speed_instance(1, nq=4, nd=2)
     prev = optimal_mapping(queues, devices, cost)
@@ -216,9 +237,31 @@ def test_acceptance_64x8_single_failure():
 
 
 # ---------------------------------------------------------------------------
-# _solve_estimate ≡ the LPT assignment that seeds the full solver
+# The scalar LPT insert ≡ the tuple-key rule it replaced
 # ---------------------------------------------------------------------------
-def test_solve_estimate_matches_lpt_assign_bitwise():
+def _tuple_key_lpt_assign(order, devices, cost, preferred):
+    """Reference LPT insert: the earliest finish wins, then the preferred
+    device, then the lower device index, as one tuple key per candidate."""
+    dev_index = {d: i for i, d in enumerate(devices)}
+    loads = {d: 0.0 for d in devices}
+    assign = []
+    explored = 0
+    for q in order:
+        best_key, best_dev, best_cost = None, None, 0.0
+        for d in devices:
+            c = cost[q].get(d, math.inf)
+            if not math.isfinite(c):
+                continue
+            explored += 1
+            key = (loads[d] + c, d != preferred.get(q), dev_index[d])
+            if best_key is None or key < best_key:
+                best_key, best_dev, best_cost = key, d, c
+        assign.append(best_dev)
+        loads[best_dev] += best_cost
+    return assign, loads, explored
+
+
+def test_lpt_assign_matches_tuple_key_reference_bitwise():
     rng = random.Random(42)
     for trial in range(40):
         nq = rng.randrange(2, 40)
@@ -238,10 +281,10 @@ def test_solve_estimate_matches_lpt_assign_bitwise():
             q: rng.choice(devices + ["dead-device"]) for q in queues
         }
         order = dm._lpt_order(queues, devices, cost)
-        dev_index = {d: i for i, d in enumerate(devices)}
-        _, loads, _ = dm._lpt_assign(order, devices, cost, preferred, dev_index)
-        expect = max(loads.values())
-        got = _solve_estimate(queues, devices, cost, preferred)
+        expect = _tuple_key_lpt_assign(order, devices, cost, preferred)
+        got = dm._lpt_assign(
+            order, devices, cost, preferred, dict.fromkeys(devices, 0.0)
+        )
         assert got == expect, trial  # bit-identical, not approx
 
 

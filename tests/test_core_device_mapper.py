@@ -7,6 +7,7 @@ match the brute-force oracle on every instance.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,70 @@ def test_optimal_matches_brute_force(n_queues, n_devices, data):
     # The returned mapping actually achieves the claimed makespan.
     loads = opt.device_loads(cost)
     assert max(loads.values()) == pytest.approx(opt.makespan)
+
+
+def _pinned_brute_force(queues, devices, cost, fixed):
+    """Best makespan over every placement of the unpinned queues, with the
+    pinned queues' costs as each device's starting load."""
+    start = {d: 0.0 for d in devices}
+    for q, d in fixed.items():
+        start[d] += cost[q][d]
+    free = [q for q in queues if q not in fixed]
+    best = math.inf
+    for combo in itertools.product(devices, repeat=len(free)):
+        loads = dict(start)
+        for q, d in zip(free, combo):
+            loads[d] += cost[q][d]
+        best = min(best, max(loads.values()))
+    return best
+
+
+def test_pinned_solve_matches_brute_force():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(300):
+        queues = [f"q{i}" for i in range(rng.randint(1, 7))]
+        devices = [f"d{i}" for i in range(rng.randint(1, 4))]
+        cost = {
+            q: {
+                d: math.inf if rng.random() < 0.15 else rng.uniform(0.1, 10.0)
+                for d in devices
+            }
+            for q in queues
+        }
+        if not all(any(math.isfinite(c) for c in cost[q].values()) for q in queues):
+            continue
+        fixed = {}
+        for q in queues:
+            feasible = [d for d in devices if math.isfinite(cost[q][d])]
+            if rng.random() < 0.4:
+                fixed[q] = rng.choice(feasible)
+        res = optimal_mapping(queues, devices, cost, fixed=fixed)
+        assert res.exact
+        assert set(res.mapping) == set(queues)
+        assert all(res.mapping[q] == d for q, d in fixed.items())
+        expect = _pinned_brute_force(queues, devices, cost, fixed)
+        assert res.makespan == pytest.approx(expect, rel=1e-12)
+        assert max(res.device_loads(cost).values()) == pytest.approx(
+            res.makespan, rel=1e-12
+        )
+        checked += 1
+    assert checked >= 200
+
+
+def test_node_budget_cap_returns_inexact_complete_mapping():
+    queues = [f"q{i}" for i in range(8)]
+    devices = ["a", "b", "c"]
+    cost = {q: {d: 1.0 + 0.1 * i + 0.01 * j for j, d in enumerate(devices)}
+            for i, q in enumerate(queues)}
+    full = optimal_mapping(queues, devices, cost)
+    capped = optimal_mapping(queues, devices, cost, node_budget=5)
+    assert full.exact and full.explored > 5
+    assert not capped.exact
+    assert set(capped.mapping) == set(queues)
+    assert capped.makespan >= full.makespan
+    loads = capped.device_loads(cost)
+    assert max(loads.values()) == pytest.approx(capped.makespan)
 
 
 @settings(max_examples=100, deadline=None)
