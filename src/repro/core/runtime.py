@@ -92,42 +92,44 @@ class RunStats:
         downtime = 0.0
         solves = 0
         repairs = 0
-        for iv in trace:
+        for resource, task, category, start, end, meta in trace:
             # Clip every interval to [t0, t1) and credit only the in-window
             # seconds (mirrors utilization_report): an interval straddling
             # either edge contributes exactly its overlap, one entirely
             # outside contributes nothing.  Zero-duration instants (remap /
             # replay / failure markers) stay visible when they fall inside
-            # the window.
-            overlap = min(iv.end, t1) - max(iv.start, t0)
-            instant = iv.start == iv.end and t0 <= iv.start < t1
-            if overlap < 0.0 or (overlap == 0.0 and not instant):
+            # the window.  The conditionals are min(end, t1) - max(start, t0)
+            # without the builtin calls.
+            overlap = (t1 if t1 < end else end) - (t0 if t0 > start else start)
+            if overlap < 0.0 or (
+                overlap == 0.0 and not (start == end and t0 <= start < t1)
+            ):
                 continue
-            by_cat[iv.category] = by_cat.get(iv.category, 0.0) + overlap
-            if iv.category == "kernel" and iv.resource.startswith("dev:"):
-                dev = iv.resource[len("dev:"):]
+            by_cat[category] = by_cat.get(category, 0.0) + overlap
+            if category == "kernel" and resource.startswith("dev:"):
+                dev = resource[4:]
                 ksec[dev] = ksec.get(dev, 0.0) + overlap
                 # Counts keep start-based ownership so a kernel straddling a
                 # window boundary is counted in exactly one window.
-                if t0 <= iv.start < t1:
+                if t0 <= start < t1:
                     kcnt[dev] = kcnt.get(dev, 0) + 1
-            elif iv.category == FAULT_CATEGORY:
+            elif category == FAULT_CATEGORY:
                 downtime += overlap
-            elif iv.category == RECOVERY_CATEGORY:
+            elif category == RECOVERY_CATEGORY:
                 downtime += overlap
-                if t0 <= iv.start < t1:
-                    op = iv.meta.get("op")
+                if t0 <= start < t1:
+                    op = meta.get("op")
                     if op == "remap":
                         remaps += 1
                     elif op == "replay":
                         replays += 1
-            elif iv.category == "schedule" and t0 <= iv.start < t1:
+            elif category == "schedule" and t0 <= start < t1:
                 # Mapping-path split (start-based ownership, like kernel
                 # counts): a full solve and an incremental repair charge the
                 # same host seconds but record distinct interval names.
-                if iv.task == "device-map":
+                if task == "device-map":
                     solves += 1
-                elif iv.task == "device-repair":
+                elif task == "device-repair":
                     repairs += 1
         return RunStats(
             duration=t1 - t0,

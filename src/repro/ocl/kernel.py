@@ -104,20 +104,33 @@ class WorkGroupConfig:
         global_size: Sequence[int],
         local_size: Optional[Sequence[int]] = None,
     ) -> "WorkGroupConfig":
+        # Memoised: enqueue loops launch the same configuration over and
+        # over, and __post_init__ validation is pure in (gs, ls).  The raw
+        # sizes are tried first: numpy and Python ints of one value hash and
+        # compare equal, so a hit skips the int() conversion.
+        global_size = tuple(global_size)
+        if local_size is not None:
+            local_size = tuple(local_size)
+        raw: Any = (global_size, local_size)
+        try:
+            cached = _config_memo.get(raw)
+        except TypeError:  # unhashable sizes (0-d arrays) still convert
+            raw = cached = None
+        if cached is not None:
+            return cached
         gs = tuple(int(g) for g in global_size)
         if local_size is None:
             # OpenCL lets the implementation pick; we pick 64 linearised.
             ls: Tuple[int, ...] = (min(64, gs[0]),) + (1,) * (len(gs) - 1)
         else:
             ls = tuple(int(l) for l in local_size)
-        # Memoised: enqueue loops launch the same configuration over and
-        # over, and __post_init__ validation is pure in (gs, ls).
-        cached = _config_memo.get((gs, ls))
-        if cached is not None:
-            return cached
-        config = WorkGroupConfig(gs, ls)
+        config = _config_memo.get((gs, ls))
+        if config is None:
+            config = WorkGroupConfig(gs, ls)
         if len(_config_memo) > 256:
             _config_memo.clear()
+        if raw is not None:
+            _config_memo[raw] = config
         _config_memo[(gs, ls)] = config
         return config
 
@@ -137,6 +150,10 @@ class Kernel:
         #: WorkGroupConfig -> KernelCost for the annotation cost model
         #: (pure in config; KernelCost is frozen, so sharing is safe).
         self._annotation_cost_memo: Dict[WorkGroupConfig, KernelCost] = {}
+        #: (device name, launch) -> KernelCost of :meth:`launch_cost` for the
+        #: annotation cost model; cleared when a per-device configuration
+        #: changes (a custom cost model bypasses it).
+        self._launch_cost_memo: Dict[Tuple[str, WorkGroupConfig], KernelCost] = {}
         #: ``(args copy, buffer args, written buffer args)`` for enqueue,
         #: built on first use after ``set_arg`` changes an argument.
         self._snapshot: Optional[
@@ -239,6 +256,7 @@ class Kernel:
         self.device_configs[device_name] = WorkGroupConfig.normalize(
             global_size, local_size
         )
+        self._launch_cost_memo.clear()
         self.program.context.cost_edits += 1
 
     def effective_config(
@@ -293,10 +311,18 @@ class Kernel:
         """Cost of launching this kernel on ``spec`` with ``launch`` config.
 
         Honours the per-device configuration override before consulting the
-        cost model.
+        cost model.  Annotation-model costs are pure in (device, launch) and
+        memoised; a custom cost model prices from the current arguments, so
+        it is consulted on every launch.
         """
-        config = self.effective_config(spec.name, launch)
-        return self.config_cost(spec, config)
+        if self._cost_model is not None:
+            return self.config_cost(spec, self.effective_config(spec.name, launch))
+        key = (spec.name, launch)
+        cost = self._launch_cost_memo.get(key)
+        if cost is None:
+            config = self.effective_config(spec.name, launch)
+            cost = self._launch_cost_memo[key] = self.config_cost(spec, config)
+        return cost
 
     def config_cost(self, spec: DeviceSpec, config: WorkGroupConfig) -> KernelCost:
         """Cost for an explicit configuration, bypassing the per-device

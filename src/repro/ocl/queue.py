@@ -46,6 +46,7 @@ from repro.ocl.errors import (
 from repro.ocl.event import Event
 from repro.ocl.kernel import Kernel, WorkGroupConfig
 from repro.ocl.memory import HOST, Buffer
+from repro.sim.engine import _ABORTED, _DONE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.context import Context
@@ -58,6 +59,9 @@ _queue_ids = itertools.count(0)
 #: Pre-extracted flag masks for the enqueue fast path (see auto_active).
 _AUTO_MASK = (SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_AUTO_DYNAMIC).value
 _EXPLICIT_REGION_MASK = SchedFlag.SCHED_EXPLICIT_REGION.value
+
+#: Task states :meth:`CommandQueue.finish` no longer waits on.
+_SETTLED = (_DONE, _ABORTED)
 
 #: Flag values already warned about as contradictory (warn once per value,
 #: mirroring the knob reader's warn-once pattern in :mod:`repro.knobs` —
@@ -96,9 +100,14 @@ def _check_flag_hygiene(flags: SchedFlag) -> None:
     )
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Command:
-    """One enqueued operation, possibly deferred."""
+    """One enqueued operation, possibly deferred.
+
+    Slotted, and equal only to itself: two launches of one kernel with
+    unchanged arguments share one argument snapshot, and removing one of
+    them from a pending list must not remove the other.
+    """
 
     kind: CommandKind
     wait_events: List[Event] = field(default_factory=list)
@@ -422,7 +431,8 @@ class CommandQueue:
             assert scheduler is not None
             scheduler.on_enqueue(self, cmd)
         else:
-            self._ensure_deps_issued(cmd)
+            if cmd.wait_events:
+                self._ensure_deps_issued(cmd)
             self.issue(cmd)
         return event
 
@@ -476,10 +486,13 @@ class CommandQueue:
         """
         if cmd.issued:
             raise InvalidCommandQueue(f"command {cmd.kind} issued twice")
-        if not cmd.deps_ready():
-            raise InvalidCommandQueue(
-                f"queue {self.name!r}: issuing {cmd.kind} before its wait list"
-            )
+        deps: List["SimTask"] = []
+        if cmd.wait_events:
+            deps = [e.command.task for e in cmd.wait_events]
+            if None in deps:
+                raise InvalidCommandQueue(
+                    f"queue {self.name!r}: issuing {cmd.kind} before its wait list"
+                )
         if not self.context.platform.is_available(self.device):
             raise DeviceNotAvailable(
                 f"queue {self.name!r}: device {self.device!r} failed; "
@@ -487,9 +500,6 @@ class CommandQueue:
             )
         node = self.context.platform.node
         engine = self.context.platform.engine
-        deps: List["SimTask"] = [
-            t for e in cmd.wait_events if (t := e.command.task) is not None
-        ]
         if extra_deps:
             deps.extend(extra_deps)
         if ordering_deps is not None:
@@ -858,11 +868,11 @@ class CommandQueue:
             # Aborted incarnations never complete; their replays were
             # appended to _outstanding when they reissued, so waiting on
             # the live tasks covers them.
-            tasks = [t for t in self._outstanding if not t.done and not t.aborted]
+            tasks = [t for t in self._outstanding if t.state not in _SETTLED]
             if not tasks:
                 break
             for task in tasks:
-                if not task.done:
+                if task.state != _DONE:
                     engine.run_until(task)
         self._outstanding.clear()
         self._inflight.clear()

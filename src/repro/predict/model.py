@@ -153,8 +153,21 @@ def _solve(a: List[List[float]], b: List[float]) -> List[float]:
     Operates on copies; deterministic for identical inputs (no
     randomisation, stable pivot tie-breaking by first maximal row).
     """
-    k = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    return _solve_many(a, [b])[0]
+
+
+def _solve_many(
+    a: List[List[float]], bs: Sequence[Sequence[float]]
+) -> List[List[float]]:
+    """Solve ``a x = b`` for every ``b`` in ``bs`` with one elimination.
+
+    Pivot choices and row factors depend on ``a`` alone, so each right-hand
+    side goes through exactly the operations a lone :func:`_solve` of it
+    would apply: the solutions are bit-identical to solving one at a time.
+    """
+    k = len(a)
+    width = k + len(bs)
+    m = [row[:] + [b[i] for b in bs] for i, row in enumerate(a)]
     for col in range(k):
         pivot = col
         best = abs(m[col][col])
@@ -174,16 +187,19 @@ def _solve(a: List[List[float]], b: List[float]) -> List[float]:
                 continue
             row_r = m[r]
             row_c = m[col]
-            for c in range(col, k + 1):
+            for c in range(col, width):
                 row_r[c] -= factor * row_c[c]
-    x = [0.0] * k
-    for col in range(k - 1, -1, -1):
-        total = m[col][k]
-        row = m[col]
-        for c in range(col + 1, k):
-            total -= row[c] * x[c]
-        x[col] = total / row[col]
-    return x
+    xs = []
+    for j in range(k, width):
+        x = [0.0] * k
+        for col in range(k - 1, -1, -1):
+            row = m[col]
+            total = row[j]
+            for c in range(col + 1, k):
+                total -= row[c] * x[c]
+            x[col] = total / row[col]
+        xs.append(x)
+    return xs
 
 
 class RidgeHead:
@@ -246,11 +262,8 @@ class RidgeHead:
         """Inverse of the regularised normal matrix (for leverage)."""
         a, _ = self._combined(extra)
         k = self.dim
-        cols = []
-        for j in range(k):
-            e = [0.0] * k
-            e[j] = 1.0
-            cols.append(_solve(a, e))
+        eye = [[1.0 if i == j else 0.0 for i in range(k)] for j in range(k)]
+        cols = _solve_many(a, eye)
         # cols[j] is the j-th column; transpose to rows (symmetric anyway,
         # up to float noise).
         return [[cols[j][i] for j in range(k)] for i in range(k)]

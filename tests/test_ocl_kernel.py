@@ -166,3 +166,64 @@ def test_host_function_receives_named_args(kernel, manual_context):
 
 def test_host_function_optional(kernel):
     kernel.run_host_function()  # no-op without a payload
+
+
+def test_set_work_group_info_after_launch_reprices_next_launch(kernel, bare_platform):
+    spec = bare_platform.device("gpu0").spec
+    launch = WorkGroupConfig.normalize((1 << 16,), (64,))
+    first = kernel.launch_cost(spec, launch)
+    assert kernel.launch_cost(spec, launch) is first  # memoised
+    kernel.set_work_group_info("gpu0", (1 << 18,), (256,))
+    second = kernel.launch_cost(spec, launch)
+    assert second.work_items == 1 << 18 and second.workgroup_size == 256
+    # Other devices keep the launch configuration.
+    cpu = bare_platform.device("cpu").spec
+    assert kernel.launch_cost(cpu, launch).work_items == 1 << 16
+
+
+def test_set_cost_model_after_launch_reprices_next_launch(kernel, bare_platform):
+    spec = bare_platform.device("cpu").spec
+    launch = WorkGroupConfig.normalize((1 << 10,), (64,))
+    assert kernel.launch_cost(spec, launch).flops == pytest.approx(100 * (1 << 10))
+    calls = []
+
+    def model(dev_spec, config, args):
+        calls.append(config)
+        return KernelCost(flops=float(len(calls)), bytes=1.0, work_items=config.work_items)
+
+    kernel.set_cost_model(model)
+    # A custom model prices from the current arguments: consulted per launch.
+    assert kernel.launch_cost(spec, launch).flops == 1.0
+    assert kernel.launch_cost(spec, launch).flops == 2.0
+    assert calls == [launch, launch]
+
+
+@pytest.mark.parametrize(
+    "global_size, local_size",
+    [
+        ([256, 4], [16, 2]),
+        ((256, 4), (16, 2)),
+        (np.array([256, 4]), np.array([16, 2])),
+        ((np.int32(256), np.int64(4)), [np.int16(16), 2]),
+        ((256.0, 4), (16, 2.0)),
+        ([np.array(256), 4], (16, np.array(2))),
+    ],
+)
+def test_normalize_same_config_for_any_int_like_input(global_size, local_size):
+    want = WorkGroupConfig.normalize((256, 4), (16, 2))
+    for _ in range(2):  # miss, then memo hit
+        cfg = WorkGroupConfig.normalize(global_size, local_size)
+        assert cfg == want
+        assert all(type(v) is int for v in cfg.global_size + cfg.local_size)
+    default = WorkGroupConfig.normalize(global_size)
+    assert default == WorkGroupConfig.normalize((256, 4), (64, 1))
+
+
+@pytest.mark.parametrize(
+    "global_size, local_size",
+    [((0,), (1,)), ([64], [0]), (np.array([64]), (8, 8)), ((1, 1, 1, 1), None)],
+)
+def test_normalize_still_rejects_invalid_sizes(global_size, local_size):
+    for _ in range(2):  # nothing invalid is memoised
+        with pytest.raises(InvalidWorkGroupSize):
+            WorkGroupConfig.normalize(global_size, local_size)

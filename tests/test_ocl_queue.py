@@ -220,3 +220,33 @@ def test_release_with_pending_work_drains_first(autofit):
     ev = q.enqueue_marker()
     q.release()
     assert q.released and ev.complete
+
+
+def test_issue_pending_removes_that_exact_command(roundrobin):
+    """Two deferred launches of one kernel with unchanged arguments share
+    one argument snapshot; issuing the second must leave the first
+    pending (a value-equal removal took the first off instead)."""
+    ctx = roundrobin.context
+    prog = ctx.create_program(SRC).build()
+    k, _, _ = _kernel(ctx, prog)
+    q = roundrobin.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    first = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,)).command
+    second = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,)).command
+    assert q.pending == [first, second]
+    assert q.issue_pending(second) is second
+    assert len(q.pending) == 1 and q.pending[0] is first
+    assert second.issued and not first.issued
+    q.finish()
+
+
+def test_issue_pending_picks_one_of_two_writes_with_distinct_host_arrays(roundrobin):
+    ctx = roundrobin.context
+    buf = ctx.create_buffer(64, host_array=np.full(16, 5.0, dtype=np.float32))
+    q = roundrobin.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    first = q.enqueue_write_buffer(buf, np.zeros(16, dtype=np.float32)).command
+    second = q.enqueue_write_buffer(buf, np.ones(16, dtype=np.float32)).command
+    q.issue_pending(second)
+    assert q.pending == [first]
+    q.finish()
+    # Issue order was second, then first: the zeros land last.
+    assert (buf.array == 0.0).all()

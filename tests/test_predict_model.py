@@ -8,6 +8,7 @@ another predicts *identical* values — the property the shared
 
 import multiprocessing
 import os
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.predict import (
     model_path,
 )
 from repro.predict.features import KernelFeatures, extract_program
+from repro.predict.model import _solve, _solve_many
 from repro.predict.store import load_model, save_model
 
 SPEC = aji_cluster15_node()
@@ -70,6 +72,91 @@ def test_ridge_solve_is_deterministic_and_extra_layering_matches():
     assert base.solve() == base.solve()  # bit-identical re-solve
     assert base.solve(extra) == combined.solve()
     assert base.inverse(extra) == combined.inverse()
+
+
+def _reference_solve(a, b):
+    """The one-right-hand-side elimination ``_solve`` ran before it
+    wrapped ``_solve_many``."""
+    k = len(b)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(k):
+        pivot = col
+        best = abs(m[col][col])
+        for r in range(col + 1, k):
+            mag = abs(m[r][col])
+            if mag > best:
+                best = mag
+                pivot = r
+        if best == 0.0:
+            raise ZeroDivisionError("singular normal matrix")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+        inv_p = 1.0 / m[col][col]
+        for r in range(col + 1, k):
+            factor = m[r][col] * inv_p
+            if factor == 0.0:
+                continue
+            row_r = m[r]
+            row_c = m[col]
+            for c in range(col, k + 1):
+                row_r[c] -= factor * row_c[c]
+    x = [0.0] * k
+    for col in range(k - 1, -1, -1):
+        total = m[col][k]
+        row = m[col]
+        for c in range(col + 1, k):
+            total -= row[c] * x[c]
+        x[col] = total / row[col]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_many_matches_one_column_solves_bitwise(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 9)
+    # Sparse rows give zero factors; unordered magnitudes force pivot swaps.
+    a = [
+        [
+            0.0 if rng.random() < 0.3 else rng.uniform(-1.0, 1.0) * 10 ** rng.randint(-3, 3)
+            for _ in range(k)
+        ]
+        for _ in range(k)
+    ]
+    for i in range(k):
+        if all(v == 0.0 for v in a[i]):
+            a[i][i] = 1.0
+    bs = [[rng.uniform(-5.0, 5.0) for _ in range(k)] for _ in range(rng.randint(1, k + 2))]
+    bs.append([1.0 if i == 0 else 0.0 for i in range(k)])
+    try:
+        want = [_reference_solve(a, b) for b in bs]
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _solve_many(a, bs)
+        return
+    got = _solve_many(a, bs)
+    assert [[v.hex() for v in x] for x in got] == [[v.hex() for v in x] for x in want]
+    assert _solve(a, bs[0]) == want[0]
+
+
+def test_solve_many_covers_pivot_swaps_and_zero_factors():
+    # Column 0 pivots on row 2; row 1 has a zero in column 0 (factor 0).
+    a = [[1.0, 2.0, 0.5], [0.0, 3.0, 1.0], [4.0, -1.0, 2.0]]
+    bs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [3.0, -2.0, 7.5]]
+    assert _solve_many(a, bs) == [_reference_solve(a, b) for b in bs]
+    with pytest.raises(ZeroDivisionError):
+        _solve_many([[0.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]])
+
+
+def test_ridge_inverse_columns_are_lone_solves():
+    head = RidgeHead(dim=4, lam=1e-3)
+    for x in ([1.0, 2.0, 0.0, 1.5], [1.0, -1.0, 3.0, 0.0], [1.0, 0.5, 0.5, -2.0]):
+        head.add(x, 1.0)
+    a, _ = head._combined(None)
+    cols = [
+        _reference_solve(a, [1.0 if i == j else 0.0 for i in range(4)])
+        for j in range(4)
+    ]
+    assert head.inverse() == [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
 def test_ridge_round_trips_through_dict():

@@ -11,6 +11,7 @@ Covers three fixes:
   mutable dict across every metadata-free interval.
 """
 
+import random
 import warnings
 
 import pytest
@@ -137,3 +138,89 @@ class TestTraceIntervalMetaIsolation:
         a, b = list(t)
         assert a.meta["tenant"] == "alpha"
         assert "tenant" not in b.meta  # no cross-interval pollution
+
+
+# ---------------------------------------------------------------------------
+# RunStats.from_trace against the attribute-access loop it replaced
+# ---------------------------------------------------------------------------
+def _reference_from_trace(trace, t0, t1):
+    """The original per-interval loop (attribute reads, ``min``/``max``)."""
+    by_cat, ksec, kcnt = {}, {}, {}
+    remaps = replays = solves = repairs = 0
+    downtime = 0.0
+    for iv in trace:
+        overlap = min(iv.end, t1) - max(iv.start, t0)
+        instant = iv.start == iv.end and t0 <= iv.start < t1
+        if overlap < 0.0 or (overlap == 0.0 and not instant):
+            continue
+        by_cat[iv.category] = by_cat.get(iv.category, 0.0) + overlap
+        if iv.category == "kernel" and iv.resource.startswith("dev:"):
+            dev = iv.resource[len("dev:"):]
+            ksec[dev] = ksec.get(dev, 0.0) + overlap
+            if t0 <= iv.start < t1:
+                kcnt[dev] = kcnt.get(dev, 0) + 1
+        elif iv.category == FAULT_CATEGORY:
+            downtime += overlap
+        elif iv.category == RECOVERY_CATEGORY:
+            downtime += overlap
+            if t0 <= iv.start < t1:
+                op = iv.meta.get("op")
+                if op == "remap":
+                    remaps += 1
+                elif op == "replay":
+                    replays += 1
+        elif iv.category == "schedule" and t0 <= iv.start < t1:
+            if iv.task == "device-map":
+                solves += 1
+            elif iv.task == "device-repair":
+                repairs += 1
+    return RunStats(
+        duration=t1 - t0,
+        by_category=by_cat,
+        kernel_seconds_by_device=ksec,
+        kernel_count_by_device=kcnt,
+        remap_count=remaps,
+        replayed_commands=replays,
+        downtime_seconds=downtime,
+        mapper_solves=solves,
+        mapper_repairs=repairs,
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_trace_matches_reference_loop_bitwise(seed):
+    rng = random.Random(seed)
+    t0, t1 = sorted(rng.uniform(0.0, 10.0) for _ in range(2))
+    # Edge-hugging points: the window edges themselves, zeros, and values
+    # a hair either side of each edge.
+    edges = [t0, t1, 0.0, -0.0, t0 - 1e-12, t1 + 1e-12, t0 + 1e-12, t1 - 1e-12]
+    kinds = [
+        ("dev:gpu0", "k", "kernel", EMPTY_META),
+        ("dev:cpu", "k", "kernel", EMPTY_META),
+        ("link:pcie0", "x", "transfer", EMPTY_META),
+        ("dev:gpu0", "dead", FAULT_CATEGORY, EMPTY_META),
+        ("host", "r", RECOVERY_CATEGORY, {"op": "remap"}),
+        ("host", "r", RECOVERY_CATEGORY, {"op": "replay"}),
+        ("host", "device-map", "schedule", EMPTY_META),
+        ("host", "device-repair", "schedule", EMPTY_META),
+        ("host", "marker@q", "marker", EMPTY_META),
+    ]
+    trace = Trace()
+    for _ in range(400):
+        resource, task, category, meta = rng.choice(kinds)
+        start = rng.choice(edges) if rng.random() < 0.3 else rng.uniform(-1.0, 11.0)
+        shape = rng.random()
+        if shape < 0.25:
+            end = start  # instant
+        elif shape < 0.45:
+            end = rng.choice(edges)
+            start, end = min(start, end), max(start, end)
+        else:
+            end = start + rng.uniform(0.0, 6.0)  # may straddle both edges
+        trace.record(resource, task, category, start, end, dict(meta) or None)
+    for a, b in [(t0, t1), (0.0, t1), (t0, t0), (-1.0, 12.0)]:
+        got = RunStats.from_trace(trace, a, b)
+        want = _reference_from_trace(trace, a, b)
+        # repr prints every float round-trip exact (and -0.0 apart from
+        # 0.0), and every dict in insertion order.
+        assert repr(got) == repr(want)
