@@ -2,11 +2,11 @@
 calls out — trigger frequency, profile caching, static-vs-dynamic, and
 measurement-noise robustness."""
 
-from repro.bench.figures import ablations, robustness
+from repro.bench.figures import run_experiment
 
 
 def test_ablations(run_once):
-    result = run_once(ablations, fast=True)
+    result = run_once(run_experiment, "ablations", fast=True)
 
     def get(experiment, variant):
         return result.row_for(experiment=experiment, variant=variant)["seconds"]
@@ -30,7 +30,7 @@ def test_ablations(run_once):
 
 
 def test_robustness_to_measurement_noise(run_once):
-    result = run_once(robustness, fast=True)
+    result = run_once(run_experiment, "robustness", fast=True)
     # Up to 20% measurement error, the 2.3-2.7x device gaps keep the
     # mapping optimal for both layouts.
     for row in result.rows:

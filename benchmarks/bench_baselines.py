@@ -1,10 +1,10 @@
 """Related-work baseline: epoch vs kernel scheduling granularity."""
 
-from repro.bench.figures import baselines
+from repro.bench.figures import run_experiment
 
 
 def test_scheduling_granularity_contrast(run_once):
-    result = run_once(baselines, fast=True)
+    result = run_once(run_experiment, "baselines", fast=True)
 
     def row(workload, policy):
         return result.row_for(workload=workload, policy=policy)

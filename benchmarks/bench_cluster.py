@@ -1,10 +1,10 @@
 """Extension bench: MultiCL over SnuCL cluster mode."""
 
-from repro.bench.figures import cluster
+from repro.bench.figures import run_experiment
 
 
 def test_cluster_scheduling(run_once):
-    result = run_once(cluster, fast=True)
+    result = run_once(run_experiment, "cluster", fast=True)
 
     def row(workload, platform):
         return result.row_for(workload=workload, platform=platform)

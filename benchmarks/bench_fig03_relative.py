@@ -1,10 +1,10 @@
 """Fig. 3 — single-device CPU vs GPU relative execution times."""
 
-from repro.bench.figures import FIG3_PAPER_RATIOS, fig3
+from repro.bench.figures import FIG3_PAPER_RATIOS, run_experiment
 
 
 def test_fig3_relative_execution(run_once):
-    result = run_once(fig3, fast=True)
+    result = run_once(run_experiment, "fig3", fast=True)
     ratios = {r["benchmark"]: r["gpu_over_cpu"] for r in result.rows}
     # Headline shape: CPU wins everything except EP; EP wins on the GPU.
     for name, ratio in ratios.items():

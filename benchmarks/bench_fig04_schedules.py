@@ -1,10 +1,10 @@
 """Fig. 4 — manual schedules vs AUTO_FIT with four command queues."""
 
-from repro.bench.figures import fig4
+from repro.bench.figures import run_experiment
 
 
 def test_fig4_manual_vs_autofit(run_once):
-    result = run_once(fig4, fast=True)
+    result = run_once(run_experiment, "fig4", fast=True)
     benchmarks = sorted({r["benchmark"] for r in result.rows})
     assert len(benchmarks) == 6
     for bench in benchmarks:

@@ -1,10 +1,10 @@
 """Fig. 5 — distribution of kernels across devices under AUTO_FIT."""
 
-from repro.bench.figures import fig5
+from repro.bench.figures import run_experiment
 
 
 def test_fig5_kernel_distribution(run_once):
-    result = run_once(fig5, fast=True)
+    result = run_once(run_experiment, "fig5", fast=True)
     by_bench = {r["benchmark"].split(".")[0]: r for r in result.rows}
     assert set(by_bench) == {"BT", "CG", "EP", "FT", "MG", "SP"}
     # EP's kernels go to the GPUs (paper: "our scheduler has assigned all

@@ -1,10 +1,10 @@
 """Fig. 6 — FT profiling (data-transfer) overhead vs command-queue count."""
 
-from repro.bench.figures import fig6
+from repro.bench.figures import run_experiment
 
 
 def test_fig6_ft_profiling_overhead(run_once):
-    result = run_once(fig6, fast=True)
+    result = run_once(run_experiment, "fig6", fast=True)
     queues = result.column("queues")
     assert queues == [1, 2, 4, 8]
     data = result.column("data_per_queue_mb")

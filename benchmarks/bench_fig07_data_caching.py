@@ -1,10 +1,10 @@
 """Fig. 7 — effect of data caching on FT's profiling transfer overhead."""
 
-from repro.bench.figures import fig7
+from repro.bench.figures import run_experiment
 
 
 def test_fig7_data_caching(run_once):
-    result = run_once(fig7, fast=True)
+    result = run_once(run_experiment, "fig7", fast=True)
     assert result.column("queues") == [1, 2, 4, 8]
     for row in result.rows:
         # Caching always reduces the scheduler's data movement...

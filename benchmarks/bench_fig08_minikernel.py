@@ -1,10 +1,10 @@
 """Fig. 8 — impact of minikernel profiling for the EP benchmark."""
 
-from repro.bench.figures import fig8
+from repro.bench.figures import run_experiment
 
 
 def test_fig8_minikernel_profiling(run_once):
-    result = run_once(fig8, fast=True)
+    result = run_once(run_experiment, "fig8", fast=True)
     classes = sorted({r["class"] for r in result.rows})
     for pc in classes:
         mini = result.row_for(**{"class": pc, "mode": "minikernel"})

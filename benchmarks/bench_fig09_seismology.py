@@ -1,10 +1,10 @@
 """Fig. 9 — FDM-Seismology across queue-device mappings and schedulers."""
 
-from repro.bench.figures import fig9
+from repro.bench.figures import run_experiment
 
 
 def test_fig9_seismology_mappings(run_once):
-    result = run_once(fig9, fast=True)
+    result = run_once(run_experiment, "fig9", fast=True)
     col = {r["mapping"]: r["column_major_ms"] for r in result.rows}
     row = {r["mapping"]: r["row_major_ms"] for r in result.rows}
 

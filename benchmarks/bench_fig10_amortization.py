@@ -1,10 +1,10 @@
 """Fig. 10 — per-iteration profiling amortisation for FDM-Seismology."""
 
-from repro.bench.figures import fig10
+from repro.bench.figures import run_experiment
 
 
 def test_fig10_amortization(run_once):
-    result = run_once(fig10, fast=True)
+    result = run_once(run_experiment, "fig10", fast=True)
     times = result.column("total_ms")
     assert len(times) >= 10
     first, rest = times[0], times[1:]

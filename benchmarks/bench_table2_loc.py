@@ -1,10 +1,10 @@
 """Table II and Section VI.C — configurations and lines-of-code claims."""
 
-from repro.bench.figures import loc, table2
+from repro.bench.figures import run_experiment
 
 
 def test_table2_configurations(run_once):
-    result = run_once(table2, fast=True)
+    result = run_once(run_experiment, "table2", fast=True)
     rows = {r["benchmark"]: r for r in result.rows}
     assert set(rows) == {"BT", "CG", "EP", "FT", "MG", "SP"}
     # Queue-count restrictions from the paper's Table II.
@@ -23,7 +23,7 @@ def test_table2_configurations(run_once):
 
 
 def test_loc_changed_lines(run_once):
-    result = run_once(loc, fast=True)
+    result = run_once(run_experiment, "loc", fast=True)
     lines = result.column("lines")
     # "on average, users have to apply our proposed scheduler extensions to
     # only four source lines of code"
@@ -33,9 +33,7 @@ def test_loc_changed_lines(run_once):
 
 
 def test_table1_api_surface(run_once):
-    from repro.bench.figures import table1
-
-    result = run_once(table1, fast=True)
+    result = run_once(run_experiment, "table1", fast=True)
     fns = result.column("cl_function")
     assert "clCreateContext" in fns
     assert "clSetCommandQueueSchedProperty" in fns

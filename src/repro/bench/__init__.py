@@ -1,8 +1,9 @@
 """Experiment harness regenerating every table and figure of Section VI.
 
-Each experiment is a function returning an :class:`~repro.bench.harness.ExperimentResult`
-(a titled table of rows plus notes on how it maps to the paper).  Run from
-the command line::
+Each experiment is one entry of :data:`~repro.bench.figures.EXPERIMENTS`:
+independent units that each return table rows, merged into an
+:class:`~repro.bench.harness.ExperimentResult` (a titled table of rows plus
+notes on how it maps to the paper).  Run from the command line::
 
     python -m repro.bench list
     python -m repro.bench fig4            # fast (reduced-scale) mode
@@ -15,7 +16,6 @@ or through the pytest-benchmark suite in ``benchmarks/``.
 from repro.bench.harness import ExperimentResult, format_table
 from repro.bench.figures import (
     EXPERIMENTS,
-    REGISTRY,
     experiment_units,
     merge_experiment_units,
     run_experiment,
@@ -26,7 +26,6 @@ __all__ = [
     "ExperimentResult",
     "format_table",
     "EXPERIMENTS",
-    "REGISTRY",
     "run_experiment",
     "experiment_units",
     "run_experiment_unit",

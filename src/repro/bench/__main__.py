@@ -2,9 +2,11 @@
 
 ``list`` shows the available experiments; ``all`` runs every one.  Fast
 mode (default) uses reduced problem classes/iterations; ``--full`` runs the
-paper-scale configurations of Section VI.  ``--jobs N`` fans the
-experiments' independent units across N worker processes (the results are
-identical to a serial run; ``--verify-serial`` asserts it).
+paper-scale configurations of Section VI.  Every run goes through
+:func:`~repro.bench.parallel.run_parallel`: ``--jobs N`` fans the
+experiments' independent units across N worker processes, ``--jobs 1``
+(the default) runs them in-process, and the results are identical either
+way (``--verify-serial`` asserts it).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.bench.figures import EXPERIMENTS, run_experiment
+from repro.bench.figures import EXPERIMENTS
+from repro.bench.parallel import run_parallel, verify_against_serial
 
 __all__ = ["main"]
 
@@ -35,9 +38,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (fig3..fig10, table2, ablations, loc), "
-        "'all', 'list', or 'replay' (open-loop traffic replay; "
-        "see 'replay --help')",
+        help="experiment id (see 'list'), 'all', 'list', or 'replay' "
+        "(open-loop traffic replay; see 'replay --help')",
     )
     parser.add_argument(
         "--full",
@@ -51,7 +53,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1,
         metavar="N",
         help="fan independent experiment units across N processes "
-        "(default 1 = serial; results are identical either way)",
+        "(default 1 = in-process; results are identical either way)",
     )
     parser.add_argument(
         "--verify-serial",
@@ -62,8 +64,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name, (_, desc) in EXPERIMENTS.items():
-            print(f"{name:10s} {desc}")
+        for name, exp in EXPERIMENTS.items():
+            print(f"{name:10s} {exp.describe}")
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -71,40 +73,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
-
-    fast = not args.full
-    if args.jobs != 1:
-        from repro.bench.parallel import run_parallel, verify_against_serial
-
-        t0 = time.time()
-        results = run_parallel(names, fast=fast, jobs=args.jobs)
-        wall = time.time() - t0
-        for name, result in results.items():
-            print(result.render())
-            print()
-        print(f"({len(names)} experiment(s) regenerated with "
-              f"--jobs {args.jobs} in {wall:.1f}s wall time)")
-        if args.verify_serial:
-            mismatches = verify_against_serial(results, fast=fast)
-            if mismatches:
-                print(
-                    f"parallel/serial mismatch in: {', '.join(mismatches)}",
-                    file=sys.stderr,
-                )
-                return 1
-            print("verified: parallel results identical to the serial run")
-        return 0
-
-    if args.verify_serial:
+    if args.verify_serial and args.jobs == 1:
         print("--verify-serial requires --jobs N (N != 1)", file=sys.stderr)
         return 2
 
-    for name in names:
-        t0 = time.time()
-        result = run_experiment(name, fast=fast)
-        wall = time.time() - t0
+    fast = not args.full
+    t0 = time.time()
+    results = run_parallel(names, fast=fast, jobs=args.jobs)
+    wall = time.time() - t0
+    for result in results.values():
         print(result.render())
-        print(f"({name} regenerated in {wall:.1f}s wall time)\n")
+        print()
+    print(f"({len(names)} experiment(s) regenerated in {wall:.1f}s wall "
+          f"time, --jobs {args.jobs})")
+    if args.verify_serial:
+        mismatches = verify_against_serial(results, fast=fast)
+        if mismatches:
+            print(
+                f"parallel/serial mismatch in: {', '.join(mismatches)}",
+                file=sys.stderr,
+            )
+            return 1
+        print("verified: parallel results identical to the serial run")
     return 0
 
 

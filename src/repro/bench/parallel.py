@@ -3,9 +3,9 @@
 The paper's evaluation is a fleet of *independent* simulations — each
 figure, and each configuration inside a sweep figure, runs its own
 :class:`~repro.ocl.platform.Platform` with its own event engine.  This
-module fans those units (declared by :data:`repro.bench.figures.REGISTRY`)
-across a :class:`concurrent.futures.ProcessPoolExecutor` and merges the
-payloads back in canonical unit order, so a parallel run produces
+module fans those units (rows of :data:`repro.bench.figures.EXPERIMENTS`)
+across a :class:`concurrent.futures.ProcessPoolExecutor` and merges their
+rows back in canonical unit order, so a parallel run produces
 :class:`~repro.bench.harness.ExperimentResult`\\ s identical to the serial
 path — the serial results remain the source of truth and ``--verify-serial``
 (or :func:`verify_against_serial`) asserts the equality.
@@ -16,8 +16,9 @@ starts, shifting every later timestamp by a constant — and float addition
 at different absolute offsets differs in ulps.  The runner therefore
 **prewarms** the shared on-disk profile cache (one measurement per node
 spec, single-flight locked in :mod:`repro.core.profile_store`) before
-fanning out, so every unit — serial or parallel, first or last — runs with
-a warm cache and bit-identical timestamps.
+fanning out (and :func:`~repro.bench.figures.run_experiment` does the same),
+so every unit — serial or parallel, first or last — runs with a warm cache
+and bit-identical timestamps.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ def prewarm_profile_cache(
     return warmed
 
 
-def _init_worker(profile_dir: str) -> None:
-    """Pool initializer: point the worker at the shared profile cache."""
-    os.environ[figures.PROFILE_DIR_ENV] = profile_dir
-    figures.set_profile_dir(profile_dir)
-
-
 def _run_unit(task: Tuple[str, object, bool]):
     name, key, fast = task
     return figures.run_experiment_unit(name, key, fast)
@@ -145,7 +140,7 @@ def run_parallel(
         tasks.extend((name, key, fast) for key in units)
 
     payloads = fork_map(
-        _run_unit, tasks, jobs, initializer=_init_worker,
+        _run_unit, tasks, jobs, initializer=figures.set_profile_dir,
         initargs=(profile_dir,),
     )
 
@@ -153,7 +148,7 @@ def run_parallel(
     offset = 0
     for name, n in counts:
         results[name] = figures.merge_experiment_units(
-            name, fast, payloads[offset : offset + n]
+            name, payloads[offset : offset + n]
         )
         offset += n
     return results

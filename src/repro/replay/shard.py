@@ -77,7 +77,8 @@ def run_sharded(config: ReplayConfig, shards: int) -> ReplayReport:
     Produces a report bit-identical to :func:`run_serial` on the same
     config (``wall_seconds`` excepted — that is measured, not simulated).
     """
-    from repro.bench.parallel import _init_worker, fork_map
+    from repro.bench.figures import set_profile_dir
+    from repro.bench.parallel import fork_map
 
     config.validate()
     if shards < 1:
@@ -90,7 +91,7 @@ def run_sharded(config: ReplayConfig, shards: int) -> ReplayReport:
         _replay_one,
         tasks,
         jobs=shards,
-        initializer=_init_worker,
+        initializer=set_profile_dir,
         initargs=(profile_dir,),
     )
     report = merge_results(results)

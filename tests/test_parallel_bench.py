@@ -1,19 +1,19 @@
-"""Parallel experiment fleet: registry decomposition, determinism vs the
-serial reference, profile-cache prewarming, and the CLI flags."""
+"""Parallel experiment fleet: the experiment table's contract, determinism
+vs the serial reference, profile-cache prewarming, and the CLI flags."""
 
 import pytest
 
 from repro.bench import figures
 from repro.bench.__main__ import main as bench_main
-from repro.bench.figures import EXPERIMENTS, REGISTRY, run_experiment
+from repro.bench.figures import EXPERIMENTS, run_experiment
 from repro.bench.parallel import (
     default_jobs,
     prewarm_profile_cache,
     run_parallel,
 )
 
-#: Cheap experiments covering single-unit, multi-unit NPB, multi-row
-#: payloads, and the out-of-order-mergeable fig9 grid.
+#: Cheap experiments covering single-unit, multi-unit NPB, and the fig9
+#: grid whose units each run both layouts.
 CHEAP = ["fig3", "fig9", "loc"]
 
 
@@ -28,12 +28,17 @@ def shared_profile_dir(tmp_path):
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-def test_registry_covers_every_experiment():
-    assert set(REGISTRY) == set(EXPERIMENTS)
-    for name, exp in REGISTRY.items():
-        units = exp.units(True)
-        assert units, f"{name} declares no units"
-        assert len(units) == len(set(map(repr, units))), f"{name} dup units"
+def test_registry_covers_every_experiment(shared_profile_dir):
+    for name, exp in EXPERIMENTS.items():
+        assert len(exp.columns) == len(set(exp.columns)), f"{name} dup columns"
+        for fast in (True, False):
+            units = exp.units(fast)
+            assert units, f"{name} declares no units"
+            assert len(units) == len(set(map(repr, units))), f"{name} dup units"
+    for name in CHEAP:
+        columns = set(EXPERIMENTS[name].columns)
+        for row in run_experiment(name, fast=True).rows:
+            assert set(row) <= columns, (name, set(row) - columns)
 
 
 def test_sweep_experiments_decompose_into_multiple_units():
@@ -57,8 +62,22 @@ def test_manual_unit_composition_equals_run_experiment(shared_profile_dir):
         figures.run_experiment_unit(name, key, True)
         for key in figures.experiment_units(name, True)
     ]
-    composed = figures.merge_experiment_units(name, True, payloads)
+    composed = figures.merge_experiment_units(name, payloads)
     assert composed == run_experiment(name, fast=True)
+
+
+def test_serial_path_prewarms_like_the_parallel_runner(tmp_path):
+    # Each side starts on its own cold cache: the serial path must prewarm
+    # too, or its first unit pays the device-profiling charge on its engine
+    # and every later timestamp shifts by ulps.
+    try:
+        figures.set_profile_dir(str(tmp_path / "serial"))
+        serial = run_experiment("fig3", fast=True)
+        parallel = run_parallel(["fig3"], fast=True, jobs=1,
+                                profile_dir=str(tmp_path / "parallel"))
+    finally:
+        figures.set_profile_dir(None)
+    assert serial == parallel["fig3"]
 
 
 # ---------------------------------------------------------------------------
