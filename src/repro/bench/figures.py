@@ -34,9 +34,10 @@ import math
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro import knobs
@@ -47,7 +48,7 @@ from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.ocl import api
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
-from repro.workloads.base import ProblemClass
+from repro.workloads.base import ProblemClass, WorkloadRun
 from repro.workloads.npb import BENCHMARKS, get_benchmark
 from repro.workloads.npb.common import run_npb
 from repro.workloads.seismology import DEVICE_COMBOS, run_seismology
@@ -63,6 +64,7 @@ __all__ = [
     "merge_experiment_units",
     "experiment_prewarm_specs",
     "set_profile_dir",
+    "shared_runs",
 ]
 
 # ---------------------------------------------------------------------------
@@ -173,12 +175,59 @@ def _make_app(name: str, pc: str, queues: int, fast: bool):
     return cls(ProblemClass(pc), queues, iterations_override=override)
 
 
-def _npb(name: str, pc: str, queues: int, fast: bool, mode: str = "auto", **kw):
-    """Run one NPB app on a fresh platform sharing the harness cache."""
-    return run_npb(
-        _make_app(name, pc, queues, fast), mode=mode,
-        profile_dir=_profile_dir(), **kw,
+#: NPB runs already simulated in the open :func:`shared_runs` scope, by
+#: every input that shapes a run; ``None`` outside a scope.
+_RUNS: Optional[Dict[tuple, WorkloadRun]] = None
+
+
+@contextmanager
+def shared_runs() -> Iterator[None]:
+    """Share identical NPB runs among the units run inside this block.
+
+    :func:`run_experiment` and :func:`repro.bench.parallel.run_parallel`
+    open it around their unit loops: Fig. 5 and the profiled half of
+    ``predicted_vs_profiled`` are Fig. 4's AUTO_FIT runs, and Figs. 6-8
+    repeat some of each other's.  Simulation is deterministic, so a repeat
+    would produce an equal result.  The memo dies with the block (forked
+    workers inherit it empty), so every call still simulates what it
+    reports.
+    """
+    global _RUNS
+    outer, _RUNS = _RUNS, {}
+    try:
+        yield
+    finally:
+        _RUNS = outer
+
+
+def _npb(
+    name: str,
+    pc: str,
+    queues: int,
+    fast: bool,
+    mode: str = "auto",
+    devices: Optional[Sequence[str]] = None,
+    config: Optional[SchedulerConfig] = None,
+    auto_flags: Optional[SchedFlag] = None,
+) -> WorkloadRun:
+    """Run one NPB app on a fresh platform sharing the harness cache, or
+    return the identical run already made inside :func:`shared_runs`."""
+    profile_dir = _profile_dir()
+    key = (
+        name, pc, queues, fast, mode,
+        None if devices is None else tuple(devices), auto_flags, profile_dir,
+        # As the context resolves it, so MULTICL_* overrides are part of it.
+        (config or SchedulerConfig.from_env()).resolved(),
     )
+    run = None if _RUNS is None else _RUNS.get(key)
+    if run is None:
+        run = run_npb(
+            _make_app(name, pc, queues, fast), mode=mode, devices=devices,
+            config=config, profile_dir=profile_dir, auto_flags=auto_flags,
+        )
+        if _RUNS is not None:
+            _RUNS[key] = run
+    return run
 
 
 def _ft_class(fast: bool) -> str:
@@ -956,6 +1005,6 @@ def run_experiment(name: str, fast: bool = True) -> ExperimentResult:
 
     units = experiment_units(name, fast)
     prewarm_profile_cache([name], _profile_dir())
-    return merge_experiment_units(
-        name, [run_experiment_unit(name, key, fast) for key in units]
-    )
+    with shared_runs():
+        payloads = [run_experiment_unit(name, key, fast) for key in units]
+    return merge_experiment_units(name, payloads)

@@ -122,7 +122,8 @@ def run_parallel(
     uses :func:`default_jobs`; ``jobs=1`` executes the same unit schedule
     in-process (useful to isolate pool effects).  ``profile_dir`` defaults
     to the harness-wide shared directory (``MULTICL_PROFILE_DIR`` or a
-    per-process tempdir cleaned at exit).
+    per-process tempdir cleaned at exit).  Units share identical NPB runs
+    within the call (:func:`~repro.bench.figures.shared_runs`).
     """
     names = list(names)
     jobs = default_jobs() if jobs is None else max(int(jobs), 1)
@@ -139,10 +140,11 @@ def run_parallel(
         counts.append((name, len(units)))
         tasks.extend((name, key, fast) for key in units)
 
-    payloads = fork_map(
-        _run_unit, tasks, jobs, initializer=figures.set_profile_dir,
-        initargs=(profile_dir,),
-    )
+    with figures.shared_runs():
+        payloads = fork_map(
+            _run_unit, tasks, jobs, initializer=figures.set_profile_dir,
+            initargs=(profile_dir,),
+        )
 
     results: Dict[str, ExperimentResult] = {}
     offset = 0

@@ -54,7 +54,7 @@ def relaxed(context: "Context", queue: "CommandQueue") -> bool:
     Out-of-order queues already carry their minimal ordering explicitly."""
     if queue.out_of_order:
         return False
-    return context.overlap or bool(queue.sched_flags.value & _OVERLAP_MASK)
+    return context.overlap or bool(queue._flag_bits & _OVERLAP_MASK)
 
 
 def issue_pool(

@@ -212,7 +212,12 @@ class CommandQueue:
             )
         #: Current device binding (may be rebound by the scheduler).
         self.device = device_name
-        self.sched_flags = sched_flags
+        self._sched_flags = sched_flags
+        #: ``sched_flags.value`` for the per-launch bit tests
+        #: (:attr:`auto_active`, :func:`repro.ocl.issue.relaxed`): the
+        #: enum's ``value`` property and operator protocol are an order of
+        #: magnitude slower.  Written only together with ``_sched_flags``.
+        self._flag_bits: int = sched_flags.value
         _check_flag_hygiene(sched_flags)
         #: Explicit-region state: scheduling active inside start/stop marks.
         self.region_active = False
@@ -249,12 +254,14 @@ class CommandQueue:
     # Scheduling state
     # ------------------------------------------------------------------
     @property
+    def sched_flags(self) -> SchedFlag:
+        """The queue's SCHED_* flags (changed by :meth:`set_sched_property`)."""
+        return self._sched_flags
+
+    @property
     def auto_active(self) -> bool:
         """Whether commands enqueued *now* should be deferred."""
-        # Raw int bit tests: this runs on every enqueue, and the Flag-enum
-        # operator protocol (__and__ constructing enum members) is an order
-        # of magnitude slower than the mask checks.
-        flags = self.sched_flags.value
+        flags = self._flag_bits
         if not flags & _AUTO_MASK:
             return False
         if flags & _EXPLICIT_REGION_MASK:
@@ -275,8 +282,9 @@ class CommandQueue:
                 raise InvalidOperation(
                     "cannot start a scheduling region without a context scheduler"
                 )
-            self.sched_flags |= flags
-            _check_flag_hygiene(self.sched_flags)
+            self._sched_flags |= flags
+            self._flag_bits = self._sched_flags.value
+            _check_flag_hygiene(self._sched_flags)
             if not self.region_active:
                 self.region_active = True
                 scheduler.on_region_start(self)
@@ -597,7 +605,7 @@ class CommandQueue:
         device = self.context.platform.node.device(device_name)
         buffers = cmd.arg_buffers
         for buf in buffers:
-            if device_name not in buf.valid_on:
+            if device_name not in buf._valid_on:
                 # Some argument is not resident yet: check room, move data.
                 self._check_capacity(buffers)
                 migrations = self._migrations_for(buffers, deps, "migration")

@@ -204,6 +204,46 @@ def test_set_sched_property_without_scheduler_rejected(ctx):
         q.set_sched_property(SchedFlag.SCHED_AUTO_DYNAMIC)
 
 
+@pytest.mark.parametrize("created", [
+    SchedFlag.SCHED_EXPLICIT_REGION,
+    SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_EXPLICIT_REGION,
+])
+def test_sched_flag_bits_follow_their_writers(autofit, created):
+    # A queue created without SCHED_AUTO_* gains it at region start: the
+    # int copy auto_active reads must follow set_sched_property.
+    q = autofit.queue(device="cpu", flags=created)
+    assert not q.auto_active
+    q.set_sched_property(SchedFlag.SCHED_AUTO_DYNAMIC)
+    assert q.auto_active
+    assert q.sched_flags == (
+        SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_EXPLICIT_REGION
+    )
+    q.set_sched_property(SchedFlag.SCHED_OFF)
+    assert not q.auto_active
+    with pytest.raises(AttributeError):
+        q.sched_flags = SchedFlag.SCHED_OFF
+
+
+def test_overlap_queue_takes_the_overlap_issue_path(autofit):
+    from repro.ocl.issue import relaxed
+
+    ctx = autofit.context
+    prog = ctx.create_program(SRC).build()
+    k, a, _ = _kernel(ctx, prog)
+    plain = autofit.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC, name="plain")
+    q = autofit.queue(
+        flags=SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_OVERLAP,
+        name="overlap",
+    )
+    assert relaxed(ctx, q) and not relaxed(ctx, plain)
+    for queue in (plain, q):
+        queue.enqueue_write_buffer(a, np.zeros(1 << 12, dtype=np.float32))
+        queue.enqueue_nd_range_kernel(k, (1 << 12,), (64,))
+        queue.finish()
+    joins = [iv.task for iv in autofit.engine.trace.filter(category="marker")]
+    assert joins == ["overlap-join@overlap"]
+
+
 def test_rebind_validates_device(ctx):
     q = ctx.create_queue()
     with pytest.raises(InvalidValue):

@@ -1,5 +1,8 @@
 """Parallel experiment fleet: the experiment table's contract, determinism
-vs the serial reference, profile-cache prewarming, and the CLI flags."""
+vs the serial reference, runs shared within one call, profile-cache
+prewarming, and the CLI flags."""
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.bench.parallel import (
     prewarm_profile_cache,
     run_parallel,
 )
+from repro.core.flags import SchedulerConfig
 
 #: Cheap experiments covering single-unit, multi-unit NPB, and the fig9
 #: grid whose units each run both layouts.
@@ -105,6 +109,62 @@ def test_fig9_merge_preserves_row_order(shared_profile_dir):
     assert [r["mapping"] for r in result.rows] == [
         r["mapping"] for r in serial.rows
     ]
+
+
+# ---------------------------------------------------------------------------
+# Shared runs
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def npb_calls(monkeypatch):
+    """Count the NPB runs the harness actually simulates."""
+    calls = []
+    real = figures.run_npb
+
+    def counting(app, **kw):
+        calls.append(app.NAME)
+        return real(app, **kw)
+
+    monkeypatch.setattr(figures, "run_npb", counting)
+    return calls
+
+
+def test_runs_are_shared_within_one_call_only(shared_profile_dir, npb_calls,
+                                              monkeypatch):
+    # Fig. 5 and the profiled half of predicted_vs_profiled are Fig. 4's
+    # AUTO_FIT runs; unshared, the three take 60 runs.
+    names = ["fig4", "fig5", "predicted_vs_profiled"]
+    first = run_parallel(names, fast=True, jobs=1)
+    assert len(npb_calls) == 47
+    # The memo dies with its call: a second call simulates everything again.
+    second = run_parallel(names, fast=True, jobs=1)
+    assert len(npb_calls) == 2 * 47
+    # Outside a run call nothing is reused.
+    del npb_calls[:]
+    for _ in range(2):
+        figures.run_experiment_unit("fig5", ("BT", "W"), True)
+    assert len(npb_calls) == 2
+    monkeypatch.setattr(figures, "shared_runs", nullcontext)
+    unshared = run_parallel(names, fast=True, jobs=1)
+    assert len(npb_calls) == 2 + 60
+    assert first == second == unshared
+
+
+def test_shared_run_key_follows_the_resolved_config(shared_profile_dir,
+                                                    npb_calls, monkeypatch):
+    for knob in ("MULTICL_PREDICT", "MULTICL_SPLIT", "MULTICL_OVERLAP",
+                 "MULTICL_SANITIZE", "MULTICL_ITERATIVE_FREQUENCY"):
+        monkeypatch.delenv(knob, raising=False)
+    with figures.shared_runs():
+        base = figures._npb("EP", "S", 1, True)
+        # An explicit config equal to the environment's is the same run.
+        same = figures._npb(
+            "EP", "S", 1, True, config=SchedulerConfig(data_caching=True)
+        )
+        assert same is base and len(npb_calls) == 1
+        # config=None follows MULTICL_* overrides, so the key must too.
+        monkeypatch.setenv("MULTICL_PREDICT", "1")
+        predicted = figures._npb("EP", "S", 1, True)
+        assert predicted is not base and len(npb_calls) == 2
 
 
 # ---------------------------------------------------------------------------
