@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Tracked performance baseline for the library's hot paths.
 
-Runs the same workloads as ``bench_library_perf.py`` without pytest and
+Holds every library bench body once (:data:`BENCHES`, which
+``bench_library_perf.py`` parametrises under pytest-benchmark) and
 writes ``BENCH_library_perf.json`` at the repo root: per-bench median/min
 wall time plus a *simulation-correctness checksum* (a deterministic value
 computed from virtual-clock results, identical on every machine).  The

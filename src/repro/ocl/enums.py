@@ -105,14 +105,6 @@ class SchedFlag(enum.IntFlag):
     def is_static(self) -> bool:
         return bool(self & SchedFlag.SCHED_AUTO_STATIC)
 
-    @property
-    def wants_split(self) -> bool:
-        return bool(self & SchedFlag.SCHED_SPLIT)
-
-    @property
-    def wants_overlap(self) -> bool:
-        return bool(self & SchedFlag.SCHED_OVERLAP)
-
 
 #: Aliases matching the paper's prose ("SCHED_AUTO", "SCHED_MEM_BOUND").
 SCHED_AUTO = SchedFlag.SCHED_AUTO_DYNAMIC

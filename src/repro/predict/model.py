@@ -19,9 +19,8 @@ Two model families live here:
   curves are linearised with hinge and polynomial basis features.
 * :class:`CostFieldModel` — device-independent ridge heads from the shared
   feature vector to the :class:`~repro.hardware.cost.KernelCost` descriptor
-  fields (log flops, log bytes, divergence, irregularity), so a fitted
-  model can also materialise a full cost descriptor for consumers that
-  want one rather than a time.
+  fields (log flops, log bytes, divergence, irregularity), read back per
+  field by :meth:`CostFieldModel.predict_fields`.
 
 :class:`PredictorModel` bundles both plus the node fingerprint, with JSON
 (de)serialisation that round-trips floats exactly (``repr`` round-trip
@@ -33,8 +32,6 @@ from __future__ import annotations
 from math import exp, log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.hardware.cost import KernelCost
-from repro.hardware.specs import DeviceKind
 from repro.predict.features import KernelFeatures
 
 __all__ = [
@@ -384,29 +381,6 @@ class CostFieldModel:
             head = self.heads[name]
             out[name] = head.predict(x, head.solve())
         return out
-
-    def predict_cost(
-        self,
-        feat: KernelFeatures,
-        work_items: int,
-        workgroup_size: int = 64,
-    ) -> KernelCost:
-        """Materialise a full :class:`KernelCost` descriptor."""
-        fields = self.predict_fields(feat)
-        flops_per_item = max(exp(fields["log_flops"]) - _TINY, 0.0)
-        bytes_per_item = max(exp(fields["log_bytes"]) - _TINY, 0.0)
-        efficiency = {
-            DeviceKind(kind): eff for kind, eff in feat.efficiency
-        }
-        return KernelCost(
-            flops=flops_per_item * work_items,
-            bytes=bytes_per_item * work_items,
-            work_items=work_items,
-            workgroup_size=workgroup_size,
-            divergence=min(max(fields["divergence"], 0.0), 1.0),
-            irregularity=min(max(fields["irregularity"], 0.0), 1.0),
-            efficiency=efficiency,
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {name: head.to_dict() for name, head in self.heads.items()}

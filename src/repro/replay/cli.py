@@ -97,7 +97,8 @@ def _build_parser(prog: Optional[str]) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="spill intervals to PATH.tenant<i>.jsonl instead of discarding",
+        help="spill intervals to PATH.tenant<i>.jsonl (engine mode) or "
+        "PATH.service.jsonl (service mode) instead of discarding",
     )
     parser.add_argument(
         "--cold-start", action="store_true",

@@ -77,8 +77,8 @@ class ReplayConfig:
     #: stream the trace through a sink (flat memory); False keeps the
     #: resident trace — only sane for small runs
     streaming: bool = True
-    #: spill intervals to ``<trace_path>.tenant<i>.jsonl`` instead of
-    #: discarding them (engine mode)
+    #: spill intervals to ``<trace_path>.tenant<i>.jsonl`` (engine mode) or
+    #: ``<trace_path>.service.jsonl`` (service mode) instead of discarding
     trace_path: Optional[str] = None
     families: Tuple[KernelFamily, ...] = DEFAULT_FAMILIES
     #: shared on-disk device-profile cache (None -> harness default)
@@ -316,6 +316,20 @@ def _fold_checksum(
     return checksum
 
 
+def _attach_sink(trace, config: ReplayConfig, label: str) -> Optional[TraceSink]:
+    """Stream ``trace`` as ``config`` asks: spill every ``spill_every``
+    intervals to ``<trace_path>.<label>.jsonl``, or discard them.  Returns
+    the sink for the caller to flush and close (None: resident trace)."""
+    if not config.streaming:
+        return None
+    if config.trace_path:
+        sink: TraceSink = JsonlTraceSink(f"{config.trace_path}.{label}.jsonl")
+    else:
+        sink = DiscardSink()
+    trace.attach_sink(sink, spill_every=config.spill_every)
+    return sink
+
+
 def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     """Replay one tenant's full arrival schedule on its own platform.
 
@@ -329,13 +343,7 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     platform = Platform(profile=True, profile_dir=config.profile_dir)
     engine = platform.engine
     trace = engine.trace
-    sink: Optional[TraceSink] = None
-    if config.streaming:
-        if config.trace_path:
-            sink = JsonlTraceSink(f"{config.trace_path}.tenant{index}.jsonl")
-        else:
-            sink = DiscardSink()
-        trace.attach_sink(sink, spill_every=config.spill_every)
+    sink = _attach_sink(trace, config, f"tenant{index}")
 
     tenant = config.tenant_name(index)
     state = _EngineTenant(platform, config, tenant)
@@ -499,6 +507,7 @@ def run_service_replay(config: ReplayConfig):
     config.validate()
     service = SchedulingService(profile_dir=config.profile_dir)
     engine = service.platform.engine
+    sink = _attach_sink(engine.trace, config, "service")
     tenants = [
         _ServiceTenant(service, config, i) for i in range(config.tenants)
     ]
@@ -537,6 +546,9 @@ def run_service_replay(config: ReplayConfig):
         service.trigger()
         service.run_until_idle()
     service.run_until_idle()
+    if sink is not None:
+        engine.trace.flush()
+        sink.close()
 
     usage = service.utilization()
     results = [

@@ -85,12 +85,6 @@ class FairShareArbiter:
         self.rounds = 0
         #: dispatch log: (round, tenant, estimated seconds) per pool.
         self.dispatch_log: List[tuple] = []
-        #: tenant -> {"solves", "repairs", "reuses"} mapping-path telemetry,
-        #: accumulated from the owning scheduler's counters around each
-        #: dispatch — the service-level view of how often a tenant's
-        #: triggers were satisfied by incremental repair or outright reuse
-        #: instead of a full pool re-solve.
-        self.mapper_stats: Dict[str, Dict[str, int]] = {}
         # Re-entrancy guard: fault recovery can force a trigger *while* a
         # dispatched pool is being profiled (virtual time advances inside
         # the pass).  The nested trigger bypasses arbitration — its pool
@@ -305,21 +299,8 @@ class FairShareArbiter:
         self.dispatch_log.append(
             (self.rounds, tenant or context.tenant, cost)
         )
-        before = (
-            getattr(scheduler, "mapper_solves", 0),
-            getattr(scheduler, "mapper_repairs", 0),
-            getattr(scheduler, "mapper_reuses", 0),
-        )
         # Tenant policy decides the mapping; dispatch() sanitizes the pool.
         scheduler.dispatch(pool, trigger_queue)  # type: ignore[attr-defined]
-        name = tenant or context.tenant
-        if name is not None:
-            stats = self.mapper_stats.setdefault(
-                name, {"solves": 0, "repairs": 0, "reuses": 0}
-            )
-            stats["solves"] += getattr(scheduler, "mapper_solves", 0) - before[0]
-            stats["repairs"] += getattr(scheduler, "mapper_repairs", 0) - before[1]
-            stats["reuses"] += getattr(scheduler, "mapper_reuses", 0) - before[2]
 
     def _session_of(self, context: "Context") -> Optional["TenantSession"]:
         if context.tenant is None:

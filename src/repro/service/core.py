@@ -108,13 +108,6 @@ class SchedulingService:
             session._activate()
         return session
 
-    def close_session(self, name: str) -> None:
-        """Close ``name``'s session (see :meth:`TenantSession.close`)."""
-        session = self.sessions.get(name)
-        if session is None:
-            raise KeyError(f"no tenant session named {name!r}")
-        session.close()
-
     def _on_session_closed(self, session: TenantSession) -> None:
         """Free the slot; activate waitlisted sessions in FIFO order."""
         for nxt in self.admission.release_session(session):

@@ -6,10 +6,12 @@ meta (stamped by :class:`~repro.ocl.queue.CommandQueue` from the context's
 instrumentation: :class:`TenantTelemetry` folds the engine's trace into
 per-tenant busy-second aggregates.
 
-The fold is *incremental*: the trace is append-only, so a cursor remembers
-how far the last :meth:`TenantTelemetry.refresh` got and each interval is
-aggregated exactly once — live dashboards can poll ``snapshot()`` every
-scheduler round without rescanning history.
+The fold is the trace's own: :class:`TenantTelemetry` registers with
+:meth:`~repro.sim.trace.Trace.add_fold`, so each interval is aggregated
+exactly once, in recording order, and before a streaming trace spills it —
+live dashboards can poll ``snapshot()`` every scheduler round without
+rescanning history, and the totals stay exact however often the trace
+spills.
 
 Accounting rules (matching what the arbiter charges against quotas):
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceInterval
 
 __all__ = ["UNTAGGED", "TenantUsage", "TenantTelemetry"]
 
@@ -57,27 +59,25 @@ class TenantUsage:
     #: category -> busy seconds (device + link)
     by_category: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def busy_seconds(self) -> float:
-        return self.device_seconds + self.link_seconds
-
 
 class TenantTelemetry:
-    """Incremental tenant-usage aggregation over one :class:`Trace`."""
+    """Tenant-usage aggregation folded from one :class:`Trace`."""
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self._cursor = 0
         self._usage: Dict[str, TenantUsage] = {}
+        trace.add_fold(self._fold)
 
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Fold intervals recorded since the last refresh."""
-        intervals = self.trace._intervals
+        """Fold intervals recorded since the trace's last fold."""
+        self.trace._catch_up()
+
+    def _fold(self, intervals: List[TraceInterval]) -> None:
         usage = self._usage
-        for iv in intervals[self._cursor:]:
+        for iv in intervals:
             resource = iv.resource
             if resource.startswith("dev:"):
                 if iv.category not in _DEVICE_CATEGORIES:
@@ -102,7 +102,6 @@ class TenantTelemetry:
                 u.by_device[dev] = u.by_device.get(dev, 0.0) + dur
             else:
                 u.link_seconds += dur
-        self._cursor = len(intervals)
 
     # ------------------------------------------------------------------
     # Queries (all refresh first — results reflect the live trace)

@@ -369,7 +369,7 @@ class SimEngine:
         resource = task.resource
         start = task.start_time
         # Equivalent to self.trace.record(...), with the call layers peeled
-        # off: Trace.record is a bare append by contract (lazy indexing).
+        # off: Trace.record is a bare append by contract (lazy fold).
         trace = self.trace
         intervals = trace._intervals
         intervals.append(

@@ -6,19 +6,20 @@ harness uses this to reproduce the paper's accounting figures — kernel→devic
 distributions (Fig. 5), profiling-overhead breakdowns (Figs. 6–8), and
 per-iteration timelines (Fig. 10) — without instrumenting the runtime itself.
 
-Storage is *columnar/indexed with lazy maintenance*: :meth:`Trace.record`
-(the engine's hottest call — once per completed task) is a bare list append,
-while per-resource and per-category interval indexes plus running
-``(resource, category) → (seconds, count)`` aggregates are caught up
-incrementally on the first query after an append burst.  Each interval is
-indexed exactly once, so a record-heavy run followed by query-heavy figure
-generation pays O(1) amortised per record and O(matches) per query instead
-of a full O(n) scan per accounting call.
+Storage is *one list plus one fold*: :meth:`Trace.record` (the engine's
+hottest call — once per completed task) is a bare list append, and
+:meth:`Trace._catch_up` folds the intervals appended since the last fold,
+in recording order, into running ``(resource, category) → (seconds,
+count)`` aggregates and hands the same batch to every consumer registered
+with :meth:`Trace.add_fold` (per-tenant telemetry is one).  Each interval is
+folded exactly once, before any spill drops it, so whole-run totals and
+every consumer stay exact on a streaming trace.  Per-interval queries
+(:meth:`Trace.filter`, :meth:`Trace.between`) are plain scans of the
+in-memory list.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -80,17 +81,17 @@ class TraceSink:
 
 
 class Trace:
-    """Append-only, lazily indexed collection of :class:`TraceInterval`.
+    """Append-only collection of :class:`TraceInterval` with one fold.
 
-    Mutations (:meth:`record` / :meth:`extend`) only append to the primary
-    list; queries first fold not-yet-indexed intervals into the secondary
-    indexes (:meth:`_catch_up`), then answer from the indexes.
+    Mutations (:meth:`record` / :meth:`extend`) only append to the list;
+    aggregate queries and fold consumers first run :meth:`_catch_up`, which
+    folds the not-yet-folded tail exactly once.
 
     With a sink attached (:meth:`attach_sink`) the trace runs in
-    *streaming* mode: intervals beyond the spill threshold are folded into
-    the running ``(resource, category)`` aggregates — so
+    *streaming* mode: intervals beyond the spill threshold are folded — so
     :meth:`total_time` / :meth:`count` / :meth:`by_resource` /
-    :meth:`counts_by_resource` stay exact over the whole run — and then
+    :meth:`counts_by_resource` / :meth:`resources` / :meth:`categories` and
+    every :meth:`add_fold` consumer stay exact over the whole run — and then
     handed to the sink and dropped.  Per-interval queries (:meth:`filter`,
     :meth:`between`, iteration, ``len``) cover only the resident tail in
     that mode; :attr:`total_recorded` counts everything ever recorded.
@@ -101,22 +102,16 @@ class Trace:
         #: monotonically increasing marks: (time, label); used to delimit
         #: program phases such as iterations or synchronization epochs.
         self.marks: List[tuple] = []
-        # Secondary indexes over _intervals[:_indexed_upto].
-        self._by_resource: Dict[str, List[TraceInterval]] = {}
-        self._by_category: Dict[str, List[TraceInterval]] = {}
         #: (resource, category) -> [summed seconds, interval count]
         self._aggregates: Dict[Tuple[str, str], List[float]] = {}
-        self._indexed_upto = 0
+        # _intervals[:_folded] are already folded.
+        self._folded = 0
+        self._folds: List[Callable[[List[TraceInterval]], None]] = []
         # Streaming mode (attach_sink): spill threshold (0 = resident
         # trace, the default) and intervals handed to the sink so far.
         self._sink: Optional[TraceSink] = None
         self._spill_at = 0
         self._spilled = 0
-        # Lazily built sorted start index for between(); _start_index_n is
-        # the interval count it was built at (-1 = invalid).
-        self._start_keys: List[float] = []
-        self._start_order: List[int] = []
-        self._start_index_n = -1
 
     def record(
         self,
@@ -129,7 +124,7 @@ class Trace:
     ) -> None:
         # Hot path: one tuple construction + one append.  The meta dict is
         # stored as given (callers hand over ownership); a ``None`` sentinel
-        # normalises to the shared immutable empty mapping.  Indexing
+        # normalises to the shared immutable empty mapping.  Folding
         # happens lazily at the next query.
         self._intervals.append(
             TraceInterval(resource, task, category, start, end,
@@ -138,6 +133,18 @@ class Trace:
         if self._spill_at and len(self._intervals) >= self._spill_at:
             self._spill()
 
+    def add_fold(self, fn: Callable[[List[TraceInterval]], None]) -> None:
+        """Register ``fn`` to receive every interval batch the fold sees.
+
+        ``fn`` is first handed the intervals still held in memory, so a
+        consumer registered late matches one present from the start on a
+        resident trace; from then on it receives each newly folded batch
+        in recording order, including every batch before it spills.
+        """
+        self._catch_up()
+        fn(self._intervals[:])
+        self._folds.append(fn)
+
     # ------------------------------------------------------------------
     # Streaming sink
     # ------------------------------------------------------------------
@@ -145,9 +152,9 @@ class Trace:
         """Switch to streaming mode: spill to ``sink`` every ``spill_every``
         intervals.
 
-        The running aggregates keep covering spilled intervals, so
-        whole-run totals remain exact; per-interval queries are restricted
-        to the resident (not yet spilled) tail from here on.
+        The running aggregates and fold consumers keep covering spilled
+        intervals, so whole-run totals remain exact; per-interval queries
+        are restricted to the resident (not yet spilled) tail from here on.
         """
         if spill_every < 1:
             raise ValueError(f"spill_every must be >= 1, got {spill_every}")
@@ -157,27 +164,15 @@ class Trace:
         self._spill_at = int(spill_every)
 
     def _spill(self) -> None:
-        """Hand the resident intervals to the sink and drop them."""
+        """Fold the resident intervals, then hand them to the sink and drop
+        them."""
+        self._catch_up()
         intervals = self._intervals
         if not intervals:
             return
-        # Fold the not-yet-indexed tail into the aggregates first (the
-        # indexed prefix is already in); then the per-interval index lists
-        # go with the intervals themselves.
-        aggregates = self._aggregates
-        for iv in intervals[self._indexed_upto:]:
-            agg = aggregates.get((iv.resource, iv.category))
-            if agg is None:
-                aggregates[(iv.resource, iv.category)] = [iv.end - iv.start, 1]
-            else:
-                agg[0] += iv.end - iv.start
-                agg[1] += 1
         self._spilled += len(intervals)
         self._intervals = []
-        self._by_resource.clear()
-        self._by_category.clear()
-        self._indexed_upto = 0
-        self._start_index_n = -1
+        self._folded = 0
         assert self._sink is not None
         self._sink.consume(intervals)
 
@@ -198,34 +193,24 @@ class Trace:
         return self._spilled + len(self._intervals)
 
     def _catch_up(self) -> None:
-        """Fold intervals appended since the last query into the indexes."""
-        upto = self._indexed_upto
+        """Fold intervals appended since the last fold into the aggregates
+        and every :meth:`add_fold` consumer."""
         intervals = self._intervals
-        if upto == len(intervals):
+        if self._folded == len(intervals):
             return
-        by_resource = self._by_resource
-        by_category = self._by_category
+        batch = intervals[self._folded:]
+        self._folded = len(intervals)
         aggregates = self._aggregates
-        for iv in intervals[upto:]:
-            resource = iv.resource
-            category = iv.category
-            lst = by_resource.get(resource)
-            if lst is None:
-                by_resource[resource] = [iv]
-            else:
-                lst.append(iv)
-            lst = by_category.get(category)
-            if lst is None:
-                by_category[category] = [iv]
-            else:
-                lst.append(iv)
-            agg = aggregates.get((resource, category))
+        for iv in batch:
+            key = (iv.resource, iv.category)
+            agg = aggregates.get(key)
             if agg is None:
-                aggregates[(resource, category)] = [iv.end - iv.start, 1]
+                aggregates[key] = [iv.end - iv.start, 1]
             else:
                 agg[0] += iv.end - iv.start
                 agg[1] += 1
-        self._indexed_upto = len(intervals)
+        for fn in self._folds:
+            fn(batch)
 
     def mark(self, time: float, label: str) -> None:
         """Record a named instant (e.g. ``"iteration:3"``)."""
@@ -243,29 +228,15 @@ class Trace:
         category: Optional[str] = None,
         predicate: Optional[Callable[[TraceInterval], bool]] = None,
     ) -> List[TraceInterval]:
-        """Select intervals by resource and/or category and/or predicate.
-
-        Single-key lookups return straight from the index; combined lookups
-        scan only the smaller of the two candidate lists.  Order always
-        matches recording order (indexes are append-ordered).
-        """
-        self._catch_up()
-        if resource is not None and category is not None:
-            by_r = self._by_resource.get(resource, ())
-            by_c = self._by_category.get(category, ())
-            if len(by_r) <= len(by_c):
-                out = [iv for iv in by_r if iv.category == category]
-            else:
-                out = [iv for iv in by_c if iv.resource == resource]
-        elif resource is not None:
-            out = list(self._by_resource.get(resource, ()))
-        elif category is not None:
-            out = list(self._by_category.get(category, ()))
-        else:
-            out = list(self._intervals)
-        if predicate is not None:
-            out = [iv for iv in out if predicate(iv)]
-        return out
+        """Select intervals by resource and/or category and/or predicate,
+        in recording order."""
+        return [
+            iv
+            for iv in self._intervals
+            if (resource is None or iv.resource == resource)
+            and (category is None or iv.category == category)
+            and (predicate is None or predicate(iv))
+        ]
 
     def total_time(
         self, resource: Optional[str] = None, category: Optional[str] = None
@@ -298,12 +269,12 @@ class Trace:
     def resources(self) -> List[str]:
         """Sorted list of distinct resource names seen."""
         self._catch_up()
-        return sorted(self._by_resource)
+        return sorted({r for r, _ in self._aggregates})
 
     def categories(self) -> List[str]:
         """Sorted list of distinct categories seen."""
         self._catch_up()
-        return sorted(self._by_category)
+        return sorted({c for _, c in self._aggregates})
 
     def by_resource(self, category: Optional[str] = None) -> Dict[str, float]:
         """Map resource name -> total busy seconds (optionally per category)."""
@@ -326,30 +297,11 @@ class Trace:
         return out
 
     def between(self, t0: float, t1: float) -> List[TraceInterval]:
-        """Intervals whose *start* falls within ``[t0, t1)``.
-
-        Answered with bisect over a lazily built sorted start index —
-        O(log n + matches·log matches) per query once built, rebuilt only
-        after an append burst — instead of a full linear scan per call.
-        Results keep recording order, matching the linear-scan reference
-        (starts are not globally sorted: a long task started early can
-        finish, and thus be recorded, late).  Tiny traces take the plain
-        scan; in streaming mode the window covers the resident tail only.
-        """
-        intervals = self._intervals
-        n = len(intervals)
-        if n < 64:
-            return [iv for iv in intervals if t0 <= iv.start < t1]
-        if self._start_index_n != n:
-            pairs = sorted((iv.start, i) for i, iv in enumerate(intervals))
-            self._start_keys = [start for start, _ in pairs]
-            self._start_order = [i for _, i in pairs]
-            self._start_index_n = n
-        lo = bisect_left(self._start_keys, t0)
-        hi = bisect_left(self._start_keys, t1)
-        if lo >= hi:
-            return []
-        return [intervals[i] for i in sorted(self._start_order[lo:hi])]
+        """Intervals whose *start* falls within ``[t0, t1)``, in recording
+        order (starts are not sorted: a long task started early can finish,
+        and thus be recorded, late).  In streaming mode the window covers
+        the resident tail only."""
+        return [iv for iv in self._intervals if t0 <= iv.start < t1]
 
     def extend(self, intervals: Iterable[TraceInterval]) -> None:
         """Bulk-append intervals (used when merging traces in tests)."""

@@ -77,15 +77,6 @@ def _sponge(n: int, width: int, strength: float) -> np.ndarray:
     return prof
 
 
-def _dplus(f: np.ndarray, axis: int) -> np.ndarray:
-    """Forward difference along ``axis`` (valid on [0, n-1))."""
-    a = [slice(None)] * 3
-    b = [slice(None)] * 3
-    a[axis] = slice(1, None)
-    b[axis] = slice(None, -1)
-    return f[tuple(a)] - f[tuple(b)]
-
-
 class FDM3DSimulation:
     """Monolithic 3-D solver: nine wavefields on one grid."""
 

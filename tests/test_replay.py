@@ -370,6 +370,26 @@ def test_service_replay_contends_and_reports_shares(profile_dir):
     assert math.isfinite(report.checksum)
 
 
+def test_service_replay_spills_to_jsonl(profile_dir, tmp_path):
+    from repro.sim.export import read_jsonl_trace
+
+    path = tmp_path / "svc"
+    config = ReplayConfig(
+        commands=50, tenants=2, rate=200.0, seed=4, chunk=32,
+        spill_every=64, trace_path=str(path), profile_dir=profile_dir,
+    )
+    report = run_service_replay(config)
+    spilled = list(read_jsonl_trace(f"{path}.service.jsonl"))
+    kernels = [iv for iv in spilled if iv.category == "kernel"]
+    assert len(kernels) == 100  # every request, final flush included
+    for t in report.tenants:
+        mine = [iv for iv in kernels if iv.meta.get("tenant") == t.tenant]
+        assert len(mine) == 50
+        assert sum(iv.duration for iv in mine) == pytest.approx(
+            t.device_seconds["fleet"]
+        )
+
+
 def test_service_replay_deterministic(profile_dir):
     config = ReplayConfig(
         commands=60, tenants=2, rate=100.0, seed=3, chunk=32,

@@ -285,6 +285,43 @@ class TestTelemetry:
         fresh = TenantTelemetry(svc.platform.engine.trace)
         assert fresh.device_seconds("t") == pytest.approx(incremental)
 
+    def test_telemetry_exact_across_spills(self):
+        from repro.replay import DiscardSink
+        from repro.service.telemetry import TenantTelemetry
+        from repro.sim.trace import Trace
+
+        trace = Trace()
+        trace.attach_sink(DiscardSink(), spill_every=4)
+        telemetry = TenantTelemetry(trace)
+        for i in range(10):
+            trace.record(
+                "dev:gpu0", f"k{i}", "kernel", float(i), i + 1.0, {"tenant": "a"}
+            )
+            if i == 2:
+                telemetry.refresh()  # fold part-way, then spill twice
+        assert trace.spilled_count == 8
+        usage = telemetry.usage("a")
+        assert usage.tasks == trace.count(category="kernel") == 10
+        assert usage.device_seconds == trace.total_time(category="kernel") == 10.0
+
+    def test_service_replay_streaming_matches_resident(self, profile_dir):
+        from dataclasses import replace
+
+        from repro.ocl.platform import Platform
+        from repro.replay import ReplayConfig, run_service_replay
+
+        # Warm the profile cache so both runs start from the same clock.
+        Platform(profile=True, profile_dir=profile_dir)
+        config = ReplayConfig(
+            commands=100, tenants=3, rate=400.0, seed=5,
+            weights=(4.0, 2.0, 1.0), chunk=64, spill_every=64,
+            profile_dir=profile_dir,
+        )
+        streamed = run_service_replay(config)
+        resident = run_service_replay(replace(config, streaming=False))
+        assert streamed.checksum == resident.checksum
+        assert streamed.shares == resident.shares
+
 
 # ---------------------------------------------------------------------------
 # Session lifecycle

@@ -93,7 +93,7 @@ def test_extend():
 
 
 # ---------------------------------------------------------------------------
-# Index consistency: the lazily-maintained indexes must answer every query
+# Fold consistency: the lazily folded aggregates must answer every query
 # identically to a straight linear scan, at every point of an interleaved
 # record/query/extend sequence.
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _assert_matches_reference(trace, ref):
 
 
 def test_indexes_match_linear_scan_under_interleaving():
-    """Record bursts interleaved with queries and bulk extends: the indexed
+    """Record bursts interleaved with queries and bulk extends: the folded
     trace must agree with the reference scan after every burst (queries must
     not miss intervals appended since the previous catch-up)."""
     trace = Trace()
@@ -206,8 +206,8 @@ def test_indexes_match_linear_scan_under_interleaving():
 
 
 # ---------------------------------------------------------------------------
-# between(): the bisect fast path (n >= 64) must answer identically to the
-# linear-scan reference, including with starts out of recording order.
+# between() must answer identically to the linear-scan reference, in
+# recording order, including with starts out of recording order.
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +230,6 @@ def _build_unsorted_start_trace(n):
 
 def test_between_bisect_matches_linear_scan_golden():
     trace, recorded = _build_unsorted_start_trace(120)
-    assert len(trace) >= 64  # large enough to take the bisect path
     windows = [
         (0.0, 12.0),   # everything
         (2.0, 5.0),
@@ -246,10 +245,10 @@ def test_between_bisect_matches_linear_scan_golden():
 
 def test_between_index_rebuilds_after_appends():
     trace, recorded = _build_unsorted_start_trace(80)
-    before = trace.between(0.0, 100.0)  # builds the index at n=80
+    before = trace.between(0.0, 100.0)
     assert before == _between_reference(recorded, 0.0, 100.0)
-    # Append more with starts far earlier than everything resident: a stale
-    # index would miss them.
+    # Append more with starts far earlier than everything resident: a query
+    # answered from state built before the appends would miss them.
     for i in range(10):
         iv = TraceInterval("dev:new", f"n{i}", "kernel", -50.0 - i, -49.5 - i)
         trace.record(iv.resource, iv.task, iv.category, iv.start, iv.end)
@@ -261,7 +260,7 @@ def test_between_index_rebuilds_after_appends():
 
 
 def test_between_small_trace_uses_same_semantics(trace):
-    # Below the bisect threshold: plain scan, same half-open contract.
+    # Same half-open contract on a tiny trace.
     assert trace.between(0.0, 1.0) == _between_reference(list(trace), 0.0, 1.0)
     assert trace.between(1.0, 1.0) == []
 
@@ -323,6 +322,8 @@ def test_streaming_aggregates_stay_exact_across_spills():
     assert streaming.count() == resident.count() == 43
     assert streaming.by_resource() == pytest.approx(resident.by_resource())
     assert streaming.counts_by_resource() == resident.counts_by_resource()
+    assert streaming.resources() == resident.resources()
+    assert streaming.categories() == resident.categories()
     assert streaming.total_time("dev:0", "kernel") == pytest.approx(
         resident.total_time("dev:0", "kernel")
     )
