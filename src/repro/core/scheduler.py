@@ -477,7 +477,9 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             if not cmd.is_kernel:
                 continue
             assert cmd.kernel is not None and cmd.launch is not None
-            plan = plan_split(cmd.kernel, cmd.launch, order, epoch.seconds)
+            plan = cmd.kernel.split_plan(
+                cmd.launch, order, epoch.seconds, plan_split
+            )
             if plan is None:
                 return False
             plans.append((cmd, plan))

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.ocl.enums import ContextProperty, ContextScheduler, MemFlag, SchedFlag
 from repro.ocl.errors import InvalidDevice, InvalidOperation, InvalidValue
+from repro.ocl.issue import issue_pool
 from repro.ocl.memory import Buffer
 from repro.ocl.program import Program
 from repro.ocl.queue import CommandQueue
@@ -86,6 +87,8 @@ class Context:
         #: deferred (per-device configs, cost models, and arguments a cost
         #: model reads); the arbiter re-prices everything when it moves.
         self.cost_edits = 0
+        #: Relaxed-pool shape -> its issue edges (:mod:`repro.ocl.issue`).
+        self.pool_shapes: Dict[tuple, tuple] = {}
         # Runtime switches, resolved once: a SchedulerConfig passed in the
         # properties, else the environment; switches it leaves at None also
         # come from the environment.  The scheduler reads this same object.
@@ -254,8 +257,6 @@ class Context:
         context-wide ``overlap`` switch of its config or
         ``MULTICL_OVERLAP``).
         """
-        from repro.ocl.issue import issue_pool
-
         issue_pool(self, pool)
 
     def finish_all(self) -> None:

@@ -14,6 +14,10 @@ predecessor graph over the pool's deferred commands feeds one ready heap
   happens-before direction (checked before anything issues), and the key
   is ``(kind rank, node index)`` so uploads prefetch ahead of compute; an
   ``overlap-join`` task then restores each relaxed queue's tail.
+
+A relaxed pool's edges depend only on its shape (:func:`_pool_shape`), so
+each context keeps the edges of its last :data:`POOL_SHAPE_CACHE_SIZE`
+shapes and rebuilds the graph only on a miss.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["issue_pool", "relaxed"]
 
 _OVERLAP_MASK = SchedFlag.SCHED_OVERLAP.value
+
+#: Relaxed-pool shapes whose edges one context keeps; the oldest entry is
+#: dropped first.
+POOL_SHAPE_CACHE_SIZE = 64
 
 #: Relaxed-pool issue priority by command kind: feed the copy engines first
 #: (prefetch), then result read-backs, then compute, then pure
@@ -76,8 +84,20 @@ def issue_pool(
     commands = [cmd for q in queues for cmd in q.pending]
     n = len(commands)
     if any(relax):
-        preds, restore, succ, indeg = _relaxed_edges(queues, relax)
-        rank = [_KIND_RANK.get(cmd.kind, 2) for cmd in commands]
+        cache = context.pool_shapes
+        shape = _pool_shape(queues, relax, commands)
+        edges = cache.get(shape)
+        if edges is None:
+            # A shape whose edges raise is never stored.
+            preds, restore, succ, indeg = _relaxed_edges(queues, relax)
+            rank = [_KIND_RANK.get(cmd.kind, 2) for cmd in commands]
+            edges = (preds, restore, succ, indeg, rank)
+            if len(cache) >= POOL_SHAPE_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            cache[shape] = edges
+        # The issue loop only reads the cached edges, except indeg.
+        preds, restore, succ, indeg, rank = edges
+        indeg = list(indeg)
         heap = [(rank[i], i) for i in range(n) if indeg[i] == 0]
     else:
         succ, indeg = _fifo_edges(commands, owner)
@@ -142,6 +162,34 @@ def issue_pool(
             )
             q._tail = join
             q._outstanding.append(join)
+
+
+def _pool_shape(
+    queues: List["CommandQueue"], relax: List[bool], commands: List["Command"]
+) -> tuple:
+    """Everything :func:`_relaxed_edges` reads, with identities replaced by
+    pool-local indexes: per queue ``(relaxed, out_of_order, pending
+    count)``; per command its kind, its read and write sets as first-touch
+    buffer indexes, and its still-deferred wait producers as pool indexes
+    (-1 for an orphan).  Two pools of one shape get the same edges."""
+    index = {id(c): k for k, c in enumerate(commands)}
+    buffers: Dict[int, int] = {}
+    touch = buffers.setdefault
+    shape: List[tuple] = [
+        (r, q.out_of_order, len(q.pending)) for q, r in zip(queues, relax)
+    ]
+    for cmd in commands:
+        reads, writes = cmd.access_sets()
+        shape.append((
+            cmd.kind,
+            tuple([touch(id(b), len(buffers)) for b in reads]),
+            tuple([touch(id(b), len(buffers)) for b in writes]),
+            tuple([
+                index.get(id(e.command), -1)
+                for e in cmd.wait_events if e.deferred
+            ]),
+        ))
+    return tuple(shape)
 
 
 def _fifo_edges(

@@ -31,6 +31,7 @@ from repro.ocl.memory import Buffer
 from repro.ocl.source import KernelSourceInfo
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.split import SplitPlan
     from repro.ocl.program import Program
 
 __all__ = ["WorkGroupConfig", "Kernel", "CostModel", "HostFunction"]
@@ -44,6 +45,9 @@ HostFunction = Callable[[Dict[str, Any]], None]
 
 #: Marks an argument index that was never set (``set_arg`` identity test).
 _UNSET = object()
+
+#: Entries one kernel's split memos hold before they start over.
+SPLIT_MEMO_SIZE = 256
 
 _EFF_KEYS = {
     "cpu_eff": DeviceKind.CPU,
@@ -154,6 +158,11 @@ class Kernel:
         #: annotation cost model; cleared when a per-device configuration
         #: changes (a custom cost model bypasses it).
         self._launch_cost_memo: Dict[Tuple[str, WorkGroupConfig], KernelCost] = {}
+        #: (launch, device order, per-device seconds) -> :meth:`split_plan`;
+        #: (launch, plan) -> :meth:`split_shares`.  Both read
+        #: effective_config, so a per-device configuration clears them.
+        self._split_plan_memo: Dict[tuple, Optional["SplitPlan"]] = {}
+        self._split_shares_memo: Dict[tuple, tuple] = {}
         #: ``(args copy, buffer args, written buffer args)`` for enqueue,
         #: built on first use after ``set_arg`` changes an argument.
         self._snapshot: Optional[
@@ -257,6 +266,8 @@ class Kernel:
             global_size, local_size
         )
         self._launch_cost_memo.clear()
+        self._split_plan_memo.clear()
+        self._split_shares_memo.clear()
         self.program.context.cost_edits += 1
 
     def effective_config(
@@ -292,6 +303,43 @@ class Kernel:
         )
         local = tuple(min(l, g) for l, g in zip(local, global_size))
         return WorkGroupConfig.normalize(global_size, local)
+
+    def split_plan(
+        self,
+        launch: WorkGroupConfig,
+        devices: Sequence[str],
+        seconds: Dict[str, float],
+        planner: Callable[..., Optional["SplitPlan"]],
+    ) -> Optional["SplitPlan"]:
+        """``planner(self, launch, devices, seconds)`` (the scheduler passes
+        :func:`repro.core.split.plan_split`), called only for a launch,
+        device order and per-device seconds not planned before."""
+        memo = self._split_plan_memo
+        key = (launch, tuple(devices), tuple([seconds.get(d) for d in devices]))
+        if key in memo:
+            return memo[key]
+        if len(memo) >= SPLIT_MEMO_SIZE:
+            memo.clear()
+        plan = memo[key] = planner(self, launch, devices, seconds)
+        return plan
+
+    def split_shares(
+        self, launch: WorkGroupConfig, plan: "SplitPlan"
+    ) -> Tuple[Tuple[str, int, int, WorkGroupConfig], ...]:
+        """``(device, lo, hi, sub-range config)`` of each non-empty share of
+        ``plan``, memoised per ``(launch, plan)``."""
+        memo = self._split_shares_memo
+        key = (launch, plan)
+        shares = memo.get(key)
+        if shares is None:
+            if len(memo) >= SPLIT_MEMO_SIZE:
+                memo.clear()
+            shares = memo[key] = tuple(
+                (d, lo, hi, self.sub_range_config(d, launch, lo, hi))
+                for d, lo, hi in plan.shares
+                if hi > lo
+            )
+        return shares
 
     # ------------------------------------------------------------------
     # Cost and functional payload

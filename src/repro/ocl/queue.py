@@ -660,23 +660,21 @@ class CommandQueue:
         buffers = list({id(b): b for b in cmd.arg_buffers}.values())
         written = list({id(b): b for b in cmd.written_buffers}.values())
         finals: List["SimTask"] = []
-        for device, lo, hi in plan.shares:
-            share = hi - lo
-            if share <= 0:
-                continue
+        for device, lo, hi, sub in kernel.split_shares(launch, plan):
             if not self.context.platform.is_available(device):
                 raise DeviceNotAvailable(
                     f"queue {self.name!r}: split share [{lo}:{hi}) targets "
                     f"failed device {device!r}"
                 )
             dev = node.device(device)
-
-            def slice_bytes(buf: Buffer) -> int:
-                # ceil(nbytes * share / total), capped at the full buffer
-                return min(buf.nbytes, -(-buf.nbytes * share // total))
-
+            share = hi - lo
+            # ceil(nbytes * share / total), capped at the full buffer
+            sizes = {
+                id(b): min(b.nbytes, -(-b.nbytes * share // total))
+                for b in buffers
+            }
             incoming = sum(
-                slice_bytes(b) for b in buffers if not b.resident_on(device)
+                sizes[id(b)] for b in buffers if not b.resident_on(device)
             )
             needed = self.context.resident_bytes(device) + incoming
             if needed > dev.spec.mem_size_bytes:
@@ -688,7 +686,7 @@ class CommandQueue:
             for b in buffers:
                 if not b.initialized or b.is_valid_on(device):
                     continue
-                nb = slice_bytes(b)
+                nb = sizes[id(b)]
                 label = f"split:{b.name}[{lo}:{hi}]"
                 if b.is_valid_on(HOST):
                     moves.append(
@@ -706,7 +704,6 @@ class CommandQueue:
                             name=label, meta=self._tenant_meta,
                         )
                     )
-            sub = kernel.sub_range_config(device, launch, lo, hi)
             cost = kernel.config_cost(dev.spec, sub)
             meta: Dict[str, Any] = {
                 "queue": self.name,
@@ -724,7 +721,7 @@ class CommandQueue:
             )
             gathers = [
                 node.submit_d2h(
-                    device, slice_bytes(b), deps=[sub_task], category="transfer",
+                    device, sizes[id(b)], deps=[sub_task], category="transfer",
                     name=f"gather:{b.name}[{lo}:{hi}]", meta=self._tenant_meta,
                 )
                 for b in written

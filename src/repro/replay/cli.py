@@ -197,10 +197,14 @@ def main(argv: Optional[List[str]] = None, prog: Optional[str] = None) -> int:
             )
             return 2
         from repro.replay.runner import run_service_replay
+        from repro.replay.shard import ensure_profile_cache
 
         import time
 
         started = time.perf_counter()
+        # As in engine mode: a warm profile cache charges no simulated
+        # time, so the report does not depend on the cache's prior state.
+        config = config.with_profile_dir(ensure_profile_cache(config.profile_dir))
         report = run_service_replay(config)
         report.wall_seconds = time.perf_counter() - started
     else:

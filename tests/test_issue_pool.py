@@ -13,9 +13,12 @@ in that order.
 import heapq
 import re
 from typing import Dict, List
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ocl.issue as issue_mod
 from repro.analysis.graph import build_command_graph, conflict_pairs
 from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
@@ -95,17 +98,23 @@ def pools(draw, mixed: bool):
     return queues, commands, orphan, cycle
 
 
-def build(spec):
-    """Enqueue ``spec`` on a fresh context; return it, the pool, and a
-    tag (queue name, enqueue index) per deferred command id and per event
-    id.  Links are duplex, as under overlap, so a relaxed queue's upload
-    and read-back can run at once."""
-    queue_specs, commands, orphan, cycle = spec
+def new_context():
+    """A round-robin context on duplex links, as under overlap, so a
+    relaxed queue's upload and read-back can run at once."""
     platform = Platform(profile=False, duplex_links=True)
-    ctx = platform.create_context(properties={
+    return platform.create_context(properties={
         ContextProperty.CL_CONTEXT_SCHEDULER: ContextScheduler.ROUND_ROBIN,
         CONFIG_PROPERTY_KEY: SchedulerConfig(overlap=False, sanitize=False),
     })
+
+
+def build(spec, ctx=None):
+    """Enqueue ``spec`` on ``ctx`` (default: a fresh context) with fresh
+    queues and buffers; return the context, the pool, and a tag (queue
+    name, enqueue index) per deferred command id and per event id."""
+    queue_specs, commands, orphan, cycle = spec
+    if ctx is None:
+        ctx = new_context()
     devices = ctx.device_names
     pool = [
         ctx.create_queue(
@@ -147,7 +156,11 @@ def build(spec):
 def run(issue, spec):
     """Issue ``spec``'s pool with ``issue``; return the issue sequence and
     the deadlock message with event ids replaced by command tags."""
-    ctx, pool, tags, event_tags = build(spec)
+    return issue_logged(issue, *build(spec))
+
+
+def issue_logged(issue, ctx, pool, tags, event_tags):
+    """:func:`run` on a pool already built."""
     sequence: List[tuple] = []
     for q in pool:
         def logged(*args, _q=q, **kwargs):
@@ -216,3 +229,120 @@ def test_restored_order_reaches_a_fifo_queue_through_a_relaxed_one():
     ctx.issue_pool(pool)
     ctx.platform.engine.run_until_idle()
     assert read.task.start_time >= upload.task.end_time
+
+
+# ---------------------------------------------------------------------------
+# Relaxed-pool edges cached by pool shape
+# ---------------------------------------------------------------------------
+def issue_with_deps(spec, ctx=None):
+    """:func:`run` through ``Context.issue_pool``, plus each command's
+    task dependencies as command tags (task names outside the pool)."""
+    ctx, pool, tags, event_tags = build(spec, ctx)
+    commands = [c for q in pool for c in q.pending]
+    # The engine drops a task's dependency list once submitted: record it.
+    engine = ctx.platform.engine
+    submitted: Dict[int, list] = {}
+
+    def submit(task, _submit=engine.submit):
+        submitted[id(task)] = list(task.deps)
+        return _submit(task)
+
+    engine.submit = submit
+    try:
+        sequence, error = issue_logged(
+            lambda c, p: c.issue_pool(p), ctx, pool, tags, event_tags
+        )
+    finally:
+        del engine.submit
+    owner = {id(c.task): tags[id(c)] for c in commands if c.task is not None}
+    deps = {
+        tags[id(c)]: [
+            owner.get(id(t), t.name) for t in submitted.get(id(c.task), ())
+        ]
+        for c in commands
+        if c.task is not None
+    }
+    return sequence, deps, error
+
+
+def counting_edges():
+    return mock.patch.object(
+        issue_mod, "_relaxed_edges", wraps=issue_mod._relaxed_edges
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools(mixed=True))
+def test_repeat_shape_issues_like_a_cold_build(spec):
+    """The second pool of one spec in a context is served from the shape
+    cache and issues exactly as the spec does in a fresh context: the
+    same sequence and the same dependencies for every task."""
+    cold = issue_with_deps(spec)
+    ctx = new_context()
+    with counting_edges() as edges:
+        issue_with_deps(spec, ctx)
+        built = edges.call_count
+        warm = issue_with_deps(spec, ctx)
+    assert built <= 1 and edges.call_count == built
+    assert len(ctx.pool_shapes) == built
+    assert warm == cold
+
+
+@st.composite
+def same_kinds(draw):
+    """Two mixed pool specs with the same queues and command kinds, whose
+    buffers and wait lists are drawn independently."""
+    spec = draw(pools(mixed=True))
+    queues, commands, orphan, cycle = spec
+    other = []
+    for c, (qi, kind, _, _) in enumerate(commands):
+        waits = draw(st.lists(st.integers(0, c - 1), max_size=3)) if c else []
+        other.append(
+            (qi, kind, draw(st.integers(0, BUFFERS - 1)), sorted(set(waits)))
+        )
+    return spec, (queues, other, orphan, cycle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_kinds())
+def test_pools_of_one_kind_sequence_get_their_own_edges(pair):
+    """A pool issued after another with the same command kinds issues as it
+    does in a fresh context: buffers and wait lists are part of the key."""
+    first, second = pair
+    ctx = new_context()
+    issue_with_deps(first, ctx)
+    assert issue_with_deps(second, ctx) == issue_with_deps(second)
+
+
+def test_pool_failing_the_unorder_check_is_never_cached():
+    """A wait-list cycle through a relaxed queue orders q1's write before
+    q0's write only through q1's dropped program order; such a pool raises
+    on every issue and its shape is never stored."""
+    spec = (
+        [(0, False, True), (1, False, True)],
+        [(0, "write", 0, []), (1, "write", 0, [0]), (1, "read", 1, [])],
+        None,
+        True,  # q0's write also waits on q1's read
+    )
+    ctx, pool, _, _ = build(spec)
+    with counting_edges() as edges:
+        for _ in range(2):
+            with pytest.raises(InvalidOperation, match="would unorder"):
+                ctx.issue_pool(pool)
+    assert edges.call_count == 2
+    assert ctx.pool_shapes == {}
+    assert all(len(q.pending) == n for q, n in zip(pool, (1, 2)))
+
+
+def test_buffer_aliasing_is_part_of_the_shape():
+    """Same kinds, different aliasing: the read of the written buffer
+    waits for the write, the read of another buffer does not."""
+    ctx = new_context()
+    queue = [(0, False, True)]
+    apart = (queue, [(0, "write", 0, []), (0, "read", 1, [])], None, False)
+    alias = (queue, [(0, "write", 0, []), (0, "read", 0, [])], None, False)
+    _, apart_deps, _ = issue_with_deps(apart, ctx)
+    _, alias_deps, _ = issue_with_deps(alias, ctx)
+    assert len(ctx.pool_shapes) == 2
+    assert apart_deps[("q0", 1)] == []
+    assert alias_deps[("q0", 1)] == [("q0", 0)]

@@ -253,6 +253,99 @@ def test_npb_split_bit_identical(profile_dir):
 
 
 # ---------------------------------------------------------------------------
+# Split plans memoised per kernel
+# ---------------------------------------------------------------------------
+def _split_launcher(profile_dir, monkeypatch, n=1 << 18):
+    """A per-kernel-trigger split queue on the default node, and a
+    ``launch()`` that runs the kernel once and returns its split plan.
+    ``plans`` counts the planner's calls."""
+    import repro.core.scheduler as scheduler_mod
+
+    mcl = MultiCL(
+        policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir, split=True,
+    )
+    ctx = mcl.context
+    k = ctx.create_program(WORK_SRC).build().create_kernel("work")
+    q = ctx.create_queue(
+        sched_flags=SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
+    )
+    a = ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32))
+    b = ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32))
+    q.enqueue_write_buffer(a, np.ones(n, np.float32))
+    q.finish()
+    k.set_arg(0, a)
+    k.set_arg(1, b)
+    k.set_arg(2, n)
+    plans = []
+    planner = scheduler_mod.plan_split
+    monkeypatch.setattr(
+        scheduler_mod, "plan_split",
+        lambda *args: plans.append(args) or planner(*args),
+    )
+
+    def launch():
+        event = q.enqueue_nd_range_kernel(k, (n,), (64,))
+        q.finish()
+        return event.command.split_plan
+
+    return mcl, k, launch, plans
+
+
+def test_split_plan_memo_cleared_by_work_group_info(profile_dir, monkeypatch):
+    """A repeat trigger reuses the plan; a new per-device local size
+    re-plans, aligned to it."""
+    _, k, launch, plans = _split_launcher(profile_dir, monkeypatch)
+    first = launch()
+    assert first is not None and launch() is first
+    assert len(plans) == 1
+    (cpu_share,) = [hi - lo for d, lo, hi in first.shares if d == "cpu"]
+    assert cpu_share % 1024  # the old plan is not 1024-aligned on cpu
+    k.set_work_group_info("cpu", (1 << 18,), (1024,))
+    again = launch()
+    assert len(plans) == 2
+    assert again.share_of("cpu") % 1024 == 0
+    assert again.share_of("cpu") != cpu_share
+
+
+def test_split_cost_model_priced_on_every_sub_range_launch(
+    profile_dir, monkeypatch
+):
+    """Sub-range configs are memoised, their prices are not: a custom cost
+    model sees every share of every launch."""
+    from repro.hardware.cost import KernelCost
+
+    _, k, launch, _ = _split_launcher(profile_dir, monkeypatch)
+    priced = []
+
+    def cost_model(spec, config, args):
+        priced.append((spec.name, config.global_size[0]))
+        n = config.work_items
+        return KernelCost(flops=400.0 * n, bytes=8.0 * n, work_items=n,
+                          workgroup_size=config.workgroup_size)
+
+    k.set_cost_model(cost_model)
+    plans = [launch() for _ in range(3)]
+    assert plans[0] is not None and plans[1] is plans[0] is plans[2]
+    for device, lo, hi in plans[0].shares:
+        assert priced.count((device, hi - lo)) == 3
+
+
+def test_split_plan_drops_a_device_failed_between_triggers(
+    profile_dir, monkeypatch
+):
+    from repro.sim.faults import FaultPlan
+
+    mcl, _, launch, plans = _split_launcher(profile_dir, monkeypatch)
+    before = launch()
+    assert "gpu1" in before.devices
+    mcl.inject_faults(FaultPlan().fail_device("gpu1", at=mcl.now))
+    after = launch()
+    assert len(plans) == 2
+    assert after is not None and len(after.devices) >= 2
+    assert "gpu1" not in after.devices
+
+
+# ---------------------------------------------------------------------------
 # Split planner
 # ---------------------------------------------------------------------------
 class _FakeKernel:

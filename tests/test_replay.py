@@ -419,6 +419,35 @@ def test_cli_engine_mode(profile_dir, monkeypatch, capsys):
     assert '"total_commands": 1000' in out
 
 
+def test_cli_service_report_independent_of_profile_cache(tmp_path):
+    """With no MULTICL_PROFILE_DIR, a service replay in a fresh $HOME gives
+    the same report on its first (cold-cache) and second run."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, HOME=str(tmp_path))
+    env.pop("MULTICL_PROFILE_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"),
+    ]))
+    reports = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.replay", "--mode", "service",
+             "--commands", "2000", "--json"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        reports.append(json.loads(proc.stdout))
+    cold, warm = reports
+    assert cold["checksum"] == warm["checksum"]
+    assert cold["fairness"] == warm["fairness"]
+
+
 def test_cli_rejects_bad_arguments(capsys):
     from repro.replay.cli import main
 
