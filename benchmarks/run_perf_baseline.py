@@ -273,6 +273,52 @@ def bench_split_epoch() -> float:
     return mcl.now
 
 
+def bench_immediate_launch() -> float:
+    """Immediate kernel issue on ``SCHED_OFF`` queues, the launch fast path
+    of ``CommandQueue.enqueue_nd_range_kernel``: an in-order and an
+    out-of-order queue on two devices, 1,500 launches each, a barrier
+    every 16 launches, a ``finish`` every 8, and every 32nd launch waiting
+    on the other queue's last event (the general path).  The checksum
+    folds every trace interval, so a change to task order, timing or
+    naming fails the gate."""
+    from repro.ocl.platform import Platform
+
+    src = (
+        "// @multicl flops_per_item=60 bytes_per_item=8 writes=1\n"
+        "__kernel void k(__global float* a, __global float* b, int n) { }"
+    )
+    n = 1 << 12
+    ctx = Platform(profile=False).create_context()
+    prog = ctx.create_program(src).build()
+    lanes = []
+    for device, out_of_order in zip(ctx.device_names[1:], (False, True)):
+        name = f"{device}-{'ooo' if out_of_order else 'fifo'}"
+        kern = prog.create_kernel("k")
+        kern.set_arg(0, ctx.create_buffer(4 * n, name=f"{name}-a"))
+        kern.set_arg(1, ctx.create_buffer(4 * n, name=f"{name}-b"))
+        kern.set_arg(2, n)
+        queue = ctx.create_queue(device, name=name, out_of_order=out_of_order)
+        lanes.append([queue, kern, None])
+    for i in range(1500):
+        for lane, other in zip(lanes, lanes[::-1]):
+            queue, kern, _ = lane
+            waits = [other[2]] if i % 32 == 31 and other[2] is not None else []
+            lane[2] = queue.enqueue_nd_range_kernel(
+                kern, (n,), (64,), wait_events=waits
+            )
+            if i % 16 == 15:
+                queue.enqueue_barrier()
+            if i % 8 == 7:
+                queue.finish()
+    for queue, _, _ in lanes:
+        queue.finish()
+    total = 0.0
+    for i, iv in enumerate(ctx.platform.engine.trace):
+        total += (i % 13 + 1) * iv.end + iv.start
+        total += len(iv.resource) + len(iv.task) + len(iv.category)
+    return total
+
+
 def bench_vectorised_lcg() -> float:
     uniforms, seed = numerics.vranlc_fast(1 << 18, 271828183.0)
     return float(uniforms[:64].sum()) + seed / 2.0**46
@@ -527,6 +573,7 @@ BENCHES = {
     "issue_pool_wide": bench_issue_pool_wide,
     "overlap_issue": bench_overlap_issue,
     "split_epoch": bench_split_epoch,
+    "immediate_launch": bench_immediate_launch,
     "vectorised_lcg": bench_vectorised_lcg,
     "numerics_setup": bench_numerics_setup,
     "parallel_sweep": bench_parallel_sweep,

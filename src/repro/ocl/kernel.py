@@ -154,10 +154,14 @@ class Kernel:
         #: WorkGroupConfig -> KernelCost for the annotation cost model
         #: (pure in config; KernelCost is frozen, so sharing is safe).
         self._annotation_cost_memo: Dict[WorkGroupConfig, KernelCost] = {}
-        #: (device name, launch) -> KernelCost of :meth:`launch_cost` for the
-        #: annotation cost model; cleared when a per-device configuration
-        #: changes (a custom cost model bypasses it).
-        self._launch_cost_memo: Dict[Tuple[str, WorkGroupConfig], KernelCost] = {}
+        #: (device name, global size, local size) -> KernelCost of
+        #: :meth:`launch_cost` for the annotation cost model (keyed on the
+        #: sizes: hashing the WorkGroupConfig is a Python call per launch);
+        #: cleared when a per-device configuration changes (a custom cost
+        #: model bypasses it).
+        self._launch_cost_memo: Dict[
+            Tuple[str, Tuple[int, ...], Tuple[int, ...]], KernelCost
+        ] = {}
         #: (launch, device order, per-device seconds) -> :meth:`split_plan`;
         #: (launch, plan) -> :meth:`split_shares`.  Both read
         #: effective_config, so a per-device configuration clears them.
@@ -365,7 +369,7 @@ class Kernel:
         """
         if self._cost_model is not None:
             return self.config_cost(spec, self.effective_config(spec.name, launch))
-        key = (spec.name, launch)
+        key = (spec.name, launch.global_size, launch.local_size)
         cost = self._launch_cost_memo.get(key)
         if cost is None:
             config = self.effective_config(spec.name, launch)

@@ -242,11 +242,11 @@ class Buffer:
     # Residency bookkeeping
     # ------------------------------------------------------------------
     def is_valid_on(self, holder: str) -> bool:
-        return holder in self.valid_on
+        return holder in self._valid_on
 
     def mark_valid(self, holder: str) -> None:
         """Add ``holder`` to the valid set (a copy landed there)."""
-        self.valid_on.add(holder)
+        self._valid_on.add(holder)
 
     def mark_exclusive(self, holder: str) -> None:
         """The copy on ``holder`` is now the only valid one (it was written)."""
@@ -285,11 +285,11 @@ class Buffer:
     @property
     def initialized(self) -> bool:
         """Whether any holder has meaningful contents."""
-        return bool(self.valid_on)
+        return bool(self._valid_on)
 
     def resident_on(self, device: str) -> bool:
         """Alias for :meth:`is_valid_on` restricted to devices."""
-        return device in self.valid_on and device != HOST
+        return device in self._valid_on and device != HOST
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

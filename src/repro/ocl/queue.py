@@ -173,6 +173,18 @@ class Command:
         return (), ()
 
 
+def _checked_nbytes(nbytes: Optional[int], limit: int) -> int:
+    """A transfer's byte count: ``limit`` (the buffer size, for a copy the
+    smaller of the two) when ``nbytes`` is ``None``, else ``nbytes`` once it
+    is known to lie in ``(0, limit]`` (``CL_INVALID_VALUE`` otherwise)."""
+    if nbytes is None:
+        return limit
+    n = int(nbytes)
+    if not 0 < n <= limit:
+        raise InvalidValue(f"nbytes {n} outside 1..{limit}")
+    return n
+
+
 class CommandQueue:
     """cl_command_queue with the proposed scheduling extensions."""
 
@@ -324,7 +336,7 @@ class CommandQueue:
             wait_events=list(wait_events),
             buffer=buffer,
             host_array=host_array,
-            nbytes=int(nbytes if nbytes is not None else buffer.nbytes),
+            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
         )
         return self._enqueue(cmd)
 
@@ -343,7 +355,7 @@ class CommandQueue:
             wait_events=list(wait_events),
             buffer=buffer,
             host_array=host_array,
-            nbytes=int(nbytes if nbytes is not None else buffer.nbytes),
+            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
         )
         return self._enqueue(cmd)
 
@@ -362,7 +374,7 @@ class CommandQueue:
             wait_events=list(wait_events),
             buffer=buffer,
             host_array=value,
-            nbytes=int(nbytes if nbytes is not None else buffer.nbytes),
+            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
         )
         return self._enqueue(cmd)
 
@@ -382,7 +394,7 @@ class CommandQueue:
             wait_events=list(wait_events),
             src_buffer=src,
             buffer=dst,
-            nbytes=int(nbytes if nbytes is not None else min(src.nbytes, dst.nbytes)),
+            nbytes=_checked_nbytes(nbytes, min(src.nbytes, dst.nbytes)),
         )
         return self._enqueue(cmd)
 
@@ -398,21 +410,46 @@ class CommandQueue:
         The launch configuration is recorded but, per the proposed
         ``clSetKernelWorkGroupInfo`` semantics, it is ignored for devices
         that carry a pre-set per-device configuration.
+
+        The common launch issues here in one pass: a queue that is not
+        deferring, an empty wait list, an available device and every
+        argument buffer resident on it.  Its only dependency is the
+        in-order tail (out-of-order: the last barrier), and it leaves the
+        queue exactly as :meth:`issue` would.  Any other launch takes the
+        general :meth:`_enqueue` path.
         """
         self._check_alive()
         kernel.check_args_set()
         launch = WorkGroupConfig.normalize(global_size, local_size)
         args, buffers, written = kernel.snapshot()
+        # Fields by position (kind, wait_events, buffer, host_array, nbytes,
+        # src_buffer, kernel, launch, args_snapshot, arg_buffers,
+        # written_buffers): the generated __init__ takes keywords at about
+        # twice the cost, and this runs once per launch.
         cmd = Command(
-            kind=CommandKind.NDRANGE_KERNEL,
-            wait_events=list(wait_events),
-            kernel=kernel,
-            launch=launch,
-            args_snapshot=args,
-            arg_buffers=buffers,
-            written_buffers=written,
+            CommandKind.NDRANGE_KERNEL, list(wait_events), None, None, 0, None,
+            kernel, launch, args, buffers, written,
         )
-        return self._enqueue(cmd)
+        device = self.device
+        if (
+            cmd.wait_events
+            or (self._flag_bits & _AUTO_MASK and self.auto_active)
+            # Platform.is_available, without the call
+            or device in self.context.platform._failed_devices
+        ):
+            return self._enqueue(cmd)
+        for buf in buffers:
+            if device not in buf._valid_on:
+                return self._enqueue(cmd)
+        event = Event(self, cmd)
+        prior = self._barrier if self.out_of_order else self._tail
+        task = self._launch(cmd, [prior] if prior is not None else [])
+        cmd.issued = True
+        cmd.task = task
+        self._tail = task
+        self._outstanding.append(task)
+        self._inflight.append(cmd)
+        return event
 
     def enqueue_marker(self, wait_events: Sequence[Event] = ()) -> Event:
         """clEnqueueMarkerWithWaitList."""
@@ -598,11 +635,7 @@ class CommandQueue:
         self._inflight.append(cmd)
 
     def _issue_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
-        kernel = cmd.kernel
-        launch = cmd.launch
-        assert kernel is not None and launch is not None
         device_name = self.device
-        device = self.context.platform.node.device(device_name)
         buffers = cmd.arg_buffers
         for buf in buffers:
             if device_name not in buf._valid_on:
@@ -612,6 +645,17 @@ class CommandQueue:
                 if migrations:
                     deps = deps + migrations
                 break
+        return self._launch(cmd, deps)
+
+    def _launch(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
+        """Submit an unsplit kernel whose arguments are resident on the
+        queue's device, run its payload and mark the written buffers (the
+        tail of :meth:`_issue_kernel`, shared with the launch fast path)."""
+        kernel = cmd.kernel
+        launch = cmd.launch
+        assert kernel is not None and launch is not None
+        device_name = self.device
+        device = self.context.platform.node.device(device_name)
         meta = self._kernel_meta
         if meta is None or meta["epoch"] != self.epoch_index:
             meta = {"queue": self.name, "epoch": self.epoch_index}
@@ -628,7 +672,7 @@ class CommandQueue:
         # Functional payload runs in dependency (issue) order — see module
         # doc.  Replays after a device failure only re-charge simulated time:
         # in-place kernels are not idempotent, so exactly-once matters.
-        if cmd.attempts == 0:
+        if cmd.attempts == 0 and kernel.host_fn is not None:
             kernel.run_host_function(cmd.args_snapshot)
         for buf in cmd.written_buffers:
             buf.mark_exclusive(device_name)
@@ -876,9 +920,7 @@ class CommandQueue:
             tasks = [t for t in self._outstanding if t.state not in _SETTLED]
             if not tasks:
                 break
-            for task in tasks:
-                if task.state != _DONE:
-                    engine.run_until(task)
+            engine.run_until(*tasks)
         self._outstanding.clear()
         self._inflight.clear()
         self.epoch_index += 1

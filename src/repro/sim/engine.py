@@ -25,6 +25,9 @@ __all__ = ["SimTask", "SimEngine", "SimError"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+#: Builds a TraceInterval from its six fields without the named tuple's
+#: Python-level ``__new__`` frame (one per completed task).
+_tuple_new = tuple.__new__
 
 
 class SimError(RuntimeError):
@@ -315,16 +318,52 @@ class SimEngine:
         category: str = "work",
         meta: Optional[Dict[str, Any]] = None,
     ) -> SimTask:
-        """Create *and submit* a task in one call."""
-        task = SimTask(name, duration, resource, deps, category, meta)
-        if deps:
-            return self.submit(task)
-        # Inline submit fast path: a freshly created task cannot be a double
-        # submission, and with no deps it goes straight to ready.
+        """Create *and submit* a task in one call.
+
+        Zero or one dependency is resolved here, with :meth:`submit`,
+        :meth:`_make_ready`, ``FifoResource._enqueue`` and :meth:`_begin`
+        folded in (a freshly created task cannot be a double submission);
+        longer dependency lists go through :meth:`submit`.
+        """
+        if deps and len(deps) != 1:
+            return self.submit(SimTask(name, duration, resource, deps, category, meta))
+        # A single edge is registered below, so the task keeps no deps list.
+        task = SimTask(name, duration, resource, None, category, meta)
         self._open_tasks += 1
+        if deps:
+            # Same resolution as submit(): follow the replacement chain; a
+            # done dependency or an orphaned abort with released dependents
+            # counts as satisfied.
+            dep = deps[0]
+            while dep.state == _ABORTED and dep.replacement is not None:
+                dep = dep.replacement
+            state = dep.state
+            if state != _DONE and not (state == _ABORTED and dep.released_deps):
+                if state == _PENDING:
+                    raise SimError(
+                        f"task {name!r} depends on unsubmitted task {dep.name!r}"
+                    )
+                task.state = _WAITING
+                task._unmet = 1
+                if dep._dependents is None:
+                    dep._dependents = [task]
+                else:
+                    dep._dependents.append(task)
+                return task
         task.state = _READY
         if resource is None:
             self._begin(task)
+        elif resource._busy is None and not resource._queue:
+            # Idle server: begin service now (FifoResource._enqueue and
+            # _begin inlined; a resource task never finishes inline).
+            resource._busy = task
+            task.state = _RUNNING
+            now = self.clock._now
+            task.start_time = now
+            _heappush(
+                self._heap,
+                (now + task.duration, next(self._seq), self._finish_cb, task),
+            )
         else:
             resource._enqueue(task)
         return task
@@ -373,13 +412,16 @@ class SimEngine:
         trace = self.trace
         intervals = trace._intervals
         intervals.append(
-            TraceInterval(
-                resource.name if resource is not None else "host",
-                task.name,
-                task.category,
-                start if start is not None else now,
-                now,
-                task.meta,
+            _tuple_new(
+                TraceInterval,
+                (
+                    resource.name if resource is not None else "host",
+                    task.name,
+                    task.category,
+                    start if start is not None else now,
+                    now,
+                    task.meta,
+                ),
             )
         )
         # Streaming mode: once the resident tail reaches the spill
@@ -388,13 +430,46 @@ class SimEngine:
         # attribute load and a truthiness check.
         if trace._spill_at and len(intervals) >= trace._spill_at:
             trace._spill()
+        heap = self._heap
+        seq = self._seq
+        finish_cb = self._finish_cb
         if resource is not None:
-            resource._service_done()
+            # The resource's completion step: account the served task, then
+            # begin the next queued one.
+            resource.busy_time += resource._busy.duration
+            resource.served += 1
+            queue = resource._queue
+            if queue:
+                nxt = queue.popleft()
+                resource._busy = nxt
+                nxt.state = _RUNNING
+                nxt.start_time = now
+                _heappush(heap, (now + nxt.duration, next(seq), finish_cb, nxt))
+            else:
+                resource._busy = None
         if task._dependents:
             for dep in task._dependents:
                 dep._unmet -= 1
                 if dep._unmet == 0 and dep.state == _WAITING:
-                    self._make_ready(dep)
+                    # _make_ready and FifoResource._enqueue inlined.
+                    dep.state = _READY
+                    res = dep.resource
+                    if res is None:
+                        self._begin(dep)
+                    elif res._busy is None and not res._queue:
+                        res._busy = dep
+                        dep.state = _RUNNING
+                        # Read afresh, as _begin does: a callback of a
+                        # dependent finished inline above may run the engine.
+                        begin = self.clock._now
+                        dep.start_time = begin
+                        _heappush(
+                            heap, (begin + dep.duration, next(seq), finish_cb, dep)
+                        )
+                    else:
+                        res._queue.append(dep)
+                        if res._busy is None:
+                            res._dispatch()
             task._dependents = None
         if task._callbacks:
             callbacks, task._callbacks = task._callbacks, None
@@ -481,46 +556,53 @@ class SimEngine:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run_until(self, task: SimTask) -> float:
-        """Process events until ``task`` completes; return its end time.
+    def run_until(self, *tasks: SimTask) -> float:
+        """Process events until every task in ``tasks`` completes; return
+        the last one's end time.
 
         This models a *blocking host call*: the simulated host waits for the
         task, and the shared clock lands exactly on the task's completion.
         Events scheduled later than that stay queued for subsequent runs.
         If the task is aborted by fault injection while the host waits, the
         wait follows the replacement chain to the replayed incarnation.
+
+        Several tasks are awaited in the order given, exactly as one call
+        per task back to back would: same events popped, same final clock.
         """
-        if task.state == _PENDING:
-            raise SimError(f"cannot wait on unsubmitted task {task.name!r}")
         heap = self._heap
         pop = _heappop
         clock = self.clock
-        while True:
-            if task.state == _ABORTED:
-                if task.replacement is None:
+        end = clock._now
+        for task in tasks:
+            if task.state == _PENDING:
+                raise SimError(f"cannot wait on unsubmitted task {task.name!r}")
+            while True:
+                if task.state == _ABORTED:
+                    if task.replacement is None:
+                        raise SimError(
+                            f"waiting on aborted task {task.name!r} with no replacement"
+                        )
+                    task = task.replacement
+                    continue
+                if task.state == _DONE:
+                    break
+                if not heap:
                     raise SimError(
-                        f"waiting on aborted task {task.name!r} with no replacement"
+                        f"deadlock: waiting on {task.name!r} with an empty event heap"
                     )
-                task = task.replacement
-                continue
-            if task.state == _DONE:
-                break
-            if not heap:
-                raise SimError(
-                    f"deadlock: waiting on {task.name!r} with an empty event heap"
-                )
-            time, _, fn, arg = pop(heap)
-            # Heap pop order is non-decreasing in time, so the monotonicity
-            # check in SimClock.advance_to is redundant here.
-            clock._now = time
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
-        # The final processed event may have been exactly this task's finish;
-        # the clock already sits at task.end_time.
-        assert task.end_time is not None
-        return task.end_time
+                time, _, fn, arg = pop(heap)
+                # Heap pop order is non-decreasing in time, so the
+                # monotonicity check in SimClock.advance_to is redundant here.
+                clock._now = time
+                if arg is None:
+                    fn()
+                else:
+                    fn(arg)
+            # The final processed event may have been exactly this task's
+            # finish; the clock already sits at task.end_time.
+            end = task.end_time
+            assert end is not None
+        return end
 
     def run_until_idle(self) -> float:
         """Drain all queued events; return the final simulated time."""

@@ -61,6 +61,9 @@ class FifoResource:
         return out
 
     # Called by the engine -------------------------------------------------
+    # (Completing the task in service, and starting the next, is folded into
+    # SimEngine._finish, and SimEngine.task begins service on an idle
+    # server itself.)
     def _enqueue(self, task: "SimTask") -> None:
         if self._busy is None and not self._queue:
             # Idle server, empty queue: begin service directly instead of
@@ -76,19 +79,6 @@ class FifoResource:
             task = self._queue.popleft()
             self._busy = task
             self.engine._begin(task)
-
-    def _service_done(self) -> None:
-        task = self._busy
-        assert task is not None
-        self.busy_time += task.duration
-        self.served += 1
-        # Inline _dispatch: this runs once per served task.
-        if self._queue:
-            nxt = self._queue.popleft()
-            self._busy = nxt
-            self.engine._begin(nxt)
-        else:
-            self._busy = None
 
     # Called by SimEngine.abort -------------------------------------------
     def _remove(self, task: "SimTask") -> None:

@@ -11,6 +11,7 @@ in that order.
 """
 
 import heapq
+import inspect
 import re
 from typing import Dict, List
 from unittest import mock
@@ -24,6 +25,7 @@ from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
 from repro.ocl.errors import InvalidOperation
 from repro.ocl.platform import Platform
+from repro.sim.engine import SimEngine
 
 AUTO = SchedFlag.SCHED_AUTO_DYNAMIC
 KINDS = ("write", "read", "marker", "barrier")
@@ -239,21 +241,25 @@ def issue_with_deps(spec, ctx=None):
     task dependencies as command tags (task names outside the pool)."""
     ctx, pool, tags, event_tags = build(spec, ctx)
     commands = [c for q in pool for c in q.pending]
-    # The engine drops a task's dependency list once submitted: record it.
+    # The engine drops a task's dependency list once submitted: record the
+    # list every task is created with.
     engine = ctx.platform.engine
     submitted: Dict[int, list] = {}
+    signature = inspect.signature(SimEngine.task)
 
-    def submit(task, _submit=engine.submit):
-        submitted[id(task)] = list(task.deps)
-        return _submit(task)
+    def task(*args, _task=engine.task, **kwargs):
+        created = _task(*args, **kwargs)
+        deps = signature.bind(engine, *args, **kwargs).arguments.get("deps")
+        submitted[id(created)] = list(deps or ())
+        return created
 
-    engine.submit = submit
+    engine.task = task
     try:
         sequence, error = issue_logged(
             lambda c, p: c.issue_pool(p), ctx, pool, tags, event_tags
         )
     finally:
-        del engine.submit
+        del engine.task
     owner = {id(c.task): tags[id(c)] for c in commands if c.task is not None}
     deps = {
         tags[id(c)]: [

@@ -290,3 +290,56 @@ def test_issue_pending_picks_one_of_two_writes_with_distinct_host_arrays(roundro
     q.finish()
     # Issue order was second, then first: the zeros land last.
     assert (buf.array == 0.0).all()
+
+
+def _transfers(q, a, b):
+    """One enqueue per transfer kind, taking ``nbytes``."""
+    return {
+        "write": lambda n: q.enqueue_write_buffer(a, nbytes=n),
+        "read": lambda n: q.enqueue_read_buffer(a, nbytes=n),
+        "fill": lambda n: q.enqueue_fill_buffer(a, 1.0, nbytes=n),
+        "copy": lambda n: q.enqueue_copy_buffer(a, b, nbytes=n),
+    }
+
+
+@pytest.mark.parametrize("kind", ("write", "read", "fill", "copy"))
+@pytest.mark.parametrize("nbytes", (0, -1, 65, 10**6))
+def test_transfer_nbytes_out_of_range_rejected(ctx, kind, nbytes):
+    q = ctx.create_queue("gpu0")
+    a = ctx.create_buffer(64, name="a")
+    b = ctx.create_buffer(128, name="b")
+    with pytest.raises(InvalidValue, match="nbytes"):
+        _transfers(q, a, b)[kind](nbytes)
+    assert len(ctx.platform.engine.trace) == 0 and ctx.platform.engine.now == 0.0
+    assert q._outstanding == [] and q._inflight == []
+
+
+def test_copy_nbytes_bounded_by_the_smaller_buffer(ctx):
+    q = ctx.create_queue("gpu0")
+    small = ctx.create_buffer(64)
+    big = ctx.create_buffer(128)
+    with pytest.raises(InvalidValue):
+        q.enqueue_copy_buffer(big, small, nbytes=65)
+    assert q.enqueue_copy_buffer(big, small, nbytes=64).command.nbytes == 64
+    assert q.enqueue_copy_buffer(big, small).command.nbytes == 64
+
+
+@pytest.mark.parametrize("kind", ("write", "read", "fill", "copy"))
+def test_transfer_nbytes_in_range_accepted(ctx, kind):
+    q = ctx.create_queue("gpu0")
+    a = ctx.create_buffer(64)
+    b = ctx.create_buffer(64)
+    ev = _transfers(q, a, b)[kind](64)
+    assert ev.command.nbytes == 64
+    assert _transfers(q, a, b)[kind](1).command.nbytes == 1
+    q.finish()
+
+
+def test_out_of_range_nbytes_rejected_before_deferral(autofit):
+    ctx = autofit.context
+    q = ctx.create_queue(sched_flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    a = ctx.create_buffer(64)
+    for enqueue in _transfers(q, a, ctx.create_buffer(64)).values():
+        with pytest.raises(InvalidValue):
+            enqueue(10**6)
+    assert q.pending == []

@@ -1,7 +1,7 @@
 """Discrete-event engine: task graphs, FIFO service, blocking semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimEngine, SimError, SimTask
 from repro.sim.resources import FifoResource
@@ -329,3 +329,167 @@ def test_arrival_time_slot_roundtrip(engine):
     t.arrival_time = 0.25
     engine.run_until_idle()
     assert t.end_time - t.arrival_time == pytest.approx(0.75)
+
+
+# ---------------------------------------------------------------------------
+# One-dependency task(): the inline path must match submit() exactly.
+# ---------------------------------------------------------------------------
+
+ONE_DEP_CASES = (
+    "done", "running", "waiting", "aborted-replaced", "aborted-then-adopted",
+    "released",
+)
+
+
+def _one_dep_run(case, on_resource, make):
+    """Build ``case`` on a fresh engine, create the dependent task with
+    ``make(engine, name, resource, dep)`` and drain the engine (which
+    raises if ``_open_tasks`` is off); return the engine and the task."""
+    engine = SimEngine()
+    r = FifoResource(engine, "dev")
+    if case == "done":
+        dep = engine.task("dep", 1.0, resource=r)
+        engine.run_until(dep)
+    elif case == "running":
+        dep = engine.task("dep", 1.0, resource=r)
+    elif case == "waiting":
+        first = engine.task("first", 1.0)
+        dep = engine.task("dep", 1.0, resource=r, deps=[first])
+    else:
+        dep = engine.task("dep", 2.0, resource=r)
+        engine.run_until_time(0.5)
+        engine.abort(dep, release_dependents=case == "released")
+        if case == "aborted-replaced":
+            engine.adopt(dep, engine.task("dep'", 1.0, resource=r))
+    task = make(engine, "t", r if on_resource else None, dep)
+    if case == "aborted-then-adopted":
+        engine.adopt(dep, engine.task("dep'", 1.0, resource=r))
+    engine.run_until_idle()
+    return engine, task
+
+
+@pytest.mark.parametrize("on_resource", (True, False))
+@pytest.mark.parametrize("case", ONE_DEP_CASES)
+def test_one_dependency_task_matches_submit(case, on_resource):
+    inline, t1 = _one_dep_run(
+        case, on_resource,
+        lambda e, name, r, dep: e.task(name, 0.25, resource=r, deps=[dep]),
+    )
+    general, t2 = _one_dep_run(
+        case, on_resource,
+        lambda e, name, r, dep: e.submit(SimTask(name, 0.25, r, [dep])),
+    )
+    assert t1.done and t2.done
+    assert (t1.start_time, t1.end_time) == (t2.start_time, t2.end_time)
+    assert list(inline.trace) == list(general.trace)
+    assert inline.now == general.now
+    assert inline._open_tasks == general._open_tasks == 0
+
+
+def test_one_dependency_on_unsubmitted_task_rejected(engine):
+    with pytest.raises(SimError, match="unsubmitted"):
+        engine.task("t", 1.0, deps=[SimTask("ghost", 1.0)])
+
+
+def test_open_tasks_exact_across_dependency_states(engine):
+    """Every task counts as open once, from creation to completion, whether
+    its single dependency was done, running or released."""
+    r = FifoResource(engine, "dev")
+    done = engine.task("done", 1.0, resource=r)
+    engine.run_until(done)
+    assert engine._open_tasks == 0
+    running = engine.task("running", 1.0, resource=r)
+    engine.task("after-done", 1.0, resource=r, deps=[done])
+    engine.task("after-running", 1.0, deps=[running])
+    assert engine._open_tasks == 3
+    victim = engine.task("victim", 5.0)
+    engine.abort(victim, release_dependents=True)
+    engine.task("after-released", 0.0, deps=[victim])
+    assert engine._open_tasks == 3
+    engine.run_until_idle()
+    assert engine._open_tasks == 0
+
+
+# ---------------------------------------------------------------------------
+# run_until(*tasks): one call waits exactly as back-to-back calls would.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def wait_scenarios(draw):
+    n = draw(st.integers(2, 12))
+    tasks = []
+    for i in range(n):
+        duration = draw(st.sampled_from((0.0, 0.5, 1.0, 1.5, 3.0)))
+        resource = draw(st.sampled_from((None, 0, 1)))
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=2)) if i else []
+        tasks.append((duration, resource, sorted(set(deps))))
+    waits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    fault = draw(st.none() | st.tuples(st.integers(0, n - 1),
+                                       st.sampled_from((0.25, 1.0, 2.5))))
+    return tasks, waits, fault
+
+
+def _wait_run(scenario, together):
+    tasks_spec, waits, fault = scenario
+    engine = SimEngine()
+    resources = [FifoResource(engine, f"r{i}") for i in range(2)]
+    completed = []
+    tasks = []
+    for i, (duration, res, deps) in enumerate(tasks_spec):
+        t = engine.task(
+            f"t{i}", duration,
+            resource=None if res is None else resources[res],
+            deps=[tasks[d] for d in deps],
+        )
+        t.on_complete(lambda task: completed.append(task.name))
+        tasks.append(t)
+    if fault is not None:
+        # A fault aborts one task at ``at`` and replays it from scratch.
+        victim, at = tasks[fault[0]], fault[1]
+        duration, res, _ = tasks_spec[fault[0]]
+
+        def strike():
+            if engine.abort(victim):
+                engine.adopt(victim, engine.task(
+                    f"{victim.name}'", duration,
+                    resource=None if res is None else resources[res],
+                ))
+
+        engine.schedule_at(at, strike)
+    wanted = [tasks[w] for w in waits]
+    if together:
+        ends = [engine.run_until(*wanted)]
+    else:
+        ends = [engine.run_until(t) for t in wanted][-1:]
+    state = (engine.now, ends, list(completed), list(engine.trace),
+             len(engine._heap))
+    engine.run_until_idle()
+    return state, (engine.now, completed, list(engine.trace))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wait_scenarios())
+def test_run_until_many_matches_sequential_calls(scenario):
+    assert _wait_run(scenario, together=True) == _wait_run(scenario, together=False)
+
+
+def test_run_until_many_follows_a_replayed_task(engine):
+    r = FifoResource(engine, "dev")
+    a = engine.task("a", 1.0, resource=r)
+    b = engine.task("b", 1.0, resource=r)
+
+    def strike():
+        engine.abort(b)
+        engine.adopt(b, engine.task("b'", 1.0, resource=r))
+
+    engine.schedule_at(1.5, strike)
+    # b ran 1.0..1.5, then its replay 1.5..2.5 on the freed resource.
+    assert engine.run_until(a, b) == 2.5
+    assert engine.now == 2.5 and b.replacement.done
+
+
+def test_run_until_nothing_returns_now(engine):
+    engine.task("t", 1.0)
+    assert engine.run_until() == 0.0
+    assert engine.now == 0.0
