@@ -60,6 +60,39 @@ def bench_engine_event_throughput() -> float:
     return engine.now
 
 
+def bench_open_loop_injection() -> float:
+    """Open-loop arrival injection through the engine alone: 4 epochs of
+    8,192 time-sorted arrivals over four FIFO resources, each injected
+    with ``schedule_batch`` and drained with ``run_until_time`` (the
+    replay driver's loop without the replay layer).  Every time sits on a
+    2**-12 s grid, so arrivals tie with completions and ``(time, seq)``
+    decides the order; the checksum folds the completion order and the
+    final clock."""
+    engine = SimEngine()
+    resources = [FifoResource(engine, f"r{i}") for i in range(4)]
+    task = engine.task
+    tick = 2.0**-12
+    durations = [tick * k for k in (1, 3, 4, 6, 2)]
+
+    def arrive(i: int) -> None:
+        task("req", durations[i % 5], resource=resources[i & 3])
+
+    x, t, i = 12345, 0, 0
+    for _ in range(4):
+        batch = []
+        for _ in range(8192):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            t += (x >> 16) % 3
+            batch.append((t * tick, arrive, i))
+            i += 1
+        engine.schedule_batch(batch)
+        engine.run_until_time(batch[-1][0])
+    total = engine.run_until_idle()
+    for k, iv in enumerate(engine.trace):
+        total += (k % 13 + 1) * (iv.end + 3.0 * iv.start) + int(iv.resource[1])
+    return total
+
+
 def bench_mapper_solve_8x4() -> float:
     queues = [f"q{i}" for i in range(8)]
     devices = ["cpu", "gpu0", "gpu1", "gpu2"]
@@ -565,6 +598,7 @@ def bench_mapper_repair() -> float:
 
 BENCHES = {
     "engine_event_throughput": bench_engine_event_throughput,
+    "open_loop_injection": bench_open_loop_injection,
     "mapper_solve_8x4": bench_mapper_solve_8x4,
     "mapper_solve_32x8": bench_mapper_solve_32x8,
     "mapper_repair": bench_mapper_repair,

@@ -35,6 +35,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.ocl.enums import CommandKind, SchedFlag
 from repro.ocl.errors import (
     DeviceNotAvailable,
@@ -183,6 +185,23 @@ def _checked_nbytes(nbytes: Optional[int], limit: int) -> int:
     if not 0 < n <= limit:
         raise InvalidValue(f"nbytes {n} outside 1..{limit}")
     return n
+
+
+def _transfer(dst: Any, src: Any, nbytes: int, whole: int) -> None:
+    """Move a transfer of ``nbytes`` bytes (``whole`` is the full size).
+
+    A whole transfer assigns element-wise, ``dst[...] = src`` (numpy casts,
+    and broadcasts a fill value).  A partial one copies only the first
+    ``nbytes`` bytes, through byte views of both arrays; a scalar ``src``
+    (a fill value) repeats as a pattern of ``dst``'s element type.
+    """
+    if nbytes >= whole:
+        dst[...] = src
+        return
+    if np.ndim(src) == 0:
+        src = np.full(-(-nbytes // dst.itemsize), src, dst.dtype)
+    head = np.frombuffer(dst, np.uint8)[:nbytes]
+    head[:] = np.frombuffer(np.ascontiguousarray(src), np.uint8)[: head.size]
 
 
 class CommandQueue:
@@ -570,7 +589,8 @@ class CommandQueue:
                 name=f"write:{cmd.buffer.name}", meta=self._tenant_meta,
             )
             if cmd.host_array is not None and cmd.buffer.array is not None:
-                cmd.buffer.array[...] = cmd.host_array
+                _transfer(cmd.buffer.array, cmd.host_array, cmd.nbytes,
+                          cmd.buffer.nbytes)
             cmd.buffer.mark_exclusive(HOST)
             cmd.buffer.mark_valid(self.device)
         elif cmd.kind is CommandKind.READ_BUFFER:
@@ -581,7 +601,8 @@ class CommandQueue:
                 name=f"read:{cmd.buffer.name}", meta=self._tenant_meta,
             )
             if cmd.host_array is not None and cmd.buffer.array is not None:
-                cmd.host_array[...] = cmd.buffer.array
+                _transfer(cmd.host_array, cmd.buffer.array, cmd.nbytes,
+                          cmd.buffer.nbytes)
             cmd.buffer.mark_valid(HOST)
         elif cmd.kind is CommandKind.FILL_BUFFER:
             assert cmd.buffer is not None
@@ -591,7 +612,8 @@ class CommandQueue:
                 name=f"fill:{cmd.buffer.name}", meta=self._tenant_meta,
             )
             if cmd.buffer.array is not None:
-                cmd.buffer.array[...] = cmd.host_array
+                _transfer(cmd.buffer.array, cmd.host_array, cmd.nbytes,
+                          cmd.buffer.nbytes)
             cmd.buffer.mark_exclusive(self.device)
         elif cmd.kind is CommandKind.COPY_BUFFER:
             assert cmd.buffer is not None and cmd.src_buffer is not None
@@ -602,7 +624,8 @@ class CommandQueue:
                 meta=self._tenant_meta,
             )
             if cmd.buffer.array is not None and cmd.src_buffer.array is not None:
-                cmd.buffer.array[...] = cmd.src_buffer.array
+                _transfer(cmd.buffer.array, cmd.src_buffer.array, cmd.nbytes,
+                          min(cmd.src_buffer.nbytes, cmd.buffer.nbytes))
             cmd.buffer.mark_exclusive(self.device)
         elif cmd.kind is CommandKind.MARKER:
             task = engine.task(

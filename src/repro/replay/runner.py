@@ -18,8 +18,9 @@ and the result types (:mod:`repro.replay.metrics`):
   measures raw open-loop queueing behaviour and replay throughput.
 
 The hot loop is epoch-batched: a chunk of arrivals is injected with
-:meth:`~repro.sim.engine.SimEngine.schedule_batch` (one heap rebuild per
-epoch, not one sift-up per command) and drained with
+:meth:`~repro.sim.engine.SimEngine.schedule_batch` (onto the sorted
+arrival lane beside the event heap, not one sift-up per command) and
+drained with
 :meth:`~repro.sim.engine.SimEngine.run_until_time`.  Per-request
 allocations are held to the task tuple itself: request names, metadata
 dicts, and the completion-callback list are shared per kernel family, and

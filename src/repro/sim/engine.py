@@ -1,11 +1,12 @@
 """Discrete-event engine and task graph.
 
-The engine owns a :class:`~repro.sim.clock.SimClock` and a time-ordered event
-heap.  Work is expressed as :class:`SimTask` objects: a task has a fixed
-*duration*, an optional *resource* it must be served by (FIFO, one task at a
-time), and a set of *dependencies* (other tasks) that must complete before it
-may start.  Tasks without a resource model host-side latencies: they start as
-soon as their dependencies complete and occupy no shared resource.
+The engine owns a :class:`~repro.sim.clock.SimClock`, a time-ordered event
+heap and a sorted arrival lane beside it.  Work is expressed as
+:class:`SimTask` objects: a task has a fixed *duration*, an optional
+*resource* it must be served by (FIFO, one task at a time), and a set of
+*dependencies* (other tasks) that must complete before it may start.
+Tasks without a resource model host-side latencies: they start as soon as
+their dependencies complete and occupy no shared resource.
 
 This is the only place simulated time advances; everything above (the OpenCL
 layer, the MultiCL scheduler, the workloads) expresses costs as task durations
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.trace import EMPTY_META, Trace, TraceInterval
@@ -157,26 +159,27 @@ class SimTask:
 
 
 class SimEngine:
-    """Event heap + virtual clock + task dependency resolution.
+    """Event heap + arrival lane + virtual clock + task dependency resolution.
 
-    Event-heap entries are ``(time, seq, fn, arg)`` tuples; internal task
+    Event entries are ``(time, seq, fn, arg)`` tuples; internal task
     completions carry the task itself as ``arg`` (calling ``fn(arg)``)
     instead of closing a fresh lambda over it, which keeps the per-task
     dispatch cost to one tuple allocation.  ``arg is None`` marks a plain
-    user callback registered through :meth:`schedule_at`.
+    user callback registered through :meth:`schedule_at`.  Batch-injected
+    arrivals wait in a sorted FIFO lane beside the heap; ``seq`` is unique,
+    so comparing the two heads as tuples never reaches ``fn``.
     """
 
     def __init__(self, trace: Optional[Trace] = None) -> None:
         self.clock = SimClock()
         self.trace = trace if trace is not None else Trace()
         self._heap: List[Tuple[float, int, Callable[..., None], Optional[SimTask]]] = []
+        #: Arrival lane: batch-injected events kept sorted by ``(time,
+        #: seq)`` beside the heap, so an epoch of arrivals never sifts
+        #: through the heap (see :meth:`schedule_batch`).
+        self._lane: Deque[Tuple[float, int, Callable[..., None], Optional[Any]]] = deque()
         self._seq = itertools.count()
         self._open_tasks = 0
-        #: Heap generation counter: bumped once per bulk rebuild in
-        #: :meth:`schedule_batch` (extend + single heapify).  Replay epochs
-        #: assert on it to prove batch injection took the O(H+K) rebuild or
-        #: O(K) sorted-extend path rather than K individual sift-ups.
-        self.heap_generation = 0
         # Depth guard for the zero-duration inline-finish fast path: long
         # chains of zero-cost host tasks fall back to the heap instead of
         # recursing without bound.
@@ -212,19 +215,16 @@ class SimEngine:
         """Schedule many ``(time, fn, arg)`` events in one pass; return count.
 
         This is the open-loop replay injection path: an epoch of arrivals
-        lands in the heap at once instead of through per-event
-        :meth:`schedule_at` calls.  Three regimes, cheapest first:
-
-        * heap empty + events already time-sorted — a sorted list *is* a
-          valid binary heap, so the batch is adopted with a plain extend
-          (O(K), no sifting at all);
-        * batch comparable to or larger than the pending heap — extend and
-          re-heapify once (O(H+K), bumping :attr:`heap_generation`), which
-          for epoch-sized batches beats K·log(H) sift-ups and, crucially,
-          is paid per *epoch*, never per event — a replay of N total
-          commands injected in E epochs pays O(N + E·H), not O(N·log N);
-        * small batch against a large heap — fall back to individual
-          pushes (re-heapifying everything would be the O(total) trap).
+        lands at once instead of through per-event :meth:`schedule_at`
+        calls.  Sequence numbers follow input order, as one
+        :meth:`schedule_at` per event would give them; an unsorted batch
+        is then sorted by ``(time, seq)``.  A batch starting no earlier
+        than the arrival lane's tail extends the lane (O(K), no sifting);
+        any other batch is pushed onto the heap entry by entry.  The run
+        loops pop whichever of the two heads is smaller, which is exactly
+        the order of one heap holding everything — while the heap keeps
+        only completions and :meth:`schedule_at` callbacks, a handful of
+        entries instead of a whole epoch.
 
         ``arg`` follows the internal event convention: ``None`` means
         ``fn()``, anything else means ``fn(arg)`` — so batch events can
@@ -247,14 +247,15 @@ class SimEngine:
             entries.append((time, next(seq), fn, arg))
         if not entries:
             return 0
-        heap = self._heap
-        if not heap and sorted_ok:
-            heap.extend(entries)
-        elif len(entries) * 4 >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-            self.heap_generation += 1
+        if not sorted_ok:
+            # seq is unique, so the sort never compares fn.
+            entries.sort()
+        lane = self._lane
+        if not lane or entries[0][0] >= lane[-1][0]:
+            # Later seq numbers break a time tie, so the lane stays sorted.
+            lane.extend(entries)
         else:
+            heap = self._heap
             for entry in entries:
                 _heappush(heap, entry)
         return len(entries)
@@ -570,7 +571,9 @@ class SimEngine:
         per task back to back would: same events popped, same final clock.
         """
         heap = self._heap
+        lane = self._lane
         pop = _heappop
+        popleft = lane.popleft
         clock = self.clock
         end = clock._now
         for task in tasks:
@@ -586,13 +589,17 @@ class SimEngine:
                     continue
                 if task.state == _DONE:
                     break
-                if not heap:
+                # The smaller head of the lane and the heap is next.
+                if lane and not (heap and heap[0] < lane[0]):
+                    time, _, fn, arg = popleft()
+                elif heap:
+                    time, _, fn, arg = pop(heap)
+                else:
                     raise SimError(
-                        f"deadlock: waiting on {task.name!r} with an empty event heap"
+                        f"deadlock: waiting on {task.name!r} with no pending events"
                     )
-                time, _, fn, arg = pop(heap)
-                # Heap pop order is non-decreasing in time, so the
-                # monotonicity check in SimClock.advance_to is redundant here.
+                # Pop order is non-decreasing in time, so the monotonicity
+                # check in SimClock.advance_to is redundant here.
                 clock._now = time
                 if arg is None:
                     fn()
@@ -607,10 +614,17 @@ class SimEngine:
     def run_until_idle(self) -> float:
         """Drain all queued events; return the final simulated time."""
         heap = self._heap
+        lane = self._lane
         pop = _heappop
+        popleft = lane.popleft
         clock = self.clock
-        while heap:
-            time, _, fn, arg = pop(heap)
+        while True:
+            if lane and not (heap and heap[0] < lane[0]):
+                time, _, fn, arg = popleft()
+            elif heap:
+                time, _, fn, arg = pop(heap)
+            else:
+                break
             clock._now = time
             if arg is None:
                 fn()
@@ -637,9 +651,19 @@ class SimEngine:
                 f"cannot run backwards to {time} (now {clock._now})"
             )
         heap = self._heap
+        lane = self._lane
         pop = _heappop
-        while heap and heap[0][0] <= time:
-            t, _, fn, arg = pop(heap)
+        popleft = lane.popleft
+        while True:
+            # A head past ``time`` ends the window: the other head is later.
+            if lane and not (heap and heap[0] < lane[0]):
+                if lane[0][0] > time:
+                    break
+                t, _, fn, arg = popleft()
+            elif heap and heap[0][0] <= time:
+                t, _, fn, arg = pop(heap)
+            else:
+                break
             clock._now = t
             if arg is None:
                 fn()

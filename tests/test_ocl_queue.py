@@ -335,6 +335,46 @@ def test_transfer_nbytes_in_range_accepted(ctx, kind):
     q.finish()
 
 
+@pytest.mark.parametrize("kind", ("write", "read", "fill", "copy"))
+def test_partial_transfer_moves_only_nbytes(ctx, kind):
+    """A transfer of ``nbytes`` moves only the first ``nbytes`` bytes of a
+    16-float buffer, functionally as in its link time."""
+    q = ctx.create_queue("gpu0")
+    n = 16
+    a = ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32))
+    b = ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32))
+    host = np.arange(1, n + 1, dtype=np.float32)
+    expect = np.zeros(n, np.float32)
+    if kind == "write":
+        q.enqueue_write_buffer(a, host, nbytes=8)
+        got, expect[:2] = a.array, host[:2]
+    elif kind == "read":
+        a.array[:] = -host
+        q.enqueue_write_buffer(a)
+        q.enqueue_read_buffer(a, host, nbytes=8)
+        got, expect = host, np.arange(1, n + 1, dtype=np.float32)
+        expect[:2] = -expect[:2]
+    elif kind == "fill":
+        q.enqueue_fill_buffer(a, 7.0, nbytes=4)
+        got, expect[:1] = a.array, 7.0
+    else:
+        a.array[:] = host
+        q.enqueue_write_buffer(a)
+        q.enqueue_copy_buffer(a, b, nbytes=12)
+        got, expect[:3] = b.array, host[:3]
+    q.finish()
+    assert np.array_equal(got, expect)
+
+
+def test_partial_fill_repeats_the_value_as_a_pattern(ctx):
+    q = ctx.create_queue("gpu0")
+    a = ctx.create_buffer(64, host_array=np.zeros(8, np.float64))
+    q.enqueue_fill_buffer(a, 1.0)
+    q.enqueue_fill_buffer(a, 2.5, nbytes=24)
+    q.finish()
+    assert a.array.tolist() == [2.5] * 3 + [1.0] * 5
+
+
 def test_out_of_range_nbytes_rejected_before_deferral(autofit):
     ctx = autofit.context
     q = ctx.create_queue(sched_flags=SchedFlag.SCHED_AUTO_DYNAMIC)

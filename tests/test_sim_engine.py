@@ -1,5 +1,7 @@
 """Discrete-event engine: task graphs, FIFO service, blocking semantics."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -222,38 +224,41 @@ def test_schedule_batch_arg_convention(engine):
     assert calls == ["plain", "payload"]
 
 
-def test_schedule_batch_sorted_adoption_skips_heapify(engine):
-    # Empty heap + pre-sorted batch: adopted by plain extend, so the
-    # rebuild counter must stay untouched.
+def test_schedule_batch_sorted_batch_extends_lane(engine):
+    # A pre-sorted batch rides the arrival lane; the heap stays empty.
     ran = []
     n = engine.schedule_batch(
         [(float(i), ran.append, i) for i in range(100)]
     )
     assert n == 100
-    assert engine.heap_generation == 0
+    assert len(engine._lane) == 100 and not engine._heap
     engine.run_until_idle()
     assert ran == list(range(100))
 
 
-def test_schedule_batch_large_unsorted_heapifies_once(engine):
+def test_schedule_batch_unsorted_batch_sorts_into_lane(engine):
     engine.schedule_at(5.0, lambda: None)
     ran = []
     engine.schedule_batch([(3.0, ran.append, "b"), (1.0, ran.append, "a")])
-    assert engine.heap_generation == 1  # one rebuild for the whole epoch
+    # Sorted by (time, seq) into the lane; the heap keeps only schedule_at.
+    assert [e[0] for e in engine._lane] == [1.0, 3.0]
+    assert len(engine._heap) == 1
     engine.run_until_idle()
     assert ran == ["a", "b"]
 
 
-def test_schedule_batch_small_batch_pushes_individually(engine):
-    # A tiny batch against a big pending heap must not trigger an O(total)
-    # re-heapify.
-    for i in range(40):
-        engine.schedule_at(float(i + 10), lambda: None)
+def test_schedule_batch_before_lane_tail_goes_to_heap(engine):
+    # A batch starting before the lane's tail cannot extend the lane
+    # without breaking its order, so it is pushed onto the heap.
+    engine.schedule_batch([(float(i + 10), lambda: None, None) for i in range(40)])
     ran = []
     engine.schedule_batch([(2.0, ran.append, "x")])
-    assert engine.heap_generation == 0
+    assert len(engine._lane) == 40 and len(engine._heap) == 1
     engine.run_until_time(3.0)
     assert ran == ["x"]
+    # A batch at the tail's time extends the lane: later seq breaks the tie.
+    engine.schedule_batch([(49.0, ran.append, "tail")])
+    assert len(engine._lane) == 41 and not engine._heap
 
 
 def test_schedule_batch_rejects_past_times(engine):
@@ -265,7 +270,7 @@ def test_schedule_batch_rejects_past_times(engine):
 
 def test_schedule_batch_empty(engine):
     assert engine.schedule_batch([]) == 0
-    assert engine.heap_generation == 0
+    assert not engine._lane and not engine._heap
 
 
 def test_run_until_time_lands_clock_exactly(engine):
@@ -493,3 +498,115 @@ def test_run_until_nothing_returns_now(engine):
     engine.task("t", 1.0)
     assert engine.run_until() == 0.0
     assert engine.now == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The arrival lane: batch injection pops in exactly the order one heap of
+# schedule_at events would.
+# ---------------------------------------------------------------------------
+
+#: Offsets on a quarter-second grid, so arrivals, callbacks and task
+#: completions tie and the (time, seq) order decides.
+_offsets = st.integers(0, 12).map(lambda k: k * 0.25)
+
+
+@st.composite
+def lane_scripts(draw):
+    batch = st.tuples(
+        st.just("batch"),
+        st.lists(_offsets, max_size=6),
+        st.booleans(),  # sort the offsets
+        # Events of this batch that inject a nested batch when they fire.
+        st.dictionaries(st.integers(0, 5), st.lists(_offsets, max_size=3),
+                        max_size=2),
+    )
+    op = st.one_of(
+        st.tuples(st.just("at"), _offsets),
+        batch,
+        st.tuples(st.just("task"), _offsets, st.sampled_from((None, 0, 1)),
+                  st.one_of(st.none(), st.integers(0, 63))),
+        st.tuples(st.just("time"), _offsets),
+        st.tuples(st.just("until"), st.lists(st.integers(0, 63), max_size=3)),
+        st.tuples(st.just("idle")),
+    )
+    return draw(st.lists(op, min_size=1, max_size=30))
+
+
+def _lane_run(script, batched):
+    """Play ``script`` on a fresh engine; with ``batched`` False every batch
+    goes event by event through schedule_at.  Returns the callback log
+    (with the clock at each fire) and the clock after each run call."""
+    engine = SimEngine()
+    resources = [FifoResource(engine, "d0"), FifoResource(engine, "d1")]
+    log, clocks, tasks = [], [], []
+    nested = {}
+
+    def inject(events):
+        if batched:
+            engine.schedule_batch(events)
+        else:
+            for t, fn, arg in events:
+                engine.schedule_at(t, fn if arg is None else partial(fn, arg))
+
+    def fire(label):
+        log.append((label, engine.now))
+        inner = nested.get(label)
+        if inner is not None:
+            now = engine.now
+            inject([(now + dt, fire, f"{label}/{k}") for k, dt in enumerate(inner)])
+
+    for n, op in enumerate(script):
+        kind = op[0]
+        now = engine.now
+        if kind == "at":
+            engine.schedule_at(now + op[1], partial(fire, f"at{n}"))
+        elif kind == "batch":
+            _, offsets, sort, inner = op
+            if sort:
+                offsets = sorted(offsets)
+            for k, dt in inner.items():
+                nested[f"b{n}.{k}"] = dt
+            inject([(now + dt, fire, f"b{n}.{k}") for k, dt in enumerate(offsets)])
+        elif kind == "task":
+            _, duration, res, dep = op
+            deps = [tasks[dep % len(tasks)]] if dep is not None and tasks else None
+            t = engine.task(f"t{n}", duration,
+                            resource=None if res is None else resources[res],
+                            deps=deps)
+            t.on_complete(lambda task: log.append((task.name, engine.now)))
+            tasks.append(t)
+        elif kind == "time":
+            clocks.append(engine.run_until_time(now + op[1]))
+        elif kind == "until":
+            if tasks:
+                clocks.append(engine.run_until(*(tasks[i % len(tasks)] for i in op[1])))
+        else:
+            clocks.append(engine.run_until_idle())
+    clocks.append(engine.run_until_idle())
+    return log, clocks, engine.now, list(engine.trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_scripts())
+def test_lane_matches_schedule_at_one_by_one(script):
+    assert _lane_run(script, batched=True) == _lane_run(script, batched=False)
+
+
+def test_run_until_raises_when_only_lane_events_remain(engine):
+    ran = []
+    engine.schedule_batch([(float(i), ran.append, i) for i in range(5)])
+    orphan = SimTask("orphan", 1.0)
+    orphan.state = "waiting"  # a task that will never be made ready
+    with pytest.raises(SimError, match="deadlock"):
+        engine.run_until(orphan)
+    # The wait drained every lane event before it gave up.
+    assert ran == list(range(5)) and engine.now == 4.0
+
+
+def test_run_until_idle_drains_lane(engine):
+    ran = []
+    engine.schedule_batch([(float(i), ran.append, i) for i in range(5)])
+    engine.schedule_at(2.5, lambda: ran.append("at"))
+    assert engine.run_until_idle() == 4.0
+    assert ran == [0, 1, 2, "at", 3, 4]
+    assert not engine._lane and not engine._heap
