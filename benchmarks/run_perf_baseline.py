@@ -53,7 +53,7 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_library_perf.json"
 
 def bench_engine_event_throughput() -> float:
     engine = SimEngine()
-    resources = [FifoResource(engine, f"r{i}") for i in range(4)]
+    resources = [FifoResource(f"r{i}") for i in range(4)]
     for i in range(10_000):
         engine.task(f"t{i}", 1e-6, resource=resources[i % 4])
     engine.run_until_idle()
@@ -69,7 +69,7 @@ def bench_open_loop_injection() -> float:
     decides the order; the checksum folds the completion order and the
     final clock."""
     engine = SimEngine()
-    resources = [FifoResource(engine, f"r{i}") for i in range(4)]
+    resources = [FifoResource(f"r{i}") for i in range(4)]
     task = engine.task
     tick = 2.0**-12
     durations = [tick * k for k in (1, 3, 4, 6, 2)]

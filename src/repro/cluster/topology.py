@@ -41,7 +41,7 @@ class SimCluster(SimNode):
         self.cluster = cluster
         #: one NIC resource per non-root node
         self.nics: Dict[int, FifoResource] = {
-            i: FifoResource(engine, f"link:nic-node{i}")
+            i: FifoResource(f"link:nic-node{i}")
             for i in range(1, len(cluster.nodes))
         }
 

@@ -28,7 +28,7 @@ class SimDevice:
     def __init__(self, engine: SimEngine, spec: DeviceSpec) -> None:
         self.engine = engine
         self.spec = spec
-        self.resource = FifoResource(engine, f"dev:{spec.name}")
+        self.resource = FifoResource(f"dev:{spec.name}")
         #: transient service-time multiplier (fault injection: thermal
         #: throttling / noisy neighbours); 1.0 = nominal speed.
         self.slowdown = 1.0
@@ -134,14 +134,10 @@ class SimNode:
         for dev, link in spec.host_links.items():
             if link.name not in by_name:
                 if self.duplex_links:
-                    by_name[link.name] = FifoResource(
-                        engine, f"link:{link.name}:h2d"
-                    )
-                    by_name_d2h[link.name] = FifoResource(
-                        engine, f"link:{link.name}:d2h"
-                    )
+                    by_name[link.name] = FifoResource(f"link:{link.name}:h2d")
+                    by_name_d2h[link.name] = FifoResource(f"link:{link.name}:d2h")
                 else:
-                    by_name[link.name] = FifoResource(engine, f"link:{link.name}")
+                    by_name[link.name] = FifoResource(f"link:{link.name}")
                     by_name_d2h[link.name] = by_name[link.name]
             self.links[dev] = by_name[link.name]
             self.d2h_links[dev] = by_name_d2h[link.name]

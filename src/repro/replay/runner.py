@@ -239,7 +239,7 @@ class _EngineTenant:
             return
         self.profiling_epochs += 1
         engine = self.engine
-        now = engine.clock._now
+        now = engine.now
         durations = self.durations[fam]
         name = self.prof_names[fam]
         free = self.free
@@ -257,7 +257,7 @@ class _EngineTenant:
     def arrive(self, fam: int) -> None:
         """Dispatch one arriving request (fires at its arrival timestamp)."""
         engine = self.engine
-        now = engine.clock._now
+        now = engine.now
         if self.cold_start:
             self.arrivals += 1
             generation = self.arrivals // self.churn if self.churn else 0
@@ -459,7 +459,7 @@ class _ServiceTenant:
             kernel, (_SERVICE_GLOBAL,), (_SERVICE_LOCAL,)
         )
         self.requests += 1
-        arrival = self.engine.clock._now
+        arrival = self.engine.now
         event.set_callback(lambda ev, t0=arrival: self._on_done(ev, t0))
 
     def _on_done(self, event, arrival: float) -> None:

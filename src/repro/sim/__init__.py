@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate.
 
 Every piece of simulated work in the reproduction — kernel executions,
-PCIe/host transfers, profiling runs — is charged to a shared virtual clock
-owned by a :class:`~repro.sim.engine.SimEngine`.  The OpenCL layer
+PCIe/host transfers, profiling runs — is charged to the simulated time
+(:attr:`~repro.sim.engine.SimEngine.now`) owned by a
+:class:`~repro.sim.engine.SimEngine`.  The OpenCL layer
 (:mod:`repro.ocl`) submits commands to :class:`~repro.sim.resources.FifoResource`
 instances (one per device execution unit, one per transfer link) and blocks
 the simulated host by advancing the engine until completion events fire.
@@ -14,7 +15,6 @@ experiments can account exactly where virtual time went (application work vs
 profiling overhead vs data staging).
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.engine import SimEngine, SimTask
 from repro.sim.faults import (
     FaultEvent,
@@ -40,7 +40,6 @@ from repro.sim.export import (
 )
 
 __all__ = [
-    "SimClock",
     "SimEngine",
     "SimTask",
     "FifoResource",

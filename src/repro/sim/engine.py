@@ -1,7 +1,8 @@
 """Discrete-event engine and task graph.
 
-The engine owns a :class:`~repro.sim.clock.SimClock`, a time-ordered event
-heap and a sorted arrival lane beside it.  Work is expressed as
+The engine owns simulated time (:attr:`SimEngine.now`), a time-ordered
+event heap, a sorted arrival lane beside it, and FIFO service on
+:class:`~repro.sim.resources.FifoResource` records.  Work is expressed as
 :class:`SimTask` objects: a task has a fixed *duration*, an optional
 *resource* it must be served by (FIFO, one task at a time), and a set of
 *dependencies* (other tasks) that must complete before it may start.
@@ -20,7 +21,6 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.clock import SimClock
 from repro.sim.trace import EMPTY_META, Trace, TraceInterval
 
 __all__ = ["SimTask", "SimEngine", "SimError"]
@@ -30,6 +30,7 @@ _heappop = heapq.heappop
 #: Builds a TraceInterval from its six fields without the named tuple's
 #: Python-level ``__new__`` frame (one per completed task).
 _tuple_new = tuple.__new__
+_INF = float("inf")
 
 
 class SimError(RuntimeError):
@@ -101,8 +102,8 @@ class SimTask:
         category: str = "work",
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if duration < 0.0:
-            raise SimError(f"task {name!r} has negative duration {duration!r}")
+        if not duration >= 0.0:  # also rejects NaN
+            raise SimError(f"task {name!r} has invalid duration {duration!r}")
         self.name = name
         self.duration = float(duration)
         self.resource = resource
@@ -159,7 +160,7 @@ class SimTask:
 
 
 class SimEngine:
-    """Event heap + arrival lane + virtual clock + task dependency resolution.
+    """Event heap + arrival lane + simulated time + FIFO service.
 
     Event entries are ``(time, seq, fn, arg)`` tuples; internal task
     completions carry the task itself as ``arg`` (calling ``fn(arg)``)
@@ -168,10 +169,15 @@ class SimEngine:
     user callback registered through :meth:`schedule_at`.  Batch-injected
     arrivals wait in a sorted FIFO lane beside the heap; ``seq`` is unique,
     so comparing the two heads as tuples never reaches ``fn``.
+
+    :attr:`now` is a plain attribute that only the run loops write: events
+    pop in non-decreasing time order, and every entry point refuses a time
+    that is not ``>= now`` (NaN included), so it never moves backwards.
     """
 
     def __init__(self, trace: Optional[Trace] = None) -> None:
-        self.clock = SimClock()
+        #: Current simulated time (seconds).
+        self.now = 0.0
         self.trace = trace if trace is not None else Trace()
         self._heap: List[Tuple[float, int, Callable[..., None], Optional[SimTask]]] = []
         #: Arrival lane: batch-injected events kept sorted by ``(time,
@@ -191,22 +197,17 @@ class SimEngine:
     # ------------------------------------------------------------------
     # Low-level event scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self.clock.now
-
     def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at absolute simulated ``time`` (>= now)."""
-        if time < self.clock._now:
-            raise SimError(f"cannot schedule event in the past ({time} < {self.now})")
+        if not time >= self.now:  # also rejects NaN
+            raise SimError(f"cannot schedule event at {time} (now {self.now})")
         _heappush(self._heap, (float(time), next(self._seq), fn, None))
 
     def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after ``delay`` simulated seconds."""
-        if delay < 0.0:
-            raise SimError(f"negative delay {delay!r}")
-        self.schedule_at(self.clock._now + delay, fn)
+        if not delay >= 0.0:
+            raise SimError(f"invalid delay {delay!r}")
+        self.schedule_at(self.now + delay, fn)
 
     def schedule_batch(
         self,
@@ -230,17 +231,15 @@ class SimEngine:
         ``fn()``, anything else means ``fn(arg)`` — so batch events can
         carry a payload without closing a lambda over it.
         """
-        now = self.clock._now
+        now = self.now
         seq = self._seq
         entries: List[Tuple[float, int, Callable[..., None], Optional[Any]]] = []
         prev = now
         sorted_ok = True
         for time, fn, arg in events:
             time = float(time)
-            if time < now:
-                raise SimError(
-                    f"cannot schedule event in the past ({time} < {now})"
-                )
+            if not time >= now:  # also rejects NaN
+                raise SimError(f"cannot schedule event at {time} (now {now})")
             if time < prev:
                 sorted_ok = False
             prev = time
@@ -269,16 +268,6 @@ class SimEngine:
             raise SimError(f"task {task.name!r} submitted twice")
         self._open_tasks += 1
         deps = task.deps
-        if not deps:
-            # Fast path: independent task — straight to ready (inlined
-            # _make_ready; this is the per-task common case).
-            task.state = _READY
-            resource = task.resource
-            if resource is None:
-                self._begin(task)
-            else:
-                resource._enqueue(task)
-            return task
         # The edges registered below are all the engine needs: drop the
         # list so the task does not keep its predecessors alive.
         task.deps = ()
@@ -322,9 +311,9 @@ class SimEngine:
         """Create *and submit* a task in one call.
 
         Zero or one dependency is resolved here, with :meth:`submit`,
-        :meth:`_make_ready`, ``FifoResource._enqueue`` and :meth:`_begin`
-        folded in (a freshly created task cannot be a double submission);
-        longer dependency lists go through :meth:`submit`.
+        :meth:`_make_ready` and :meth:`_start` folded in (a freshly created
+        task cannot be a double submission); longer dependency lists go
+        through :meth:`submit`.
         """
         if deps and len(deps) != 1:
             return self.submit(SimTask(name, duration, resource, deps, category, meta))
@@ -354,32 +343,45 @@ class SimEngine:
         task.state = _READY
         if resource is None:
             self._begin(task)
-        elif resource._busy is None and not resource._queue:
-            # Idle server: begin service now (FifoResource._enqueue and
-            # _begin inlined; a resource task never finishes inline).
+        elif resource._busy is None:
+            # Free server: begin service now (_start and _begin inlined; a
+            # resource task never finishes inline).
             resource._busy = task
             task.state = _RUNNING
-            now = self.clock._now
+            now = self.now
             task.start_time = now
             _heappush(
                 self._heap,
                 (now + task.duration, next(self._seq), self._finish_cb, task),
             )
         else:
-            resource._enqueue(task)
+            resource._queue.append(task)
         return task
 
+    # A resource's server is free exactly when its queue is empty too: a
+    # task only queues behind one in service, and whatever frees the
+    # server (_finish, abort) starts the queue's head at once.
     def _make_ready(self, task: SimTask) -> None:
+        """Dependencies met: start ``task`` now, or queue it on its busy
+        resource."""
         task.state = _READY
-        if task.resource is None:
+        resource = task.resource
+        if resource is None:
             self._begin(task)
+        elif resource._busy is None:
+            self._start(resource, task)
         else:
-            task.resource._enqueue(task)
+            resource._queue.append(task)
+
+    def _start(self, resource: "FifoResource", task: SimTask) -> None:  # noqa: F821
+        """Put ``task`` into service on the free server ``resource``."""
+        resource._busy = task
+        self._begin(task)
 
     def _begin(self, task: SimTask) -> None:
         """Start service for a ready task (resource already acquired)."""
         task.state = _RUNNING
-        now = self.clock._now
+        now = self.now
         task.start_time = now
         duration = task.duration
         if duration == 0.0 and task.resource is None and self._inline_depth < 64:
@@ -398,12 +400,20 @@ class SimEngine:
             self._heap, (now + duration, next(self._seq), self._finish_cb, task)
         )
 
+    def _release(self, task: SimTask) -> None:
+        """Count ``task`` as met for each of its waiters; make ready those
+        left with no unmet dependency."""
+        for dep in task._dependents or ():
+            dep._unmet -= 1
+            if dep._unmet == 0 and dep.state == _WAITING:
+                self._make_ready(dep)
+
     def _finish(self, task: SimTask) -> None:
         if task.state == _ABORTED:
             # Stale completion event of a task cancelled by fault injection.
             return
         task.state = _DONE
-        now = self.clock._now
+        now = self.now
         task.end_time = now
         self._open_tasks -= 1
         resource = task.resource
@@ -435,10 +445,8 @@ class SimEngine:
         seq = self._seq
         finish_cb = self._finish_cb
         if resource is not None:
-            # The resource's completion step: account the served task, then
-            # begin the next queued one.
-            resource.busy_time += resource._busy.duration
-            resource.served += 1
+            # Free the server and start the next queued task (_start
+            # inlined).
             queue = resource._queue
             if queue:
                 nxt = queue.popleft()
@@ -452,25 +460,23 @@ class SimEngine:
             for dep in task._dependents:
                 dep._unmet -= 1
                 if dep._unmet == 0 and dep.state == _WAITING:
-                    # _make_ready and FifoResource._enqueue inlined.
+                    # _make_ready and _start inlined.
                     dep.state = _READY
                     res = dep.resource
                     if res is None:
                         self._begin(dep)
-                    elif res._busy is None and not res._queue:
+                    elif res._busy is None:
                         res._busy = dep
                         dep.state = _RUNNING
                         # Read afresh, as _begin does: a callback of a
                         # dependent finished inline above may run the engine.
-                        begin = self.clock._now
+                        begin = self.now
                         dep.start_time = begin
                         _heappush(
                             heap, (begin + dep.duration, next(seq), finish_cb, dep)
                         )
                     else:
                         res._queue.append(dep)
-                        if res._busy is None:
-                            res._dispatch()
             task._dependents = None
         if task._callbacks:
             callbacks, task._callbacks = task._callbacks, None
@@ -483,41 +489,43 @@ class SimEngine:
     def abort(self, task: SimTask, release_dependents: bool = False) -> bool:
         """Cancel a submitted, unfinished task (fault injection).
 
-        A task in service is pulled off its resource and the lost partial
-        work is recorded in the trace under the ``fault`` category.  With
-        ``release_dependents`` the task counts as satisfied for its waiters
-        (used for orphaned work like profiling launches on a dead device);
-        without it the caller is expected to :meth:`adopt` a replacement
-        task so waiters can follow the replay.  Returns ``False`` if the
-        task already completed or was already aborted.
+        A task in service is pulled off its resource, whose next queued
+        task starts at once, and the lost partial work is recorded in the
+        trace under the ``fault`` category.  With ``release_dependents``
+        the task counts as satisfied for its waiters (used for orphaned
+        work like profiling launches on a dead device); without it the
+        caller is expected to :meth:`adopt` a replacement task so waiters
+        can follow the replay.  Returns ``False`` if the task already
+        completed or was already aborted.
         """
-        if task.state in (_DONE, _ABORTED):
+        state = task.state
+        if state in (_DONE, _ABORTED):
             return False
-        if task.state == _PENDING:
+        if state == _PENDING:
             raise SimError(f"cannot abort unsubmitted task {task.name!r}")
-        if task.state == _READY and task.resource is not None:
-            task.resource._remove(task)
-        elif task.state == _RUNNING:
-            if task.start_time is not None and self.now > task.start_time:
-                resname = task.resource.name if task.resource is not None else "host"
+        resource = task.resource
+        if state == _READY and resource is not None:
+            resource._queue.remove(task)
+        elif state == _RUNNING:
+            now = self.now
+            if task.start_time is not None and now > task.start_time:
                 self.trace.record(
-                    resource=resname,
+                    resource=resource.name if resource is not None else "host",
                     task=f"lost:{task.name}",
                     category="fault",
                     start=task.start_time,
-                    end=self.now,
+                    end=now,
                     meta={**task.meta, "aborted": True},
                 )
-            if task.resource is not None:
-                task.resource._abort_service(task)
+            if resource is not None:
+                resource._busy = None
+                if resource._queue:
+                    self._start(resource, resource._queue.popleft())
         task.state = _ABORTED
         self._open_tasks -= 1
         if release_dependents:
             task.released_deps = True
-            for dep in task._dependents or ():
-                dep._unmet -= 1
-                if dep._unmet == 0 and dep.state == _WAITING:
-                    self._make_ready(dep)
+            self._release(task)
             task._dependents = None
             task._callbacks = None
         return True
@@ -534,10 +542,7 @@ class SimEngine:
         old.replacement = new
         if new.done:
             # Degenerate: replacement already finished — settle waiters now.
-            for dep in old._dependents or ():
-                dep._unmet -= 1
-                if dep._unmet == 0 and dep.state == _WAITING:
-                    self._make_ready(dep)
+            self._release(old)
             for fn in old._callbacks or ():
                 fn(new)
         else:
@@ -574,8 +579,7 @@ class SimEngine:
         lane = self._lane
         pop = _heappop
         popleft = lane.popleft
-        clock = self.clock
-        end = clock._now
+        end = self.now
         for task in tasks:
             if task.state == _PENDING:
                 raise SimError(f"cannot wait on unsubmitted task {task.name!r}")
@@ -598,9 +602,7 @@ class SimEngine:
                     raise SimError(
                         f"deadlock: waiting on {task.name!r} with no pending events"
                     )
-                # Pop order is non-decreasing in time, so the monotonicity
-                # check in SimClock.advance_to is redundant here.
-                clock._now = time
+                self.now = time
                 if arg is None:
                     fn()
                 else:
@@ -611,25 +613,32 @@ class SimEngine:
             assert end is not None
         return end
 
-    def run_until_idle(self) -> float:
-        """Drain all queued events; return the final simulated time."""
+    def _drain(self, limit: float) -> None:
+        """Process every event with timestamp <= ``limit``, in ``(time,
+        seq)`` order, including events scheduled during processing."""
         heap = self._heap
         lane = self._lane
         pop = _heappop
         popleft = lane.popleft
-        clock = self.clock
         while True:
+            # A head past ``limit`` ends the window: the other head is later.
             if lane and not (heap and heap[0] < lane[0]):
+                if lane[0][0] > limit:
+                    break
                 time, _, fn, arg = popleft()
-            elif heap:
+            elif heap and heap[0][0] <= limit:
                 time, _, fn, arg = pop(heap)
             else:
                 break
-            clock._now = time
+            self.now = time
             if arg is None:
                 fn()
             else:
                 fn(arg)
+
+    def run_until_idle(self) -> float:
+        """Drain all queued events; return the final simulated time."""
+        self._drain(_INF)
         if self._open_tasks:
             raise SimError(f"{self._open_tasks} task(s) never completed (cycle?)")
         return self.now
@@ -645,31 +654,10 @@ class SimEngine:
         Events scheduled *during* processing are honoured when they also
         fall inside the window.
         """
-        clock = self.clock
-        if time < clock._now:
-            raise SimError(
-                f"cannot run backwards to {time} (now {clock._now})"
-            )
-        heap = self._heap
-        lane = self._lane
-        pop = _heappop
-        popleft = lane.popleft
-        while True:
-            # A head past ``time`` ends the window: the other head is later.
-            if lane and not (heap and heap[0] < lane[0]):
-                if lane[0][0] > time:
-                    break
-                t, _, fn, arg = popleft()
-            elif heap and heap[0][0] <= time:
-                t, _, fn, arg = pop(heap)
-            else:
-                break
-            clock._now = t
-            if arg is None:
-                fn()
-            else:
-                fn(arg)
-        clock._now = time
+        if not time >= self.now:  # also rejects NaN
+            raise SimError(f"cannot run to {time} (now {self.now})")
+        self._drain(time)
+        self.now = time
         return time
 
     def elapse(self, duration: float, category: str = "host", name: str = "host-delay") -> None:

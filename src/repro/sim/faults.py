@@ -39,8 +39,9 @@ stays standalone.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace import FAULT_CATEGORY, RECOVERY_CATEGORY
 
@@ -87,10 +88,12 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0.0:
-            raise ValueError(f"fault time must be >= 0, got {self.time}")
-        if self.duration < 0.0:
+        if not (math.isfinite(self.time) and self.time >= 0.0):
+            raise ValueError(f"fault time must be finite and >= 0, got {self.time}")
+        if not self.duration >= 0.0:  # also rejects NaN
             raise ValueError(f"fault duration must be >= 0, got {self.duration}")
+        if not math.isfinite(self.factor):
+            raise ValueError(f"fault factor must be finite, got {self.factor}")
         if self.kind is FaultKind.DEVICE_SLOWDOWN and self.factor <= 0.0:
             raise ValueError(f"slowdown factor must be > 0, got {self.factor}")
 
@@ -170,6 +173,8 @@ class FaultInjector:
         #: queues moved to a different device by recovery
         self.remapped_queues = 0
         self.armed: List[FaultEvent] = []
+        #: factors of the slowdown windows open on each device
+        self._slowdowns: Dict[str, List[float]] = {}
 
     @property
     def engine(self):
@@ -205,18 +210,25 @@ class FaultInjector:
     # Transient faults
     # ------------------------------------------------------------------
     def _slowdown(self, ev: FaultEvent) -> None:
+        """Open a slowdown window.  Windows overlapping on one device
+        compound: the device runs at the product of the open windows'
+        factors, and recovers when the last one closes."""
         platform = self.context.platform
         if not platform.is_available(ev.target):
             return
         device = platform.node.device(ev.target)
         engine = self.engine
         start = engine.now
-        device.slowdown = ev.factor
+        factors = self._slowdowns.setdefault(ev.target, [])
+        factors.append(ev.factor)
+        device.slowdown = math.prod(factors, start=1.0)
         self._notify_slowdown(ev.target, "on_device_slowdown")
 
         def restore() -> None:
-            device.slowdown = 1.0
-            self._notify_slowdown(ev.target, "on_device_recovery")
+            factors.remove(ev.factor)
+            device.slowdown = math.prod(factors, start=1.0)
+            if not factors:
+                self._notify_slowdown(ev.target, "on_device_recovery")
             engine.trace.record(
                 resource=f"dev:{ev.target}",
                 task=f"slowdown:{ev.target}",

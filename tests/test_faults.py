@@ -383,6 +383,37 @@ def test_slowdown_stretches_kernels_then_restores(profile_dir):
     assert windows[0].duration == pytest.approx(0.05, rel=1e-3)
 
 
+def test_overlapping_slowdowns_compound_and_recover_once(profile_dir):
+    mcl = MultiCL(
+        node_spec=symmetric_dual_gpu_node(),
+        policy=ContextScheduler.AUTO_FIT,
+        profile_dir=profile_dir,
+    )
+    device = mcl.context.platform.node.device("gpu0")
+    recoveries = []
+    mcl.context.scheduler.on_device_recovery = recoveries.append
+    t0 = mcl.now
+    mcl.inject_faults(
+        FaultPlan()
+        .slow_device("gpu0", at=t0 + 1.0, duration=9.0, factor=3.0)
+        .slow_device("gpu0", at=t0 + 5.0, duration=2.0, factor=2.0)
+    )
+    seen = []
+    for offset in (0.5, 2.0, 6.0, 8.0, 11.0):
+        mcl.engine.run_until_time(t0 + offset)
+        seen.append(device.slowdown)
+        if offset == 8.0:
+            assert recoveries == []  # the x3 window is still open
+    assert seen == [1.0, 3.0, 6.0, 3.0, 1.0]
+    assert recoveries == ["gpu0"]
+    windows = sorted(
+        (iv.meta["factor"], iv.duration)
+        for iv in mcl.engine.trace
+        if iv.category == FAULT_CATEGORY and iv.meta.get("kind") == "slowdown"
+    )
+    assert windows == [(2.0, pytest.approx(2.0)), (3.0, pytest.approx(9.0))]
+
+
 def test_link_outage_delays_transfers(profile_dir):
     mcl = MultiCL(node_spec=symmetric_dual_gpu_node(), profile_dir=profile_dir)
     buf = mcl.context.create_buffer(4 * N, name="blob")
@@ -434,6 +465,22 @@ def test_fault_event_validation():
         FaultEvent(0.0, FaultKind.LINK_OUTAGE, "gpu0", duration=-0.1)
     with pytest.raises(ValueError):
         FaultEvent(0.0, FaultKind.DEVICE_SLOWDOWN, "gpu0", factor=0.0)
+
+
+@pytest.mark.parametrize(
+    "at, duration, factor",
+    [
+        (float("nan"), 1.0, 2.0),
+        (float("inf"), 1.0, 2.0),
+        (0.0, float("nan"), 2.0),
+        (0.0, 1.0, float("nan")),
+        (0.0, 1.0, float("inf")),
+        (float("nan"), float("nan"), float("nan")),
+    ],
+)
+def test_fault_event_rejects_non_finite_values(at, duration, factor):
+    with pytest.raises(ValueError):
+        FaultPlan().slow_device("gpu0", at=at, duration=duration, factor=factor)
 
 
 def test_fault_plan_chains_and_sorts():

@@ -49,19 +49,51 @@ def test_diamond_dependencies(engine):
 
 
 def test_fifo_resource_serialises(engine):
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     a = engine.task("a", 1.0, resource=r)
     b = engine.task("b", 1.0, resource=r)
     engine.run_until_idle()
     assert a.end_time == 1.0
     assert b.start_time == 1.0 and b.end_time == 2.0
-    assert r.served == 2
-    assert r.busy_time == pytest.approx(2.0)
+    assert engine.trace.counts_by_resource() == {"dev": 2}
+    assert engine.trace.by_resource() == {"dev": pytest.approx(2.0)}
+
+
+def test_abort_queued_resource_task_never_runs(engine):
+    r = FifoResource("dev")
+    a = engine.task("a", 1.0, resource=r)
+    b = engine.task("b", 1.0, resource=r)
+    c = engine.task("c", 1.0, resource=r)
+    engine.run_until_time(0.5)
+    assert engine.abort(b)
+    assert r.pending_tasks() == [a, c]
+    engine.run_until_idle()
+    assert b.aborted and b.start_time is None
+    assert c.start_time == a.end_time == 1.0
+    assert [iv.task for iv in engine.trace] == ["a", "c"]
+
+
+def test_abort_in_service_task_starts_next_at_abort_time(engine):
+    r = FifoResource("dev")
+    a = engine.task("a", 2.0, resource=r)
+    b = engine.task("b", 1.0, resource=r)
+    engine.run_until_time(0.5)
+    assert engine.abort(a)
+    assert r.pending_tasks() == [b]
+    engine.run_until_idle()
+    assert a.aborted and a.end_time is None
+    assert b.start_time == 0.5 and b.end_time == 1.5
+    # The lost partial service is a fault interval; "a" never completes.
+    assert [(iv.task, iv.category, iv.start, iv.end) for iv in engine.trace] == [
+        ("lost:a", "fault", 0.0, 0.5),
+        ("b", "work", 0.5, 1.5),
+    ]
+    assert r.pending_tasks() == []
 
 
 def test_two_resources_run_concurrently(engine):
-    r1 = FifoResource(engine, "d1")
-    r2 = FifoResource(engine, "d2")
+    r1 = FifoResource("d1")
+    r2 = FifoResource("d2")
     a = engine.task("a", 3.0, resource=r1)
     b = engine.task("b", 3.0, resource=r2)
     engine.run_until_idle()
@@ -123,7 +155,7 @@ def test_on_complete_after_done_fires_immediately(engine):
 
 
 def test_elapse_advances_host_and_processes_concurrent_work(engine):
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     t = engine.task("t", 2.0, resource=r)
     engine.elapse(5.0)
     assert engine.now == 5.0
@@ -137,7 +169,7 @@ def test_schedule_in_past_rejected(engine):
 
 
 def test_trace_records_completed_tasks(engine):
-    r = FifoResource(engine, "dev:x")
+    r = FifoResource("dev:x")
     engine.task("k", 1.5, resource=r, category="kernel")
     engine.run_until_idle()
     assert engine.trace.total_time("dev:x", "kernel") == pytest.approx(1.5)
@@ -160,7 +192,7 @@ def test_run_until_idle_detects_unfinishable_tasks(engine):
 )
 def test_fifo_makespan_is_sum_of_durations(durations):
     engine = SimEngine()
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     tasks = [engine.task(f"t{i}", d, resource=r) for i, d in enumerate(durations)]
     engine.run_until_idle()
     assert engine.now == pytest.approx(sum(durations))
@@ -177,7 +209,7 @@ def test_fifo_makespan_is_sum_of_durations(durations):
 )
 def test_parallel_resources_makespan_is_max_of_loads(durations, n_resources):
     engine = SimEngine()
-    resources = [FifoResource(engine, f"d{i}") for i in range(n_resources)]
+    resources = [FifoResource(f"d{i}") for i in range(n_resources)]
     loads = [0.0] * n_resources
     for i, d in enumerate(durations):
         engine.task(f"t{i}", d, resource=resources[i % n_resources])
@@ -311,7 +343,7 @@ def test_run_until_time_honours_events_scheduled_during_processing(engine):
 def test_run_until_time_with_resource_tasks(engine):
     # Arrivals injected as a batch feed a FIFO resource; advancing to an
     # epoch boundary completes exactly the work that fits.
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     done = []
 
     def arrive(name):
@@ -351,7 +383,7 @@ def _one_dep_run(case, on_resource, make):
     ``make(engine, name, resource, dep)`` and drain the engine (which
     raises if ``_open_tasks`` is off); return the engine and the task."""
     engine = SimEngine()
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     if case == "done":
         dep = engine.task("dep", 1.0, resource=r)
         engine.run_until(dep)
@@ -399,7 +431,7 @@ def test_one_dependency_on_unsubmitted_task_rejected(engine):
 def test_open_tasks_exact_across_dependency_states(engine):
     """Every task counts as open once, from creation to completion, whether
     its single dependency was done, running or released."""
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     done = engine.task("done", 1.0, resource=r)
     engine.run_until(done)
     assert engine._open_tasks == 0
@@ -438,7 +470,7 @@ def wait_scenarios(draw):
 def _wait_run(scenario, together):
     tasks_spec, waits, fault = scenario
     engine = SimEngine()
-    resources = [FifoResource(engine, f"r{i}") for i in range(2)]
+    resources = [FifoResource(f"r{i}") for i in range(2)]
     completed = []
     tasks = []
     for i, (duration, res, deps) in enumerate(tasks_spec):
@@ -480,7 +512,7 @@ def test_run_until_many_matches_sequential_calls(scenario):
 
 
 def test_run_until_many_follows_a_replayed_task(engine):
-    r = FifoResource(engine, "dev")
+    r = FifoResource("dev")
     a = engine.task("a", 1.0, resource=r)
     b = engine.task("b", 1.0, resource=r)
 
@@ -537,7 +569,7 @@ def _lane_run(script, batched):
     goes event by event through schedule_at.  Returns the callback log
     (with the clock at each fire) and the clock after each run call."""
     engine = SimEngine()
-    resources = [FifoResource(engine, "d0"), FifoResource(engine, "d1")]
+    resources = [FifoResource("d0"), FifoResource("d1")]
     log, clocks, tasks = [], [], []
     nested = {}
 
