@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 from repro.ocl.enums import CommandKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ocl.event import Event
     from repro.ocl.memory import Buffer
     from repro.ocl.queue import Command, CommandQueue
 
@@ -65,7 +64,7 @@ class CommandGraph:
     #: (waiting node, unissuable event) pairs found while resolving wait
     #: lists: the event's command is neither issued nor pending on any
     #: pooled queue, so the waiter can never become ready.
-    orphans: List[Tuple[CommandNode, "Event"]]
+    orphans: List[Tuple[CommandNode, "Command"]]
 
     # -- reachability over happens-before edges -------------------------
     def happens_before(self, a: int, b: int) -> bool:
@@ -227,7 +226,7 @@ def build_command_graph(pool: Sequence["CommandQueue"]) -> CommandGraph:
             for event in cmd.wait_events:
                 if not event.deferred:
                     continue  # already issued: ordered before the whole pool
-                producer = by_command.get(id(event.command))
+                producer = by_command.get(id(event))
                 if producer is None:
                     graph.orphans.append((node, event))
                     continue

@@ -63,7 +63,7 @@ def _cycle_description(cycle: Sequence[CommandNode]) -> str:
     for i, node in enumerate(cycle):
         nxt = cycle[(i + 1) % len(cycle)]
         ev = next(
-            (e for e in node.command.wait_events if e.command is nxt.command),
+            (e for e in node.command.wait_events if e is nxt.command),
             None,
         )
         link = f"--ev#{ev.id}-->" if ev is not None else "--queue-order-->"
@@ -99,7 +99,7 @@ def _orphan_findings(graph: CommandGraph) -> List[Finding]:
                 severity=Severity.ERROR,
                 message=(
                     f"{node.label} waits on ev#{event.id} "
-                    f"({event.command.kind.value} on queue "
+                    f"({event.kind.value} on queue "
                     f"{event.queue.name!r}), which is neither issued nor "
                     f"pending on any pooled queue and can never issue"
                 ),
@@ -219,7 +219,7 @@ def describe_deadlock(pool: Sequence["CommandQueue"]) -> Optional[str]:
         node, event = graph.orphans[0]
         return (
             f"{node.label} waits on ev#{event.id} "
-            f"({event.command.kind.value} on queue {event.queue.name!r}), "
+            f"({event.kind.value} on queue {event.queue.name!r}), "
             f"which is neither issued nor pending in the pool"
         )
     return None

@@ -15,7 +15,8 @@ It implements the objects and semantics the paper's extensions touch:
   (:mod:`repro.ocl.program`, :mod:`repro.ocl.source`),
 * kernels with per-device launch configurations — the proposed
   ``clSetKernelWorkGroupInfo`` (:mod:`repro.ocl.kernel`),
-* events and synchronization (:mod:`repro.ocl.event`),
+* events and synchronization: a command is its own event
+  (:class:`~repro.ocl.queue.Command`, also named ``Event``),
 * a C-style flat API (:mod:`repro.ocl.api`) so application drivers read
   like the OpenCL host code the paper modifies.
 
@@ -43,11 +44,10 @@ from repro.ocl.errors import (
 )
 from repro.ocl.platform import Platform, get_platforms
 from repro.ocl.context import Context
-from repro.ocl.queue import CommandQueue, Command
+from repro.ocl.queue import CommandQueue, Command, Event
 from repro.ocl.memory import Buffer
 from repro.ocl.program import Program
 from repro.ocl.kernel import Kernel, WorkGroupConfig
-from repro.ocl.event import Event
 
 __all__ = [
     "CommandKind",

@@ -17,12 +17,11 @@ from repro.hardware.specs import NodeSpec
 from repro.hardware.topology import SimDevice
 from repro.ocl.context import Context
 from repro.ocl.enums import DeviceType, MemFlag, SchedFlag
-from repro.ocl.event import Event, wait_for_events
 from repro.ocl.kernel import Kernel
 from repro.ocl.memory import Buffer
 from repro.ocl.platform import Platform, get_platforms
 from repro.ocl.program import Program
-from repro.ocl.queue import CommandQueue
+from repro.ocl.queue import CommandQueue, Event, wait_for_events
 
 __all__ = [
     "clGetPlatformIDs",

@@ -185,7 +185,7 @@ def _pool_shape(
             tuple([touch(id(b), len(buffers)) for b in reads]),
             tuple([touch(id(b), len(buffers)) for b in writes]),
             tuple([
-                index.get(id(e.command), -1)
+                index.get(id(e), -1)
                 for e in cmd.wait_events if e.deferred
             ]),
         ))
@@ -209,7 +209,7 @@ def _fifo_edges(
             if event.deferred:
                 if index is None:
                     index = {id(c): k for k, c in enumerate(commands)}
-                producer = index.get(id(event.command))
+                producer = index.get(id(event))
                 if producer is not None:
                     succ[producer].append(i)
                 indeg[i] += 1  # an orphaned wait is never ready

@@ -37,15 +37,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.ocl.enums import CommandKind, SchedFlag
+from repro.ocl.enums import CommandKind, EventStatus, SchedFlag
 from repro.ocl.errors import (
     DeviceNotAvailable,
     InvalidCommandQueue,
+    InvalidContext,
+    InvalidEventWaitList,
     InvalidOperation,
     InvalidValue,
     MemAllocationFailure,
 )
-from repro.ocl.event import Event
 from repro.ocl.kernel import Kernel, WorkGroupConfig
 from repro.ocl.memory import HOST, Buffer
 from repro.sim.engine import _ABORTED, _DONE
@@ -54,9 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.context import Context
     from repro.sim.engine import SimTask
 
-__all__ = ["Command", "CommandQueue"]
+__all__ = ["Command", "CommandQueue", "Event", "wait_for_events"]
 
 _queue_ids = itertools.count(0)
+_event_ids = itertools.count(1)
 
 #: Pre-extracted flag masks for the enqueue fast path (see auto_active).
 _AUTO_MASK = (SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_AUTO_DYNAMIC).value
@@ -102,9 +104,13 @@ def _check_flag_hygiene(flags: SchedFlag) -> None:
     )
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, repr=False)
 class Command:
-    """One enqueued operation, possibly deferred.
+    """One enqueued operation, possibly deferred, and its own ``cl_event``.
+
+    As in OpenCL, an event is the handle of exactly one command, so the
+    command is its event (``Event`` names this class): every enqueue
+    returns it, wait lists hold it, and it carries the event API.
 
     Slotted, and equal only to itself: two launches of one kernel with
     unchanged arguments share one argument snapshot, and removing one of
@@ -112,7 +118,8 @@ class Command:
     """
 
     kind: CommandKind
-    wait_events: List[Event] = field(default_factory=list)
+    #: the events this command waits for; the shared ``()`` when empty
+    wait_events: Tuple["Command", ...] = ()
     # write/read/copy payloads
     buffer: Optional[Buffer] = None
     host_array: Optional[Any] = None
@@ -127,13 +134,13 @@ class Command:
     arg_buffers: Tuple[Buffer, ...] = ()
     written_buffers: Tuple[Buffer, ...] = ()
     # filled in by the queue
-    #: simulated task of the issued command (``None`` while deferred); the
-    #: command never holds its :class:`Event`, so neither is in a cycle
+    #: the queue it was enqueued on (DESIGN.md §6, "Object lifetimes")
+    queue: Optional["CommandQueue"] = None
+    #: simulated task of the issued command (``None`` while deferred)
     task: Optional["SimTask"] = None
     #: completion callbacks registered while deferred; issue moves them
     #: onto :attr:`task`
     callbacks: Optional[List[Any]] = None
-    issued: bool = False
     #: failed issue attempts (fault injection); replays skip the functional
     #: payload so non-idempotent kernels run exactly once
     attempts: int = 0
@@ -142,14 +149,20 @@ class Command:
     #: multi-device work-splitting plan attached by the scheduler
     #: (:class:`repro.core.split.SplitPlan`); ``None`` = unsplit launch
     split_plan: Optional[Any] = None
+    #: event number, unique and increasing process-wide (``ev#N``)
+    id: int = field(init=False, default_factory=_event_ids.__next__)
 
     @property
     def is_kernel(self) -> bool:
         return self.kind is CommandKind.NDRANGE_KERNEL
 
+    @property
+    def issued(self) -> bool:
+        return self.task is not None
+
     def deps_ready(self) -> bool:
         """All wait-list events already have simulated tasks bound."""
-        return all(e.command.task is not None for e in self.wait_events)
+        return all(e.task is not None for e in self.wait_events)
 
     def access_sets(self) -> "Tuple[Tuple[Buffer, ...], Tuple[Buffer, ...]]":
         """``(reads, writes)`` buffer tuples for hazard analysis.
@@ -173,6 +186,108 @@ class Command:
             assert self.buffer is not None and self.src_buffer is not None
             return (self.src_buffer,), (self.buffer,)
         return (), ()
+
+    # -- the event API ---------------------------------------------------
+    @property
+    def status(self) -> EventStatus:
+        """``QUEUED`` while deferred (automatic-scheduling queues hold
+        commands until the scheduler maps the queue, like MultiCL's
+        ready-queue pool), ``SUBMITTED`` once issued, ``COMPLETE`` once the
+        command's final simulated task finished."""
+        task = self.task
+        if task is None:
+            return EventStatus.QUEUED
+        if task.done:
+            return EventStatus.COMPLETE
+        return EventStatus.SUBMITTED
+
+    @property
+    def complete(self) -> bool:
+        task = self.task
+        return task is not None and task.done
+
+    @property
+    def deferred(self) -> bool:
+        """Still awaiting issue: no simulated task bound.
+
+        The command-graph sanitizer treats deferred events as live graph
+        edges; issued events are ordered before the whole pool.
+        """
+        return self.task is None
+
+    # Profiling info (CL_PROFILING_COMMAND_START/END analogues) ----------
+    @property
+    def profile_start(self) -> float:
+        return self._completed_task().start_time
+
+    @property
+    def profile_end(self) -> float:
+        return self._completed_task().end_time
+
+    def _completed_task(self) -> "SimTask":
+        if not self.complete:
+            raise InvalidOperation("profiling info unavailable before completion")
+        return self.task
+
+    def set_callback(self, fn) -> None:
+        """clSetEventCallback(CL_COMPLETE): run ``fn(event)`` on completion.
+
+        Fires immediately if already complete; otherwise defers until the
+        command's simulated task finishes.  While the command is still
+        deferred awaiting the scheduler, the callback waits in
+        :attr:`callbacks` and :meth:`CommandQueue.issue` moves it onto the
+        task.
+        """
+        if self.complete:
+            fn(self)
+            return
+
+        def callback(_task: "SimTask") -> None:
+            fn(self)
+
+        if self.task is not None:
+            self.task.on_complete(callback)
+        elif self.callbacks is None:
+            self.callbacks = [callback]
+        else:
+            self.callbacks.append(callback)
+
+    def wait(self) -> None:
+        """Block the simulated host until this command completes."""
+        if self.complete:
+            return
+        queue = self.queue
+        context = queue.context
+        if self.task is None:
+            # Command still deferred: a blocking wait is a synchronization
+            # point, which is exactly when the scheduler triggers.
+            context._sync_pending(trigger_queue=queue)
+        if self.task is None:
+            raise InvalidOperation(
+                f"event {self.id} still unissued after scheduler trigger "
+                f"(queue {queue.name!r})"
+            )
+        context.platform.engine.run_until(self.task)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Event(#{self.id}, {self.kind.value}, {self.status.name})"
+
+
+#: The ``cl_event`` of a command is the command itself.
+Event = Command
+
+
+def wait_for_events(events: Sequence[Command]) -> None:
+    """clWaitForEvents: block until every event in the list completes."""
+    if not events:
+        raise InvalidEventWaitList("empty event wait list")
+    if not all(isinstance(e, Command) and e.queue for e in events):
+        raise InvalidEventWaitList("wait list entry is not an enqueued event")
+    contexts = {e.queue.context for e in events}
+    if len(contexts) > 1:
+        raise InvalidEventWaitList("events span multiple contexts")
+    for e in events:
+        e.wait()
 
 
 def _checked_nbytes(nbytes: Optional[int], limit: int) -> int:
@@ -345,14 +460,14 @@ class CommandQueue:
         buffer: Buffer,
         host_array: Optional[Any] = None,
         nbytes: Optional[int] = None,
-        wait_events: Sequence[Event] = (),
-    ) -> Event:
+        wait_events: Sequence[Command] = (),
+    ) -> Command:
         """clEnqueueWriteBuffer (host → queue's device)."""
         self._check_alive()
         self._check_buffer(buffer)
         cmd = Command(
             kind=CommandKind.WRITE_BUFFER,
-            wait_events=list(wait_events),
+            wait_events=self._waits(wait_events),
             buffer=buffer,
             host_array=host_array,
             nbytes=_checked_nbytes(nbytes, buffer.nbytes),
@@ -364,14 +479,14 @@ class CommandQueue:
         buffer: Buffer,
         host_array: Optional[Any] = None,
         nbytes: Optional[int] = None,
-        wait_events: Sequence[Event] = (),
-    ) -> Event:
+        wait_events: Sequence[Command] = (),
+    ) -> Command:
         """clEnqueueReadBuffer (queue's device → host)."""
         self._check_alive()
         self._check_buffer(buffer)
         cmd = Command(
             kind=CommandKind.READ_BUFFER,
-            wait_events=list(wait_events),
+            wait_events=self._waits(wait_events),
             buffer=buffer,
             host_array=host_array,
             nbytes=_checked_nbytes(nbytes, buffer.nbytes),
@@ -383,14 +498,14 @@ class CommandQueue:
         buffer: Buffer,
         value: float = 0.0,
         nbytes: Optional[int] = None,
-        wait_events: Sequence[Event] = (),
-    ) -> Event:
+        wait_events: Sequence[Command] = (),
+    ) -> Command:
         """clEnqueueFillBuffer: device-side constant fill (no host traffic)."""
         self._check_alive()
         self._check_buffer(buffer)
         cmd = Command(
             kind=CommandKind.FILL_BUFFER,
-            wait_events=list(wait_events),
+            wait_events=self._waits(wait_events),
             buffer=buffer,
             host_array=value,
             nbytes=_checked_nbytes(nbytes, buffer.nbytes),
@@ -402,15 +517,15 @@ class CommandQueue:
         src: Buffer,
         dst: Buffer,
         nbytes: Optional[int] = None,
-        wait_events: Sequence[Event] = (),
-    ) -> Event:
+        wait_events: Sequence[Command] = (),
+    ) -> Command:
         """clEnqueueCopyBuffer (device-side copy)."""
         self._check_alive()
         self._check_buffer(src)
         self._check_buffer(dst)
         cmd = Command(
             kind=CommandKind.COPY_BUFFER,
-            wait_events=list(wait_events),
+            wait_events=self._waits(wait_events),
             src_buffer=src,
             buffer=dst,
             nbytes=_checked_nbytes(nbytes, min(src.nbytes, dst.nbytes)),
@@ -422,8 +537,8 @@ class CommandQueue:
         kernel: Kernel,
         global_size: Sequence[int],
         local_size: Optional[Sequence[int]] = None,
-        wait_events: Sequence[Event] = (),
-    ) -> Event:
+        wait_events: Sequence[Command] = (),
+    ) -> Command:
         """clEnqueueNDRangeKernel.
 
         The launch configuration is recorded but, per the proposed
@@ -441,17 +556,18 @@ class CommandQueue:
         kernel.check_args_set()
         launch = WorkGroupConfig.normalize(global_size, local_size)
         args, buffers, written = kernel.snapshot()
+        waits = self._waits(wait_events) if wait_events else ()
         # Fields by position (kind, wait_events, buffer, host_array, nbytes,
         # src_buffer, kernel, launch, args_snapshot, arg_buffers,
-        # written_buffers): the generated __init__ takes keywords at about
-        # twice the cost, and this runs once per launch.
+        # written_buffers, queue): the generated __init__ takes keywords at
+        # about twice the cost, and this runs once per launch.
         cmd = Command(
-            CommandKind.NDRANGE_KERNEL, list(wait_events), None, None, 0, None,
-            kernel, launch, args, buffers, written,
+            CommandKind.NDRANGE_KERNEL, waits, None, None, 0, None,
+            kernel, launch, args, buffers, written, self,
         )
         device = self.device
         if (
-            cmd.wait_events
+            waits
             or (self._flag_bits & _AUTO_MASK and self.auto_active)
             # Platform.is_available, without the call
             or device in self.context.platform._failed_devices
@@ -460,23 +576,21 @@ class CommandQueue:
         for buf in buffers:
             if device not in buf._valid_on:
                 return self._enqueue(cmd)
-        event = Event(self, cmd)
         prior = self._barrier if self.out_of_order else self._tail
         task = self._launch(cmd, [prior] if prior is not None else [])
-        cmd.issued = True
         cmd.task = task
         self._tail = task
         self._outstanding.append(task)
         self._inflight.append(cmd)
-        return event
+        return cmd
 
-    def enqueue_marker(self, wait_events: Sequence[Event] = ()) -> Event:
+    def enqueue_marker(self, wait_events: Sequence[Command] = ()) -> Command:
         """clEnqueueMarkerWithWaitList."""
         self._check_alive()
-        cmd = Command(kind=CommandKind.MARKER, wait_events=list(wait_events))
+        cmd = Command(kind=CommandKind.MARKER, wait_events=self._waits(wait_events))
         return self._enqueue(cmd)
 
-    def enqueue_barrier(self, wait_events: Sequence[Event] = ()) -> Event:
+    def enqueue_barrier(self, wait_events: Sequence[Command] = ()) -> Command:
         """clEnqueueBarrierWithWaitList: an intra-queue ordering point.
 
         On an out-of-order queue the barrier waits for everything issued so
@@ -484,11 +598,25 @@ class CommandQueue:
         queue it is equivalent to a marker.
         """
         self._check_alive()
-        cmd = Command(kind=CommandKind.BARRIER, wait_events=list(wait_events))
+        cmd = Command(kind=CommandKind.BARRIER, wait_events=self._waits(wait_events))
         return self._enqueue(cmd)
 
-    def _enqueue(self, cmd: Command) -> Event:
-        event = Event(self, cmd)
+    def _waits(self, wait_events: Sequence[Command]) -> Tuple[Command, ...]:
+        """``wait_events`` as a checked tuple, the shared ``()`` when empty:
+        every entry an enqueued command (``CL_INVALID_EVENT_WAIT_LIST``)
+        of this queue's context (``CL_INVALID_CONTEXT``)."""
+        if not wait_events:
+            return ()
+        waits = tuple(wait_events)
+        for e in waits:
+            if not isinstance(e, Command) or e.queue is None:
+                raise InvalidEventWaitList(f"{e!r} is not an enqueued event")
+            if e.queue.context is not self.context:
+                raise InvalidContext(f"event {e.id} is of another context")
+        return waits
+
+    def _enqueue(self, cmd: Command) -> Command:
+        cmd.queue = self
         if self.auto_active:
             self.pending.append(cmd)
             scheduler = self.context.scheduler
@@ -498,7 +626,7 @@ class CommandQueue:
             if cmd.wait_events:
                 self._ensure_deps_issued(cmd)
             self.issue(cmd)
-        return event
+        return cmd
 
     def _ensure_deps_issued(self, cmd: Command) -> None:
         """An immediate command whose wait list references deferred events
@@ -548,11 +676,11 @@ class CommandQueue:
         chaining (used to restore cross-queue conflict ordering whose
         original happens-before path ran through a relaxed queue).
         """
-        if cmd.issued:
+        if cmd.task is not None:
             raise InvalidCommandQueue(f"command {cmd.kind} issued twice")
         deps: List["SimTask"] = []
         if cmd.wait_events:
-            deps = [e.command.task for e in cmd.wait_events]
+            deps = [e.task for e in cmd.wait_events]
             if None in deps:
                 raise InvalidCommandQueue(
                     f"queue {self.name!r}: issuing {cmd.kind} before its wait list"
@@ -642,7 +770,6 @@ class CommandQueue:
         else:  # pragma: no cover - exhaustive
             raise InvalidValue(f"unknown command kind {cmd.kind}")
 
-        cmd.issued = True
         cmd.task = task
         if cmd.callbacks is not None:
             for fn in cmd.callbacks:
@@ -902,7 +1029,6 @@ class CommandQueue:
             engine.abort(task)
             cmd.aborted_task = task
             cmd.task = None
-            cmd.issued = False
             cmd.attempts += 1
         # The in-order tail must point at the surviving prefix (or nothing);
         # aborted tasks would otherwise anchor the replayed chain.

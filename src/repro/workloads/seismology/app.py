@@ -33,8 +33,7 @@ from repro.core.runtime import MultiCL
 from repro.hardware.specs import NodeSpec
 from repro.ocl.context import Context
 from repro.ocl.enums import ContextScheduler, SchedFlag
-from repro.ocl.event import Event
-from repro.ocl.queue import CommandQueue
+from repro.ocl.queue import CommandQueue, Event
 from repro.workloads.base import WorkloadError, WorkloadRun
 from repro.workloads.npb.common import kernel_source
 from repro.workloads.seismology.fdm import FDMParameters, RegionPairSimulation

@@ -83,7 +83,7 @@ def _crafted_cycle(mcl):
     ev_b = qb.enqueue_marker(wait_events=[ev_a])
     # An event cannot legally be waited on before it exists, so close the
     # loop by mutating the already-deferred command's wait list.
-    qa.pending[0].wait_events.append(ev_b)
+    qa.pending[0].wait_events += (ev_b,)
     return qa, qb
 
 

@@ -61,7 +61,7 @@ def reference_issue_fifo(queues):
                         sweep.append(w)
             if pending:
                 producer = next(
-                    e.command for e in pending[0].wait_events if e.task is None
+                    e for e in pending[0].wait_events if e.task is None
                 )
                 waiters.setdefault(id(producer), []).append(q)
     remaining = [q for q in queues if q.pending]
@@ -147,11 +147,11 @@ def build(spec, ctx=None):
         else:
             ev = q.enqueue_barrier(wait)
         events.append(ev)
-        tags[id(ev.command)] = event_tags[ev.id] = (q.name, c)
+        tags[id(ev)] = event_tags[ev.id] = (q.name, c)
     if cycle:
         # An event cannot be waited on before it exists; close the loop by
         # mutating the first deferred command's wait list.
-        events[0].command.wait_events.append(events[-1])
+        events[0].wait_events += (events[-1],)
     return ctx, pool, tags, event_tags
 
 

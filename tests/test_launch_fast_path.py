@@ -51,7 +51,7 @@ def general_launch(queue, kernel, global_size, local_size=None, wait_events=()):
     args, buffers, written = kernel.snapshot()
     return queue._enqueue(Command(
         kind=CommandKind.NDRANGE_KERNEL,
-        wait_events=list(wait_events),
+        wait_events=tuple(wait_events),
         kernel=kernel,
         launch=WorkGroupConfig.normalize(global_size, local_size),
         args_snapshot=args,
@@ -247,7 +247,7 @@ def test_resident_launch_skips_the_general_path(launch_setup):
         assert issue.call_count == 1
         q.enqueue_nd_range_kernel(kernel, (N,), wait_events=[second])
         assert issue.call_count == 2
-    assert second.task is q._outstanding[1] and q._inflight[1] is second.command
+    assert second.task is q._outstanding[1] and q._inflight[1] is second
     q.finish()
     assert first.complete and second.profile_start == first.profile_end
 

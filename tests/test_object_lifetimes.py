@@ -1,14 +1,15 @@
 """Per-command objects die by reference counting.
 
-An :class:`~repro.ocl.event.Event` owns its command and the command owns
-its simulated task; nothing points back, and a task drops its dependency
-list when it is submitted.  So a finished command, its event and its task
-are freed as soon as the program lets go of them instead of waiting for
-the cyclic collector.
+A command is its own event (``Event`` is :class:`~repro.ocl.queue.Command`).
+It points at its long-lived queue and owns its simulated task; the queue
+holds the command only on its own lists, which drop it by removal, and a
+task drops its dependency list when it is submitted.  So a finished
+command and its task are freed as soon as the program lets go of them
+instead of waiting for the cyclic collector.
 
 The test runs a small scheduled workload under ``gc.DEBUG_SAVEALL``, which
 keeps in ``gc.garbage`` everything the collector finds unreachable, and
-checks that no command, event or task is there.  The workload covers FIFO
+checks that no command or task is there.  The workload covers FIFO
 issue, overlap issue, a split kernel, a callback registered on a deferred
 command, and the replay of commands stranded on a failed device.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import symmetric_dual_gpu_node
 from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.ocl.queue import Command
 from repro.sim.faults import FaultPlan
 
 SOURCE = """
@@ -49,6 +51,7 @@ def _round(streams, r, fired):
         kernel.set_arg(2, 2.0)
         ev = q.enqueue_nd_range_kernel(kernel, (N,), (64,))
         assert ev.task is None  # deferred until the scheduler triggers
+        assert q.pending[-1] is ev  # the handle is the command itself
         ev.set_callback(fired.append)
         q.enqueue_read_buffer(dst, out)
     for q, *_ in streams:
@@ -112,9 +115,10 @@ def test_commands_events_and_tasks_never_become_cyclic_garbage(profile_dir):
     assert len(fired) == 6 * len(FLAGS)
     # A completed task no longer holds the graph behind it.
     assert all(ev.task.done and not ev.task.deps for ev in fired)
+    # Each callback fired with the command the queue held, not a wrapper.
+    assert all(type(ev) is Command for ev in fired)
 
     assert garbage["Command"] == 0
-    assert garbage["Event"] == 0
     assert garbage["SimTask"] == 0
 
 

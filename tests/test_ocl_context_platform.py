@@ -19,7 +19,7 @@ from repro.ocl.errors import (
     InvalidEventWaitList,
     InvalidOperation,
 )
-from repro.ocl.event import wait_for_events
+from repro.ocl.queue import wait_for_events
 from repro.ocl.platform import Platform, get_platforms
 
 SRC = """
@@ -184,6 +184,25 @@ def test_wait_for_events_cross_context_rejected(bare_platform):
     e2 = ctx2.create_queue().enqueue_marker()
     with pytest.raises(InvalidEventWaitList):
         wait_for_events([e1, e2])
+
+
+def test_wait_for_events_rejects_a_non_event(manual_context):
+    ev = manual_context.create_queue().enqueue_marker()
+    with pytest.raises(InvalidEventWaitList):
+        wait_for_events([ev, 42])
+
+
+def test_an_event_is_its_command(manual_context):
+    import repro
+    from repro.ocl import api
+    from repro.ocl.queue import Command
+
+    assert repro.Event is repro.ocl.Event is Command
+    q = manual_context.create_queue()
+    ev = q.enqueue_marker()
+    assert ev.queue is q and q._inflight == [ev]
+    api.clWaitForEvents([ev])
+    assert ev.complete and ev.issued
 
 
 def test_wait_for_events_completes_all(manual_context):

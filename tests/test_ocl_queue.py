@@ -4,9 +4,12 @@ capacity checks, explicit regions."""
 import numpy as np
 import pytest
 
-from repro.ocl.enums import SchedFlag
+from repro.core.runtime import MultiCL
+from repro.ocl.enums import ContextScheduler, SchedFlag
 from repro.ocl.errors import (
     InvalidCommandQueue,
+    InvalidContext,
+    InvalidEventWaitList,
     InvalidOperation,
     InvalidValue,
     MemAllocationFailure,
@@ -173,6 +176,70 @@ def test_marker_waits_for_wait_list(ctx, prog):
     assert m.profile_start >= e.profile_end
 
 
+ENQUEUES = ("write", "read", "fill", "copy", "kernel", "marker", "barrier")
+
+
+def _enqueue_one(q, k, a, b, kind, wait_events):
+    return {
+        "write": lambda: q.enqueue_write_buffer(a, wait_events=wait_events),
+        "read": lambda: q.enqueue_read_buffer(a, wait_events=wait_events),
+        "fill": lambda: q.enqueue_fill_buffer(a, 1.0, wait_events=wait_events),
+        "copy": lambda: q.enqueue_copy_buffer(a, b, wait_events=wait_events),
+        "kernel": lambda: q.enqueue_nd_range_kernel(
+            k, (1 << 12,), (64,), wait_events=wait_events
+        ),
+        "marker": lambda: q.enqueue_marker(wait_events=wait_events),
+        "barrier": lambda: q.enqueue_barrier(wait_events=wait_events),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ENQUEUES)
+def test_wait_list_rejects_a_non_event(ctx, prog, kind):
+    q = ctx.create_queue("gpu0")
+    k, a, b = _kernel(ctx, prog)
+    with pytest.raises(InvalidEventWaitList):
+        _enqueue_one(q, k, a, b, kind, [42])
+    assert not q._inflight and not q.pending
+
+
+@pytest.mark.parametrize("kind", ENQUEUES)
+@pytest.mark.parametrize("deferred_waiter", [False, True])
+@pytest.mark.parametrize("deferred_producer", [False, True])
+def test_wait_list_rejects_an_event_of_another_context(
+    profile_dir, kind, deferred_waiter, deferred_producer
+):
+    """CL_INVALID_CONTEXT at enqueue, whether either side defers."""
+
+    def queue(mcl, deferred):
+        flags = SchedFlag.SCHED_AUTO_DYNAMIC if deferred else SchedFlag.SCHED_OFF
+        return mcl.queue("gpu0", flags=flags)
+
+    home, away = (
+        MultiCL(policy=ContextScheduler.ROUND_ROBIN, profile_dir=profile_dir)
+        for _ in range(2)
+    )
+    foreign = queue(away, deferred_producer).enqueue_write_buffer(
+        away.context.create_buffer(64), np.zeros(16, np.float32)
+    )
+    assert foreign.deferred == deferred_producer
+    q = queue(home, deferred_waiter)
+    k, a, b = _kernel(home.context, home.context.create_program(SRC).build())
+    with pytest.raises(InvalidContext):
+        _enqueue_one(q, k, a, b, kind, [foreign])
+    assert not q._inflight and not q.pending
+
+
+def test_empty_wait_list_is_the_shared_empty_tuple(ctx, prog):
+    q = ctx.create_queue("gpu0")
+    k, a, b = _kernel(ctx, prog)
+    first = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,))
+    marker = q.enqueue_marker(wait_events=[])
+    second = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,), wait_events=[first])
+    empty = ()  # the interpreter's one empty tuple
+    assert first.wait_events is empty and marker.wait_events is empty
+    assert second.wait_events == (first,)
+
+
 def test_cross_context_buffer_rejected(bare_platform):
     ctx1 = bare_platform.create_context()
     ctx2 = bare_platform.create_context()
@@ -224,9 +291,13 @@ def test_sched_flag_bits_follow_their_writers(autofit, created):
         q.sched_flags = SchedFlag.SCHED_OFF
 
 
-def test_overlap_queue_takes_the_overlap_issue_path(autofit):
+def test_overlap_queue_takes_the_overlap_issue_path(profile_dir):
     from repro.ocl.issue import relaxed
 
+    # overlap=False pinned: MULTICL_OVERLAP=1 would relax the plain queue too.
+    autofit = MultiCL(
+        policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir, overlap=False
+    )
     ctx = autofit.context
     prog = ctx.create_program(SRC).build()
     k, a, _ = _kernel(ctx, prog)
@@ -270,8 +341,8 @@ def test_issue_pending_removes_that_exact_command(roundrobin):
     prog = ctx.create_program(SRC).build()
     k, _, _ = _kernel(ctx, prog)
     q = roundrobin.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
-    first = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,)).command
-    second = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,)).command
+    first = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,))
+    second = q.enqueue_nd_range_kernel(k, (1 << 12,), (64,))
     assert q.pending == [first, second]
     assert q.issue_pending(second) is second
     assert len(q.pending) == 1 and q.pending[0] is first
@@ -283,8 +354,8 @@ def test_issue_pending_picks_one_of_two_writes_with_distinct_host_arrays(roundro
     ctx = roundrobin.context
     buf = ctx.create_buffer(64, host_array=np.full(16, 5.0, dtype=np.float32))
     q = roundrobin.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
-    first = q.enqueue_write_buffer(buf, np.zeros(16, dtype=np.float32)).command
-    second = q.enqueue_write_buffer(buf, np.ones(16, dtype=np.float32)).command
+    first = q.enqueue_write_buffer(buf, np.zeros(16, dtype=np.float32))
+    second = q.enqueue_write_buffer(buf, np.ones(16, dtype=np.float32))
     q.issue_pending(second)
     assert q.pending == [first]
     q.finish()
@@ -320,8 +391,8 @@ def test_copy_nbytes_bounded_by_the_smaller_buffer(ctx):
     big = ctx.create_buffer(128)
     with pytest.raises(InvalidValue):
         q.enqueue_copy_buffer(big, small, nbytes=65)
-    assert q.enqueue_copy_buffer(big, small, nbytes=64).command.nbytes == 64
-    assert q.enqueue_copy_buffer(big, small).command.nbytes == 64
+    assert q.enqueue_copy_buffer(big, small, nbytes=64).nbytes == 64
+    assert q.enqueue_copy_buffer(big, small).nbytes == 64
 
 
 @pytest.mark.parametrize("kind", ("write", "read", "fill", "copy"))
@@ -330,8 +401,8 @@ def test_transfer_nbytes_in_range_accepted(ctx, kind):
     a = ctx.create_buffer(64)
     b = ctx.create_buffer(64)
     ev = _transfers(q, a, b)[kind](64)
-    assert ev.command.nbytes == 64
-    assert _transfers(q, a, b)[kind](1).command.nbytes == 1
+    assert ev.nbytes == 64
+    assert _transfers(q, a, b)[kind](1).nbytes == 1
     q.finish()
 
 

@@ -286,7 +286,7 @@ def _split_launcher(profile_dir, monkeypatch, n=1 << 18):
     def launch():
         event = q.enqueue_nd_range_kernel(k, (n,), (64,))
         q.finish()
-        return event.command.split_plan
+        return event.split_plan
 
     return mcl, k, launch, plans
 

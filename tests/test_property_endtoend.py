@@ -174,8 +174,8 @@ def test_residency_and_event_consistency(layout, profile_dir):
     mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir)
     events = []
     queues = _build_workload(mcl, layout, DYN, events)
-    # Every deferred command has its event.
-    assert [e.command for e in events] == [c for q in queues for c in q.pending]
+    # Every event is a deferred command.
+    assert events == [c for q in queues for c in q.pending]
     for q in queues:
         q.finish()
     assert all(e.complete for e in events)
