@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CommandNode",
     "CommandGraph",
+    "buffer_accesses",
     "build_command_graph",
     "conflict_pairs",
     "reach_masks",
@@ -147,16 +148,13 @@ def reach_masks(succ: Sequence[Sequence[int]]) -> List[int]:
     return masks
 
 
-def conflict_pairs(
+def buffer_accesses(
     nodes: Sequence[CommandNode],
-) -> Iterator[Tuple["Buffer", CommandNode, CommandNode, bool]]:
-    """Every ``(buffer, a, b, both_write)`` where nodes ``a`` and ``b``
-    touch ``buffer`` and at least one of them writes it.
-
-    Built on per-buffer touch lists: buffers come in first-touch order,
-    and ``a`` precedes ``b`` in node order.  A pair touching several
-    buffers appears once per buffer.
-    """
+) -> List[Tuple["Buffer", List[Tuple[CommandNode, bool]]]]:
+    """Per buffer the nodes touch, in first-touch order: ``(buffer,
+    accesses)``, where ``accesses`` lists ``(node, writes?)`` in node
+    order, one entry per node (a node that reads and writes the buffer
+    counts as a writer)."""
     #: buffer id -> (buffer, [(node, writes?)] in node order)
     touches: Dict[int, Tuple["Buffer", List[Tuple[CommandNode, bool]]]] = {}
     for node in nodes:
@@ -168,7 +166,20 @@ def conflict_pairs(
             elif entry[1][-1][0] is node:
                 continue  # this node already touched the buffer
             entry[1].append((node, id(buf) in write_ids))
-    for buf, accesses in touches.values():
+    return list(touches.values())
+
+
+def conflict_pairs(
+    nodes: Sequence[CommandNode],
+) -> Iterator[Tuple["Buffer", CommandNode, CommandNode, bool]]:
+    """Every ``(buffer, a, b, both_write)`` where nodes ``a`` and ``b``
+    touch ``buffer`` and at least one of them writes it.
+
+    Built on :func:`buffer_accesses`: buffers come in first-touch order,
+    and ``a`` precedes ``b`` in node order.  A pair touching several
+    buffers appears once per buffer.
+    """
+    for buf, accesses in buffer_accesses(nodes):
         for i, (a, a_writes) in enumerate(accesses):
             for b, b_writes in accesses[i + 1:]:
                 if a_writes or b_writes:

@@ -93,6 +93,8 @@ class KernelProfiler:
         self.kernel_cache: Dict[KernelKey, Dict[str, float]] = {}
         self.epoch_cache: Dict[EpochKey, Dict[str, float]] = {}
         self.stats = ProfilerStats()
+        #: one shared tuple per distinct kernel key (see epoch_key)
+        self._keys: Dict[KernelKey, KernelKey] = {}
         self._trigger_count = 0
         #: static-feature predictor (:class:`repro.predict.Predictor`),
         #: attached by the scheduler when ``config.predict`` is set.  When
@@ -108,9 +110,11 @@ class KernelProfiler:
         assert cmd.kernel is not None and cmd.launch is not None
         return (cmd.kernel.name, cmd.launch.work_items)
 
-    @classmethod
-    def epoch_key(cls, kernel_cmds: Sequence[Command]) -> EpochKey:
-        return tuple(cls.kernel_key(c) for c in kernel_cmds)
+    def epoch_key(self, kernel_cmds: Sequence[Command]) -> EpochKey:
+        """Each command's kernel key, in order; equal keys share one tuple,
+        so the epoch cache holds one pointer per command, not a key."""
+        intern = self._keys.setdefault
+        return tuple([intern(k, k) for k in map(self.kernel_key, kernel_cmds)])
 
     # ------------------------------------------------------------------
     # Main entry
@@ -143,18 +147,20 @@ class KernelProfiler:
         if not kernel_cmds:
             return EpochProfile({d: 0.0 for d in devices})
 
+        # Each command's key, computed once: the epoch key is their tuple.
         ekey = self.epoch_key(kernel_cmds)
-        if self.config.profile_caching and ekey in self.epoch_cache:
+        caching = self.config.profile_caching
+        if caching and ekey in self.epoch_cache:
             self.stats.epoch_cache_hits += 1
             return EpochProfile(dict(self.epoch_cache[ekey]))
 
         missing: List[Command] = []
-        for cmd in kernel_cmds:
-            kkey = self.kernel_key(cmd)
-            if self.config.profile_caching and kkey in self.kernel_cache:
+        missing_keys: Dict[KernelKey, None] = {}
+        for cmd, kkey in zip(kernel_cmds, ekey):
+            if caching and kkey in self.kernel_cache:
                 self.stats.kernel_cache_hits += 1
                 continue
-            if any(self.kernel_key(m) == kkey for m in missing):
+            if kkey in missing_keys:
                 continue
             # Predict-first gate: a confidently predicted kernel never runs
             # a profiling launch.  Refresh epochs deliberately skip the
@@ -168,18 +174,19 @@ class KernelProfiler:
                     continue
                 self.stats.predict_declines += 1
             missing.append(cmd)
+            missing_keys[kkey] = None
 
         if missing:
-            self._measure(missing, devices, options)
+            self._measure(missing, list(missing_keys), devices, options)
 
         seconds = {d: 0.0 for d in devices}
-        for cmd in kernel_cmds:
-            per_dev = self.kernel_cache[self.kernel_key(cmd)]
+        for kkey in ekey:
+            per_dev = self.kernel_cache[kkey]
             for d in devices:
                 # A device can fail *inside* _measure (the profiling launches
                 # advance the clock); a missing column means "never ran here".
                 seconds[d] += per_dev.get(d, math.inf)
-        if self.config.profile_caching:
+        if caching:
             self.epoch_cache[ekey] = dict(seconds)
         return EpochProfile(seconds)
 
@@ -218,10 +225,12 @@ class KernelProfiler:
     def _measure(
         self,
         cmds: Sequence[Command],
+        keys: Sequence[KernelKey],
         devices: Sequence[str],
         options: ScheduleOptions,
     ) -> None:
-        """Run ``cmds`` on every device, concurrently across devices."""
+        """Run ``cmds`` (their kernel keys ``keys``) on every device,
+        concurrently across devices."""
         platform = self.context.platform
         node, engine = platform.node, platform.engine
         use_mini = self._use_minikernel(cmds, options)
@@ -232,7 +241,7 @@ class KernelProfiler:
         for dev_name in devices:
             device = node.device(dev_name)
             prev = plan.deps_for(dev_name)
-            for cmd in cmds:
+            for cmd, kkey in zip(cmds, keys):
                 kernel, launch = cmd.kernel, cmd.launch
                 assert kernel is not None and launch is not None
                 cost = kernel.launch_cost(device.spec, launch)
@@ -247,7 +256,7 @@ class KernelProfiler:
                 )
                 prev = [task]
                 all_tasks.append(task)
-                measurements[(self.kernel_key(cmd), dev_name)] = (
+                measurements[(kkey, dev_name)] = (
                     task.duration,
                     config.num_workgroups,
                 )
@@ -260,8 +269,7 @@ class KernelProfiler:
         self.stats.kernels_measured += len(cmds) * len(devices)
 
         launch_overheads = platform.device_profile.launch_overhead_s
-        for cmd in cmds:
-            kkey = self.kernel_key(cmd)
+        for cmd, kkey in zip(cmds, keys):
             per_dev: Dict[str, float] = {}
             for dev_name in devices:
                 t, groups = measurements[(kkey, dev_name)]

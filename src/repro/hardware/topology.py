@@ -32,6 +32,9 @@ class SimDevice:
         #: transient service-time multiplier (fault injection: thermal
         #: throttling / noisy neighbours); 1.0 = nominal speed.
         self.slowdown = 1.0
+        #: kernel name -> (caller meta, minikernel, task name, task meta)
+        #: of its last launch; see :meth:`submit_kernel`
+        self._launch_memo: Dict[str, tuple] = {}
 
     @property
     def name(self) -> str:
@@ -49,7 +52,11 @@ class SimDevice:
         """Enqueue a kernel launch on this device's execution resource.
 
         ``deps`` is handed to the task as is (the engine reads it once at
-        submit); the task's meta is one new dict, ``meta`` merged in.
+        submit).  The task's meta is ``meta`` merged into the launch's
+        device, kernel and minikernel fields; launches that repeat the
+        kernel name, the minikernel flag and the very ``meta`` object (the
+        queue's per-epoch dict) share one task name and one meta dict,
+        which nothing mutates once handed over.
         """
         spec = self.spec
         if minikernel:
@@ -62,11 +69,20 @@ class SimDevice:
             if duration is None:
                 duration = cost.times[self] = kernel_time(spec, cost)
         duration *= self.slowdown
-        info = {"device": spec.name, "kernel": name, "minikernel": minikernel}
-        if meta:
-            info.update(meta)
+        memo = self._launch_memo
+        last = memo.get(name)
+        if last is not None and last[0] is meta and last[1] == minikernel:
+            task_name, info = last[2], last[3]
+        else:
+            info = {"device": spec.name, "kernel": name, "minikernel": minikernel}
+            if meta:
+                info.update(meta)
+            task_name = f"{name}@{spec.name}"
+            if len(memo) >= 256:
+                memo.clear()
+            memo[name] = (meta, minikernel, task_name, info)
         return self.engine.task(
-            name=f"{name}@{spec.name}",
+            name=task_name,
             duration=duration,
             resource=self.resource,
             deps=deps,

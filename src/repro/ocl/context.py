@@ -168,7 +168,13 @@ class Context:
     # Scheduling triggers
     # ------------------------------------------------------------------
     def pending_queues(self) -> List[CommandQueue]:
-        """Auto queues holding deferred commands (the ready-queue pool)."""
+        """Auto queues holding deferred commands (the ready-queue pool).
+
+        A scheduling boundary: every queue sheds its settled issued work
+        here, so a tenant that goes idle lets go of its last pool.
+        """
+        for q in self.queues:
+            q._shed_settled()
         return [q for q in self.queues if q.pending]
 
     @property

@@ -11,8 +11,10 @@ predecessor graph over the pool's deferred commands feeds one ready heap
   whose order every checksum pins;
 * a relaxed queue keeps only wait-list producers and marker/barrier
   fences, every conflicting pair of the pool is restored to its original
-  happens-before direction (checked before anything issues), and the key
-  is ``(kind rank, node index)`` so uploads prefetch ahead of compute; an
+  happens-before direction (within an in-order queue by a chain of
+  consecutive accesses per buffer, :func:`_conflict_edges`; every other
+  pair on its own, checked before anything issues), and the key is
+  ``(kind rank, node index)`` so uploads prefetch ahead of compute; an
   ``overlap-join`` task then restores each relaxed queue's tail.
 
 A relaxed pool's edges depend only on its shape (:func:`_pool_shape`), so
@@ -222,7 +224,7 @@ def _relaxed_edges(queues: List["CommandQueue"], relax: List[bool]):
     Raises if the relaxed edges leave unordered a conflicting pair that
     the original graph ordered."""
     from repro.analysis.graph import (
-        build_command_graph, conflict_pairs, reach_masks,
+        buffer_accesses, build_command_graph, reach_masks,
     )
 
     graph = build_command_graph(queues)
@@ -252,9 +254,14 @@ def _relaxed_edges(queues: List["CommandQueue"], relax: List[bool]):
     # pair.  (Unordered conflicting pairs raced under FIFO too; that is the
     # sanitizer's finding to report, not ours to invent an order for.)
     # Non-relaxed nodes also get them as execution deps: their ordering
-    # path may have run through a relaxed queue.
-    pairs = sorted({(a.index, b.index) for _, a, b, _ in conflict_pairs(nodes)})
+    # path may have run through a relaxed queue.  Within an in-order queue
+    # the direction is program order and the chain edges imply it; every
+    # other pair is restored and checked alone.
+    chain, pairs = _conflict_edges(buffer_accesses(nodes))
     restore: List[Set[int]] = [set() for _ in nodes]
+    for i, j in chain:
+        preds[j].add(i)
+        restore[j].add(i)
     for i, j in pairs:
         if graph.happens_before(i, j):
             preds[j].add(i)
@@ -266,7 +273,7 @@ def _relaxed_edges(queues: List["CommandQueue"], relax: List[bool]):
     for i, ps in enumerate(preds):
         for p in ps:
             succ[p].append(i)
-    reach = reach_masks(succ)
+    reach = reach_masks(succ) if pairs else []
     for i, j in pairs:
         for a, b in ((i, j), (j, i)):
             if graph.happens_before(a, b) and not reach[a] >> b & 1:
@@ -278,6 +285,49 @@ def _relaxed_edges(queues: List["CommandQueue"], relax: List[bool]):
     for node, _event in graph.orphans:
         indeg[node.index] += 1  # an orphaned wait is never ready
     return preds, restore, succ, indeg
+
+
+def _conflict_edges(
+    accesses_by_buffer: Sequence[tuple],
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """``(chain, pairs)`` of conflicting accesses, each ``(earlier, later)``
+    in node order, from :func:`~repro.analysis.graph.buffer_accesses`.
+
+    ``chain`` holds, per buffer and in-order queue, only consecutive
+    conflicting accesses: the last writer to each reader after it, and
+    those readers, or that writer when there are none, to the next writer.
+    Their transitive closure orders every conflicting pair of the queue in
+    program order, with edges linear in the accesses rather than
+    quadratic.  ``pairs`` holds every other conflicting pair: across
+    queues, and within an out-of-order queue.
+    """
+    chain: Set[Tuple[int, int]] = set()
+    pairs: Set[Tuple[int, int]] = set()
+    for _buf, accesses in accesses_by_buffer:
+        # Nodes come queue by queue, so each queue's accesses are one run,
+        # starting at ``start``.
+        start, writer, readers = 0, None, []
+        for k, (node, writes) in enumerate(accesses):
+            queue, i = node.queue, node.index
+            if k and accesses[k - 1][0].queue is not queue:
+                start, writer, readers = k, None, []
+            earlier = accesses[:k] if queue.out_of_order else accesses[:start]
+            pairs.update(
+                (a.index, i) for a, a_writes in earlier if a_writes or writes
+            )
+            if queue.out_of_order:
+                continue
+            if writes:
+                if readers:
+                    chain.update((p, i) for p in readers)
+                elif writer is not None:
+                    chain.add((writer, i))
+                writer, readers = i, []
+            else:
+                if writer is not None:
+                    chain.add((writer, i))
+                readers.append(i)
+    return sorted(chain), sorted(pairs)
 
 
 def _deadlock(queues: Sequence["CommandQueue"]) -> InvalidOperation:

@@ -17,7 +17,7 @@ irregularity, per-device-kind efficiency); workloads may override it with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.hardware.cost import KernelCost
@@ -73,6 +73,9 @@ class WorkGroupConfig:
 
     global_size: Tuple[int, ...]
     local_size: Tuple[int, ...]
+    #: total work items, the product of ``global_size``; computed once (the
+    #: profiler's cache key reads it for every deferred kernel)
+    work_items: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.global_size) <= 3:
@@ -88,10 +91,7 @@ class WorkGroupConfig:
             l <= 0 for l in self.local_size
         ):
             raise InvalidWorkGroupSize("sizes must be positive")
-
-    @property
-    def work_items(self) -> int:
-        return _prod(self.global_size)
+        object.__setattr__(self, "work_items", _prod(self.global_size))
 
     @property
     def workgroup_size(self) -> int:

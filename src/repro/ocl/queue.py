@@ -245,12 +245,23 @@ class Command:
         def callback(_task: "SimTask") -> None:
             fn(self)
 
+        self.on_complete(callback)
+
+    def on_complete(self, fn) -> None:
+        """Run ``fn(task)`` when the command's simulated task finishes.
+
+        The engine-level hook under :meth:`set_callback`, without its
+        per-call wrapper: ``fn`` gets the finished
+        :class:`~repro.sim.engine.SimTask` (its ``end_time`` is
+        :attr:`profile_end`), so one bound handler can serve every command
+        of a stream.
+        """
         if self.task is not None:
-            self.task.on_complete(callback)
+            self.task.on_complete(fn)
         elif self.callbacks is None:
-            self.callbacks = [callback]
+            self.callbacks = [fn]
         else:
-            self.callbacks.append(callback)
+            self.callbacks.append(fn)
 
     def wait(self) -> None:
         """Block the simulated host until this command completes."""
@@ -380,7 +391,8 @@ class CommandQueue:
         self._kernel_meta: Optional[Dict[str, Any]] = None
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
-        #: Every issued, not-yet-awaited task (finish() drains these).
+        #: Every issued, not-yet-awaited task (finish() drains these; the
+        #: settled front leaves earlier, see :meth:`_shed_settled`).
         self._outstanding: List["SimTask"] = []
         #: Issued commands not yet known complete (fault recovery requeues
         #: from this list when a device fails).
@@ -580,7 +592,10 @@ class CommandQueue:
         task = self._launch(cmd, [prior] if prior is not None else [])
         cmd.task = task
         self._tail = task
-        self._outstanding.append(task)
+        out = self._outstanding
+        if out and out[0].state in _SETTLED:
+            self._shed_settled()
+        out.append(task)
         self._inflight.append(cmd)
         return cmd
 
@@ -781,8 +796,34 @@ class CommandQueue:
             cmd.aborted_task = None
         if ordering_deps is None:
             self._tail = task
-        self._outstanding.append(task)
+        out = self._outstanding
+        if out and out[0].state in _SETTLED:
+            self._shed_settled()
+        out.append(task)
         self._inflight.append(cmd)
+
+    def _shed_settled(self) -> None:
+        """Drop the settled front of :attr:`_outstanding` and
+        :attr:`_inflight`.
+
+        Runs at every scheduling boundary, and at every issue that finds
+        the head of :attr:`_outstanding` settled, so a queue that is never
+        finished holds its unsettled work, not every command and task it
+        ever ran.  An in-order queue settles front first; on other queues
+        a settled entry waits behind the first unsettled one.
+        """
+        out = self._outstanding
+        if out and out[0].state in _SETTLED:
+            k = 1
+            while k < len(out) and out[k].state in _SETTLED:
+                k += 1
+            del out[:k]
+        inflight = self._inflight
+        if inflight and inflight[0].task.state in _SETTLED:
+            k = 1
+            while k < len(inflight) and inflight[k].task.state in _SETTLED:
+                k += 1
+            del inflight[:k]
 
     def _issue_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
         device_name = self.device

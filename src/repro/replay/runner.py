@@ -31,8 +31,9 @@ the arrival timestamp rides in the :class:`~repro.sim.engine.SimTask`
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
@@ -441,10 +442,16 @@ class _ServiceTenant:
         self.buffer = self.session.create_buffer(
             4 * _SERVICE_GLOBAL, name=f"{self.name}-data"
         )
+        for kernel in self.kernels:
+            kernel.set_arg(0, self.buffer)
         self.queue = self.session.create_queue(
             sched_flags=SchedFlag.SCHED_AUTO_DYNAMIC, name=f"{self.name}-q"
         )
         self.engine = service.platform.engine
+        #: arrival times of the requests not yet complete, oldest first
+        self.arrivals: Deque[float] = deque()
+        #: the one completion handler every request registers
+        self._done = self._on_done
         self.hist = LatencyHistogram()
         self.requests = 0
         self.completed = 0
@@ -453,17 +460,18 @@ class _ServiceTenant:
 
     def enqueue(self, fam: int) -> None:
         """Submit one arriving request (fires at its arrival timestamp)."""
-        kernel = self.kernels[fam]
-        kernel.set_arg(0, self.buffer)
         event = self.queue.enqueue_nd_range_kernel(
-            kernel, (_SERVICE_GLOBAL,), (_SERVICE_LOCAL,)
+            self.kernels[fam], (_SERVICE_GLOBAL,), (_SERVICE_LOCAL,)
         )
         self.requests += 1
-        arrival = self.engine.now
-        event.set_callback(lambda ev, t0=arrival: self._on_done(ev, t0))
+        self.arrivals.append(self.engine.now)
+        event.on_complete(self._done)
 
-    def _on_done(self, event, arrival: float) -> None:
-        end = event.profile_end
+    def _on_done(self, task) -> None:
+        # The tenant's queue is in order, so its requests complete in
+        # enqueue order: the oldest outstanding arrival is this one's.
+        arrival = self.arrivals.popleft()
+        end = task.end_time
         latency = end - arrival
         self.hist.add(latency)
         self.completed += 1

@@ -113,7 +113,12 @@ class FairShareArbiter:
         The per-device sums are running sums: each round only prices the
         commands appended since the last estimate, adding them in command
         order onto the stored partial sum, so every float equals a fresh
-        left-to-right sum from ``0.0``.  A queue's sums restart from zero
+        left-to-right sum from ``0.0``.  A kernel is priced through its
+        cost's :attr:`~repro.hardware.cost.KernelCost.times` memo, the
+        per-device unscaled :func:`~repro.hardware.cost.kernel_time` that
+        :meth:`~repro.hardware.topology.SimDevice.submit_kernel` shares, so
+        one kernel and configuration is priced once per device, not once per
+        command per round.  A queue's sums restart from zero
         when its :attr:`~repro.ocl.queue.CommandQueue.pending_edits` or its
         context's :attr:`~repro.ocl.context.Context.cost_edits` moves.
         """
@@ -131,13 +136,22 @@ class FairShareArbiter:
             for dev in devices:
                 summed, seconds = sums.get(dev, (0, 0.0))
                 if summed < len(pending):
-                    spec = node.device(dev).spec
+                    device = node.device(dev)
+                    spec = device.spec
                     for cmd in pending[summed:]:
                         if cmd.kind is CommandKind.NDRANGE_KERNEL:
                             assert cmd.kernel is not None and cmd.launch is not None
-                            seconds += kernel_time(
-                                spec, cmd.kernel.launch_cost(spec, cmd.launch)
-                            )
+                            cost = cmd.kernel.launch_cost(spec, cmd.launch)
+                            times = cost.times
+                            if times is None:
+                                t = kernel_time(spec, cost)
+                            else:
+                                # SimDevice.submit_kernel's memo: the
+                                # unscaled kernel_time on this device.
+                                t = times.get(device)
+                                if t is None:
+                                    t = times[device] = kernel_time(spec, cost)
+                            seconds += t
                         elif cmd.kind is CommandKind.WRITE_BUFFER:
                             seconds += node.h2d_seconds(dev, cmd.nbytes)
                         elif cmd.kind is CommandKind.READ_BUFFER:

@@ -17,10 +17,10 @@ from typing import Dict, List
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.ocl.issue as issue_mod
-from repro.analysis.graph import build_command_graph, conflict_pairs
+from repro.analysis.graph import build_command_graph, conflict_pairs, reach_masks
 from repro.core.flags import CONFIG_PROPERTY_KEY, SchedulerConfig
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
 from repro.ocl.errors import InvalidOperation
@@ -352,3 +352,92 @@ def test_buffer_aliasing_is_part_of_the_shape():
     assert len(ctx.pool_shapes) == 2
     assert apart_deps[("q0", 1)] == []
     assert alias_deps[("q0", 1)] == [("q0", 0)]
+
+
+# ---------------------------------------------------------------------------
+# Chain restoration within an in-order queue
+# ---------------------------------------------------------------------------
+def all_pairs_conflict_edges(accesses_by_buffer):
+    """The restoration the chain edges replaced: no chain, and every
+    conflicting pair of the pool restored and checked on its own."""
+    pairs = {
+        (a.index, b.index)
+        for _buf, accesses in accesses_by_buffer
+        for k, (a, a_writes) in enumerate(accesses)
+        for b, b_writes in accesses[k + 1:]
+        if a_writes or b_writes
+    }
+    return [], sorted(pairs)
+
+
+def all_pairs():
+    return mock.patch.object(
+        issue_mod, "_conflict_edges", all_pairs_conflict_edges
+    )
+
+
+def relaxed_edges_or_error(queues, relax):
+    try:
+        return issue_mod._relaxed_edges(queues, relax)
+    except InvalidOperation as exc:
+        return str(exc)
+
+
+CYCLE_THROUGH_RELAXED = (
+    [(0, False, True), (1, False, True)],
+    [(0, "write", 0, []), (1, "write", 0, [0]), (1, "read", 1, [])],
+    None,
+    True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools(mixed=True))
+@example(CYCLE_THROUGH_RELAXED)
+def test_chain_edges_order_every_conflict_like_all_pairs(spec):
+    """Restoring only consecutive conflicting accesses within an in-order
+    queue gives the all-pairs edges' reachability: every conflicting pair
+    is ordered the same way (and so is every other pair), with a subset of
+    the restore edges, and a pool the all-pairs check rejects still
+    raises the same error."""
+    ctx, pool, _, _ = build(spec)
+    queues = [q for q in pool if q.pending]
+    relax = [issue_mod.relaxed(ctx, q) for q in queues]
+    chain = relaxed_edges_or_error(queues, relax)
+    with all_pairs():
+        reference = relaxed_edges_or_error(queues, relax)
+    if isinstance(reference, str):
+        assert chain == reference
+        return
+    _, restore, succ, _ = chain
+    _, all_restore, all_succ, _ = reference
+    assert all(mine <= theirs for mine, theirs in zip(restore, all_restore))
+    reach, all_reach = reach_masks(succ), reach_masks(all_succ)
+    for _, a, b, _ in conflict_pairs(build_command_graph(queues).nodes):
+        for x, y in ((a.index, b.index), (b.index, a.index)):
+            assert reach[x] >> y & 1 == all_reach[x] >> y & 1
+    assert reach == all_reach
+
+
+@settings(max_examples=100, deadline=None)
+@given(pools(mixed=True))
+def test_chain_edges_issue_and_run_like_all_pairs(spec):
+    """The same issue sequence and the same virtual start and end time
+    for every command, with chain or all-pairs restoration."""
+
+    def issue_and_run(spec):
+        ctx, pool, tags, event_tags = build(spec)
+        commands = [c for q in pool for c in q.pending]
+        sequence, error = issue_logged(
+            lambda c, p: c.issue_pool(p), ctx, pool, tags, event_tags
+        )
+        ctx.platform.engine.run_until_idle()
+        times = [
+            (c.task.start_time, c.task.end_time) if c.task else None
+            for c in commands
+        ]
+        return sequence, error, times
+
+    chain = issue_and_run(spec)
+    with all_pairs():
+        assert issue_and_run(spec) == chain

@@ -546,6 +546,64 @@ class TestIncrementalCosting:
         c.kernel.set_arg(1, 3.0)
         assert context.cost_edits == edits + 1
 
+    def test_custom_cost_model_prices_bit_identically(self, service):
+        # A custom cost model's KernelCost carries no times memo, so every
+        # launch is priced afresh.
+        c = Client(service.create_session("t"))
+        c.kernel.set_cost_model(_scalar_priced_model(10.0))
+        for _ in range(5):
+            c.enqueue_epoch()
+        context = c.session.context
+        spec = service.platform.node.device_list()[0].spec
+        cmd = c.queue.pending[0]
+        assert cmd.kernel.launch_cost(spec, cmd.launch).times is None
+        pool = context.pending_queues()
+        assert service.arbiter.estimate_pool_seconds(context, pool) == (
+            _reference_pool_seconds(context, pool)
+        )
+
+    def test_memo_filled_in_a_slowdown_window_is_unscaled(self, service):
+        c = Client(service.create_session("t"))
+        context = c.session.context
+        node = service.platform.node
+        dev = node.device(context.device_names[0])
+        # Fill the times memo through submit_kernel while dev runs slow.
+        FaultInjector(context).arm(
+            FaultPlan().slow_device(dev.name, at=service.now, duration=1.0, factor=4.0)
+        )
+        service.run_until_time(service.now)
+        assert dev.slowdown == 4.0
+        immediate = c.session.create_queue(dev.name, SchedFlag.SCHED_OFF)
+        c.kernel.set_arg(0, c.buffer)
+        c.kernel.set_arg(1, 2.0)
+        launched = immediate.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
+        cost = c.kernel.launch_cost(dev.spec, launched.launch)
+        unscaled = kernel_time(dev.spec, cost)
+        assert cost.times[dev] == unscaled
+        assert launched.task.duration == unscaled * 4.0
+        for _ in range(3):
+            c.queue.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
+        pool = context.pending_queues()
+        assert pool == [c.queue]
+        assert service.arbiter.estimate_pool_seconds(context, pool) == (
+            _reference_pool_seconds(context, pool)
+        )
+
+    def test_set_arg_repricing_is_bit_identical(self, service):
+        c = Client(service.create_session("t"))
+        c.kernel.set_cost_model(_scalar_priced_model(10.0))
+        context = c.session.context
+        estimate = service.arbiter.estimate_pool_seconds
+        for _ in range(3):
+            c.enqueue_epoch()
+        before = estimate(context, context.pending_queues())
+        c.kernel.set_arg(1, 3.0)  # bumps cost_edits: the sums restart
+        c.queue.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
+        pool = context.pending_queues()
+        after = estimate(context, pool)
+        assert after == _reference_pool_seconds(context, pool)
+        assert after != before
+
     def test_replay_costs_each_command_once_per_device(
         self, profile_dir, monkeypatch
     ):
@@ -573,6 +631,9 @@ class TestIncrementalCosting:
         assert report.total_commands == commands
         devices = SchedulingService(profile_dir=profile_dir).platform.device_names
         assert 0 < calls[0] <= commands * len(devices)
+        # The annotation model's costs memoise kernel_time per device, so
+        # each tenant's kernel families are priced once per device.
+        assert calls[0] <= config.tenants * len(config.families) * len(devices)
 
 
 # ---------------------------------------------------------------------------
