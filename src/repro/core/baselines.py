@@ -33,10 +33,10 @@ from repro.core.flags import ScheduleOptions
 from repro.core.scheduler import (
     MAPPING_HOST_SECONDS,
     MultiCLSchedulerBase,
+    transfer_estimate,
     trigger_pool,
 )
 from repro.ocl.issue import issue_pool
-from repro.ocl.memory import HOST, Buffer
 from repro.ocl.scheduling import register_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,15 +84,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         epoch = self.profiler.profile_epoch(q, [cmd], options)
         best, best_cost = None, float("inf")
         for d in self.context.device_names:
-            move = 0.0
-            for v in cmd.args_snapshot.values():
-                if isinstance(v, Buffer) and v.initialized and not v.is_valid_on(d):
-                    if v.is_valid_on(HOST):
-                        move += profile.h2d_seconds(d, v.nbytes)
-                    else:
-                        src = v.any_valid_device()
-                        if src is not None:
-                            move += profile.d2d_seconds(src, d, v.nbytes)
+            move = transfer_estimate(cmd.args_snapshot.values(), d, profile)
             cost = self._load[d] + epoch.seconds[d] + move
             if cost < best_cost:
                 best, best_cost = d, cost

@@ -220,10 +220,6 @@ def locked(path: Path) -> Iterator[None]:
         os.close(fd)
 
 
-#: Backwards-compatible private alias (pre-predict-layer name).
-_locked = locked
-
-
 def load_or_compute_json(
     path: Path, compute: Callable[[], Dict[str, Any]]
 ) -> Tuple[Dict[str, Any], bool]:
@@ -265,7 +261,7 @@ def load_or_compute(
     if cached is not None:
         return cached, False
     path = cache_path(spec, cache_dir)
-    with _locked(path):
+    with locked(path):
         cached = load_profile_dict(spec, cache_dir)
         if cached is not None:
             return cached, False

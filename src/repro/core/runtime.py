@@ -228,7 +228,6 @@ class MultiCL:
         if config is not None:
             properties[CONFIG_PROPERTY_KEY] = config
         self.context: Context = self.platform.create_context(properties=properties)
-        self._marks: List[float] = []
         self.fault_policy = fault_policy
         self.injector: Optional[FaultInjector] = None
         if fault_plan is not None:

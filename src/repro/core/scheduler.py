@@ -23,7 +23,7 @@ and leave every pooled queue bound to a device with its commands issued.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
@@ -45,6 +45,7 @@ __all__ = [
     "RoundRobinScheduler",
     "AutoFitScheduler",
     "trigger_pool",
+    "transfer_estimate",
     "MAPPING_HOST_SECONDS",
 ]
 
@@ -83,6 +84,27 @@ def trigger_pool(queue: "CommandQueue") -> List["CommandQueue"]:
                     seen.add(id(event.queue))
                     pool.append(event.queue)
     return pool
+
+
+def transfer_estimate(values: Iterable[Any], device: str, profile) -> float:
+    """Estimated seconds to make the buffers among ``values`` resident on
+    ``device`` (other values are skipped; a buffer listed twice counts
+    twice), from the *measured* device profile, not the ground-truth model."""
+    total = 0.0
+    for buf in values:
+        if (
+            not isinstance(buf, Buffer)
+            or not buf.initialized
+            or buf.is_valid_on(device)
+        ):
+            continue
+        if buf.is_valid_on(HOST):
+            total += profile.h2d_seconds(device, buf.nbytes)
+        else:
+            src = buf.any_valid_device()
+            if src is not None:
+                total += profile.d2d_seconds(src, device, buf.nbytes)
+    return total
 
 
 class MultiCLSchedulerBase(SchedulerBase):
@@ -388,17 +410,15 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                     return {}, split, "device-map"
         cost: Dict[str, Dict[str, float]] = {}
         for q in queues:
-            # One epoch-buffer walk per queue for the whole sync pass; the
-            # seed recomputed it for every (queue, device) pair through both
-            # _fits and _transfer_estimate.
+            # One epoch-buffer walk per queue for the whole sync pass.
             bufs = self._epoch_buffers(q)
             row: Dict[str, float] = {}
             for d in devices:
-                if not self._fits(q, d, bufs):
+                if not self._fits(d, bufs):
                     row[d] = math.inf
                     continue
                 seconds = epochs[q.name].seconds.get(d, math.inf)
-                row[d] = seconds + self._transfer_estimate(q, d, profile, bufs)
+                row[d] = seconds + transfer_estimate(bufs, d, profile)
             cost[q.name] = row
         preferred = {q.name: q.device for q in queues}
         names = [q.name for q in queues]
@@ -504,46 +524,10 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                     out.append(v)
         return out
 
-    def _fits(
-        self,
-        q: "CommandQueue",
-        device: str,
-        bufs: Optional[List[Buffer]] = None,
-    ) -> bool:
+    def _fits(self, device: str, bufs: List[Buffer]) -> bool:
         spec = self.context.platform.node.device(device).spec
-        # O(1): the context maintains per-device resident-byte counters on
-        # every buffer validity transition (the seed summed over *all*
-        # context buffers here, for every (queue, device) pair).
-        resident = self.context.resident_bytes(device)
-        if bufs is None:
-            bufs = self._epoch_buffers(q)
-        incoming = sum(
-            b.nbytes for b in bufs if not b.resident_on(device)
-        )
-        return resident + incoming <= spec.mem_size_bytes
-
-    def _transfer_estimate(
-        self,
-        q: "CommandQueue",
-        device: str,
-        profile,
-        bufs: Optional[List[Buffer]] = None,
-    ) -> float:
-        """Estimated data movement to run this epoch on ``device``, derived
-        from the *measured* device profiles (not the ground-truth model)."""
-        total = 0.0
-        if bufs is None:
-            bufs = self._epoch_buffers(q)
-        for buf in bufs:
-            if not buf.initialized or buf.is_valid_on(device):
-                continue
-            if buf.is_valid_on(HOST):
-                total += profile.h2d_seconds(device, buf.nbytes)
-            else:
-                src = buf.any_valid_device()
-                if src is not None:
-                    total += profile.d2d_seconds(src, device, buf.nbytes)
-        return total
+        needed = self.context.bytes_to_fit(device, ((b, b.nbytes) for b in bufs))
+        return needed <= spec.mem_size_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ global scheduler for the context's automatically scheduled queues.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class Context:
         self.properties: Dict[int, Any] = dict(properties or {})
         self.buffers: List[Buffer] = []
         #: device name -> bytes of buffers currently resident there, kept
-        #: exact by Buffer residency transitions; lets the scheduler's
-        #: memory-fit check run in O(1) instead of scanning all buffers.
+        #: exact by the Buffer methods that change residency; the
+        #: memory-fit checks (:meth:`bytes_to_fit`) read it in O(1).
         self._resident_bytes: Dict[str, int] = {}
         self.queues: List[CommandQueue] = []
         self.scheduler: Optional[SchedulerBase] = None
@@ -153,13 +153,24 @@ class Context:
     def _register_buffer(self, buffer: Buffer) -> None:
         self.buffers.append(buffer)
 
-    def _note_residency(self, device: str, delta: int) -> None:
-        """A buffer copy appeared on (+nbytes) or left (-nbytes) ``device``."""
-        self._resident_bytes[device] = self._resident_bytes.get(device, 0) + delta
-
     def resident_bytes(self, device: str) -> int:
         """Total bytes of context buffers with a valid copy on ``device``."""
         return self._resident_bytes.get(device, 0)
+
+    def bytes_to_fit(
+        self, device: str, incoming: Iterable[Tuple[Buffer, int]]
+    ) -> int:
+        """Bytes ``device`` holds once ``incoming`` lands: its resident
+        bytes plus the given size (a whole buffer or a slice of it) of each
+        ``(buffer, nbytes)`` not yet resident there, a buffer listed twice
+        counting once."""
+        total = self._resident_bytes.get(device, 0)
+        seen = set()
+        for buf, nbytes in incoming:
+            if id(buf) not in seen and not buf.resident_on(device):
+                seen.add(id(buf))
+                total += nbytes
+        return total
 
     def _register_queue(self, queue: CommandQueue) -> None:
         self.queues.append(queue)

@@ -17,7 +17,7 @@ reproduction:
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Set, TYPE_CHECKING
+from typing import FrozenSet, Iterable, Optional, Set, TYPE_CHECKING
 
 import numpy as np
 
@@ -33,91 +33,6 @@ __all__ = ["Buffer", "HOST"]
 HOST = "host"
 
 _ids = itertools.count(1)
-
-
-class _ResidencySet(set):
-    """A buffer's ``valid_on`` set, observing its own mutations.
-
-    Every holder added to / removed from the set is reported to the owning
-    context, which maintains per-device resident-byte counters so the
-    scheduler's memory-fit check costs O(1) per (queue, device) pair instead
-    of summing over every buffer in the context.  All ``set`` mutators that
-    appear in the codebase (and the obvious rest) are intercepted; wholesale
-    reassignment of ``Buffer.valid_on`` goes through the property setter.
-    """
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self, buffer: "Buffer", holders=()) -> None:
-        super().__init__()
-        self._buffer = buffer
-        for h in holders:
-            self.add(h)
-
-    def add(self, holder: str) -> None:
-        if holder not in self:
-            set.add(self, holder)
-            self._buffer._residency_changed(holder, +1)
-
-    def discard(self, holder: str) -> None:
-        if holder in self:
-            set.discard(self, holder)
-            self._buffer._residency_changed(holder, -1)
-
-    def remove(self, holder: str) -> None:
-        if holder not in self:
-            raise KeyError(holder)
-        self.discard(holder)
-
-    def pop(self) -> str:
-        holder = set.pop(self)
-        self._buffer._residency_changed(holder, -1)
-        return holder
-
-    def clear(self) -> None:
-        for holder in tuple(self):
-            self.discard(holder)
-
-    def update(self, *others) -> None:
-        for other in others:
-            for holder in other:
-                self.add(holder)
-
-    def difference_update(self, *others) -> None:
-        for other in others:
-            for holder in tuple(other):
-                self.discard(holder)
-
-    def intersection_update(self, *others) -> None:
-        keep = set(self)
-        for other in others:
-            keep &= set(other)
-        for holder in tuple(self):
-            if holder not in keep:
-                self.discard(holder)
-
-    def symmetric_difference_update(self, other) -> None:
-        for holder in tuple(other):
-            if holder in self:
-                self.discard(holder)
-            else:
-                self.add(holder)
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def __isub__(self, other):
-        self.difference_update(other)
-        return self
-
-    def __iand__(self, other):
-        self.intersection_update(other)
-        return self
-
-    def __ixor__(self, other):
-        self.symmetric_difference_update(other)
-        return self
 
 
 class Buffer:
@@ -156,7 +71,10 @@ class Buffer:
         self.flags = flags
         self.array = host_array
         self.name = name or f"buf{next(_ids)}"
-        self._valid_on: _ResidencySet = _ResidencySet(self)
+        #: Holders with a valid copy.  Only this class's methods change it,
+        #: and each keeps the context's per-device resident-byte counters
+        #: in step (see :meth:`_count`).
+        self._valid_on: Set[str] = set()
         #: True after the buffer's only valid copy died with its device and
         #: residency fell back to the host shadow; cleared by the next
         #: write (:meth:`mark_exclusive`).  The sanitizer flags reads of
@@ -173,29 +91,18 @@ class Buffer:
         context._register_buffer(self)
 
     @property
-    def valid_on(self) -> Set[str]:
-        """Holders ("host" or device names) with a valid copy.
+    def valid_on(self) -> FrozenSet[str]:
+        """Holders ("host" or device names) with a valid copy (a snapshot;
+        change residency through the ``mark_*``/``invalidate`` methods)."""
+        return frozenset(self._valid_on)
 
-        The set observes its own mutations to keep the context's per-device
-        resident-byte counters exact; assigning a plain set to this property
-        re-accounts the difference.
-        """
-        return self._valid_on
-
-    @valid_on.setter
-    def valid_on(self, holders) -> None:
-        current = self._valid_on
-        target = set(holders)
-        for holder in tuple(current):
-            if holder not in target:
-                current.discard(holder)
-        for holder in target:
-            current.add(holder)
-
-    def _residency_changed(self, holder: str, sign: int) -> None:
-        """Hook from :class:`_ResidencySet`: a copy appeared/vanished."""
-        if holder != HOST:
-            self.context._note_residency(holder, sign * self.nbytes)
+    def _count(self, holders: Iterable[str], sign: int) -> None:
+        """Move the context's resident-byte counters by ``sign * nbytes``
+        for each device among ``holders`` (host copies are not counted)."""
+        counts = self.context._resident_bytes
+        for h in holders:
+            if h != HOST:
+                counts[h] = counts.get(h, 0) + sign * self.nbytes
 
     # ------------------------------------------------------------------
     # Sub-buffers (clCreateSubBuffer)
@@ -235,7 +142,8 @@ class Buffer:
         sub.parent = self
         sub.origin = origin
         # The region inherits the parent's current residency.
-        sub.valid_on = set(self.valid_on)
+        sub._valid_on.update(self._valid_on)
+        sub._count(sub._valid_on, +1)
         return sub
 
     # ------------------------------------------------------------------
@@ -246,17 +154,24 @@ class Buffer:
 
     def mark_valid(self, holder: str) -> None:
         """Add ``holder`` to the valid set (a copy landed there)."""
-        self._valid_on.add(holder)
+        if holder not in self._valid_on:
+            self._valid_on.add(holder)
+            self._count((holder,), +1)
 
     def mark_exclusive(self, holder: str) -> None:
         """The copy on ``holder`` is now the only valid one (it was written)."""
         valid = self._valid_on
         if len(valid) != 1 or holder not in valid:
-            self.valid_on = {holder}
+            self._count(valid, -1)
+            valid.clear()
+            valid.add(holder)
+            self._count((holder,), +1)
         self.host_shadow_stale = False
 
     def invalidate(self, holder: str) -> None:
-        self.valid_on.discard(holder)
+        if holder in self._valid_on:
+            self._valid_on.discard(holder)
+            self._count((holder,), -1)
 
     def drop_device(self, device: str) -> bool:
         """Discard the copy on ``device`` (the device failed).
@@ -266,18 +181,18 @@ class Buffer:
         issue time, so the host copy is always current in this simulator.
         Returns ``True`` if the host fallback was needed.
         """
-        if device not in self.valid_on:
+        if device not in self._valid_on:
             return False
-        self.valid_on.discard(device)
-        if not self.valid_on:
-            self.valid_on.add(HOST)
+        self.invalidate(device)
+        if not self._valid_on:
+            self._valid_on.add(HOST)
             self.host_shadow_stale = True
             return True
         return False
 
     def any_valid_device(self) -> Optional[str]:
         """Some device holding a valid copy, or None."""
-        for h in sorted(self.valid_on):
+        for h in sorted(self._valid_on):
             if h != HOST:
                 return h
         return None
@@ -293,5 +208,5 @@ class Buffer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Buffer({self.name!r}, {self.nbytes}B, valid_on={sorted(self.valid_on)})"
+            f"Buffer({self.name!r}, {self.nbytes}B, valid_on={sorted(self._valid_on)})"
         )

@@ -908,10 +908,9 @@ class CommandQueue:
                 id(b): min(b.nbytes, -(-b.nbytes * share // total))
                 for b in buffers
             }
-            incoming = sum(
-                sizes[id(b)] for b in buffers if not b.resident_on(device)
+            needed = self.context.bytes_to_fit(
+                device, ((b, sizes[id(b)]) for b in buffers)
             )
-            needed = self.context.resident_bytes(device) + incoming
             if needed > dev.spec.mem_size_bytes:
                 raise MemAllocationFailure(
                     f"device {device!r}: {needed} bytes needed for split "
@@ -1012,16 +1011,9 @@ class CommandQueue:
     def _check_capacity(self, incoming: Sequence[Buffer]) -> None:
         """Device-memory capacity check before making ``incoming`` resident."""
         spec = self.context.platform.node.device(self.device).spec
-        # O(1) via the context's per-device resident-byte counters plus the
-        # not-yet-resident newcomers (deduplicated: a kernel may pass the
-        # same buffer for several arguments).
-        total = self.context.resident_bytes(self.device)
-        seen = set()
-        for b in incoming:
-            if id(b) in seen or b.resident_on(self.device):
-                continue
-            seen.add(id(b))
-            total += b.nbytes
+        total = self.context.bytes_to_fit(
+            self.device, ((b, b.nbytes) for b in incoming)
+        )
         if total > spec.mem_size_bytes:
             raise MemAllocationFailure(
                 f"device {self.device!r}: {total} bytes needed, "

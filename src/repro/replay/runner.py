@@ -332,17 +332,20 @@ def _attach_sink(trace, config: ReplayConfig, label: str) -> Optional[TraceSink]
     return sink
 
 
-def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
-    """Replay one tenant's full arrival schedule on its own platform.
-
-    The device-profile cache must be warm (see
-    :func:`repro.replay.shard.ensure_profile_cache`): a cold measurement
-    would advance the engine clock past the first arrivals.
-    """
+def _warm_platform(profile_dir: Optional[str]):
+    """A profiled platform whose clock starts at 0 whatever the cache held:
+    a throwaway platform measures (or loads) the device profile first, so
+    this one loads it without charging simulated time."""
     from repro.ocl.platform import Platform
 
+    Platform(profile=True, profile_dir=profile_dir)
+    return Platform(profile=True, profile_dir=profile_dir)
+
+
+def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
+    """Replay one tenant's full arrival schedule on its own platform."""
     config.validate()
-    platform = Platform(profile=True, profile_dir=config.profile_dir)
+    platform = _warm_platform(config.profile_dir)
     engine = platform.engine
     trace = engine.trace
     sink = _attach_sink(trace, config, f"tenant{index}")
@@ -351,8 +354,6 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     state = _EngineTenant(platform, config, tenant)
     process = make_process(config.process, config.rate, **config.process_params)
     seed = derive_seed(config.seed, index)
-    base = engine.now  # 0.0 with a warm profile cache; offset keeps a
-    # cold-cache run valid instead of scheduling into the past
 
     arrive = state.arrive
     chunk = config.chunk
@@ -361,7 +362,7 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     batch: List[Tuple[float, object, int]] = []
     append = batch.append
     for t, fam in process.stream(config.families, seed, config.commands):
-        append((base + t, arrive, fam))
+        append((t, arrive, fam))
         if len(batch) >= chunk:
             schedule_batch(batch)
             run_until_time(batch[-1][0])
@@ -514,7 +515,7 @@ def run_service_replay(config: ReplayConfig):
     from repro.service.core import SchedulingService
 
     config.validate()
-    service = SchedulingService(profile_dir=config.profile_dir)
+    service = SchedulingService(platform=_warm_platform(config.profile_dir))
     engine = service.platform.engine
     sink = _attach_sink(engine.trace, config, "service")
     tenants = [
@@ -537,7 +538,7 @@ def run_service_replay(config: ReplayConfig):
         tenant_idx, fam = payload
         tenants[tenant_idx].enqueue(fam)
 
-    base = engine.now
+    base = engine.now  # tenant setup (program builds) takes simulated time
     chunk = config.chunk
     batch: List[Tuple[float, object, Tuple[int, int]]] = []
     for t, tenant_idx, fam in merged_arrivals:

@@ -11,9 +11,12 @@ from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.core.split import SplitPlan, plan_split
 from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec, NodeSpec
-from repro.ocl.enums import ContextScheduler, SchedFlag
-from repro.ocl.errors import InvalidValue, InvalidWorkGroupSize
+from repro.ocl.enums import CommandKind, ContextScheduler, SchedFlag
+from repro.ocl.errors import (
+    InvalidValue, InvalidWorkGroupSize, MemAllocationFailure,
+)
 from repro.ocl.kernel import WorkGroupConfig
+from repro.ocl.queue import Command
 
 STREAM_SRC = """
 // @multicl flops_per_item=200 bytes_per_item=8 writes=1
@@ -484,3 +487,52 @@ def test_split_with_auto_does_not_warn(autofit, _reset_flag_warnings):
         autofit.context.create_queue(
             sched_flags=SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_SPLIT
         )
+
+
+# ---------------------------------------------------------------------------
+# Split-share memory fit
+# ---------------------------------------------------------------------------
+def _split_on_gpu0(ctx, src, dst, n=1 << 20):
+    """Issue ``work(src, dst)`` on a manual gpu0 queue, its first half
+    split onto gpu0 and the rest onto the cpu."""
+    k = ctx.create_program(WORK_SRC).build().create_kernel("work")
+    k.set_arg(0, src)
+    k.set_arg(1, dst)
+    k.set_arg(2, n)
+    args, buffers, written = k.snapshot()
+    q = ctx.create_queue("gpu0")
+    return q._enqueue(Command(
+        kind=CommandKind.NDRANGE_KERNEL,
+        kernel=k,
+        launch=WorkGroupConfig.normalize((n,), (64,)),
+        args_snapshot=args,
+        arg_buffers=buffers,
+        written_buffers=written,
+        split_plan=SplitPlan((("gpu0", 0, n // 2), ("cpu", n // 2, n))),
+    ))
+
+
+def test_split_share_overflowing_its_device_raises(manual_context):
+    ctx = manual_context
+    mem = ctx.platform.node.device("gpu0").spec.mem_size_bytes
+    # Each half-share slice is 0.75 of the device: 1.5x together.
+    a = ctx.create_buffer(3 * mem // 2)
+    b = ctx.create_buffer(3 * mem // 2)
+    with pytest.raises(MemAllocationFailure, match="split share"):
+        _split_on_gpu0(ctx, a, b)
+
+
+def test_split_share_fit_skips_slices_already_resident(manual_context):
+    ctx = manual_context
+    mem = ctx.platform.node.device("gpu0").spec.mem_size_bytes
+    a = ctx.create_buffer(4 * mem // 10)
+    b = ctx.create_buffer(3 * mem // 10)
+    pad = ctx.create_buffer(4 * mem // 10)
+    a.mark_valid("gpu0")
+    pad.mark_valid("gpu0")
+    # 0.8 resident + b's 0.15 slice fits; counting a's 0.2 slice as
+    # well would not.
+    event = _split_on_gpu0(ctx, a, b)
+    assert event.task is not None
+    # Slices leave whole-buffer residency as it was.
+    assert ctx.resident_bytes("gpu0") == a.nbytes + pad.nbytes

@@ -400,6 +400,22 @@ def test_service_replay_deterministic(profile_dir):
     assert a.checksum == b.checksum
 
 
+def test_library_replays_independent_of_profile_cache(tmp_path):
+    """Called on a fresh profile_dir, both replay entry points report the
+    same on the first (cold-cache) call as on the second (warm)."""
+    engine_config = ReplayConfig(
+        commands=300, rate=200.0, profile_dir=str(tmp_path / "engine"),
+    )
+    cold, warm = [run_tenant(engine_config, 0) for _ in range(2)]
+    assert cold.checksum == warm.checksum
+    service_config = ReplayConfig(
+        commands=100, rate=40.0, chunk=64, weights=(4.0, 2.0, 1.0, 1.0),
+        seed=1, profile_dir=str(tmp_path / "service"),
+    )
+    cold, warm = [run_service_replay(service_config) for _ in range(2)]
+    assert cold.checksum == warm.checksum
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
