@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
 from repro.core.flags import ScheduleOptions, SchedulerConfig
+from repro.lru import BoundedLRU
 from repro.ocl.memory import Buffer
 from repro.ocl.queue import Command
 
@@ -51,6 +52,11 @@ PROFILE_KERNEL = "profile-kernel"
 KernelKey = Tuple[str, int]
 #: Cache key of an epoch: the ordered tuple of kernel keys.
 EpochKey = Tuple[KernelKey, ...]
+
+#: Epoch profiles kept (least recently used dropped beyond this).  Service
+#: pools never repeat, so an unbounded cache would grow for the whole run;
+#: an evicted epoch re-sums from the kernel cache in the same order.
+EPOCH_CACHE_SIZE = 256
 
 
 @dataclass
@@ -91,7 +97,9 @@ class KernelProfiler:
         self.context = context
         self.config = config
         self.kernel_cache: Dict[KernelKey, Dict[str, float]] = {}
-        self.epoch_cache: Dict[EpochKey, Dict[str, float]] = {}
+        self.epoch_cache: BoundedLRU[EpochKey, Dict[str, float]] = BoundedLRU(
+            EPOCH_CACHE_SIZE
+        )
         self.stats = ProfilerStats()
         #: one shared tuple per distinct kernel key (see epoch_key)
         self._keys: Dict[KernelKey, KernelKey] = {}
@@ -150,9 +158,10 @@ class KernelProfiler:
         # Each command's key, computed once: the epoch key is their tuple.
         ekey = self.epoch_key(kernel_cmds)
         caching = self.config.profile_caching
-        if caching and ekey in self.epoch_cache:
+        cached = self.epoch_cache.get(ekey) if caching else None
+        if cached is not None:
             self.stats.epoch_cache_hits += 1
-            return EpochProfile(dict(self.epoch_cache[ekey]))
+            return EpochProfile(dict(cached))
 
         missing: List[Command] = []
         missing_keys: Dict[KernelKey, None] = {}
@@ -187,7 +196,7 @@ class KernelProfiler:
                 # advance the clock); a missing column means "never ran here".
                 seconds[d] += per_dev.get(d, math.inf)
         if caching:
-            self.epoch_cache[ekey] = dict(seconds)
+            self.epoch_cache.put(ekey, dict(seconds))
         return EpochProfile(seconds)
 
     # ------------------------------------------------------------------
@@ -207,7 +216,7 @@ class KernelProfiler:
             if device in per_dev:
                 del per_dev[device]
                 removed += 1
-        for per_dev in self.epoch_cache.values():
+        for _, per_dev in self.epoch_cache.items():
             if device in per_dev:
                 del per_dev[device]
                 removed += 1

@@ -10,9 +10,9 @@ epochs, leaving the dynamic profiler as a corrector:
 
 * :mod:`repro.predict.features` — deterministic, purely text-based feature
   extraction over parsed kernel sources;
-* :mod:`repro.predict.model` — plain-Python ridge regression (normal
-  equations) from feature vectors to cost-descriptor fields and per-device
-  execution time;
+* :mod:`repro.predict.model` — ridge regression (normal equations
+  folded in order, solved in plain Python) from feature vectors to
+  cost-descriptor fields and per-device execution time;
 * :mod:`repro.predict.corpus` — the offline probe corpus the models are
   fitted on (measured through a throwaway simulated platform, so fitting
   charges nothing to any application clock);

@@ -10,10 +10,12 @@ measured once per device on a private engine whose clock no application
 ever sees.  This mirrors how a real deployment would fit against a
 microbenchmark corpus once per machine, offline.
 
-Every probe is rendered as *annotated kernel source text* and pushed
-through the exact same parse + :func:`repro.predict.features.extract`
-pipeline the runtime uses — the trainer cannot cheat with features the
-runtime could not reproduce.  Probe signatures and bodies deliberately
+Every probe is rendered as *annotated kernel source text*, and its
+features are those the runtime's parse + :func:`repro.predict.features.extract`
+pipeline reads from that text — the trainer cannot cheat with features the
+runtime could not reproduce.  The fit runs that pipeline once per probe
+*shape* (argument counts and body motif; see :func:`_probe_features`).
+Probe signatures and bodies deliberately
 cycle through argument-count and control-flow motifs so the body-derived
 feature columns have corpus variance; otherwise any workload kernel that
 departed from a constant column would show infinite leverage and the
@@ -26,7 +28,7 @@ node spec twice (in any process) yields bit-identical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log
 from typing import Dict, List, Tuple
 
@@ -34,7 +36,7 @@ from repro.core.profile_store import node_fingerprint
 from repro.hardware.cost import KernelCost
 from repro.hardware.specs import DeviceKind, NodeSpec
 from repro.hardware.topology import SimNode
-from repro.ocl.source import parse_program_source
+from repro.ocl.source import _parse_program_source_uncached
 from repro.predict.features import KernelFeatures, extract
 from repro.predict.model import (
     DEFAULT_LAMBDA,
@@ -186,6 +188,40 @@ def _probe_cost(feat: KernelFeatures, work_items: int) -> KernelCost:
 _OVERHEAD_COST = KernelCost(flops=0.0, bytes=0.0, work_items=1)
 
 
+def _probe_features(probes: List[ProbeSpec]) -> List[KernelFeatures]:
+    """Each probe's features, parsing and extracting each shape once.
+
+    Probes of one ``(buffers, scalars, motif)`` shape differ in source
+    only in the kernel name and the ``@multicl`` values, which
+    :func:`extract` copies straight into ``name``, the four descriptor
+    fields and ``efficiency``.  ``float(v)`` is exactly what ``float``
+    parses back from the ``repr`` in :func:`probe_source`.  Parsing
+    bypasses the shared parse memo, which 1,152 probes would flush.
+    """
+    shapes: Dict[Tuple[int, int, int], KernelFeatures] = {}
+    feats: List[KernelFeatures] = []
+    for p in probes:
+        key = (p.buffers, p.scalars, p.motif)
+        shape = shapes.get(key)
+        if shape is None:
+            src = probe_source(p)
+            shape = extract(_parse_program_source_uncached(src)[0], src)
+            shapes[key] = shape
+        eff = float(p.efficiency)
+        feats.append(
+            replace(
+                shape,
+                name=p.name,
+                flops_per_item=float(p.flops_per_item),
+                bytes_per_item=float(p.bytes_per_item),
+                divergence=float(p.divergence),
+                irregularity=float(p.irregularity),
+                efficiency=tuple((kind, eff) for kind, _ in shape.efficiency),
+            )
+        )
+    return feats
+
+
 def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
     """Fit a :class:`PredictorModel` for ``spec`` from the probe corpus.
 
@@ -193,18 +229,14 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
     the application clock is never charged.  Per device, an empty probe
     measures the launch overhead, then every corpus probe contributes one
     ``(features, log per-item body seconds)`` observation to the device's
-    compute- or memory-bound head.
+    compute- or memory-bound head.  Each head folds its observations as
+    one batch, in corpus order (:meth:`RidgeHead.fold`).
     """
     probes = probe_specs()
-    feats: List[KernelFeatures] = []
-    for p in probes:
-        src = probe_source(p)
-        info = parse_program_source(src)[0]
-        feats.append(extract(info, src))
+    feats = _probe_features(probes)
 
     cost_fields = CostFieldModel(lam=lam)
-    for feat in feats:
-        cost_fields.add(feat)
+    cost_fields.fold(feats)
 
     engine = SimEngine()
     node = SimNode(engine, spec)
@@ -217,6 +249,7 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
         )
         overhead = probe0.duration
         model = DeviceTimeModel(dev.name, kind, overhead, lam=lam)
+        rows = {"compute": ([], []), "memory": ([], [])}
         prev = probe0
         for p, feat in zip(probes, feats):
             task = dev.submit_kernel(
@@ -227,14 +260,16 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
             )
             prev = task
             y = log(max((task.duration - overhead) / p.work_items, _TINY))
-            if p.head == "compute":
-                model.compute.add(
-                    compute_feature_vector(feat, kind, p.work_items), y
-                )
-            else:
-                model.memory.add(
-                    memory_feature_vector(feat, kind, p.work_items), y
-                )
+            vector = (
+                compute_feature_vector
+                if p.head == "compute"
+                else memory_feature_vector
+            )
+            xs, ys = rows[p.head]
+            xs.append(vector(feat, kind, p.work_items))
+            ys.append(y)
+        model.compute.fold(*rows["compute"])
+        model.memory.fold(*rows["memory"])
         devices[dev.name] = model
         last = prev
     if last is not None:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from functools import lru_cache
+from typing import Dict, Mapping, Pattern, Tuple
 
 from repro.ocl.source import KernelSourceInfo, parse_program_source
 
@@ -192,6 +193,30 @@ def _is_float_declaration(declaration: str) -> bool:
     return bool(m and m.group(1) in _FLOAT_TYPES)
 
 
+@lru_cache(maxsize=1024)
+def _arg_patterns(
+    name: str, buffer_names: Tuple[str, ...]
+) -> Tuple[Pattern, Pattern, Pattern, Pattern]:
+    """The access, write, indirect and use patterns of buffer argument
+    ``name`` in a kernel whose buffer arguments are ``buffer_names``
+    (sorted, so neither the key nor the pattern depends on set order).
+
+    Access: each ``name[`` is one per-work-item access.  Write: an access
+    followed by an assignment.  Indirect: an index expression that itself
+    subscripts a buffer (``a[colidx[j]]``), a gather.  Use: any mention.
+    """
+    arg = re.escape(name)
+    return (
+        re.compile(r"\b%s\s*\[" % arg),
+        re.compile(r"\b%s\s*\[[^][]*\]\s*(?:[+\-*/]?=)(?!=)" % arg),
+        re.compile(
+            r"\b%s\s*\[[^][]*\b(?:%s)\s*\["
+            % (arg, "|".join(map(re.escape, buffer_names)))
+        ),
+        re.compile(r"\b%s\b" % arg),
+    )
+
+
 def extract(info: KernelSourceInfo, source: str) -> KernelFeatures:
     """Extract :class:`KernelFeatures` for one parsed kernel."""
     body = strip_comments(kernel_body(source, info))
@@ -200,23 +225,16 @@ def extract(info: KernelSourceInfo, source: str) -> KernelFeatures:
     buffer_args = [a for a in info.args if a.is_buffer]
     scalar_args = [a for a in info.args if not a.is_buffer]
 
-    # Global memory accesses: each `name[` of a buffer argument is one
-    # per-work-item access; an index expression that itself subscripts a
-    # buffer (`a[colidx[j]]`) is an indirect (gather) access.
+    # Global memory accesses, writes and gathers (see _arg_patterns).
     global_accesses = 0
     global_writes = 0
     indirect_accesses = 0
-    float_buffer_accesses = 0
     access_bytes = 0.0
-    buffer_names = {a.name for a in buffer_args}
+    buffer_names = tuple(sorted({a.name for a in buffer_args}))
+    float_uses = []
     for arg in buffer_args:
-        access_re = re.compile(r"\b%s\s*\[" % re.escape(arg.name))
-        write_re = re.compile(
-            r"\b%s\s*\[[^][]*\]\s*(?:[+\-*/]?=)(?!=)" % re.escape(arg.name)
-        )
-        indirect_re = re.compile(
-            r"\b%s\s*\[[^][]*\b(?:%s)\s*\["
-            % (re.escape(arg.name), "|".join(map(re.escape, buffer_names)))
+        access_re, write_re, indirect_re, use_re = _arg_patterns(
+            arg.name, buffer_names
         )
         count = len(access_re.findall(body))
         global_accesses += count
@@ -224,7 +242,7 @@ def extract(info: KernelSourceInfo, source: str) -> KernelFeatures:
         indirect_accesses += len(indirect_re.findall(body))
         access_bytes += count * _element_size(arg.declaration)
         if _is_float_declaration(arg.declaration):
-            float_buffer_accesses += count
+            float_uses.append(use_re)
 
     # Arithmetic mix: classify each statement's operators as float or int
     # by whether the statement touches a float buffer/literal.
@@ -235,9 +253,7 @@ def extract(info: KernelSourceInfo, source: str) -> KernelFeatures:
         if ops == 0:
             continue
         is_float = bool(_FLOAT_LITERAL_RE.search(stmt)) or any(
-            re.search(r"\b%s\b" % re.escape(a.name), stmt)
-            for a in buffer_args
-            if _is_float_declaration(a.declaration)
+            use_re.search(stmt) for use_re in float_uses
         )
         if is_float:
             float_ops += ops

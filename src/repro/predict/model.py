@@ -1,12 +1,12 @@
-"""Plain-Python ridge regression from static features to kernel cost.
+"""Ridge regression from static features to kernel cost.
 
-No numpy, no sklearn: the normal equations are accumulated as sufficient
-statistics (``X^T X``, ``X^T y``) in plain lists and solved by Gaussian
-elimination with partial pivoting.  That keeps the predictor dependency-free
-and — because every operation is deterministic float arithmetic over a
-deterministic corpus order — bit-identical across processes, which is what
-lets a ``--jobs N`` fleet share one fitted model through the single-flight
-store.
+No sklearn: the normal equations are accumulated as sufficient statistics
+(``X^T X``, ``X^T y``) by one in-order numpy fold (:meth:`RidgeHead.fold`),
+kept as plain lists, and solved by Gaussian elimination with partial
+pivoting.  Every operation is deterministic IEEE float arithmetic over a
+deterministic corpus order, so a fit is bit-identical across processes,
+which is what lets a ``--jobs N`` fleet share one fitted model through the
+single-flight store.
 
 Two model families live here:
 
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from math import exp, log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.predict.features import KernelFeatures
 
@@ -60,6 +62,10 @@ _PENALTY_DEGREE = 8
 #: ``-log min(1, n/saturation)``: exact when a device's saturation point is
 #: a power of two, a tight piecewise-linear fit otherwise.
 _HINGE_KNOTS = tuple(range(4, 17))
+
+#: Observations :meth:`RidgeHead.fold` multiplies out per numpy step; its
+#: scratch array is ``(_FOLD_CHUNK + 1) * dim * (dim + 1)`` floats at most.
+_FOLD_CHUNK = 64
 
 
 def compute_feature_vector(
@@ -202,11 +208,11 @@ def _solve_many(
 class RidgeHead:
     """One ridge-regression output accumulated as sufficient statistics.
 
-    ``add`` folds an (x, y) observation into ``X^T X`` / ``X^T y``;
-    ``solve`` returns the weights of ``(X^T X + λI) w = X^T y``.  A second
-    :class:`RidgeHead` can be layered on at solve time (``extra``) — that is
-    how runtime observations correct a shared immutable base model without
-    mutating it.
+    ``fold`` adds (x, y) observations into ``X^T X`` / ``X^T y`` and ``add``
+    is the fold of one; ``solve`` returns the weights of
+    ``(X^T X + λI) w = X^T y``.  A second :class:`RidgeHead` can be layered
+    on at solve time (``extra``) — that is how runtime observations correct
+    a shared immutable base model without mutating it.
     """
 
     __slots__ = ("dim", "lam", "count", "xtx", "xty")
@@ -219,19 +225,47 @@ class RidgeHead:
         self.xty: List[float] = [0.0] * dim
 
     def add(self, x: Sequence[float], y: float) -> None:
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} features, got {len(x)}")
-        xtx = self.xtx
-        xty = self.xty
-        for i in range(self.dim):
-            xi = x[i]
-            if xi == 0.0:
-                continue
-            row = xtx[i]
-            for j in range(self.dim):
-                row[j] += xi * x[j]
-            xty[i] += xi * y
-        self.count += 1
+        self.fold([x], [y])
+
+    def fold(self, xs: Sequence[Sequence[float]], ys: Sequence[float]) -> None:
+        """Add the observations ``(xs[k], ys[k])`` in order.
+
+        Row after row, each statistic gets ``+= x_i * x_j`` or
+        ``+= x_i * y``, skipping the terms of a zero ``x_i``: the IEEE
+        operations of adding one row at a time, in the same order, so the
+        floats do not depend on the batching.  A skipped term is written as
+        ``-0.0`` (adding it changes no float), and ``np.add.accumulate``
+        sums strictly in row order.
+        """
+        dim = self.dim
+        for x in xs:
+            if len(x) != dim:
+                raise ValueError(f"expected {dim} features, got {len(x)}")
+        if len(ys) != len(xs):
+            raise ValueError(f"{len(xs)} rows but {len(ys)} targets")
+        if not xs:
+            return
+        x = np.array(xs, dtype=float)
+        # Column ``dim`` carries y, so one product gives both statistics.
+        xy = np.column_stack((x, np.array(ys, dtype=float)))
+        chunk = min(len(x), _FOLD_CHUNK)
+        # Row 0 holds the running sums, rows 1.. one chunk's terms.
+        acc = np.empty((chunk + 1, dim, dim + 1))
+        acc[0, :, :dim] = self.xtx
+        acc[0, :, dim] = self.xty
+        # Like Python floats, overflow to inf without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(x), chunk):
+                xk = x[start : start + chunk]
+                k = len(xk)
+                terms = acc[1 : k + 1]
+                np.multiply(xk[:, :, None], xy[start : start + k, None, :], out=terms)
+                terms[xk == 0.0] = -0.0
+                np.add.accumulate(acc[: k + 1], axis=0, out=acc[: k + 1])
+                acc[0] = acc[k]
+        self.xtx = acc[0, :, :dim].tolist()
+        self.xty = acc[0, :, dim].tolist()
+        self.count += len(x)
 
     def _combined(
         self, extra: Optional["RidgeHead"]
@@ -367,12 +401,14 @@ class CostFieldModel:
             name: RidgeHead(dim, lam=lam) for name in _COST_FIELDS
         }
 
-    def add(self, feat: KernelFeatures) -> None:
-        x = descriptor_feature_vector(feat)
-        self.heads["log_flops"].add(x, log(feat.flops_per_item + _TINY))
-        self.heads["log_bytes"].add(x, log(feat.bytes_per_item + _TINY))
-        self.heads["divergence"].add(x, feat.divergence)
-        self.heads["irregularity"].add(x, feat.irregularity)
+    def fold(self, feats: Sequence[KernelFeatures]) -> None:
+        """Add one observation per kernel to every head, in order."""
+        xs = [descriptor_feature_vector(f) for f in feats]
+        heads = self.heads
+        heads["log_flops"].fold(xs, [log(f.flops_per_item + _TINY) for f in feats])
+        heads["log_bytes"].fold(xs, [log(f.bytes_per_item + _TINY) for f in feats])
+        heads["divergence"].fold(xs, [f.divergence for f in feats])
+        heads["irregularity"].fold(xs, [f.irregularity for f in feats])
 
     def predict_fields(self, feat: KernelFeatures) -> Dict[str, float]:
         x = descriptor_feature_vector(feat)

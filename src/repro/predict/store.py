@@ -1,6 +1,6 @@
 """On-disk persistence of fitted predictor models.
 
-Fitting a :class:`~repro.predict.model.PredictorModel` measures ~500
+Fitting a :class:`~repro.predict.model.PredictorModel` measures 1,152
 probes per device on a throwaway engine — cheap, but not free, and a
 ``--jobs N`` benchmark fleet would otherwise fit N identical models.
 This module stores fitted models as JSON through the same single-flight
@@ -26,7 +26,7 @@ from repro import knobs
 from repro.core import profile_store
 from repro.hardware.specs import NodeSpec
 from repro.lru import BoundedLRU
-from repro.predict.model import DEFAULT_LAMBDA, PredictorModel
+from repro.predict.model import PredictorModel
 
 __all__ = [
     "PREDICT_DIR_ENV",
@@ -113,14 +113,14 @@ def load_model(
 
 
 def load_or_fit(
-    spec: NodeSpec,
-    predict_dir: Optional[Path] = None,
-    lam: float = DEFAULT_LAMBDA,
+    spec: NodeSpec, predict_dir: Optional[Path] = None
 ) -> Tuple[PredictorModel, bool]:
     """Single-flight model retrieval: ``(model, fitted)``.
 
     ``fitted`` is True iff this call ran the fit.  N racing processes fit
-    exactly once; the rest block on the lock and load the saved file.
+    exactly once; the rest block on the lock and load the saved file.  The
+    stored model is always fitted at the default λ; a model at another λ
+    comes from :func:`repro.predict.corpus.fit_model` directly.
     """
     model = load_model(spec, predict_dir)
     if model is not None:
@@ -130,7 +130,7 @@ def load_or_fit(
     def _compute():
         from repro.predict.corpus import fit_model
 
-        return fit_model(spec, lam=lam).to_dict()
+        return fit_model(spec).to_dict()
 
     payload, computed = profile_store.load_or_compute_json(path, _compute)
     model = PredictorModel.from_dict(payload)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.flags import ScheduleOptions, SchedulerConfig
-from repro.core.kernel_profiler import KernelProfiler
+from repro.core.kernel_profiler import EPOCH_CACHE_SIZE, KernelProfiler
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
 from repro.ocl.memory import HOST
 from repro.ocl.platform import Platform
@@ -78,6 +78,31 @@ def test_cache_hit_is_free(ctx):
     assert ctx.platform.engine.now == t0  # epoch cache: no new work
     assert again.seconds == first.seconds
     assert prof.stats.epoch_cache_hits == 1
+
+
+def test_epoch_cache_stays_bounded_on_never_repeating_epochs(ctx):
+    prog = ctx.create_program(SRC).build()
+    prof = KernelProfiler(ctx, SchedulerConfig())
+    q = ctx.create_queue()
+    cmd = _kernel_command(ctx, prog)
+    # Epoch k runs the kernel k times: every epoch key is new, as in a
+    # service replay whose pools never repeat.
+    first = prof.profile_epoch(q, [cmd], _options())
+    measured = prof.stats.kernels_measured
+    for k in range(2, EPOCH_CACHE_SIZE + 40):
+        prof.profile_epoch(q, [cmd] * k, _options())
+        assert len(prof.epoch_cache) <= EPOCH_CACHE_SIZE
+    assert len(prof.epoch_cache) == EPOCH_CACHE_SIZE
+    assert prof.stats.epoch_cache_hits == 0
+    # A repeated epoch still hits; an evicted one re-sums from the kernel
+    # cache to the same floats without measuring again.
+    last = [cmd] * (EPOCH_CACHE_SIZE + 39)
+    hit = prof.profile_epoch(q, last, _options())
+    assert prof.stats.epoch_cache_hits == 1
+    assert hit.seconds == prof.profile_epoch(q, last, _options()).seconds
+    assert prof.profile_epoch(q, [cmd], _options()).seconds == first.seconds
+    assert prof.stats.epoch_cache_hits == 2
+    assert prof.stats.kernels_measured == measured
 
 
 def test_kernel_cache_shared_across_epochs(ctx):

@@ -11,6 +11,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.presets import aji_cluster15_node
 from repro.predict import (
@@ -20,7 +21,7 @@ from repro.predict import (
     model_path,
 )
 from repro.predict.features import KernelFeatures, extract_program
-from repro.predict.model import _solve, _solve_many
+from repro.predict.model import _FOLD_CHUNK, _solve, _solve_many
 from repro.predict.store import load_model, save_model
 
 SPEC = aji_cluster15_node()
@@ -55,6 +56,91 @@ def test_ridge_recovers_exact_linear_relation():
     assert w[0] == pytest.approx(2.0, abs=1e-9)
     assert w[1] == pytest.approx(3.0, abs=1e-9)
     assert head.predict([1.0, 10.0], w) == pytest.approx(32.0, abs=1e-8)
+
+
+def _reference_add(xtx, xty, x, y):
+    """The row-at-a-time accumulation ``RidgeHead.add`` ran before the
+    batch fold: in place, skipping every term of a zero ``x[i]``."""
+    for i in range(len(x)):
+        xi = x[i]
+        if xi == 0.0:
+            continue
+        row = xtx[i]
+        for j in range(len(x)):
+            row[j] += xi * x[j]
+        xty[i] += xi * y
+
+
+def _bits(head):
+    """The head's statistics as exact bit patterns (``-0.0 != 0.0``)."""
+    return [[v.hex() for v in row] for row in head.xtx], [v.hex() for v in head.xty]
+
+
+# Exact zeros of both signs and negatives, at magnitudes whose products and
+# sums round differently in any other order.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _fold_case(draw):
+    dim = draw(st.integers(1, 5))
+    row = st.lists(_VALUES, min_size=dim, max_size=dim)
+    start = draw(st.lists(row, max_size=dim))
+    rows = draw(st.lists(row, max_size=2 * _FOLD_CHUNK + 3))
+    ys = draw(st.lists(_VALUES, min_size=len(rows), max_size=len(rows)))
+    splits = draw(st.lists(st.integers(0, len(rows)), max_size=3))
+    return dim, start, rows, ys, sorted(splits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_case())
+def test_fold_matches_row_by_row_accumulation_bitwise(case):
+    dim, start, rows, ys, splits = case
+    # A head that already holds statistics, some of them -0.0 (which a
+    # skipped term must leave as it is).
+    head = RidgeHead(dim)
+    head.xtx = [[-0.0 if (i + j) % 3 == 0 else 0.0 for j in range(dim)] for i in range(dim)]
+    head.xty = [-0.0] * dim
+    for x in start:
+        _reference_add(head.xtx, head.xty, x, 0.5)
+    head.count = len(start)
+    want = RidgeHead(dim)
+    want.xtx = [row[:] for row in head.xtx]
+    want.xty = head.xty[:]
+    for x, y in zip(rows, ys):
+        _reference_add(want.xtx, want.xty, x, y)
+    # Any batching of the rows, including batches that cross a chunk.
+    for lo, hi in zip([0] + splits, splits + [len(rows)]):
+        head.fold(rows[lo:hi], ys[lo:hi])
+    assert _bits(head) == _bits(want)
+    assert head.count == len(start) + len(rows)
+
+
+def test_add_is_a_one_row_fold():
+    rows = [[1.0, 0.0, -2.5], [0.0, 3.0, 1e-300], [-0.0, 1e300, 7.0]]
+    ys = [0.25, -1.0, 3.0]
+    one, batch = RidgeHead(3), RidgeHead(3)
+    for x, y in zip(rows, ys):
+        one.add(x, y)
+    batch.fold(rows, ys)
+    assert _bits(one) == _bits(batch) and one.count == batch.count == 3
+
+
+def test_fold_rejects_mismatched_dimensions():
+    head = RidgeHead(dim=3)
+    with pytest.raises(ValueError, match="expected 3 features, got 2"):
+        head.add([1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match="expected 3 features, got 4"):
+        head.fold([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="2 rows but 1 targets"):
+        head.fold([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [1.0])
+    # A rejected fold leaves the head untouched.
+    assert head.count == 0 and head.xty == [0.0] * 3
+    head.fold([], [])
+    assert head.count == 0
 
 
 def test_ridge_solve_is_deterministic_and_extra_layering_matches():
