@@ -34,7 +34,6 @@ from repro.core.scheduler import (
     MAPPING_HOST_SECONDS,
     MultiCLSchedulerBase,
     transfer_estimate,
-    trigger_pool,
 )
 from repro.ocl.issue import issue_pool
 from repro.ocl.scheduling import register_scheduler
@@ -59,9 +58,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         self.decisions = 0
 
     # Every kernel is a trigger of its own.
-    def on_enqueue(self, queue: "CommandQueue", command: "Command") -> None:
-        if command.is_kernel:
-            self.on_sync(trigger_pool(queue), trigger_queue=queue)
+    triggers_per_kernel = True
 
     def on_sync(
         self,

@@ -170,8 +170,13 @@ class MultiCLSchedulerBase(SchedulerBase):
         program.minikernel_infos = infos
 
     # -- per-kernel trigger mode ------------------------------------------
+    #: Trigger on every kernel whatever the config's ``per_kernel_trigger``.
+    triggers_per_kernel = False
+
     def on_enqueue(self, queue: "CommandQueue", command: "Command") -> None:
-        if self.config.per_kernel_trigger and command.is_kernel:
+        if command.is_kernel and (
+            self.triggers_per_kernel or self.config.per_kernel_trigger
+        ):
             # High-frequency mode: schedule immediately on every kernel
             # (the costly alternative discussed in Section V.A).  This
             # bypasses Context._sync_pending, so the arbitration and

@@ -12,7 +12,7 @@ epochs, leaving the dynamic profiler as a corrector:
   extraction over parsed kernel sources;
 * :mod:`repro.predict.model` — ridge regression (normal equations
   folded in order, solved in plain Python) from feature vectors to
-  cost-descriptor fields and per-device execution time;
+  per-device execution time;
 * :mod:`repro.predict.corpus` — the offline probe corpus the models are
   fitted on (measured through a throwaway simulated platform, so fitting
   charges nothing to any application clock);
@@ -27,13 +27,12 @@ epochs, leaving the dynamic profiler as a corrector:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
+from math import log
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.lru import BoundedLRU
 from repro.predict.features import KernelFeatures, extract, extract_program
 from repro.predict.model import (
-    CostFieldModel,
     DeviceTimeModel,
     PredictorModel,
     RidgeHead,
@@ -57,7 +56,6 @@ __all__ = [
     "extract_program",
     "RidgeHead",
     "DeviceTimeModel",
-    "CostFieldModel",
     "PredictorModel",
     "Predictor",
     "PredictorStats",
@@ -123,7 +121,8 @@ class Predictor:
         self._weights: Dict[str, Tuple[List[float], List[float]]] = {}
         #: (device, head) -> inverse normal matrix for leverage
         self._inverses: Dict[Tuple[str, str], List[List[float]]] = {}
-        #: (program id, kernel name) -> extracted features
+        #: (program source, kernel name) -> extracted features.  Keyed on
+        #: the text, not the program object: a freed program's id is reused.
         self._features: BoundedLRU = BoundedLRU(256)
         #: devices invalidated by a fault whose next observation must force
         #: a re-fit (re-arm), regardless of how small its residual is
@@ -133,10 +132,11 @@ class Predictor:
     # Feature access
     # ------------------------------------------------------------------
     def features_for(self, kernel) -> KernelFeatures:
-        key = (id(kernel.program), kernel.name)
+        source = kernel.program.source
+        key = (source, kernel.name)
         feat = self._features.get(key)
         if feat is None:
-            feat = extract(kernel.info, kernel.program.source)
+            feat = extract(kernel.info, source)
             self._features.put(key, feat)
         return feat
 
@@ -192,13 +192,8 @@ class Predictor:
     def predict_seconds(self, feat: KernelFeatures, device: str, n: int) -> float:
         """Predicted full execution seconds of one launch on ``device``."""
         wc, wm = self._device_weights(device)
-        kind = self.kinds[device]
-        yc = _dot(wc, compute_feature_vector(feat, kind, n))
-        ym = _dot(wm, memory_feature_vector(feat, kind, n))
-        body = max(exp(yc), exp(ym))
         m = self.model.devices[device]
-        overhead = self.overheads.get(device, m.overhead)
-        return overhead + n * body
+        return m.predict_seconds(feat, n, wc, wm, self.overheads.get(device))
 
     def predict_command(
         self, cmd: "Command", devices: List[str]
@@ -265,14 +260,14 @@ class Predictor:
             kind = self.kinds.get(device)
             if kind is not None:
                 wc, wm = self._device_weights(device)
+                m = self.model.devices[device]
                 xc = compute_feature_vector(feat, kind, n)
                 xm = memory_feature_vector(feat, kind, n)
                 head, x = (
                     ("compute", xc)
-                    if _dot(wc, xc) >= _dot(wm, xm)
+                    if m.compute.predict(xc, wc) >= m.memory.predict(xm, wm)
                     else ("memory", xm)
                 )
-                m = self.model.devices[device]
                 overhead = self.overheads.get(device, m.overhead)
                 y = log(max((seconds - overhead) / n, _TINY))
                 base = m.compute if head == "compute" else m.memory
@@ -311,18 +306,14 @@ class Predictor:
         return removed
 
 
-def _dot(a: List[float], b: List[float]) -> float:
-    total = 0.0
-    for i in range(len(a)):
-        total += a[i] * b[i]
-    return total
-
-
 def _quadratic_form(inv: List[List[float]], x: List[float]) -> float:
     """x^T inv x (leverage against the fitted normal matrix)."""
     total = 0.0
     for i, row in enumerate(inv):
-        total += x[i] * _dot(row, x)
+        inner = 0.0
+        for j in range(len(row)):
+            inner += row[j] * x[j]
+        total += x[i] * inner
     return max(total, 0.0)
 
 

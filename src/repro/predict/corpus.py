@@ -40,7 +40,6 @@ from repro.ocl.source import _parse_program_source_uncached
 from repro.predict.features import KernelFeatures, extract
 from repro.predict.model import (
     DEFAULT_LAMBDA,
-    CostFieldModel,
     DeviceTimeModel,
     PredictorModel,
     compute_feature_vector,
@@ -234,10 +233,6 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
     """
     probes = probe_specs()
     feats = _probe_features(probes)
-
-    cost_fields = CostFieldModel(lam=lam)
-    cost_fields.fold(feats)
-
     engine = SimEngine()
     node = SimNode(engine, spec)
     devices: Dict[str, DeviceTimeModel] = {}
@@ -279,6 +274,5 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
     return PredictorModel(
         fingerprint=node_fingerprint(spec),
         devices=devices,
-        cost_fields=cost_fields,
         lam=lam,
     )

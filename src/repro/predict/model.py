@@ -8,23 +8,17 @@ deterministic corpus order, so a fit is bit-identical across processes,
 which is what lets a ``--jobs N`` fleet share one fitted model through the
 single-flight store.
 
-Two model families live here:
+Each device gets a :class:`DeviceTimeModel`.  The simulator's roofline is
+``overhead + max(compute term, memory term)`` with each term multiplicative
+in its inputs, so the model has *two* log-space linear heads
+(compute-bound, memory-bound) combined with ``max(exp(.), exp(.))`` at
+prediction time.  Occupancy's ``min(1, n/saturation)`` kink and the
+``-log(1 - penalty·z)`` penalty curves are linearised with hinge and
+polynomial basis features.
 
-* :class:`DeviceTimeModel` — per-device execution-time model.  The
-  simulator's roofline is ``overhead + max(compute term, memory term)``
-  with each term multiplicative in its inputs, so each device gets *two*
-  log-space linear heads (compute-bound, memory-bound) combined with
-  ``max(exp(.), exp(.))`` at prediction time.  Occupancy's
-  ``min(1, n/saturation)`` kink and the ``-log(1 - penalty·z)`` penalty
-  curves are linearised with hinge and polynomial basis features.
-* :class:`CostFieldModel` — device-independent ridge heads from the shared
-  feature vector to the :class:`~repro.hardware.cost.KernelCost` descriptor
-  fields (log flops, log bytes, divergence, irregularity), read back per
-  field by :meth:`CostFieldModel.predict_fields`.
-
-:class:`PredictorModel` bundles both plus the node fingerprint, with JSON
-(de)serialisation that round-trips floats exactly (``repr`` round-trip
-guarantee), so fit-once/load-many is bit-identical.
+:class:`PredictorModel` bundles the device models with the node
+fingerprint, with JSON (de)serialisation that round-trips floats exactly
+(``repr`` round-trip guarantee), so fit-once/load-many is bit-identical.
 """
 
 from __future__ import annotations
@@ -39,11 +33,9 @@ from repro.predict.features import KernelFeatures
 __all__ = [
     "RidgeHead",
     "DeviceTimeModel",
-    "CostFieldModel",
     "PredictorModel",
     "compute_feature_vector",
     "memory_feature_vector",
-    "descriptor_feature_vector",
     "DEFAULT_LAMBDA",
 ]
 
@@ -126,24 +118,6 @@ def memory_feature_vector(
         )
     )
     return x
-
-
-def descriptor_feature_vector(feat: KernelFeatures) -> List[float]:
-    """Shared basis for the device-independent descriptor-field heads."""
-    return [
-        1.0,
-        log(feat.flops_per_item + _TINY),
-        log(feat.bytes_per_item + _TINY),
-        feat.divergence,
-        feat.irregularity,
-        feat.branch_density,
-        float(feat.loop_nest_depth),
-        float(feat.barrier_count),
-        log(feat.arg_bytes + 1.0),
-        float(feat.global_accesses),
-        float(feat.indirect_accesses),
-        float(feat.transcendental_ops),
-    ]
 
 
 def _log2(n: int) -> float:
@@ -352,18 +326,22 @@ class DeviceTimeModel:
         work_items: int,
         compute_weights: Optional[Sequence[float]] = None,
         memory_weights: Optional[Sequence[float]] = None,
+        overhead: Optional[float] = None,
     ) -> float:
         """Predicted seconds of one launch of ``work_items`` items.
 
         Callers on a hot path should pass pre-solved weights; without them
-        each call re-solves the normal equations.
+        each call re-solves the normal equations.  ``overhead`` replaces the
+        launch overhead measured at fit time (a runtime's own profile).
         """
         wc = compute_weights if compute_weights is not None else self.compute.solve()
         wm = memory_weights if memory_weights is not None else self.memory.solve()
         xc = compute_feature_vector(feat, self.kind, work_items)
         xm = memory_feature_vector(feat, self.kind, work_items)
         body = max(exp(self.compute.predict(xc, wc)), exp(self.memory.predict(xm, wm)))
-        return self.overhead + work_items * body
+        if overhead is None:
+            overhead = self.overhead
+        return overhead + work_items * body
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -385,75 +363,27 @@ class DeviceTimeModel:
         )
 
 
-#: Cost-descriptor fields predicted by :class:`CostFieldModel`, in order.
-_COST_FIELDS = ("log_flops", "log_bytes", "divergence", "irregularity")
-
-
-class CostFieldModel:
-    """Device-independent heads predicting the KernelCost descriptor fields."""
-
-    __slots__ = ("heads",)
-
-    def __init__(self, heads: Optional[Dict[str, RidgeHead]] = None,
-                 lam: float = DEFAULT_LAMBDA) -> None:
-        dim = len(descriptor_feature_vector(KernelFeatures(name="_probe")))
-        self.heads = heads or {
-            name: RidgeHead(dim, lam=lam) for name in _COST_FIELDS
-        }
-
-    def fold(self, feats: Sequence[KernelFeatures]) -> None:
-        """Add one observation per kernel to every head, in order."""
-        xs = [descriptor_feature_vector(f) for f in feats]
-        heads = self.heads
-        heads["log_flops"].fold(xs, [log(f.flops_per_item + _TINY) for f in feats])
-        heads["log_bytes"].fold(xs, [log(f.bytes_per_item + _TINY) for f in feats])
-        heads["divergence"].fold(xs, [f.divergence for f in feats])
-        heads["irregularity"].fold(xs, [f.irregularity for f in feats])
-
-    def predict_fields(self, feat: KernelFeatures) -> Dict[str, float]:
-        x = descriptor_feature_vector(feat)
-        out: Dict[str, float] = {}
-        for name in _COST_FIELDS:
-            head = self.heads[name]
-            out[name] = head.predict(x, head.solve())
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        return {name: head.to_dict() for name, head in self.heads.items()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CostFieldModel":
-        return cls(
-            heads={
-                name: RidgeHead.from_dict(data[name]) for name in _COST_FIELDS
-            }
-        )
-
-
 class PredictorModel:
-    """A fitted predictor for one node: per-device time models plus the
-    device-independent cost-field heads.
+    """A fitted predictor for one node: one time model per device.
 
     Immutable by convention once fitted: runtime corrections are layered on
     by :class:`repro.predict.Predictor` without touching these statistics,
     so one instance can be shared by every runtime in a process.
     """
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
-    __slots__ = ("fingerprint", "lam", "devices", "cost_fields")
+    __slots__ = ("fingerprint", "lam", "devices")
 
     def __init__(
         self,
         fingerprint: str,
         devices: Dict[str, DeviceTimeModel],
-        cost_fields: CostFieldModel,
         lam: float = DEFAULT_LAMBDA,
     ) -> None:
         self.fingerprint = fingerprint
         self.lam = lam
         self.devices = devices
-        self.cost_fields = cost_fields
 
     @classmethod
     def fit(cls, spec, lam: float = DEFAULT_LAMBDA) -> "PredictorModel":
@@ -472,19 +402,6 @@ class PredictorModel:
             for name, m in self.devices.items()
         }
 
-    def residual(
-        self,
-        feat: KernelFeatures,
-        device: str,
-        work_items: int,
-        observed_seconds: float,
-    ) -> float:
-        """Relative error of the base model against an observation."""
-        predicted = self.devices[device].predict_seconds(feat, work_items)
-        return abs(predicted - observed_seconds) / max(
-            abs(observed_seconds), _TINY
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema": self.SCHEMA_VERSION,
@@ -493,7 +410,6 @@ class PredictorModel:
             "devices": {
                 name: m.to_dict() for name, m in sorted(self.devices.items())
             },
-            "cost_fields": self.cost_fields.to_dict(),
         }
 
     @classmethod
@@ -509,7 +425,6 @@ class PredictorModel:
                 name: DeviceTimeModel.from_dict(d)
                 for name, d in data["devices"].items()
             },
-            cost_fields=CostFieldModel.from_dict(data["cost_fields"]),
         )
 
 

@@ -2,8 +2,10 @@
 
 * :mod:`repro.workloads.seismology.fdm` — a real 2-D staggered-grid
   velocity–stress finite-difference solver (numpy) with sponge absorbing
-  boundaries and a Ricker source, plus a two-region split-domain variant
-  whose halo exchange reproduces the monolithic solution exactly;
+  boundaries and a Ricker source, plus the two-region split-domain
+  stepper whose halo exchange reproduces the monolithic solution exactly;
+* :mod:`repro.workloads.seismology.fdm3d` — the full-fidelity 3-D solver
+  and its region pair (the same stepper over the 3-D arrays);
 * :mod:`repro.workloads.seismology.app` — the two-command-queue OpenCL
   driver with the paper's kernel structure (velocity: 3 + 4 kernels,
   stress: 11 + 14, per region) in column-major and row-major variants.

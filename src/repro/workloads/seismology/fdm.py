@@ -21,14 +21,15 @@ source wavelet injected into the normal stresses.
 :class:`RegionPairSimulation` runs the same scheme split into two
 subdomains with explicit interface halo exchange — the structure the
 two-command-queue OpenCL driver mirrors — and reproduces the monolithic
-solution *exactly* (bit-for-bit), which the test suite asserts.
+solution *exactly* (bit-for-bit), which the test suite asserts.  It steps
+the 3-D solver of :mod:`repro.workloads.seismology.fdm3d` the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -97,17 +98,27 @@ def _sponge_profile(n: int, width: int, strength: float) -> np.ndarray:
     return prof
 
 
+def _interior(x_range: Optional[Tuple[int, int]], nx: int) -> Tuple[int, int]:
+    """The interior x columns ``[lo, hi)`` of ``x_range`` (all if None)."""
+    if x_range is None:
+        return 1, nx - 1
+    return max(x_range[0], 1), min(x_range[1], nx - 1)
+
+
 class FDMSimulation:
-    """Monolithic solver: five wavefields on one grid."""
+    """Monolithic solver: five wavefields on one grid.
+
+    Each phase updates the interior points of the x columns in
+    ``x_range`` (all of them by default); the wall columns and rows stay
+    zero (Dirichlet).
+    """
+
+    FIELDS = ("vx", "vz", "sxx", "szz", "sxz")
 
     def __init__(self, params: FDMParameters) -> None:
         self.p = params
-        shape = (params.nx, params.nz)
-        self.vx = np.zeros(shape)
-        self.vz = np.zeros(shape)
-        self.sxx = np.zeros(shape)
-        self.szz = np.zeros(shape)
-        self.sxz = np.zeros(shape)
+        for name in self.FIELDS:
+            setattr(self, name, np.zeros((params.nx, params.nz)))
         self.step_index = 0
         sx = _sponge_profile(params.nx, params.sponge_width, params.sponge_strength)
         sz = _sponge_profile(params.nz, params.sponge_width, params.sponge_strength)
@@ -115,34 +126,40 @@ class FDMSimulation:
         self._source_pos = (params.nx // 2, params.nz // 3)
 
     # -- update phases ------------------------------------------------------
-    def step_velocity(self) -> None:
+    def step_velocity(self, x_range: Optional[Tuple[int, int]] = None) -> None:
         p = self.p
         c = p.dt / (p.rho * p.dx)
+        lo, hi = _interior(x_range, p.nx)
+        sl = slice(lo, hi)
         vx, vz = self.vx, self.vz
         sxx, szz, sxz = self.sxx, self.szz, self.sxz
-        vx[1:-1, 1:-1] += c * (
-            (sxx[2:, 1:-1] - sxx[1:-1, 1:-1]) + (sxz[1:-1, 1:-1] - sxz[1:-1, :-2])
+        vx[sl, 1:-1] += c * (
+            (sxx[lo + 1 : hi + 1, 1:-1] - sxx[sl, 1:-1])
+            + (sxz[sl, 1:-1] - sxz[sl, :-2])
         )
-        vz[1:-1, 1:-1] += c * (
-            (sxz[1:-1, 1:-1] - sxz[:-2, 1:-1]) + (szz[1:-1, 2:] - szz[1:-1, 1:-1])
+        vz[sl, 1:-1] += c * (
+            (sxz[sl, 1:-1] - sxz[lo - 1 : hi - 1, 1:-1])
+            + (szz[sl, 2:] - szz[sl, 1:-1])
         )
-        vx *= self._damp
-        vz *= self._damp
+        vx[sl] *= self._damp[sl]
+        vz[sl] *= self._damp[sl]
 
-    def step_stress(self) -> None:
+    def step_stress(self, x_range: Optional[Tuple[int, int]] = None) -> None:
         p = self.p
         dtdx = p.dt / p.dx
         lam, mu, l2m = p.lam, p.mu, p.lam + 2.0 * p.mu
+        lo, hi = _interior(x_range, p.nx)
+        sl = slice(lo, hi)
         vx, vz = self.vx, self.vz
-        dvxdx = vx[1:-1, 1:-1] - vx[:-2, 1:-1]
-        dvzdz = vz[1:-1, 1:-1] - vz[1:-1, :-2]
-        self.sxx[1:-1, 1:-1] += dtdx * (l2m * dvxdx + lam * dvzdz)
-        self.szz[1:-1, 1:-1] += dtdx * (lam * dvxdx + l2m * dvzdz)
-        dvxdz = vx[1:-1, 2:] - vx[1:-1, 1:-1]
-        dvzdx = vz[2:, 1:-1] - vz[1:-1, 1:-1]
-        self.sxz[1:-1, 1:-1] += dtdx * mu * (dvxdz + dvzdx)
+        dvxdx = vx[sl, 1:-1] - vx[lo - 1 : hi - 1, 1:-1]
+        dvzdz = vz[sl, 1:-1] - vz[sl, :-2]
+        self.sxx[sl, 1:-1] += dtdx * (l2m * dvxdx + lam * dvzdz)
+        self.szz[sl, 1:-1] += dtdx * (lam * dvxdx + l2m * dvzdz)
+        dvxdz = vx[sl, 2:] - vx[sl, 1:-1]
+        dvzdx = vz[lo + 1 : hi + 1, 1:-1] - vz[sl, 1:-1]
+        self.sxz[sl, 1:-1] += dtdx * mu * (dvxdz + dvzdx)
         for f in (self.sxx, self.szz, self.sxz):
-            f *= self._damp
+            f[sl] *= self._damp[sl]
 
     def inject_source(self) -> None:
         p = self.p
@@ -171,85 +188,46 @@ class FDMSimulation:
         return kinetic + strain / (2.0 * self.p.mu)
 
     def wavefield_snapshot(self) -> Dict[str, np.ndarray]:
-        return {
-            "vx": self.vx.copy(),
-            "vz": self.vz.copy(),
-            "sxx": self.sxx.copy(),
-            "szz": self.szz.copy(),
-            "sxz": self.sxz.copy(),
-        }
+        return {f: getattr(self, f).copy() for f in self.FIELDS}
 
 
 class RegionPairSimulation:
-    """The same scheme split into two x-subdomains with halo exchange.
+    """A solver's scheme split into two x-subdomains with halo exchange.
 
     Region 0 owns columns ``[0, nx/2)`` and region 1 owns ``[nx/2, nx)``,
-    each padded with a one-column halo of the neighbour.  Stepping a phase
-    region-by-region and exchanging halos between phases reproduces the
-    monolithic stencil exactly — this is what makes the wavefield regions
-    "independent" within a phase and computable on two command queues.
+    each reading a one-column halo of the neighbour.  Each phase is
+    computed strictly region-by-region over the disjoint column ranges
+    (the solver's ``x_range`` form), so two command queues can own the
+    regions; stepping a phase region-by-region reproduces the monolithic
+    stencil exactly.  The halo exchange is implicit in slicing the shared
+    arrays; the driver charges explicit transfer time for it.
     """
 
-    def __init__(self, params: FDMParameters) -> None:
+    #: The monolithic solver whose arrays the regions share.
+    solver = FDMSimulation
+
+    def __init__(self, params) -> None:
         if params.nx % 2:
             raise ValueError("nx must be even for a two-region split")
         self.p = params
-        self.mono = FDMSimulation(params)  # storage reused; stepping below
+        self.mono = self.solver(params)
         self.half = params.nx // 2
         self.step_index = 0
 
-    # The implementation operates on the shared arrays with region slices
-    # (a halo exchange is implicit in slicing the full array, but the
-    # driver charges explicit transfer time for it).  To keep the "two
-    # independent regions" structure honest we compute each phase strictly
-    # region-by-region over disjoint column ranges.
-    def _col_range(self, region: int) -> Tuple[int, int]:
+    def _range(self, region: int) -> Tuple[int, int]:
         return (0, self.half) if region == 0 else (self.half, self.p.nx)
 
     def step_velocity_region(self, region: int) -> None:
-        p = self.p
-        c = p.dt / (p.rho * p.dx)
-        lo, hi = self._col_range(region)
-        lo_i = max(lo, 1)
-        hi_i = min(hi, p.nx - 1)
-        m = self.mono
-        sl = slice(lo_i, hi_i)
-        m.vx[sl, 1:-1] += c * (
-            (m.sxx[lo_i + 1 : hi_i + 1, 1:-1] - m.sxx[sl, 1:-1])
-            + (m.sxz[sl, 1:-1] - m.sxz[sl, :-2])
-        )
-        m.vz[sl, 1:-1] += c * (
-            (m.sxz[sl, 1:-1] - m.sxz[lo_i - 1 : hi_i - 1, 1:-1])
-            + (m.szz[sl, 2:] - m.szz[sl, 1:-1])
-        )
-        m.vx[sl, :] *= m._damp[sl, :]
-        m.vz[sl, :] *= m._damp[sl, :]
+        self.mono.step_velocity(self._range(region))
 
     def step_stress_region(self, region: int) -> None:
-        p = self.p
-        dtdx = p.dt / p.dx
-        lam, mu, l2m = p.lam, p.mu, p.lam + 2.0 * p.mu
-        lo, hi = self._col_range(region)
-        lo_i = max(lo, 1)
-        hi_i = min(hi, p.nx - 1)
-        m = self.mono
-        sl = slice(lo_i, hi_i)
-        dvxdx = m.vx[sl, 1:-1] - m.vx[lo_i - 1 : hi_i - 1, 1:-1]
-        dvzdz = m.vz[sl, 1:-1] - m.vz[sl, :-2]
-        m.sxx[sl, 1:-1] += dtdx * (l2m * dvxdx + lam * dvzdz)
-        m.szz[sl, 1:-1] += dtdx * (lam * dvxdx + l2m * dvzdz)
-        dvxdz = m.vx[sl, 2:] - m.vx[sl, 1:-1]
-        dvzdx = m.vz[lo_i + 1 : hi_i + 1, 1:-1] - m.vz[sl, 1:-1]
-        m.sxz[sl, 1:-1] += dtdx * mu * (dvxdz + dvzdx)
-        for f in (m.sxx, m.szz, m.sxz):
-            f[sl, :] *= m._damp[sl, :]
+        self.mono.step_stress(self._range(region))
 
     def inject_source(self) -> None:
         # The source sits in region 1's column range in the driver; physics
         # identical to the monolithic path.
-        m = self.mono
-        m.step_index = self.step_index
-        m.inject_source()
+        self.mono.step_index = self.step_index
+        self.mono.inject_source()
 
     def step(self) -> None:
         """One full step through the region-split phases."""
@@ -273,5 +251,6 @@ class RegionPairSimulation:
         return 0 if self.mono._source_pos[0] < self.half else 1
 
     def interface_halo_bytes(self) -> int:
-        """Bytes exchanged at the interface per phase (5 fields, 1 column)."""
-        return 5 * self.p.nz * 8
+        """Bytes exchanged at the interface per phase: every wavefield's
+        one x-slice (one column in 2-D, one yz-plane in 3-D)."""
+        return len(self.mono.FIELDS) * self.mono.vx[0].nbytes

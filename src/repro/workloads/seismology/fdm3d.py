@@ -19,11 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.workloads.seismology.fdm import ricker_wavelet
+from repro.workloads.seismology.fdm import (
+    RegionPairSimulation,
+    _interior,
+    _sponge_profile,
+    ricker_wavelet,
+)
 
 __all__ = ["FDM3DParameters", "FDM3DSimulation", "RegionPair3D"]
 
@@ -68,17 +73,10 @@ class FDM3DParameters:
         return self.rho * self.vs ** 2
 
 
-def _sponge(n: int, width: int, strength: float) -> np.ndarray:
-    prof = np.ones(n)
-    for i in range(width):
-        d = math.exp(-((strength * (width - i)) ** 2))
-        prof[i] = d
-        prof[n - 1 - i] = d
-    return prof
-
-
 class FDM3DSimulation:
     """Monolithic 3-D solver: nine wavefields on one grid."""
+
+    FIELDS = ALL_FIELDS
 
     def __init__(self, params: FDM3DParameters) -> None:
         self.p = params
@@ -86,20 +84,19 @@ class FDM3DSimulation:
         for name in ALL_FIELDS:
             setattr(self, name, np.zeros(shape))
         self.step_index = 0
-        sx = _sponge(params.nx, params.sponge_width, params.sponge_strength)
-        sy = _sponge(params.ny, params.sponge_width, params.sponge_strength)
-        sz = _sponge(params.nz, params.sponge_width, params.sponge_strength)
+        sx = _sponge_profile(params.nx, params.sponge_width, params.sponge_strength)
+        sy = _sponge_profile(params.ny, params.sponge_width, params.sponge_strength)
+        sz = _sponge_profile(params.nz, params.sponge_width, params.sponge_strength)
         self._damp = sx[:, None, None] * sy[None, :, None] * sz[None, None, :]
         self._source_pos = (params.nx // 2, params.ny // 2, params.nz // 3)
 
     # ------------------------------------------------------------------
     # Update phases (interior points; Dirichlet walls)
     # ------------------------------------------------------------------
-    def step_velocity(self, x_range: Tuple[int, int] | None = None) -> None:
+    def step_velocity(self, x_range: Optional[Tuple[int, int]] = None) -> None:
         p = self.p
         c = p.dt / (p.rho * p.dx)
-        lo = max(x_range[0], 1) if x_range else 1
-        hi = min(x_range[1], p.nx - 1) if x_range else p.nx - 1
+        lo, hi = _interior(x_range, p.nx)
         sl = slice(lo, hi)
         i = (sl, slice(1, -1), slice(1, -1))
         # vx += c (D-x sxx + D-y sxy + D-z sxz): backward differences land
@@ -123,13 +120,12 @@ class FDM3DSimulation:
             f = getattr(self, name)
             f[sl, :, :] *= self._damp[sl, :, :]
 
-    def step_stress(self, x_range: Tuple[int, int] | None = None) -> None:
+    def step_stress(self, x_range: Optional[Tuple[int, int]] = None) -> None:
         p = self.p
         dtdx = p.dt / p.dx
         lam, mu = p.lam, p.mu
         l2m = lam + 2.0 * mu
-        lo = max(x_range[0], 1) if x_range else 1
-        hi = min(x_range[1], p.nx - 1) if x_range else p.nx - 1
+        lo, hi = _interior(x_range, p.nx)
         sl = slice(lo, hi)
         i = (sl, slice(1, -1), slice(1, -1))
         dvxdx = self.vx[i] - self.vx[lo - 1 : hi - 1, 1:-1, 1:-1]
@@ -185,52 +181,9 @@ class FDM3DSimulation:
         return {f: getattr(self, f).copy() for f in ALL_FIELDS}
 
 
-class RegionPair3D:
-    """The 3-D scheme split into two x-subdomains with halo exchange.
+class RegionPair3D(RegionPairSimulation):
+    """The 3-D scheme split into two x-subdomains with halo exchange: the
+    2-D :class:`RegionPairSimulation` stepping :class:`FDM3DSimulation`,
+    whose interface halo is one yz-plane of all nine wavefields."""
 
-    Identical structure to the 2-D :class:`RegionPairSimulation`: each
-    phase is computed strictly region-by-region over disjoint x ranges, so
-    two command queues can own the regions; the result is bit-for-bit
-    equal to the monolithic solver.
-    """
-
-    def __init__(self, params: FDM3DParameters) -> None:
-        if params.nx % 2:
-            raise ValueError("nx must be even for a two-region split")
-        self.p = params
-        self.mono = FDM3DSimulation(params)
-        self.half = params.nx // 2
-        self.step_index = 0
-
-    def _range(self, region: int) -> Tuple[int, int]:
-        return (0, self.half) if region == 0 else (self.half, self.p.nx)
-
-    def step_velocity_region(self, region: int) -> None:
-        self.mono.step_velocity(self._range(region))
-
-    def step_stress_region(self, region: int) -> None:
-        self.mono.step_stress(self._range(region))
-
-    def inject_source(self) -> None:
-        self.mono.step_index = self.step_index
-        self.mono.inject_source()
-
-    def step(self) -> None:
-        self.step_velocity_region(0)
-        self.step_velocity_region(1)
-        self.step_stress_region(0)
-        self.step_stress_region(1)
-        self.inject_source()
-        self.step_index += 1
-        self.mono.step_index = self.step_index
-
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
-
-    def energy(self) -> float:
-        return self.mono.energy()
-
-    def interface_halo_bytes(self) -> int:
-        """Bytes exchanged per phase: 9 fields, one yz-plane."""
-        return len(ALL_FIELDS) * self.p.ny * self.p.nz * 8
+    solver = FDM3DSimulation

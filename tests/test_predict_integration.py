@@ -166,6 +166,32 @@ def test_corrector_refit_moves_the_prediction(profile_dir):
     assert predictor.stats.refits >= 1
 
 
+def test_features_follow_the_program_not_a_reused_id(profile_dir):
+    """A freed program's id is reused by the next one; the feature cache
+    must not hand the new program's kernel the old program's features."""
+    import gc
+
+    mcl = MultiCL(
+        policy=ContextScheduler.AUTO_FIT,
+        config=SchedulerConfig(predict=True),
+        profile_dir=profile_dir,
+    )
+    ctx = mcl.context
+    predictor = ctx.scheduler.profiler.predictor
+    stale = []
+    for i in range(200):
+        program = ctx.create_program(
+            f"// @multicl flops_per_item={i + 1} bytes_per_item=8 writes=1\n"
+            "__kernel void k(__global float* a, int n) { }\n"
+        ).build()
+        feat = predictor.features_for(program.create_kernel("k"))
+        if feat.flops_per_item != i + 1:
+            stale.append(i)
+        del program
+        gc.collect()
+    assert stale == []
+
+
 # ---------------------------------------------------------------------------
 # Fault-driven invalidation
 # ---------------------------------------------------------------------------

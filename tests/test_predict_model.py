@@ -275,6 +275,23 @@ def test_save_then_load_predicts_bit_identical(fitted_dir, tmp_path):
         assert loaded.predict(FEAT, n) == model.predict(FEAT, n)
 
 
+def test_predictor_and_model_share_one_prediction_formula(fitted_dir):
+    """The runtime predictor (cached weights) and the base model (fresh
+    solves) give the same float for every device at every width."""
+    from repro.predict import Predictor
+
+    model, _ = load_or_fit(SPEC, fitted_dir)
+    predictor = Predictor(
+        model,
+        kinds={d: m.kind for d, m in model.devices.items()},
+        overheads={d: m.overhead for d, m in model.devices.items()},
+    )
+    for n in (1, 100, 1 << 10, 1 << 16, 3 << 20):
+        expected = model.predict(FEAT, n)
+        for d in model.devices:
+            assert predictor.predict_seconds(FEAT, d, n) == expected[d]
+
+
 def test_load_rejects_corrupt_and_mismatched_files(fitted_dir, tmp_path):
     path = model_path(SPEC, str(tmp_path))
     path.parent.mkdir(parents=True, exist_ok=True)

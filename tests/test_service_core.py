@@ -212,6 +212,20 @@ class TestFairShare:
         assert rr.session.context.scheduler.mapping_history
 
 
+    def test_kernel_granularity_tenant_is_arbitrated(self, profile_dir):
+        """Its per-kernel triggers go through the fair-share arbiter, so
+        the tenant is dispatched and charged like any other."""
+        from repro.core.baselines import KERNEL_GRANULARITY_POLICY
+
+        svc = SchedulingService(profile_dir=profile_dir)
+        kg = Client(svc.create_session("kg", policy=KERNEL_GRANULARITY_POLICY))
+        for _ in range(3):
+            kg.enqueue_epoch()
+        kg.queue.finish()
+        charges = [c for _, t, c in svc.arbiter.dispatch_log if t == "kg"]
+        assert charges and all(c > 0 for c in charges)
+        assert kg.session.charged_seconds > 0
+
 # ---------------------------------------------------------------------------
 # Telemetry
 # ---------------------------------------------------------------------------
