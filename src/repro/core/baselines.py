@@ -35,7 +35,6 @@ from repro.core.scheduler import (
     MultiCLSchedulerBase,
     transfer_estimate,
 )
-from repro.ocl.issue import issue_pool
 from repro.ocl.scheduling import register_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,13 +64,9 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         pool: Sequence["CommandQueue"],
         trigger_queue: Optional["CommandQueue"] = None,
     ) -> None:
-        # The pool issuer places each kernel just before it issues;
-        # non-kernel commands ride along on the current binding.
-        issue_pool(
-            self.context, sorted(pool, key=lambda q: q.id),
-            before_issue=self._place_kernel,
-        )
-        self._record(pool)
+        # Each kernel is placed just before it issues; non-kernel commands
+        # ride along on the current binding.
+        self._issue(sorted(pool, key=lambda q: q.id), {}, self._place_kernel)
 
     def _place_kernel(self, q: "CommandQueue", cmd: "Command") -> None:
         if not cmd.is_kernel:
@@ -79,8 +74,15 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         profile = self.context.platform.device_profile
         options = ScheduleOptions.from_flags(q.sched_flags)
         epoch = self.profiler.profile_epoch(q, [cmd], options)
+        # Per-kernel host decision cost (a profile lookup + argmin).  Charged
+        # before ranking, so a device that fails while the profile or this
+        # interval advances virtual time is never chosen.
+        self.context.platform.engine.elapse(
+            MAPPING_HOST_SECONDS, category="schedule",
+            name="per-kernel-map",
+        )
         best, best_cost = None, float("inf")
-        for d in self.context.device_names:
+        for d in self._active_devices():
             move = transfer_estimate(cmd.args_snapshot.values(), d, profile)
             cost = self._load[d] + epoch.seconds[d] + move
             if cost < best_cost:
@@ -88,11 +90,6 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         assert best is not None
         self._load[best] += epoch.seconds[best]
         self.decisions += 1
-        # Per-kernel host decision cost (a profile lookup + argmin).
-        self.context.platform.engine.elapse(
-            MAPPING_HOST_SECONDS, category="schedule",
-            name="per-kernel-map",
-        )
         q.rebind(best)
 
 

@@ -23,7 +23,7 @@ and leave every pooled queue bound to a device with its commands issued.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
@@ -130,9 +130,6 @@ class MultiCLSchedulerBase(SchedulerBase):
         self.mapper_solves = 0
         self.mapper_repairs = 0
         self.mapper_reuses = 0
-        #: Most recent MappingResult, so fault-recovery accounting can tag
-        #: remaps with whether a repair or a re-solve produced them.
-        self.last_mapping: Optional[MappingResult] = None
         #: ((queue names, devices), cost, preferred, result) of the last
         #: dynamic solve — the inputs the repair/reuse paths diff against.
         self._mapper_state: Optional[
@@ -178,17 +175,9 @@ class MultiCLSchedulerBase(SchedulerBase):
             self.triggers_per_kernel or self.config.per_kernel_trigger
         ):
             # High-frequency mode: schedule immediately on every kernel
-            # (the costly alternative discussed in Section V.A).  This
-            # bypasses Context._sync_pending, so the arbitration and
-            # sanitizer hooks run here to keep "every scheduler trigger"
-            # covered — in service mode the per-kernel trigger is still a
-            # fair-share arbitration point.
-            pool = trigger_pool(queue)
-            arbiter = self.context.arbiter
-            if arbiter is not None:
-                arbiter.on_trigger(self.context, pool, queue)
-            else:
-                self.dispatch(pool, trigger_queue=queue)
+            # (the costly alternative discussed in Section V.A), through the
+            # same guarded pass as a sync point, over this queue's pool.
+            self.context._sync_pending(queue, trigger_pool(queue))
 
     # -- arbitration hook ---------------------------------------------------
     def dispatch(
@@ -198,7 +187,7 @@ class MultiCLSchedulerBase(SchedulerBase):
     ) -> None:
         """Map and issue one ready pool on behalf of an external arbiter.
 
-        This is the multi-tenant service entry point: the arbiter decides
+        This is the multi-tenant service's callback: the arbiter decides
         *when* a tenant's pool runs; the tenant's own policy decides *where*
         (the usual AUTO_FIT / ROUND_ROBIN mapping).  The sanitizer hook runs
         here so arbitrated dispatches stay covered.
@@ -213,32 +202,45 @@ class MultiCLSchedulerBase(SchedulerBase):
         self.profiler.invalidate_device(device)
 
     def on_device_slowdown(self, device: str) -> None:
-        """A transient slowdown began: measurements taken on ``device``
-        from now on do not reflect its fitted performance model.  Only the
-        predictor's learned runtime state is dropped — measured kernel
-        profiles stay valid for mapping (the slowdown is real observed
-        time), and non-predicting runs are untouched."""
+        """A transient slowdown began or cleared on ``device``: either way,
+        what the predictor learned there no longer fits the device it will
+        run on next.  Only the predictor's learned runtime state is dropped,
+        so its corrector re-anchors on the next measurement — measured
+        kernel profiles stay valid for mapping (the slowdown is real
+        observed time), and non-predicting runs are untouched."""
         predictor = getattr(self.profiler, "predictor", None)
         if predictor is not None:
             predictor.invalidate_device(device)
 
-    def on_device_recovery(self, device: str) -> None:
-        """The slowdown cleared: drop residuals/corrections learned during
-        the window and re-arm the predictor, so its corrector re-anchors on
-        the first healthy measurement instead of keeping slowdown-era
-        re-fits forever."""
-        predictor = getattr(self.profiler, "predictor", None)
-        if predictor is not None:
-            predictor.invalidate_device(device)
+    on_device_recovery = on_device_slowdown
 
     # -- helpers -----------------------------------------------------------
+    @property
+    def last_mapping(self) -> Optional[MappingResult]:
+        """Most recent dynamic MappingResult, so fault-recovery accounting
+        can tag remaps with whether a repair or a re-solve produced them."""
+        state = self._mapper_state
+        return None if state is None else state[3]
+
     def _active_devices(self) -> List[str]:
         devices = list(self.context.active_device_names)
         if not devices:
             raise MapperError("no feasible device remains (all failed)")
         return devices
 
-    def _record(self, pool: Sequence["CommandQueue"]) -> None:
+    def _issue(
+        self,
+        pool: Sequence["CommandQueue"],
+        placement: Dict["CommandQueue", str],
+        before_issue: Optional[Callable[["CommandQueue", "Command"], None]] = None,
+    ) -> None:
+        """Apply one trigger's decision: bind each placed queue to its
+        device, issue the pool in ``pool`` order (``before_issue`` runs
+        just before each command issues), and record where every pooled
+        queue ended up."""
+        for q, device in placement.items():
+            q.rebind(device)
+        self.context.issue_pool(pool, before_issue)
         self.mapping_history.append({q.name: q.device for q in pool})
 
 
@@ -258,6 +260,7 @@ class RoundRobinScheduler(MultiCLSchedulerBase):
         order = self.device_order()
         if not order:
             raise MapperError("no feasible device remains (all failed)")
+        placement: Dict["CommandQueue", str] = {}
         for q in sorted(pool, key=lambda q: q.id):
             # Each queue gets the next available device once; later triggers
             # keep the binding (re-assigning every epoch would thrash data
@@ -268,15 +271,8 @@ class RoundRobinScheduler(MultiCLSchedulerBase):
                 dev = order[self._cursor % len(order)]
                 self._assigned[q.id] = dev
                 self._cursor += 1
-            q.rebind(dev)
-        self._record(pool)
-        self.context.issue_pool(pool)
-
-    def on_device_failure(self, device: str) -> None:
-        super().on_device_failure(device)
-        self._assigned = {
-            qid: d for qid, d in self._assigned.items() if d != device
-        }
+            placement[q] = dev
+        self._issue(pool, placement)
 
 
 class AutoFitScheduler(MultiCLSchedulerBase):
@@ -293,17 +289,15 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         ]
         static_ids = {id(q) for q in static_qs}
         dynamic_qs = [q for q in pool if id(q) not in static_ids]
-        if static_qs:
-            self._map_static(static_qs)
+        placement = self._map_static(static_qs) if static_qs else {}
         if dynamic_qs:
-            self._map_dynamic(dynamic_qs)
-        self._record(pool)
-        self.context.issue_pool(pool)
+            placement.update(self._map_dynamic(dynamic_qs))
+        self._issue(pool, placement)
 
     # ------------------------------------------------------------------
     # Static mapping: device profiles + hints only (Section V.B)
     # ------------------------------------------------------------------
-    def _map_static(self, queues: Sequence["CommandQueue"]) -> None:
+    def _map_static(self, queues: Sequence["CommandQueue"]) -> Dict["CommandQueue", str]:
         profile = self.context.platform.device_profile
         devices = self._active_devices()
         loads: Dict[str, float] = {d: 0.0 for d in devices}
@@ -312,6 +306,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         # on where failed devices used to sit.  Hoisted out of the min key —
         # the repeated list.index() calls were O(D) each.
         pos = {d: i for i, d in enumerate(devices)}
+        placement: Dict["CommandQueue", str] = {}
         for q in queues:
             options = ScheduleOptions.from_flags(q.sched_flags)
             scores = self._hint_scores(options, profile, devices)
@@ -322,7 +317,8 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 key=lambda d: (loads[d] + 1.0 / scores[d], pos[d]),
             )
             loads[best] += 1.0 / scores[best]
-            q.rebind(best)
+            placement[q] = best
+        return placement
 
     def _hint_scores(
         self, options: ScheduleOptions, profile, devices: Sequence[str]
@@ -337,7 +333,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
     # ------------------------------------------------------------------
     # Dynamic mapping: kernel profiling + exact mapper (Section V.C)
     # ------------------------------------------------------------------
-    def _map_dynamic(self, queues: Sequence["CommandQueue"]) -> None:
+    def _map_dynamic(self, queues: Sequence["CommandQueue"]) -> Dict["CommandQueue", str]:
         platform = self.context.platform
         profile = platform.device_profile
         epochs: Dict[str, "EpochProfile"] = {}
@@ -349,7 +345,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             # failed *during* this pass (fault injection): map over the
             # devices active now, treating any device without a measurement
             # as infeasible.
-            mapping, split, interval_name = self._place_dynamic(
+            placement, split, interval_name = self._place_dynamic(
                 queues, epochs, self._active_devices(), profile
             )
             # The mapping computation itself is host work (Section V.A: the
@@ -362,20 +358,16 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             # A device that failed during that step leaves the fresh
             # placement pointing at it: place again over the survivors
             # (the repair path handles the smaller pool).
-            used = set(mapping.values())
+            used = set(placement.values())
             for q in split:
-                used.add(q.device)
                 for cmd in q.pending:
                     if cmd.split_plan is not None:
                         used.update(cmd.split_plan.devices)
             if all(platform.is_available(d) for d in used):
-                break
+                return placement
             for q in split:
                 for cmd in q.pending:
                     cmd.split_plan = None
-        for q in queues:
-            if q.name in mapping:
-                q.rebind(mapping[q.name])
 
     def _place_dynamic(
         self,
@@ -383,36 +375,27 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         epochs: Dict[str, "EpochProfile"],
         devices: List[str],
         profile,
-    ) -> Tuple[Dict[str, str], List["CommandQueue"], str]:
+    ) -> Tuple[Dict["CommandQueue", str], List["CommandQueue"], str]:
         """Place ``queues`` on ``devices``: split plans first, then one
-        mapping of the rest.  Returns (queue name → device for the mapped
-        queues, the split queues, the mapping step's trace interval name).
-        Split queues are rebound here; mapped queues are left to the
-        caller."""
+        mapping of the rest.  Returns (queue → device for every queue, the
+        split queues, the mapping step's trace interval name)."""
         # Work-splitting (SCHED_SPLIT / config.split): a split queue's kernel
         # epoch is partitioned across devices instead of mapped to one, so it
-        # leaves the cost matrix entirely.  Guarded by a cheap any() — the
-        # default path never pays for the option.
+        # leaves the cost matrix entirely.
+        placement: Dict["CommandQueue", str] = {}
         split: List["CommandQueue"] = []
-        if self.config.split or any(
-            ScheduleOptions.from_flags(q.sched_flags).split for q in queues
-        ):
-            split = [
-                q
-                for q in queues
-                if (
-                    self.config.split
-                    or ScheduleOptions.from_flags(q.sched_flags).split
-                )
-                and self._plan_split_epoch(q, epochs[q.name])
-            ]
-            if split:
-                split_ids = {id(q) for q in split}
-                queues = [q for q in queues if id(q) not in split_ids]
-                if not queues:
-                    # The whole pool splits: the mapping step is the
-                    # partition computation, and the solver is skipped.
-                    return {}, split, "device-map"
+        for q in queues:
+            if self.config.split or ScheduleOptions.from_flags(q.sched_flags).split:
+                device = self._plan_split_epoch(q, epochs[q.name])
+                if device is not None:
+                    placement[q] = device
+                    split.append(q)
+        if split:
+            queues = [q for q in queues if q not in placement]
+            if not queues:
+                # The whole pool splits: the mapping step is the
+                # partition computation, and the solver is skipped.
+                return placement, split, "device-map"
         cost: Dict[str, Dict[str, float]] = {}
         for q in queues:
             # One epoch-buffer walk per queue for the whole sync pass.
@@ -428,7 +411,9 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         preferred = {q.name: q.device for q in queues}
         names = [q.name for q in queues]
         result, interval_name = self._solve_mapping(names, devices, cost, preferred)
-        return result.mapping, split, interval_name
+        for q in queues:
+            placement[q] = result.mapping[q.name]
+        return placement, split, interval_name
 
     def _solve_mapping(
         self,
@@ -453,7 +438,6 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             prev_key, prev_cost, prev_pref, prev_result = state
             if key == prev_key and cost == prev_cost and preferred == prev_pref:
                 self.mapper_reuses += 1
-                self.last_mapping = prev_result
                 return prev_result, "device-map"
             prev_names, prev_devices = prev_key
             if (
@@ -467,24 +451,23 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 else:
                     self.mapper_solves += 1
                 self._mapper_state = (key, cost, dict(preferred), result)
-                self.last_mapping = result
                 return result, ("device-repair" if result.repaired else "device-map")
         result = optimal_mapping(names, devices, cost, preferred)
         self.mapper_solves += 1
         self._mapper_state = (key, cost, dict(preferred), result)
-        self.last_mapping = result
         return result, "device-map"
 
-    def _plan_split_epoch(self, q: "CommandQueue", epoch) -> bool:
+    def _plan_split_epoch(self, q: "CommandQueue", epoch) -> Optional[str]:
         """Attach a :class:`~repro.core.split.SplitPlan` to every kernel of
-        ``q``'s pending epoch; returns whether the epoch was split.
+        ``q``'s pending epoch; returns the device the split queue binds to,
+        or None if the epoch was not split.
 
         All-or-nothing per epoch: if any kernel cannot split (global size
         too small for two workgroup-aligned shares, fewer than two
         profiled devices), no command in the epoch is split and the queue
         falls back to the ordinary single-device mapping.  Split shares are
         proportional to the epoch's profiled per-device seconds; the queue
-        itself rebinds to the fastest device, which hosts the epoch's
+        itself binds to the fastest device, which hosts the epoch's
         non-kernel commands.  Per-device capacity for the streamed slices
         is enforced at issue time (_issue_split_kernel), where the actual
         slice sizes are known.
@@ -496,7 +479,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             and epoch.seconds.get(d, 0.0) > 0
         ]
         if len(order) < 2:
-            return False
+            return None
         plans = []
         for cmd in q.pending:
             if not cmd.is_kernel:
@@ -506,15 +489,14 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 cmd.launch, order, epoch.seconds, plan_split
             )
             if plan is None:
-                return False
+                return None
             plans.append((cmd, plan))
         if not plans:
-            return False
+            return None
         for cmd, plan in plans:
             cmd.split_plan = plan
         pos = {d: i for i, d in enumerate(order)}
-        q.rebind(min(order, key=lambda d: (epoch.seconds[d], pos[d])))
-        return True
+        return min(order, key=lambda d: (epoch.seconds[d], pos[d]))
 
     def _epoch_buffers(self, q: "CommandQueue") -> List[Buffer]:
         out: List[Buffer] = []

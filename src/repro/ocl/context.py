@@ -10,7 +10,7 @@ global scheduler for the context's automatically scheduled queues.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -203,9 +203,14 @@ class Context:
         """
         self._post_sync.append(fn)
 
-    def _sync_pending(self, trigger_queue: Optional[CommandQueue] = None) -> None:
-        """Synchronization boundary: hand the ready-queue pool to the
-        scheduler (which must profile, map, and issue).
+    def _sync_pending(
+        self,
+        trigger_queue: Optional[CommandQueue] = None,
+        pool: Optional[Sequence[CommandQueue]] = None,
+    ) -> None:
+        """Every scheduler trigger: hand the ready-queue pool (or, for the
+        first pass, the given ``pool``) to the scheduler, which must
+        profile, map, and issue.
 
         Re-entrant: if fault injection fires mid-pass (simulated time
         advances inside the profiler) and requeues commands, the request is
@@ -218,7 +223,8 @@ class Context:
         try:
             while True:
                 self._resync_needed = False
-                pool = self.pending_queues()
+                if pool is None:
+                    pool = self.pending_queues()
                 if not pool:
                     break
                 if self.scheduler is None:
@@ -243,6 +249,7 @@ class Context:
                     )
                 if not self._resync_needed:
                     break
+                pool = None
         finally:
             self._in_sync = False
         callbacks, self._post_sync = self._post_sync, []
@@ -264,9 +271,15 @@ class Context:
 
         check_pool(pool)
 
-    def issue_pool(self, pool: Sequence[CommandQueue]) -> None:
+    def issue_pool(
+        self,
+        pool: Sequence[CommandQueue],
+        before_issue: Optional[Callable[[CommandQueue, Any], None]] = None,
+    ) -> None:
         """Issue every deferred command of ``pool`` respecting cross-queue
-        event dependencies (schedulers call this after mapping).
+        event dependencies (schedulers call this after mapping);
+        ``before_issue(queue, command)`` runs just before each command
+        issues.
 
         One dependency-driven issuer (:mod:`repro.ocl.issue`) serves every
         pool: FIFO order for plain queues, a relaxed ready queue for
@@ -274,7 +287,7 @@ class Context:
         context-wide ``overlap`` switch of its config or
         ``MULTICL_OVERLAP``).
         """
-        issue_pool(self, pool)
+        issue_pool(self, pool, before_issue)
 
     def finish_all(self) -> None:
         """Finish every queue in the context (a full synchronization epoch)."""

@@ -311,10 +311,9 @@ class FaultInjector:
             for buf in list(ctx.buffers):
                 buf.drop_device(dev)
             # Invalidate kernel/epoch profile-cache entries measured on the
-            # dead device and forget any static queue→device assignments.
-            scheduler = ctx.scheduler
-            if scheduler is not None and hasattr(scheduler, "on_device_failure"):
-                scheduler.on_device_failure(dev)
+            # dead device.
+            if ctx.scheduler is not None:
+                ctx.scheduler.on_device_failure(dev)
             # Requeue every issued-but-unfinished command that depended on
             # the dead device (capped replay accounting per command) —
             # before the orphan sweep below, which would release their

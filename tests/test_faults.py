@@ -11,7 +11,9 @@ slowdowns and link outages, and the trace/export plumbing.
 import numpy as np
 import pytest
 
+from repro.core.baselines import KERNEL_GRANULARITY_POLICY
 from repro.core.device_mapper import MapperError
+from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import cpu_only_node, symmetric_dual_gpu_node
 from repro.ocl.enums import ContextScheduler, SchedFlag
@@ -38,10 +40,15 @@ N = 1 << 20
 AUTO = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
 
 
-def _dual_gpu(profile_dir, policy=ContextScheduler.AUTO_FIT, flags=AUTO):
+def _dual_gpu(
+    profile_dir, policy=ContextScheduler.AUTO_FIT, flags=AUTO, config=None
+):
     """Two doubling kernels on two auto queues over a 2×GPU node."""
     mcl = MultiCL(
-        node_spec=symmetric_dual_gpu_node(), policy=policy, profile_dir=profile_dir
+        node_spec=symmetric_dual_gpu_node(),
+        policy=policy,
+        config=config,
+        profile_dir=profile_dir,
     )
     ctx = mcl.context
     program = ctx.create_program(PROGRAM).build()
@@ -161,17 +168,25 @@ def test_failure_during_profiling_pass(profile_dir):
             assert iv.start < t_fault, iv
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["map", "split"])
-def test_failure_during_mapping_step(profile_dir, split):
+@pytest.mark.parametrize(
+    "policy, flags, step_name, n_steps",
+    [
+        (ContextScheduler.AUTO_FIT, AUTO, "device-map", 3),
+        (ContextScheduler.AUTO_FIT, AUTO | SchedFlag.SCHED_SPLIT, "device-map", 3),
+        (KERNEL_GRANULARITY_POLICY, AUTO, "per-kernel-map", 6),
+    ],
+    ids=["map", "split", "per-kernel"],
+)
+def test_failure_during_mapping_step(profile_dir, policy, flags, step_name, n_steps):
     """A device dying inside the mapping step itself (the host interval
-    charged after the mapping is computed, or after the whole pool's split
-    plans are) must not leave queues or split shares bound to it: the run
-    re-maps over the survivors, every payload runs exactly once, every
-    event completes, and no kernel lands on the dead device afterwards."""
-    flags = AUTO | SchedFlag.SCHED_SPLIT if split else AUTO
+    charged after the mapping is computed, after the whole pool's split
+    plans are, or after a kernel's profile is looked up) must not leave
+    queues or split shares bound to it: the run re-maps over the
+    survivors, every payload runs exactly once, every event completes,
+    and no kernel lands on the dead device afterwards."""
 
     def run(fault=None):
-        mcl, queues, kernels, bufs, counts = _dual_gpu(profile_dir, flags=flags)
+        mcl, queues, kernels, bufs, counts = _dual_gpu(profile_dir, policy, flags)
         if fault is not None:
             mcl.inject_faults(FaultPlan().fail_device(*fault))
         events = []
@@ -186,9 +201,9 @@ def test_failure_during_mapping_step(profile_dir, split):
     clean, _, _, _ = run()
     steps = [
         iv for iv in clean.engine.trace
-        if iv.category == "schedule" and iv.task == "device-map"
+        if iv.category == "schedule" and iv.task == step_name
     ]
-    assert len(steps) == 3
+    assert len(steps) == n_steps
     for dead in ("gpu0", "gpu1"):
         for step in steps:
             t_fault = (step.start + step.end) / 2
@@ -299,9 +314,14 @@ def test_two_faults_one_epoch_snapshot_accounting(profile_dir):
 # ---------------------------------------------------------------------------
 # Scheduler-specific recovery paths
 # ---------------------------------------------------------------------------
-def test_roundrobin_reassigns_after_device_loss(profile_dir):
+@pytest.mark.parametrize(
+    "policy",
+    [ContextScheduler.ROUND_ROBIN, KERNEL_GRANULARITY_POLICY],
+    ids=["round-robin", "kernel-granularity"],
+)
+def test_roundrobin_reassigns_after_device_loss(profile_dir, policy):
     mcl, queues, bufs, counts, dead, t_fault, injector = _kill_one_gpu_mid_run(
-        profile_dir, policy=ContextScheduler.ROUND_ROBIN
+        profile_dir, policy=policy
     )
     survivor = next(d for d in ("gpu0", "gpu1") if d != dead)
     assert counts == {"a": 5, "b": 5}
@@ -309,6 +329,55 @@ def test_roundrobin_reassigns_after_device_loss(profile_dir):
     assert float(bufs[1].array[0]) == 32.0
     assert queues[1].device == survivor
     assert injector.failures == 1
+
+
+@pytest.mark.parametrize("after", [1e-6, 5e-5, 2e-4, 4e-4, 8e-4])
+@pytest.mark.parametrize("dead", ["gpu0", "gpu1"])
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ContextScheduler.ROUND_ROBIN,
+        ContextScheduler.AUTO_FIT,
+        KERNEL_GRANULARITY_POLICY,
+    ],
+    ids=["round-robin", "auto-fit", "kernel-granularity"],
+)
+def test_per_kernel_trigger_device_loss(profile_dir, policy, dead, after):
+    """A device dying at any point of a run that triggers the scheduler on
+    every kernel folds into the running trigger's pass, as it does for a
+    sync trigger: no policy places work on the dead device, none schedules
+    a pool twice, and the run completes on the survivor with every payload
+    run exactly once.  Holds whatever the split and overlap switches say."""
+    config = SchedulerConfig.from_env().with_(per_kernel_trigger=True)
+    mcl, queues, kernels, bufs, counts = _dual_gpu(
+        profile_dir, policy, config=config
+    )
+    t_fault = mcl.now + after
+    mcl.inject_faults(FaultPlan().fail_device(dead, at=t_fault))
+    events = []
+    for _ in range(3):
+        for q, k in zip(queues, kernels):
+            events.append(q.enqueue_nd_range_kernel(k, (N,), (128,)))
+        for q in queues:
+            q.finish()
+    assert not mcl.platform.is_available(dead)
+    assert counts == {"a": 3, "b": 3}
+    assert float(bufs[0].array[0]) == float(bufs[1].array[-1]) == 8.0
+    assert all(e.complete for e in events)
+    for iv in mcl.engine.trace:
+        if iv.category == "kernel" and iv.resource == f"dev:{dead}":
+            assert iv.start < t_fault, iv
+    if policy != ContextScheduler.ROUND_ROBIN and (dead, after) == ("gpu1", 2e-4):
+        # The failure lands while the first trigger profiles: that trigger
+        # finishes on the survivor without a nested pass, so each kernel
+        # is profiled there once and each of the six kernels maps once.
+        profiled = [
+            iv.task
+            for iv in mcl.engine.trace
+            if iv.category == "profile-kernel" and iv.resource == "dev:gpu0"
+        ]
+        assert sorted(profiled) == ["prof:scale_a@gpu0", "prof:scale_b@gpu0"]
+        assert len(mcl.context.scheduler.mapping_history) == 6
 
 
 def test_scheduler_less_failover(profile_dir):
