@@ -471,7 +471,7 @@ def _fig10(key: Any, fast: bool) -> List[Row]:
     queues = [
         mcl.queue(
             device=mcl.device_names[i % len(mcl.device_names)],
-            flags=_POOL_FLAGS,
+            flags=SchedFlag.SCHED_AUTO_DYNAMIC | app.TABLE2_FLAGS,
             name=f"q{i}",
         )
         for i in range(2)
@@ -480,8 +480,7 @@ def _fig10(key: Any, fast: bool) -> List[Row]:
     boundaries = [mcl.now]
     for it in range(steps):
         app.enqueue_iteration(it)
-        for q in queues:
-            q.finish()
+        app.finish_all()
         boundaries.append(mcl.now)
 
     def busy(t0: float, t1: float, prefix: str) -> float:

@@ -916,28 +916,14 @@ class CommandQueue:
                     f"device {device!r}: {needed} bytes needed for split "
                     f"share [{lo}:{hi}), {dev.spec.mem_size_bytes} available"
                 )
-            moves: List["SimTask"] = []
-            for b in buffers:
-                if not b.initialized or b.is_valid_on(device):
-                    continue
-                nb = sizes[id(b)]
-                label = f"split:{b.name}[{lo}:{hi}]"
-                if b.is_valid_on(HOST):
-                    moves.append(
-                        node.submit_h2d(
-                            device, nb, deps=deps, category="migration",
-                            name=label, meta=self._tenant_meta,
-                        )
-                    )
-                else:
-                    src = b.any_valid_device()
-                    assert src is not None
-                    moves.append(
-                        node.submit_d2d(
-                            src, device, nb, deps=deps, category="migration",
-                            name=label, meta=self._tenant_meta,
-                        )
-                    )
+            moves = [
+                self._submit_move(
+                    b, device, sizes[id(b)], deps, "migration",
+                    f"split:{b.name}[{lo}:{hi}]",
+                )
+                for b in buffers
+                if b.initialized and not b.is_valid_on(device)
+            ]
             cost = kernel.config_cost(dev.spec, sub)
             meta: Dict[str, Any] = {
                 "queue": self.name,
@@ -983,7 +969,6 @@ class CommandQueue:
     ) -> List["SimTask"]:
         """Make every buffer resident on the queue's device; return the
         transfer tasks (empty if all data already resident)."""
-        node = self.context.platform.node
         tasks: List["SimTask"] = []
         for buf in buffers:
             if buf.is_valid_on(self.device):
@@ -992,21 +977,36 @@ class CommandQueue:
                 # First touch: allocation only, no data to move.
                 buf.mark_valid(self.device)
                 continue
-            if buf.is_valid_on(HOST):
-                t = node.submit_h2d(
-                    self.device, buf.nbytes, deps=deps, category=category,
-                    name=f"mig:{buf.name}", meta=self._tenant_meta,
-                )
-            else:
-                src = buf.any_valid_device()
-                assert src is not None
-                t = node.submit_d2d(
-                    src, self.device, buf.nbytes, deps=deps, category=category,
-                    name=f"mig:{buf.name}", meta=self._tenant_meta,
-                )
+            tasks.append(self._submit_move(
+                buf, self.device, buf.nbytes, deps, category, f"mig:{buf.name}"
+            ))
             buf.mark_valid(self.device)
-            tasks.append(t)
         return tasks
+
+    def _submit_move(
+        self,
+        buf: Buffer,
+        device: str,
+        nbytes: int,
+        deps: List["SimTask"],
+        category: str,
+        name: str,
+    ) -> "SimTask":
+        """Submit the transfer of ``nbytes`` of ``buf`` to ``device``: H2D
+        when the host copy is valid, else D2D from a device holding it.
+        The caller keeps the residency bookkeeping."""
+        node = self.context.platform.node
+        if buf.is_valid_on(HOST):
+            return node.submit_h2d(
+                device, nbytes, deps=deps, category=category, name=name,
+                meta=self._tenant_meta,
+            )
+        src = buf.any_valid_device()
+        assert src is not None
+        return node.submit_d2d(
+            src, device, nbytes, deps=deps, category=category, name=name,
+            meta=self._tenant_meta,
+        )
 
     def _check_capacity(self, incoming: Sequence[Buffer]) -> None:
         """Device-memory capacity check before making ``incoming`` resident."""

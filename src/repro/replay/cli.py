@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -32,8 +33,8 @@ def _parse_weights(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"weights must be comma-separated numbers, got {raw!r}"
         )
-    if not weights or any(w <= 0.0 for w in weights):
-        raise argparse.ArgumentTypeError("weights must be positive")
+    if not all(math.isfinite(w) and w > 0.0 for w in weights):
+        raise argparse.ArgumentTypeError("weights must be positive and finite")
     return weights
 
 

@@ -31,6 +31,7 @@ the arrival timestamp rides in the :class:`~repro.sim.engine.SimTask`
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
@@ -111,8 +112,8 @@ class ReplayConfig:
             raise ValueError(f"commands must be >= 1, got {self.commands}")
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         if self.spill_every < 1:
@@ -127,6 +128,9 @@ class ReplayConfig:
             raise ValueError("predict requires cold_start (nothing to skip)")
         if not self.weights:
             raise ValueError("weights must not be empty")
+        for w in self.weights:
+            if not (math.isfinite(w) and w > 0.0):
+                raise ValueError(f"weights must be positive and finite, got {w}")
         make_process(self.process, self.rate, **self.process_params)
         return self
 

@@ -16,6 +16,7 @@ byte/queue quotas are enforced *before* anything reaches the fleet.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.ocl.context import TENANT_PROPERTY_KEY, Context
@@ -48,8 +49,10 @@ class TenantSession:
         device_names: Optional[Sequence[str]] = None,
         properties: Optional[dict] = None,
     ) -> None:
-        if weight <= 0.0:
-            raise ValueError(f"tenant weight must be positive, got {weight}")
+        if not (math.isfinite(weight) and weight > 0.0):
+            raise ValueError(
+                f"tenant weight must be positive and finite, got {weight}"
+            )
         self.service = service
         self.name = name
         #: Fair-share weight: long-run device-second share under backlog is

@@ -18,27 +18,13 @@ diffusion invariants (boundedness, positivity).
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Sequence
-
 import numpy as np
 
-from repro.ocl.context import Context
-from repro.ocl.enums import SchedFlag
-from repro.ocl.queue import CommandQueue
-from repro.workloads.base import ProblemClass, square_rule
+from repro.workloads.base import ProblemClass
 from repro.workloads.npb import numerics
-from repro.workloads.npb.common import NPBApplication, kernel_source, register_benchmark
+from repro.workloads.npb.common import ADIApplication, register_benchmark
 
 __all__ = ["BT"]
-
-#: (grid n, iterations) per class — NPB 3.3.
-_CLASS_PARAMS = {
-    ProblemClass.S: (12, 60),
-    ProblemClass.W: (24, 200),
-    ProblemClass.A: (64, 200),
-    ProblemClass.B: (102, 200),
-}
 
 #: Block-solve kernels: serial line dependencies, register pressure —
 #: calibrated so single-device GPU/CPU ≈ 3.5 (Fig. 3).
@@ -57,127 +43,31 @@ _RHS = {
 
 
 @register_benchmark
-class BT(NPBApplication):
+class BT(ADIApplication):
     NAME = "BT"
-    QUEUE_RULE = square_rule((1, 4))
-    VALID_CLASSES = tuple(_CLASS_PARAMS)
-    TABLE2_FLAGS = SchedFlag.SCHED_EXPLICIT_REGION
+    CLASS_PARAMS = {
+        ProblemClass.S: (12, 60),
+        ProblemClass.W: (24, 200),
+        ProblemClass.A: (64, 200),
+        ProblemClass.B: (102, 200),
+    }
+    VALID_CLASSES = tuple(CLASS_PARAMS)
     USES_WORKGROUP_INFO = True
-
-    @property
-    def grid_n(self) -> int:
-        return _CLASS_PARAMS[self.problem_class][0]
-
-    @property
-    def default_iterations(self) -> int:
-        return _CLASS_PARAMS[self.problem_class][1]
-
-    @property
-    def points_per_queue(self) -> int:
-        return self.grid_n ** 3 // self.num_queues
-
-    def generate_source(self) -> str:
-        n = self.grid_n
-        src = kernel_source(
-            "bt_compute_rhs",
-            "__global double* u, __global double* rhs, int n",
-            {"flops_per_item": 160, "bytes_per_item": 240, "writes": "1", **_RHS},
-            body="/* 13-point flux stencil over 5 variables (modelled) */",
-        )
-        for axis in ("x", "y", "z"):
-            src += kernel_source(
-                f"bt_{axis}_solve",
-                "__global double* u, __global double* rhs, __global double* lhs, int n",
-                {"flops_per_item": 620, "bytes_per_item": 200, "writes": "1,2", **_SOLVE},
-                body=f"/* 5x5 block tridiagonal sweep along {axis} (modelled) */",
-            )
-        src += kernel_source(
-            "bt_add",
-            "__global double* u, __global double* rhs, int n",
-            {
-                "flops_per_item": 5,
-                "bytes_per_item": 80,
-                "divergence": 0.0,
-                "irregularity": 0.1,
-                "cpu_eff": 1.0,
-                "gpu_eff": 0.5,
-                "writes": "0",
-            },
-            body="/* u += rhs (modelled) */",
-        )
-        return src
-
-    def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
-        pts = self.points_per_queue
-        self._per_queue: Dict[int, Dict[str, object]] = {}
-        for qi, q in enumerate(queues):
-            bufs = {
-                "u": context.create_buffer(pts * 5 * 8, name=f"bt-u-{qi}"),
-                "rhs": context.create_buffer(pts * 5 * 8, name=f"bt-rhs-{qi}"),
-                "lhs": context.create_buffer(pts * 15 * 8, name=f"bt-lhs-{qi}"),
-            }
-            q.enqueue_write_buffer(bufs["u"])
-            kernels = {}
-            for kname in (
-                "bt_compute_rhs",
-                "bt_x_solve",
-                "bt_y_solve",
-                "bt_z_solve",
-                "bt_add",
-            ):
-                k = program.create_kernel(kname)
-                k.set_arg(0, bufs["u"])
-                k.set_arg(1, bufs["rhs"])
-                if "solve" in kname:
-                    k.set_arg(2, bufs["lhs"])
-                    k.set_arg(3, pts)
-                else:
-                    k.set_arg(2, pts)
-                kernels[kname] = k
-            self._per_queue[qi] = {"bufs": bufs, "kernels": kernels}
-        for q in queues:
-            q.finish()
+    PREFIX = "bt"
+    POINTWISE = (
+        ("compute_rhs", 160, 240, _RHS, "13-point flux stencil over 5 variables"),
+    )
+    SOLVE = (620, 200, _SOLVE, "5x5 block tridiagonal sweep")
+    LHS_WIDTH = 15
 
     def apply_workgroup_info(self) -> None:
         """The Table II note: BT sets CPU- and GPU-specific sweep shapes.
 
         The NDRange covers the same points either way; only the work-group
-        geometry differs (small groups matching CPU cores, large ones to
-        fill GPU SMs) — exactly what the proposed API decouples from the
-        launch call.
+        geometry differs — exactly what the proposed API decouples from
+        the launch call.
         """
-        assert self.context is not None
-        pts = self.points_per_queue
-        for st in self._per_queue.values():
-            for kname in ("bt_x_solve", "bt_y_solve", "bt_z_solve"):
-                kernel = st["kernels"][kname]
-                for dev in self.context.platform.node.device_list():
-                    local = 16 if dev.spec.kind.value == "cpu" else 256
-                    kernel.set_work_group_info(dev.name, (pts,), (min(local, pts),))
-
-    def enqueue_iteration(self, it: int) -> None:
-        pts = self.points_per_queue
-        for qi, q in enumerate(self.queues):
-            ks = self._per_queue[qi]["kernels"]
-            q.enqueue_nd_range_kernel(ks["bt_compute_rhs"], (pts,), (64,))
-            # The sweeps are launched over all points (wavefront-style);
-            # their serial-line inefficiency is captured by the cost
-            # annotations, not by starving the launch of work items.
-            for kname in ("bt_x_solve", "bt_y_solve", "bt_z_solve"):
-                q.enqueue_nd_range_kernel(ks[kname], (pts,), (64,))
-            q.enqueue_nd_range_kernel(ks["bt_add"], (pts,), (64,))
-        if self.num_queues > 1:
-            # Face exchange between the √Q×√Q column blocks.
-            n = self.grid_n
-            face_bytes = (n * n // int(math.isqrt(self.num_queues))) * 5 * 8
-            for qi, q in enumerate(self.queues):
-                bufs = self._per_queue[qi]["bufs"]
-                q.enqueue_read_buffer(bufs["u"], nbytes=face_bytes)
-                q.enqueue_write_buffer(bufs["u"], nbytes=face_bytes)
+        self._device_shapes(self.solves, self.points_per_queue)
 
     def finalize(self) -> None:
         if self.functional:

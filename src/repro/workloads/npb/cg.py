@@ -21,7 +21,7 @@ Functional mode solves a real 2-D Poisson system with the hand-rolled CG of
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,14 +117,10 @@ class CG(NPBApplication):
         return src
 
     def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
+        self._adopt(context, queues)
         rows = self.rows_per_queue
         nnz_row = self.nonzer ** 2
-        self._per_queue: Dict[int, Dict[str, object]] = {}
-        for qi, q in enumerate(queues):
+        for qi, q in enumerate(self.queues):
             bufs = {
                 "a": context.create_buffer(rows * nnz_row * 8, name=f"cg-a-{qi}"),
                 "colidx": context.create_buffer(
@@ -142,50 +138,33 @@ class CG(NPBApplication):
             # queue's creation-time device (before any scheduling region).
             for key in ("a", "colidx", "rowstr", "p", "x"):
                 q.enqueue_write_buffer(bufs[key])
-            spmv = program.create_kernel("cg_spmv")
-            for i, key in enumerate(("a", "colidx", "rowstr", "p", "q")):
-                spmv.set_arg(i, bufs[key])
-            spmv.set_arg(5, rows)
-            dot = program.create_kernel("cg_dot")
-            dot.set_arg(0, bufs["r"])
-            dot.set_arg(1, bufs["r"])
-            dot.set_arg(2, bufs["dot"])
-            dot.set_arg(3, rows)
-            axpy = program.create_kernel("cg_axpy")
-            axpy.set_arg(0, bufs["q"])
-            axpy.set_arg(1, bufs["x"])
-            axpy.set_arg(2, 1.0)
-            axpy.set_arg(3, rows)
-            self._per_queue[qi] = {
-                "bufs": bufs,
-                "spmv": spmv,
-                "dot": dot,
-                "axpy": axpy,
-                "dot_out": np.zeros(2, dtype=np.float64),
+            spmv_args = [bufs[key] for key in ("a", "colidx", "rowstr", "p", "q")]
+            kernels = {
+                "cg_spmv": self._kernel("cg_spmv", *spmv_args, rows),
+                "cg_dot": self._kernel(
+                    "cg_dot", bufs["r"], bufs["r"], bufs["dot"], rows
+                ),
+                "cg_axpy": self._kernel("cg_axpy", bufs["q"], bufs["x"], 1.0, rows),
             }
-        for q in queues:
-            q.finish()
+            self._per_queue.append({
+                "bufs": bufs,
+                "kernels": kernels,
+                "dot_out": np.zeros(2, dtype=np.float64),
+            })
+        self.finish_all()
 
     def enqueue_iteration(self, it: int) -> None:
         rows = self.rows_per_queue
-        for qi, q in enumerate(self.queues):
-            st = self._per_queue[qi]
-            bufs = st["bufs"]
-            q.enqueue_nd_range_kernel(st["spmv"], (rows,), (64,))
-            q.enqueue_nd_range_kernel(st["dot"], (rows,), (64,))
-            q.enqueue_nd_range_kernel(st["axpy"], (rows,), (64,))
-            q.enqueue_nd_range_kernel(st["axpy"], (rows,), (64,))
-            q.enqueue_nd_range_kernel(st["axpy"], (rows,), (64,))
-            q.enqueue_nd_range_kernel(st["dot"], (rows,), (64,))
+        for q, state in zip(self.queues, self._per_queue):
+            ks = state["kernels"]
+            for name in ("cg_spmv", "cg_dot", "cg_axpy", "cg_axpy", "cg_axpy",
+                         "cg_dot"):
+                q.enqueue_nd_range_kernel(ks[name], (rows,), (64,))
             # Dot partials to host (the host combines alpha/beta).
-            q.enqueue_read_buffer(bufs["dot"], st["dot_out"])
-        if self.num_queues > 1:
-            # All-gather of the direction vector, staged through the host:
-            # each queue exports its chunk and imports the assembled vector.
-            for qi, q in enumerate(self.queues):
-                bufs = self._per_queue[qi]["bufs"]
-                q.enqueue_read_buffer(bufs["p"], nbytes=rows * 8)
-                q.enqueue_write_buffer(bufs["p"], nbytes=self.na * 8)
+            q.enqueue_read_buffer(state["bufs"]["dot"], state["dot_out"])
+        # All-gather of the direction vector, staged through the host:
+        # each queue exports its chunk and imports the assembled vector.
+        self._exchange("p", rows * 8, self.na * 8)
 
     def finalize(self) -> None:
         if self.functional:

@@ -1,9 +1,11 @@
-"""Shared NPB driver machinery.
+"""Shared NPB machinery and the one workload driver.
 
-Each benchmark subclasses :class:`NPBApplication` and provides: its
-(annotated) OpenCL-C program source, buffer/kernel setup, and a per-
-iteration enqueue method.  :func:`run_npb` then drives it through one of
-three modes:
+Each benchmark subclasses :class:`NPBApplication` (BT and SP through
+:class:`ADIApplication`) and provides: its (annotated) OpenCL-C program
+source, buffer/kernel setup, and a per-iteration enqueue method.
+:func:`run_npb` drives it — and FDM-Seismology, through the same
+:class:`~repro.workloads.base.Application` surface — in one of three
+modes:
 
 * ``manual`` — stock OpenCL: queues created ``SCHED_OFF`` and bound to an
   explicit device list (the paper's baselines: CPU-only, GPU-only, the
@@ -23,7 +25,8 @@ described for the SNU-NPB evaluation (Section VI.B.1).
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
+import math
+from abc import abstractmethod
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flags import SchedulerConfig
@@ -31,11 +34,18 @@ from repro.core.runtime import MultiCL
 from repro.hardware.specs import NodeSpec
 from repro.ocl.context import Context
 from repro.ocl.enums import ContextScheduler, SchedFlag
-from repro.ocl.kernel import Kernel
 from repro.ocl.queue import CommandQueue
-from repro.workloads.base import ProblemClass, QueueRule, WorkloadError, WorkloadRun
+from repro.workloads.base import (
+    Application,
+    ProblemClass,
+    QueueRule,
+    WorkloadError,
+    WorkloadRun,
+    square_rule,
+)
 
 __all__ = [
+    "ADIApplication",
     "NPBApplication",
     "run_npb",
     "kernel_source",
@@ -61,20 +71,13 @@ def kernel_source(
     )
 
 
-class NPBApplication(ABC):
+class NPBApplication(Application):
     """Base class for the six SNU-NPB-MD drivers."""
 
-    #: Benchmark name ("BT", "CG", ...).
-    NAME: str = "?"
     #: Queue-count restriction (paper Table II).
     QUEUE_RULE: QueueRule
     #: Problem classes the benchmark supports (paper Table II).
     VALID_CLASSES: Tuple[ProblemClass, ...] = ()
-    #: Local scheduler flags applied in auto mode (paper Table II), on top
-    #: of SCHED_AUTO_DYNAMIC.
-    TABLE2_FLAGS: SchedFlag = SchedFlag.SCHED_EXPLICIT_REGION
-    #: Whether the driver calls clSetKernelWorkGroupInfo (BT and FT).
-    USES_WORKGROUP_INFO: bool = False
 
     def __init__(
         self,
@@ -90,61 +93,132 @@ class NPBApplication(ABC):
                 f"{[c.value for c in self.VALID_CLASSES]}, not {problem_class.value}"
             )
         self.QUEUE_RULE.validate(num_queues)
+        super().__init__(functional)
         self.problem_class = problem_class
         self.num_queues = num_queues
-        self.functional = functional
         self._iterations_override = iterations_override
-        # Populated by setup():
-        self.context: Optional[Context] = None
-        self.queues: List[CommandQueue] = []
-        self.kernels: Dict[str, Kernel] = {}
-        self.checks: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # Subclass surface
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def generate_source(self) -> str:
-        """The benchmark's annotated OpenCL-C program source."""
-
-    @abstractmethod
-    def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        """Create buffers/kernels and enqueue initial data writes.
-
-        Called before any scheduling region starts, so initial writes land
-        on the queues' creation-time devices (the SnuCL behaviour)."""
-
-    @abstractmethod
-    def enqueue_iteration(self, it: int) -> None:
-        """Enqueue one time step / outer iteration on all queues."""
 
     @property
     @abstractmethod
     def default_iterations(self) -> int:
         """NPB iteration count for the current problem class."""
 
-    def finalize(self) -> None:
-        """Read back results; populate ``self.checks`` in functional mode."""
-
-    # ------------------------------------------------------------------
-    # Common helpers
-    # ------------------------------------------------------------------
     @property
     def iterations(self) -> int:
         if self._iterations_override is not None:
             return max(1, self._iterations_override)
         return self.default_iterations
 
-    #: Iterations profiled inside the explicit scheduling region.
-    warmup_iterations: int = 1
+    @property
+    def label(self) -> str:
+        return self.problem_class.value
 
-    def apply_workgroup_info(self) -> None:
-        """BT/FT hook: set per-device launch configurations."""
 
-    def finish_all(self) -> None:
-        assert self.context is not None
-        for q in self.queues:
-            q.finish()
+#: Annotation of the ``*_add`` update closing each ADI iteration.
+_ADI_ADD = {
+    "flops_per_item": 5,
+    "bytes_per_item": 80,
+    "divergence": 0.0,
+    "irregularity": 0.1,
+    "cpu_eff": 1.0,
+    "gpu_eff": 0.5,
+    "writes": "0",
+}
+
+
+class ADIApplication(NPBApplication):
+    """BT and SP: ADI sweeps over one 3-D grid in a √Q×√Q column split.
+
+    Per queue and iteration: the pointwise kernels, the x/y/z line solves
+    and the ``*_add`` update, then a face exchange between the column
+    blocks staged through the host.  Subclasses give the tables below.
+    """
+
+    QUEUE_RULE = square_rule((1, 4))
+    #: (grid n, iterations) per class — NPB 3.3.
+    CLASS_PARAMS: Dict[ProblemClass, Tuple[int, int]] = {}
+    #: Kernel and buffer name prefix.
+    PREFIX = "?"
+    #: (kernel suffix, flops, bytes, annotations, what) of each pointwise
+    #: kernel, in launch order.
+    POINTWISE: Tuple[Tuple[str, int, int, Dict[str, object], str], ...] = ()
+    #: (flops, bytes, annotations, what) of the x/y/z solves.
+    SOLVE: Tuple[int, int, Dict[str, object], str]
+    #: Doubles per grid point in the ``lhs`` buffer.
+    LHS_WIDTH = 0
+
+    @property
+    def grid_n(self) -> int:
+        return self.CLASS_PARAMS[self.problem_class][0]
+
+    @property
+    def default_iterations(self) -> int:
+        return self.CLASS_PARAMS[self.problem_class][1]
+
+    @property
+    def points_per_queue(self) -> int:
+        return self.grid_n ** 3 // self.num_queues
+
+    @property
+    def solves(self) -> List[str]:
+        return [f"{self.PREFIX}_{axis}_solve" for axis in "xyz"]
+
+    def generate_source(self) -> str:
+        args = "__global double* u, __global double* rhs, int n"
+        src = ""
+        for suffix, flops, nbytes, ann, what in self.POINTWISE:
+            src += kernel_source(
+                f"{self.PREFIX}_{suffix}", args,
+                {"flops_per_item": flops, "bytes_per_item": nbytes,
+                 "writes": "1", **ann},
+                body=f"/* {what} (modelled) */",
+            )
+        flops, nbytes, ann, what = self.SOLVE
+        for axis, name in zip("xyz", self.solves):
+            src += kernel_source(
+                name,
+                "__global double* u, __global double* rhs, __global double* lhs, int n",
+                {"flops_per_item": flops, "bytes_per_item": nbytes,
+                 "writes": "1,2", **ann},
+                body=f"/* {what} along {axis} (modelled) */",
+            )
+        return src + kernel_source(
+            f"{self.PREFIX}_add", args, _ADI_ADD, body="/* u += rhs (modelled) */"
+        )
+
+    def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
+        self._adopt(context, queues)
+        pts = self.points_per_queue
+        names = [f"{self.PREFIX}_{p[0]}" for p in self.POINTWISE]
+        names += self.solves + [f"{self.PREFIX}_add"]
+        for qi, q in enumerate(self.queues):
+            bufs = {
+                key: context.create_buffer(
+                    pts * width * 8, name=f"{self.PREFIX}-{key}-{qi}"
+                )
+                for key, width in (("u", 5), ("rhs", 5), ("lhs", self.LHS_WIDTH))
+            }
+            q.enqueue_write_buffer(bufs["u"])
+            u, rhs = bufs["u"], bufs["rhs"]
+            kernels = {
+                name: self._kernel(name, u, rhs, bufs["lhs"], pts)
+                if name in self.solves else self._kernel(name, u, rhs, pts)
+                for name in names
+            }
+            self._per_queue.append({"bufs": bufs, "kernels": kernels})
+        self.finish_all()
+
+    def enqueue_iteration(self, it: int) -> None:
+        # The sweeps are launched over all points (wavefront-style); their
+        # serial-line inefficiency is captured by the cost annotations,
+        # not by starving the launch of work items.
+        pts = self.points_per_queue
+        for q, state in zip(self.queues, self._per_queue):
+            for kernel in state["kernels"].values():
+                q.enqueue_nd_range_kernel(kernel, (pts,), (64,))
+        # Face exchange between the √Q×√Q column blocks.
+        n = self.grid_n
+        self._exchange("u", n * n // math.isqrt(self.num_queues) * 5 * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +243,7 @@ def get_benchmark(name: str) -> type:
 # Driver
 # ---------------------------------------------------------------------------
 def run_npb(
-    app: NPBApplication,
+    app: Application,
     mode: str = "auto",
     devices: Optional[Sequence[str]] = None,
     node_spec: Optional[NodeSpec] = None,
@@ -260,7 +334,7 @@ def run_npb(
 
     return WorkloadRun(
         name=app.NAME,
-        problem_class=app.problem_class.value,
+        problem_class=app.label,
         num_queues=app.num_queues,
         mode=mode,
         seconds=t1 - t0,

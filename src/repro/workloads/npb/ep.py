@@ -128,12 +128,8 @@ class EP(NPBApplication):
         return src
 
     def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
-        self._per_queue: Dict[int, Dict[str, object]] = {}
-        for qi, q in enumerate(queues):
+        self._adopt(context, queues)
+        for qi in range(len(self.queues)):
             items = max(1, self.pairs_per_queue // _PAIRS_PER_ITEM)
             groups = max(1, items // 64)
             tally_arr = np.zeros(12, dtype=np.float64) if self.functional else None
@@ -146,23 +142,16 @@ class EP(NPBApplication):
             result = context.create_buffer(
                 96, host_array=result_arr, name=f"ep-result-{qi}"
             )
-            k = program.create_kernel("ep")
-            k.set_arg(0, tally)
-            k.set_arg(1, result)
-            k.set_arg(2, items)
-            kr = program.create_kernel("ep_reduce")
-            kr.set_arg(0, tally)
-            kr.set_arg(1, result)
-            kr.set_arg(2, groups)
+            k = self._kernel("ep", tally, result, items)
+            kr = self._kernel("ep_reduce", tally, result, groups)
             if self.functional:
                 self._attach_functional(qi, k)
-            self._per_queue[qi] = {
-                "ep": k,
-                "reduce": kr,
+            self._per_queue.append({
+                "bufs": {"tally": tally, "result": result},
+                "kernels": {"ep": k, "ep_reduce": kr},
                 "items": items,
-                "result": result,
                 "out": np.zeros(12, dtype=np.float64),
-            }
+            })
 
     def _attach_functional(self, qi: int, kernel) -> None:
         """Real LCG pipeline at reduced scale, disjoint streams per queue."""
@@ -185,21 +174,19 @@ class EP(NPBApplication):
         kernel.set_host_function(host)
 
     def enqueue_iteration(self, it: int) -> None:
-        for qi, q in enumerate(self.queues):
-            state = self._per_queue[qi]
+        for q, state in zip(self.queues, self._per_queue):
             items = state["items"]
-            q.enqueue_nd_range_kernel(state["ep"], (items,), (64,))
-            q.enqueue_nd_range_kernel(state["reduce"], (1024,), (64,))
+            q.enqueue_nd_range_kernel(state["kernels"]["ep"], (items,), (64,))
+            q.enqueue_nd_range_kernel(state["kernels"]["ep_reduce"], (1024,), (64,))
 
     def finalize(self) -> None:
-        for qi, q in enumerate(self.queues):
-            state = self._per_queue[qi]
-            q.enqueue_read_buffer(state["result"], state["out"])
+        for q, state in zip(self.queues, self._per_queue):
+            q.enqueue_read_buffer(state["bufs"]["result"], state["out"])
         self.finish_all()
         if self.functional:
             counts = np.zeros(10)
             sx = sy = 0.0
-            for state in self._per_queue.values():
+            for state in self._per_queue:
                 counts += state["out"][:10]
                 sx += state["out"][10]
                 sy += state["out"][11]

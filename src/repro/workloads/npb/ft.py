@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.ocl.context import Context
 from repro.ocl.enums import SchedFlag
+from repro.ocl.kernel import Kernel
 from repro.ocl.queue import CommandQueue
 from repro.workloads.base import ProblemClass, power_of_two_rule
 from repro.workloads.npb import numerics
@@ -134,14 +135,11 @@ class FT(NPBApplication):
         return src
 
     def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
-        self._per_queue: Dict[int, Dict[str, object]] = {}
+        self._adopt(context, queues)
+        n = self.points_per_queue
         functional = self.functional and self.num_queues == 1
         self._functional_active = functional
-        for qi, q in enumerate(queues):
+        for qi, q in enumerate(self.queues):
             if functional:
                 rng = np.random.default_rng(42 + qi)
                 u0_arr = (
@@ -160,9 +158,7 @@ class FT(NPBApplication):
                 "u1": context.create_buffer(
                     self.slab_bytes, host_array=u1_arr, name=f"ft-u1-{qi}"
                 ),
-                "twiddle": context.create_buffer(
-                    self.points_per_queue * 8, name=f"ft-tw-{qi}"
-                ),
+                "twiddle": context.create_buffer(n * 8, name=f"ft-tw-{qi}"),
                 "csum": context.create_buffer(
                     16, host_array=cs_arr, name=f"ft-cs-{qi}"
                 ),
@@ -171,39 +167,26 @@ class FT(NPBApplication):
             # dominates FT's profiling overhead.
             q.enqueue_write_buffer(bufs["u0"])
             q.enqueue_write_buffer(bufs["twiddle"])
-            evolve = program.create_kernel("ft_evolve")
-            evolve.set_arg(0, bufs["u0"])
-            evolve.set_arg(1, bufs["u1"])
-            evolve.set_arg(2, bufs["twiddle"])
-            evolve.set_arg(3, self.points_per_queue)
-            fft_xy = program.create_kernel("ft_fft_xy")
-            fft_xy.set_arg(0, bufs["u1"])
-            fft_xy.set_arg(1, -1)
-            fft_xy.set_arg(2, self.points_per_queue)
-            fft_z = program.create_kernel("ft_fft_z")
-            fft_z.set_arg(0, bufs["u1"])
-            fft_z.set_arg(1, -1)
-            fft_z.set_arg(2, self.points_per_queue)
-            checksum = program.create_kernel("ft_checksum")
-            checksum.set_arg(0, bufs["u1"])
-            checksum.set_arg(1, bufs["csum"])
-            checksum.set_arg(2, self.points_per_queue)
-            state: Dict[str, object] = {
-                "bufs": bufs,
-                "evolve": evolve,
-                "fft_xy": fft_xy,
-                "fft_z": fft_z,
-                "checksum": checksum,
-                "cs_out": np.zeros(2, dtype=np.float64),
+            u1 = bufs["u1"]
+            kernels = {
+                "ft_evolve": self._kernel(
+                    "ft_evolve", bufs["u0"], u1, bufs["twiddle"], n
+                ),
+                "ft_fft_xy": self._kernel("ft_fft_xy", u1, -1, n),
+                "ft_fft_z": self._kernel("ft_fft_z", u1, -1, n),
+                "ft_checksum": self._kernel("ft_checksum", u1, bufs["csum"], n),
             }
             if functional:
-                self._attach_functional(state)
-            self._per_queue[qi] = state
-        for q in queues:
-            q.finish()
+                self._attach_functional(kernels)
+            self._per_queue.append({
+                "bufs": bufs,
+                "kernels": kernels,
+                "cs_out": np.zeros(2, dtype=np.float64),
+            })
+        self.finish_all()
         self.checks["checksums"] = []
 
-    def _attach_functional(self, state: Dict[str, object]) -> None:
+    def _attach_functional(self, kernels: Dict[str, Kernel]) -> None:
         indexmap = numerics.ft_indexmap(_FUNCTIONAL_SHAPE)
         app = self
 
@@ -222,43 +205,30 @@ class FT(NPBApplication):
             args["out"][0] = csum.real
             args["out"][1] = csum.imag
 
-        state["evolve"].set_host_function(evolve_host)  # type: ignore[attr-defined]
-        state["checksum"].set_host_function(checksum_host)  # type: ignore[attr-defined]
+        kernels["ft_evolve"].set_host_function(evolve_host)
+        kernels["ft_checksum"].set_host_function(checksum_host)
 
     _current_step = 1
 
     def enqueue_iteration(self, it: int) -> None:
         self._current_step = it + 1
         n = self.points_per_queue
-        for qi, q in enumerate(self.queues):
-            st = self._per_queue[qi]
-            q.enqueue_nd_range_kernel(st["evolve"], (n,), (128,))
-            q.enqueue_nd_range_kernel(st["fft_xy"], (n,), (128,))
-        if self.num_queues > 1:
-            # All-to-all transpose: each queue exchanges (Q-1)/Q of its slab
-            # with the others, staged through host memory.
-            frac = (self.num_queues - 1) / self.num_queues
-            xfer = int(self.slab_bytes * frac)
-            for qi, q in enumerate(self.queues):
-                bufs = self._per_queue[qi]["bufs"]
-                q.enqueue_read_buffer(bufs["u1"], nbytes=xfer)
-                q.enqueue_write_buffer(bufs["u1"], nbytes=xfer)
-        for qi, q in enumerate(self.queues):
-            st = self._per_queue[qi]
-            q.enqueue_nd_range_kernel(st["fft_z"], (n,), (128,))
-            q.enqueue_nd_range_kernel(st["checksum"], (1024,), (64,))
-            q.enqueue_read_buffer(st["bufs"]["csum"], st["cs_out"])
+        for q, state in zip(self.queues, self._per_queue):
+            q.enqueue_nd_range_kernel(state["kernels"]["ft_evolve"], (n,), (128,))
+            q.enqueue_nd_range_kernel(state["kernels"]["ft_fft_xy"], (n,), (128,))
+        # All-to-all transpose: each queue exchanges (Q-1)/Q of its slab
+        # with the others, staged through host memory.
+        frac = (self.num_queues - 1) / self.num_queues
+        self._exchange("u1", int(self.slab_bytes * frac))
+        for q, state in zip(self.queues, self._per_queue):
+            ks = state["kernels"]
+            q.enqueue_nd_range_kernel(ks["ft_fft_z"], (n,), (128,))
+            q.enqueue_nd_range_kernel(ks["ft_checksum"], (1024,), (64,))
+            q.enqueue_read_buffer(state["bufs"]["csum"], state["cs_out"])
 
     def apply_workgroup_info(self) -> None:
         """Device-specific FFT launch shapes via clSetKernelWorkGroupInfo."""
-        assert self.context is not None
-        n = self.points_per_queue
-        for st in self._per_queue.values():
-            for key in ("fft_xy", "fft_z"):
-                kernel = st[key]
-                for dev in self.context.platform.node.device_list():
-                    local = 16 if dev.spec.kind.value == "cpu" else 256
-                    kernel.set_work_group_info(dev.name, (n,), (min(local, n),))
+        self._device_shapes(("ft_fft_xy", "ft_fft_z"), self.points_per_queue)
 
     def finalize(self) -> None:
         self.finish_all()

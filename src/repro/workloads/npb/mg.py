@@ -19,8 +19,7 @@ on a 33³ grid and records the residual-norm history.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -100,14 +99,10 @@ class MG(NPBApplication):
         return src
 
     def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
+        self._adopt(context, queues)
         n = self.grid_n
         pts_per_queue = n * n * n // self.num_queues
-        self._per_queue: Dict[int, Dict[str, object]] = {}
-        for qi, q in enumerate(queues):
+        for qi, q in enumerate(self.queues):
             bufs = {
                 "u": context.create_buffer(pts_per_queue * 8, name=f"mg-u-{qi}"),
                 "v": context.create_buffer(pts_per_queue * 8, name=f"mg-v-{qi}"),
@@ -117,25 +112,21 @@ class MG(NPBApplication):
                 ),
             }
             q.enqueue_write_buffer(bufs["v"])
-            kernels = {}
-            for kname in ("mg_resid", "mg_psinv", "mg_rprj3", "mg_interp"):
-                k = program.create_kernel(kname)
-                k.set_arg(0, bufs["u"])
-                k.set_arg(1, bufs["v"])
-                k.set_arg(2, bufs["r"])
-                k.set_arg(3, n)
-                kernels[kname] = k
-            self._per_queue[qi] = {"bufs": bufs, "kernels": kernels}
-        for q in queues:
-            q.finish()
+            args = (bufs["u"], bufs["v"], bufs["r"], n)
+            kernels = {
+                name: self._kernel(name, *args)
+                for name in ("mg_resid", "mg_psinv", "mg_rprj3", "mg_interp")
+            }
+            self._per_queue.append({"bufs": bufs, "kernels": kernels})
+        self.finish_all()
 
     def _level_items(self, level_n: int) -> int:
         return max(64, level_n ** 3 // self.num_queues)
 
     def enqueue_iteration(self, it: int) -> None:
         levels = self.levels
-        for qi, q in enumerate(self.queues):
-            ks = self._per_queue[qi]["kernels"]
+        for q, state in zip(self.queues, self._per_queue):
+            ks = state["kernels"]
             # Down sweep: residual + restriction per level.
             for ln in levels[:-1]:
                 items = self._level_items(ln)
@@ -151,14 +142,8 @@ class MG(NPBApplication):
                 q.enqueue_nd_range_kernel(ks["mg_interp"], (items,), (64,))
                 q.enqueue_nd_range_kernel(ks["mg_resid"], (items,), (64,))
                 q.enqueue_nd_range_kernel(ks["mg_psinv"], (items,), (64,))
-        if self.num_queues > 1:
-            # Finest-level halo exchange between neighbouring slabs.
-            n = self.grid_n
-            halo_bytes = n * n * 8
-            for qi, q in enumerate(self.queues):
-                bufs = self._per_queue[qi]["bufs"]
-                q.enqueue_read_buffer(bufs["u"], nbytes=halo_bytes)
-                q.enqueue_write_buffer(bufs["u"], nbytes=halo_bytes)
+        # Finest-level halo exchange between neighbouring slabs.
+        self._exchange("u", self.grid_n * self.grid_n * 8)
 
     def finalize(self) -> None:
         if self.functional:

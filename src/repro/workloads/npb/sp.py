@@ -16,28 +16,13 @@ maximum — diffusion is monotone).
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Sequence
-
 import numpy as np
 
-from repro.ocl.context import Context
-from repro.ocl.enums import SchedFlag
-from repro.ocl.queue import CommandQueue
-from repro.workloads.base import ProblemClass, square_rule
+from repro.workloads.base import ProblemClass
 from repro.workloads.npb import numerics
-from repro.workloads.npb.common import NPBApplication, kernel_source, register_benchmark
+from repro.workloads.npb.common import ADIApplication, register_benchmark
 
 __all__ = ["SP"]
-
-#: (grid n, iterations) per class — NPB 3.3.
-_CLASS_PARAMS = {
-    ProblemClass.S: (12, 100),
-    ProblemClass.W: (36, 400),
-    ProblemClass.A: (64, 400),
-    ProblemClass.B: (102, 400),
-    ProblemClass.C: (162, 400),
-}
 
 _SOLVE = {
     "divergence": 0.35,
@@ -54,113 +39,23 @@ _POINTWISE = {
 
 
 @register_benchmark
-class SP(NPBApplication):
+class SP(ADIApplication):
     NAME = "SP"
-    QUEUE_RULE = square_rule((1, 4))
-    VALID_CLASSES = tuple(_CLASS_PARAMS)
-    TABLE2_FLAGS = SchedFlag.SCHED_EXPLICIT_REGION
-
-    @property
-    def grid_n(self) -> int:
-        return _CLASS_PARAMS[self.problem_class][0]
-
-    @property
-    def default_iterations(self) -> int:
-        return _CLASS_PARAMS[self.problem_class][1]
-
-    @property
-    def points_per_queue(self) -> int:
-        return self.grid_n ** 3 // self.num_queues
-
-    def generate_source(self) -> str:
-        n = self.grid_n
-        src = kernel_source(
-            "sp_compute_rhs",
-            "__global double* u, __global double* rhs, int n",
-            {"flops_per_item": 120, "bytes_per_item": 200, "writes": "1", **_POINTWISE},
-            body="/* flux + dissipation stencil (modelled) */",
-        )
-        src += kernel_source(
-            "sp_txinvr",
-            "__global double* u, __global double* rhs, int n",
-            {"flops_per_item": 40, "bytes_per_item": 80, "writes": "1", **_POINTWISE},
-            body="/* block-diagonal premultiply (modelled) */",
-        )
-        for axis in ("x", "y", "z"):
-            src += kernel_source(
-                f"sp_{axis}_solve",
-                "__global double* u, __global double* rhs, __global double* lhs, int n",
-                {"flops_per_item": 220, "bytes_per_item": 120, "writes": "1,2", **_SOLVE},
-                body=f"/* scalar pentadiagonal sweep along {axis} (modelled) */",
-            )
-        src += kernel_source(
-            "sp_add",
-            "__global double* u, __global double* rhs, int n",
-            {
-                "flops_per_item": 5,
-                "bytes_per_item": 80,
-                "divergence": 0.0,
-                "irregularity": 0.1,
-                "cpu_eff": 1.0,
-                "gpu_eff": 0.5,
-                "writes": "0",
-            },
-            body="/* u += rhs (modelled) */",
-        )
-        return src
-
-    def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
-        pts = self.points_per_queue
-        self._per_queue: Dict[int, Dict[str, object]] = {}
-        for qi, q in enumerate(queues):
-            bufs = {
-                "u": context.create_buffer(pts * 5 * 8, name=f"sp-u-{qi}"),
-                "rhs": context.create_buffer(pts * 5 * 8, name=f"sp-rhs-{qi}"),
-                "lhs": context.create_buffer(pts * 9 * 8, name=f"sp-lhs-{qi}"),
-            }
-            q.enqueue_write_buffer(bufs["u"])
-            kernels = {}
-            for kname in (
-                "sp_compute_rhs",
-                "sp_txinvr",
-                "sp_x_solve",
-                "sp_y_solve",
-                "sp_z_solve",
-                "sp_add",
-            ):
-                k = program.create_kernel(kname)
-                k.set_arg(0, bufs["u"])
-                k.set_arg(1, bufs["rhs"])
-                if "solve" in kname:
-                    k.set_arg(2, bufs["lhs"])
-                    k.set_arg(3, pts)
-                else:
-                    k.set_arg(2, pts)
-                kernels[kname] = k
-            self._per_queue[qi] = {"bufs": bufs, "kernels": kernels}
-        for q in queues:
-            q.finish()
-
-    def enqueue_iteration(self, it: int) -> None:
-        pts = self.points_per_queue
-        for qi, q in enumerate(self.queues):
-            ks = self._per_queue[qi]["kernels"]
-            q.enqueue_nd_range_kernel(ks["sp_compute_rhs"], (pts,), (64,))
-            q.enqueue_nd_range_kernel(ks["sp_txinvr"], (pts,), (64,))
-            for kname in ("sp_x_solve", "sp_y_solve", "sp_z_solve"):
-                q.enqueue_nd_range_kernel(ks[kname], (pts,), (64,))
-            q.enqueue_nd_range_kernel(ks["sp_add"], (pts,), (64,))
-        if self.num_queues > 1:
-            n = self.grid_n
-            face_bytes = (n * n // int(math.isqrt(self.num_queues))) * 5 * 8
-            for qi, q in enumerate(self.queues):
-                bufs = self._per_queue[qi]["bufs"]
-                q.enqueue_read_buffer(bufs["u"], nbytes=face_bytes)
-                q.enqueue_write_buffer(bufs["u"], nbytes=face_bytes)
+    CLASS_PARAMS = {
+        ProblemClass.S: (12, 100),
+        ProblemClass.W: (36, 400),
+        ProblemClass.A: (64, 400),
+        ProblemClass.B: (102, 400),
+        ProblemClass.C: (162, 400),
+    }
+    VALID_CLASSES = tuple(CLASS_PARAMS)
+    PREFIX = "sp"
+    POINTWISE = (
+        ("compute_rhs", 120, 200, _POINTWISE, "flux + dissipation stencil"),
+        ("txinvr", 40, 80, _POINTWISE, "block-diagonal premultiply"),
+    )
+    SOLVE = (220, 120, _SOLVE, "scalar pentadiagonal sweep")
+    LHS_WIDTH = 9
 
     def finalize(self) -> None:
         if self.functional:

@@ -24,18 +24,17 @@ waiting on both regions' velocity events — the interface coupling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.flags import SchedulerConfig
-from repro.core.runtime import MultiCL
 from repro.hardware.specs import NodeSpec
 from repro.ocl.context import Context
-from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.ocl.enums import SchedFlag
 from repro.ocl.queue import CommandQueue, Event
-from repro.workloads.base import WorkloadError, WorkloadRun
-from repro.workloads.npb.common import kernel_source
+from repro.workloads.base import Application, WorkloadError, WorkloadRun
+from repro.workloads.npb.common import kernel_source, run_npb
 from repro.workloads.seismology.fdm import FDMParameters, RegionPairSimulation
 from repro.workloads.seismology.fdm3d import FDM3DParameters, RegionPair3D
 
@@ -80,8 +79,13 @@ _FUNCTIONAL_PARAMS = FDMParameters(nx=96, nz=96)
 _FUNCTIONAL_PARAMS_3D = FDM3DParameters(nx=32, ny=32, nz=32)
 
 
-class FDMSeismologyApp:
+class FDMSeismologyApp(Application):
     """Builds the kernels/buffers and enqueues iterations."""
+
+    NAME = "FDM-Seismology"
+    #: Each iteration is one synchronization epoch (see module docstring).
+    TABLE2_FLAGS = SchedFlag.SCHED_KERNEL_EPOCH
+    num_queues = 2
 
     def __init__(
         self,
@@ -96,13 +100,10 @@ class FDMSeismologyApp:
             raise WorkloadError("steps must be >= 1")
         if solver_dim not in (2, 3):
             raise WorkloadError("solver_dim must be 2 or 3")
+        super().__init__(functional)
         self.layout = layout
         self.steps = steps
-        self.functional = functional
         self.solver_dim = solver_dim
-        self.context: Optional[Context] = None
-        self.queues: List[CommandQueue] = []
-        self.checks: Dict[str, object] = {}
         # Functional payloads: the fast 2-D solver by default, or the
         # full-fidelity 3-D elastic solver (the paper's "three-dimensional
         # grid") — both expose the same region-split interface.
@@ -113,6 +114,14 @@ class FDMSeismologyApp:
                 if solver_dim == 2
                 else RegionPair3D(_FUNCTIONAL_PARAMS_3D)
             )
+
+    @property
+    def iterations(self) -> int:
+        return self.steps
+
+    @property
+    def label(self) -> str:
+        return self.layout
 
     # ------------------------------------------------------------------
     # Source generation
@@ -174,12 +183,8 @@ class FDMSeismologyApp:
     def setup(self, context: Context, queues: Sequence[CommandQueue]) -> None:
         if len(queues) != 2:
             raise WorkloadError("FDM-Seismology uses exactly two command queues")
-        self.context = context
-        self.queues = list(queues)
-        program = context.create_program(self.generate_source()).build()
-        self.program = program
+        self._adopt(context, queues)
         pts = self._region_points()
-        self._region_state: List[Dict[str, object]] = []
         for region, q in enumerate(self.queues):
             halo_bytes = max(5 * _MODEL_NZ * 8, 64)
             bufs = {
@@ -199,7 +204,6 @@ class FDMSeismologyApp:
             # Iteration 1 exchanges the *initial* boundary values, so the
             # outgoing strip must be populated before the first copy reads it.
             q.enqueue_write_buffer(bufs["halo"])
-            kernels: Dict[str, object] = {}
             names = [f"{k}_r{region}" for k in _VELOCITY_KERNELS[region]]
             strips = _STRESS_STRIPS[region]
             names += [
@@ -208,36 +212,30 @@ class FDMSeismologyApp:
                 for s in range(strips)
             ]
             names += [f"st_sponge{s}_r{region}" for s in range(2)]
-            for kname in names:
-                k = program.create_kernel(kname)
-                k.set_arg(0, bufs["v"])
-                k.set_arg(1, bufs["s"])
+            kernels = {}
+            for name in names:
                 # Stress sweeps consume the neighbour's ghost cells; every
                 # other kernel works on the region's own boundary strip.
-                is_stress = kname.startswith("st_") and not kname.startswith(
-                    "st_sponge"
-                )
-                k.set_arg(2, bufs["halo_in"] if is_stress else bufs["halo"])
-                k.set_arg(3, pts)
-                kernels[kname] = k
-            self._region_state.append({"bufs": bufs, "kernels": kernels})
+                stress = name.startswith("st_") and not name.startswith("st_sponge")
+                halo = bufs["halo_in"] if stress else bufs["halo"]
+                kernels[name] = self._kernel(name, bufs["v"], bufs["s"], halo, pts)
+            self._per_queue.append({"bufs": bufs, "kernels": kernels})
         if self.functional:
             self._attach_functional()
-        for q in self.queues:
-            q.finish()
+        self.finish_all()
 
     def _attach_functional(self) -> None:
         sim = self.sim
         assert sim is not None
         for region in (0, 1):
-            ks = self._region_state[region]["kernels"]
+            ks = self._per_queue[region]["kernels"]
             ks[f"vel_vx_r{region}"].set_host_function(
                 lambda args, r=region: sim.step_velocity_region(r)
             )
             ks[f"st_sxx0_r{region}"].set_host_function(
                 lambda args, r=region: sim.step_stress_region(r)
             )
-        self._region_state[1]["kernels"]["vel_source_r1"].set_host_function(
+        self._per_queue[1]["kernels"]["vel_source_r1"].set_host_function(
             lambda args: self._advance_source()
         )
 
@@ -259,7 +257,7 @@ class FDMSeismologyApp:
         pts = self._region_points()
         vel_events: List[Event] = []
         for region, q in enumerate(self.queues):
-            ks = self._region_state[region]["kernels"]
+            ks = self._per_queue[region]["kernels"]
             ev: Optional[Event] = None
             for kname in _VELOCITY_KERNELS[region]:
                 if kname == "vel_source":
@@ -275,17 +273,17 @@ class FDMSeismologyApp:
         # copies never touch the same memory object concurrently.
         halo_events: List[Event] = []
         for region, q in enumerate(self.queues):
-            bufs = self._region_state[region]["bufs"]
+            bufs = self._per_queue[region]["bufs"]
             other = vel_events[1 - region]
             halo_events.append(
                 q.enqueue_copy_buffer(
-                    self._region_state[1 - region]["bufs"]["halo"],
+                    self._per_queue[1 - region]["bufs"]["halo"],
                     bufs["halo_in"],
                     wait_events=[vel_events[region], other],
                 )
             )
         for region, q in enumerate(self.queues):
-            ks = self._region_state[region]["kernels"]
+            ks = self._per_queue[region]["kernels"]
             strips = _STRESS_STRIPS[region]
             # Waiting on *both* copies (in-order queues propagate the edge
             # to the rest of the step) keeps this region's sponge writes to
@@ -305,7 +303,7 @@ class FDMSeismologyApp:
                 )
         # Source injection closes the step (region 1).
         self.queues[1].enqueue_nd_range_kernel(
-            self._region_state[1]["kernels"]["vel_source_r1"], (1024,), (64,)
+            self._per_queue[1]["kernels"]["vel_source_r1"], (1024,), (64,)
         )
 
     def finalize(self) -> None:
@@ -327,52 +325,10 @@ def run_seismology(
     config: Optional[SchedulerConfig] = None,
     profile_dir: Optional[str] = None,
 ) -> WorkloadRun:
-    """Run the two-queue FDM-Seismology driver; see :func:`~repro.workloads.npb.common.run_npb`."""
-    if mode not in ("manual", "auto", "round_robin"):
-        raise WorkloadError(f"unknown mode {mode!r}")
-    policy = {
-        "manual": None,
-        "auto": ContextScheduler.AUTO_FIT,
-        "round_robin": ContextScheduler.ROUND_ROBIN,
-    }[mode]
-    mcl = MultiCL(
-        node_spec=node_spec, policy=policy, config=config, profile_dir=profile_dir
-    )
-    app = FDMSeismologyApp(layout=layout, steps=steps, functional=functional)
-    queues: List[CommandQueue] = []
-    if mode == "manual":
-        if devices is None or len(devices) != 2:
-            raise WorkloadError("manual mode needs a (region1, region2) device pair")
-        for i, dev in enumerate(devices):
-            queues.append(mcl.queue(device=dev, flags=SchedFlag.SCHED_OFF, name=f"q{i}"))
-    else:
-        flags = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
-        for i in range(2):
-            initial = mcl.device_names[i % len(mcl.device_names)]
-            queues.append(mcl.queue(device=initial, flags=flags, name=f"q{i}"))
-    app.setup(mcl.context, queues)
-
-    iter_times: List[float] = []
-    t0 = mcl.now
-    for it in range(steps):
-        t_it = mcl.now
-        app.enqueue_iteration(it)
-        for q in queues:
-            q.finish()
-        iter_times.append(mcl.now - t_it)
-    app.finalize()
-    for q in queues:
-        q.finish()
-    t1 = mcl.now
-    return WorkloadRun(
-        name="FDM-Seismology",
-        problem_class=layout,
-        num_queues=2,
-        mode=mode,
-        seconds=t1 - t0,
-        stats=mcl.stats_between(t0, t1),
-        bindings={q.name: q.device for q in queues},
-        mappings=mcl.scheduler_mappings(),
-        iteration_seconds=iter_times,
-        checks=dict(app.checks),
+    """Run the two-queue FDM-Seismology driver through
+    :func:`~repro.workloads.npb.common.run_npb`."""
+    return run_npb(
+        FDMSeismologyApp(layout=layout, steps=steps, functional=functional),
+        mode=mode, devices=devices, node_spec=node_spec, config=config,
+        profile_dir=profile_dir,
     )

@@ -289,6 +289,28 @@ def test_config_validation():
         ReplayConfig(process="unknown").validate()
 
 
+@pytest.mark.parametrize("bad", [
+    {"rate": math.nan}, {"rate": math.inf}, {"rate": 0.0},
+    {"weights": (math.nan, 1.0)}, {"weights": (1.0, math.inf)},
+    {"weights": (0.0,)}, {"weights": (-1.0,)},
+])
+def test_config_rejects_non_finite_or_non_positive_rates_and_weights(bad):
+    # A NaN weight's credit never covers a pool, so service replay's drain
+    # would spin forever; an infinite one schedules events in the past.
+    with pytest.raises(ValueError, match="positive and finite"):
+        ReplayConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "1,inf", "-inf", "0", "-1,2"])
+def test_cli_rejects_non_finite_or_non_positive_weights(weights, capsys):
+    from repro.replay.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--commands", "1", "--tenants", "1", f"--weights={weights}"])
+    assert exc.value.code == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_chunk_and_spill_defaults_and_validation():
     from repro.replay.cli import main
 

@@ -151,31 +151,27 @@ def test_functional_3d_solver_through_driver(profile_dir):
     """The driver runs the full 3-D elastic solver as kernel payloads."""
     import numpy as np
 
-    from repro.workloads.seismology.fdm3d import ALL_FIELDS
-
-    run = run_seismology3d = None
-    app = FDMSeismologyApp(layout="row", steps=8, functional=True, solver_dim=3)
-    from repro.core.runtime import MultiCL
-    from repro.ocl.enums import SchedFlag
-
-    mcl = MultiCL(profile_dir=profile_dir)
-    queues = [mcl.queue(device=d, flags=SchedFlag.SCHED_OFF, name=f"q{i}")
-              for i, d in enumerate(("gpu0", "gpu1"))]
-    app.setup(mcl.context, queues)
-    for it in range(8):
-        app.enqueue_iteration(it)
-        for q in queues:
-            q.finish()
-    app.finalize()
-    assert app.checks["stable"] and app.checks["steps"] == 8
-    # Matches the directly-run 3-D reference bit-for-bit.
+    from repro.workloads.npb.common import run_npb
     from repro.workloads.seismology.app import _FUNCTIONAL_PARAMS_3D
-    from repro.workloads.seismology.fdm3d import RegionPair3D
+    from repro.workloads.seismology.fdm3d import ALL_FIELDS, RegionPair3D
 
+    app = FDMSeismologyApp(layout="row", steps=8, functional=True, solver_dim=3)
+    run = run_npb(app, mode="manual", devices=("gpu0", "gpu1"),
+                  profile_dir=profile_dir)
+    assert run.checks["stable"] and run.checks["steps"] == 8
+    # Matches the directly-run 3-D reference bit-for-bit.
     ref = RegionPair3D(_FUNCTIONAL_PARAMS_3D)
     ref.run(8)
     for f in ALL_FIELDS:
         assert np.array_equal(getattr(app.sim.mono, f), getattr(ref.mono, f)), f
+
+
+def test_auto_mode_reports_profiler_stats(profile_dir):
+    """FDM-Seismology runs through the NPB driver, so an auto-mode run
+    reports the kernel profiler's counters like every NPB app."""
+    run = run_seismology("column", mode="auto", steps=3, profile_dir=profile_dir)
+    assert run.profiler_stats
+    assert run.profiler_stats["kernels_measured"] > 0
 
 
 def test_solver_dim_validated():

@@ -374,6 +374,14 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match="weight"):
             service.create_session("bad", weight=0.0)
 
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
+    def test_non_finite_or_non_positive_weight_rejected(self, service, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            service.create_session("bad", weight=weight)
+        assert not service.sessions
+
     def test_invalid_overload_mode_rejected(self, service):
         with pytest.raises(ValueError, match="on_overload"):
             service.create_session("bad", on_overload="panic")
