@@ -144,6 +144,14 @@ class OnOffProcess(ArrivalProcess):
     off_s: float = 6.0
     kind = "bursty"
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.on_s) and self.on_s > 0.0):
+            raise ValueError(f"on_s must be positive and finite, got {self.on_s}")
+        if not (math.isfinite(self.off_s) and self.off_s >= 0.0):
+            raise ValueError(
+                f"off_s must be non-negative and finite, got {self.off_s}"
+            )
+
     def _arrivals(self, rng: random.Random) -> Iterator[float]:
         expovariate = rng.expovariate
         on = self.on_s
@@ -173,6 +181,10 @@ class DiurnalProcess(ArrivalProcess):
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError(
                 f"amplitude must be in [0, 1), got {self.amplitude}"
+            )
+        if not (math.isfinite(self.period_s) and self.period_s > 0.0):
+            raise ValueError(
+                f"period_s must be positive and finite, got {self.period_s}"
             )
 
     def _arrivals(self, rng: random.Random) -> Iterator[float]:

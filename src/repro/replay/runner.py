@@ -1,14 +1,19 @@
 """Open-loop replay drivers: per-tenant engine replay and service replay.
 
-Two replay modes share the arrival machinery (:mod:`repro.replay.arrivals`)
-and the result types (:mod:`repro.replay.metrics`):
+Two replay modes share the arrival machinery (:mod:`repro.replay.arrivals`),
+the chunked injection loop, the latency fold and the result types
+(:mod:`repro.replay.metrics`):
 
 * **engine mode** (:func:`run_tenant`) — each tenant replays against its
-  own :class:`~repro.ocl.platform.Platform` (own event engine, own device
-  fleet), dispatching requests straight onto device FIFO resources with a
-  join-shortest-queue or round-robin policy and per-(family, device)
-  service times derived from the measured
-  :class:`~repro.core.device_profiler.DeviceProfile`.  Tenants are
+  own device fleet, dispatching requests straight onto per-device FIFOs
+  with a join-shortest-queue or round-robin policy and per-(family,
+  device) service times derived from the measured
+  :class:`~repro.core.device_profiler.DeviceProfile`.  Each FIFO is
+  modelled once, in closed form: a request starts when it arrives or when
+  its device frees up, whichever is later (Lindley's recursion).  The
+  intervals are recorded into the tenant's trace in the order an event
+  engine would complete them, so traces and results are exactly those of
+  an event-driven replay.  Tenants are
   *independent replicas*, which is exactly what makes serial and sharded
   runs bit-identical — and it scales to millions of commands per run;
 * **service mode** (:func:`run_service_replay`) — all tenants share one
@@ -17,15 +22,12 @@ and the result types (:mod:`repro.replay.metrics`):
   that measures *real* multi-tenant interference and fairness; engine mode
   measures raw open-loop queueing behaviour and replay throughput.
 
-The hot loop is epoch-batched: a chunk of arrivals is injected with
-:meth:`~repro.sim.engine.SimEngine.schedule_batch` (onto the sorted
-arrival lane beside the event heap, not one sift-up per command) and
-drained with
-:meth:`~repro.sim.engine.SimEngine.run_until_time`.  Per-request
-allocations are held to the task tuple itself: request names, metadata
-dicts, and the completion-callback list are shared per kernel family, and
-the arrival timestamp rides in the :class:`~repro.sim.engine.SimTask`
-``arrival_time`` slot.
+Both modes consume arrivals in chunks of ``config.chunk``.  Service mode
+injects each chunk into the event engine with
+:meth:`~repro.sim.engine.SimEngine.schedule_batch`, drains it with
+:meth:`~repro.sim.engine.SimEngine.run_until_time` and arbitrates at the
+chunk boundary.  Engine mode records each chunk's completed intervals
+before it reads the next, so a streamed trace keeps memory flat.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
@@ -43,6 +46,7 @@ from repro.replay.arrivals import (
     make_process,
 )
 from repro.replay.metrics import LatencyHistogram, TenantResult
+from repro.sim.engine import SimError
 from repro.sim.export import JsonlTraceSink
 from repro.sim.trace import TraceSink
 
@@ -52,6 +56,9 @@ __all__ = [
     "run_tenant",
     "run_service_replay",
 ]
+
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -73,7 +80,8 @@ class ReplayConfig:
     weights: Tuple[float, ...] = (1.0,)
     #: engine-mode dispatch: ``jsq`` (join shortest queue) | ``rr``
     policy: str = "jsq"
-    #: arrivals injected per ``schedule_batch`` epoch
+    #: arrivals per replay chunk (one ``schedule_batch`` epoch in service
+    #: mode)
     chunk: int = 8192
     #: streaming-trace spill threshold (resident intervals before a spill)
     spill_every: int = 16384
@@ -154,23 +162,85 @@ class DiscardSink(TraceSink):
         self.consumed += len(intervals)
 
 
-class _EngineTenant:
-    """One tenant's engine-mode replay state (single-use)."""
+class _ReplayTenant:
+    """One replay tenant: its identity, the arrival-to-completion latency
+    of its requests folded in completion order, and the
+    :class:`TenantResult` built from them."""
 
     __slots__ = (
-        "engine",
+        "name", "index", "weight", "hist", "completed", "latency_sum", "last_end"
+    )
+
+    def __init__(self, config: ReplayConfig, index: int) -> None:
+        self.name = config.tenant_name(index)
+        self.index = index
+        self.weight = config.tenant_weight(index)
+        self.hist = LatencyHistogram()
+        self.completed = 0
+        self.latency_sum = 0.0
+        self.last_end = 0.0
+
+    def fold(self, arrival: float, end: float) -> None:
+        latency = end - arrival
+        self.hist.add(latency)
+        self.completed += 1
+        self.latency_sum += latency
+        if end > self.last_end:
+            self.last_end = end
+
+    def result(
+        self, requests: int, device_seconds: Dict[str, float], **extra
+    ) -> TenantResult:
+        """The tenant's outcome; ``extra`` fills the trace and cold-start
+        counters."""
+        # The checksum is pure float additions in a fixed (sorted-key)
+        # order, no libm calls, so it is bit-identical across processes
+        # and platforms; the serial-vs-sharded tests and the perf-baseline
+        # checksum pin it.
+        checksum = float(self.completed) + self.last_end + self.latency_sum
+        for name in sorted(device_seconds):
+            checksum += device_seconds[name]
+        return TenantResult(
+            tenant=self.name,
+            index=self.index,
+            weight=self.weight,
+            requests=requests,
+            completed=self.completed,
+            end_time=self.last_end,
+            latency_sum=self.latency_sum,
+            histogram=self.hist.to_dict(),
+            device_seconds=device_seconds,
+            checksum=checksum,
+            **extra,
+        )
+
+
+class _EngineTenant(_ReplayTenant):
+    """One tenant's engine-mode replay state (single-use).
+
+    Each device is a FIFO of closed-form ``(end, start, name, category,
+    meta, arrival)`` intervals; the head is in service, the rest wait.
+    Intervals are recorded into ``trace`` in the completion order of an
+    event engine, ``(end, seq)``: a head takes the next sequence number
+    when its service begins (at its arrival on an idle device, else when
+    its predecessor is recorded), and a chunk of arrivals takes its
+    numbers when it is injected, before any of them runs.  ``heap`` holds
+    one ``(end, seq, device)`` entry per busy device.
+    """
+
+    __slots__ = (
+        "trace",
         "resources",
         "durations",
         "free",
+        "fifos",
+        "heap",
+        "seq",
+        "last_arrival",
         "names",
         "metas",
-        "callbacks",
         "jsq",
         "rr_next",
-        "hist",
-        "completed",
-        "latency_sum",
-        "last_end",
         "cold_start",
         "predict",
         "churn",
@@ -181,11 +251,12 @@ class _EngineTenant:
         "predicted_epochs",
     )
 
-    def __init__(self, platform, config: ReplayConfig, tenant: str) -> None:
-        self.engine = platform.engine
+    def __init__(self, platform, config: ReplayConfig, index: int) -> None:
+        super().__init__(config, index)
+        self.trace = platform.engine.trace
         devices = platform.node.device_list()
         profile = platform.device_profile
-        self.resources = [d.resource for d in devices]
+        self.resources = [d.resource.name for d in devices]
         # Service time of one request of family f on device d: compute at
         # the measured instruction throughput + memory traffic at the
         # measured bandwidth + the per-launch fixed cost.  Requests of one
@@ -203,23 +274,19 @@ class _EngineTenant:
             self.durations.append(row)
         #: per-device backlog horizon (virtual time the device frees up)
         self.free = [0.0] * len(devices)
+        self.fifos: List[Deque[tuple]] = [deque() for _ in devices]
+        self.heap: List[Tuple[float, int, int]] = []
+        self.seq = 0
+        self.last_arrival = 0.0
         # Shared per-family request names and trace metadata: requests of a
-        # family are indistinguishable, so a million tasks share four
+        # family are indistinguishable, so a million intervals share four
         # strings and four read-only dicts instead of allocating their own.
         self.names = [f"req:{fam.name}" for fam in config.families]
         self.metas = [
-            {"family": fam.name, "tenant": tenant} for fam in config.families
+            {"family": fam.name, "tenant": self.name} for fam in config.families
         ]
-        #: one shared completion-callback list for every request (the
-        #: engine reads it and clears the *task's* reference, never the
-        #: list itself)
-        self.callbacks = [self._on_done]
         self.jsq = config.policy == "jsq"
         self.rr_next = 0
-        self.hist = LatencyHistogram()
-        self.completed = 0
-        self.latency_sum = 0.0
-        self.last_end = 0.0
         # Cold-start modelling (see ReplayConfig.cold_start): which
         # (family, generation) pairs have been profiled or predicted.
         self.cold_start = config.cold_start
@@ -231,7 +298,49 @@ class _EngineTenant:
         self.profiling_epochs = 0
         self.predicted_epochs = 0
 
-    def _first_sight(self, fam: int) -> None:
+    def _queue(self, dev: int, interval: tuple) -> None:
+        """Append ``interval`` to device ``dev``'s FIFO; on an idle device
+        its service begins now."""
+        fifo = self.fifos[dev]
+        fifo.append(interval)
+        if len(fifo) == 1:
+            heapq.heappush(self.heap, (interval[0], self.seq, dev))
+            self.seq += 1
+
+    def record_until(self, time: float, order: float) -> None:
+        """Record, in completion order, every head whose ``(end, seq)`` is
+        below ``(time, order)``, beginning each successor's service."""
+        heap = self.heap
+        fifos = self.fifos
+        record = self.trace.record
+        key = (time, order)
+        while heap and heap[0] < key:
+            dev = heapq.heappop(heap)[2]
+            fifo = fifos[dev]
+            end, start, name, category, meta, arrival = fifo.popleft()
+            record(self.resources[dev], name, category, start, end, meta)
+            if arrival is not None:
+                self.fold(arrival, end)
+            if fifo:
+                heapq.heappush(heap, (fifo[0][0], self.seq, dev))
+                self.seq += 1
+
+    def inject(self, chunk: List[Tuple[float, int]]) -> None:
+        """Serve one chunk of ``(arrival, family)`` requests, then record
+        every interval that ends by the chunk's last arrival."""
+        base = self.seq
+        self.seq += len(chunk)
+        last = self.last_arrival
+        for j, (now, fam) in enumerate(chunk):
+            if not last <= now < _INF:  # also rejects NaN
+                raise SimError(f"arrival at {now} after one at {last}")
+            last = now
+            self.record_until(now, base + j)
+            self.arrive(now, fam)
+        self.last_arrival = last
+        self.record_until(last, _INF)
+
+    def _first_sight(self, fam: int, now: float) -> None:
         """An unseen family arrived: profile it on every device, or predict.
 
         The measured path mirrors the kernel profiler: one profiling launch
@@ -243,35 +352,27 @@ class _EngineTenant:
             self.predicted_epochs += 1
             return
         self.profiling_epochs += 1
-        engine = self.engine
-        now = engine.now
         durations = self.durations[fam]
         name = self.prof_names[fam]
+        meta = self.metas[fam]
         free = self.free
-        for i, resource in enumerate(self.resources):
-            duration = durations[i]
-            start = free[i]
+        for dev, duration in enumerate(durations):
+            start = free[dev]
             if start < now:
                 start = now
-            free[i] = start + duration
-            task = engine.task(
-                name, duration, resource, category="profile-kernel"
-            )
-            task.meta = self.metas[fam]
+            end = free[dev] = start + duration
+            self._queue(dev, (end, start, name, "profile-kernel", meta, None))
 
-    def arrive(self, fam: int) -> None:
-        """Dispatch one arriving request (fires at its arrival timestamp)."""
-        engine = self.engine
-        now = engine.now
+    def arrive(self, now: float, fam: int) -> None:
+        """Dispatch one request arriving at ``now``."""
         if self.cold_start:
             self.arrivals += 1
             generation = self.arrivals // self.churn if self.churn else 0
             key = fam * 1_000_003 + generation
             if key not in self.seen:
                 self.seen.add(key)
-                self._first_sight(fam)
+                self._first_sight(fam, now)
         free = self.free
-        durations = self.durations[fam]
         if self.jsq:
             dev = 0
             best = free[0]
@@ -282,44 +383,21 @@ class _EngineTenant:
         else:
             dev = self.rr_next
             self.rr_next = (dev + 1) % len(free)
-        duration = durations[dev]
         start = free[dev]
         if start < now:
             start = now
-        free[dev] = start + duration
-        task = engine.task(self.names[fam], duration, self.resources[dev])
-        # One shared read-only meta dict per family keeps the per-request
-        # cost to the task object itself.
-        task.meta = self.metas[fam]
-        task.arrival_time = now
-        task._callbacks = self.callbacks
-
-    def _on_done(self, task) -> None:
-        end = task.end_time
-        latency = end - task.arrival_time
-        self.hist.add(latency)
-        self.completed += 1
-        self.latency_sum += latency
-        if end > self.last_end:
-            self.last_end = end
+        end = free[dev] = start + self.durations[fam][dev]
+        self._queue(dev, (end, start, self.names[fam], "work", self.metas[fam], now))
 
 
-def _fold_checksum(
-    completed: int,
-    last_end: float,
-    latency_sum: float,
-    device_seconds: Dict[str, float],
-) -> float:
-    """Deterministic float fold of a tenant's replay outcome.
-
-    Pure float additions in a fixed (sorted-key) order — no libm calls —
-    so the value is bit-identical across processes and platforms; the
-    serial-vs-sharded tests and the perf-baseline checksum pin it.
-    """
-    checksum = float(completed) + last_end + latency_sum
-    for name in sorted(device_seconds):
-        checksum += device_seconds[name]
-    return checksum
+def _chunks(items: Iterable, size: int) -> Iterator[list]:
+    """Consecutive lists of ``size`` items; the last may be shorter."""
+    it = iter(items)
+    while True:
+        chunk = list(islice(it, size))
+        if not chunk:
+            return
+        yield chunk
 
 
 def _attach_sink(trace, config: ReplayConfig, label: str) -> Optional[TraceSink]:
@@ -347,54 +425,30 @@ def _warm_platform(profile_dir: Optional[str]):
 
 
 def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
-    """Replay one tenant's full arrival schedule on its own platform."""
+    """Replay one tenant's full arrival schedule on its own device fleet."""
     config.validate()
     platform = _warm_platform(config.profile_dir)
-    engine = platform.engine
-    trace = engine.trace
+    trace = platform.engine.trace
     sink = _attach_sink(trace, config, f"tenant{index}")
 
-    tenant = config.tenant_name(index)
-    state = _EngineTenant(platform, config, tenant)
+    state = _EngineTenant(platform, config, index)
     process = make_process(config.process, config.rate, **config.process_params)
     seed = derive_seed(config.seed, index)
-
-    arrive = state.arrive
-    chunk = config.chunk
-    schedule_batch = engine.schedule_batch
-    run_until_time = engine.run_until_time
-    batch: List[Tuple[float, object, int]] = []
-    append = batch.append
-    for t, fam in process.stream(config.families, seed, config.commands):
-        append((t, arrive, fam))
-        if len(batch) >= chunk:
-            schedule_batch(batch)
-            run_until_time(batch[-1][0])
-            del batch[:]
-    if batch:
-        schedule_batch(batch)
-    engine.run_until_idle()
+    arrivals = process.stream(config.families, seed, config.commands)
+    for chunk in _chunks(arrivals, config.chunk):
+        state.inject(chunk)
+    state.record_until(_INF, 0)
 
     device_seconds = trace.by_resource()
     resident = len(trace)
     if sink is not None:
         trace.flush()
         sink.close()
-    return TenantResult(
-        tenant=tenant,
-        index=index,
-        weight=config.tenant_weight(index),
-        requests=config.commands,
-        completed=state.completed,
-        end_time=state.last_end,
-        latency_sum=state.latency_sum,
-        histogram=state.hist.to_dict(),
-        device_seconds=dict(device_seconds),
+    return state.result(
+        config.commands,
+        dict(device_seconds),
         spilled=trace.spilled_count,
         resident=resident,
-        checksum=_fold_checksum(
-            state.completed, state.last_end, state.latency_sum, device_seconds
-        ),
         profiling_epochs=state.profiling_epochs,
         predicted_epochs=state.predicted_epochs,
     )
@@ -427,15 +481,13 @@ def _service_program_source(families: Tuple[KernelFamily, ...]) -> str:
     return "\n".join(parts)
 
 
-class _ServiceTenant:
+class _ServiceTenant(_ReplayTenant):
     """One tenant's client state against the shared scheduling service."""
 
     def __init__(self, service, config: ReplayConfig, index: int) -> None:
         from repro.ocl.enums import SchedFlag
 
-        self.name = config.tenant_name(index)
-        self.index = index
-        self.weight = config.tenant_weight(index)
+        super().__init__(config, index)
         self.session = service.create_session(self.name, weight=self.weight)
         program = self.session.create_program(
             _service_program_source(config.families)
@@ -457,11 +509,7 @@ class _ServiceTenant:
         self.arrivals: Deque[float] = deque()
         #: the one completion handler every request registers
         self._done = self._on_done
-        self.hist = LatencyHistogram()
         self.requests = 0
-        self.completed = 0
-        self.latency_sum = 0.0
-        self.last_end = 0.0
 
     def enqueue(self, fam: int) -> None:
         """Submit one arriving request (fires at its arrival timestamp)."""
@@ -475,32 +523,7 @@ class _ServiceTenant:
     def _on_done(self, task) -> None:
         # The tenant's queue is in order, so its requests complete in
         # enqueue order: the oldest outstanding arrival is this one's.
-        arrival = self.arrivals.popleft()
-        end = task.end_time
-        latency = end - arrival
-        self.hist.add(latency)
-        self.completed += 1
-        self.latency_sum += latency
-        if end > self.last_end:
-            self.last_end = end
-
-    def result(self, device_seconds: Dict[str, float]) -> TenantResult:
-        return TenantResult(
-            tenant=self.name,
-            index=self.index,
-            weight=self.weight,
-            requests=self.requests,
-            completed=self.completed,
-            end_time=self.last_end,
-            latency_sum=self.latency_sum,
-            histogram=self.hist.to_dict(),
-            device_seconds=device_seconds,
-            spilled=0,
-            resident=0,
-            checksum=_fold_checksum(
-                self.completed, self.last_end, self.latency_sum, device_seconds
-            ),
-        )
+        self.fold(self.arrivals.popleft(), task.end_time)
 
 
 def run_service_replay(config: ReplayConfig):
@@ -543,18 +566,14 @@ def run_service_replay(config: ReplayConfig):
         tenants[tenant_idx].enqueue(fam)
 
     base = engine.now  # tenant setup (program builds) takes simulated time
-    chunk = config.chunk
-    batch: List[Tuple[float, object, Tuple[int, int]]] = []
-    for t, tenant_idx, fam in merged_arrivals:
-        batch.append((base + t, fire, (tenant_idx, fam)))
-        if len(batch) >= chunk:
-            engine.schedule_batch(batch)
-            service.run_until_time(batch[-1][0])
+    events = ((base + t, fire, (i, fam)) for t, i, fam in merged_arrivals)
+    for chunk in _chunks(events, config.chunk):
+        engine.schedule_batch(chunk)
+        if len(chunk) < config.chunk:
+            engine.run_until_idle()
+        else:
+            service.run_until_time(chunk[-1][0])
             service.trigger()
-            del batch[:]
-    if batch:
-        engine.schedule_batch(batch)
-        engine.run_until_idle()
     # Drain: keep arbitrating until every ready pool has reached the fleet.
     while service.has_backlog():
         service.trigger()
@@ -566,7 +585,10 @@ def run_service_replay(config: ReplayConfig):
 
     usage = service.utilization()
     results = [
-        t.result({"fleet": usage[t.name].device_seconds})
+        t.result(
+            t.requests, {"fleet": usage[t.name].device_seconds},
+            spilled=0, resident=0,
+        )
         for t in tenants
     ]
     report = merge_results(results)

@@ -1,7 +1,7 @@
 """Discrete-event engine and task graph.
 
 The engine owns simulated time (:attr:`SimEngine.now`), a time-ordered
-event heap, a sorted arrival lane beside it, and FIFO service on
+event heap, and FIFO service on
 :class:`~repro.sim.resources.FifoResource` records.  Work is expressed as
 :class:`SimTask` objects: a task has a fixed *duration*, an optional
 *resource* it must be served by (FIFO, one task at a time), and a set of
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import EMPTY_META, Trace, TraceInterval
 
@@ -85,7 +84,6 @@ class SimTask:
         "state",
         "start_time",
         "end_time",
-        "arrival_time",
         "_unmet",
         "_dependents",
         "_callbacks",
@@ -115,11 +113,6 @@ class SimTask:
         self.state = _PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        #: Open-loop accounting hook: when the task models a request in a
-        #: queueing system, the replayer stamps its *arrival* time here so
-        #: completion handlers can compute arrival→completion latency
-        #: (``start_time`` is service start, which differs under queueing).
-        self.arrival_time: Optional[float] = None
         self._unmet = 0
         # Lazily allocated (None == empty): most tasks never gain waiters
         # or completion callbacks, so skip two list allocations per task.
@@ -160,15 +153,14 @@ class SimTask:
 
 
 class SimEngine:
-    """Event heap + arrival lane + simulated time + FIFO service.
+    """Event heap + simulated time + FIFO service.
 
     Event entries are ``(time, seq, fn, arg)`` tuples; internal task
     completions carry the task itself as ``arg`` (calling ``fn(arg)``)
     instead of closing a fresh lambda over it, which keeps the per-task
     dispatch cost to one tuple allocation.  ``arg is None`` marks a plain
-    user callback registered through :meth:`schedule_at`.  Batch-injected
-    arrivals wait in a sorted FIFO lane beside the heap; ``seq`` is unique,
-    so comparing the two heads as tuples never reaches ``fn``.
+    user callback registered through :meth:`schedule_at`.  ``seq`` is
+    unique, so comparing two entries as tuples never reaches ``fn``.
 
     :attr:`now` is a plain attribute that only the run loops write: events
     pop in non-decreasing time order, and every entry point refuses a time
@@ -179,11 +171,7 @@ class SimEngine:
         #: Current simulated time (seconds).
         self.now = 0.0
         self.trace = trace if trace is not None else Trace()
-        self._heap: List[Tuple[float, int, Callable[..., None], Optional[SimTask]]] = []
-        #: Arrival lane: batch-injected events kept sorted by ``(time,
-        #: seq)`` beside the heap, so an epoch of arrivals never sifts
-        #: through the heap (see :meth:`schedule_batch`).
-        self._lane: Deque[Tuple[float, int, Callable[..., None], Optional[Any]]] = deque()
+        self._heap: List[Tuple[float, int, Callable[..., None], Optional[Any]]] = []
         self._seq = itertools.count()
         self._open_tasks = 0
         # Depth guard for the zero-duration inline-finish fast path: long
@@ -215,17 +203,12 @@ class SimEngine:
     ) -> int:
         """Schedule many ``(time, fn, arg)`` events in one pass; return count.
 
-        This is the open-loop replay injection path: an epoch of arrivals
+        This is the service replay's injection path: an epoch of arrivals
         lands at once instead of through per-event :meth:`schedule_at`
         calls.  Sequence numbers follow input order, as one
-        :meth:`schedule_at` per event would give them; an unsorted batch
-        is then sorted by ``(time, seq)``.  A batch starting no earlier
-        than the arrival lane's tail extends the lane (O(K), no sifting);
-        any other batch is pushed onto the heap entry by entry.  The run
-        loops pop whichever of the two heads is smaller, which is exactly
-        the order of one heap holding everything — while the heap keeps
-        only completions and :meth:`schedule_at` callbacks, a handful of
-        entries instead of a whole epoch.
+        :meth:`schedule_at` per event would give them.  The whole batch is
+        validated before any of it is queued, so a refused batch queues
+        nothing.
 
         ``arg`` follows the internal event convention: ``None`` means
         ``fn()``, anything else means ``fn(arg)`` — so batch events can
@@ -233,30 +216,15 @@ class SimEngine:
         """
         now = self.now
         seq = self._seq
-        entries: List[Tuple[float, int, Callable[..., None], Optional[Any]]] = []
-        prev = now
-        sorted_ok = True
+        entries = []
         for time, fn, arg in events:
             time = float(time)
             if not time >= now:  # also rejects NaN
                 raise SimError(f"cannot schedule event at {time} (now {now})")
-            if time < prev:
-                sorted_ok = False
-            prev = time
             entries.append((time, next(seq), fn, arg))
-        if not entries:
-            return 0
-        if not sorted_ok:
-            # seq is unique, so the sort never compares fn.
-            entries.sort()
-        lane = self._lane
-        if not lane or entries[0][0] >= lane[-1][0]:
-            # Later seq numbers break a time tie, so the lane stays sorted.
-            lane.extend(entries)
-        else:
-            heap = self._heap
-            for entry in entries:
-                _heappush(heap, entry)
+        heap = self._heap
+        for entry in entries:
+            _heappush(heap, entry)
         return len(entries)
 
     # ------------------------------------------------------------------
@@ -576,9 +544,7 @@ class SimEngine:
         per task back to back would: same events popped, same final clock.
         """
         heap = self._heap
-        lane = self._lane
         pop = _heappop
-        popleft = lane.popleft
         end = self.now
         for task in tasks:
             if task.state == _PENDING:
@@ -593,15 +559,11 @@ class SimEngine:
                     continue
                 if task.state == _DONE:
                     break
-                # The smaller head of the lane and the heap is next.
-                if lane and not (heap and heap[0] < lane[0]):
-                    time, _, fn, arg = popleft()
-                elif heap:
-                    time, _, fn, arg = pop(heap)
-                else:
+                if not heap:
                     raise SimError(
                         f"deadlock: waiting on {task.name!r} with no pending events"
                     )
+                time, _, fn, arg = pop(heap)
                 self.now = time
                 if arg is None:
                     fn()
@@ -617,19 +579,9 @@ class SimEngine:
         """Process every event with timestamp <= ``limit``, in ``(time,
         seq)`` order, including events scheduled during processing."""
         heap = self._heap
-        lane = self._lane
         pop = _heappop
-        popleft = lane.popleft
-        while True:
-            # A head past ``limit`` ends the window: the other head is later.
-            if lane and not (heap and heap[0] < lane[0]):
-                if lane[0][0] > limit:
-                    break
-                time, _, fn, arg = popleft()
-            elif heap and heap[0][0] <= limit:
-                time, _, fn, arg = pop(heap)
-            else:
-                break
+        while heap and heap[0][0] <= limit:
+            time, _, fn, arg = pop(heap)
             self.now = time
             if arg is None:
                 fn()
@@ -647,7 +599,7 @@ class SimEngine:
         """Process every event with timestamp <= ``time``; land the clock on
         ``time``.
 
-        The open-loop replay driver alternates ``schedule_batch`` (inject
+        The service replay driver alternates ``schedule_batch`` (inject
         the next epoch of arrivals) with ``run_until_time`` (advance to the
         epoch boundary); unlike :meth:`run_until` it needs no sentinel task,
         and unlike :meth:`run_until_idle` it leaves future events queued.

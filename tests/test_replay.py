@@ -98,6 +98,40 @@ def test_diurnal_amplitude_validated():
         DiurnalProcess(rate=10.0, amplitude=-0.1)
 
 
+# Each would hang, divide by zero, or run time backwards mid-replay; the
+# processes are only constructed here, never consumed.
+@pytest.mark.parametrize("on_s", [0.0, -1.0, math.nan, math.inf])
+def test_onoff_rejects_non_positive_or_non_finite_on_window(on_s):
+    with pytest.raises(ValueError, match="on_s"):
+        OnOffProcess(rate=10.0, on_s=on_s)
+    with pytest.raises(ValueError, match="on_s"):
+        ReplayConfig(process="bursty", process_params={"on_s": on_s}).validate()
+
+
+@pytest.mark.parametrize("off_s", [-1.0, math.nan, math.inf])
+def test_onoff_rejects_negative_or_non_finite_off_window(off_s):
+    with pytest.raises(ValueError, match="off_s"):
+        OnOffProcess(rate=10.0, off_s=off_s)
+    with pytest.raises(ValueError, match="off_s"):
+        ReplayConfig(process="bursty", process_params={"off_s": off_s}).validate()
+
+
+@pytest.mark.parametrize("period_s", [0.0, -1.0, math.nan, math.inf])
+def test_diurnal_rejects_non_positive_or_non_finite_period(period_s):
+    with pytest.raises(ValueError, match="period_s"):
+        DiurnalProcess(rate=10.0, period_s=period_s)
+    with pytest.raises(ValueError, match="period_s"):
+        ReplayConfig(
+            process="diurnal", process_params={"period_s": period_s}
+        ).validate()
+
+
+def test_onoff_accepts_zero_off_window():
+    times = [t for t, _ in OnOffProcess(rate=50.0, off_s=0.0).stream(
+        DEFAULT_FAMILIES, seed=3, limit=500)]
+    assert times == sorted(times) and all(math.isfinite(t) for t in times)
+
+
 def test_diurnal_modulates_rate_over_period():
     p = DiurnalProcess(rate=200.0, amplitude=0.8, period_s=10.0)
     counts = {}

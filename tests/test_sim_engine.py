@@ -256,41 +256,35 @@ def test_schedule_batch_arg_convention(engine):
     assert calls == ["plain", "payload"]
 
 
-def test_schedule_batch_sorted_batch_extends_lane(engine):
-    # A pre-sorted batch rides the arrival lane; the heap stays empty.
+def test_schedule_batch_sorted_batch_runs_in_order(engine):
     ran = []
     n = engine.schedule_batch(
         [(float(i), ran.append, i) for i in range(100)]
     )
     assert n == 100
-    assert len(engine._lane) == 100 and not engine._heap
     engine.run_until_idle()
     assert ran == list(range(100))
 
 
-def test_schedule_batch_unsorted_batch_sorts_into_lane(engine):
-    engine.schedule_at(5.0, lambda: None)
+def test_schedule_batch_unsorted_batch_runs_in_time_order(engine):
     ran = []
+    engine.schedule_at(5.0, lambda: ran.append("at"))
     engine.schedule_batch([(3.0, ran.append, "b"), (1.0, ran.append, "a")])
-    # Sorted by (time, seq) into the lane; the heap keeps only schedule_at.
-    assert [e[0] for e in engine._lane] == [1.0, 3.0]
-    assert len(engine._heap) == 1
     engine.run_until_idle()
-    assert ran == ["a", "b"]
+    assert ran == ["a", "b", "at"]
 
 
-def test_schedule_batch_before_lane_tail_goes_to_heap(engine):
-    # A batch starting before the lane's tail cannot extend the lane
-    # without breaking its order, so it is pushed onto the heap.
-    engine.schedule_batch([(float(i + 10), lambda: None, None) for i in range(40)])
+def test_schedule_batch_earlier_batch_runs_first(engine):
+    # A batch starting before an earlier batch's tail still runs in time
+    # order; at a tied time the earlier-injected event runs first.
     ran = []
-    engine.schedule_batch([(2.0, ran.append, "x")])
-    assert len(engine._lane) == 40 and len(engine._heap) == 1
+    engine.schedule_batch([(float(i + 10), ran.append, i + 10) for i in range(40)])
+    engine.schedule_batch([(2.0, ran.append, "x"), (10.0, ran.append, "tie")])
     engine.run_until_time(3.0)
     assert ran == ["x"]
-    # A batch at the tail's time extends the lane: later seq breaks the tie.
     engine.schedule_batch([(49.0, ran.append, "tail")])
-    assert len(engine._lane) == 41 and not engine._heap
+    engine.run_until_idle()
+    assert ran == ["x", 10, "tie", *range(11, 50), "tail"]
 
 
 def test_schedule_batch_rejects_past_times(engine):
@@ -302,7 +296,7 @@ def test_schedule_batch_rejects_past_times(engine):
 
 def test_schedule_batch_empty(engine):
     assert engine.schedule_batch([]) == 0
-    assert not engine._lane and not engine._heap
+    assert engine.run_until_idle() == 0.0
 
 
 def test_run_until_time_lands_clock_exactly(engine):
@@ -358,14 +352,6 @@ def test_run_until_time_with_resource_tasks(engine):
     engine.run_until_idle()
     assert done == ["a", "b", "c"]
     assert engine.now == pytest.approx(5.0)
-
-
-def test_arrival_time_slot_roundtrip(engine):
-    t = engine.task("req", 1.0)
-    assert t.arrival_time is None  # unset unless a replayer stamps it
-    t.arrival_time = 0.25
-    engine.run_until_idle()
-    assert t.end_time - t.arrival_time == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +519,8 @@ def test_run_until_nothing_returns_now(engine):
 
 
 # ---------------------------------------------------------------------------
-# The arrival lane: batch injection pops in exactly the order one heap of
-# schedule_at events would.
+# Batch injection pops in exactly the order one schedule_at per event
+# would.
 # ---------------------------------------------------------------------------
 
 #: Offsets on a quarter-second grid, so arrivals, callbacks and task
@@ -631,14 +617,15 @@ def test_run_until_raises_when_only_lane_events_remain(engine):
     orphan.state = "waiting"  # a task that will never be made ready
     with pytest.raises(SimError, match="deadlock"):
         engine.run_until(orphan)
-    # The wait drained every lane event before it gave up.
+    # The wait drained every batched event before it gave up.
     assert ran == list(range(5)) and engine.now == 4.0
 
 
-def test_run_until_idle_drains_lane(engine):
+def test_run_until_idle_drains_batches(engine):
     ran = []
     engine.schedule_batch([(float(i), ran.append, i) for i in range(5)])
     engine.schedule_at(2.5, lambda: ran.append("at"))
     assert engine.run_until_idle() == 4.0
     assert ran == [0, 1, 2, "at", 3, 4]
-    assert not engine._lane and not engine._heap
+    engine.run_until_time(10.0)  # nothing left queued
+    assert ran == [0, 1, 2, "at", 3, 4]
