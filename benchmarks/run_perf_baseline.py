@@ -46,6 +46,19 @@ from repro.workloads.npb import numerics  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_library_perf.json"
 
+#: tag -> tempdir, created on first use and shared across a bench's
+#: repeats, as in real use: the first run pays static device profiling (or
+#: the predictor fit), the rest measure the bench alone.  Removed at exit.
+_SCRATCH_DIRS: dict = {}
+
+
+def _scratch_dir(tag: str) -> str:
+    if tag not in _SCRATCH_DIRS:
+        _SCRATCH_DIRS[tag] = tempfile.TemporaryDirectory(
+            prefix=f"perf-baseline-{tag}-"
+        )
+    return _SCRATCH_DIRS[tag].name
+
 
 # ---------------------------------------------------------------------------
 # Bench cases: zero-arg callables returning a deterministic checksum.
@@ -64,7 +77,8 @@ def bench_open_loop_injection() -> float:
     """Open-loop arrival injection through the engine alone: 4 epochs of
     8,192 time-sorted arrivals over four FIFO resources, each injected
     with ``schedule_batch`` and drained with ``run_until_time`` (the
-    replay driver's loop without the replay layer).  Every time sits on a
+    event engine's batch-arrival path; engine-mode replay computes its
+    FIFOs in closed form and does not run it).  Every time sits on a
     2**-12 s grid, so arrivals tie with completions and ``(time, seq)``
     decides the order; the checksum folds the completion order and the
     final clock."""
@@ -134,23 +148,17 @@ def bench_trace_query() -> float:
     return total
 
 
-_EPOCH_PROFILE_DIR = None
-
-
 def bench_full_scheduled_epoch() -> float:
     from repro.core.runtime import MultiCL
     from repro.ocl.enums import ContextScheduler, SchedFlag
 
-    global _EPOCH_PROFILE_DIR
-    if _EPOCH_PROFILE_DIR is None:
-        # One shared on-disk profile cache across repeats, as in real use:
-        # the first run pays static profiling, the rest are pure epoch cost.
-        _EPOCH_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-profile-")
     src = (
         "// @multicl flops_per_item=100 bytes_per_item=16 writes=1\n"
         "__kernel void k(__global float* a, __global float* b, int n) { }"
     )
-    mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=_EPOCH_PROFILE_DIR)
+    mcl = MultiCL(
+        policy=ContextScheduler.AUTO_FIT, profile_dir=_scratch_dir("profile")
+    )
     prog = mcl.context.create_program(src).build()
     n = 1 << 16
     queues = []
@@ -170,16 +178,10 @@ def bench_full_scheduled_epoch() -> float:
     return mcl.now
 
 
-_WIDE_PROFILE_DIR = None
-
-
 def bench_issue_pool_wide() -> float:
     """Wide-pool issue throughput: 24 auto queues x 12 kernels with
     cross-queue wait events — the FIFO ready heap of the pool issuer
     (:mod:`repro.ocl.issue`, behind ``Context.issue_pool``)."""
-    global _WIDE_PROFILE_DIR
-    if _WIDE_PROFILE_DIR is None:
-        _WIDE_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-wide-")
     from repro.core.runtime import MultiCL
     from repro.ocl.enums import ContextScheduler, SchedFlag
 
@@ -188,7 +190,9 @@ def bench_issue_pool_wide() -> float:
         "__kernel void k(__global float* a, int n) { }"
     )
     n = 1 << 12
-    mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=_WIDE_PROFILE_DIR)
+    mcl = MultiCL(
+        policy=ContextScheduler.AUTO_FIT, profile_dir=_scratch_dir("wide")
+    )
     prog = mcl.context.create_program(src).build()
     queues, events = [], []
     for i in range(24):
@@ -208,9 +212,6 @@ def bench_issue_pool_wide() -> float:
     return mcl.now
 
 
-_OVERLAP_PROFILE_DIR = None
-
-
 def bench_overlap_issue() -> float:
     """Overlap-aware issue of a double-buffered streaming pool: 8 rounds of
     upload + kernel + read-back on one in-order queue under
@@ -218,9 +219,6 @@ def bench_overlap_issue() -> float:
     conflict restoration and its safety check, kind-ranked ready heap) and
     duplex-link scheduling.  The checksum is the virtual makespan, so a
     change to the relaxed issue order fails the gate."""
-    global _OVERLAP_PROFILE_DIR
-    if _OVERLAP_PROFILE_DIR is None:
-        _OVERLAP_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-overlap-")
     import numpy as np
 
     from repro.core.runtime import MultiCL
@@ -233,7 +231,7 @@ def bench_overlap_issue() -> float:
     n = 1 << 18
     mcl = MultiCL(
         policy=ContextScheduler.AUTO_FIT,
-        profile_dir=_OVERLAP_PROFILE_DIR,
+        profile_dir=_scratch_dir("overlap"),
         overlap=True,
     )
     ctx = mcl.context
@@ -263,17 +261,11 @@ def bench_overlap_issue() -> float:
     return mcl.now
 
 
-_SPLIT_PROFILE_DIR = None
-
-
 def bench_split_epoch() -> float:
     """SCHED_SPLIT epoch cost: plan + issue of 4 kernel epochs partitioned
     across all three stock devices (slice transfers, sub-kernels, gathers,
     merging joins).  The checksum is the virtual makespan, so a change to
     share computation or sub-task emission fails the gate."""
-    global _SPLIT_PROFILE_DIR
-    if _SPLIT_PROFILE_DIR is None:
-        _SPLIT_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-split-")
     import numpy as np
 
     from repro.core.runtime import MultiCL
@@ -286,7 +278,7 @@ def bench_split_epoch() -> float:
     n = 1 << 18
     mcl = MultiCL(
         policy=ContextScheduler.AUTO_FIT,
-        profile_dir=_SPLIT_PROFILE_DIR,
+        profile_dir=_scratch_dir("split"),
         split=True,
     )
     ctx = mcl.context
@@ -382,23 +374,16 @@ def bench_numerics_setup() -> float:
     )
 
 
-_SWEEP_PROFILE_DIR = None
-
-
 def bench_parallel_sweep() -> float:
     """Process-pool fleet over two sweep experiments (12 + 6 units, 2 jobs).
 
     The checksum folds every numeric table cell of the merged results, so
     any scheduling/merging divergence from the serial reference changes it.
     """
-    global _SWEEP_PROFILE_DIR
-    if _SWEEP_PROFILE_DIR is None:
-        # Shared warm profile cache across repeats, as in real fleet use.
-        _SWEEP_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-sweep-")
     from repro.bench.parallel import run_parallel
 
     results = run_parallel(
-        ["fig3", "fig9"], fast=True, jobs=2, profile_dir=_SWEEP_PROFILE_DIR
+        ["fig3", "fig9"], fast=True, jobs=2, profile_dir=_scratch_dir("sweep")
     )
     total = 0.0
     for res in results.values():
@@ -409,9 +394,6 @@ def bench_parallel_sweep() -> float:
     return total
 
 
-_TENANT_PROFILE_DIR = None
-
-
 def bench_tenant_service() -> float:
     """Multi-tenant arbitration throughput: 6 tenants × 2 queues, 40 rounds.
 
@@ -420,9 +402,6 @@ def bench_tenant_service() -> float:
     folds final virtual time with every tenant's device-seconds, so any
     arbitration-order or accounting change shows up.
     """
-    global _TENANT_PROFILE_DIR
-    if _TENANT_PROFILE_DIR is None:
-        _TENANT_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-tenant-")
     from repro.ocl.enums import ContextScheduler, SchedFlag
     from repro.service import SchedulingService
 
@@ -431,7 +410,7 @@ def bench_tenant_service() -> float:
         "__kernel void k(__global float* a, int n) { }"
     )
     n = 1 << 14
-    svc = SchedulingService(profile_dir=_TENANT_PROFILE_DIR)
+    svc = SchedulingService(profile_dir=_scratch_dir("tenant"))
     clients = []
     for i in range(6):
         s = svc.create_session(
@@ -462,12 +441,10 @@ def bench_tenant_service() -> float:
     return total
 
 
-_REPLAY_PROFILE_DIR = None
-
-
 def bench_replay_throughput() -> float:
-    """Open-loop replay rate: 20k Poisson arrivals through the batched
-    event loop with a streaming (discard) trace sink.
+    """Open-loop replay rate: 20k Poisson arrivals served by engine-mode
+    replay's closed-form device FIFOs, recorded in the event engine's
+    completion order into a streaming (discard) trace sink.
 
     The wall time is the engine-scalability figure — commands replayed per
     second of host time — and the checksum is the replay's deterministic
@@ -475,9 +452,6 @@ def bench_replay_throughput() -> float:
     change to arrival generation, dispatch, or trace accounting fails the
     perf gate loudly.
     """
-    global _REPLAY_PROFILE_DIR
-    if _REPLAY_PROFILE_DIR is None:
-        _REPLAY_PROFILE_DIR = tempfile.mkdtemp(prefix="perf-baseline-replay-")
     from repro.replay import ReplayConfig, run_tenant
     from repro.replay.shard import ensure_profile_cache
 
@@ -487,23 +461,17 @@ def bench_replay_throughput() -> float:
         rate=300.0,
         seed=17,
         spill_every=4096,
-        profile_dir=ensure_profile_cache(_REPLAY_PROFILE_DIR),
+        profile_dir=ensure_profile_cache(_scratch_dir("replay")),
     )
     return run_tenant(config, 0).checksum
 
 
-_PREDICT_DIR = None
-
-
 def _predict_model():
     """Fit-once/load-many predictor model shared across repeats."""
-    global _PREDICT_DIR
     from repro.hardware.presets import aji_cluster15_node
     from repro.predict import load_or_fit
 
-    if _PREDICT_DIR is None:
-        _PREDICT_DIR = tempfile.mkdtemp(prefix="perf-baseline-predict-")
-    model, _ = load_or_fit(aji_cluster15_node(), _PREDICT_DIR)
+    model, _ = load_or_fit(aji_cluster15_node(), _scratch_dir("predict"))
     return model
 
 

@@ -29,22 +29,18 @@ expected to match the paper's wall-clock numbers; the shape claims are
 
 from __future__ import annotations
 
-import atexit
 import math
-import os
-import shutil
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro import knobs
 from repro.bench.harness import ExperimentResult
 from repro.cluster import two_node_cluster
 from repro.core.baselines import KERNEL_GRANULARITY_POLICY
 from repro.core.flags import SchedulerConfig
+from repro.core.profile_store import shared_dir
 from repro.core.runtime import MultiCL
 from repro.ocl import api
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
@@ -57,72 +53,13 @@ from repro.workloads.seismology.app import FDMSeismologyApp
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
-    "PROFILE_DIR_ENV",
     "run_experiment",
     "experiment_units",
     "run_experiment_unit",
     "merge_experiment_units",
     "experiment_prewarm_specs",
-    "set_profile_dir",
     "shared_runs",
 ]
-
-# ---------------------------------------------------------------------------
-# Shared on-disk device-profile cache
-# ---------------------------------------------------------------------------
-#: Environment variable naming the harness-wide shared profile directory.
-#: When set, every harness process (and every worker of a parallel fleet)
-#: shares one device-profile cache instead of re-measuring per process.
-PROFILE_DIR_ENV = "MULTICL_PROFILE_DIR"
-
-#: Shared on-disk device-profile cache for a whole harness process.
-_PROFILE_DIR: Optional[str] = None
-#: Tempdir fallback we created ourselves (removed at interpreter exit).
-_PROFILE_DIR_OWNED: Optional[str] = None
-
-
-def _cleanup_profile_dir() -> None:
-    global _PROFILE_DIR_OWNED
-    if _PROFILE_DIR_OWNED is not None:
-        shutil.rmtree(_PROFILE_DIR_OWNED, ignore_errors=True)
-        _PROFILE_DIR_OWNED = None
-
-
-atexit.register(_cleanup_profile_dir)
-
-
-def _profile_dir() -> str:
-    """Resolve the shared profile-cache directory for this process.
-
-    Honors ``MULTICL_PROFILE_DIR``; otherwise falls back to a single
-    tempdir per process that is removed at exit (no leaked
-    ``multicl-profile-*`` directories).
-    """
-    global _PROFILE_DIR, _PROFILE_DIR_OWNED
-    if _PROFILE_DIR is None:
-        env = knobs.get(PROFILE_DIR_ENV)
-        if env:
-            os.makedirs(env, exist_ok=True)
-            _PROFILE_DIR = env
-        else:
-            _PROFILE_DIR = tempfile.mkdtemp(prefix="multicl-profile-")
-            _PROFILE_DIR_OWNED = _PROFILE_DIR
-    return _PROFILE_DIR
-
-
-def set_profile_dir(path: Optional[str]) -> None:
-    """Pin the shared profile directory (``None`` re-resolves lazily).
-
-    Used by the parallel runner to point every worker at one cache.  An
-    owned tempdir fallback is cleaned up before repinning.
-    """
-    global _PROFILE_DIR
-    if path is not None and path != _PROFILE_DIR_OWNED:
-        _cleanup_profile_dir()
-    if path is not None:
-        os.makedirs(path, exist_ok=True)
-    _PROFILE_DIR = path
-
 
 #: One printed table row.
 Row = Dict[str, Any]
@@ -212,7 +149,7 @@ def _npb(
 ) -> WorkloadRun:
     """Run one NPB app on a fresh platform sharing the harness cache, or
     return the identical run already made inside :func:`shared_runs`."""
-    profile_dir = _profile_dir()
+    profile_dir = shared_dir()
     key = (
         name, pc, queues, fast, mode,
         None if devices is None else tuple(devices), auto_flags, profile_dir,
@@ -456,7 +393,7 @@ def _fig9(key: Any, fast: bool) -> List[Row]:
     ms = {
         layout: run_seismology(
             layout, mode=mode, devices=devices, steps=steps,
-            profile_dir=_profile_dir(),
+            profile_dir=shared_dir(),
         ).seconds / steps * 1e3
         for layout in ("column", "row")
     }
@@ -466,7 +403,7 @@ def _fig9(key: Any, fast: bool) -> List[Row]:
 
 def _fig10(key: Any, fast: bool) -> List[Row]:
     steps = 12 if fast else 40
-    mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=_profile_dir())
+    mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=shared_dir())
     app = FDMSeismologyApp(layout="column", steps=steps)
     queues = [
         mcl.queue(
@@ -555,7 +492,7 @@ def _robustness(key: Any, fast: bool) -> List[Row]:
     cfg = SchedulerConfig(measurement_noise=noise)
     run = run_seismology(
         layout, mode="auto", steps=steps, config=cfg,
-        profile_dir=_profile_dir(),
+        profile_dir=shared_dir(),
     )
     return [{
         "noise_pct": 100.0 * noise,
@@ -604,7 +541,7 @@ def _baselines(key: Any, fast: bool) -> List[Row]:
         # Coherent personality per queue (the paper's workloads).
         launches = [[qi % 2] * (2 * rounds) for qi in range(4)]
     mcl = MultiCL(
-        policy=_BASELINE_POLICIES[policy_label], profile_dir=_profile_dir()
+        policy=_BASELINE_POLICIES[policy_label], profile_dir=shared_dir()
     )
     _, seconds = _run_pool(
         mcl, _BASELINES_SRC, ("gk", "ck"), 4 * n, n, 64, launches
@@ -697,7 +634,7 @@ def _cluster(key: Any, fast: bool) -> List[Row]:
     mcl = MultiCL(
         node_spec=None if platform_label == "single node" else two_node_cluster(),
         policy=ContextScheduler.AUTO_FIT,
-        profile_dir=_profile_dir(),
+        profile_dir=shared_dir(),
     )
     qs, seconds = _run_pool(
         mcl, src, (kname,), nbytes or 4 * n, n, 128, [[0] * 4] * queues
@@ -1003,7 +940,7 @@ def run_experiment(name: str, fast: bool = True) -> ExperimentResult:
     from repro.bench.parallel import prewarm_profile_cache
 
     units = experiment_units(name, fast)
-    prewarm_profile_cache([name], _profile_dir())
+    prewarm_profile_cache([name], shared_dir())
     with shared_runs():
         payloads = [run_experiment_unit(name, key, fast) for key in units]
     return merge_experiment_units(name, payloads)

@@ -23,17 +23,15 @@ and bit-identical timestamps.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bench import figures
 from repro.bench.harness import ExperimentResult
+from repro.core import profile_store
 
 __all__ = [
     "default_jobs",
-    "fork_map",
     "prewarm_profile_cache",
     "run_parallel",
     "verify_against_serial",
@@ -45,64 +43,17 @@ def default_jobs() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def fork_map(
-    fn,
-    tasks,
-    jobs: int,
-    initializer=None,
-    initargs: tuple = (),
-) -> list:
-    """Order-preserving process map over ``tasks`` with the fleet's defaults.
-
-    The shared machinery under both the experiment fleet and the replay
-    shard runner: prefer ``fork`` (workers inherit interpreter state —
-    hash seed, imports, warm caches), ``chunksize=1`` to load-balance
-    skewed task durations, and results in input order so merging stays
-    deterministic.  ``jobs=1`` (or a single task) runs in-process, calling
-    ``initializer`` first so both paths see identical setup.
-    """
-    tasks = list(tasks)
-    jobs = max(int(jobs), 1)
-    if jobs == 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(t) for t in tasks]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        mp_context=ctx,
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
 def prewarm_profile_cache(
-    names: Iterable[str], profile_dir: str
-) -> List[str]:
-    """Measure (once) every node spec the experiments need into the cache.
-
-    Returns the spec names warmed.  Constructing a profiled Platform runs
-    the device microbenchmarks through :func:`~repro.core.device_profiler.
-    get_or_measure`, which saves into ``profile_dir``; later constructions
-    anywhere in the fleet then hit the warm cache and charge no simulated
-    time, keeping parallel timestamps bit-identical to serial ones.
-    """
-    from repro.ocl.platform import Platform
-
-    warmed: List[str] = []
-    seen = set()
-    for name in names:
-        for factory in figures.experiment_prewarm_specs(name):
-            spec = factory() if factory is not None else None
-            platform = Platform(spec, profile=True, profile_dir=profile_dir)
-            if platform.spec.name not in seen:
-                seen.add(platform.spec.name)
-                warmed.append(platform.spec.name)
-    return warmed
+    names: Iterable[str], profile_dir: Optional[str]
+) -> str:
+    """Warm every node spec the experiments ``names`` need into
+    ``profile_dir`` (:func:`repro.core.profile_store.warm`); returns it."""
+    factories = dict.fromkeys(
+        f for name in names for f in figures.experiment_prewarm_specs(name)
+    )
+    return profile_store.warm(
+        [f() if f is not None else None for f in factories], profile_dir
+    )
 
 
 def _run_unit(task: Tuple[str, object, bool]):
@@ -127,11 +78,7 @@ def run_parallel(
     """
     names = list(names)
     jobs = default_jobs() if jobs is None else max(int(jobs), 1)
-    if profile_dir is None:
-        profile_dir = figures._profile_dir()
-    else:
-        figures.set_profile_dir(profile_dir)
-    prewarm_profile_cache(names, profile_dir)
+    profile_dir = prewarm_profile_cache(names, profile_dir)
 
     tasks: List[Tuple[str, object, bool]] = []
     counts: List[Tuple[str, int]] = []
@@ -141,10 +88,7 @@ def run_parallel(
         tasks.extend((name, key, fast) for key in units)
 
     with figures.shared_runs():
-        payloads = fork_map(
-            _run_unit, tasks, jobs, initializer=figures.set_profile_dir,
-            initargs=(profile_dir,),
-        )
+        payloads = profile_store.fork_map(_run_unit, tasks, jobs, profile_dir)
 
     results: Dict[str, ExperimentResult] = {}
     offset = 0

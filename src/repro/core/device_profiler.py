@@ -224,10 +224,13 @@ def get_or_measure(
     on a cold cache, one measures (charging *its* simulated engine, exactly
     as a cold start costs in the paper) and the rest block on the store's
     lock, then read the freshly written profile without re-measuring.
+    Platforms whose profile comes from one unchanged file share one
+    :class:`DeviceProfile`, which nothing mutates after decoding.
     """
-    payload, _computed = profile_store.load_or_compute(
+    profile, _computed = profile_store.cached(
+        profile_store.cache_path(platform.spec, cache_dir),
         platform.spec,
         lambda: measure(platform, noise=noise).to_dict(),
-        cache_dir,
+        DeviceProfile.from_dict,
     )
-    return DeviceProfile.from_dict(payload)
+    return profile

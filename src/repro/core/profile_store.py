@@ -1,4 +1,4 @@
-"""On-disk cache for static device profiles.
+"""The node's on-disk cache: static device profiles and predictor models.
 
 The paper (Section V.A): "the device profiler ... retrieves the static
 device profile from the profile cache.  If the profile cache does not
@@ -8,22 +8,32 @@ in the user's file system.  The profile cache location can be controlled
 by environment variables.  The benchmarks are run again only if the
 system configuration changes."
 
-We store one JSON file per node configuration.  The file name embeds a
+Every cached artifact of a node configuration (the device profile here,
+the fitted predictor model in :mod:`repro.predict.store`) is one JSON file
+read and written through :func:`cached`.  The file name embeds a
 fingerprint of the node spec, so adding/removing/retuning devices — a
 "system configuration change" — naturally misses the cache and re-runs the
-microbenchmarks.
+microbenchmarks; the payload is stamped with the same fingerprint, and a
+file that fails any check is recomputed, never trusted.
+
+The module also owns the harness-wide shared directory
+(``MULTICL_PROFILE_DIR``, else a per-process tempdir removed at exit) that
+the experiment fleet and the replay shards share, and :func:`warm`, the one
+warm-up every fleet runs before its first workload.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 try:  # POSIX; on platforms without fcntl the lock degrades to a no-op.
     import fcntl
@@ -36,24 +46,35 @@ from repro.lru import BoundedLRU
 
 __all__ = [
     "PROFILE_CACHE_ENV",
+    "PROFILE_DIR_ENV",
     "default_cache_dir",
     "node_fingerprint",
     "cache_path",
-    "load_profile_dict",
-    "save_profile_dict",
-    "load_or_compute",
-    "load_json",
     "save_json",
     "locked",
-    "load_or_compute_json",
-    "clear_cache",
+    "cached",
+    "shared_dir",
+    "set_profile_dir",
+    "warm",
+    "fork_map",
 ]
 
 #: Environment variable overriding the profile cache directory.
 PROFILE_CACHE_ENV = "MULTICL_PROFILE_CACHE"
 
-#: (path, mtime_ns, size) -> parsed JSON payload of the last profile read.
-_read_memo: Dict[Any, Dict[str, Any]] = {}
+#: Environment variable naming the harness-wide shared profile directory.
+#: When set, every harness process (and every worker of a parallel fleet)
+#: shares one device-profile cache instead of re-measuring per process.
+PROFILE_DIR_ENV = "MULTICL_PROFILE_DIR"
+
+#: (path, mtime_ns, size) -> decoded value of a file that passed the checks.
+#: Decoded values are shared by every caller; none of them mutates one.
+_memo: BoundedLRU = BoundedLRU(8)
+
+#: The resolved shared directory, and the tempdir fallback this process
+#: created (removed at interpreter exit).
+_SHARED_DIR: Optional[str] = None
+_OWNED_DIR: Optional[str] = None
 
 #: Equality key of a NodeSpec -> digest.  NodeSpec itself is unhashable
 #: (its ``host_links`` is a dict), so the key is the hashable equivalent of
@@ -119,36 +140,6 @@ def cache_path(spec: NodeSpec, cache_dir: Optional[str] = None) -> Path:
     return base / f"device-profile-{spec.name}-{node_fingerprint(spec)}.json"
 
 
-def load_profile_dict(
-    spec: NodeSpec, cache_dir: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
-    """Load the cached profile for ``spec``, or None on a cache miss.
-
-    A corrupt cache file is treated as a miss (and will be overwritten by
-    the next save), matching the robustness a production runtime needs.
-    """
-    path = cache_path(spec, cache_dir)
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    # In-process read cache keyed by (path, mtime, size): repeated runtime
-    # constructions against an unchanged profile file skip the JSON parse.
-    memo_key = (str(path), stat.st_mtime_ns, stat.st_size)
-    data = _read_memo.get(memo_key)
-    if data is None:
-        try:
-            with path.open("r") as fh:
-                data = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            return None
-        _read_memo.clear()  # keep at most one file's worth of memo
-        _read_memo[memo_key] = data
-    if data.get("fingerprint") != node_fingerprint(spec):
-        return None
-    return data
-
-
 def save_json(path: Path, payload: Dict[str, Any]) -> Path:
     """Atomically persist ``payload`` as JSON at ``path``.
 
@@ -171,29 +162,6 @@ def save_json(path: Path, payload: Dict[str, Any]) -> Path:
             os.unlink(tmp)
         raise
     return path
-
-
-def load_json(path: Path) -> Optional[Dict[str, Any]]:
-    """Load a JSON payload from ``path``; missing or corrupt file -> None.
-
-    A corrupt file is treated as a miss (and will be overwritten by the
-    next save), matching the robustness a production runtime needs.
-    """
-    try:
-        with Path(path).open("r") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, OSError):
-        return None
-
-
-def save_profile_dict(
-    spec: NodeSpec, payload: Dict[str, Any], cache_dir: Optional[str] = None
-) -> Path:
-    """Persist a measured profile; returns the file path."""
-    path = cache_path(spec, cache_dir)
-    payload = dict(payload)
-    payload["fingerprint"] = node_fingerprint(spec)
-    return save_json(path, payload)
 
 
 @contextlib.contextmanager
@@ -220,61 +188,156 @@ def locked(path: Path) -> Iterator[None]:
         os.close(fd)
 
 
-def load_or_compute_json(
-    path: Path, compute: Callable[[], Dict[str, Any]]
-) -> Tuple[Dict[str, Any], bool]:
-    """Generic single-flight cached JSON retrieval at an explicit path.
+def _read(path: Path, fingerprint: str, decode: Callable[[Dict[str, Any]], Any]):
+    """The decoded artifact at ``path``, or None on a miss: a missing or
+    unparsable file, a stamped fingerprint other than ``fingerprint``, or
+    a payload ``decode`` rejects."""
+    try:
+        stat = path.stat()
+    except OSError:
+        return None
+    # Keyed by file identity: repeated runtime constructions against an
+    # unchanged file skip the parse and share the decoded value.
+    memo_key = (str(path), stat.st_mtime_ns, stat.st_size)
+    value = _memo.get(memo_key)
+    if value is None:
+        try:
+            with path.open("r") as fh:
+                payload = json.load(fh)
+            if payload["fingerprint"] != fingerprint:
+                return None
+            value = decode(payload)
+        except (OSError, KeyError, TypeError, ValueError):
+            return None
+        _memo.put(memo_key, value)
+    return value
 
-    Returns ``(payload, computed)`` where ``computed`` is True iff this
-    call ran ``compute``.  When N processes race on a cold file, exactly
-    one computes: the first to take the lock computes and saves; the rest
-    block on the lock and then re-read the freshly written file.  The
-    device-profile store and the predict-model store
-    (:mod:`repro.predict.store`) both sit on this machinery.
-    """
-    path = Path(path)
-    cached = load_json(path)
-    if cached is not None:
-        return cached, False
-    with locked(path):
-        cached = load_json(path)
-        if cached is not None:
-            return cached, False
-        payload = dict(compute())
-        save_json(path, payload)
-        return payload, True
 
-
-def load_or_compute(
+def cached(
+    path: Path,
     spec: NodeSpec,
     compute: Callable[[], Dict[str, Any]],
-    cache_dir: Optional[str] = None,
-) -> Tuple[Dict[str, Any], bool]:
-    """Single-flight cached profile retrieval.
+    decode: Callable[[Dict[str, Any]], Any],
+) -> Tuple[Any, bool]:
+    """Single-flight cached artifact of ``spec`` at ``path``.
 
-    Returns ``(payload, computed)`` where ``computed`` is True iff this
-    call ran ``compute``.  When N processes race on a cold cache, exactly
-    one measures: the first to take the lock computes and saves; the rest
-    block on the lock and then re-read the freshly written cache.
+    Returns ``(value, computed)`` where ``computed`` is True iff this call
+    ran ``compute``.  A file that is missing, corrupt, stamped with another
+    node's fingerprint or rejected by ``decode`` (``KeyError``,
+    ``TypeError``, ``ValueError``) is a miss.  On a miss the payload is
+    computed, stamped with the fingerprint, saved atomically and decoded.
+    When N processes race on a cold file, exactly one computes: the first
+    to take the lock computes and saves; the rest block on the lock, then
+    re-read the file under the same checks.
     """
-    cached = load_profile_dict(spec, cache_dir)
-    if cached is not None:
-        return cached, False
-    path = cache_path(spec, cache_dir)
+    path = Path(path)
+    fingerprint = node_fingerprint(spec)
+    value = _read(path, fingerprint, decode)
+    if value is not None:
+        return value, False
     with locked(path):
-        cached = load_profile_dict(spec, cache_dir)
-        if cached is not None:
-            return cached, False
-        payload = dict(compute())
-        payload["fingerprint"] = node_fingerprint(spec)
-        save_profile_dict(spec, payload, cache_dir)
-        return payload, True
+        value = _read(path, fingerprint, decode)
+        if value is not None:
+            return value, False
+        payload = dict(compute(), fingerprint=fingerprint)
+        save_json(path, payload)
+        return decode(payload), True
 
 
-def clear_cache(spec: NodeSpec, cache_dir: Optional[str] = None) -> bool:
-    """Delete the cached profile for ``spec``; True if one existed."""
-    path = cache_path(spec, cache_dir)
-    if path.exists():
-        path.unlink()
-        return True
-    return False
+# ---------------------------------------------------------------------------
+# The harness-wide shared directory and its warm-up
+# ---------------------------------------------------------------------------
+def _cleanup_owned_dir() -> None:
+    global _OWNED_DIR
+    if _OWNED_DIR is not None:
+        shutil.rmtree(_OWNED_DIR, ignore_errors=True)
+        _OWNED_DIR = None
+
+
+atexit.register(_cleanup_owned_dir)
+
+
+def shared_dir() -> str:
+    """Resolve the shared profile directory for this process.
+
+    Honors ``MULTICL_PROFILE_DIR``; otherwise falls back to a single
+    tempdir per process that is removed at exit (no leaked
+    ``multicl-profile-*`` directories).
+    """
+    global _SHARED_DIR, _OWNED_DIR
+    if _SHARED_DIR is None:
+        env = knobs.get(PROFILE_DIR_ENV)
+        if env:
+            os.makedirs(env, exist_ok=True)
+            _SHARED_DIR = env
+        else:
+            _SHARED_DIR = _OWNED_DIR = tempfile.mkdtemp(prefix="multicl-profile-")
+    return _SHARED_DIR
+
+
+def set_profile_dir(path: Optional[str]) -> None:
+    """Pin the shared profile directory (``None`` re-resolves lazily).
+
+    The initializer of every fleet worker, so all of them share one cache.
+    An owned tempdir fallback is cleaned up before repinning.
+    """
+    global _SHARED_DIR
+    if path is not None and path != _OWNED_DIR:
+        _cleanup_owned_dir()
+    if path is not None:
+        os.makedirs(path, exist_ok=True)
+    _SHARED_DIR = path
+
+
+def warm(specs: Iterable[Any], profile_dir: Optional[str] = None) -> str:
+    """Load or measure the device profile of each spec into ``profile_dir``.
+
+    ``None`` in ``specs`` is the default testbed node.  ``profile_dir`` is
+    pinned as the shared directory (``None`` resolves it).  On a cold
+    cache the microbenchmarks charge the simulated engine before any
+    workload starts, shifting every later timestamp; once warm, every
+    platform on these specs, in this process or a forked worker, starts
+    at time 0, so results never depend on the cache's prior state.
+    Returns the directory.
+    """
+    from repro.ocl.platform import Platform
+
+    if profile_dir is None:
+        profile_dir = shared_dir()
+    else:
+        set_profile_dir(profile_dir)
+    for spec in specs:
+        Platform(spec, profile=True, profile_dir=profile_dir)
+    return profile_dir
+
+
+def fork_map(fn, tasks, jobs: int, profile_dir: str) -> list:
+    """Order-preserving process map whose workers share ``profile_dir``.
+
+    The fleet machinery under both the experiment runner and the replay
+    shards: prefer ``fork`` (workers inherit interpreter state — hash
+    seed, imports, warm caches), ``chunksize=1`` to load-balance skewed
+    task durations, and results in input order so merging stays
+    deterministic.  Every worker pins ``profile_dir`` before its first
+    task; ``jobs=1`` (or a single task) runs in-process after the same
+    pin, so both paths see identical setup.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    tasks = list(tasks)
+    jobs = max(int(jobs), 1)
+    if jobs == 1 or len(tasks) <= 1:
+        set_profile_dir(profile_dir)
+        return [fn(t) for t in tasks]
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=ctx,
+        initializer=set_profile_dir,
+        initargs=(profile_dir,),
+    ) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))

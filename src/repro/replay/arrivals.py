@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence, Tuple
 
 __all__ = [
@@ -217,5 +217,12 @@ def make_process(kind: str, rate: float, **params) -> ArrivalProcess:
         raise ValueError(
             f"unknown arrival process {kind!r}; expected one of "
             f"{sorted(_PROCESSES)}"
+        )
+    accepted = [f.name for f in fields(cls) if f.name != "rate"]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"arrival process {kind!r} takes no parameter {unknown}; "
+            f"it accepts {accepted or 'none'}"
         )
     return cls(rate=rate, **params)

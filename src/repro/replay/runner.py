@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.core import profile_store
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
     KernelFamily,
@@ -416,11 +417,12 @@ def _attach_sink(trace, config: ReplayConfig, label: str) -> Optional[TraceSink]
 
 def _warm_platform(profile_dir: Optional[str]):
     """A profiled platform whose clock starts at 0 whatever the cache held:
-    a throwaway platform measures (or loads) the device profile first, so
-    this one loads it without charging simulated time."""
+    the profile is warmed into the shared directory first
+    (:func:`~repro.core.profile_store.warm`), so this one loads it without
+    charging simulated time."""
     from repro.ocl.platform import Platform
 
-    Platform(profile=True, profile_dir=profile_dir)
+    profile_dir = profile_store.warm([None], profile_dir)
     return Platform(profile=True, profile_dir=profile_dir)
 
 

@@ -9,10 +9,9 @@ produce identical merged reports (including the float checksum) because
   never on which process replays it;
 * the device-profile cache is prewarmed once (single-flight locked on
   disk) before any tenant starts, so every replica sees the same measured
-  profile and a zero-time platform construction — the same discipline
-  :mod:`repro.bench.parallel` uses for the experiment fleet, whose
-  :func:`~repro.bench.parallel.fork_map` / worker-initializer machinery
-  this module reuses;
+  profile and a zero-time platform construction — the warm-up and the
+  process map (:func:`~repro.core.profile_store.warm`,
+  :func:`~repro.core.profile_store.fork_map`) the experiment fleet uses;
 * results are merged in tenant-index order regardless of completion order.
 
 ``verify_against_serial`` re-runs the schedule serially (cheap: the cache
@@ -24,6 +23,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
+from repro.core import profile_store
 from repro.replay.metrics import ReplayReport, TenantResult, merge_results
 from repro.replay.runner import ReplayConfig, run_tenant
 
@@ -36,23 +36,9 @@ __all__ = [
 
 
 def ensure_profile_cache(profile_dir: Optional[str]) -> str:
-    """Warm the shared device-profile cache; return the resolved directory.
-
-    Constructing one profiled platform measures (or loads) the default
-    node's profile into ``profile_dir`` under the profile store's
-    single-flight lock; every later construction — this process or a
-    forked shard — then charges no simulated time, which keeps replay
-    timestamps identical everywhere.
-    """
-    from repro.bench import figures
-    from repro.ocl.platform import Platform
-
-    if profile_dir is None:
-        profile_dir = figures._profile_dir()
-    else:
-        figures.set_profile_dir(profile_dir)
-    Platform(profile=True, profile_dir=profile_dir)
-    return profile_dir
+    """Warm the default node's device profile into the shared cache
+    (:func:`repro.core.profile_store.warm`); return the directory."""
+    return profile_store.warm([None], profile_dir)
 
 
 def _replay_one(task: Tuple[ReplayConfig, int]) -> TenantResult:
@@ -77,9 +63,6 @@ def run_sharded(config: ReplayConfig, shards: int) -> ReplayReport:
     Produces a report bit-identical to :func:`run_serial` on the same
     config (``wall_seconds`` excepted — that is measured, not simulated).
     """
-    from repro.bench.figures import set_profile_dir
-    from repro.bench.parallel import fork_map
-
     config.validate()
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -87,12 +70,8 @@ def run_sharded(config: ReplayConfig, shards: int) -> ReplayReport:
     profile_dir = ensure_profile_cache(config.profile_dir)
     config = config.with_profile_dir(profile_dir)
     tasks = [(config, i) for i in range(config.tenants)]
-    results: List[TenantResult] = fork_map(
-        _replay_one,
-        tasks,
-        jobs=shards,
-        initializer=set_profile_dir,
-        initargs=(profile_dir,),
+    results: List[TenantResult] = profile_store.fork_map(
+        _replay_one, tasks, shards, profile_dir
     )
     report = merge_results(results)
     report.wall_seconds = time.perf_counter() - started

@@ -169,12 +169,28 @@ def test_corrupt_cache_treated_as_miss(tmp_path):
     assert json.loads(path.read_text())["node_name"] == spec.name
 
 
-def test_clear_cache(tmp_path):
+def test_platforms_share_one_profile_that_no_run_mutates(tmp_path):
+    """Platforms on one unchanged profile file share one decoded
+    DeviceProfile; every experiment and both replay modes leave it equal
+    to the file."""
+    from repro.bench.figures import EXPERIMENTS, run_experiment
+    from repro.replay import ReplayConfig, run_serial, run_service_replay
+
     cache = str(tmp_path)
-    spec = aji_cluster15_node()
-    get_or_measure(Platform(profile=False), cache_dir=cache)
-    assert profile_store.clear_cache(spec, cache) is True
-    assert profile_store.clear_cache(spec, cache) is False
+    try:
+        profile_store.warm([None], cache)
+        shared = Platform(profile=True, profile_dir=cache).device_profile
+        for name in EXPERIMENTS:
+            run_experiment(name, fast=True)
+        config = ReplayConfig(commands=500, tenants=2, profile_dir=cache)
+        run_serial(config)
+        run_service_replay(config)
+    finally:
+        profile_store.set_profile_dir(None)
+    assert Platform(profile=True, profile_dir=cache).device_profile is shared
+    path = profile_store.cache_path(aji_cluster15_node(), cache)
+    stored = json.loads(path.read_text())
+    assert dict(shared.to_dict(), fingerprint=stored["fingerprint"]) == stored
 
 
 def test_fingerprint_stable_and_sensitive():

@@ -14,6 +14,7 @@ from repro.bench.parallel import (
     prewarm_profile_cache,
     run_parallel,
 )
+from repro.core import profile_store
 from repro.core.flags import SchedulerConfig
 
 #: Cheap experiments covering single-unit, multi-unit NPB, and the fig9
@@ -24,9 +25,9 @@ CHEAP = ["fig3", "fig9", "loc"]
 @pytest.fixture()
 def shared_profile_dir(tmp_path):
     """Pin the harness profile cache to a per-test dir; restore after."""
-    figures.set_profile_dir(str(tmp_path))
+    profile_store.set_profile_dir(str(tmp_path))
     yield str(tmp_path)
-    figures.set_profile_dir(None)
+    profile_store.set_profile_dir(None)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +76,12 @@ def test_serial_path_prewarms_like_the_parallel_runner(tmp_path):
     # too, or its first unit pays the device-profiling charge on its engine
     # and every later timestamp shifts by ulps.
     try:
-        figures.set_profile_dir(str(tmp_path / "serial"))
+        profile_store.set_profile_dir(str(tmp_path / "serial"))
         serial = run_experiment("fig3", fast=True)
         parallel = run_parallel(["fig3"], fast=True, jobs=1,
                                 profile_dir=str(tmp_path / "parallel"))
     finally:
-        figures.set_profile_dir(None)
+        profile_store.set_profile_dir(None)
     assert serial == parallel["fig3"]
 
 
@@ -173,15 +174,15 @@ def test_shared_run_key_follows_the_resolved_config(shared_profile_dir,
 def test_prewarm_charges_once_then_platforms_boot_warm(tmp_path):
     from repro.ocl.platform import Platform
 
-    warmed = prewarm_profile_cache(["fig3"], str(tmp_path))
-    assert len(warmed) == 1
+    assert prewarm_profile_cache(["fig3"], str(tmp_path)) == str(tmp_path)
+    assert len(list(tmp_path.glob("device-profile-*.json"))) == 1
     platform = Platform(profile=True, profile_dir=str(tmp_path))
     assert platform.engine.now == 0.0  # warm cache: no simulated charge
 
 
 def test_prewarm_cluster_warms_both_specs(tmp_path):
-    warmed = prewarm_profile_cache(["cluster"], str(tmp_path))
-    assert len(warmed) == 2
+    prewarm_profile_cache(["cluster"], str(tmp_path))
+    assert len(list(tmp_path.glob("device-profile-*.json"))) == 2
 
 
 def test_default_jobs_positive():

@@ -6,13 +6,16 @@ another predicts *identical* values — the property the shared
 ``MULTICL_PREDICT_DIR`` cache (and every checksum downstream) relies on.
 """
 
+import json
 import multiprocessing
 import os
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.profile_store import node_fingerprint
 from repro.hardware.presets import aji_cluster15_node
 from repro.predict import (
     PredictorModel,
@@ -22,7 +25,6 @@ from repro.predict import (
 )
 from repro.predict.features import KernelFeatures, extract_program
 from repro.predict.model import _FOLD_CHUNK, _solve, _solve_many
-from repro.predict.store import load_model, save_model
 
 SPEC = aji_cluster15_node()
 
@@ -267,9 +269,9 @@ def test_fitted_model_round_trips_bit_identical(fitted_dir):
 
 def test_save_then_load_predicts_bit_identical(fitted_dir, tmp_path):
     model, _ = load_or_fit(SPEC, fitted_dir)
-    save_model(model, SPEC, str(tmp_path))
-    loaded = load_model(SPEC, str(tmp_path))
-    assert loaded is not None
+    shutil.copy(model_path(SPEC, fitted_dir), model_path(SPEC, str(tmp_path)))
+    loaded, fitted = load_or_fit(SPEC, str(tmp_path))
+    assert not fitted and loaded is not model
     assert loaded.fingerprint == model.fingerprint
     for n in (1 << 8, 1 << 14, 1 << 20):
         assert loaded.predict(FEAT, n) == model.predict(FEAT, n)
@@ -292,13 +294,30 @@ def test_predictor_and_model_share_one_prediction_formula(fitted_dir):
             assert predictor.predict_seconds(FEAT, d, n) == expected[d]
 
 
-def test_load_rejects_corrupt_and_mismatched_files(fitted_dir, tmp_path):
+def _refit_from(content, fitted_dir, tmp_path):
+    """Plant ``content`` as the model file in ``tmp_path``; assert the store
+    re-fits it into a file byte-identical to a fresh fit's."""
     path = model_path(SPEC, str(tmp_path))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{ not json")
-    assert load_model(SPEC, str(tmp_path)) is None
-    path.write_text('{"schema": 999}')
-    assert load_model(SPEC, str(tmp_path)) is None
+    path.write_text(content)
+    model, fitted = load_or_fit(SPEC, str(tmp_path))
+    assert fitted
+    assert model.fingerprint == node_fingerprint(SPEC)
+    assert path.read_bytes() == model_path(SPEC, fitted_dir).read_bytes()
+
+
+def test_load_rejects_corrupt_and_mismatched_files(fitted_dir, tmp_path):
+    _refit_from("{ not json", fitted_dir, tmp_path)
+    _refit_from('{"schema": 999}', fitted_dir, tmp_path)
+
+
+def test_stale_model_file_is_refitted(fitted_dir, tmp_path):
+    """The locked re-read applies the same checks as the first read: a
+    file of another node or an older schema is re-fitted, never returned."""
+    swapped = json.loads(model_path(SPEC, fitted_dir).read_text())
+    swapped["fingerprint"] = "deadbeef"
+    _refit_from(json.dumps(swapped), fitted_dir, tmp_path)
+    _refit_from('{"schema": 1}', fitted_dir, tmp_path)
 
 
 def test_fitted_model_is_accurate_on_workload_kernel(fitted_dir):

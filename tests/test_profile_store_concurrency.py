@@ -1,4 +1,4 @@
-"""Concurrent access to the on-disk profile cache: single-flight,
+"""Concurrent access to the on-disk artifact store: single-flight,
 atomic writes, corruption recovery."""
 
 import json
@@ -19,8 +19,19 @@ def _payload(tag):
     return {"node_name": SPEC.name, "tag": tag}
 
 
+def _cached(cache_dir, compute):
+    """SPEC's profile slot in ``cache_dir``, payloads decoded as dicts."""
+    return profile_store.cached(
+        profile_store.cache_path(SPEC, cache_dir), SPEC, compute, dict
+    )
+
+
+def _never():
+    raise AssertionError("a valid cache file was recomputed")
+
+
 # ---------------------------------------------------------------------------
-# load_or_compute: single flight
+# cached: single flight
 # ---------------------------------------------------------------------------
 def test_load_or_compute_cold_computes_once_then_hits(tmp_path):
     calls = []
@@ -29,27 +40,21 @@ def test_load_or_compute_cold_computes_once_then_hits(tmp_path):
         calls.append(1)
         return _payload("first")
 
-    payload, computed = profile_store.load_or_compute(
-        SPEC, compute, str(tmp_path)
-    )
+    payload, computed = _cached(str(tmp_path), compute)
     assert computed and payload["tag"] == "first" and len(calls) == 1
 
-    payload2, computed2 = profile_store.load_or_compute(
-        SPEC, lambda: _payload("second"), str(tmp_path)
-    )
+    payload2, computed2 = _cached(str(tmp_path), lambda: _payload("second"))
     assert not computed2 and payload2["tag"] == "first"
 
 
 def test_load_or_compute_stamps_fingerprint(tmp_path):
-    payload, _ = profile_store.load_or_compute(
-        SPEC, lambda: _payload("x"), str(tmp_path)
-    )
+    payload, _ = _cached(str(tmp_path), lambda: _payload("x"))
     assert payload["fingerprint"] == profile_store.node_fingerprint(SPEC)
+    path = profile_store.cache_path(SPEC, str(tmp_path))
+    assert json.loads(path.read_text()) == payload
 
 
 def _race_worker(cache_dir, barrier, queue):
-    from repro.core import profile_store as ps
-
     def compute():
         # Marker file per *execution* of compute — the single-flight
         # assertion counts these across all racing processes.
@@ -59,7 +64,7 @@ def _race_worker(cache_dir, barrier, queue):
         return {"node_name": SPEC.name, "winner": os.getpid()}
 
     barrier.wait()
-    payload, computed = ps.load_or_compute(SPEC, compute, cache_dir)
+    payload, computed = _cached(cache_dir, compute)
     queue.put((os.getpid(), computed, payload["winner"]))
 
 
@@ -120,27 +125,29 @@ def test_racing_device_profilers_single_measurement(tmp_path):
 # ---------------------------------------------------------------------------
 # Atomic tmp+rename
 # ---------------------------------------------------------------------------
-def _rewrite_worker(cache_dir, stop_path):
-    from repro.core import profile_store as ps
+def _save(cache_dir, payload):
+    payload = dict(payload, fingerprint=profile_store.node_fingerprint(SPEC))
+    profile_store.save_json(profile_store.cache_path(SPEC, cache_dir), payload)
 
+
+def _rewrite_worker(cache_dir, stop_path):
     i = 0
     while not os.path.exists(stop_path):
-        ps.save_profile_dict(SPEC, {"node_name": SPEC.name, "i": i}, cache_dir)
+        _save(cache_dir, {"node_name": SPEC.name, "i": i})
         i += 1
 
 
 def test_reader_never_sees_partial_write(tmp_path):
-    profile_store.save_profile_dict(SPEC, _payload("seed"), str(tmp_path))
+    _save(str(tmp_path), _payload("seed"))
     stop = tmp_path / "stop"
     ctx = multiprocessing.get_context("fork")
     writer = ctx.Process(target=_rewrite_worker, args=(str(tmp_path), str(stop)))
     writer.start()
     try:
         for _ in range(300):
-            data = profile_store.load_profile_dict(SPEC, str(tmp_path))
+            data, _ = _cached(str(tmp_path), _never)
             # Every read (the writer is mid-rewrite for most of them) is
             # either the complete old or the complete new payload.
-            assert data is not None
             assert data["node_name"] == SPEC.name
             assert "fingerprint" in data
     finally:
@@ -150,7 +157,7 @@ def test_reader_never_sees_partial_write(tmp_path):
 
 
 def test_save_leaves_no_tmp_litter(tmp_path):
-    profile_store.save_profile_dict(SPEC, _payload("x"), str(tmp_path))
+    _save(str(tmp_path), _payload("x"))
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []
 
@@ -162,10 +169,7 @@ def test_corrupted_cache_file_is_remeasured_not_crashed(tmp_path):
     path = profile_store.cache_path(SPEC, str(tmp_path))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("{ this is not json")
-    assert profile_store.load_profile_dict(SPEC, str(tmp_path)) is None
-    payload, computed = profile_store.load_or_compute(
-        SPEC, lambda: _payload("fresh"), str(tmp_path)
-    )
+    payload, computed = _cached(str(tmp_path), lambda: _payload("fresh"))
     assert computed and payload["tag"] == "fresh"
     # ... and the repaired cache now round-trips.
     with path.open() as fh:
@@ -180,3 +184,34 @@ def test_corrupted_cache_platform_still_boots(tmp_path):
     profile = get_or_measure(platform, cache_dir=str(tmp_path))
     assert platform.engine.now > 0.0  # had to re-measure
     assert profile.gflops
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[1, 2]",
+        '{"node_name": "n", "tag": "stale"}',
+        '{"fingerprint": "deadbeef", "tag": "stale"}',
+        json.dumps({"fingerprint": profile_store.node_fingerprint(SPEC)}),
+    ],
+    ids=["not-an-object", "unstamped", "other-fingerprint", "undecodable"],
+)
+def test_unstamped_foreign_or_undecodable_file_is_recomputed(tmp_path, content):
+    def tag(payload):
+        return payload["tag"]
+
+    path = profile_store.cache_path(SPEC, str(tmp_path))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content)
+    assert profile_store.cached(path, SPEC, lambda: _payload("fresh"), tag) == (
+        "fresh", True
+    )
+    # The repaired file passes the same checks on the next read.
+    assert profile_store.cached(path, SPEC, _never, tag) == ("fresh", False)
+
+
+def test_profile_with_missing_fields_is_remeasured(tmp_path):
+    _save(str(tmp_path), {"node_name": SPEC.name})
+    platform = Platform(profile=True, profile_dir=str(tmp_path))
+    assert platform.engine.now > 0.0  # re-measured, no KeyError
+    assert platform.device_profile.gflops

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -147,6 +148,20 @@ def test_diurnal_modulates_rate_over_period():
 def test_make_process_unknown_kind():
     with pytest.raises(ValueError, match="unknown arrival process"):
         make_process("fractal", rate=1.0)
+
+
+@pytest.mark.parametrize(
+    "process, bad, accepted",
+    [
+        ("poisson", "on_s", "none"),
+        ("bursty", "amplitude", "['on_s', 'off_s']"),
+        ("diurnal", "on_s", "['amplitude', 'period_s']"),
+    ],
+    ids=["poisson", "bursty", "diurnal"],
+)
+def test_unknown_process_parameter_is_a_value_error(process, bad, accepted):
+    with pytest.raises(ValueError, match=re.escape(f"accepts {accepted}")):
+        ReplayConfig(process=process, process_params={bad: 1.0}).validate()
 
 
 def test_derive_seed_distinct_substreams():
@@ -476,11 +491,11 @@ def test_library_replays_independent_of_profile_cache(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 def test_cli_engine_mode(profile_dir, monkeypatch, capsys):
-    from repro.bench import figures
+    from repro.core import profile_store
     from repro.replay.cli import main
 
-    monkeypatch.setenv(figures.PROFILE_DIR_ENV, profile_dir)
-    figures.set_profile_dir(profile_dir)
+    monkeypatch.setenv(profile_store.PROFILE_DIR_ENV, profile_dir)
+    profile_store.set_profile_dir(profile_dir)
     rc = main(
         ["--commands", "500", "--tenants", "2", "--rate", "200",
          "--shards", "2", "--verify-serial", "--json"]
@@ -520,6 +535,36 @@ def test_cli_service_report_independent_of_profile_cache(tmp_path):
     assert cold["fairness"] == warm["fairness"]
 
 
+def test_replay_imports_no_benchmark_code(tmp_path):
+    """A replay resolves and warms its profile cache without loading the
+    experiment harness or any workload (checked in a fresh interpreter:
+    this one has imported both)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro.replay import ReplayConfig, run_serial, run_service_replay\n"
+        "run_serial(ReplayConfig(commands=200, tenants=2))\n"
+        "run_service_replay(ReplayConfig(commands=200, tenants=2))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.bench', 'repro.workloads'))))\n"
+    )
+    env = dict(os.environ, MULTICL_PROFILE_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"),
+    ]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_rejects_bad_arguments(capsys):
     from repro.replay.cli import main
 
@@ -528,11 +573,11 @@ def test_cli_rejects_bad_arguments(capsys):
 
 
 def test_bench_cli_delegates_replay(profile_dir, monkeypatch, capsys):
-    from repro.bench import figures
+    from repro.core import profile_store
     from repro.bench.__main__ import main as bench_main
 
-    monkeypatch.setenv(figures.PROFILE_DIR_ENV, profile_dir)
-    figures.set_profile_dir(profile_dir)
+    monkeypatch.setenv(profile_store.PROFILE_DIR_ENV, profile_dir)
+    profile_store.set_profile_dir(profile_dir)
     rc = bench_main(["replay", "--commands", "300", "--tenants", "1",
                      "--rate", "200"])
     out = capsys.readouterr().out
