@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.hardware.cost import KernelCost
 from repro.ocl.platform import Platform
 from repro.core import profile_store
@@ -58,6 +56,8 @@ class BandwidthCurve:
             raise ValueError("empty bandwidth curve")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        import numpy as np
+
         sizes = np.asarray(self.sizes, dtype=float)
         secs = np.asarray(self.seconds, dtype=float)
         if nbytes <= sizes[0]:
@@ -149,8 +149,11 @@ def measure(platform: Platform, noise: float = 0.0) -> DeviceProfile:
     """
     node = platform.node
     engine = platform.engine
-    rng = np.random.default_rng(0xC15)
     profile = DeviceProfile(node_name=platform.spec.name)
+    if noise > 0.0:
+        import numpy as np
+
+        rng = np.random.default_rng(0xC15)
 
     def _noisy(t: float) -> float:
         if noise <= 0.0:

@@ -9,9 +9,7 @@ application; our example drivers make exactly those calls.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.hardware.specs import NodeSpec
 from repro.hardware.topology import SimDevice
@@ -22,6 +20,9 @@ from repro.ocl.memory import Buffer
 from repro.ocl.platform import Platform, get_platforms
 from repro.ocl.program import Program
 from repro.ocl.queue import CommandQueue, Event, wait_for_events
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "clGetPlatformIDs",

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from repro.ocl.enums import ContextProperty, ContextScheduler, MemFlag, SchedFlag
 from repro.ocl.errors import InvalidDevice, InvalidOperation, InvalidValue
 from repro.ocl.issue import issue_pool
@@ -23,6 +21,8 @@ from repro.ocl.queue import CommandQueue
 from repro.ocl.scheduling import SchedulerBase, create_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.ocl.platform import Platform
 
 __all__ = ["Context", "TENANT_PROPERTY_KEY"]

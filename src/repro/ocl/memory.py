@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterable, Optional, Set, TYPE_CHECKING
 
-import numpy as np
-
 from repro.ocl.enums import MemFlag
 from repro.ocl.errors import InvalidValue
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.ocl.context import Context
 
 __all__ = ["Buffer", "HOST"]

@@ -35,8 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from repro.ocl.enums import CommandKind, EventStatus, SchedFlag
 from repro.ocl.errors import (
     DeviceNotAvailable,
@@ -324,6 +322,8 @@ def _transfer(dst: Any, src: Any, nbytes: int, whole: int) -> None:
     if nbytes >= whole:
         dst[...] = src
         return
+    import numpy as np
+
     if np.ndim(src) == 0:
         src = np.full(-(-nbytes // dst.itemsize), src, dst.dtype)
     head = np.frombuffer(dst, np.uint8)[:nbytes]

@@ -209,8 +209,12 @@ _PROCESSES = {
 }
 
 
-def make_process(kind: str, rate: float, **params) -> ArrivalProcess:
-    """Build an arrival process by name (``poisson``/``bursty``/``diurnal``)."""
+def make_process(kind: str, rate: float, /, **params) -> ArrivalProcess:
+    """Build an arrival process by name (``poisson``/``bursty``/``diurnal``).
+
+    ``rate`` is positional-only, so a ``rate`` key in ``params`` is an
+    unknown parameter like any other (``ValueError``).
+    """
     try:
         cls = _PROCESSES[kind]
     except KeyError:

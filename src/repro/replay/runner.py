@@ -168,24 +168,17 @@ class _ReplayTenant:
     of its requests folded in completion order, and the
     :class:`TenantResult` built from them."""
 
-    __slots__ = (
-        "name", "index", "weight", "hist", "completed", "latency_sum", "last_end"
-    )
+    __slots__ = ("name", "index", "weight", "hist", "last_end")
 
     def __init__(self, config: ReplayConfig, index: int) -> None:
         self.name = config.tenant_name(index)
         self.index = index
         self.weight = config.tenant_weight(index)
         self.hist = LatencyHistogram()
-        self.completed = 0
-        self.latency_sum = 0.0
         self.last_end = 0.0
 
     def fold(self, arrival: float, end: float) -> None:
-        latency = end - arrival
-        self.hist.add(latency)
-        self.completed += 1
-        self.latency_sum += latency
+        self.hist.add(end - arrival)
         if end > self.last_end:
             self.last_end = end
 
@@ -197,8 +190,10 @@ class _ReplayTenant:
         # The checksum is pure float additions in a fixed (sorted-key)
         # order, no libm calls, so it is bit-identical across processes
         # and platforms; the serial-vs-sharded tests and the perf-baseline
-        # checksum pin it.
-        checksum = float(self.completed) + self.last_end + self.latency_sum
+        # checksum pin it.  The histogram's exact ``count``/``total`` are
+        # the completed requests and their latency sum.
+        hist = self.hist
+        checksum = float(hist.count) + self.last_end + hist.total
         for name in sorted(device_seconds):
             checksum += device_seconds[name]
         return TenantResult(
@@ -206,10 +201,10 @@ class _ReplayTenant:
             index=self.index,
             weight=self.weight,
             requests=requests,
-            completed=self.completed,
+            completed=hist.count,
             end_time=self.last_end,
-            latency_sum=self.latency_sum,
-            histogram=self.hist.to_dict(),
+            latency_sum=hist.total,
+            histogram=hist.to_dict(),
             device_seconds=device_seconds,
             checksum=checksum,
             **extra,

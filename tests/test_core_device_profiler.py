@@ -125,6 +125,37 @@ def test_noise_is_deterministic():
     assert p1.gflops != measure(Platform(profile=False), noise=0.0).gflops
 
 
+def test_noisy_profile_and_interpolation_are_pinned():
+    """The noise draws (numpy's ``default_rng(0xC15)``) and ``np.interp``
+    give exactly these floats: numpy is imported lazily on both paths, and
+    that must change no draw and no float."""
+    p = measure(Platform(profile=False), noise=0.05)
+    assert p.gflops == {
+        "cpu": 87.95957729226589,
+        "gpu0": 592.8635785355636,
+        "gpu1": 543.4474758156675,
+    }
+    assert p.bandwidth_gbs == {
+        "cpu": 22.675001348137023,
+        "gpu0": 95.27191876835357,
+        "gpu1": 91.8724306408926,
+    }
+    # One H2D sample (64 KiB) per device, then an interior size (100,000
+    # bytes, between the 64 KiB and 256 KiB samples) and an extrapolated
+    # one (1 GiB, past the 256 MiB sample).
+    pinned = {
+        "cpu": (8.382682667762379e-06, 1.1871504448486067e-05, 0.10415230512080235),
+        "gpu0": (3.0597903123321196e-05, 3.806618315945584e-05, 0.21337998485418208),
+        "gpu1": (3.08600918376412e-05, 3.8206672833469874e-05, 0.21441419660247307),
+    }
+    for device, (sample, interior, extrapolated) in pinned.items():
+        curve = p.h2d[device]
+        assert curve.sizes[3] == 65536
+        assert curve.seconds[3] == sample
+        assert curve.seconds_for(100_000) == interior
+        assert curve.seconds_for(1 << 30) == extrapolated
+
+
 def test_profile_roundtrip(measured):
     profile, _ = measured
     again = DeviceProfile.from_dict(profile.to_dict())

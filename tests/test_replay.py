@@ -29,7 +29,7 @@ from repro.replay.arrivals import DiurnalProcess, OnOffProcess, PoissonProcess
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
 def test_same_seed_same_schedule(kind):
-    p = make_process(kind, rate=100.0)
+    p = make_process(kind, 100.0)
     a = list(p.stream(DEFAULT_FAMILIES, seed=42, limit=500))
     b = list(p.stream(DEFAULT_FAMILIES, seed=42, limit=500))
     assert a == b  # bit-identical, not approximately equal
@@ -37,7 +37,7 @@ def test_same_seed_same_schedule(kind):
 
 @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
 def test_different_seeds_differ(kind):
-    p = make_process(kind, rate=100.0)
+    p = make_process(kind, 100.0)
     a = list(p.stream(DEFAULT_FAMILIES, seed=1, limit=100))
     b = list(p.stream(DEFAULT_FAMILIES, seed=2, limit=100))
     assert a != b
@@ -45,7 +45,7 @@ def test_different_seeds_differ(kind):
 
 @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
 def test_arrivals_nondecreasing_and_families_in_range(kind):
-    p = make_process(kind, rate=200.0)
+    p = make_process(kind, 200.0)
     prev = 0.0
     for t, fam in p.stream(DEFAULT_FAMILIES, seed=7, limit=1000):
         assert t >= prev
@@ -147,7 +147,7 @@ def test_diurnal_modulates_rate_over_period():
 
 def test_make_process_unknown_kind():
     with pytest.raises(ValueError, match="unknown arrival process"):
-        make_process("fractal", rate=1.0)
+        make_process("fractal", 1.0)
 
 
 @pytest.mark.parametrize(
@@ -156,8 +156,14 @@ def test_make_process_unknown_kind():
         ("poisson", "on_s", "none"),
         ("bursty", "amplitude", "['on_s', 'off_s']"),
         ("diurnal", "on_s", "['amplitude', 'period_s']"),
+        # ``rate`` is make_process's own positional argument, never a
+        # process parameter.
+        ("poisson", "rate", "none"),
+        ("bursty", "rate", "['on_s', 'off_s']"),
+        ("diurnal", "rate", "['amplitude', 'period_s']"),
     ],
-    ids=["poisson", "bursty", "diurnal"],
+    ids=["poisson", "bursty", "diurnal", "poisson-rate", "bursty-rate",
+         "diurnal-rate"],
 )
 def test_unknown_process_parameter_is_a_value_error(process, bad, accepted):
     with pytest.raises(ValueError, match=re.escape(f"accepts {accepted}")):
