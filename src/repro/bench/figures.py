@@ -931,16 +931,9 @@ def experiment_prewarm_specs(name: str) -> Tuple[Optional[Callable[[], Any]], ..
 
 
 def run_experiment(name: str, fast: bool = True) -> ExperimentResult:
-    """Run ``name``'s units in-process, in order, on a warm profile cache.
+    """Run ``name``'s units in-process, in order, on a warm profile cache:
+    :func:`repro.bench.parallel.run_parallel` with one job, the serial
+    reference of every wider fleet."""
+    from repro.bench.parallel import run_parallel
 
-    The serial reference of :func:`repro.bench.parallel.run_parallel`:
-    the cache is prewarmed the same way, so a cold first unit never pays
-    the device-profiling charge on its engine.
-    """
-    from repro.bench.parallel import prewarm_profile_cache
-
-    units = experiment_units(name, fast)
-    prewarm_profile_cache([name], shared_dir())
-    with shared_runs():
-        payloads = [run_experiment_unit(name, key, fast) for key in units]
-    return merge_experiment_units(name, payloads)
+    return run_parallel([name], fast, jobs=1)[name]

@@ -7,16 +7,17 @@ the cluster mode as well, these fall out of the scope of this paper."
 
 This package builds that substrate so the claim is exercisable: a
 :class:`~repro.cluster.spec.ClusterSpec` describes several nodes joined by
-a network; :class:`~repro.cluster.topology.SimCluster` presents every
-device — local and remote — through the exact :class:`~repro.hardware.topology.SimNode`
-interface the rest of the stack consumes.  Host↔remote-device transfers
-chain a network hop (contending on the remote node's NIC) with the remote
-PCIe hop, so the *measured* device profiles automatically encode how far
-away each device is, and the unmodified MultiCL scheduler makes
-distance-aware decisions across the whole cluster.
+a network, and :meth:`~repro.cluster.spec.ClusterSpec.flattened` turns it
+into one plain :class:`~repro.hardware.specs.NodeSpec` whose remote
+devices carry a network link (``NodeSpec.net_links``).  The ordinary
+:class:`~repro.hardware.topology.SimNode` then chains each remote
+transfer's network hop (contending on the remote node's NIC) with its
+PCIe hop, so the *measured* device profiles encode how far away each
+device is, and the unmodified MultiCL scheduler makes distance-aware
+decisions across the whole cluster.  A :class:`ClusterSpec` can be passed
+wherever a node spec is accepted.
 """
 
 from repro.cluster.spec import ClusterSpec, two_node_cluster
-from repro.cluster.topology import SimCluster
 
-__all__ = ["ClusterSpec", "SimCluster", "two_node_cluster"]
+__all__ = ["ClusterSpec", "two_node_cluster"]

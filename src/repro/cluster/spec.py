@@ -32,10 +32,6 @@ class ClusterSpec:
         if not self.nodes:
             raise HardwareError("cluster needs at least one node")
 
-    @property
-    def root(self) -> NodeSpec:
-        return self.nodes[0]
-
     def device_node_index(self, device_name: str) -> int:
         """Which node a flattened device name lives on."""
         if device_name.startswith("node"):
@@ -52,24 +48,30 @@ class ClusterSpec:
     def flattened(self) -> NodeSpec:
         """One NodeSpec exposing every device in the cluster.
 
-        Remote devices keep their *local* PCIe link specs here; the network
-        hop is added by :class:`~repro.cluster.topology.SimCluster` on top.
+        Remote devices keep their *local* PCIe link specs; their
+        ``net_links`` entry is the NIC named ``nic-node<i>``, one per
+        remote node, so all traffic to a node's devices contends on it.
         Link names are prefixed per node so same-named links on different
         nodes stay physically distinct.
         """
         devices: List[DeviceSpec] = []
         links: Dict[str, LinkSpec] = {}
+        net_links: Dict[str, LinkSpec] = {}
         for i, node in enumerate(self.nodes):
+            nic = dataclasses.replace(self.nic, name=f"nic-node{i}")
             for dev in node.devices:
                 name = dev.name if i == 0 else f"node{i}.{dev.name}"
                 devices.append(dataclasses.replace(dev, name=name))
                 link = node.host_links[dev.name]
                 link_name = link.name if i == 0 else f"node{i}.{link.name}"
                 links[name] = dataclasses.replace(link, name=link_name)
+                if i:
+                    net_links[name] = nic
         return NodeSpec(
             name=f"cluster:{self.name}",
             devices=tuple(devices),
             host_links=links,
+            net_links=net_links,
         )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
 from repro.core.flags import ScheduleOptions, SchedulerConfig
@@ -85,9 +85,6 @@ class EpochProfile:
     """Per-device estimated execution seconds for one epoch."""
 
     seconds: Dict[str, float] = field(default_factory=dict)
-
-    def best_device(self) -> str:
-        return min(self.seconds, key=lambda d: self.seconds[d])
 
 
 class KernelProfiler:

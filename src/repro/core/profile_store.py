@@ -87,7 +87,12 @@ _fp_memo: BoundedLRU = BoundedLRU(_FP_MEMO_MAX)
 
 def _fp_memo_key(spec: NodeSpec) -> Any:
     """Hashable key with the same equality semantics as the spec itself."""
-    return (spec.name, spec.devices, tuple(sorted(spec.host_links.items())))
+    return (
+        spec.name,
+        spec.devices,
+        tuple(sorted(spec.host_links.items())),
+        tuple(sorted(spec.net_links.items())),
+    )
 
 
 def default_cache_dir() -> Path:
@@ -124,15 +129,19 @@ def node_fingerprint(spec: NodeSpec) -> str:
 
 
 def _spec_to_jsonable(spec: NodeSpec) -> Dict[str, Any]:
-    return {
+    def links(mapping: Dict[str, Any]) -> Dict[str, Any]:
+        return {k: dataclasses.asdict(v) for k, v in sorted(mapping.items())}
+
+    out = {
         "name": spec.name,
         "devices": [
             {**dataclasses.asdict(d), "kind": d.kind.value} for d in spec.devices
         ],
-        "host_links": {
-            k: dataclasses.asdict(v) for k, v in sorted(spec.host_links.items())
-        },
+        "host_links": links(spec.host_links),
     }
+    if spec.net_links:  # absent on a single node: its digest never moved
+        out["net_links"] = links(spec.net_links)
+    return out
 
 
 def cache_path(spec: NodeSpec, cache_dir: Optional[str] = None) -> Path:
@@ -322,14 +331,15 @@ def fork_map(fn, tasks, jobs: int, profile_dir: str) -> list:
     task; ``jobs=1`` (or a single task) runs in-process after the same
     pin, so both paths see identical setup.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     tasks = list(tasks)
     jobs = max(int(jobs), 1)
     if jobs == 1 or len(tasks) <= 1:
         set_profile_dir(profile_dir)
         return [fn(t) for t in tasks]
+    # Imported only for a real pool: serial runs never load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms

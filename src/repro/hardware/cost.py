@@ -101,18 +101,6 @@ class KernelCost:
         """Number of workgroups in the launch (ceiling division)."""
         return max(1, -(-self.work_items // self.workgroup_size))
 
-    def with_workgroup_size(self, wg: int) -> "KernelCost":
-        """Copy of this cost with a different work-group size."""
-        return KernelCost(
-            flops=self.flops,
-            bytes=self.bytes,
-            work_items=self.work_items,
-            workgroup_size=wg,
-            divergence=self.divergence,
-            irregularity=self.irregularity,
-            efficiency=dict(self.efficiency),
-        )
-
     def scaled(self, factor: float) -> "KernelCost":
         """Copy with flops/bytes/work_items scaled by ``factor`` (> 0)."""
         if factor <= 0:

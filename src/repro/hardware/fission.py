@@ -63,8 +63,8 @@ def fission_node_spec(
 
     The sub-devices inherit the parent's :class:`LinkSpec` verbatim, so the
     shared-link rule in :class:`~repro.hardware.topology.SimNode` makes
-    them contend for the parent's physical path.  Returns the new spec and
-    the sub-device names.
+    them contend for the parent's physical path.  The node's network links
+    carry over unchanged.  Returns the new spec and the sub-device names.
     """
     parent = node.device(device_name)
     subs = split_device_spec(parent, count)
@@ -81,5 +81,6 @@ def fission_node_spec(
         name=f"{node.name}+fission({device_name}x{count})",
         devices=tuple(devices),
         host_links=links,
+        net_links=node.net_links,
     )
     return new_spec, [s.name for s in subs]

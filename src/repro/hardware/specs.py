@@ -128,13 +128,17 @@ class NodeSpec:
 
     ``host_links`` maps device name → :class:`LinkSpec` used for both H2D and
     D2H transfers of that device (the paper's testbed has symmetric PCIe
-    links; asymmetry can be modelled with distinct specs if needed via
-    ``h2d_links``/``d2h_links`` overrides).
+    links).  ``net_links`` maps a *remote* device (SnuCL cluster mode) to
+    the network link its transfers cross before (H2D) or after (D2H) its
+    host link; devices it does not name are host-local.  Links sharing a
+    name share one physical path, so one NIC serves all of a node's
+    remote devices.
     """
 
     name: str
     devices: Tuple[DeviceSpec, ...]
     host_links: Dict[str, LinkSpec] = field(default_factory=dict)
+    net_links: Dict[str, LinkSpec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [d.name for d in self.devices]
@@ -146,6 +150,11 @@ class NodeSpec:
         if missing:
             raise HardwareError(
                 f"node {self.name}: devices missing host links: {missing}"
+            )
+        stray = [n for n in self.net_links if n not in names]
+        if stray:
+            raise HardwareError(
+                f"node {self.name}: network links for unknown devices: {stray}"
             )
 
     @property

@@ -1,11 +1,16 @@
 """Bind hardware specs to the discrete-event engine.
 
-:class:`SimNode` creates one FIFO resource per device execution engine and
-one per host↔device link, then exposes task factories for kernel launches
-and data transfers.  Device-to-device transfers are staged through host
-memory (D2H followed by H2D) because, as the paper notes in Section V.C.3,
-"current vendor drivers do not support direct D2D transfer capabilities
-across vendors and device types".
+:class:`SimNode` creates one FIFO resource per device execution engine,
+one per host↔device link and one per network link, then exposes task
+factories for kernel launches and data transfers.  Device-to-device
+transfers are staged through host memory (D2H followed by H2D) because, as
+the paper notes in Section V.C.3, "current vendor drivers do not support
+direct D2D transfer capabilities across vendors and device types".
+
+A remote device of SnuCL cluster mode (one in ``NodeSpec.net_links``)
+chains a network hop on its node's NIC with its own PCIe hop, so a
+remote↔remote move crosses the network twice; the device profiler
+measures these composite paths and the mapper needs no cluster code.
 """
 
 from __future__ import annotations
@@ -157,6 +162,16 @@ class SimNode:
                     by_name_d2h[link.name] = by_name[link.name]
             self.links[dev] = by_name[link.name]
             self.d2h_links[dev] = by_name_d2h[link.name]
+        # One FIFO per NIC, shared by both directions even when duplex.
+        nics = {
+            nic.name: FifoResource(f"link:{nic.name}")
+            for nic in spec.net_links.values()
+        }
+        #: remote device -> (NIC spec, NIC resource, peer label in task names)
+        self.net_hops: Dict[str, tuple] = {
+            dev: (nic, nics[nic.name], nic.name.removeprefix("nic-"))
+            for dev, nic in spec.net_links.items()
+        }
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -175,12 +190,14 @@ class SimNode:
     # Analytic transfer costs (used by the scheduler's cost estimates)
     # ------------------------------------------------------------------
     def h2d_seconds(self, device: str, nbytes: int) -> float:
-        """Predicted host-to-device transfer time."""
-        return transfer_time(self.spec.host_links[device], nbytes)
+        """Predicted host-to-device transfer time: the host link plus, for
+        a remote device, the network hop.  Links are symmetric, so this is
+        the device-to-host time too."""
+        seconds = transfer_time(self.spec.host_links[device], nbytes)
+        nic = self.spec.net_links.get(device)
+        return seconds if nic is None else seconds + transfer_time(nic, nbytes)
 
-    def d2h_seconds(self, device: str, nbytes: int) -> float:
-        """Predicted device-to-host transfer time (symmetric links)."""
-        return transfer_time(self.spec.host_links[device], nbytes)
+    d2h_seconds = h2d_seconds
 
     def d2d_seconds(self, src: str, dst: str, nbytes: int) -> float:
         """Predicted device-to-device time: staged D2H + H2D via host."""
@@ -200,8 +217,10 @@ class SimNode:
         name: str = "h2d",
         meta: Optional[dict] = None,
     ) -> SimTask:
-        # Raw link time (not self.h2d_seconds: subclasses may override the
-        # estimate to include extra hops they charge as separate tasks).
+        hop = self.net_hops.get(device)
+        if hop is not None:
+            deps = [self._net_task(hop, device, nbytes, deps, category,
+                                   f"{name}:net->{hop[2]}", "net-out", meta)]
         duration = transfer_time(self.spec.host_links[device], nbytes)
         info = {"device": device, "bytes": nbytes, "direction": "h2d"}
         if meta:
@@ -228,10 +247,40 @@ class SimNode:
         info = {"device": device, "bytes": nbytes, "direction": "d2h"}
         if meta:
             info.update(meta)
-        return self.engine.task(
+        task = self.engine.task(
             name=f"{name}:{device}->host",
             duration=duration,
             resource=self.d2h_links[device],
+            deps=deps,
+            category=category,
+            meta=info,
+        )
+        hop = self.net_hops.get(device)
+        if hop is None:
+            return task
+        return self._net_task(hop, device, nbytes, [task], category,
+                              f"{name}:net<-{hop[2]}", "net-in", meta)
+
+    def _net_task(
+        self,
+        hop: tuple,
+        device: str,
+        nbytes: int,
+        deps: Optional[Sequence[SimTask]],
+        category: str,
+        name: str,
+        direction: str,
+        meta: Optional[dict],
+    ) -> SimTask:
+        """A remote device's network hop, on its node's NIC."""
+        nic, resource, _ = hop
+        info = {"device": device, "bytes": nbytes, "direction": direction}
+        if meta:
+            info.update(meta)
+        return self.engine.task(
+            name=name,
+            duration=transfer_time(nic, nbytes),
+            resource=resource,
             deps=deps,
             category=category,
             meta=info,

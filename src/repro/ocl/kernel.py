@@ -240,17 +240,6 @@ class Kernel:
             snap = self._snapshot = (dict(self.args), tuple(buffers), tuple(written))
         return snap
 
-    def buffer_args(self) -> Dict[int, Buffer]:
-        """Index -> Buffer for all buffer-typed arguments currently set."""
-        return {i: v for i, v in self.args.items() if isinstance(v, Buffer)}
-
-    def written_buffer_args(self) -> Dict[int, Buffer]:
-        """Buffer args the kernel writes (``writes=`` annotation, else all)."""
-        bufs = self.buffer_args()
-        if not self.info.writes:
-            return bufs
-        return {i: b for i, b in bufs.items() if i in self.info.writes}
-
     # ------------------------------------------------------------------
     # Proposed extension: clSetKernelWorkGroupInfo (paper Section IV.C)
     # ------------------------------------------------------------------

@@ -50,21 +50,13 @@ class Platform:
         #: Overlap-aware contexts need independent upload/download DMA
         #: engines to actually overlap, so None follows the same env opt-in.
         self.duplex_links = bool(knobs.get("MULTICL_OVERLAP", duplex_links))
-        # A ClusterSpec (SnuCL cluster mode) binds through SimCluster but
-        # exposes the same interface; everything above is agnostic.
-        self._cluster_spec = None
-        if node_spec is not None and hasattr(node_spec, "flattened"):
-            from repro.cluster.topology import SimCluster
-
-            self._cluster_spec = node_spec
-            self.node = SimCluster(  # type: ignore[arg-type]
-                self.engine, node_spec, duplex_links=self.duplex_links
-            )
-            self.spec = self.node.spec
-        else:
-            self.spec = node_spec if node_spec is not None else aji_cluster15_node()
-            self.node = SimNode(self.engine, self.spec, duplex_links=self.duplex_links)
-        self.name = f"MultiCL simulated platform ({self.spec.name})"
+        if node_spec is None:
+            node_spec = aji_cluster15_node()
+        elif not isinstance(node_spec, NodeSpec):
+            # A ClusterSpec (SnuCL cluster mode): one node whose remote
+            # devices carry network links; everything above is agnostic.
+            node_spec = node_spec.flattened()
+        self._bind(node_spec)
         self.vendor = "repro"
         self._device_profile = None
         self._profile_dir = profile_dir
@@ -79,6 +71,12 @@ class Platform:
             # (paper Section V.A); with a warm cache this reads a JSON file
             # and charges no simulated time.
             _ = self.device_profile
+
+    def _bind(self, spec: NodeSpec) -> None:
+        """Make ``spec`` this platform's node (on the same engine)."""
+        self.spec = spec
+        self.node = SimNode(self.engine, spec, duplex_links=self.duplex_links)
+        self.name = f"MultiCL simulated platform ({spec.name})"
 
     # ------------------------------------------------------------------
     # Devices
@@ -155,38 +153,15 @@ class Platform:
             )
         from repro.hardware.fission import fission_node_spec
 
-        if self._cluster_spec is not None:
-            # Cluster platform: fission applies to the root node (splitting
-            # a *remote* device would need remote-runtime cooperation the
-            # real SnuCL cluster mode does not provide either).
-            import dataclasses
-
-            from repro.cluster.spec import ClusterSpec
-            from repro.cluster.topology import SimCluster
-
-            cluster = self._cluster_spec
-            if cluster.device_node_index(device_name) != 0:
-                raise InvalidDevice(
-                    f"cannot fission remote device {device_name!r}; only "
-                    f"root-node devices can be partitioned"
-                )
-            new_root, sub_names = fission_node_spec(
-                cluster.root, device_name, count
+        if device_name in self.spec.net_links:
+            # Splitting a *remote* device would need remote-runtime
+            # cooperation the real SnuCL cluster mode does not provide.
+            raise InvalidDevice(
+                f"cannot fission remote device {device_name!r}; only "
+                f"root-node devices can be partitioned"
             )
-            self._cluster_spec = ClusterSpec(
-                name=cluster.name,
-                nodes=(new_root,) + tuple(cluster.nodes[1:]),
-                nic=cluster.nic,
-            )
-            self.node = SimCluster(
-                self.engine, self._cluster_spec, duplex_links=self.duplex_links
-            )
-            self.spec = self.node.spec
-        else:
-            new_spec, sub_names = fission_node_spec(self.spec, device_name, count)
-            self.spec = new_spec
-            self.node = SimNode(self.engine, new_spec, duplex_links=self.duplex_links)
-        self.name = f"MultiCL simulated platform ({self.spec.name})"
+        spec, sub_names = fission_node_spec(self.spec, device_name, count)
+        self._bind(spec)
         self._device_profile = None  # configuration changed: re-profile
         return [self.node.device(n) for n in sub_names]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lru import BoundedLRU
 from repro.ocl.errors import BuildProgramFailure
@@ -80,10 +80,6 @@ class KernelSourceInfo:
     start: int = 0
     #: character offset just past the kernel's opening ``{``
     body_open: int = 0
-
-    @property
-    def buffer_arg_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.args) if a.is_buffer)
 
 
 def _split_args(argtext: str) -> List[str]:

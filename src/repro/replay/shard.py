@@ -47,14 +47,9 @@ def _replay_one(task: Tuple[ReplayConfig, int]) -> TenantResult:
 
 
 def run_serial(config: ReplayConfig) -> ReplayReport:
-    """Replay every tenant in index order, in-process; the reference path."""
-    config.validate()
-    started = time.perf_counter()
-    config = config.with_profile_dir(ensure_profile_cache(config.profile_dir))
-    results = [run_tenant(config, i) for i in range(config.tenants)]
-    report = merge_results(results)
-    report.wall_seconds = time.perf_counter() - started
-    return report
+    """Replay every tenant in index order, in-process; the reference path
+    (:func:`run_sharded` with one shard)."""
+    return run_sharded(config, 1)
 
 
 def run_sharded(config: ReplayConfig, shards: int) -> ReplayReport:

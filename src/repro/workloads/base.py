@@ -218,10 +218,6 @@ class WorkloadRun:
     #: measurements, cache hits, predictions, declines...
     profiler_stats: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def devices_used(self) -> List[str]:
-        return sorted(set(self.bindings.values()))
-
     def overhead_vs(self, ideal_seconds: float) -> float:
         """The paper's overhead metric:
         ``(T_scheduler_map − T_ideal_map) / T_ideal_map``."""

@@ -1,12 +1,26 @@
 """SnuCL cluster mode: specs, composite transfers, distance-aware mapping."""
 
+import dataclasses
+import hashlib
+import itertools
+import os
+
 import pytest
 
-from repro.cluster import ClusterSpec, SimCluster, two_node_cluster
+from repro.cluster import ClusterSpec, two_node_cluster
+from repro.core.profile_store import node_fingerprint
 from repro.core.runtime import MultiCL
-from repro.hardware.presets import aji_cluster15_node, cpu_only_node
-from repro.hardware.specs import HardwareError
+from repro.hardware.cost import transfer_time
+from repro.hardware.fission import fission_node_spec
+from repro.hardware.presets import (
+    aji_cluster15_node,
+    cpu_only_node,
+    symmetric_dual_gpu_node,
+)
+from repro.hardware.specs import HardwareError, LinkSpec
+from repro.hardware.topology import SimNode
 from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.ocl.platform import Platform
 from repro.sim.engine import SimEngine
 
 COMPUTE_SRC = """
@@ -35,6 +49,9 @@ def test_flattened_names_and_links():
     assert "node1.gpu0" in spec.device_names
     # Per-node link names stay distinct.
     assert spec.host_links["gpu0"].name != spec.host_links["node1.gpu0"].name
+    # Remote devices, and only they, cross their node's NIC.
+    assert set(spec.net_links) == {"node1.gpu0", "node1.gpu1"}
+    assert {link.name for link in spec.net_links.values()} == {"nic-node1"}
 
 
 def test_device_node_index():
@@ -54,13 +71,23 @@ def test_remote_gpus_only_filter():
     assert any(d.kind.value == "cpu" for d in full.nodes[1].devices)
 
 
+def test_fission_carries_network_links():
+    flat = two_node_cluster().flattened()
+    spec, _ = fission_node_spec(flat, "cpu", 2)
+    assert spec.name == "cluster:two-node+fission(cpux2)"
+    assert spec.net_links == flat.net_links
+    # Splitting a remote device would strand its network link.
+    with pytest.raises(HardwareError):
+        fission_node_spec(flat, "node1.gpu0", 2)
+
+
 # ---------------------------------------------------------------------------
-# SimCluster transfers
+# Transfers over a flattened cluster
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def cluster():
     engine = SimEngine()
-    return engine, SimCluster(engine, two_node_cluster())
+    return engine, SimNode(engine, two_node_cluster().flattened())
 
 
 def test_local_transfers_unchanged(cluster):
@@ -68,7 +95,7 @@ def test_local_transfers_unchanged(cluster):
     nbytes = 1 << 24
     local = c.h2d_seconds("gpu0", nbytes)
     assert local == pytest.approx(
-        SimCluster(SimEngine(), two_node_cluster()).h2d_seconds("gpu0", nbytes)
+        SimNode(SimEngine(), aji_cluster15_node()).h2d_seconds("gpu0", nbytes)
     )
     task = c.submit_h2d("gpu0", nbytes)
     engine.run_until(task)
@@ -78,7 +105,7 @@ def test_local_transfers_unchanged(cluster):
 def test_remote_h2d_adds_network_hop(cluster):
     engine, c = cluster
     nbytes = 1 << 24
-    assert c.is_remote("node1.gpu0") and not c.is_remote("gpu0")
+    assert "node1.gpu0" in c.spec.net_links and "gpu0" not in c.spec.net_links
     remote = c.h2d_seconds("node1.gpu0", nbytes)
     local = c.h2d_seconds("gpu0", nbytes)
     assert remote > local
@@ -115,7 +142,7 @@ def test_nic_contention_serialises_per_node(cluster):
     a = c.submit_h2d("node1.gpu0", nbytes)
     b = c.submit_h2d("node1.gpu1", nbytes)
     engine.run_until_idle()
-    net = c._net_seconds(nbytes)
+    net = transfer_time(two_node_cluster().nic, nbytes)
     # The second transfer's network hop waited for the first.
     assert b.end_time - a.end_time >= net * 0.99
 
@@ -197,3 +224,109 @@ def test_single_node_cluster_degenerates_to_node(tmp_path):
     mcl = MultiCL(node_spec=c, policy=ContextScheduler.AUTO_FIT,
                   profile_dir=str(tmp_path))
     assert list(mcl.device_names) == ["cpu"]
+
+
+# ---------------------------------------------------------------------------
+# The network hop is part of the node spec, so it is part of the cache key
+# ---------------------------------------------------------------------------
+def test_nic_is_part_of_the_profile_cache_key(tmp_path):
+    """Two clusters that differ only in their NIC must not share one
+    device profile: each profile matches a fresh measurement of its own
+    cluster, and the fingerprints differ."""
+    fast = two_node_cluster()
+    slow = dataclasses.replace(
+        fast, nic=LinkSpec("ib-slow", latency_s=3e-6, bandwidth_gbs=0.1)
+    )
+    nbytes = 64 << 20
+    shared = str(tmp_path / "shared")
+    h2d, prints = [], set()
+    for i, cluster in enumerate((fast, slow)):
+        platform = Platform(cluster, profile_dir=shared)
+        fresh = Platform(cluster, profile_dir=str(tmp_path / f"fresh{i}"))
+        h2d.append(platform.device_profile.h2d_seconds("node1.gpu0", nbytes))
+        assert h2d[-1] == fresh.device_profile.h2d_seconds("node1.gpu0", nbytes)
+        prints.add(node_fingerprint(platform.spec))
+    assert len(prints) == 2
+    assert h2d[1] > 10 * h2d[0]
+
+
+def test_single_node_fingerprints_unchanged():
+    """A spec without network links hashes as it did before they existed."""
+    assert [
+        node_fingerprint(f())
+        for f in (aji_cluster15_node, symmetric_dual_gpu_node, cpu_only_node)
+    ] == ["e4963feb2faf9391", "2f77daf150943dcb", "f8e5afa531e3de63"]
+
+
+# ---------------------------------------------------------------------------
+# Golden: cluster-mode simulation, bit for bit
+# ---------------------------------------------------------------------------
+#: sha256 prefixes of the full trace of one 6-queue AUTO_FIT cluster run
+#: (cold profile cache, so the microbenchmarks are in it too), per overlap.
+TRACE_DIGESTS = {False: "9937b3bb7860331e", True: "0446722e02deeaff"}
+
+#: sha256 prefix of the ``cluster`` experiment's rows at fast scale.
+CLUSTER_ROWS_DIGEST = "4999de6e711c7e17"
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("MULTICL_"):
+            monkeypatch.delenv(name)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_cluster_trace_pinned(tmp_path, clean_env, monkeypatch, overlap):
+    # Buffer names come from a process-wide counter: restart it.
+    monkeypatch.setattr("repro.ocl.memory._ids", itertools.count(1))
+    mcl = MultiCL(
+        node_spec=two_node_cluster(),
+        policy=ContextScheduler.AUTO_FIT,
+        profile_dir=str(tmp_path),
+        overlap=overlap,
+    )
+    ctx = mcl.context
+    prog = ctx.create_program(COMPUTE_SRC).build()
+    n = 1 << 21
+    queues = []
+    for i in range(6):
+        k = prog.create_kernel("crunch")
+        a = ctx.create_buffer(4 * n)
+        b = ctx.create_buffer(4 * n)
+        a.mark_valid("host")
+        k.set_arg(0, a)
+        k.set_arg(1, b)
+        k.set_arg(2, n)
+        q = mcl.queue(flags=DYN, name=f"q{i}")
+        for _ in range(4):
+            q.enqueue_nd_range_kernel(k, (n,), (128,))
+        q.enqueue_read_buffer(b)  # remote queues read back over the NIC
+        queues.append(q)
+    for q in queues:
+        q.finish()
+    assert {q.device for q in queues} >= {"node1.gpu0", "node1.gpu1"}
+    records = [
+        (iv.resource, iv.task, iv.category, iv.start, iv.end,
+         sorted(iv.meta.items()))
+        for iv in mcl.engine.trace
+    ]
+    on_nic = {dict(r[5])["direction"] for r in records if r[0] == "link:nic-node1"}
+    assert on_nic == {"net-out", "net-in"}
+    assert _digest(records) == TRACE_DIGESTS[overlap]
+
+
+def test_cluster_experiment_rows_pinned(tmp_path, clean_env):
+    from repro.bench.figures import run_experiment
+    from repro.core import profile_store
+
+    profile_store.set_profile_dir(str(tmp_path))
+    try:
+        rows = run_experiment("cluster", fast=True).rows
+    finally:
+        profile_store.set_profile_dir(None)
+    assert _digest(rows) == CLUSTER_ROWS_DIGEST

@@ -100,12 +100,6 @@ def test_num_workgroups_ceiling():
     assert _cost(work_items=128, workgroup_size=64).num_workgroups == 2
 
 
-def test_with_workgroup_size():
-    c = _cost().with_workgroup_size(256)
-    assert c.workgroup_size == 256
-    assert c.flops == _cost().flops
-
-
 def test_scaled():
     c = _cost().scaled(2.0)
     assert c.flops == 2e9

@@ -72,6 +72,13 @@ def test_node_requires_links_for_every_device():
         NodeSpec(name="n", devices=(d,), host_links={})
 
 
+def test_node_rejects_network_links_for_unknown_devices():
+    link = LinkSpec("l", 1e-6, 5.0)
+    with pytest.raises(HardwareError):
+        NodeSpec(name="n", devices=(_dev(),), host_links={"d": link},
+                 net_links={"ghost": link})
+
+
 def test_node_rejects_duplicate_device_names():
     d = _dev()
     link = LinkSpec("l", 1e-6, 5.0)

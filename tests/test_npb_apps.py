@@ -247,4 +247,4 @@ def test_workloadrun_devices_used(profile_dir):
         devices=["cpu", "gpu1"],
         profile_dir=profile_dir,
     )
-    assert run.devices_used == ["cpu", "gpu1"]
+    assert sorted(set(run.bindings.values())) == ["cpu", "gpu1"]

@@ -68,8 +68,9 @@ def test_written_buffer_args_uses_annotation(kernel, manual_context):
     kernel.set_arg(0, a)
     kernel.set_arg(1, b)
     kernel.set_arg(2, 4)
-    written = kernel.written_buffer_args()
-    assert list(written.values()) == [b]
+    _, buffers, written = kernel.snapshot()
+    assert buffers == (a, b)
+    assert written == (b,)
 
 
 def test_written_buffer_args_defaults_to_all(program, manual_context):
@@ -77,7 +78,7 @@ def test_written_buffer_args_defaults_to_all(program, manual_context):
     buf = manual_context.create_buffer(64)
     bare.set_arg(0, buf)
     bare.set_arg(1, 4)
-    assert list(bare.written_buffer_args().values()) == [buf]
+    assert bare.snapshot()[2] == (buf,)
 
 
 def test_workgroup_config_normalize_defaults():

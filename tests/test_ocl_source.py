@@ -57,7 +57,8 @@ def test_writes_annotation():
 
 def test_buffer_arg_indices():
     infos = {k.name: k for k in parse_program_source(SRC)}
-    assert infos["alpha"].buffer_arg_indices == (0, 1)
+    args = infos["alpha"].args
+    assert tuple(i for i, a in enumerate(args) if a.is_buffer) == (0, 1)
 
 
 def test_body_open_points_past_brace():
