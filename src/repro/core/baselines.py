@@ -83,7 +83,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         )
         best, best_cost = None, float("inf")
         for d in self._active_devices():
-            move = transfer_estimate(cmd.args_snapshot.values(), d, profile)
+            move = transfer_estimate(cmd.arg_buffers, d, profile)
             cost = self._load[d] + epoch.seconds[d] + move
             if cost < best_cost:
                 best, best_cost = d, cost

@@ -36,7 +36,6 @@ from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 from repro.core.data_cache import StagingPlan, stage_inputs
 from repro.core.flags import ScheduleOptions, SchedulerConfig
 from repro.lru import BoundedLRU
-from repro.ocl.memory import Buffer
 from repro.ocl.queue import Command
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -326,14 +325,9 @@ class KernelProfiler:
         )
 
     def _stage(self, cmds: Sequence[Command], devices: Sequence[str]) -> StagingPlan:
-        buffers: List[Buffer] = []
-        for cmd in cmds:
-            for v in cmd.args_snapshot.values():
-                if isinstance(v, Buffer):
-                    buffers.append(v)
         plan = stage_inputs(
             self.context.platform.node,
-            buffers,
+            [b for cmd in cmds for b in cmd.arg_buffers],
             devices,
             caching=self.config.data_caching,
         )

@@ -23,7 +23,7 @@ and leave every pooled queue bound to a device with its commands issued.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
@@ -86,17 +86,13 @@ def trigger_pool(queue: "CommandQueue") -> List["CommandQueue"]:
     return pool
 
 
-def transfer_estimate(values: Iterable[Any], device: str, profile) -> float:
-    """Estimated seconds to make the buffers among ``values`` resident on
-    ``device`` (other values are skipped; a buffer listed twice counts
-    twice), from the *measured* device profile, not the ground-truth model."""
+def transfer_estimate(buffers: Iterable[Buffer], device: str, profile) -> float:
+    """Estimated seconds to make ``buffers`` resident on ``device`` (a
+    buffer listed twice counts twice), from the *measured* device profile,
+    not the ground-truth model."""
     total = 0.0
-    for buf in values:
-        if (
-            not isinstance(buf, Buffer)
-            or not buf.initialized
-            or buf.is_valid_on(device)
-        ):
+    for buf in buffers:
+        if not buf.initialized or buf.is_valid_on(device):
             continue
         if buf.is_valid_on(HOST):
             total += profile.h2d_seconds(device, buf.nbytes)
@@ -397,12 +393,17 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 # partition computation, and the solver is skipped.
                 return placement, split, "device-map"
         cost: Dict[str, Dict[str, float]] = {}
+        overcommit = self.context.overcommit
         for q in queues:
-            # One epoch-buffer walk per queue for the whole sync pass.
-            bufs = self._epoch_buffers(q)
+            # One walk of the epoch's buffers per queue for the whole sync
+            # pass: every buffer a pending command touches, as issue checks.
+            bufs = list(dict.fromkeys(
+                b for cmd in q.pending for side in cmd.access_sets() for b in side
+            ))
+            whole = [(b, b.nbytes) for b in bufs]
             row: Dict[str, float] = {}
             for d in devices:
-                if not self._fits(d, bufs):
+                if overcommit(d, whole):
                     row[d] = math.inf
                     continue
                 seconds = epochs[q.name].seconds.get(d, math.inf)
@@ -497,24 +498,6 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             cmd.split_plan = plan
         pos = {d: i for i, d in enumerate(order)}
         return min(order, key=lambda d: (epoch.seconds[d], pos[d]))
-
-    def _epoch_buffers(self, q: "CommandQueue") -> List[Buffer]:
-        out: List[Buffer] = []
-        seen = set()
-        for cmd in q.pending:
-            values = list(cmd.args_snapshot.values())
-            if cmd.buffer is not None:
-                values.append(cmd.buffer)
-            for v in values:
-                if isinstance(v, Buffer) and id(v) not in seen:
-                    seen.add(id(v))
-                    out.append(v)
-        return out
-
-    def _fits(self, device: str, bufs: List[Buffer]) -> bool:
-        spec = self.context.platform.node.device(device).spec
-        needed = self.context.bytes_to_fit(device, ((b, b.nbytes) for b in bufs))
-        return needed <= spec.mem_size_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,17 @@ class SimDevice:
     def name(self) -> str:
         return self.spec.name
 
+    def kernel_seconds(self, cost: KernelCost) -> float:
+        """Unscaled :func:`kernel_time` of ``cost`` here (no slowdown); a
+        cost reused across launches memoises it per device."""
+        times = cost.times
+        if times is None:
+            return kernel_time(self.spec, cost)
+        seconds = times.get(self)
+        if seconds is None:
+            seconds = times[self] = kernel_time(self.spec, cost)
+        return seconds
+
     def submit_kernel(
         self,
         name: str,
@@ -65,15 +76,9 @@ class SimDevice:
         """
         spec = self.spec
         if minikernel:
-            duration = workgroup_time(spec, cost)
-        elif cost.times is None:
-            duration = kernel_time(spec, cost)
+            duration = workgroup_time(spec, cost) * self.slowdown
         else:
-            # A cost reused across launches memoises its time per device.
-            duration = cost.times.get(self)
-            if duration is None:
-                duration = cost.times[self] = kernel_time(spec, cost)
-        duration *= self.slowdown
+            duration = self.kernel_seconds(cost) * self.slowdown
         memo = self._launch_memo
         last = memo.get(name)
         if last is not None and last[0] is meta and last[1] == minikernel:

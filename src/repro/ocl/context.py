@@ -13,7 +13,7 @@ import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.ocl.enums import ContextProperty, ContextScheduler, MemFlag, SchedFlag
-from repro.ocl.errors import InvalidDevice, InvalidOperation, InvalidValue
+from repro.ocl.errors import InvalidDevice, InvalidOperation
 from repro.ocl.issue import issue_pool
 from repro.ocl.memory import Buffer
 from repro.ocl.program import Program
@@ -63,7 +63,7 @@ class Context:
         self.buffers: List[Buffer] = []
         #: device name -> bytes of buffers currently resident there, kept
         #: exact by the Buffer methods that change residency; the
-        #: memory-fit checks (:meth:`bytes_to_fit`) read it in O(1).
+        #: memory-fit check (:meth:`overcommit`) reads it in O(1).
         self._resident_bytes: Dict[str, int] = {}
         self.queues: List[CommandQueue] = []
         self.scheduler: Optional[SchedulerBase] = None
@@ -157,20 +157,21 @@ class Context:
         """Total bytes of context buffers with a valid copy on ``device``."""
         return self._resident_bytes.get(device, 0)
 
-    def bytes_to_fit(
+    def overcommit(
         self, device: str, incoming: Iterable[Tuple[Buffer, int]]
     ) -> int:
-        """Bytes ``device`` holds once ``incoming`` lands: its resident
-        bytes plus the given size (a whole buffer or a slice of it) of each
-        ``(buffer, nbytes)`` not yet resident there, a buffer listed twice
-        counting once."""
-        total = self._resident_bytes.get(device, 0)
-        seen = set()
-        for buf, nbytes in incoming:
-            if id(buf) not in seen and not buf.resident_on(device):
-                seen.add(id(buf))
-                total += nbytes
-        return total
+        """The one memory-fit predicate: the bytes ``device`` would hold
+        once ``incoming`` lands, when that exceeds its memory, else 0.
+
+        Those bytes are its resident bytes plus the given size (a whole
+        buffer or a slice of it) of each distinct ``(buffer, nbytes)`` not
+        yet resident there."""
+        total = self._resident_bytes.get(device, 0) + sum(
+            nbytes for buf, nbytes in incoming if not buf.resident_on(device)
+        )
+        if total > self.platform.node.device(device).spec.mem_size_bytes:
+            return total
+        return 0
 
     def _register_queue(self, queue: CommandQueue) -> None:
         self.queues.append(queue)

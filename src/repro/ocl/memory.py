@@ -16,7 +16,6 @@ reproduction:
 
 from __future__ import annotations
 
-import itertools
 from typing import FrozenSet, Iterable, Optional, Set, TYPE_CHECKING
 
 from repro.ocl.enums import MemFlag
@@ -31,8 +30,6 @@ __all__ = ["Buffer", "HOST"]
 
 #: Residency holder name for host memory.
 HOST = "host"
-
-_ids = itertools.count(1)
 
 
 class Buffer:
@@ -51,7 +48,8 @@ class Buffer:
         provided with ``MemFlag.COPY_HOST_PTR``, the buffer starts valid on
         the host.  Modelled-only buffers pass ``None``.
     name:
-        Optional label for traces and debugging.
+        Optional label for traces and debugging; the default ``buf<n>``
+        counts the buffers of the context's platform.
     """
 
     def __init__(
@@ -70,7 +68,7 @@ class Buffer:
         self.nbytes = int(nbytes)
         self.flags = flags
         self.array = host_array
-        self.name = name or f"buf{next(_ids)}"
+        self.name = name or f"buf{next(context.platform._buffer_ids)}"
         #: Holders with a valid copy.  Only this class's methods change it,
         #: and each keeps the context's per-device resident-byte counters
         #: in step (see :meth:`_count`).

@@ -10,6 +10,7 @@ unit tests.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -66,6 +67,9 @@ class Platform:
         self._contexts: List["weakref.ref[Context]"] = []
         #: devices taken offline by fault injection (permanent failures)
         self._failed_devices: set = set()
+        #: numbers default buffer names (``buf1``, ...): one engine trace
+        #: is one namespace, so names follow only this platform's history
+        self._buffer_ids = itertools.count(1)
         if profile:
             # Device profiling is invoked once during clGetPlatformIds
             # (paper Section V.A); with a warm cache this reads a JSON file

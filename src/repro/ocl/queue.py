@@ -163,7 +163,8 @@ class Command:
         return all(e.task is not None for e in self.wait_events)
 
     def access_sets(self) -> "Tuple[Tuple[Buffer, ...], Tuple[Buffer, ...]]":
-        """``(reads, writes)`` buffer tuples for hazard analysis.
+        """``(reads, writes)`` buffer tuples for hazard analysis, the
+        residency step and the mapper's memory-fit check.
 
         Kernel write sets are :attr:`written_buffers`, which follow the
         ``writes=`` source annotation (without one, every buffer argument
@@ -330,6 +331,12 @@ def _transfer(dst: Any, src: Any, nbytes: int, whole: int) -> None:
     head[:] = np.frombuffer(np.ascontiguousarray(src), np.uint8)[: head.size]
 
 
+def _slice_bytes(nbytes: int, share: int, total: int) -> int:
+    """Bytes of a buffer's slice for ``share`` of ``total`` work items:
+    ``ceil(nbytes * share / total)``, capped at the whole buffer."""
+    return min(nbytes, -(-nbytes * share // total))
+
+
 class CommandQueue:
     """cl_command_queue with the proposed scheduling extensions."""
 
@@ -386,7 +393,7 @@ class CommandQueue:
         #: incremental readers of the list (the fair-share arbiter's running
         #: cost sums) know when what they summed is no longer a prefix.
         self.pending_edits = 0
-        #: Shared kernel-task meta of the current epoch (:meth:`_issue_kernel`
+        #: Shared kernel-task meta of the current epoch (:meth:`_launch`
         #: builds it once per epoch; each task copies it into its own meta).
         self._kernel_meta: Optional[Dict[str, Any]] = None
         #: Tail of the issued in-order chain (in-order queues).
@@ -705,7 +712,6 @@ class CommandQueue:
                 f"queue {self.name!r}: device {self.device!r} failed; "
                 f"rebind the queue or use an automatic scheduler"
             )
-        node = self.context.platform.node
         engine = self.context.platform.engine
         if extra_deps:
             deps.extend(extra_deps)
@@ -718,72 +724,28 @@ class CommandQueue:
         elif self._tail is not None:
             deps.append(self._tail)
 
-        if cmd.kind is CommandKind.NDRANGE_KERNEL:
+        kind = cmd.kind
+        if kind is CommandKind.NDRANGE_KERNEL:
             # First branch: kernels dominate every scheduled workload.
             if cmd.split_plan is not None:
                 task = self._issue_split_kernel(cmd, deps)
             else:
-                task = self._issue_kernel(cmd, deps)
-        elif cmd.kind is CommandKind.WRITE_BUFFER:
-            assert cmd.buffer is not None
-            self._check_capacity((cmd.buffer,))
-            task = node.submit_h2d(
-                self.device, cmd.nbytes, deps=deps, category="transfer",
-                name=f"write:{cmd.buffer.name}", meta=self._tenant_meta,
-            )
-            if cmd.host_array is not None and cmd.buffer.array is not None:
-                _transfer(cmd.buffer.array, cmd.host_array, cmd.nbytes,
-                          cmd.buffer.nbytes)
-            cmd.buffer.mark_exclusive(HOST)
-            cmd.buffer.mark_valid(self.device)
-        elif cmd.kind is CommandKind.READ_BUFFER:
-            assert cmd.buffer is not None
-            mig = self._migrations_for([cmd.buffer], deps, category="migration")
-            task = node.submit_d2h(
-                self.device, cmd.nbytes, deps=deps + mig, category="transfer",
-                name=f"read:{cmd.buffer.name}", meta=self._tenant_meta,
-            )
-            if cmd.host_array is not None and cmd.buffer.array is not None:
-                _transfer(cmd.host_array, cmd.buffer.array, cmd.nbytes,
-                          cmd.buffer.nbytes)
-            cmd.buffer.mark_valid(HOST)
-        elif cmd.kind is CommandKind.FILL_BUFFER:
-            assert cmd.buffer is not None
-            self._check_capacity((cmd.buffer,))
-            task = node.device(self.device).submit_intradevice_copy(
-                cmd.nbytes, deps=deps, category="transfer",
-                name=f"fill:{cmd.buffer.name}", meta=self._tenant_meta,
-            )
-            if cmd.buffer.array is not None:
-                _transfer(cmd.buffer.array, cmd.host_array, cmd.nbytes,
-                          cmd.buffer.nbytes)
-            cmd.buffer.mark_exclusive(self.device)
-        elif cmd.kind is CommandKind.COPY_BUFFER:
-            assert cmd.buffer is not None and cmd.src_buffer is not None
-            mig = self._migrations_for([cmd.src_buffer], deps, category="migration")
-            task = node.device(self.device).submit_intradevice_copy(
-                cmd.nbytes, deps=deps + mig, category="transfer",
-                name=f"copy:{cmd.src_buffer.name}->{cmd.buffer.name}",
-                meta=self._tenant_meta,
-            )
-            if cmd.buffer.array is not None and cmd.src_buffer.array is not None:
-                _transfer(cmd.buffer.array, cmd.src_buffer.array, cmd.nbytes,
-                          min(cmd.src_buffer.nbytes, cmd.buffer.nbytes))
-            cmd.buffer.mark_exclusive(self.device)
-        elif cmd.kind is CommandKind.MARKER:
+                moves = self._make_resident(cmd, self.device, deps)
+                task = self._launch(cmd, deps + moves if moves else deps)
+        elif kind is CommandKind.MARKER:
             task = engine.task(
                 name=f"marker@{self.name}", duration=0.0, deps=deps,
                 category="marker",
             )
-        elif cmd.kind is CommandKind.BARRIER:
+        elif kind is CommandKind.BARRIER:
             barrier_deps = deps + [t for t in self._outstanding if not t.done]
             task = engine.task(
                 name=f"barrier@{self.name}", duration=0.0, deps=barrier_deps,
                 category="marker",
             )
             self._barrier = task
-        else:  # pragma: no cover - exhaustive
-            raise InvalidValue(f"unknown command kind {cmd.kind}")
+        else:
+            task = self._issue_transfer(cmd, deps)
 
         cmd.task = task
         if cmd.callbacks is not None:
@@ -825,23 +787,63 @@ class CommandQueue:
                 k += 1
             del inflight[:k]
 
-    def _issue_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
-        device_name = self.device
-        buffers = cmd.arg_buffers
-        for buf in buffers:
-            if device_name not in buf._valid_on:
-                # Some argument is not resident yet: check room, move data.
-                self._check_capacity(buffers)
-                migrations = self._migrations_for(buffers, deps, "migration")
-                if migrations:
-                    deps = deps + migrations
-                break
-        return self._launch(cmd, deps)
+    def _issue_transfer(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
+        """Issue a write, read, fill or copy on the queue's device, after
+        the residency step (:meth:`_make_resident`)."""
+        buf = cmd.buffer
+        assert buf is not None
+        device = self.device
+        moves = self._make_resident(cmd, device, deps)
+        if moves:
+            deps = deps + moves
+        node = self.context.platform.node
+        meta = self._tenant_meta
+        kind = cmd.kind
+        if kind is CommandKind.WRITE_BUFFER:
+            task = node.submit_h2d(
+                device, cmd.nbytes, deps=deps, category="transfer",
+                name=f"write:{buf.name}", meta=meta,
+            )
+            if cmd.host_array is not None and buf.array is not None:
+                _transfer(buf.array, cmd.host_array, cmd.nbytes, buf.nbytes)
+            buf.mark_exclusive(HOST)
+            buf.mark_valid(device)
+        elif kind is CommandKind.READ_BUFFER:
+            task = node.submit_d2h(
+                device, cmd.nbytes, deps=deps, category="transfer",
+                name=f"read:{buf.name}", meta=meta,
+            )
+            if cmd.host_array is not None and buf.array is not None:
+                _transfer(cmd.host_array, buf.array, cmd.nbytes, buf.nbytes)
+            buf.mark_valid(HOST)
+        elif kind is CommandKind.FILL_BUFFER:
+            task = node.device(device).submit_intradevice_copy(
+                cmd.nbytes, deps=deps, category="transfer",
+                name=f"fill:{buf.name}", meta=meta,
+            )
+            if buf.array is not None:
+                _transfer(buf.array, cmd.host_array, cmd.nbytes, buf.nbytes)
+            buf.mark_exclusive(device)
+        elif kind is CommandKind.COPY_BUFFER:
+            src = cmd.src_buffer
+            assert src is not None
+            task = node.device(device).submit_intradevice_copy(
+                cmd.nbytes, deps=deps, category="transfer",
+                name=f"copy:{src.name}->{buf.name}", meta=meta,
+            )
+            if buf.array is not None and src.array is not None:
+                _transfer(buf.array, src.array, cmd.nbytes,
+                          min(src.nbytes, buf.nbytes))
+            buf.mark_exclusive(device)
+        else:  # pragma: no cover - exhaustive
+            raise InvalidValue(f"unknown command kind {kind}")
+        return task
 
     def _launch(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
         """Submit an unsplit kernel whose arguments are resident on the
-        queue's device, run its payload and mark the written buffers (the
-        tail of :meth:`_issue_kernel`, shared with the launch fast path)."""
+        queue's device, run its payload and mark the written buffers
+        (:meth:`issue` after the residency step, and the launch fast
+        path)."""
         kernel = cmd.kernel
         launch = cmd.launch
         assert kernel is not None and launch is not None
@@ -892,8 +894,7 @@ class CommandQueue:
         node = self.context.platform.node
         engine = self.context.platform.engine
         total = launch.global_size[0]
-        buffers = list({id(b): b for b in cmd.arg_buffers}.values())
-        written = list({id(b): b for b in cmd.written_buffers}.values())
+        written = list(dict.fromkeys(cmd.written_buffers))
         finals: List["SimTask"] = []
         for device, lo, hi, sub in kernel.split_shares(launch, plan):
             if not self.context.platform.is_available(device):
@@ -902,28 +903,7 @@ class CommandQueue:
                     f"failed device {device!r}"
                 )
             dev = node.device(device)
-            share = hi - lo
-            # ceil(nbytes * share / total), capped at the full buffer
-            sizes = {
-                id(b): min(b.nbytes, -(-b.nbytes * share // total))
-                for b in buffers
-            }
-            needed = self.context.bytes_to_fit(
-                device, ((b, sizes[id(b)]) for b in buffers)
-            )
-            if needed > dev.spec.mem_size_bytes:
-                raise MemAllocationFailure(
-                    f"device {device!r}: {needed} bytes needed for split "
-                    f"share [{lo}:{hi}), {dev.spec.mem_size_bytes} available"
-                )
-            moves = [
-                self._submit_move(
-                    b, device, sizes[id(b)], deps, "migration",
-                    f"split:{b.name}[{lo}:{hi}]",
-                )
-                for b in buffers
-                if b.initialized and not b.is_valid_on(device)
-            ]
+            moves = self._make_resident(cmd, device, deps, (lo, hi))
             cost = kernel.config_cost(dev.spec, sub)
             meta: Dict[str, Any] = {
                 "queue": self.name,
@@ -941,7 +921,8 @@ class CommandQueue:
             )
             gathers = [
                 node.submit_d2h(
-                    device, sizes[id(b)], deps=[sub_task], category="transfer",
+                    device, _slice_bytes(b.nbytes, hi - lo, total),
+                    deps=[sub_task], category="transfer",
                     name=f"gather:{b.name}[{lo}:{hi}]", meta=self._tenant_meta,
                 )
                 for b in written
@@ -953,7 +934,7 @@ class CommandQueue:
             deps=finals,
             category="marker",
         )
-        # Functional payload: once, over the full range (see _issue_kernel).
+        # Functional payload: once, over the full range (see _launch).
         if cmd.attempts == 0:
             kernel.run_host_function(cmd.args_snapshot)
         # Merged results live on the host after the gather transfers.
@@ -961,64 +942,75 @@ class CommandQueue:
             buf.mark_exclusive(HOST)
         return join
 
-    def _migrations_for(
+    def _make_resident(
         self,
-        buffers: Sequence[Buffer],
-        deps: List["SimTask"],
-        category: str,
-    ) -> List["SimTask"]:
-        """Make every buffer resident on the queue's device; return the
-        transfer tasks (empty if all data already resident)."""
-        tasks: List["SimTask"] = []
-        for buf in buffers:
-            if buf.is_valid_on(self.device):
-                continue
-            if not buf.initialized:
-                # First touch: allocation only, no data to move.
-                buf.mark_valid(self.device)
-                continue
-            tasks.append(self._submit_move(
-                buf, self.device, buf.nbytes, deps, category, f"mig:{buf.name}"
-            ))
-            buf.mark_valid(self.device)
-        return tasks
-
-    def _submit_move(
-        self,
-        buf: Buffer,
+        cmd: Command,
         device: str,
-        nbytes: int,
         deps: List["SimTask"],
-        category: str,
-        name: str,
-    ) -> "SimTask":
-        """Submit the transfer of ``nbytes`` of ``buf`` to ``device``: H2D
-        when the host copy is valid, else D2D from a device holding it.
-        The caller keeps the residency bookkeeping."""
-        node = self.context.platform.node
-        if buf.is_valid_on(HOST):
-            return node.submit_h2d(
-                device, nbytes, deps=deps, category=category, name=name,
-                meta=self._tenant_meta,
-            )
-        src = buf.any_valid_device()
-        assert src is not None
-        return node.submit_d2d(
-            src, device, nbytes, deps=deps, category=category, name=name,
-            meta=self._tenant_meta,
-        )
+        share: Optional[Tuple[int, int]] = None,
+    ) -> List["SimTask"]:
+        """The residency step of every command, and of every split share
+        ``[lo, hi)`` of a kernel, on ``device``; returns the transfer tasks.
 
-    def _check_capacity(self, incoming: Sequence[Buffer]) -> None:
-        """Device-memory capacity check before making ``incoming`` resident."""
-        spec = self.context.platform.node.device(self.device).spec
-        total = self.context.bytes_to_fit(
-            self.device, ((b, b.nbytes) for b in incoming)
-        )
-        if total > spec.mem_size_bytes:
+        A command whose buffers (:meth:`Command.access_sets`) are all
+        valid on ``device`` lands nothing there, so it has nothing to check
+        or move.  Otherwise every buffer it touches must fit on ``device``
+        at once, or :class:`MemAllocationFailure` is raised before anything
+        moves.  Then each buffer it reads that is not valid there moves in,
+        H2D when the host copy is valid, else D2D from a device holding it.
+        A whole command makes those buffers resident (an uninitialized one
+        is only allocated); a share moves its slice and leaves whole-buffer
+        residency as it was.
+        """
+        reads, writes = cmd.access_sets()
+        touched = reads + writes
+        for buf in touched:
+            if device not in buf._valid_on:
+                break
+        else:
+            return []
+        if share is None:
+            span = total = 1
+        else:
+            lo, hi = share
+            assert cmd.launch is not None
+            span, total = hi - lo, cmd.launch.global_size[0]
+        sizes = {b: _slice_bytes(b.nbytes, span, total) for b in touched}
+        context = self.context
+        needed = context.overcommit(device, sizes.items())
+        if needed:
+            where = "" if share is None else f" for split share [{lo}:{hi})"
+            available = context.platform.node.device(device).spec.mem_size_bytes
             raise MemAllocationFailure(
-                f"device {self.device!r}: {total} bytes needed, "
-                f"{spec.mem_size_bytes} available"
+                f"device {device!r}: {needed} bytes needed{where}, "
+                f"{available} available"
             )
+        node = context.platform.node
+        moves: List["SimTask"] = []
+        for buf in dict.fromkeys(reads):
+            if buf.is_valid_on(device):
+                continue
+            if buf.initialized:
+                if share is None:
+                    name = f"mig:{buf.name}"
+                else:
+                    name = f"split:{buf.name}[{lo}:{hi}]"
+                if buf.is_valid_on(HOST):
+                    move = node.submit_h2d(
+                        device, sizes[buf], deps=deps, category="migration",
+                        name=name, meta=self._tenant_meta,
+                    )
+                else:
+                    src = buf.any_valid_device()
+                    assert src is not None
+                    move = node.submit_d2d(
+                        src, device, sizes[buf], deps=deps,
+                        category="migration", name=name, meta=self._tenant_meta,
+                    )
+                moves.append(move)
+            if share is None:
+                buf.mark_valid(device)
+        return moves
 
     # ------------------------------------------------------------------
     # Fault recovery

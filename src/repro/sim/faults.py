@@ -332,13 +332,9 @@ class FaultInjector:
         # Sweep orphaned simulated work (e.g. profiling launches) off the
         # dead execution resource; their waiters are released so a blocked
         # profiling join returns with whatever the survivors measured.
-        try:
-            resource = platform.node.device(dev).resource
-        except Exception:  # cluster topologies may alias device lookup
-            resource = None
-        if resource is not None:
-            for task in list(resource.pending_tasks()):
-                engine.abort(task, release_dependents=True)
+        resource = platform.node.device(dev).resource
+        for task in list(resource.pending_tasks()):
+            engine.abort(task, release_dependents=True)
 
         if replayed:
             backoff = self.policy.backoff_seconds(self.failures)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import os
 
 import pytest
@@ -280,10 +279,7 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("overlap", [False, True])
-def test_cluster_trace_pinned(tmp_path, clean_env, monkeypatch, overlap):
-    # Buffer names come from a process-wide counter: restart it.
-    monkeypatch.setattr("repro.ocl.memory._ids", itertools.count(1))
+def _cluster_trace_digest(tmp_path, overlap):
     mcl = MultiCL(
         node_spec=two_node_cluster(),
         policy=ContextScheduler.AUTO_FIT,
@@ -317,7 +313,22 @@ def test_cluster_trace_pinned(tmp_path, clean_env, monkeypatch, overlap):
     ]
     on_nic = {dict(r[5])["direction"] for r in records if r[0] == "link:nic-node1"}
     assert on_nic == {"net-out", "net-in"}
-    assert _digest(records) == TRACE_DIGESTS[overlap]
+    return _digest(records)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_cluster_trace_pinned(tmp_path, clean_env, overlap):
+    assert _cluster_trace_digest(tmp_path, overlap) == TRACE_DIGESTS[overlap]
+
+
+def test_cluster_trace_ignores_buffers_of_other_platforms(tmp_path, clean_env):
+    """Default buffer names, which trace task names carry, count per
+    platform: buffers made on another platform first leave the trace as
+    pinned."""
+    other = Platform(profile=False).create_context()
+    for _ in range(5):
+        other.create_buffer(64)
+    assert _cluster_trace_digest(tmp_path, False) == TRACE_DIGESTS[False]
 
 
 def test_cluster_experiment_rows_pinned(tmp_path, clean_env):

@@ -36,11 +36,14 @@ def _kernel_command(ctx, prog, name="work", n=1 << 14, init=True):
     k.set_arg(0, a)
     k.set_arg(1, b)
     k.set_arg(2, n)
+    args, buffers, written = k.snapshot()
     return Command(
         kind=CommandKind.NDRANGE_KERNEL,
         kernel=k,
         launch=WorkGroupConfig.normalize((n,), (64,)),
-        args_snapshot=dict(k.args),
+        args_snapshot=args,
+        arg_buffers=buffers,
+        written_buffers=written,
     )
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ocl.enums import MemFlag
-from repro.ocl.errors import InvalidValue
+from repro.ocl.enums import MemFlag, SchedFlag
+from repro.ocl.errors import InvalidValue, MemAllocationFailure
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.platform import Platform
 
@@ -179,3 +179,56 @@ def test_resident_bytes_match_recount_under_random_residency_ops(
         else:
             getattr(buf, op)(holder)
         _assert_counters_exact(context, devices)
+
+
+# ---------------------------------------------------------------------------
+# Memory fit: every command kind checks that all the buffers it touches fit
+# on its device before any of them moves there.
+# ---------------------------------------------------------------------------
+GIB = 1 << 30
+
+
+def _assert_within_capacity(context):
+    node = context.platform.node
+    for dev in context.device_names:
+        assert context.resident_bytes(dev) <= node.device(dev).spec.mem_size_bytes
+
+
+def test_copy_overflowing_its_device_raises(manual_context):
+    ctx = manual_context
+    q = ctx.create_queue("gpu0")  # 3 GB device
+    src = ctx.create_buffer(2 * GIB)
+    dst = ctx.create_buffer(2 * GIB)
+    src.mark_valid(HOST)
+    with pytest.raises(MemAllocationFailure, match="'gpu0'"):
+        q.enqueue_copy_buffer(src, dst)
+    # Nothing moved and nothing became resident.
+    assert ctx.resident_bytes("gpu0") == 0
+    assert ctx.platform.engine.trace.count(category="migration") == 0
+
+
+def test_read_migrating_past_capacity_raises(manual_context):
+    ctx = manual_context
+    q = ctx.create_queue("gpu0")
+    held = ctx.create_buffer(2 * GIB)
+    q.enqueue_write_buffer(held)
+    other = ctx.create_buffer(2 * GIB)
+    other.mark_valid("gpu1")
+    with pytest.raises(MemAllocationFailure, match="'gpu0'"):
+        q.enqueue_read_buffer(other)
+    assert not other.is_valid_on("gpu0")
+    _assert_within_capacity(ctx)
+
+
+def test_mapper_never_binds_a_copy_whose_source_cannot_fit(autofit):
+    ctx = autofit.context
+    q = autofit.queue("gpu0", flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    src = ctx.create_buffer(2 * GIB)
+    dst = ctx.create_buffer(2 * GIB)
+    src.mark_valid(HOST)
+    q.enqueue_copy_buffer(src, dst)
+    q.finish()
+    # Source and destination together overflow either 3 GB GPU.
+    assert q.device == "cpu"
+    assert dst.valid_on == {"cpu"}
+    _assert_within_capacity(ctx)

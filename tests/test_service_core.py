@@ -629,8 +629,8 @@ class TestIncrementalCosting:
     def test_replay_costs_each_command_once_per_device(
         self, profile_dir, monkeypatch
     ):
+        from repro.hardware import topology
         from repro.replay.runner import ReplayConfig, run_service_replay
-        from repro.service import arbiter
 
         calls = [0]
 
@@ -638,7 +638,8 @@ class TestIncrementalCosting:
             calls[0] += 1
             return kernel_time(spec, cost)
 
-        monkeypatch.setattr(arbiter, "kernel_time", counting_kernel_time)
+        # SimDevice.kernel_seconds prices for the arbiter and the devices.
+        monkeypatch.setattr(topology, "kernel_time", counting_kernel_time)
         config = ReplayConfig(
             commands=100,
             tenants=4,
