@@ -13,7 +13,9 @@ must be resident there.  With *n* devices:
   the source suffices, followed by *(n−1)* H2D transfers.  Additionally the
   incoming data sets are *cached* on each destination device, trading
   memory footprint for transfer time: if the device mapper migrates the
-  kernel there, the data is already present.
+  kernel there, the data is already present.  A copy that would overcommit
+  its device's memory (:meth:`~repro.ocl.context.Context.overcommit`) is
+  kept as scratch instead, as in brute force.
 
 Both strategies charge simulated time on the per-device host links; the
 caching variant also updates buffer residency.
@@ -99,7 +101,8 @@ def _stage_cached(
     deps: List[SimTask],
     plan: StagingPlan,
 ) -> None:
-    """One D2H (if needed) + one H2D per target; copies stay resident."""
+    """One D2H (if needed) + one H2D per target; copies that fit stay
+    resident."""
     h2d_deps = deps
     if not buf.is_valid_on(HOST):
         assert src_dev is not None
@@ -118,8 +121,10 @@ def _stage_cached(
         )
         plan.bytes_moved += buf.nbytes
         plan.operations += 1
-        # The cached copy is kept: post-mapping execution finds it resident.
-        buf.mark_valid(dst)
+        # The cached copy is kept where it fits, so post-mapping execution
+        # finds it resident; elsewhere it is scratch, as in brute force.
+        if not buf.context.overcommit(dst, ((buf, buf.nbytes),)):
+            buf.mark_valid(dst)
         plan.barriers[dst].append(h2d)
 
 

@@ -26,6 +26,9 @@ __all__ = ["SimDevice", "SimNode"]
 
 GB = 1e9
 
+#: Entries a launch or transfer memo holds before it starts over.
+MEMO_SIZE = 256
+
 
 class SimDevice:
     """A device bound to the engine: spec + serial execution resource."""
@@ -88,7 +91,7 @@ class SimDevice:
             if meta:
                 info.update(meta)
             task_name = f"{name}@{spec.name}"
-            if len(memo) >= 256:
+            if len(memo) >= MEMO_SIZE:
                 memo.clear()
             memo[name] = (meta, minikernel, task_name, info)
         return self.engine.task(
@@ -177,6 +180,10 @@ class SimNode:
             dev: (nic, nics[nic.name], nic.name.removeprefix("nic-"))
             for dev, nic in spec.net_links.items()
         }
+        #: (name, device, nbytes, direction) -> (caller meta, task name,
+        #: task meta, seconds, resource) of its last transfer; see
+        #: :meth:`_link_task`
+        self._transfer_memo: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -222,22 +229,10 @@ class SimNode:
         name: str = "h2d",
         meta: Optional[dict] = None,
     ) -> SimTask:
-        hop = self.net_hops.get(device)
-        if hop is not None:
-            deps = [self._net_task(hop, device, nbytes, deps, category,
-                                   f"{name}:net->{hop[2]}", "net-out", meta)]
-        duration = transfer_time(self.spec.host_links[device], nbytes)
-        info = {"device": device, "bytes": nbytes, "direction": "h2d"}
-        if meta:
-            info.update(meta)
-        return self.engine.task(
-            name=f"{name}:host->{device}",
-            duration=duration,
-            resource=self.links[device],
-            deps=deps,
-            category=category,
-            meta=info,
-        )
+        if device in self.net_hops:
+            deps = [self._link_task(name, device, nbytes, "net-out", deps,
+                                    category, meta)]
+        return self._link_task(name, device, nbytes, "h2d", deps, category, meta)
 
     def submit_d2h(
         self,
@@ -248,47 +243,62 @@ class SimNode:
         name: str = "d2h",
         meta: Optional[dict] = None,
     ) -> SimTask:
-        duration = transfer_time(self.spec.host_links[device], nbytes)
-        info = {"device": device, "bytes": nbytes, "direction": "d2h"}
-        if meta:
-            info.update(meta)
-        task = self.engine.task(
-            name=f"{name}:{device}->host",
-            duration=duration,
-            resource=self.d2h_links[device],
-            deps=deps,
-            category=category,
-            meta=info,
-        )
-        hop = self.net_hops.get(device)
-        if hop is None:
+        task = self._link_task(name, device, nbytes, "d2h", deps, category, meta)
+        if device not in self.net_hops:
             return task
-        return self._net_task(hop, device, nbytes, [task], category,
-                              f"{name}:net<-{hop[2]}", "net-in", meta)
+        return self._link_task(name, device, nbytes, "net-in", [task],
+                               category, meta)
 
-    def _net_task(
+    def _link_task(
         self,
-        hop: tuple,
+        name: str,
         device: str,
         nbytes: int,
+        direction: str,
         deps: Optional[Sequence[SimTask]],
         category: str,
-        name: str,
-        direction: str,
         meta: Optional[dict],
     ) -> SimTask:
-        """A remote device's network hop, on its node's NIC."""
-        nic, resource, _ = hop
-        info = {"device": device, "bytes": nbytes, "direction": direction}
-        if meta:
-            info.update(meta)
+        """One hop of a transfer: ``direction`` is ``h2d`` or ``d2h`` on
+        the device's host link, ``net-out`` or ``net-in`` on a remote
+        device's NIC.
+
+        The task meta is ``meta`` merged into the hop's device, bytes and
+        direction fields.  Transfers that repeat the name, device, size,
+        direction and the very ``meta`` object share one task name and one
+        meta dict, which nothing mutates once handed over; links never
+        change after construction (a link outage is a task on its FIFO),
+        so the memoised seconds are exact.
+        """
+        key = (name, device, nbytes, direction)
+        memo = self._transfer_memo
+        last = memo.get(key)
+        if last is None or last[0] is not meta:
+            if direction == "h2d":
+                link, resource = self.spec.host_links[device], self.links[device]
+                task_name = f"{name}:host->{device}"
+            elif direction == "d2h":
+                link, resource = self.spec.host_links[device], self.d2h_links[device]
+                task_name = f"{name}:{device}->host"
+            else:
+                link, resource, peer = self.net_hops[device]
+                arrow = "->" if direction == "net-out" else "<-"
+                task_name = f"{name}:net{arrow}{peer}"
+            info = {"device": device, "bytes": nbytes, "direction": direction}
+            if meta:
+                info.update(meta)
+            if len(memo) >= MEMO_SIZE:
+                memo.clear()
+            last = memo[key] = (
+                meta, task_name, info, transfer_time(link, nbytes), resource,
+            )
         return self.engine.task(
-            name=name,
-            duration=transfer_time(nic, nbytes),
-            resource=resource,
+            name=last[1],
+            duration=last[3],
+            resource=last[4],
             deps=deps,
             category=category,
-            meta=info,
+            meta=last[2],
         )
 
     def submit_d2d(

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.hardware.cost import KernelCost
 from repro.hardware.specs import DeviceKind, DeviceSpec
@@ -34,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.split import SplitPlan
     from repro.ocl.program import Program
 
-__all__ = ["WorkGroupConfig", "Kernel", "CostModel", "HostFunction"]
+__all__ = ["WorkGroupConfig", "Kernel", "SplitShare", "CostModel", "HostFunction"]
 
 #: Signature of a kernel cost model: (device spec, launch config, args) -> cost.
 CostModel = Callable[[DeviceSpec, "WorkGroupConfig", Dict[int, Any]], KernelCost]
@@ -137,6 +139,26 @@ class WorkGroupConfig:
             _config_memo[raw] = config
         _config_memo[(gs, ls)] = config
         return config
+
+
+class SplitShare(NamedTuple):
+    """One non-empty share ``[lo, hi)`` of a split launch
+    (:meth:`Kernel.split_shares`), with the constants every launch of it
+    reuses."""
+
+    device: str
+    lo: int
+    hi: int
+    #: the sub-range launch configuration (:meth:`Kernel.sub_range_config`)
+    config: "WorkGroupConfig"
+    #: ``"lo:hi"``, the share's ``split`` meta value and name suffix
+    tag: str
+    #: the sub-kernel task name, ``kernel[lo:hi]``
+    name: str
+    #: ``hi - lo`` and the launch's dimension-0 size, the ratio a buffer's
+    #: slice is sized by
+    span: int
+    total: int
 
 
 class Kernel:
@@ -318,17 +340,22 @@ class Kernel:
 
     def split_shares(
         self, launch: WorkGroupConfig, plan: "SplitPlan"
-    ) -> Tuple[Tuple[str, int, int, WorkGroupConfig], ...]:
-        """``(device, lo, hi, sub-range config)`` of each non-empty share of
-        ``plan``, memoised per ``(launch, plan)``."""
+    ) -> Tuple[SplitShare, ...]:
+        """A :class:`SplitShare` for each non-empty share of ``plan``,
+        memoised per ``(launch, plan)``, so every launch of the plan reuses
+        one tag, one task name and one sub-range config per share."""
         memo = self._split_shares_memo
         key = (launch, plan)
         shares = memo.get(key)
         if shares is None:
             if len(memo) >= SPLIT_MEMO_SIZE:
                 memo.clear()
+            total = launch.global_size[0]
             shares = memo[key] = tuple(
-                (d, lo, hi, self.sub_range_config(d, launch, lo, hi))
+                SplitShare(
+                    d, lo, hi, self.sub_range_config(d, launch, lo, hi),
+                    f"{lo}:{hi}", f"{self.name}[{lo}:{hi}]", hi - lo, total,
+                )
                 for d, lo, hi in plan.shares
                 if hi > lo
             )

@@ -45,7 +45,7 @@ from repro.ocl.errors import (
     InvalidValue,
     MemAllocationFailure,
 )
-from repro.ocl.kernel import Kernel, WorkGroupConfig
+from repro.ocl.kernel import SPLIT_MEMO_SIZE, Kernel, SplitShare, WorkGroupConfig
 from repro.ocl.memory import HOST, Buffer
 from repro.sim.engine import _ABORTED, _DONE
 
@@ -173,18 +173,7 @@ class Command:
         see whether a written argument is also consumed.  Markers and
         barriers touch no buffers.
         """
-        if self.kind is CommandKind.NDRANGE_KERNEL:
-            return self.arg_buffers, self.written_buffers
-        if self.kind in (CommandKind.WRITE_BUFFER, CommandKind.FILL_BUFFER):
-            assert self.buffer is not None
-            return (), (self.buffer,)
-        if self.kind is CommandKind.READ_BUFFER:
-            assert self.buffer is not None
-            return (self.buffer,), ()
-        if self.kind is CommandKind.COPY_BUFFER:
-            assert self.buffer is not None and self.src_buffer is not None
-            return (self.src_buffer,), (self.buffer,)
-        return (), ()
+        return _ACCESS_SETS[self.kind._value_](self)
 
     # -- the event API ---------------------------------------------------
     @property
@@ -283,6 +272,20 @@ class Command:
         return f"Event(#{self.id}, {self.kind.value}, {self.status.name})"
 
 
+#: Command kind -> ``(reads, writes)`` of a command of that kind
+#: (:meth:`Command.access_sets`), one lookup per call.  Keyed by the
+#: kind's ``_value_``: reading a ``CommandKind`` member off the class, or
+#: hashing one, is a Python-level call.
+_ACCESS_SETS = {
+    CommandKind.NDRANGE_KERNEL.value: lambda c: (c.arg_buffers, c.written_buffers),
+    CommandKind.WRITE_BUFFER.value: lambda c: ((), (c.buffer,)),
+    CommandKind.FILL_BUFFER.value: lambda c: ((), (c.buffer,)),
+    CommandKind.READ_BUFFER.value: lambda c: ((c.buffer,), ()),
+    CommandKind.COPY_BUFFER.value: lambda c: ((c.src_buffer,), (c.buffer,)),
+    CommandKind.MARKER.value: lambda c: ((), ()),
+    CommandKind.BARRIER.value: lambda c: ((), ()),
+}
+
 #: The ``cl_event`` of a command is the command itself.
 Event = Command
 
@@ -353,8 +356,9 @@ class CommandQueue:
         self.name = name or f"queue{self.id}"
         #: Tenant tag propagated into every task meta this queue issues
         #: (``None`` outside multi-tenant service mode — zero overhead).
-        #: The dict is shared per queue; task factories merge it into fresh
-        #: per-task meta dicts, so no mutable state is aliased.
+        #: The dict is shared per queue; task factories merge it into meta
+        #: dicts that nothing mutates once handed over (repeated launches
+        #: and transfers share one), so no mutable state is aliased.
         self._tenant_meta: Optional[Dict[str, Any]] = (
             {"tenant": context.tenant} if context.tenant is not None else None
         )
@@ -393,9 +397,11 @@ class CommandQueue:
         #: incremental readers of the list (the fair-share arbiter's running
         #: cost sums) know when what they summed is no longer a prefix.
         self.pending_edits = 0
-        #: Shared kernel-task meta of the current epoch (:meth:`_launch`
-        #: builds it once per epoch; each task copies it into its own meta).
+        #: Shared kernel-task meta of the current epoch, and each split
+        #: share's, by its ``"lo:hi"`` tag (:meth:`_epoch_meta`); every
+        #: launch of the epoch hands the same dict to ``submit_kernel``.
         self._kernel_meta: Optional[Dict[str, Any]] = None
+        self._share_metas: Dict[str, Dict[str, Any]] = {}
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these; the
@@ -839,6 +845,18 @@ class CommandQueue:
             raise InvalidValue(f"unknown command kind {kind}")
         return task
 
+    def _epoch_meta(self) -> Dict[str, Any]:
+        """The current epoch's kernel meta, :attr:`_kernel_meta`; the first
+        call of an epoch builds it and drops the last epoch's share metas."""
+        meta = self._kernel_meta
+        if meta is None or meta["epoch"] != self.epoch_index:
+            meta = {"queue": self.name, "epoch": self.epoch_index}
+            if self._tenant_meta is not None:
+                meta.update(self._tenant_meta)
+            self._kernel_meta = meta
+            self._share_metas = {}
+        return meta
+
     def _launch(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
         """Submit an unsplit kernel whose arguments are resident on the
         queue's device, run its payload and mark the written buffers
@@ -851,10 +869,7 @@ class CommandQueue:
         device = self.context.platform.node.device(device_name)
         meta = self._kernel_meta
         if meta is None or meta["epoch"] != self.epoch_index:
-            meta = {"queue": self.name, "epoch": self.epoch_index}
-            if self._tenant_meta is not None:
-                meta.update(self._tenant_meta)
-            self._kernel_meta = meta
+            meta = self._epoch_meta()
         task = device.submit_kernel(
             name=kernel.name,
             cost=kernel.launch_cost(device.spec, launch),
@@ -893,37 +908,42 @@ class CommandQueue:
         assert kernel is not None and launch is not None and plan is not None
         node = self.context.platform.node
         engine = self.context.platform.engine
-        total = launch.global_size[0]
         written = list(dict.fromkeys(cmd.written_buffers))
         finals: List["SimTask"] = []
-        for device, lo, hi, sub in kernel.split_shares(launch, plan):
+        self._epoch_meta()
+        share_metas = self._share_metas
+        for share in kernel.split_shares(launch, plan):
+            device = share.device
             if not self.context.platform.is_available(device):
                 raise DeviceNotAvailable(
-                    f"queue {self.name!r}: split share [{lo}:{hi}) targets "
+                    f"queue {self.name!r}: split share [{share.tag}) targets "
                     f"failed device {device!r}"
                 )
             dev = node.device(device)
-            moves = self._make_resident(cmd, device, deps, (lo, hi))
-            cost = kernel.config_cost(dev.spec, sub)
-            meta: Dict[str, Any] = {
-                "queue": self.name,
-                "epoch": self.epoch_index,
-                "split": f"{lo}:{hi}",
-            }
-            if self._tenant_meta is not None:
-                meta.update(self._tenant_meta)
+            moves = self._make_resident(cmd, device, deps, share)
+            meta = share_metas.get(share.tag)
+            if meta is None:
+                if len(share_metas) >= SPLIT_MEMO_SIZE:
+                    share_metas.clear()
+                meta = share_metas[share.tag] = {
+                    "queue": self.name,
+                    "epoch": self.epoch_index,
+                    "split": share.tag,
+                }
+                if self._tenant_meta is not None:
+                    meta.update(self._tenant_meta)
             sub_task = dev.submit_kernel(
-                name=f"{kernel.name}[{lo}:{hi}]",
-                cost=cost,
+                name=share.name,
+                cost=kernel.config_cost(dev.spec, share.config),
                 deps=deps + moves,
                 category="kernel",
                 meta=meta,
             )
             gathers = [
                 node.submit_d2h(
-                    device, _slice_bytes(b.nbytes, hi - lo, total),
+                    device, _slice_bytes(b.nbytes, share.span, share.total),
                     deps=[sub_task], category="transfer",
-                    name=f"gather:{b.name}[{lo}:{hi}]", meta=self._tenant_meta,
+                    name=f"gather:{b.name}[{share.tag}]", meta=self._tenant_meta,
                 )
                 for b in written
             ]
@@ -947,7 +967,7 @@ class CommandQueue:
         cmd: Command,
         device: str,
         deps: List["SimTask"],
-        share: Optional[Tuple[int, int]] = None,
+        share: Optional[SplitShare] = None,
     ) -> List["SimTask"]:
         """The residency step of every command, and of every split share
         ``[lo, hi)`` of a kernel, on ``device``; returns the transfer tasks.
@@ -972,14 +992,12 @@ class CommandQueue:
         if share is None:
             span = total = 1
         else:
-            lo, hi = share
-            assert cmd.launch is not None
-            span, total = hi - lo, cmd.launch.global_size[0]
+            span, total = share.span, share.total
         sizes = {b: _slice_bytes(b.nbytes, span, total) for b in touched}
         context = self.context
         needed = context.overcommit(device, sizes.items())
         if needed:
-            where = "" if share is None else f" for split share [{lo}:{hi})"
+            where = "" if share is None else f" for split share [{share.tag})"
             available = context.platform.node.device(device).spec.mem_size_bytes
             raise MemAllocationFailure(
                 f"device {device!r}: {needed} bytes needed{where}, "
@@ -994,7 +1012,7 @@ class CommandQueue:
                 if share is None:
                     name = f"mig:{buf.name}"
                 else:
-                    name = f"split:{buf.name}[{lo}:{hi}]"
+                    name = f"split:{buf.name}[{share.tag}]"
                 if buf.is_valid_on(HOST):
                     move = node.submit_h2d(
                         device, sizes[buf], deps=deps, category="migration",

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.data_cache import stage_inputs
-from repro.ocl.memory import HOST
+from repro.ocl.enums import SchedFlag
+from repro.ocl.memory import HOST, Buffer
 
 
 @pytest.fixture
@@ -125,3 +126,35 @@ def test_deps_respected(ctx):
     engine.run_until_idle()
     staged = plan.deps_for("gpu0")[0]
     assert staged.start_time >= 1.0
+
+
+def test_profiling_staging_never_overcommits_a_device(autofit, monkeypatch):
+    """Caching keeps a staged copy resident only where it fits: profiling a
+    kernel over two host-valid 1.6 GB buffers must not leave 3.2 GB on a
+    3 GB GPU, not even between staging and mapping."""
+    ctx = autofit.context
+    node = ctx.platform.node
+    peak = dict.fromkeys(ctx.device_names, 0)
+    count = Buffer._count
+
+    def counting(self, holders, sign):
+        count(self, holders, sign)
+        for dev in peak:
+            peak[dev] = max(peak[dev], ctx.resident_bytes(dev))
+
+    monkeypatch.setattr(Buffer, "_count", counting)
+    program = ctx.create_program(
+        "// @multicl flops_per_item=1 bytes_per_item=8 writes=1\n"
+        "__kernel void pair(__global float* a, __global float* b) { }\n"
+    ).build()
+    kernel = program.create_kernel("pair")
+    q = autofit.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    buffers = [ctx.create_buffer(1_600_000_000) for _ in range(2)]
+    for i, buf in enumerate(buffers):
+        buf.mark_valid(HOST)
+        kernel.set_arg(i, buf)
+    q.enqueue_nd_range_kernel(kernel, (1 << 20,))
+    q.finish()
+    assert ctx.scheduler.profiler.stats.bytes_staged > 0
+    for dev, held in peak.items():
+        assert held <= node.device(dev).spec.mem_size_bytes, dev

@@ -107,3 +107,27 @@ def test_intradevice_copy_charged_at_device_bandwidth(engine, node):
     engine.run_until(t)
     expected = nbytes / (dev.spec.mem_bandwidth_gbs * 1e9)
     assert t.duration == pytest.approx(expected)
+
+
+def test_repeated_transfers_share_task_name_and_meta(node):
+    """Transfers repeating name, device, size, direction and the very meta
+    object share one task name and meta dict; callers passing equal but
+    distinct meta dicts each get their own."""
+    mine, theirs = {"tenant": "a"}, {"tenant": "a"}
+    first = node.submit_h2d("gpu0", 4096, name="write:x", meta=mine)
+    again = node.submit_h2d("gpu0", 4096, name="write:x", meta=mine)
+    assert again.meta is first.meta and again.name is first.name
+    other = node.submit_h2d("gpu0", 4096, name="write:x", meta=theirs)
+    assert other.meta is not first.meta
+    assert other.meta == first.meta == {
+        "device": "gpu0", "bytes": 4096, "direction": "h2d", "tenant": "a",
+    }
+    back = node.submit_h2d("gpu0", 4096, name="write:x", meta=mine)
+    assert back.meta is not other.meta
+    # Any other size, direction or device is its own transfer.
+    assert node.submit_h2d("gpu0", 8192, name="write:x", meta=mine).meta["bytes"] == 8192
+    read = node.submit_d2h("gpu0", 4096, name="write:x", meta=mine)
+    assert read.name == "write:x:gpu0->host" and read.meta["direction"] == "d2h"
+    assert node.submit_h2d("gpu1", 4096, name="write:x").meta == {
+        "device": "gpu1", "bytes": 4096, "direction": "h2d",
+    }

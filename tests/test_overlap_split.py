@@ -1,6 +1,7 @@
 """SCHED_OVERLAP / SCHED_SPLIT: overlap-aware issue, multi-device splitting,
 flag hygiene, and the WorkGroupConfig edge cases the splitter relies on."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.core.split import SplitPlan, plan_split
 from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec, NodeSpec
 from repro.ocl.enums import CommandKind, ContextScheduler, SchedFlag
 from repro.ocl.errors import (
-    InvalidValue, InvalidWorkGroupSize, MemAllocationFailure,
+    DeviceNotAvailable, InvalidValue, InvalidWorkGroupSize, MemAllocationFailure,
 )
 from repro.ocl.kernel import WorkGroupConfig
 from repro.ocl.queue import Command
@@ -333,6 +334,55 @@ def test_split_cost_model_priced_on_every_sub_range_launch(
         assert priced.count((device, hi - lo)) == 3
 
 
+def _sub_kernels(mcl, since=0.0):
+    """``{task name: seconds}`` of the split sub-kernels ending after
+    ``since``."""
+    return {
+        iv.task: iv.duration for iv in mcl.engine.trace
+        if iv.category == "kernel" and "split" in iv.meta and iv.end > since
+    }
+
+
+def test_split_sub_kernels_follow_work_group_info(profile_dir, monkeypatch):
+    """Share names and prices are memoised with the plan: a new per-device
+    configuration must rename and re-price every sub-kernel."""
+    mcl, k, launch, _ = _split_launcher(profile_dir, monkeypatch)
+    old_plan = launch()
+    old = _sub_kernels(mcl)
+    t0 = mcl.now
+    k.set_work_group_info("cpu", (1 << 18,), (1024,))
+    plan = launch()
+    new = _sub_kernels(mcl, since=t0)
+    node = mcl.platform.node
+    launch_config = WorkGroupConfig.normalize((1 << 18,), (64,))
+    expected = {}
+    for device, lo, hi in plan.shares:
+        dev = node.device(device)
+        sub = k.sub_range_config(device, launch_config, lo, hi)
+        expected[f"work[{lo}:{hi}]@{device}"] = dev.kernel_seconds(
+            k.config_cost(dev.spec, sub)
+        )
+    assert plan.shares != old_plan.shares
+    assert set(new) == set(expected) != set(old)
+    for name, seconds in expected.items():
+        assert new[name] == pytest.approx(seconds)
+
+
+def test_split_share_refused_on_a_failed_device(manual_context):
+    """Memoised shares still check their device on every launch."""
+    ctx = manual_context
+    n = 1 << 20
+    k = ctx.create_program(WORK_SRC).build().create_kernel("work")
+    a = ctx.create_buffer(4 * n)
+    b = ctx.create_buffer(4 * n)
+    a.mark_valid("host")
+    assert _split_on_gpu0(ctx, a, b, n, k).task is not None
+    ctx.platform.mark_device_failed("cpu")
+    with pytest.raises(DeviceNotAvailable, match=r"split share \[524288:1048576\) "
+                       r"targets failed device 'cpu'"):
+        _split_on_gpu0(ctx, a, b, n, k)
+
+
 def test_split_plan_drops_a_device_failed_between_triggers(
     profile_dir, monkeypatch
 ):
@@ -492,10 +542,11 @@ def test_split_with_auto_does_not_warn(autofit, _reset_flag_warnings):
 # ---------------------------------------------------------------------------
 # Split-share memory fit
 # ---------------------------------------------------------------------------
-def _split_on_gpu0(ctx, src, dst, n=1 << 20):
-    """Issue ``work(src, dst)`` on a manual gpu0 queue, its first half
-    split onto gpu0 and the rest onto the cpu."""
-    k = ctx.create_program(WORK_SRC).build().create_kernel("work")
+def _split_on_gpu0(ctx, src, dst, n=1 << 20, k=None):
+    """Issue ``work(src, dst)`` (on kernel ``k`` if given) on a manual gpu0
+    queue, its first half split onto gpu0 and the rest onto the cpu."""
+    if k is None:
+        k = ctx.create_program(WORK_SRC).build().create_kernel("work")
     k.set_arg(0, src)
     k.set_arg(1, dst)
     k.set_arg(2, n)
@@ -536,3 +587,81 @@ def test_split_share_fit_skips_slices_already_resident(manual_context):
     assert event.task is not None
     # Slices leave whole-buffer residency as it was.
     assert ctx.resident_bytes("gpu0") == a.nbytes + pad.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Golden trace of a split stream
+# ---------------------------------------------------------------------------
+#: sha256 prefix of every interval (resource, task, category, start, end,
+#: sorted meta) of :func:`_golden_split_stream`'s trace.
+SPLIT_STREAM_DIGEST = "fe836757220e3b3c"
+
+
+def _golden_split_stream(profile_dir):
+    """Two double-buffered tenant queues with overlap, split and a
+    scheduler trigger per kernel, configured explicitly (no ``MULTICL_*``
+    variable reaches it); returns the engine trace."""
+    from repro.core.flags import CONFIG_PROPERTY_KEY
+    from repro.ocl.context import TENANT_PROPERTY_KEY
+    from repro.ocl.enums import ContextProperty
+    from repro.ocl.platform import Platform
+
+    config = SchedulerConfig(
+        per_kernel_trigger=True, split=True, overlap=True, sanitize=False,
+    )
+    platform = Platform(profile=True, profile_dir=profile_dir,
+                        duplex_links=True)
+    ctx = platform.create_context(properties={
+        ContextProperty.CL_CONTEXT_SCHEDULER: ContextScheduler.AUTO_FIT,
+        CONFIG_PROPERTY_KEY: config,
+        TENANT_PROPERTY_KEY: "t0",
+    })
+    n = 1 << 16
+    flags = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
+    streams = []
+    for qi in range(2):
+        # One kernel name per queue, as in the e2e stream-modes workload.
+        source = STREAM_SRC.replace("stream(", f"stream{qi}(")
+        k = ctx.create_program(source).build().create_kernel(f"stream{qi}")
+        k.set_host_function(lambda a: np.multiply(a["in"], 2.0, out=a["out"]))
+        ins = [ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32),
+                                 name=f"in{qi}.{b}") for b in range(2)]
+        outs = [ctx.create_buffer(4 * n, host_array=np.zeros(n, np.float32),
+                                  name=f"out{qi}.{b}") for b in range(2)]
+        q = ctx.create_queue(sched_flags=flags, name=f"q{qi}")
+        streams.append((q, k, ins, outs))
+    host = np.empty(n, np.float32)
+    for r in range(6):
+        for q, k, ins, outs in streams:
+            q.enqueue_write_buffer(ins[r % 2], np.full(n, r, np.float32))
+            k.set_arg(0, ins[r % 2])
+            k.set_arg(1, outs[r % 2])
+            k.set_arg(2, n)
+            q.enqueue_nd_range_kernel(k, (n,), (64,))
+            q.enqueue_read_buffer(outs[r % 2], host)
+        if r % 3 == 2:
+            for q, *_ in streams:
+                q.finish()
+    assert (host == 10.0).all()
+    return platform.engine.trace
+
+
+def test_split_stream_trace_pinned(tmp_path):
+    """A split stream's trace is pinned interval by interval, and it holds
+    one meta dict per distinct (task, meta): repeated split launches and
+    transfers share theirs instead of a copy per interval."""
+    trace = _golden_split_stream(str(tmp_path))
+    records = [
+        (iv.resource, iv.task, iv.category, iv.start, iv.end,
+         sorted(iv.meta.items()))
+        for iv in trace
+    ]
+    assert any(dict(r[5]).get("split") for r in records)
+    assert all(dict(r[5]).get("tenant") == "t0" for r in records
+               if r[2] in ("kernel", "transfer"))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == SPLIT_STREAM_DIGEST
+    metas = {}
+    for iv, record in zip(trace, records):
+        metas.setdefault((record[1], repr(record[5])), set()).add(id(iv.meta))
+    assert not [key for key, ids in metas.items() if len(ids) > 1]
