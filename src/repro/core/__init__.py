@@ -27,7 +27,6 @@ from repro.core.device_mapper import (
     optimal_mapping,
 )
 from repro.core.device_profiler import DeviceProfile, get_or_measure, measure
-from repro.core.flags import ScheduleOptions
 from repro.core.kernel_profiler import KernelProfiler
 from repro.core.minikernel import make_minikernel_source, MINIKERNEL_GUARD
 from repro.core.runtime import MultiCL, RunStats
@@ -46,7 +45,6 @@ __all__ = [
     "DeviceProfile",
     "get_or_measure",
     "measure",
-    "ScheduleOptions",
     "KernelProfiler",
     "make_minikernel_source",
     "MINIKERNEL_GUARD",

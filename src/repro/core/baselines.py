@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.flags import ScheduleOptions
 from repro.core.scheduler import (
     MAPPING_HOST_SECONDS,
     MultiCLSchedulerBase,
@@ -72,8 +71,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         if not cmd.is_kernel:
             return
         profile = self.context.platform.device_profile
-        options = ScheduleOptions.from_flags(q.sched_flags)
-        epoch = self.profiler.profile_epoch(q, [cmd], options)
+        epoch = self.profiler.profile_epoch(q, [cmd])
         # Per-kernel host decision cost (a profile lookup + argmin).  Charged
         # before ranking, so a device that fails while the profile or this
         # interval advances virtual time is never chosen.

@@ -1,11 +1,12 @@
-"""Interpretation of scheduling flags and runtime configuration.
+"""Runtime configuration of the scheduler.
 
 Two layers of knobs, mirroring the paper:
 
-* **Per-queue** :class:`ScheduleOptions`, derived from the queue's
-  ``SCHED_*`` bitfield: static vs dynamic scheduling, trigger granularity,
-  and workload hints (compute/memory/IO bound, iterative).  The
-  ``SCHED_COMPUTE_BOUND`` hint is what turns on minikernel profiling
+* **Per-queue**: the queue's ``SCHED_*`` bitfield (:class:`SchedFlag`),
+  read directly by its one reader each: the scheduler places
+  ``SCHED_AUTO_STATIC``-only queues from hints (with ``SCHED_AUTO_DYNAMIC``
+  also set, dynamic wins) and splits ``SCHED_SPLIT`` queues, and the
+  kernel profiler turns ``SCHED_COMPUTE_BOUND`` into minikernel profiling
   (Section V.C.2).
 * **Per-context** :class:`SchedulerConfig`, the runtime-level switches the
   evaluation ablates: data caching (Fig. 7), kernel-profile caching,
@@ -20,17 +21,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro import knobs
-from repro.ocl.enums import SchedFlag
 
 __all__ = [
-    "ScheduleOptions",
     "SchedulerConfig",
     "CONFIG_PROPERTY_KEY",
     "ITERATIVE_FREQ_ENV",
 ]
-
-#: SchedFlag value -> the (frozen) options instance it denotes.
-_OPTIONS_MEMO: dict = {}
 
 #: Key under which a :class:`SchedulerConfig` may be passed in the context
 #: properties dict (alongside CL_CONTEXT_SCHEDULER).
@@ -116,56 +112,3 @@ class SchedulerConfig:
             if getattr(self, attr) is None
         }
         return replace(self, **unset) if unset else self
-
-
-@dataclass(frozen=True)
-class ScheduleOptions:
-    """Per-queue scheduling behaviour derived from its SCHED_* flags."""
-
-    auto: bool = False
-    dynamic: bool = False
-    epoch_trigger: bool = False
-    explicit_region: bool = False
-    iterative: bool = False
-    compute_bound: bool = False
-    memory_bound: bool = False
-    io_bound: bool = False
-    split: bool = False
-    overlap: bool = False
-
-    @staticmethod
-    def from_flags(flags: SchedFlag) -> "ScheduleOptions":
-        # Memoised per flag value: the scheduler derives options for every
-        # queue on every sync pass, and ScheduleOptions is frozen so the
-        # shared instance is safe.
-        key = flags.value
-        cached = _OPTIONS_MEMO.get(key)
-        if cached is not None:
-            return cached
-        options = ScheduleOptions(
-            auto=flags.is_auto,
-            dynamic=flags.is_dynamic,
-            epoch_trigger=bool(flags & SchedFlag.SCHED_KERNEL_EPOCH),
-            explicit_region=bool(flags & SchedFlag.SCHED_EXPLICIT_REGION),
-            iterative=bool(flags & SchedFlag.SCHED_ITERATIVE),
-            compute_bound=bool(flags & SchedFlag.SCHED_COMPUTE_BOUND),
-            memory_bound=bool(flags & SchedFlag.SCHED_MEMORY_BOUND),
-            io_bound=bool(flags & SchedFlag.SCHED_IO_BOUND),
-            split=bool(flags & SchedFlag.SCHED_SPLIT),
-            overlap=bool(flags & SchedFlag.SCHED_OVERLAP),
-        )
-        _OPTIONS_MEMO[key] = options
-        return options
-
-    @property
-    def wants_minikernel(self) -> bool:
-        """Compute-bound queues opt into minikernel profiling."""
-        return self.compute_bound
-
-    @property
-    def is_static_mode(self) -> bool:
-        """SCHED_AUTO_STATIC without SCHED_AUTO_DYNAMIC: hint-only placement.
-
-        If both flags are set, dynamic wins (the more capable mode).
-        """
-        return self.auto and not self.dynamic

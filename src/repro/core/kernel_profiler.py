@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
-from repro.core.flags import ScheduleOptions, SchedulerConfig
+from repro.core.flags import SchedulerConfig
 from repro.lru import BoundedLRU
+from repro.ocl.enums import SchedFlag
 from repro.ocl.queue import Command
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,7 +128,6 @@ class KernelProfiler:
         self,
         queue: "CommandQueue",
         commands: Sequence[Command],
-        options: ScheduleOptions,
     ) -> EpochProfile:
         """Produce the per-device time vector for a queue's pending epoch.
 
@@ -182,7 +182,8 @@ class KernelProfiler:
             missing_keys[kkey] = None
 
         if missing:
-            self._measure(missing, list(missing_keys), devices, options)
+            use_mini = self._use_minikernel(queue, missing)
+            self._measure(missing, list(missing_keys), devices, use_mini)
 
         seconds = {d: 0.0 for d in devices}
         for kkey in ekey:
@@ -232,13 +233,12 @@ class KernelProfiler:
         cmds: Sequence[Command],
         keys: Sequence[KernelKey],
         devices: Sequence[str],
-        options: ScheduleOptions,
+        use_mini: bool,
     ) -> None:
         """Run ``cmds`` (their kernel keys ``keys``) on every device,
-        concurrently across devices."""
+        concurrently across devices, as minikernels if ``use_mini``."""
         platform = self.context.platform
         node, engine = platform.node, platform.engine
-        use_mini = self._use_minikernel(cmds, options)
 
         plan = self._stage(cmds, devices)
         all_tasks = []
@@ -311,9 +311,14 @@ class KernelProfiler:
         return max(1.0 + noise * u, 1e-3)
 
     def _use_minikernel(
-        self, cmds: Sequence[Command], options: ScheduleOptions
+        self, queue: "CommandQueue", cmds: Sequence[Command]
     ) -> bool:
-        if not (self.config.allow_minikernel and options.wants_minikernel):
+        # The SCHED_COMPUTE_BOUND hint opts a queue into minikernel
+        # profiling (Section V.C.2).
+        if not (
+            self.config.allow_minikernel
+            and SchedFlag.SCHED_COMPUTE_BOUND in queue.sched_flags
+        ):
             return False
         # Minikernel profiling requires the transformed source, built at
         # clBuildProgram time (Section V.C.2 — "requires access to the

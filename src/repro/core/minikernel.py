@@ -24,15 +24,9 @@ source — both noted in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from repro.ocl.source import insert_after_body_open, parse_program_source
 
-from repro.ocl.source import (
-    KernelSourceInfo,
-    insert_after_body_open,
-    parse_program_source,
-)
-
-__all__ = ["MINIKERNEL_GUARD", "make_minikernel_source", "transform_program"]
+__all__ = ["MINIKERNEL_GUARD", "make_minikernel_source"]
 
 #: The exact guard of the paper's Fig. 2.
 MINIKERNEL_GUARD = (
@@ -59,14 +53,3 @@ def make_minikernel_source(source: str) -> str:
         out = insert_after_body_open(out, info, MINIKERNEL_GUARD)
     return out
 
-
-def transform_program(source: str) -> Tuple[str, Dict[str, KernelSourceInfo]]:
-    """Transform ``source`` and re-parse the minikernel variants.
-
-    Returns the transformed source and the parsed kernel infos of the
-    transformed program (annotations and signatures are preserved by the
-    transformation, only body offsets move).
-    """
-    mini_src = make_minikernel_source(source)
-    infos = {k.name: k for k in parse_program_source(mini_src)}
-    return mini_src, infos

@@ -27,12 +27,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TY
 
 from repro.core.constraints import repair_mapping
 from repro.core.device_mapper import MapperError, MappingResult, optimal_mapping
-from repro.core.flags import ScheduleOptions
 from repro.core.kernel_profiler import KernelProfiler
-from repro.core.minikernel import transform_program
+from repro.core.minikernel import make_minikernel_source
 from repro.core.split import plan_split
 from repro.hardware.specs import DeviceKind
-from repro.ocl.enums import ContextScheduler
+from repro.ocl.enums import ContextScheduler, SchedFlag
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.scheduling import SchedulerBase, register_scheduler
 
@@ -158,9 +157,7 @@ class MultiCLSchedulerBase(SchedulerBase):
     def on_program_build(self, program: "Program") -> None:
         if not self.config.allow_minikernel:
             return
-        src, infos = transform_program(program.source)
-        program.minikernel_source = src
-        program.minikernel_infos = infos
+        program.minikernel_source = make_minikernel_source(program.source)
 
     # -- per-kernel trigger mode ------------------------------------------
     #: Trigger on every kernel whatever the config's ``per_kernel_trigger``.
@@ -280,8 +277,12 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         trigger_queue: Optional["CommandQueue"] = None,
     ) -> None:
         pool = sorted(pool, key=lambda q: q.id)
+        # SCHED_AUTO_STATIC without SCHED_AUTO_DYNAMIC places from hints
+        # alone; with both set, dynamic wins (the more capable mode).
         static_qs = [
-            q for q in pool if ScheduleOptions.from_flags(q.sched_flags).is_static_mode
+            q for q in pool
+            if SchedFlag.SCHED_AUTO_STATIC in q.sched_flags
+            and SchedFlag.SCHED_AUTO_DYNAMIC not in q.sched_flags
         ]
         static_ids = {id(q) for q in static_qs}
         dynamic_qs = [q for q in pool if id(q) not in static_ids]
@@ -304,8 +305,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         pos = {d: i for i, d in enumerate(devices)}
         placement: Dict["CommandQueue", str] = {}
         for q in queues:
-            options = ScheduleOptions.from_flags(q.sched_flags)
-            scores = self._hint_scores(options, profile, devices)
+            scores = self._hint_scores(q.sched_flags, profile, devices)
             # Greedy balance: unit work 1/score; pick the device finishing
             # this queue earliest.
             best = min(
@@ -317,11 +317,11 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         return placement
 
     def _hint_scores(
-        self, options: ScheduleOptions, profile, devices: Sequence[str]
+        self, flags: SchedFlag, profile, devices: Sequence[str]
     ) -> Dict[str, float]:
-        if options.io_bound:
+        if SchedFlag.SCHED_IO_BOUND in flags:
             return {d: 1.0 / max(profile.h2d_seconds(d, 1 << 20), 1e-12) for d in devices}
-        if options.memory_bound:
+        if SchedFlag.SCHED_MEMORY_BOUND in flags:
             return {d: profile.bandwidth_gbs[d] for d in devices}
         # compute_bound, or no hint: instruction throughput is the criterion.
         return {d: profile.gflops[d] for d in devices}
@@ -334,8 +334,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         profile = platform.device_profile
         epochs: Dict[str, "EpochProfile"] = {}
         for q in queues:
-            options = ScheduleOptions.from_flags(q.sched_flags)
-            epochs[q.name] = self.profiler.profile_epoch(q, q.pending, options)
+            epochs[q.name] = self.profiler.profile_epoch(q, q.pending)
         while True:
             # Profiling advances the virtual clock, so a device may have
             # failed *during* this pass (fault injection): map over the
@@ -381,7 +380,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         placement: Dict["CommandQueue", str] = {}
         split: List["CommandQueue"] = []
         for q in queues:
-            if self.config.split or ScheduleOptions.from_flags(q.sched_flags).split:
+            if self.config.split or SchedFlag.SCHED_SPLIT in q.sched_flags:
                 device = self._plan_split_epoch(q, epochs[q.name])
                 if device is not None:
                     placement[q] = device

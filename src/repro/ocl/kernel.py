@@ -173,16 +173,14 @@ class Kernel:
         self.device_configs: Dict[str, WorkGroupConfig] = {}
         self._cost_model: Optional[CostModel] = None
         self.host_fn: Optional[HostFunction] = None
-        #: WorkGroupConfig -> KernelCost for the annotation cost model
-        #: (pure in config; KernelCost is frozen, so sharing is safe).
-        self._annotation_cost_memo: Dict[WorkGroupConfig, KernelCost] = {}
-        #: (device name, global size, local size) -> KernelCost of
-        #: :meth:`launch_cost` for the annotation cost model (keyed on the
-        #: sizes: hashing the WorkGroupConfig is a Python call per launch);
-        #: cleared when a per-device configuration changes (a custom cost
-        #: model bypasses it).
-        self._launch_cost_memo: Dict[
-            Tuple[str, Tuple[int, ...], Tuple[int, ...]], KernelCost
+        #: (global size, local size) of the effective configuration ->
+        #: KernelCost for the annotation cost model, which is pure in the
+        #: configuration (KernelCost is frozen, so every device and every
+        #: split share of one configuration shares one).  Keyed on the
+        #: sizes: hashing the WorkGroupConfig is a Python call per launch.
+        #: A custom cost model bypasses it.
+        self._cost_memo: Dict[
+            Tuple[Tuple[int, ...], Tuple[int, ...]], KernelCost
         ] = {}
         #: (launch, device order, per-device seconds) -> :meth:`split_plan`;
         #: (launch, plan) -> :meth:`split_shares`.  Both read
@@ -280,7 +278,6 @@ class Kernel:
         self.device_configs[device_name] = WorkGroupConfig.normalize(
             global_size, local_size
         )
-        self._launch_cost_memo.clear()
         self._split_plan_memo.clear()
         self._split_shares_memo.clear()
         self.program.context.cost_edits += 1
@@ -379,30 +376,33 @@ class Kernel:
         """Cost of launching this kernel on ``spec`` with ``launch`` config.
 
         Honours the per-device configuration override before consulting the
-        cost model.  Annotation-model costs are pure in (device, launch) and
-        memoised; a custom cost model prices from the current arguments, so
-        it is consulted on every launch.
+        cost model (:meth:`config_cost`).  A memoised annotation-model cost
+        is read here directly, the per-launch path.
         """
-        if self._cost_model is not None:
-            return self.config_cost(spec, self.effective_config(spec.name, launch))
-        key = (spec.name, launch.global_size, launch.local_size)
-        cost = self._launch_cost_memo.get(key)
-        if cost is None:
-            config = self.effective_config(spec.name, launch)
-            cost = self._launch_cost_memo[key] = self.config_cost(spec, config)
-        return cost
+        config = self.device_configs.get(spec.name, launch)
+        if self._cost_model is None:
+            cost = self._cost_memo.get((config.global_size, config.local_size))
+            if cost is not None:
+                return cost
+        return self.config_cost(spec, config)
 
     def config_cost(self, spec: DeviceSpec, config: WorkGroupConfig) -> KernelCost:
         """Cost for an explicit configuration, bypassing the per-device
-        override (work-splitting costs sub-ranges that already honoured it)."""
+        override (work-splitting costs sub-ranges that already honoured it).
+
+        Annotation-model costs are pure in the configuration and memoised;
+        a custom cost model prices from the current arguments, so it is
+        consulted on every call.
+        """
         if self._cost_model is not None:
             return self._cost_model(spec, config, self.args)
-        return self._annotation_cost(config)
+        key = (config.global_size, config.local_size)
+        cost = self._cost_memo.get(key)
+        if cost is None:
+            cost = self._cost_memo[key] = self._annotation_cost(config)
+        return cost
 
     def _annotation_cost(self, config: WorkGroupConfig) -> KernelCost:
-        cached = self._annotation_cost_memo.get(config)
-        if cached is not None:
-            return cached
         a = self.info.annotations
         if "flops_per_item" not in a and "bytes_per_item" not in a:
             raise InvalidValue(
@@ -413,7 +413,7 @@ class Kernel:
         eff = {
             kind: a[key] for key, kind in _EFF_KEYS.items() if key in a
         }
-        cost = KernelCost(
+        return KernelCost(
             flops=a.get("flops_per_item", 0.0) * items,
             bytes=a.get("bytes_per_item", 0.0) * items,
             work_items=items,
@@ -423,8 +423,6 @@ class Kernel:
             efficiency=eff,
             times={},
         )
-        self._annotation_cost_memo[config] = cost
-        return cost
 
     def run_host_function(self, args: Optional[Dict[int, Any]] = None) -> None:
         """Execute the functional payload (if any) against ``args``

@@ -41,7 +41,6 @@ class Program:
         #: Populated by the MultiCL build hook: transformed minikernel source
         #: (the paper builds the minikernels into a separate binary).
         self.minikernel_source: Optional[str] = None
-        self.minikernel_infos: Dict[str, KernelSourceInfo] = {}
 
     def build(self) -> "Program":
         """clBuildProgram: parse the source, run scheduler build hooks."""

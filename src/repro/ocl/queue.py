@@ -397,11 +397,12 @@ class CommandQueue:
         #: incremental readers of the list (the fair-share arbiter's running
         #: cost sums) know when what they summed is no longer a prefix.
         self.pending_edits = 0
-        #: Shared kernel-task meta of the current epoch, and each split
-        #: share's, by its ``"lo:hi"`` tag (:meth:`_epoch_meta`); every
-        #: launch of the epoch hands the same dict to ``submit_kernel``.
-        self._kernel_meta: Optional[Dict[str, Any]] = None
-        self._share_metas: Dict[str, Dict[str, Any]] = {}
+        #: The current epoch's kernel-task metas by split share tag
+        #: (``"lo:hi"``), ``None`` for an unsplit launch
+        #: (:meth:`_launch_meta`): every launch of one share in the epoch
+        #: hands the same dict to ``submit_kernel``.  :meth:`finish` starts
+        #: the next epoch's table.
+        self._launch_metas: Dict[Optional[str], Dict[str, Any]] = {}
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these; the
@@ -845,16 +846,19 @@ class CommandQueue:
             raise InvalidValue(f"unknown command kind {kind}")
         return task
 
-    def _epoch_meta(self) -> Dict[str, Any]:
-        """The current epoch's kernel meta, :attr:`_kernel_meta`; the first
-        call of an epoch builds it and drops the last epoch's share metas."""
-        meta = self._kernel_meta
-        if meta is None or meta["epoch"] != self.epoch_index:
-            meta = {"queue": self.name, "epoch": self.epoch_index}
+    def _launch_meta(self, tag: Optional[str]) -> Dict[str, Any]:
+        """The current epoch's kernel-task meta for split share ``tag``
+        (``None``: an unsplit launch), built on the first launch of it."""
+        metas = self._launch_metas
+        meta = metas.get(tag)
+        if meta is None:
+            if len(metas) >= SPLIT_MEMO_SIZE:
+                metas.clear()
+            meta = metas[tag] = {"queue": self.name, "epoch": self.epoch_index}
+            if tag is not None:
+                meta["split"] = tag
             if self._tenant_meta is not None:
                 meta.update(self._tenant_meta)
-            self._kernel_meta = meta
-            self._share_metas = {}
         return meta
 
     def _launch(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
@@ -867,15 +871,12 @@ class CommandQueue:
         assert kernel is not None and launch is not None
         device_name = self.device
         device = self.context.platform.node.device(device_name)
-        meta = self._kernel_meta
-        if meta is None or meta["epoch"] != self.epoch_index:
-            meta = self._epoch_meta()
         task = device.submit_kernel(
             name=kernel.name,
             cost=kernel.launch_cost(device.spec, launch),
             deps=deps,
             category="kernel",
-            meta=meta,
+            meta=self._launch_metas.get(None) or self._launch_meta(None),
         )
         # Functional payload runs in dependency (issue) order — see module
         # doc.  Replays after a device failure only re-charge simulated time:
@@ -910,8 +911,6 @@ class CommandQueue:
         engine = self.context.platform.engine
         written = list(dict.fromkeys(cmd.written_buffers))
         finals: List["SimTask"] = []
-        self._epoch_meta()
-        share_metas = self._share_metas
         for share in kernel.split_shares(launch, plan):
             device = share.device
             if not self.context.platform.is_available(device):
@@ -921,23 +920,12 @@ class CommandQueue:
                 )
             dev = node.device(device)
             moves = self._make_resident(cmd, device, deps, share)
-            meta = share_metas.get(share.tag)
-            if meta is None:
-                if len(share_metas) >= SPLIT_MEMO_SIZE:
-                    share_metas.clear()
-                meta = share_metas[share.tag] = {
-                    "queue": self.name,
-                    "epoch": self.epoch_index,
-                    "split": share.tag,
-                }
-                if self._tenant_meta is not None:
-                    meta.update(self._tenant_meta)
             sub_task = dev.submit_kernel(
                 name=share.name,
                 cost=kernel.config_cost(dev.spec, share.config),
                 deps=deps + moves,
                 category="kernel",
-                meta=meta,
+                meta=self._launch_meta(share.tag),
             )
             gathers = [
                 node.submit_d2h(
@@ -1116,6 +1104,7 @@ class CommandQueue:
         self._outstanding.clear()
         self._inflight.clear()
         self.epoch_index += 1
+        self._launch_metas = {}
         self.context.platform.engine.trace.mark(
             self.context.platform.engine.now, f"epoch:{self.name}:{self.epoch_index}"
         )

@@ -1,4 +1,4 @@
-"""ScheduleOptions/SchedulerConfig interpretation and the MultiCL facade."""
+"""Per-queue flags, SchedulerConfig interpretation and the MultiCL facade."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.flags import (
     _ENV_FIELDS,
     CONFIG_PROPERTY_KEY,
     ITERATIVE_FREQ_ENV,
-    ScheduleOptions,
     SchedulerConfig,
 )
 from repro.core.runtime import MultiCL, RunStats
@@ -16,41 +15,33 @@ from repro.sim.trace import Trace
 
 
 # ---------------------------------------------------------------------------
-# ScheduleOptions
+# Per-queue flags
 # ---------------------------------------------------------------------------
-def test_options_from_off():
-    o = ScheduleOptions.from_flags(SchedFlag.SCHED_OFF)
-    assert not o.auto and not o.dynamic
+def test_static_queue_profiled_only_when_dynamic_also_set(profile_dir):
+    """Under AUTO_FIT, SCHED_AUTO_STATIC alone places from hints with no
+    profiling launch; with SCHED_AUTO_DYNAMIC also set, dynamic wins and
+    the epoch is profiled."""
+    src = """
+// @multicl flops_per_item=300 bytes_per_item=8 writes=1
+__kernel void work(__global float* in, __global float* out, int n) { }
+"""
+    static = SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_KERNEL_EPOCH
 
+    def profile_launches(flags):
+        mcl = MultiCL(policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir)
+        ctx = mcl.context
+        k = ctx.create_program(src).build().create_kernel("work")
+        n = 1 << 16
+        k.set_arg(0, ctx.create_buffer(4 * n))
+        k.set_arg(1, ctx.create_buffer(4 * n))
+        k.set_arg(2, n)
+        q = mcl.queue(flags=flags)
+        q.enqueue_nd_range_kernel(k, (n,), (64,))
+        q.finish()
+        return mcl.engine.trace.count(category="profile-kernel")
 
-def test_options_from_dynamic_epoch():
-    o = ScheduleOptions.from_flags(
-        SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_KERNEL_EPOCH
-    )
-    assert o.auto and o.dynamic and o.epoch_trigger
-    assert not o.is_static_mode
-
-
-def test_options_static_mode():
-    o = ScheduleOptions.from_flags(SchedFlag.SCHED_AUTO_STATIC)
-    assert o.is_static_mode
-    both = ScheduleOptions.from_flags(
-        SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_AUTO_DYNAMIC
-    )
-    assert not both.is_static_mode  # dynamic wins when both are set
-
-
-def test_options_hints():
-    o = ScheduleOptions.from_flags(
-        SchedFlag.SCHED_AUTO_DYNAMIC
-        | SchedFlag.SCHED_COMPUTE_BOUND
-        | SchedFlag.SCHED_ITERATIVE
-    )
-    assert o.compute_bound and o.iterative and o.wants_minikernel
-    o2 = ScheduleOptions.from_flags(
-        SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_MEMORY_BOUND
-    )
-    assert o2.memory_bound and not o2.wants_minikernel
+    assert profile_launches(static) == 0
+    assert profile_launches(static | SchedFlag.SCHED_AUTO_DYNAMIC) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.minikernel import (
-    MINIKERNEL_GUARD,
-    make_minikernel_source,
-    transform_program,
-)
+from repro.core.minikernel import MINIKERNEL_GUARD, make_minikernel_source
 from repro.ocl.source import parse_program_source
 
 SRC = """
@@ -48,7 +44,7 @@ def test_transformation_idempotent():
 
 
 def test_transformed_source_still_parses_with_same_signatures():
-    mini_src, infos = transform_program(SRC)
+    infos = {k.name: k for k in parse_program_source(make_minikernel_source(SRC))}
     originals = {k.name: k for k in parse_program_source(SRC)}
     assert set(infos) == set(originals)
     for name, info in infos.items():

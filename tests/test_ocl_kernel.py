@@ -228,3 +228,29 @@ def test_normalize_still_rejects_invalid_sizes(global_size, local_size):
     for _ in range(2):  # nothing invalid is memoised
         with pytest.raises(InvalidWorkGroupSize):
             WorkGroupConfig.normalize(global_size, local_size)
+
+
+def test_override_shares_the_price_of_an_equal_launch(kernel, bare_platform):
+    """Prices are memoised on the effective configuration: a device whose
+    override equals another launch's sizes gets that launch's very cost
+    object, on any device and through config_cost too."""
+    gpu = bare_platform.device("gpu0").spec
+    cpu = bare_platform.device("cpu").spec
+    kernel.set_work_group_info("gpu0", (1 << 18,), (256,))
+    second = WorkGroupConfig.normalize((1 << 18,), (256,))
+    priced = kernel.launch_cost(cpu, second)
+    overridden = kernel.launch_cost(gpu, WorkGroupConfig.normalize((1 << 10,), (64,)))
+    assert overridden is priced
+    assert kernel.config_cost(gpu, second) is priced
+
+    calls = []
+
+    def model(dev_spec, config, args):
+        calls.append(config)
+        return KernelCost(flops=float(len(calls)), bytes=1.0, work_items=config.work_items)
+
+    # A custom cost model still prices every launch, override included.
+    kernel.set_cost_model(model)
+    assert kernel.launch_cost(gpu, WorkGroupConfig.normalize((1 << 10,), (64,))).flops == 1.0
+    assert kernel.launch_cost(gpu, WorkGroupConfig.normalize((1 << 10,), (64,))).flops == 2.0
+    assert calls == [second, second]
