@@ -22,6 +22,7 @@ __all__ = [
     "InvalidEventWaitList",
     "InvalidOperation",
     "MemAllocationFailure",
+    "MemCopyOverlap",
     "BuildProgramFailure",
 ]
 
@@ -62,6 +63,13 @@ class MemAllocationFailure(CLError):
     """CL_MEM_OBJECT_ALLOCATION_FAILURE — buffer does not fit on device."""
 
     code = -4
+
+
+class MemCopyOverlap(CLError):
+    """CL_MEM_COPY_OVERLAP — a copy's source and destination regions of one
+    data store overlap."""
+
+    code = -8
 
 
 class InvalidMemObject(CLError):

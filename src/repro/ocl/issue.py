@@ -14,8 +14,9 @@ predecessor graph over the pool's deferred commands feeds one ready heap
   happens-before direction (within an in-order queue by a chain of
   consecutive accesses per buffer, :func:`_conflict_edges`; every other
   pair on its own, checked before anything issues), and the key is
-  ``(kind rank, node index)`` so uploads prefetch ahead of compute; an
-  ``overlap-join`` task then restores each relaxed queue's tail.
+  ``(kind rank, node index)`` (:data:`~repro.ocl.queue.COMMAND_KINDS`)
+  so uploads prefetch ahead of compute; an ``overlap-join`` task then
+  restores each relaxed queue's tail.
 
 A relaxed pool's edges depend only on its shape (:func:`_pool_shape`), so
 each context keeps the edges of its last :data:`POOL_SHAPE_CACHE_SIZE`
@@ -31,6 +32,7 @@ from typing import (
 
 from repro.ocl.enums import CommandKind, SchedFlag
 from repro.ocl.errors import InvalidOperation
+from repro.ocl.queue import COMMAND_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.context import Context
@@ -43,19 +45,6 @@ _OVERLAP_MASK = SchedFlag.SCHED_OVERLAP.value
 #: Relaxed-pool shapes whose edges one context keeps; the oldest entry is
 #: dropped first.
 POOL_SHAPE_CACHE_SIZE = 64
-
-#: Relaxed-pool issue priority by command kind: feed the copy engines first
-#: (prefetch), then result read-backs, then compute, then pure
-#: synchronisation points.
-_KIND_RANK = {
-    CommandKind.WRITE_BUFFER: 0,
-    CommandKind.FILL_BUFFER: 0,
-    CommandKind.COPY_BUFFER: 0,
-    CommandKind.READ_BUFFER: 1,
-    CommandKind.NDRANGE_KERNEL: 2,
-    CommandKind.MARKER: 3,
-    CommandKind.BARRIER: 3,
-}
 
 
 def relaxed(context: "Context", queue: "CommandQueue") -> bool:
@@ -92,7 +81,7 @@ def issue_pool(
         if edges is None:
             # A shape whose edges raise is never stored.
             preds, restore, succ, indeg = _relaxed_edges(queues, relax)
-            rank = [_KIND_RANK.get(cmd.kind, 2) for cmd in commands]
+            rank = [COMMAND_KINDS[cmd.kind._value_][2] for cmd in commands]
             edges = (preds, restore, succ, indeg, rank)
             if len(cache) >= POOL_SHAPE_CACHE_SIZE:
                 del cache[next(iter(cache))]

@@ -44,6 +44,7 @@ from repro.ocl.errors import (
     InvalidOperation,
     InvalidValue,
     MemAllocationFailure,
+    MemCopyOverlap,
 )
 from repro.ocl.kernel import SPLIT_MEMO_SIZE, Kernel, SplitShare, WorkGroupConfig
 from repro.ocl.memory import HOST, Buffer
@@ -173,7 +174,7 @@ class Command:
         see whether a written argument is also consumed.  Markers and
         barriers touch no buffers.
         """
-        return _ACCESS_SETS[self.kind._value_](self)
+        return COMMAND_KINDS[self.kind._value_][0](self)
 
     # -- the event API ---------------------------------------------------
     @property
@@ -272,20 +273,6 @@ class Command:
         return f"Event(#{self.id}, {self.kind.value}, {self.status.name})"
 
 
-#: Command kind -> ``(reads, writes)`` of a command of that kind
-#: (:meth:`Command.access_sets`), one lookup per call.  Keyed by the
-#: kind's ``_value_``: reading a ``CommandKind`` member off the class, or
-#: hashing one, is a Python-level call.
-_ACCESS_SETS = {
-    CommandKind.NDRANGE_KERNEL.value: lambda c: (c.arg_buffers, c.written_buffers),
-    CommandKind.WRITE_BUFFER.value: lambda c: ((), (c.buffer,)),
-    CommandKind.FILL_BUFFER.value: lambda c: ((), (c.buffer,)),
-    CommandKind.READ_BUFFER.value: lambda c: ((c.buffer,), ()),
-    CommandKind.COPY_BUFFER.value: lambda c: ((c.src_buffer,), (c.buffer,)),
-    CommandKind.MARKER.value: lambda c: ((), ()),
-    CommandKind.BARRIER.value: lambda c: ((), ()),
-}
-
 #: The ``cl_event`` of a command is the command itself.
 Event = Command
 
@@ -303,27 +290,15 @@ def wait_for_events(events: Sequence[Command]) -> None:
         e.wait()
 
 
-def _checked_nbytes(nbytes: Optional[int], limit: int) -> int:
-    """A transfer's byte count: ``limit`` (the buffer size, for a copy the
-    smaller of the two) when ``nbytes`` is ``None``, else ``nbytes`` once it
-    is known to lie in ``(0, limit]`` (``CL_INVALID_VALUE`` otherwise)."""
-    if nbytes is None:
-        return limit
-    n = int(nbytes)
-    if not 0 < n <= limit:
-        raise InvalidValue(f"nbytes {n} outside 1..{limit}")
-    return n
+def _transfer(dst: Any, src: Any, nbytes: int, elementwise: bool) -> None:
+    """Move a transfer of ``nbytes`` bytes from ``src`` into ``dst``.
 
-
-def _transfer(dst: Any, src: Any, nbytes: int, whole: int) -> None:
-    """Move a transfer of ``nbytes`` bytes (``whole`` is the full size).
-
-    A whole transfer assigns element-wise, ``dst[...] = src`` (numpy casts,
-    and broadcasts a fill value).  A partial one copies only the first
-    ``nbytes`` bytes, through byte views of both arrays; a scalar ``src``
-    (a fill value) repeats as a pattern of ``dst``'s element type.
+    ``elementwise`` assigns ``dst[...] = src`` (numpy casts, and broadcasts
+    a fill value).  Otherwise only the first ``nbytes`` bytes move, through
+    byte views of both arrays; a scalar ``src`` (a fill value) repeats as a
+    pattern of ``dst``'s element type.
     """
-    if nbytes >= whole:
+    if elementwise:
         dst[...] = src
         return
     import numpy as np
@@ -419,8 +394,6 @@ class CommandQueue:
         self.binding_history: List[str] = [device_name]
         self.released = False
         context._register_queue(self)
-        if context.scheduler is not None:
-            context.scheduler.on_queue_created(self)
 
     # ------------------------------------------------------------------
     # Scheduling state
@@ -448,34 +421,27 @@ class CommandQueue:
         (an empty flag set) stops it, freezing the current device binding.
         """
         self._check_alive()
-        scheduler = self.context.scheduler
         if flags.is_auto:
-            if scheduler is None:
+            if self.context.scheduler is None:
                 raise InvalidOperation(
                     "cannot start a scheduling region without a context scheduler"
                 )
             self._sched_flags |= flags
             self._flag_bits = self._sched_flags.value
             _check_flag_hygiene(self._sched_flags)
-            if not self.region_active:
-                self.region_active = True
-                scheduler.on_region_start(self)
-        else:
-            if self.region_active:
-                self.region_active = False
-                if scheduler is not None:
-                    scheduler.on_region_stop(self)
-                # Stopping a region is a scheduling boundary: anything still
-                # deferred is scheduled now.
-                if self.pending:
-                    self.context._sync_pending(trigger_queue=self)
+            self.region_active = True
+        elif self.region_active:
+            self.region_active = False
+            # Stopping a region is a scheduling boundary: anything still
+            # deferred is scheduled now.
+            if self.pending:
+                self.context._sync_pending(trigger_queue=self)
 
     def rebind(self, device_name: str) -> None:
         """Scheduler-driven device rebinding."""
         if device_name not in self.context.device_names:
             raise InvalidValue(f"unknown device {device_name!r}")
-        if device_name != self.device:
-            self.device = device_name
+        self.device = device_name
         self.binding_history.append(device_name)
 
     # ------------------------------------------------------------------
@@ -489,16 +455,9 @@ class CommandQueue:
         wait_events: Sequence[Command] = (),
     ) -> Command:
         """clEnqueueWriteBuffer (host → queue's device)."""
-        self._check_alive()
-        self._check_buffer(buffer)
-        cmd = Command(
-            kind=CommandKind.WRITE_BUFFER,
-            wait_events=self._waits(wait_events),
-            buffer=buffer,
-            host_array=host_array,
-            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
+        return self._enqueue_transfer(
+            CommandKind.WRITE_BUFFER, buffer, nbytes, wait_events, host_array
         )
-        return self._enqueue(cmd)
 
     def enqueue_read_buffer(
         self,
@@ -508,16 +467,9 @@ class CommandQueue:
         wait_events: Sequence[Command] = (),
     ) -> Command:
         """clEnqueueReadBuffer (queue's device → host)."""
-        self._check_alive()
-        self._check_buffer(buffer)
-        cmd = Command(
-            kind=CommandKind.READ_BUFFER,
-            wait_events=self._waits(wait_events),
-            buffer=buffer,
-            host_array=host_array,
-            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
+        return self._enqueue_transfer(
+            CommandKind.READ_BUFFER, buffer, nbytes, wait_events, host_array
         )
-        return self._enqueue(cmd)
 
     def enqueue_fill_buffer(
         self,
@@ -527,16 +479,9 @@ class CommandQueue:
         wait_events: Sequence[Command] = (),
     ) -> Command:
         """clEnqueueFillBuffer: device-side constant fill (no host traffic)."""
-        self._check_alive()
-        self._check_buffer(buffer)
-        cmd = Command(
-            kind=CommandKind.FILL_BUFFER,
-            wait_events=self._waits(wait_events),
-            buffer=buffer,
-            host_array=value,
-            nbytes=_checked_nbytes(nbytes, buffer.nbytes),
+        return self._enqueue_transfer(
+            CommandKind.FILL_BUFFER, buffer, nbytes, wait_events, value
         )
-        return self._enqueue(cmd)
 
     def enqueue_copy_buffer(
         self,
@@ -545,18 +490,43 @@ class CommandQueue:
         nbytes: Optional[int] = None,
         wait_events: Sequence[Command] = (),
     ) -> Command:
-        """clEnqueueCopyBuffer (device-side copy)."""
-        self._check_alive()
-        self._check_buffer(src)
-        self._check_buffer(dst)
-        cmd = Command(
-            kind=CommandKind.COPY_BUFFER,
-            wait_events=self._waits(wait_events),
-            src_buffer=src,
-            buffer=dst,
-            nbytes=_checked_nbytes(nbytes, min(src.nbytes, dst.nbytes)),
+        """clEnqueueCopyBuffer (device-side copy).
+
+        Copying a region onto an overlapping region of the same data store
+        (the buffer itself, or its parent or a sibling sub-buffer) raises
+        :class:`MemCopyOverlap`.
+        """
+        return self._enqueue_transfer(
+            CommandKind.COPY_BUFFER, dst, nbytes, wait_events, src=src
         )
-        return self._enqueue(cmd)
+
+    def _enqueue_transfer(
+        self,
+        kind: CommandKind,
+        buffer: Buffer,
+        nbytes: Optional[int],
+        wait_events: Sequence[Command],
+        host_array: Optional[Any] = None,
+        src: Optional[Buffer] = None,
+    ) -> Command:
+        """Check and enqueue a write, read, fill or copy (``src`` → ``buffer``)
+        of ``nbytes`` bytes: by default the whole buffer, for a copy the
+        smaller of the two; else ``CL_INVALID_VALUE`` outside that."""
+        self._check_alive()
+        limit = buffer.nbytes
+        if src is not None:
+            self._check_buffer(src)
+            limit = min(src.nbytes, limit)
+        self._check_buffer(buffer)
+        waits = self._waits(wait_events)
+        n = limit if nbytes is None else int(nbytes)
+        if not 0 < n <= limit:
+            raise InvalidValue(f"nbytes {n} outside 1..{limit}")
+        if src is not None and (src.parent or src) is (buffer.parent or buffer) and (
+            abs(src.origin - buffer.origin) < n
+        ):
+            raise MemCopyOverlap(f"{n}-byte copy {src.name!r} -> {buffer.name!r}")
+        return self._enqueue(Command(kind, waits, buffer, host_array, n, src))
 
     def enqueue_nd_range_kernel(
         self,
@@ -719,7 +689,6 @@ class CommandQueue:
                 f"queue {self.name!r}: device {self.device!r} failed; "
                 f"rebind the queue or use an automatic scheduler"
             )
-        engine = self.context.platform.engine
         if extra_deps:
             deps.extend(extra_deps)
         if ordering_deps is not None:
@@ -731,29 +700,7 @@ class CommandQueue:
         elif self._tail is not None:
             deps.append(self._tail)
 
-        kind = cmd.kind
-        if kind is CommandKind.NDRANGE_KERNEL:
-            # First branch: kernels dominate every scheduled workload.
-            if cmd.split_plan is not None:
-                task = self._issue_split_kernel(cmd, deps)
-            else:
-                moves = self._make_resident(cmd, self.device, deps)
-                task = self._launch(cmd, deps + moves if moves else deps)
-        elif kind is CommandKind.MARKER:
-            task = engine.task(
-                name=f"marker@{self.name}", duration=0.0, deps=deps,
-                category="marker",
-            )
-        elif kind is CommandKind.BARRIER:
-            barrier_deps = deps + [t for t in self._outstanding if not t.done]
-            task = engine.task(
-                name=f"barrier@{self.name}", duration=0.0, deps=barrier_deps,
-                category="marker",
-            )
-            self._barrier = task
-        else:
-            task = self._issue_transfer(cmd, deps)
-
+        task = COMMAND_KINDS[cmd.kind._value_][1](self, cmd, deps)
         cmd.task = task
         if cmd.callbacks is not None:
             for fn in cmd.callbacks:
@@ -761,7 +708,7 @@ class CommandQueue:
             cmd.callbacks = None
         if cmd.aborted_task is not None:
             # Replay: waiters of the aborted incarnation follow this task.
-            engine.adopt(cmd.aborted_task, task)
+            self.context.platform.engine.adopt(cmd.aborted_task, task)
             cmd.aborted_task = None
         if ordering_deps is None:
             self._tail = task
@@ -781,69 +728,71 @@ class CommandQueue:
         ever ran.  An in-order queue settles front first; on other queues
         a settled entry waits behind the first unsettled one.
         """
-        out = self._outstanding
-        if out and out[0].state in _SETTLED:
-            k = 1
-            while k < len(out) and out[k].state in _SETTLED:
-                k += 1
-            del out[:k]
-        inflight = self._inflight
-        if inflight and inflight[0].task.state in _SETTLED:
-            k = 1
-            while k < len(inflight) and inflight[k].task.state in _SETTLED:
-                k += 1
-            del inflight[:k]
+        out, k = self._outstanding, 0
+        while k < len(out) and out[k].state in _SETTLED:
+            k += 1
+        del out[:k]
+        inflight, k = self._inflight, 0
+        while k < len(inflight) and inflight[k].task.state in _SETTLED:
+            k += 1
+        del inflight[:k]
 
-    def _issue_transfer(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
-        """Issue a write, read, fill or copy on the queue's device, after
-        the residency step (:meth:`_make_resident`)."""
-        buf = cmd.buffer
-        assert buf is not None
-        device = self.device
-        moves = self._make_resident(cmd, device, deps)
-        if moves:
-            deps = deps + moves
+    def _issue_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
+        """Issue a kernel: split per its plan, else after the residency
+        step on the queue's device."""
+        if cmd.split_plan is not None:
+            return self._issue_split_kernel(cmd, deps)
+        return self._launch(cmd, self._make_resident(cmd, self.device, deps))
+
+    def _issue_barrier(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
+        """Issue a barrier: it waits for every unfinished issued task."""
+        self._barrier = self.context.platform.engine.task(
+            name=f"barrier@{self.name}", duration=0.0,
+            deps=deps + [t for t in self._outstanding if not t.done],
+            category="marker",
+        )
+        return self._barrier
+
+    def _issue_transfer(
+        self, cmd: Command, deps: List["SimTask"], link: Optional[str]
+    ) -> "SimTask":
+        """Issue a write (``link`` ``"h2d"``), a read (``"d2h"``), or a fill
+        or copy (``None``: within device memory) on the queue's device,
+        after the residency step (:meth:`_make_resident`).  A copy moves
+        bytes unless both arrays match in shape and element type."""
+        buf, src, device, n = cmd.buffer, cmd.src_buffer, self.device, cmd.nbytes
+        deps = self._make_resident(cmd, device, deps)
         node = self.context.platform.node
         meta = self._tenant_meta
-        kind = cmd.kind
-        if kind is CommandKind.WRITE_BUFFER:
+        dst, data = buf.array, cmd.host_array
+        if link == "h2d":
             task = node.submit_h2d(
-                device, cmd.nbytes, deps=deps, category="transfer",
+                device, n, deps=deps, category="transfer",
                 name=f"write:{buf.name}", meta=meta,
             )
-            if cmd.host_array is not None and buf.array is not None:
-                _transfer(buf.array, cmd.host_array, cmd.nbytes, buf.nbytes)
             buf.mark_exclusive(HOST)
             buf.mark_valid(device)
-        elif kind is CommandKind.READ_BUFFER:
+        elif link == "d2h":
             task = node.submit_d2h(
-                device, cmd.nbytes, deps=deps, category="transfer",
+                device, n, deps=deps, category="transfer",
                 name=f"read:{buf.name}", meta=meta,
             )
-            if cmd.host_array is not None and buf.array is not None:
-                _transfer(cmd.host_array, buf.array, cmd.nbytes, buf.nbytes)
+            dst, data = data, dst
             buf.mark_valid(HOST)
-        elif kind is CommandKind.FILL_BUFFER:
+        else:
             task = node.device(device).submit_intradevice_copy(
-                cmd.nbytes, deps=deps, category="transfer",
-                name=f"fill:{buf.name}", meta=meta,
+                n, deps=deps, category="transfer", meta=meta,
+                name=f"fill:{buf.name}" if src is None
+                else f"copy:{src.name}->{buf.name}",
             )
-            if buf.array is not None:
-                _transfer(buf.array, cmd.host_array, cmd.nbytes, buf.nbytes)
+            if src is not None:
+                data = src.array
             buf.mark_exclusive(device)
-        elif kind is CommandKind.COPY_BUFFER:
-            src = cmd.src_buffer
-            assert src is not None
-            task = node.device(device).submit_intradevice_copy(
-                cmd.nbytes, deps=deps, category="transfer",
-                name=f"copy:{src.name}->{buf.name}", meta=meta,
-            )
-            if buf.array is not None and src.array is not None:
-                _transfer(buf.array, src.array, cmd.nbytes,
-                          min(src.nbytes, buf.nbytes))
-            buf.mark_exclusive(device)
-        else:  # pragma: no cover - exhaustive
-            raise InvalidValue(f"unknown command kind {kind}")
+        if dst is not None and data is not None:
+            _transfer(dst, data, n, n >= buf.nbytes and (
+                src is None
+                or (data.dtype, data.shape) == (dst.dtype, dst.shape)
+            ))
         return task
 
     def _launch_meta(self, tag: Optional[str]) -> Dict[str, Any]:
@@ -919,11 +868,10 @@ class CommandQueue:
                     f"failed device {device!r}"
                 )
             dev = node.device(device)
-            moves = self._make_resident(cmd, device, deps, share)
             sub_task = dev.submit_kernel(
                 name=share.name,
                 cost=kernel.config_cost(dev.spec, share.config),
-                deps=deps + moves,
+                deps=self._make_resident(cmd, device, deps, share),
                 category="kernel",
                 meta=self._launch_meta(share.tag),
             )
@@ -958,7 +906,8 @@ class CommandQueue:
         share: Optional[SplitShare] = None,
     ) -> List["SimTask"]:
         """The residency step of every command, and of every split share
-        ``[lo, hi)`` of a kernel, on ``device``; returns the transfer tasks.
+        ``[lo, hi)`` of a kernel, on ``device``; returns ``deps`` extended
+        by the transfer tasks (``deps`` itself when nothing moves).
 
         A command whose buffers (:meth:`Command.access_sets`) are all
         valid on ``device`` lands nothing there, so it has nothing to check
@@ -976,7 +925,7 @@ class CommandQueue:
             if device not in buf._valid_on:
                 break
         else:
-            return []
+            return deps
         if share is None:
             span = total = 1
         else:
@@ -1016,7 +965,7 @@ class CommandQueue:
                 moves.append(move)
             if share is None:
                 buf.mark_valid(device)
-        return moves
+        return deps + moves if moves else deps
 
     # ------------------------------------------------------------------
     # Fault recovery
@@ -1105,9 +1054,7 @@ class CommandQueue:
         self._inflight.clear()
         self.epoch_index += 1
         self._launch_metas = {}
-        self.context.platform.engine.trace.mark(
-            self.context.platform.engine.now, f"epoch:{self.name}:{self.epoch_index}"
-        )
+        engine.trace.mark(engine.now, f"epoch:{self.name}:{self.epoch_index}")
 
     def release(self) -> None:
         """clReleaseCommandQueue (idempotent)."""
@@ -1131,3 +1078,63 @@ class CommandQueue:
             f"CommandQueue({self.name!r}, device={self.device!r}, "
             f"flags={self.sched_flags!r}, pending={len(self.pending)})"
         )
+
+
+#: One row per command kind, keyed by the kind's ``_value_`` (reading a
+#: ``CommandKind`` member off the class, or hashing one, is a Python-level
+#: call): ``(access sets, issue step, relaxed-pool rank, price)``.  The
+#: access sets are :meth:`Command.access_sets`; ``step(queue, cmd, deps)``
+#: submits the task once :meth:`CommandQueue.issue` gathered its deps; the
+#: rank orders a relaxed pool's ready commands (:mod:`repro.ocl.issue`):
+#: uploads first (prefetch), then read-backs, compute, synchronisation;
+#: ``price(node, device, cmd)`` is what the step charges on ``device``
+#: without slowdown or residency moves, the fair-share arbiter's pool price
+#: (link prices go through ``node``, so a wrapped ``SimNode`` sees them).
+COMMAND_KINDS: Dict[str, tuple] = {
+    CommandKind.NDRANGE_KERNEL.value: (
+        lambda c: (c.arg_buffers, c.written_buffers),
+        CommandQueue._issue_kernel,
+        2,
+        lambda node, dev, c: dev.kernel_seconds(
+            c.kernel.launch_cost(dev.spec, c.launch)
+        ),
+    ),
+    CommandKind.WRITE_BUFFER.value: (
+        lambda c: ((), (c.buffer,)),
+        lambda q, c, deps: q._issue_transfer(c, deps, "h2d"),
+        0,
+        lambda node, dev, c: node.h2d_seconds(dev.name, c.nbytes),
+    ),
+    CommandKind.READ_BUFFER.value: (
+        lambda c: ((c.buffer,), ()),
+        lambda q, c, deps: q._issue_transfer(c, deps, "d2h"),
+        1,
+        lambda node, dev, c: node.d2h_seconds(dev.name, c.nbytes),
+    ),
+    CommandKind.FILL_BUFFER.value: (
+        lambda c: ((), (c.buffer,)),
+        lambda q, c, deps: q._issue_transfer(c, deps, None),
+        0,
+        lambda node, dev, c: node.d2d_seconds(dev.name, dev.name, c.nbytes),
+    ),
+    CommandKind.COPY_BUFFER.value: (
+        lambda c: ((c.src_buffer,), (c.buffer,)),
+        lambda q, c, deps: q._issue_transfer(c, deps, None),
+        0,
+        lambda node, dev, c: node.d2d_seconds(dev.name, dev.name, c.nbytes),
+    ),
+    CommandKind.MARKER.value: (
+        lambda c: ((), ()),
+        lambda q, c, deps: q.context.platform.engine.task(
+            name=f"marker@{q.name}", duration=0.0, deps=deps, category="marker"
+        ),
+        3,
+        lambda *a: 0.0,
+    ),
+    CommandKind.BARRIER.value: (
+        lambda c: ((), ()),
+        CommandQueue._issue_barrier,
+        3,
+        lambda *a: 0.0,
+    ),
+}

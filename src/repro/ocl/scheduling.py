@@ -37,9 +37,6 @@ class SchedulerBase(ABC):
         self.context = context
 
     # -- lifecycle -------------------------------------------------------
-    def on_queue_created(self, queue: "CommandQueue") -> None:
-        """A command queue joined the context."""
-
     def on_program_build(self, program: "Program") -> None:
         """Static kernel-transformation hook (minikernel creation)."""
 
@@ -62,13 +59,6 @@ class SchedulerBase(ABC):
         """``device`` permanently failed; drop any state that names it
         (sticky assignments, cached measurements) before the degraded-pool
         rescheduling pass runs."""
-
-    # -- explicit regions --------------------------------------------------
-    def on_region_start(self, queue: "CommandQueue") -> None:
-        """clSetCommandQueueSchedProperty started a scheduling region."""
-
-    def on_region_stop(self, queue: "CommandQueue") -> None:
-        """clSetCommandQueueSchedProperty stopped a scheduling region."""
 
 
 #: Policies are keyed by the value passed in the context properties: the

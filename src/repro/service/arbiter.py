@@ -16,10 +16,11 @@ The algorithm is classic deficit round-robin, weighted:
   an idle tenant's deficit resets to zero (no banking ahead of demand).
 * In priority-then-round-robin order, a tenant whose deficit covers its
   pool's estimated cost dispatches the pool and pays the cost.
-* Pool cost is *estimated* with the same analytic model the simulator
-  charges (:func:`~repro.hardware.cost.kernel_time` over
-  :meth:`Kernel.launch_cost`, plus link-model transfer times), because the
-  trace-measured usage only materializes after virtual time advances —
+* Pool cost is *estimated* as the seconds each command's issue step
+  charges, its kind's price in :data:`~repro.ocl.queue.COMMAND_KINDS`
+  (:meth:`~repro.hardware.topology.SimDevice.kernel_seconds` over
+  :meth:`Kernel.launch_cost`, or the link model's transfer time), because
+  the trace-measured usage only materializes after virtual time advances —
   fairness decisions cannot wait for it.
 
 Two trigger flavours:
@@ -45,7 +46,7 @@ import math
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
-from repro.ocl.enums import CommandKind
+from repro.ocl.queue import COMMAND_KINDS
 from repro.service.admission import QuotaExceeded
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,11 +113,11 @@ class FairShareArbiter:
         The per-device sums are running sums: each round only prices the
         commands appended since the last estimate, adding them in command
         order onto the stored partial sum, so every float equals a fresh
-        left-to-right sum from ``0.0``.  A kernel is priced by
-        :meth:`~repro.hardware.topology.SimDevice.kernel_seconds`, the
-        memoised, unscaled time that
-        :meth:`~repro.hardware.topology.SimDevice.submit_kernel` charges, so
-        one kernel and configuration is priced once per device, not once per
+        left-to-right sum from ``0.0``.  A command costs its kind's price
+        in :data:`~repro.ocl.queue.COMMAND_KINDS`, the unscaled seconds its
+        issue step charges; a kernel's goes through the memoised
+        :meth:`~repro.hardware.topology.SimDevice.kernel_seconds`, so one
+        kernel and configuration is priced once per device, not once per
         command per round.  A queue's sums restart from zero
         when its :attr:`~repro.ocl.queue.CommandQueue.pending_edits` or its
         context's :attr:`~repro.ocl.context.Context.cost_edits` moves.
@@ -136,22 +137,10 @@ class FairShareArbiter:
                 summed, seconds = sums.get(dev, (0, 0.0))
                 if summed < len(pending):
                     device = node.device(dev)
-                    spec = device.spec
                     for cmd in pending[summed:]:
-                        if cmd.kind is CommandKind.NDRANGE_KERNEL:
-                            assert cmd.kernel is not None and cmd.launch is not None
-                            seconds += device.kernel_seconds(
-                                cmd.kernel.launch_cost(spec, cmd.launch)
-                            )
-                        elif cmd.kind is CommandKind.WRITE_BUFFER:
-                            seconds += node.h2d_seconds(dev, cmd.nbytes)
-                        elif cmd.kind is CommandKind.READ_BUFFER:
-                            seconds += node.d2h_seconds(dev, cmd.nbytes)
-                        elif cmd.kind in (
-                            CommandKind.FILL_BUFFER, CommandKind.COPY_BUFFER
-                        ):
-                            seconds += node.d2d_seconds(dev, dev, cmd.nbytes)
-                        # markers/barriers are free
+                        seconds += COMMAND_KINDS[cmd.kind._value_][3](
+                            node, device, cmd
+                        )
                     sums[dev] = (len(pending), seconds)
                 best = min(best, seconds)
             total += 0.0 if best is math.inf else best

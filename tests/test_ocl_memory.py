@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ocl.enums import MemFlag, SchedFlag
-from repro.ocl.errors import InvalidValue, MemAllocationFailure
+from repro.ocl.errors import InvalidValue, MemAllocationFailure, MemCopyOverlap
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.platform import Platform
 
@@ -232,3 +232,60 @@ def test_mapper_never_binds_a_copy_whose_source_cannot_fit(autofit):
     assert q.device == "cpu"
     assert dst.valid_on == {"cpu"}
     _assert_within_capacity(ctx)
+
+
+def _host_buffer(ctx, array):
+    return ctx.create_buffer(
+        array.nbytes, flags=MemFlag.COPY_HOST_PTR, host_array=array
+    )
+
+
+@pytest.mark.parametrize("n_src, n_dst", [(8, 16), (16, 8)])
+def test_copy_between_unequal_buffers_moves_the_smaller_size(
+    manual_context, n_src, n_dst
+):
+    ctx = manual_context
+    q = ctx.create_queue("gpu0")
+    src = _host_buffer(ctx, np.arange(1, n_src + 1, dtype=np.float32))
+    dst = _host_buffer(ctx, np.zeros(n_dst, np.float32))
+    q.enqueue_copy_buffer(src, dst)
+    q.finish()
+    k = min(n_src, n_dst)
+    assert dst.array.tolist() == list(range(1, k + 1)) + [0.0] * (n_dst - k)
+    assert dst.valid_on == {"gpu0"}
+
+
+def test_copy_moves_bytes_between_element_types(manual_context):
+    ctx = manual_context
+    q = ctx.create_queue("gpu0")
+    values = np.array([1.5, -2.0, 3.25, 0.0], np.float32)
+    src = _host_buffer(ctx, values)
+    dst = _host_buffer(ctx, np.zeros(16, np.uint8))
+    q.enqueue_copy_buffer(src, dst)
+    q.finish()
+    assert dst.array.tobytes() == values.tobytes()
+
+
+def test_overlapping_copies_raise_copy_overlap(manual_context):
+    ctx = manual_context
+    q = ctx.create_queue("gpu0")
+    parent = ctx.create_buffer(64, name="p")
+    lo = parent.create_sub_buffer(0, 32, name="lo")
+    mid = parent.create_sub_buffer(16, 32, name="mid")
+    hi = parent.create_sub_buffer(32, 32, name="hi")
+    other = ctx.create_buffer(64, name="other")
+    for src, dst, nbytes in (
+        (parent, parent, None), (parent, parent, 1), (lo, parent, None),
+        (parent, mid, None), (lo, mid, None), (mid, hi, None), (hi, mid, 17),
+    ):
+        with pytest.raises(MemCopyOverlap) as err:
+            q.enqueue_copy_buffer(src, dst, nbytes=nbytes)
+        assert err.value.code == -8
+    assert len(ctx.platform.engine.trace) == 0 and q._inflight == []
+    # Disjoint regions of one data store, and distinct stores, copy.
+    for src, dst, nbytes in (
+        (lo, hi, None), (hi, parent, None), (parent, hi, None),
+        (hi, mid, 16), (parent, other, None),
+    ):
+        q.enqueue_copy_buffer(src, dst, nbytes=nbytes)
+    q.finish()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.runtime import MultiCL
-from repro.ocl.enums import ContextScheduler, SchedFlag
+from repro.ocl.enums import CommandKind, ContextProperty, ContextScheduler, SchedFlag
 from repro.ocl.errors import (
     InvalidCommandQueue,
     InvalidContext,
@@ -15,6 +15,7 @@ from repro.ocl.errors import (
     MemAllocationFailure,
 )
 from repro.ocl.memory import HOST
+from repro.ocl.queue import COMMAND_KINDS
 
 SRC = """
 // @multicl flops_per_item=50 bytes_per_item=16 writes=1
@@ -453,3 +454,62 @@ def test_out_of_range_nbytes_rejected_before_deferral(autofit):
         with pytest.raises(InvalidValue):
             enqueue(10**6)
     assert q.pending == []
+
+
+def test_every_command_kind_has_exactly_one_row():
+    assert sorted(COMMAND_KINDS) == sorted(kind.value for kind in CommandKind)
+    assert len(COMMAND_KINDS) == len(CommandKind)
+    assert all(len(row) == 4 for row in COMMAND_KINDS.values())
+
+
+@pytest.mark.parametrize("scheduled", (False, True), ids=("manual", "relaxed"))
+def test_each_kind_lasts_its_rows_price(bare_platform, scheduled):
+    """With every buffer already resident and no slowdown, each command's
+    issued task lasts exactly its kind's price (markers and barriers 0).
+    On a scheduled queue with ``SCHED_OVERLAP`` the pool issuer's relaxed
+    branch issues them, uploads first, by each kind's rank."""
+    if scheduled:
+        ctx = bare_platform.create_context(["gpu0"], {
+            ContextProperty.CL_CONTEXT_SCHEDULER: ContextScheduler.ROUND_ROBIN,
+        })
+        flags = SchedFlag.SCHED_AUTO_DYNAMIC | SchedFlag.SCHED_OVERLAP
+    else:
+        ctx, flags = bare_platform.create_context(), SchedFlag.SCHED_OFF
+    q = ctx.create_queue("gpu0", sched_flags=flags)
+    issued = []
+    issue = q.issue
+    q.issue = lambda cmd, *deps: (issued.append(cmd), issue(cmd, *deps))
+    prog = ctx.create_program(SRC).build()
+    k, a, b = _kernel(ctx, prog)
+    c, d, e, f, g = (ctx.create_buffer(64) for _ in range(5))
+    for buf in (a, b, c, d, e, f, g):
+        buf.mark_valid("gpu0")
+    cmds = [
+        q.enqueue_nd_range_kernel(k, (1 << 12,), (64,)),
+        q.enqueue_read_buffer(c),
+        q.enqueue_write_buffer(d),
+        q.enqueue_fill_buffer(e, 1.0),
+        q.enqueue_copy_buffer(f, g),
+        q.enqueue_barrier(),
+        q.enqueue_marker(),
+    ]
+    assert {cmd.kind for cmd in cmds} == set(CommandKind)
+    q.finish()
+    assert ctx.platform.engine.trace.count(category="migration") == 0
+    node = ctx.platform.node
+    device = node.device("gpu0")
+    for cmd in cmds:
+        price = COMMAND_KINDS[cmd.kind.value][3](node, device, cmd)
+        assert cmd.task.duration == price
+        assert (price == 0.0) == (cmd.kind in (CommandKind.MARKER, CommandKind.BARRIER))
+    ranks = [COMMAND_KINDS[cmd.kind.value][2] for cmd in issued]
+    if scheduled:
+        assert [cmd.kind for cmd in issued] == [
+            CommandKind.WRITE_BUFFER, CommandKind.FILL_BUFFER,
+            CommandKind.COPY_BUFFER, CommandKind.READ_BUFFER,
+            CommandKind.NDRANGE_KERNEL, CommandKind.BARRIER, CommandKind.MARKER,
+        ]
+        assert ranks == sorted(ranks)
+    else:
+        # The resident launch takes the fast path, not issue().
+        assert issued == cmds[1:]
