@@ -12,9 +12,11 @@ overhead."
 To make that comparison *runnable*, this module implements the contrasted
 design as a third registered policy, ``"kernel-granularity"``: every
 kernel command is scheduled the moment it is enqueued, to the device that
-minimises (profiled kernel time + data-movement estimate + the device's
-already-assigned backlog).  Consequences the paper predicts, which the
-``baselines`` experiment measures:
+minimises the device's already-assigned backlog plus the kernel's
+:func:`~repro.core.scheduler.cost_row` cell: profiled kernel time plus
+data-movement estimate, ``inf`` where its buffers do not fit.
+Consequences the paper predicts, which the ``baselines`` experiment
+measures:
 
 * per-kernel mapping decisions (one host-side lookup/decision per launch
   instead of one per epoch);
@@ -29,11 +31,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.scheduler import (
-    MAPPING_HOST_SECONDS,
-    MultiCLSchedulerBase,
-    transfer_estimate,
-)
+from repro.core.device_mapper import MapperError
+from repro.core.scheduler import MAPPING_HOST_SECONDS, MultiCLSchedulerBase, cost_row
 from repro.ocl.scheduling import register_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,8 +69,7 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
     def _place_kernel(self, q: "CommandQueue", cmd: "Command") -> None:
         if not cmd.is_kernel:
             return
-        profile = self.context.platform.device_profile
-        epoch = self.profiler.profile_epoch(q, [cmd])
+        seconds = self.profiler.profile_epoch(q, [cmd])
         # Per-kernel host decision cost (a profile lookup + argmin).  Charged
         # before ranking, so a device that fails while the profile or this
         # interval advances virtual time is never chosen.
@@ -79,14 +77,12 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
             MAPPING_HOST_SECONDS, category="schedule",
             name="per-kernel-map",
         )
-        best, best_cost = None, float("inf")
-        for d in self._active_devices():
-            move = transfer_estimate(cmd.arg_buffers, d, profile)
-            cost = self._load[d] + epoch.seconds[d] + move
-            if cost < best_cost:
-                best, best_cost = d, cost
-        assert best is not None
-        self._load[best] += epoch.seconds[best]
+        devices = self._active_devices()
+        row = cost_row(self.context, [cmd], seconds, devices)
+        best = min(devices, key=lambda d: self._load[d] + row[d])
+        if row[best] == float("inf"):
+            raise MapperError(f"queue {q.name!r} infeasible on every device")
+        self._load[best] += seconds[best]
         self.decisions += 1
         q.rebind(best)
 

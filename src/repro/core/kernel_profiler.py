@@ -30,7 +30,7 @@ Overhead mitigation, matching the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.context import Context
     from repro.ocl.queue import CommandQueue
 
-__all__ = ["KernelProfiler", "ProfilerStats", "EpochProfile"]
+__all__ = ["KernelProfiler", "ProfilerStats"]
 
 #: Trace category for profiling kernel launches (Fig. 8 measures this).
 PROFILE_KERNEL = "profile-kernel"
@@ -78,13 +78,6 @@ class ProfilerStats:
     #: kernels the predictor declined (low confidence / custom cost model),
     #: falling back to measurement
     predict_declines: int = 0
-
-
-@dataclass
-class EpochProfile:
-    """Per-device estimated execution seconds for one epoch."""
-
-    seconds: Dict[str, float] = field(default_factory=dict)
 
 
 class KernelProfiler:
@@ -128,8 +121,9 @@ class KernelProfiler:
         self,
         queue: "CommandQueue",
         commands: Sequence[Command],
-    ) -> EpochProfile:
-        """Produce the per-device time vector for a queue's pending epoch.
+    ) -> Dict[str, float]:
+        """Produce the per-device estimated execution seconds of a queue's
+        pending epoch.
 
         Cache hits are free; misses run profiling launches on the simulated
         devices and charge their time to the shared clock.
@@ -149,7 +143,7 @@ class KernelProfiler:
         kernel_cmds = [c for c in commands if c.is_kernel]
         devices = list(self.context.active_device_names)
         if not kernel_cmds:
-            return EpochProfile({d: 0.0 for d in devices})
+            return {d: 0.0 for d in devices}
 
         # Each command's key, computed once: the epoch key is their tuple.
         ekey = self.epoch_key(kernel_cmds)
@@ -157,7 +151,7 @@ class KernelProfiler:
         cached = self.epoch_cache.get(ekey) if caching else None
         if cached is not None:
             self.stats.epoch_cache_hits += 1
-            return EpochProfile(dict(cached))
+            return dict(cached)
 
         missing: List[Command] = []
         missing_keys: Dict[KernelKey, None] = {}
@@ -194,7 +188,7 @@ class KernelProfiler:
                 seconds[d] += per_dev.get(d, math.inf)
         if caching:
             self.epoch_cache.put(ekey, dict(seconds))
-        return EpochProfile(seconds)
+        return seconds
 
     # ------------------------------------------------------------------
     # Fault handling

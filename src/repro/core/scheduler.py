@@ -12,12 +12,13 @@ and leave every pooled queue bound to a device with its commands issued.
   GPUs.
 * :class:`AutoFitScheduler` "decides the most optimal queue-device mapping
   when the scheduler is triggered": dynamic queues are profiled
-  (:mod:`repro.core.kernel_profiler`), their aggregate cost combined with
-  data-transfer estimates derived from the static device profiles, and the
-  pool is mapped by the exact makespan minimiser
-  (:mod:`repro.core.device_mapper`).  Static queues (``SCHED_AUTO_STATIC``)
-  skip kernel profiling entirely and are placed from the device profiles
-  and the queue's workload hints alone (Section V.B).
+  (:mod:`repro.core.kernel_profiler`), each queue × device is priced by
+  :func:`cost_row` (profiled seconds plus move-in estimates, ``inf`` where
+  the data does not fit), and the pool is mapped by the exact makespan
+  minimiser (:mod:`repro.core.device_mapper`).  Static queues
+  (``SCHED_AUTO_STATIC``) skip kernel profiling entirely and are placed from
+  the device profiles and the queue's workload hints alone (Section V.B),
+  on the devices their data fits.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "RoundRobinScheduler",
     "AutoFitScheduler",
     "trigger_pool",
-    "transfer_estimate",
+    "cost_row",
     "MAPPING_HOST_SECONDS",
 ]
 
@@ -85,21 +86,43 @@ def trigger_pool(queue: "CommandQueue") -> List["CommandQueue"]:
     return pool
 
 
-def transfer_estimate(buffers: Iterable[Buffer], device: str, profile) -> float:
-    """Estimated seconds to make ``buffers`` resident on ``device`` (a
-    buffer listed twice counts twice), from the *measured* device profile,
-    not the ground-truth model."""
-    total = 0.0
-    for buf in buffers:
-        if not buf.initialized or buf.is_valid_on(device):
+def _whole_buffers(commands: Iterable["Command"]) -> List[Tuple[Buffer, int]]:
+    """Every buffer ``commands`` touch, once each and whole: the
+    deduplicated :meth:`Command.access_sets`, the set issue checks."""
+    bufs = dict.fromkeys(b for cmd in commands for side in cmd.access_sets() for b in side)
+    return [(b, b.nbytes) for b in bufs]
+
+
+def cost_row(
+    context: "Context",
+    commands: Iterable["Command"],
+    seconds: Dict[str, float],
+    devices: Sequence[str],
+) -> Dict[str, float]:
+    """The one price of placing ``commands`` on each of ``devices``:
+    ``inf`` where their buffers do not fit (:meth:`Context.overcommit`),
+    else the profiled ``seconds`` plus the estimated seconds to move their
+    buffers in, from the *measured* device profile, not the ground-truth
+    model."""
+    profile = context.platform.device_profile
+    whole = _whole_buffers(commands)
+    row: Dict[str, float] = {}
+    for d in devices:
+        if context.overcommit(d, whole):
+            row[d] = math.inf
             continue
-        if buf.is_valid_on(HOST):
-            total += profile.h2d_seconds(device, buf.nbytes)
-        else:
-            src = buf.any_valid_device()
-            if src is not None:
-                total += profile.d2d_seconds(src, device, buf.nbytes)
-    return total
+        move = 0.0
+        for buf, nbytes in whole:
+            if not buf.initialized or buf.is_valid_on(d):
+                continue
+            if buf.is_valid_on(HOST):
+                move += profile.h2d_seconds(d, nbytes)
+            else:
+                src = buf.any_valid_device()
+                if src is not None:
+                    move += profile.d2d_seconds(src, d, nbytes)
+        row[d] = seconds.get(d, math.inf) + move
+    return row
 
 
 class MultiCLSchedulerBase(SchedulerBase):
@@ -305,7 +328,13 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         pos = {d: i for i, d in enumerate(devices)}
         placement: Dict["CommandQueue", str] = {}
         for q in queues:
-            scores = self._hint_scores(q.sched_flags, profile, devices)
+            # Hints price the devices the queue's buffers fit on, by the
+            # same rule as cost_row.
+            whole = _whole_buffers(q.pending)
+            fits = [d for d in devices if not self.context.overcommit(d, whole)]
+            if not fits:
+                raise MapperError(f"queue {q.name!r} infeasible on every device")
+            scores = self._hint_scores(q.sched_flags, profile, fits)
             # Greedy balance: unit work 1/score; pick the device finishing
             # this queue earliest.
             best = min(
@@ -331,17 +360,14 @@ class AutoFitScheduler(MultiCLSchedulerBase):
     # ------------------------------------------------------------------
     def _map_dynamic(self, queues: Sequence["CommandQueue"]) -> Dict["CommandQueue", str]:
         platform = self.context.platform
-        profile = platform.device_profile
-        epochs: Dict[str, "EpochProfile"] = {}
-        for q in queues:
-            epochs[q.name] = self.profiler.profile_epoch(q, q.pending)
+        epochs = {q.name: self.profiler.profile_epoch(q, q.pending) for q in queues}
         while True:
             # Profiling advances the virtual clock, so a device may have
             # failed *during* this pass (fault injection): map over the
             # devices active now, treating any device without a measurement
             # as infeasible.
             placement, split, interval_name = self._place_dynamic(
-                queues, epochs, self._active_devices(), profile
+                queues, epochs, self._active_devices()
             )
             # The mapping computation itself is host work (Section V.A: the
             # DP "incurs negligible overhead").  Repair and reuse are
@@ -367,9 +393,8 @@ class AutoFitScheduler(MultiCLSchedulerBase):
     def _place_dynamic(
         self,
         queues: Sequence["CommandQueue"],
-        epochs: Dict[str, "EpochProfile"],
+        epochs: Dict[str, Dict[str, float]],
         devices: List[str],
-        profile,
     ) -> Tuple[Dict["CommandQueue", str], List["CommandQueue"], str]:
         """Place ``queues`` on ``devices``: split plans first, then one
         mapping of the rest.  Returns (queue → device for every queue, the
@@ -391,23 +416,10 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 # The whole pool splits: the mapping step is the
                 # partition computation, and the solver is skipped.
                 return placement, split, "device-map"
-        cost: Dict[str, Dict[str, float]] = {}
-        overcommit = self.context.overcommit
-        for q in queues:
-            # One walk of the epoch's buffers per queue for the whole sync
-            # pass: every buffer a pending command touches, as issue checks.
-            bufs = list(dict.fromkeys(
-                b for cmd in q.pending for side in cmd.access_sets() for b in side
-            ))
-            whole = [(b, b.nbytes) for b in bufs]
-            row: Dict[str, float] = {}
-            for d in devices:
-                if overcommit(d, whole):
-                    row[d] = math.inf
-                    continue
-                seconds = epochs[q.name].seconds.get(d, math.inf)
-                row[d] = seconds + transfer_estimate(bufs, d, profile)
-            cost[q.name] = row
+        cost = {
+            q.name: cost_row(self.context, q.pending, epochs[q.name], devices)
+            for q in queues
+        }
         preferred = {q.name: q.device for q in queues}
         names = [q.name for q in queues]
         result, interval_name = self._solve_mapping(names, devices, cost, preferred)
@@ -457,7 +469,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         self._mapper_state = (key, cost, dict(preferred), result)
         return result, "device-map"
 
-    def _plan_split_epoch(self, q: "CommandQueue", epoch) -> Optional[str]:
+    def _plan_split_epoch(self, q: "CommandQueue", seconds) -> Optional[str]:
         """Attach a :class:`~repro.core.split.SplitPlan` to every kernel of
         ``q``'s pending epoch; returns the device the split queue binds to,
         or None if the epoch was not split.
@@ -475,8 +487,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         order = [
             d
             for d in self.device_order()
-            if math.isfinite(epoch.seconds.get(d, math.inf))
-            and epoch.seconds.get(d, 0.0) > 0
+            if math.isfinite(seconds.get(d, math.inf)) and seconds.get(d, 0.0) > 0
         ]
         if len(order) < 2:
             return None
@@ -486,7 +497,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 continue
             assert cmd.kernel is not None and cmd.launch is not None
             plan = cmd.kernel.split_plan(
-                cmd.launch, order, epoch.seconds, plan_split
+                cmd.launch, order, seconds, plan_split
             )
             if plan is None:
                 return None
@@ -496,7 +507,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         for cmd, plan in plans:
             cmd.split_plan = plan
         pos = {d: i for i, d in enumerate(order)}
-        return min(order, key=lambda d: (epoch.seconds[d], pos[d]))
+        return min(order, key=lambda d: (seconds[d], pos[d]))
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,8 @@ class CommandQueue:
     ) -> Command:
         """Check and enqueue a write, read, fill or copy (``src`` → ``buffer``)
         of ``nbytes`` bytes: by default the whole buffer, for a copy the
-        smaller of the two; else ``CL_INVALID_VALUE`` outside that."""
+        smaller of the two; else ``CL_INVALID_VALUE`` outside that, or when
+        a write's or read's host array holds fewer bytes."""
         self._check_alive()
         limit = buffer.nbytes
         if src is not None:
@@ -522,6 +523,9 @@ class CommandQueue:
         n = limit if nbytes is None else int(nbytes)
         if not 0 < n <= limit:
             raise InvalidValue(f"nbytes {n} outside 1..{limit}")
+        size = getattr(host_array, "nbytes", n)
+        if size < n and kind is not CommandKind.FILL_BUFFER:
+            raise InvalidValue(f"host array of {size} bytes, {n} to transfer")
         if src is not None and (src.parent or src) is (buffer.parent or buffer) and (
             abs(src.origin - buffer.origin) < n
         ):

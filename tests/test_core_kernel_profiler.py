@@ -58,8 +58,8 @@ def test_profile_epoch_returns_all_devices(ctx):
     q = _queue(ctx)
     cmd = _kernel_command(ctx, prog)
     epoch = prof.profile_epoch(q, [cmd])
-    assert set(epoch.seconds) == {"cpu", "gpu0", "gpu1"}
-    assert all(v > 0 for v in epoch.seconds.values())
+    assert set(epoch) == {"cpu", "gpu0", "gpu1"}
+    assert all(v > 0 for v in epoch.values())
 
 
 def test_profiling_charges_simulated_time(ctx):
@@ -80,7 +80,7 @@ def test_cache_hit_is_free(ctx):
     t0 = ctx.platform.engine.now
     again = prof.profile_epoch(q, [cmd])
     assert ctx.platform.engine.now == t0  # epoch cache: no new work
-    assert again.seconds == first.seconds
+    assert again == first
     assert prof.stats.epoch_cache_hits == 1
 
 
@@ -103,8 +103,8 @@ def test_epoch_cache_stays_bounded_on_never_repeating_epochs(ctx):
     last = [cmd] * (EPOCH_CACHE_SIZE + 39)
     hit = prof.profile_epoch(q, last)
     assert prof.stats.epoch_cache_hits == 1
-    assert hit.seconds == prof.profile_epoch(q, last).seconds
-    assert prof.profile_epoch(q, [cmd]).seconds == first.seconds
+    assert hit == prof.profile_epoch(q, last)
+    assert prof.profile_epoch(q, [cmd]) == first
     assert prof.stats.epoch_cache_hits == 2
     assert prof.stats.kernels_measured == measured
 
@@ -160,7 +160,7 @@ def test_empty_epoch_returns_zeros(ctx):
     prof = KernelProfiler(ctx, SchedulerConfig())
     q = _queue(ctx)
     epoch = prof.profile_epoch(q, [])
-    assert all(v == 0.0 for v in epoch.seconds.values())
+    assert all(v == 0.0 for v in epoch.values())
 
 
 def test_profiling_preserves_epoch_relative_order(ctx):
@@ -170,7 +170,7 @@ def test_profiling_preserves_epoch_relative_order(ctx):
     prof = KernelProfiler(ctx, SchedulerConfig())
     q = _queue(ctx)
     epoch = prof.profile_epoch(q, [_kernel_command(ctx, prog, n=1 << 20)])
-    assert min(epoch.seconds, key=epoch.seconds.get) in ("gpu0", "gpu1")
+    assert min(epoch, key=epoch.get) in ("gpu0", "gpu1")
 
 
 def test_minikernel_used_for_compute_bound_queues(ctx):
@@ -204,8 +204,8 @@ def test_minikernel_estimate_preserves_device_ranking(ctx):
     mini = KernelProfiler(ctx, SchedulerConfig()).profile_epoch(mini_q, [cmd])
     cmd2 = _kernel_command(ctx, prog, "crunch", n=1 << 22)
     full = KernelProfiler(ctx, SchedulerConfig()).profile_epoch(q, [cmd2])
-    mini_rank = sorted(mini.seconds, key=mini.seconds.get)
-    full_rank = sorted(full.seconds, key=full.seconds.get)
+    mini_rank = sorted(mini, key=mini.get)
+    full_rank = sorted(full, key=full.get)
     assert mini_rank[0] == full_rank[0]
 
 
@@ -269,4 +269,4 @@ def test_full_profile_estimates_match_actual_execution(ctx):
         cost = kernel.launch_cost(device.spec, launch)
         task = device.submit_kernel("actual", cost)
         engine.run_until(task)
-        assert epoch.seconds[dev_name] == pytest.approx(task.duration, rel=1e-9)
+        assert epoch[dev_name] == pytest.approx(task.duration, rel=1e-9)

@@ -117,10 +117,22 @@ def test_autofit_records_mapping_history(autofit):
     assert history and "q0" in history[0]
 
 
-def test_autofit_respects_memory_capacity(autofit):
+@pytest.mark.parametrize(
+    "policy, flags",
+    [
+        (ContextScheduler.AUTO_FIT, DYN),
+        (ContextScheduler.AUTO_FIT,
+         SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_COMPUTE_BOUND),
+        (KERNEL_GRANULARITY_POLICY, DYN),
+    ],
+    ids=["dynamic", "static", "kernel-granularity"],
+)
+def test_autofit_respects_memory_capacity(profile_dir, policy, flags):
     """A queue whose working set exceeds GPU memory must land on the CPU,
-    even for GPU-friendly kernels."""
-    ctx = autofit.context
+    even for GPU-friendly kernels, whatever path places it.  Split is off:
+    a split queue holds only slices of the buffer on each device."""
+    mcl = MultiCL(policy=policy, profile_dir=profile_dir, split=False)
+    ctx = mcl.context
     prog = ctx.create_program(SRC).build()
     k = prog.create_kernel("gpuish")
     n = 1 << 20
@@ -129,7 +141,7 @@ def test_autofit_respects_memory_capacity(autofit):
     k.set_arg(0, big)
     k.set_arg(1, out)
     k.set_arg(2, n)
-    q = autofit.queue(flags=DYN)
+    q = mcl.queue(flags=flags)
     q.enqueue_nd_range_kernel(k, (n,), (64,))
     q.finish()
     assert q.device == "cpu"

@@ -289,3 +289,34 @@ def test_overlapping_copies_raise_copy_overlap(manual_context):
     ):
         q.enqueue_copy_buffer(src, dst, nbytes=nbytes)
     q.finish()
+
+
+@pytest.mark.parametrize("kind", ("write", "read"))
+@pytest.mark.parametrize("auto", (False, True), ids=("manual", "round-robin"))
+def test_short_host_array_refused_at_enqueue(manual_context, roundrobin, kind, auto):
+    """A write or read whose host array is shorter than the transfer raises
+    CL_INVALID_VALUE from the call, leaving no trace of it."""
+    if auto:
+        ctx = roundrobin.context
+        q = roundrobin.queue("gpu0", flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    else:
+        ctx = manual_context
+        q = ctx.create_queue("gpu0")
+    buf = ctx.create_buffer(64, host_array=np.zeros(16, np.float32))
+    q.enqueue_write_buffer(buf, np.arange(16, dtype=np.float32))
+
+    def state():
+        return (
+            len(ctx.platform.engine.trace), buf.valid_on,
+            list(q.pending), list(q._inflight), list(q._outstanding),
+        )
+
+    before = state()
+    short = np.ones(8, np.float32)
+    enqueue = q.enqueue_write_buffer if kind == "write" else q.enqueue_read_buffer
+    with pytest.raises(InvalidValue, match="32 bytes"):
+        enqueue(buf, short)
+    assert state() == before
+    q.finish()
+    assert buf.array.tolist() == list(range(16))
+    assert short.tolist() == [1.0] * 8
