@@ -32,6 +32,7 @@ from repro.core.kernel_profiler import KernelProfiler
 from repro.core.minikernel import make_minikernel_source
 from repro.core.split import plan_split
 from repro.hardware.specs import DeviceKind
+from repro.lru import BoundedLRU
 from repro.ocl.enums import ContextScheduler, SchedFlag
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.scheduling import SchedulerBase, register_scheduler
@@ -294,6 +295,15 @@ class RoundRobinScheduler(MultiCLSchedulerBase):
 class AutoFitScheduler(MultiCLSchedulerBase):
     """Profile-driven optimal mapping of the ready-queue pool."""
 
+    def __init__(self, context: "Context") -> None:
+        super().__init__(context)
+        #: (kernel, launch, device order, per-device seconds, the kernel's
+        #: per-device configurations in that order) -> :func:`plan_split`'s
+        #: shares, ``()`` where it returned None: every input the plan
+        #: reads, so ``set_work_group_info`` re-plans and ``set_arg`` does
+        #: not.
+        self._split_plans: BoundedLRU = BoundedLRU(256)
+
     def on_sync(
         self,
         pool: Sequence["CommandQueue"],
@@ -383,7 +393,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             for q in split:
                 for cmd in q.pending:
                     if cmd.split_plan is not None:
-                        used.update(cmd.split_plan.devices)
+                        used.update(share.device for share in cmd.split_plan)
             if all(platform.is_available(d) for d in used):
                 return placement
             for q in split:
@@ -470,19 +480,18 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         return result, "device-map"
 
     def _plan_split_epoch(self, q: "CommandQueue", seconds) -> Optional[str]:
-        """Attach a :class:`~repro.core.split.SplitPlan` to every kernel of
-        ``q``'s pending epoch; returns the device the split queue binds to,
-        or None if the epoch was not split.
+        """Attach :func:`~repro.core.split.plan_split`'s shares to every
+        kernel of ``q``'s pending epoch; returns the device the split queue
+        binds to, or None if the epoch was not split.
 
         All-or-nothing per epoch: if any kernel cannot split (global size
         too small for two workgroup-aligned shares, fewer than two
-        profiled devices), no command in the epoch is split and the queue
-        falls back to the ordinary single-device mapping.  Split shares are
-        proportional to the epoch's profiled per-device seconds; the queue
-        itself binds to the fastest device, which hosts the epoch's
-        non-kernel commands.  Per-device capacity for the streamed slices
-        is enforced at issue time (_issue_split_kernel), where the actual
-        slice sizes are known.
+        profiled devices), or any share's slices would not fit on its
+        device by the residency step's rule (:meth:`Context.overcommit`),
+        no command in the epoch is split and the queue falls back to the
+        ordinary single-device mapping.  Split shares are proportional to
+        the epoch's profiled per-device seconds; the queue itself binds to
+        the fastest device, which hosts the epoch's non-kernel commands.
         """
         order = [
             d
@@ -491,16 +500,28 @@ class AutoFitScheduler(MultiCLSchedulerBase):
         ]
         if len(order) < 2:
             return None
+        context = self.context
+        memo = self._split_plans
+        devices = tuple(order)
+        secs = tuple([seconds[d] for d in order])
         plans = []
         for cmd in q.pending:
             if not cmd.is_kernel:
                 continue
-            assert cmd.kernel is not None and cmd.launch is not None
-            plan = cmd.kernel.split_plan(
-                cmd.launch, order, seconds, plan_split
-            )
+            kernel = cmd.kernel
+            configs = tuple([kernel.device_configs.get(d) for d in order])
+            key = (kernel, cmd.launch, devices, secs, configs)
+            plan = memo.get(key)
             if plan is None:
+                plan = plan_split(kernel, cmd.launch, order, seconds) or ()
+                memo.put(key, plan)
+            if not plan:
                 return None
+            whole = _whole_buffers((cmd,))
+            for share in plan:
+                sizes = [(b, share.slice_bytes(n)) for b, n in whole]
+                if context.overcommit(share.device, sizes):
+                    return None
             plans.append((cmd, plan))
         if not plans:
             return None

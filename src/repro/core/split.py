@@ -16,36 +16,44 @@ contiguous per-device sub-ranges:
   survive, the kernel is not worth splitting and ``None`` is returned
   (the caller falls back to the ordinary single-device mapping).
 
-The plan carries only ``(device, lo, hi)`` triples; the issue-time
-mechanics (slice transfers, sub-kernels, gathers, the merging join) live in
+This module owns the split format: :func:`plan_split` returns one
+:class:`SplitShare` per device, built once with every constant its
+launches reuse.  The issue-time mechanics (slice transfers, sub-kernels,
+gathers, the merging join) live in
 :meth:`repro.ocl.queue.CommandQueue._issue_split_kernel`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.kernel import Kernel, WorkGroupConfig
 
-__all__ = ["SplitPlan", "plan_split"]
+__all__ = ["SplitShare", "plan_split"]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Contiguous per-device sub-ranges covering ``[0, global_size[0])``."""
+class SplitShare(NamedTuple):
+    """One device's non-empty sub-range ``[lo, hi)`` of dimension 0, with
+    the constants every launch of it reuses."""
 
-    #: (device name, lo, hi) with lo inclusive, hi exclusive
-    shares: Tuple[Tuple[str, int, int], ...]
+    device: str
+    lo: int
+    hi: int
+    #: the sub-range launch configuration (:meth:`Kernel.sub_range_config`)
+    config: "WorkGroupConfig"
+    #: ``"lo:hi"``, the share's ``split`` meta value and name suffix
+    tag: str
+    #: the sub-kernel task name, ``kernel[lo:hi]``
+    name: str
+    #: the launch's dimension-0 size
+    total: int
 
-    @property
-    def devices(self) -> Tuple[str, ...]:
-        return tuple(d for d, _lo, _hi in self.shares)
-
-    def share_of(self, device: str) -> int:
-        return sum(hi - lo for d, lo, hi in self.shares if d == device)
+    def slice_bytes(self, nbytes: int) -> int:
+        """Bytes of a buffer's slice for this share:
+        ``ceil(nbytes * (hi - lo) / total)``, capped at the whole buffer."""
+        return min(nbytes, -(-nbytes * (self.hi - self.lo) // self.total))
 
 
 def plan_split(
@@ -53,8 +61,9 @@ def plan_split(
     launch: "WorkGroupConfig",
     devices: Sequence[str],
     seconds: Dict[str, float],
-) -> Optional[SplitPlan]:
-    """Partition ``launch`` across ``devices`` proportionally to rate.
+) -> Optional[Tuple[SplitShare, ...]]:
+    """Partition ``launch`` across ``devices`` proportionally to rate:
+    contiguous shares covering ``[0, global_size[0])``, in device order.
 
     ``seconds`` maps device name -> profiled (or predicted) epoch seconds;
     non-finite / non-positive entries and devices missing from the mapping
@@ -92,4 +101,10 @@ def plan_split(
         cursor += n
     if cursor != total or len(out) < 2:
         return None
-    return SplitPlan(tuple(out))
+    return tuple(
+        SplitShare(
+            d, lo, hi, kernel.sub_range_config(d, launch, lo, hi),
+            f"{lo}:{hi}", f"{kernel.name}[{lo}:{hi}]", total,
+        )
+        for d, lo, hi in out
+    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING,
+    Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
 
 from repro.hardware.cost import KernelCost
@@ -33,10 +33,9 @@ from repro.ocl.memory import Buffer
 from repro.ocl.source import KernelSourceInfo
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.split import SplitPlan
     from repro.ocl.program import Program
 
-__all__ = ["WorkGroupConfig", "Kernel", "SplitShare", "CostModel", "HostFunction"]
+__all__ = ["WorkGroupConfig", "Kernel", "CostModel", "HostFunction"]
 
 #: Signature of a kernel cost model: (device spec, launch config, args) -> cost.
 CostModel = Callable[[DeviceSpec, "WorkGroupConfig", Dict[int, Any]], KernelCost]
@@ -47,9 +46,6 @@ HostFunction = Callable[[Dict[str, Any]], None]
 
 #: Marks an argument index that was never set (``set_arg`` identity test).
 _UNSET = object()
-
-#: Entries one kernel's split memos hold before they start over.
-SPLIT_MEMO_SIZE = 256
 
 _EFF_KEYS = {
     "cpu_eff": DeviceKind.CPU,
@@ -141,26 +137,6 @@ class WorkGroupConfig:
         return config
 
 
-class SplitShare(NamedTuple):
-    """One non-empty share ``[lo, hi)`` of a split launch
-    (:meth:`Kernel.split_shares`), with the constants every launch of it
-    reuses."""
-
-    device: str
-    lo: int
-    hi: int
-    #: the sub-range launch configuration (:meth:`Kernel.sub_range_config`)
-    config: "WorkGroupConfig"
-    #: ``"lo:hi"``, the share's ``split`` meta value and name suffix
-    tag: str
-    #: the sub-kernel task name, ``kernel[lo:hi]``
-    name: str
-    #: ``hi - lo`` and the launch's dimension-0 size, the ratio a buffer's
-    #: slice is sized by
-    span: int
-    total: int
-
-
 class Kernel:
     """A kernel object bound to a built program."""
 
@@ -182,11 +158,6 @@ class Kernel:
         self._cost_memo: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]], KernelCost
         ] = {}
-        #: (launch, device order, per-device seconds) -> :meth:`split_plan`;
-        #: (launch, plan) -> :meth:`split_shares`.  Both read
-        #: effective_config, so a per-device configuration clears them.
-        self._split_plan_memo: Dict[tuple, Optional["SplitPlan"]] = {}
-        self._split_shares_memo: Dict[tuple, tuple] = {}
         #: ``(args copy, buffer args, written buffer args)`` for enqueue,
         #: built on first use after ``set_arg`` changes an argument.
         self._snapshot: Optional[
@@ -278,8 +249,6 @@ class Kernel:
         self.device_configs[device_name] = WorkGroupConfig.normalize(
             global_size, local_size
         )
-        self._split_plan_memo.clear()
-        self._split_shares_memo.clear()
         self.program.context.cost_edits += 1
 
     def effective_config(
@@ -315,48 +284,6 @@ class Kernel:
         )
         local = tuple(min(l, g) for l, g in zip(local, global_size))
         return WorkGroupConfig.normalize(global_size, local)
-
-    def split_plan(
-        self,
-        launch: WorkGroupConfig,
-        devices: Sequence[str],
-        seconds: Dict[str, float],
-        planner: Callable[..., Optional["SplitPlan"]],
-    ) -> Optional["SplitPlan"]:
-        """``planner(self, launch, devices, seconds)`` (the scheduler passes
-        :func:`repro.core.split.plan_split`), called only for a launch,
-        device order and per-device seconds not planned before."""
-        memo = self._split_plan_memo
-        key = (launch, tuple(devices), tuple([seconds.get(d) for d in devices]))
-        if key in memo:
-            return memo[key]
-        if len(memo) >= SPLIT_MEMO_SIZE:
-            memo.clear()
-        plan = memo[key] = planner(self, launch, devices, seconds)
-        return plan
-
-    def split_shares(
-        self, launch: WorkGroupConfig, plan: "SplitPlan"
-    ) -> Tuple[SplitShare, ...]:
-        """A :class:`SplitShare` for each non-empty share of ``plan``,
-        memoised per ``(launch, plan)``, so every launch of the plan reuses
-        one tag, one task name and one sub-range config per share."""
-        memo = self._split_shares_memo
-        key = (launch, plan)
-        shares = memo.get(key)
-        if shares is None:
-            if len(memo) >= SPLIT_MEMO_SIZE:
-                memo.clear()
-            total = launch.global_size[0]
-            shares = memo[key] = tuple(
-                SplitShare(
-                    d, lo, hi, self.sub_range_config(d, launch, lo, hi),
-                    f"{lo}:{hi}", f"{self.name}[{lo}:{hi}]", hi - lo, total,
-                )
-                for d, lo, hi in plan.shares
-                if hi > lo
-            )
-        return shares
 
     # ------------------------------------------------------------------
     # Cost and functional payload

@@ -46,11 +46,12 @@ from repro.ocl.errors import (
     MemAllocationFailure,
     MemCopyOverlap,
 )
-from repro.ocl.kernel import SPLIT_MEMO_SIZE, Kernel, SplitShare, WorkGroupConfig
+from repro.ocl.kernel import Kernel, WorkGroupConfig
 from repro.ocl.memory import HOST, Buffer
 from repro.sim.engine import _ABORTED, _DONE
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.split import SplitShare
     from repro.ocl.context import Context
     from repro.sim.engine import SimTask
 
@@ -145,9 +146,9 @@ class Command:
     attempts: int = 0
     #: task of the aborted incarnation awaiting adoption by the replay
     aborted_task: Optional[Any] = None
-    #: multi-device work-splitting plan attached by the scheduler
-    #: (:class:`repro.core.split.SplitPlan`); ``None`` = unsplit launch
-    split_plan: Optional[Any] = None
+    #: multi-device work-splitting plan attached by the scheduler, one
+    #: :class:`repro.core.split.SplitShare` per device; ``None`` = unsplit
+    split_plan: Optional[Tuple["SplitShare", ...]] = None
     #: event number, unique and increasing process-wide (``ev#N``)
     id: int = field(init=False, default_factory=_event_ids.__next__)
 
@@ -309,12 +310,6 @@ def _transfer(dst: Any, src: Any, nbytes: int, elementwise: bool) -> None:
     head[:] = np.frombuffer(np.ascontiguousarray(src), np.uint8)[: head.size]
 
 
-def _slice_bytes(nbytes: int, share: int, total: int) -> int:
-    """Bytes of a buffer's slice for ``share`` of ``total`` work items:
-    ``ceil(nbytes * share / total)``, capped at the whole buffer."""
-    return min(nbytes, -(-nbytes * share // total))
-
-
 class CommandQueue:
     """cl_command_queue with the proposed scheduling extensions."""
 
@@ -376,7 +371,7 @@ class CommandQueue:
         #: (``"lo:hi"``), ``None`` for an unsplit launch
         #: (:meth:`_launch_meta`): every launch of one share in the epoch
         #: hands the same dict to ``submit_kernel``.  :meth:`finish` starts
-        #: the next epoch's table.
+        #: the next epoch's table; it starts over past 256 entries.
         self._launch_metas: Dict[Optional[str], Dict[str, Any]] = {}
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
@@ -805,7 +800,7 @@ class CommandQueue:
         metas = self._launch_metas
         meta = metas.get(tag)
         if meta is None:
-            if len(metas) >= SPLIT_MEMO_SIZE:
+            if len(metas) >= 256:
                 metas.clear()
             meta = metas[tag] = {"queue": self.name, "epoch": self.epoch_index}
             if tag is not None:
@@ -857,14 +852,13 @@ class CommandQueue:
         full range).
         """
         kernel = cmd.kernel
-        launch = cmd.launch
         plan = cmd.split_plan
-        assert kernel is not None and launch is not None and plan is not None
+        assert kernel is not None and plan is not None
         node = self.context.platform.node
         engine = self.context.platform.engine
         written = list(dict.fromkeys(cmd.written_buffers))
         finals: List["SimTask"] = []
-        for share in kernel.split_shares(launch, plan):
+        for share in plan:
             device = share.device
             if not self.context.platform.is_available(device):
                 raise DeviceNotAvailable(
@@ -881,7 +875,7 @@ class CommandQueue:
             )
             gathers = [
                 node.submit_d2h(
-                    device, _slice_bytes(b.nbytes, share.span, share.total),
+                    device, share.slice_bytes(b.nbytes),
                     deps=[sub_task], category="transfer",
                     name=f"gather:{b.name}[{share.tag}]", meta=self._tenant_meta,
                 )
@@ -907,7 +901,7 @@ class CommandQueue:
         cmd: Command,
         device: str,
         deps: List["SimTask"],
-        share: Optional[SplitShare] = None,
+        share: Optional["SplitShare"] = None,
     ) -> List["SimTask"]:
         """The residency step of every command, and of every split share
         ``[lo, hi)`` of a kernel, on ``device``; returns ``deps`` extended
@@ -931,10 +925,9 @@ class CommandQueue:
         else:
             return deps
         if share is None:
-            span = total = 1
+            sizes = {b: b.nbytes for b in touched}
         else:
-            span, total = share.span, share.total
-        sizes = {b: _slice_bytes(b.nbytes, span, total) for b in touched}
+            sizes = {b: share.slice_bytes(b.nbytes) for b in touched}
         context = self.context
         needed = context.overcommit(device, sizes.items())
         if needed:

@@ -118,25 +118,31 @@ def test_autofit_records_mapping_history(autofit):
 
 
 @pytest.mark.parametrize(
-    "policy, flags",
+    "policy, flags, split, big_bytes",
     [
-        (ContextScheduler.AUTO_FIT, DYN),
+        (ContextScheduler.AUTO_FIT, DYN, False, 4 * 10 ** 9),
         (ContextScheduler.AUTO_FIT,
-         SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_COMPUTE_BOUND),
-        (KERNEL_GRANULARITY_POLICY, DYN),
+         SchedFlag.SCHED_AUTO_STATIC | SchedFlag.SCHED_COMPUTE_BOUND,
+         False, 4 * 10 ** 9),
+        (KERNEL_GRANULARITY_POLICY, DYN, False, 4 * 10 ** 9),
+        (ContextScheduler.AUTO_FIT, DYN, True, 8 * 10 ** 9),
     ],
-    ids=["dynamic", "static", "kernel-granularity"],
+    ids=["dynamic", "static", "kernel-granularity", "split"],
 )
-def test_autofit_respects_memory_capacity(profile_dir, policy, flags):
+def test_autofit_respects_memory_capacity(
+    profile_dir, policy, flags, split, big_bytes
+):
     """A queue whose working set exceeds GPU memory must land on the CPU,
-    even for GPU-friendly kernels, whatever path places it.  Split is off:
-    a split queue holds only slices of the buffer on each device."""
-    mcl = MultiCL(policy=policy, profile_dir=profile_dir, split=False)
+    even for GPU-friendly kernels, whatever path places it.  A split queue
+    holds only slices of the buffer on each device, so the split case's
+    buffer is large enough that a GPU share's slice overflows the GPU: the
+    epoch then stays whole."""
+    mcl = MultiCL(policy=policy, profile_dir=profile_dir, split=split)
     ctx = mcl.context
     prog = ctx.create_program(SRC).build()
     k = prog.create_kernel("gpuish")
     n = 1 << 20
-    big = ctx.create_buffer(4 * 10 ** 9)  # 4 GB > 3 GB C2050
+    big = ctx.create_buffer(big_bytes)  # > 3 GB C2050 (per share if split)
     out = ctx.create_buffer(4 * n)
     k.set_arg(0, big)
     k.set_arg(1, out)

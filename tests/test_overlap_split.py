@@ -10,13 +10,13 @@ import pytest
 import repro.ocl.queue as queue_mod
 from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
-from repro.core.split import SplitPlan, plan_split
+from repro.core.split import SplitShare, plan_split
 from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec, NodeSpec
 from repro.ocl.enums import CommandKind, ContextScheduler, SchedFlag
 from repro.ocl.errors import (
     DeviceNotAvailable, InvalidValue, InvalidWorkGroupSize, MemAllocationFailure,
 )
-from repro.ocl.kernel import WorkGroupConfig
+from repro.ocl.kernel import Kernel, WorkGroupConfig
 from repro.ocl.queue import Command
 
 STREAM_SRC = """
@@ -295,6 +295,11 @@ def _split_launcher(profile_dir, monkeypatch, n=1 << 18):
     return mcl, k, launch, plans
 
 
+def _share_of(plan, device):
+    """Work items ``plan`` gives ``device``."""
+    return sum(s.hi - s.lo for s in plan if s.device == device)
+
+
 def test_split_plan_memo_cleared_by_work_group_info(profile_dir, monkeypatch):
     """A repeat trigger reuses the plan; a new per-device local size
     re-plans, aligned to it."""
@@ -302,23 +307,24 @@ def test_split_plan_memo_cleared_by_work_group_info(profile_dir, monkeypatch):
     first = launch()
     assert first is not None and launch() is first
     assert len(plans) == 1
-    (cpu_share,) = [hi - lo for d, lo, hi in first.shares if d == "cpu"]
+    (cpu_share,) = [s.hi - s.lo for s in first if s.device == "cpu"]
     assert cpu_share % 1024  # the old plan is not 1024-aligned on cpu
     k.set_work_group_info("cpu", (1 << 18,), (1024,))
     again = launch()
     assert len(plans) == 2
-    assert again.share_of("cpu") % 1024 == 0
-    assert again.share_of("cpu") != cpu_share
+    assert _share_of(again, "cpu") % 1024 == 0
+    assert _share_of(again, "cpu") != cpu_share
 
 
 def test_split_cost_model_priced_on_every_sub_range_launch(
     profile_dir, monkeypatch
 ):
     """Sub-range configs are memoised, their prices are not: a custom cost
-    model sees every share of every launch."""
+    model sees every share of every launch, and a new argument re-prices
+    without re-planning."""
     from repro.hardware.cost import KernelCost
 
-    _, k, launch, _ = _split_launcher(profile_dir, monkeypatch)
+    _, k, launch, planned = _split_launcher(profile_dir, monkeypatch)
     priced = []
 
     def cost_model(spec, config, args):
@@ -330,8 +336,12 @@ def test_split_cost_model_priced_on_every_sub_range_launch(
     k.set_cost_model(cost_model)
     plans = [launch() for _ in range(3)]
     assert plans[0] is not None and plans[1] is plans[0] is plans[2]
-    for device, lo, hi in plans[0].shares:
-        assert priced.count((device, hi - lo)) == 3
+    for share in plans[0]:
+        assert priced.count((share.device, share.hi - share.lo)) == 3
+    k.set_arg(0, k.args[1])
+    assert launch() is plans[0] and len(planned) == 1
+    for share in plans[0]:
+        assert priced.count((share.device, share.hi - share.lo)) == 4
 
 
 def _sub_kernels(mcl, since=0.0):
@@ -356,13 +366,13 @@ def test_split_sub_kernels_follow_work_group_info(profile_dir, monkeypatch):
     node = mcl.platform.node
     launch_config = WorkGroupConfig.normalize((1 << 18,), (64,))
     expected = {}
-    for device, lo, hi in plan.shares:
-        dev = node.device(device)
-        sub = k.sub_range_config(device, launch_config, lo, hi)
-        expected[f"work[{lo}:{hi}]@{device}"] = dev.kernel_seconds(
-            k.config_cost(dev.spec, sub)
+    for share in plan:
+        dev = node.device(share.device)
+        sub = k.sub_range_config(share.device, launch_config, share.lo, share.hi)
+        expected[f"work[{share.lo}:{share.hi}]@{share.device}"] = (
+            dev.kernel_seconds(k.config_cost(dev.spec, sub))
         )
-    assert plan.shares != old_plan.shares
+    assert plan != old_plan
     assert set(new) == set(expected) != set(old)
     for name, seconds in expected.items():
         assert new[name] == pytest.approx(seconds)
@@ -390,12 +400,12 @@ def test_split_plan_drops_a_device_failed_between_triggers(
 
     mcl, _, launch, plans = _split_launcher(profile_dir, monkeypatch)
     before = launch()
-    assert "gpu1" in before.devices
+    assert "gpu1" in [s.device for s in before]
     mcl.inject_faults(FaultPlan().fail_device("gpu1", at=mcl.now))
     after = launch()
     assert len(plans) == 2
-    assert after is not None and len(after.devices) >= 2
-    assert "gpu1" not in after.devices
+    assert after is not None and len(after) >= 2
+    assert "gpu1" not in [s.device for s in after]
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +420,27 @@ class _FakeKernel:
     def effective_config(self, device, launch):
         return self.device_configs.get(device, launch)
 
+    sub_range_config = Kernel.sub_range_config
+
 
 def test_plan_split_proportional_and_aligned():
     launch = WorkGroupConfig.normalize((1024,), (32,))
     plan = plan_split(
         _FakeKernel(), launch, ["fast", "slow"], {"fast": 1.0, "slow": 3.0}
     )
-    assert isinstance(plan, SplitPlan)
-    (d0, lo0, hi0), (d1, lo1, hi1) = plan.shares
-    assert (d0, d1) == ("fast", "slow")
-    assert lo0 == 0 and hi0 == lo1 and hi1 == 1024  # contiguous cover
-    assert plan.share_of("slow") % 32 == 0  # workgroup aligned
+    assert all(isinstance(s, SplitShare) for s in plan)
+    s0, s1 = plan
+    assert (s0.device, s1.device) == ("fast", "slow")
+    assert s0.lo == 0 and s0.hi == s1.lo and s1.hi == 1024  # contiguous cover
+    assert _share_of(plan, "slow") % 32 == 0  # workgroup aligned
     # fast device is 3x the rate: it takes ~3/4 of the range (plus remainder)
-    assert plan.share_of("fast") > 2 * plan.share_of("slow")
+    assert _share_of(plan, "fast") > 2 * _share_of(plan, "slow")
+    # every share carries its launch constants
+    assert s1.config == WorkGroupConfig.normalize((1024 - s1.lo,), (32,))
+    assert (s1.tag, s1.name, s1.total) == (
+        f"{s1.lo}:1024", f"fake[{s1.lo}:1024]", 1024
+    )
+    assert s1.slice_bytes(4096) == 4 * (1024 - s1.lo)
 
 
 def test_plan_split_odd_global_size_remainder_to_fastest():
@@ -431,10 +449,10 @@ def test_plan_split_odd_global_size_remainder_to_fastest():
         _FakeKernel(), launch, ["fast", "slow"], {"fast": 1.0, "slow": 2.0}
     )
     assert plan is not None
-    assert sum(hi - lo for _d, lo, hi in plan.shares) == 1001
+    assert sum(s.hi - s.lo for s in plan) == 1001
     # the non-multiple remainder lands on the fastest device
-    assert plan.share_of("slow") % 64 == 0
-    assert plan.share_of("fast") % 64 != 0
+    assert _share_of(plan, "slow") % 64 == 0
+    assert _share_of(plan, "fast") % 64 != 0
 
 
 def test_plan_split_degenerate_cases():
@@ -456,9 +474,9 @@ def test_plan_split_honours_per_device_configs():
     fake = _FakeKernel({"wide": WorkGroupConfig.normalize((4096,), (256,))})
     plan = plan_split(fake, launch, ["wide", "b"], {"wide": 1.0, "b": 1.0})
     assert plan is not None
-    assert plan.shares[0][0] == "wide"
+    assert plan[0].device == "wide"
     # non-remainder share on "b" is 32-aligned; "wide"'s chunking was 256
-    assert plan.share_of("b") % 32 == 0
+    assert _share_of(plan, "b") % 32 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +570,19 @@ def _split_on_gpu0(ctx, src, dst, n=1 << 20, k=None):
     k.set_arg(2, n)
     args, buffers, written = k.snapshot()
     q = ctx.create_queue("gpu0")
+    launch = WorkGroupConfig.normalize((n,), (64,))
+    plan = plan_split(k, launch, ["gpu0", "cpu"], {"gpu0": 1.0, "cpu": 1.0})
+    assert [(s.device, s.lo, s.hi) for s in plan] == [
+        ("gpu0", 0, n // 2), ("cpu", n // 2, n)
+    ]
     return q._enqueue(Command(
         kind=CommandKind.NDRANGE_KERNEL,
         kernel=k,
-        launch=WorkGroupConfig.normalize((n,), (64,)),
+        launch=launch,
         args_snapshot=args,
         arg_buffers=buffers,
         written_buffers=written,
-        split_plan=SplitPlan((("gpu0", 0, n // 2), ("cpu", n // 2, n))),
+        split_plan=plan,
     ))
 
 
