@@ -62,26 +62,31 @@ class SimDevice:
     def submit_kernel(
         self,
         name: str,
-        cost: KernelCost,
+        cost: Optional[KernelCost],
         deps: Optional[Sequence[SimTask]] = None,
         category: str = "kernel",
         minikernel: bool = False,
         meta: Optional[dict] = None,
+        seconds: Optional[float] = None,
     ) -> SimTask:
         """Enqueue a kernel launch on this device's execution resource.
 
-        ``deps`` is handed to the task as is (the engine reads it once at
-        submit).  The task's meta is ``meta`` merged into the launch's
-        device, kernel and minikernel fields; launches that repeat the
-        kernel name, the minikernel flag and the very ``meta`` object (the
-        queue's per-epoch dict) share one task name and one meta dict,
-        which nothing mutates once handed over.
+        ``seconds`` is the unscaled kernel time when already priced (a
+        queue's launch record; ``cost`` is then not read).  ``deps`` is
+        handed to the task as is (the engine reads it once at submit).
+        The task's meta is ``meta`` merged into the launch's device, kernel
+        and minikernel fields.  Launches of one kernel name share one task
+        name (kept across a change of ``meta``); those that also repeat the
+        minikernel flag and the very ``meta`` object (the queue's per-epoch
+        dict) share one meta dict, which nothing mutates once handed over.
         """
         spec = self.spec
         if minikernel:
             duration = workgroup_time(spec, cost) * self.slowdown
         else:
-            duration = self.kernel_seconds(cost) * self.slowdown
+            if seconds is None:  # not priced yet
+                seconds = self.kernel_seconds(cost)
+            duration = seconds * self.slowdown
         memo = self._launch_memo
         last = memo.get(name)
         if last is not None and last[0] is meta and last[1] == minikernel:
@@ -90,17 +95,14 @@ class SimDevice:
             info = {"device": spec.name, "kernel": name, "minikernel": minikernel}
             if meta:
                 info.update(meta)
-            task_name = f"{name}@{spec.name}"
+            task_name = f"{name}@{spec.name}" if last is None else last[2]
             if len(memo) >= MEMO_SIZE:
                 memo.clear()
             memo[name] = (meta, minikernel, task_name, info)
+        # (name, duration, resource, deps, category, meta) by position:
+        # keywords cost more, and this runs once per kernel launch
         return self.engine.task(
-            name=task_name,
-            duration=duration,
-            resource=self.resource,
-            deps=deps,
-            category=category,
-            meta=info,
+            task_name, duration, self.resource, deps, category, info
         )
 
     def submit_intradevice_copy(

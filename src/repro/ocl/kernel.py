@@ -216,10 +216,12 @@ class Kernel:
         unchanged arguments share it); ``buffers`` are the buffer arguments
         in argument order and ``written`` those the kernel writes (the
         ``writes=`` annotation, else every buffer argument).  Built in one
-        pass and reused until ``set_arg`` changes an argument.
+        pass and reused until ``set_arg`` changes an argument; building it
+        checks that every argument is set, so a cached one needs no check.
         """
         snap = self._snapshot
         if snap is None:
+            self.check_args_set()
             writes = self.info.writes
             buffers = []
             written = []
@@ -304,7 +306,8 @@ class Kernel:
 
         Honours the per-device configuration override before consulting the
         cost model (:meth:`config_cost`).  A memoised annotation-model cost
-        is read here directly, the per-launch path.
+        is read here directly: the fair-share arbiter prices every deferred
+        kernel through it (a queue's launch record prices a launch once).
         """
         config = self.device_configs.get(spec.name, launch)
         if self._cost_model is None:

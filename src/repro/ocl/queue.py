@@ -46,7 +46,7 @@ from repro.ocl.errors import (
     MemAllocationFailure,
     MemCopyOverlap,
 )
-from repro.ocl.kernel import Kernel, WorkGroupConfig
+from repro.ocl.kernel import Kernel, WorkGroupConfig, _config_memo
 from repro.ocl.memory import HOST, Buffer
 from repro.sim.engine import _ABORTED, _DONE
 
@@ -310,6 +310,24 @@ def _transfer(dst: Any, src: Any, nbytes: int, elementwise: bool) -> None:
     head[:] = np.frombuffer(np.ascontiguousarray(src), np.uint8)[: head.size]
 
 
+def _sequence_fits(kind: CommandKind, seq: Any, buffer: Buffer, nbytes: int) -> bool:
+    """Whether :func:`_transfer` can move ``nbytes`` between ``buffer``'s
+    array and ``seq``, a host object without ``nbytes`` (a list or tuple):
+    a read has nowhere to land in it; a whole write must broadcast to the
+    array's shape, a partial one hold ``nbytes`` bytes once converted."""
+    import numpy as np
+
+    if kind is CommandKind.READ_BUFFER:
+        return False
+    try:
+        src, shape = np.asarray(seq), buffer.array.shape
+        if nbytes >= buffer.nbytes:
+            return np.broadcast_shapes(src.shape, shape) == shape
+    except ValueError:
+        return False
+    return src.ndim == 0 or src.nbytes >= nbytes
+
+
 class CommandQueue:
     """cl_command_queue with the proposed scheduling extensions."""
 
@@ -373,6 +391,12 @@ class CommandQueue:
         #: hands the same dict to ``submit_kernel``.  :meth:`finish` starts
         #: the next epoch's table; it starts over past 256 entries.
         self._launch_metas: Dict[Optional[str], Dict[str, Any]] = {}
+        #: (kernel, global size, local size, device name) -> an unsplit
+        #: launch's record ``(cost_edits, SimDevice, unscaled seconds)``
+        #: (:meth:`_launch`; seconds ``None`` for a custom cost model,
+        #: priced per launch), valid while the context's ``cost_edits``
+        #: reads what it read; it starts over past 256 entries
+        self._launch_records: Dict[tuple, tuple] = {}
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these; the
@@ -507,7 +531,8 @@ class CommandQueue:
         """Check and enqueue a write, read, fill or copy (``src`` → ``buffer``)
         of ``nbytes`` bytes: by default the whole buffer, for a copy the
         smaller of the two; else ``CL_INVALID_VALUE`` outside that, or when
-        a write's or read's host array holds fewer bytes."""
+        a write's or read's host array holds fewer bytes (a host object
+        without ``nbytes``: when :func:`_sequence_fits` says it cannot)."""
         self._check_alive()
         limit = buffer.nbytes
         if src is not None:
@@ -518,9 +543,18 @@ class CommandQueue:
         n = limit if nbytes is None else int(nbytes)
         if not 0 < n <= limit:
             raise InvalidValue(f"nbytes {n} outside 1..{limit}")
-        size = getattr(host_array, "nbytes", n)
-        if size < n and kind is not CommandKind.FILL_BUFFER:
-            raise InvalidValue(f"host array of {size} bytes, {n} to transfer")
+        if host_array is not None and kind is not CommandKind.FILL_BUFFER:
+            size = getattr(host_array, "nbytes", None)
+            if size is None:
+                if buffer.array is not None and not _sequence_fits(
+                    kind, host_array, buffer, n
+                ):
+                    raise InvalidValue(
+                        f"host {type(host_array).__name__} cannot take part "
+                        f"in a {n}-byte transfer of {buffer.name!r}"
+                    )
+            elif size < n:
+                raise InvalidValue(f"host array of {size} bytes, {n} to transfer")
         if src is not None and (src.parent or src) is (buffer.parent or buffer) and (
             abs(src.origin - buffer.origin) < n
         ):
@@ -548,9 +582,13 @@ class CommandQueue:
         general :meth:`_enqueue` path.
         """
         self._check_alive()
-        kernel.check_args_set()
-        launch = WorkGroupConfig.normalize(global_size, local_size)
-        args, buffers, written = kernel.snapshot()
+        args, buffers, written = kernel._snapshot or kernel.snapshot()
+        try:  # normalize's memo, read first; unhashable sizes convert there
+            launch = _config_memo.get((global_size, local_size))
+        except TypeError:
+            launch = None
+        if launch is None:
+            launch = WorkGroupConfig.normalize(global_size, local_size)
         waits = self._waits(wait_events) if wait_events else ()
         # Fields by position (kind, wait_events, buffer, host_array, nbytes,
         # src_buffer, kernel, launch, args_snapshot, arg_buffers,
@@ -615,7 +653,7 @@ class CommandQueue:
 
     def _enqueue(self, cmd: Command) -> Command:
         cmd.queue = self
-        if self.auto_active:
+        if self._flag_bits & _AUTO_MASK and self.auto_active:
             self.pending.append(cmd)
             scheduler = self.context.scheduler
             assert scheduler is not None
@@ -683,7 +721,8 @@ class CommandQueue:
                 raise InvalidCommandQueue(
                     f"queue {self.name!r}: issuing {cmd.kind} before its wait list"
                 )
-        if not self.context.platform.is_available(self.device):
+        # Platform.is_available, without the call
+        if self.device in self.context.platform._failed_devices:
             raise DeviceNotAvailable(
                 f"queue {self.name!r}: device {self.device!r} failed; "
                 f"rebind the queue or use an automatic scheduler"
@@ -818,13 +857,24 @@ class CommandQueue:
         launch = cmd.launch
         assert kernel is not None and launch is not None
         device_name = self.device
-        device = self.context.platform.node.device(device_name)
+        key = (kernel, launch.global_size, launch.local_size, device_name)
+        edits = self.context.cost_edits
+        records = self._launch_records
+        record = records.get(key)
+        if record is not None and record[0] == edits:
+            device, seconds = record[1], record[2]
+        else:
+            if len(records) >= 256:
+                records.clear()
+            device = self.context.platform.node.device(device_name)
+            seconds = None
+            if kernel._cost_model is None:
+                seconds = device.kernel_seconds(kernel.launch_cost(device.spec, launch))
+            records[key] = (edits, device, seconds)
+        cost = None if seconds is not None else kernel.launch_cost(device.spec, launch)
         task = device.submit_kernel(
-            name=kernel.name,
-            cost=kernel.launch_cost(device.spec, launch),
-            deps=deps,
-            category="kernel",
-            meta=self._launch_metas.get(None) or self._launch_meta(None),
+            kernel.name, cost, deps, "kernel", False,
+            self._launch_metas.get(None) or self._launch_meta(None), seconds,
         )
         # Functional payload runs in dependency (issue) order — see module
         # doc.  Replays after a device failure only re-charge simulated time:
@@ -832,7 +882,10 @@ class CommandQueue:
         if cmd.attempts == 0 and kernel.host_fn is not None:
             kernel.run_host_function(cmd.args_snapshot)
         for buf in cmd.written_buffers:
-            buf.mark_exclusive(device_name)
+            valid = buf._valid_on
+            # mark_exclusive is a no-op on an exclusive, fresh copy
+            if len(valid) != 1 or device_name not in valid or buf.host_shadow_stale:
+                buf.mark_exclusive(device_name)
         return task
 
     def _issue_split_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
@@ -917,7 +970,7 @@ class CommandQueue:
         is only allocated); a share moves its slice and leaves whole-buffer
         residency as it was.
         """
-        reads, writes = cmd.access_sets()
+        reads, writes = COMMAND_KINDS[cmd.kind._value_][0](cmd)
         touched = reads + writes
         for buf in touched:
             if device not in buf._valid_on:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hardware.cost import KernelCost, kernel_time
 from repro.ocl.context import TENANT_PROPERTY_KEY
 from repro.ocl.enums import CommandKind, MemFlag
 from repro.ocl.errors import DeviceNotAvailable
@@ -259,3 +260,61 @@ def test_launch_falls_back_on_a_failed_device(launch_setup):
     ctx.platform.mark_device_failed("gpu0")
     with pytest.raises(DeviceNotAvailable):
         q.enqueue_nd_range_kernel(kernel, (N,))
+
+
+PRICED = """
+// @multicl flops_per_item=4000 bytes_per_item=8 writes=1
+__kernel void k(__global float* x, __global float* y, int n) { }
+"""
+
+
+def test_launch_price_follows_every_cost_edit(manual_context):
+    """Each launch is priced as its kernel, configuration and device read
+    at that launch: a per-device configuration, a custom cost model, an
+    argument that model reads, a device slowdown and a rebind each change
+    the next launch's duration."""
+    ctx = manual_context
+    n = 1 << 20
+    kernel = ctx.create_program(PRICED).build().create_kernel("k")
+    x = ctx.create_buffer(4 * n, flags=MemFlag.COPY_HOST_PTR,
+                          host_array=np.ones(n, np.float32))
+    y = ctx.create_buffer(4 * n)
+    kernel.set_arg(0, x)
+    kernel.set_arg(1, y)
+    kernel.set_arg(2, n)
+    q = ctx.create_queue("gpu0")
+    q.enqueue_write_buffer(x, x.array)
+    node = ctx.platform.node
+    launch = WorkGroupConfig.normalize((n,), (64,))
+    expected = []
+
+    def launch_and_expect():
+        q.enqueue_nd_range_kernel(kernel, (n,), (64,))
+        device = node.device(q.device)
+        config = kernel.effective_config(q.device, launch)
+        expected.append(kernel_time(device.spec, kernel.config_cost(
+            device.spec, config)) * device.slowdown)
+
+    launch_and_expect()
+    launch_and_expect()
+    kernel.set_work_group_info("gpu0", (n // 4,), (64,))
+    launch_and_expect()
+    kernel.set_cost_model(lambda spec, cfg, args: KernelCost(
+        flops=1000.0 * args[2] * cfg.work_items / n, bytes=0.0,
+        work_items=cfg.work_items, workgroup_size=cfg.workgroup_size,
+    ))
+    launch_and_expect()
+    kernel.set_arg(2, n // 2)
+    launch_and_expect()
+    node.device("gpu0").slowdown = 2.5
+    launch_and_expect()
+    q.finish()
+    q.rebind("gpu1")
+    launch_and_expect()
+    q.finish()
+    durations = [
+        iv.end - iv.start for iv in ctx.platform.engine.trace
+        if iv.category == "kernel"
+    ]
+    assert durations == pytest.approx(expected, rel=1e-12)
+    assert len(set(durations)) == 6

@@ -320,3 +320,46 @@ def test_short_host_array_refused_at_enqueue(manual_context, roundrobin, kind, a
     q.finish()
     assert buf.array.tolist() == list(range(16))
     assert short.tolist() == [1.0] * 8
+
+
+@pytest.mark.parametrize("case", ("whole-write", "partial-write", "read"))
+@pytest.mark.parametrize("auto", (False, True), ids=("manual", "round-robin"))
+def test_host_sequence_that_cannot_transfer_refused_at_enqueue(
+    manual_context, roundrobin, case, auto
+):
+    """A write or read whose host object has no ``nbytes`` (a list) and
+    could not take part in the transfer raises CL_INVALID_VALUE from the
+    call, leaving no trace of it: a whole write must broadcast to the
+    buffer array's shape, a partial one must hold enough bytes, and a read
+    has nowhere to land."""
+    if auto:
+        ctx = roundrobin.context
+        q = roundrobin.queue("gpu0", flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    else:
+        ctx = manual_context
+        q = ctx.create_queue("gpu0")
+    buf = ctx.create_buffer(64, host_array=np.zeros(16, np.float32))
+    q.enqueue_write_buffer(buf, np.arange(16, dtype=np.float32))
+
+    def state():
+        return (
+            len(ctx.platform.engine.trace), buf.valid_on,
+            list(q.pending), list(q._inflight), list(q._outstanding),
+        )
+
+    before = state()
+    host, nbytes = {
+        "whole-write": ([1.0] * 8, None),
+        "partial-write": ([1.0] * 2, 32),
+        "read": ([0.0] * 16, None),
+    }[case]
+    enqueue = q.enqueue_read_buffer if case == "read" else q.enqueue_write_buffer
+    with pytest.raises(InvalidValue, match="host list"):
+        enqueue(buf, host, nbytes=nbytes)
+    assert state() == before
+    q.finish()
+    assert buf.array.tolist() == list(range(16))
+    # A list that fits still writes, element by element.
+    q.enqueue_write_buffer(buf, [2.0] * 16)
+    q.finish()
+    assert buf.array.tolist() == [2.0] * 16
