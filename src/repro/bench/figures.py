@@ -158,10 +158,12 @@ def _npb(
     )
     run = None if _RUNS is None else _RUNS.get(key)
     if run is None:
+        app = _make_app(name, pc, queues, fast)
         run = run_npb(
-            _make_app(name, pc, queues, fast), mode=mode, devices=devices,
+            app, mode=mode, devices=devices,
             config=config, profile_dir=profile_dir, auto_flags=auto_flags,
         )
+        app.context.platform.engine.trace.clear()  # the run is summarized
         if _RUNS is not None:
             _RUNS[key] = run
     return run

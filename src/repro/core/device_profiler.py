@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hardware.cost import KernelCost
+from repro.hardware.cost import KernelCost, kernel_time
+from repro.hardware.topology import SimDevice
 from repro.ocl.platform import Platform
+from repro.sim.engine import SimTask
 from repro.core import profile_store
 
 __all__ = ["BandwidthCurve", "DeviceProfile", "measure", "get_or_measure"]
@@ -160,55 +162,48 @@ def measure(platform: Platform, noise: float = 0.0) -> DeviceProfile:
             return t
         return t * float(1.0 + rng.uniform(-noise, noise))
 
+    def _elapsed(task: SimTask) -> float:
+        t0 = engine.now
+        engine.run_until(task)
+        return engine.now - t0
+
+    def _kernel(dev: SimDevice, label: str, cost: KernelCost) -> float:
+        seconds = kernel_time(dev.spec, cost)
+        return _elapsed(dev.submit_kernel(label, seconds, category="devprofile"))
+
     for dev in node.device_list():
         name = dev.name
         h2d_curve = BandwidthCurve()
         d2h_curve = BandwidthCurve()
         for size in BENCH_SIZES:
-            t0 = engine.now
             task = node.submit_h2d(name, size, category="devprofile")
-            engine.run_until(task)
-            h2d_curve.add(size, _noisy(engine.now - t0))
-            t0 = engine.now
+            h2d_curve.add(size, _noisy(_elapsed(task)))
             task = node.submit_d2h(name, size, category="devprofile")
-            engine.run_until(task)
-            d2h_curve.add(size, _noisy(engine.now - t0))
+            d2h_curve.add(size, _noisy(_elapsed(task)))
         profile.h2d[name] = h2d_curve
         profile.d2h[name] = d2h_curve
+        saturating = dev.spec.saturation_work_items * 4
 
         # Instruction-throughput benchmark: compute-dominated kernel.
-        flops_cost = KernelCost(
-            flops=_THROUGHPUT_FLOPS,
-            bytes=_THROUGHPUT_FLOPS / 1e3,
-            work_items=dev.spec.saturation_work_items * 4,
-            workgroup_size=64,
-        )
-        t0 = engine.now
-        task = dev.submit_kernel("devprofile-flops", flops_cost, category="devprofile")
-        engine.run_until(task)
-        profile.gflops[name] = _noisy(_THROUGHPUT_FLOPS / (engine.now - t0) / 1e9)
+        t = _kernel(dev, "devprofile-flops", KernelCost(
+            flops=_THROUGHPUT_FLOPS, bytes=_THROUGHPUT_FLOPS / 1e3,
+            work_items=saturating, workgroup_size=64,
+        ))
+        profile.gflops[name] = _noisy(_THROUGHPUT_FLOPS / t / 1e9)
 
         # Memory-bandwidth benchmark: traffic-dominated kernel.
-        bw_cost = KernelCost(
-            flops=_BANDWIDTH_BYTES / 1e3,
-            bytes=_BANDWIDTH_BYTES,
-            work_items=dev.spec.saturation_work_items * 4,
-            workgroup_size=64,
-        )
-        t0 = engine.now
-        task = dev.submit_kernel("devprofile-bw", bw_cost, category="devprofile")
-        engine.run_until(task)
-        profile.bandwidth_gbs[name] = _noisy(
-            _BANDWIDTH_BYTES / (engine.now - t0) / 1e9
-        )
+        t = _kernel(dev, "devprofile-bw", KernelCost(
+            flops=_BANDWIDTH_BYTES / 1e3, bytes=_BANDWIDTH_BYTES,
+            work_items=saturating, workgroup_size=64,
+        ))
+        profile.bandwidth_gbs[name] = _noisy(_BANDWIDTH_BYTES / t / 1e9)
 
         # Launch-overhead benchmark: an (almost) empty kernel; the measured
         # time is the fixed per-launch cost.
-        empty_cost = KernelCost(flops=1.0, bytes=0.0, work_items=64, workgroup_size=64)
-        t0 = engine.now
-        task = dev.submit_kernel("devprofile-launch", empty_cost, category="devprofile")
-        engine.run_until(task)
-        profile.launch_overhead_s[name] = _noisy(engine.now - t0)
+        t = _kernel(dev, "devprofile-launch", KernelCost(
+            flops=1.0, bytes=0.0, work_items=64, workgroup_size=64
+        ))
+        profile.launch_overhead_s[name] = _noisy(t)
     return profile
 
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
 from repro.core.flags import SchedulerConfig
+from repro.hardware.cost import workgroup_time
 from repro.lru import BoundedLRU
 from repro.ocl.enums import SchedFlag
 from repro.ocl.queue import Command
@@ -243,15 +244,14 @@ class KernelProfiler:
             for cmd, kkey in zip(cmds, keys):
                 kernel, launch = cmd.kernel, cmd.launch
                 assert kernel is not None and launch is not None
-                cost = kernel.launch_cost(device.spec, launch)
                 config = kernel.effective_config(dev_name, launch)
+                seconds = (
+                    workgroup_time(device.spec, kernel.config_cost(device.spec, config))
+                    if use_mini else kernel.seconds(device, config)
+                )
                 task = device.submit_kernel(
-                    name=f"prof:{kernel.name}",
-                    cost=cost,
-                    deps=prev,
-                    category=PROFILE_KERNEL,
-                    minikernel=use_mini,
-                    meta={"profiled_for": dev_name},
+                    f"prof:{kernel.name}", seconds, prev, PROFILE_KERNEL, use_mini,
+                    {"profiled_for": dev_name},
                 )
                 prev = [task]
                 all_tasks.append(task)

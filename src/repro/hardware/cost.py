@@ -19,7 +19,7 @@ the MultiCL device profiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Mapping
 
 from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec
 
@@ -62,12 +62,6 @@ class KernelCost:
         Optional per-device-kind multiplicative efficiency override,
         e.g. ``{DeviceKind.GPU: 0.08}`` for a kernel whose port is a poor
         match for GPUs.  Defaults to 1.0 for unlisted kinds.
-    times:
-        Memo of :func:`kernel_time` keyed by the
-        :class:`~repro.hardware.topology.SimDevice` that launched the cost,
-        for a cost object reused across launches (the annotation model's,
-        one per kernel and configuration).  ``None`` — the default, and
-        what copies get — means the time is computed on every launch.
     """
 
     flops: float
@@ -77,9 +71,6 @@ class KernelCost:
     divergence: float = 0.0
     irregularity: float = 0.0
     efficiency: Mapping[DeviceKind, float] = field(default_factory=dict)
-    times: Optional[Dict[Any, float]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.flops < 0 or self.bytes < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.hardware.cost import KernelCost, kernel_time, transfer_time, workgroup_time
+from repro.hardware.cost import transfer_time
 from repro.hardware.specs import DeviceSpec, HardwareError, NodeSpec
 from repro.sim.engine import SimEngine, SimTask
 from repro.sim.resources import FifoResource
@@ -48,45 +48,30 @@ class SimDevice:
     def name(self) -> str:
         return self.spec.name
 
-    def kernel_seconds(self, cost: KernelCost) -> float:
-        """Unscaled :func:`kernel_time` of ``cost`` here (no slowdown); a
-        cost reused across launches memoises it per device."""
-        times = cost.times
-        if times is None:
-            return kernel_time(self.spec, cost)
-        seconds = times.get(self)
-        if seconds is None:
-            seconds = times[self] = kernel_time(self.spec, cost)
-        return seconds
-
     def submit_kernel(
         self,
         name: str,
-        cost: Optional[KernelCost],
+        seconds: float,
         deps: Optional[Sequence[SimTask]] = None,
         category: str = "kernel",
         minikernel: bool = False,
         meta: Optional[dict] = None,
-        seconds: Optional[float] = None,
     ) -> SimTask:
-        """Enqueue a kernel launch on this device's execution resource.
+        """Enqueue a kernel launch of ``seconds`` unscaled seconds, the
+        caller's price (:meth:`Kernel.seconds <repro.ocl.kernel.Kernel.seconds>`,
+        or ``kernel_time`` / ``workgroup_time`` of a bare cost), on this
+        device's execution resource; the task lasts that × :attr:`slowdown`.
 
-        ``seconds`` is the unscaled kernel time when already priced (a
-        queue's launch record; ``cost`` is then not read).  ``deps`` is
-        handed to the task as is (the engine reads it once at submit).
-        The task's meta is ``meta`` merged into the launch's device, kernel
-        and minikernel fields.  Launches of one kernel name share one task
-        name (kept across a change of ``meta``); those that also repeat the
-        minikernel flag and the very ``meta`` object (the queue's per-epoch
-        dict) share one meta dict, which nothing mutates once handed over.
+        ``deps`` is handed to the task as is (the engine reads it once at
+        submit).  The task's meta is ``meta`` merged into the launch's
+        device, kernel and minikernel fields.  Launches of one kernel name
+        share one task name (kept across a change of ``meta``); those that
+        also repeat the minikernel flag and the very ``meta`` object (the
+        queue's per-epoch dict) share one meta dict, which nothing mutates
+        once handed over.
         """
         spec = self.spec
-        if minikernel:
-            duration = workgroup_time(spec, cost) * self.slowdown
-        else:
-            if seconds is None:  # not priced yet
-                seconds = self.kernel_seconds(cost)
-            duration = seconds * self.slowdown
+        duration = seconds * self.slowdown
         memo = self._launch_memo
         last = memo.get(name)
         if last is not None and last[0] is meta and last[1] == minikernel:

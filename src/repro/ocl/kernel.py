@@ -22,7 +22,7 @@ from typing import (
     Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
 
-from repro.hardware.cost import KernelCost
+from repro.hardware.cost import KernelCost, kernel_time
 from repro.hardware.specs import DeviceKind, DeviceSpec
 from repro.ocl.errors import (
     InvalidKernelArgs,
@@ -33,6 +33,7 @@ from repro.ocl.memory import Buffer
 from repro.ocl.source import KernelSourceInfo
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.topology import SimDevice
     from repro.ocl.program import Program
 
 __all__ = ["WorkGroupConfig", "Kernel", "CostModel", "HostFunction"]
@@ -149,15 +150,12 @@ class Kernel:
         self.device_configs: Dict[str, WorkGroupConfig] = {}
         self._cost_model: Optional[CostModel] = None
         self.host_fn: Optional[HostFunction] = None
-        #: (global size, local size) of the effective configuration ->
-        #: KernelCost for the annotation cost model, which is pure in the
-        #: configuration (KernelCost is frozen, so every device and every
-        #: split share of one configuration shares one).  Keyed on the
-        #: sizes: hashing the WorkGroupConfig is a Python call per launch.
-        #: A custom cost model bypasses it.
-        self._cost_memo: Dict[
-            Tuple[Tuple[int, ...], Tuple[int, ...]], KernelCost
-        ] = {}
+        #: (global size, local size) of an effective configuration ->
+        #: (annotation-model KernelCost, {SimDevice: unscaled seconds}),
+        #: pure in its key, so never invalidated.  Keyed on the sizes:
+        #: hashing a WorkGroupConfig is a Python call per launch.  A custom
+        #: cost model bypasses it and leaves its entries in place.
+        self._cost_memo: Dict[tuple, Tuple[KernelCost, Dict["SimDevice", float]]] = {}
         #: ``(args copy, buffer args, written buffer args)`` for enqueue,
         #: built on first use after ``set_arg`` changes an argument.
         self._snapshot: Optional[
@@ -305,16 +303,9 @@ class Kernel:
         """Cost of launching this kernel on ``spec`` with ``launch`` config.
 
         Honours the per-device configuration override before consulting the
-        cost model (:meth:`config_cost`).  A memoised annotation-model cost
-        is read here directly: the fair-share arbiter prices every deferred
-        kernel through it (a queue's launch record prices a launch once).
+        cost model (:meth:`config_cost`).
         """
-        config = self.device_configs.get(spec.name, launch)
-        if self._cost_model is None:
-            cost = self._cost_memo.get((config.global_size, config.local_size))
-            if cost is not None:
-                return cost
-        return self.config_cost(spec, config)
+        return self.config_cost(spec, self.device_configs.get(spec.name, launch))
 
     def config_cost(self, spec: DeviceSpec, config: WorkGroupConfig) -> KernelCost:
         """Cost for an explicit configuration, bypassing the per-device
@@ -326,13 +317,34 @@ class Kernel:
         """
         if self._cost_model is not None:
             return self._cost_model(spec, config, self.args)
-        key = (config.global_size, config.local_size)
-        cost = self._cost_memo.get(key)
-        if cost is None:
-            cost = self._cost_memo[key] = self._annotation_cost(config)
-        return cost
+        return self._memo_entry(config)[0]
 
-    def _annotation_cost(self, config: WorkGroupConfig) -> KernelCost:
+    def seconds(self, device: "SimDevice", config: WorkGroupConfig) -> float:
+        """Unscaled :func:`~repro.hardware.cost.kernel_time` of this kernel
+        with the effective ``config`` on ``device`` (no slowdown): what a
+        launch, a split share, the profiler's full-kernel run and the
+        fair-share arbiter charge.  An annotation-model price is memoised
+        per device in its configuration's entry; a custom cost model is
+        priced on every call.
+        """
+        spec = device.spec
+        if self._cost_model is not None:
+            return kernel_time(spec, self._cost_model(spec, config, self.args))
+        cost, times = self._memo_entry(config)
+        seconds = times.get(device)
+        if seconds is None:
+            seconds = times[device] = kernel_time(spec, cost)
+        return seconds
+
+    def _memo_entry(
+        self, config: WorkGroupConfig
+    ) -> Tuple[KernelCost, Dict["SimDevice", float]]:
+        """``config``'s :attr:`_cost_memo` entry, the annotation model's
+        cost built on first use."""
+        key = (config.global_size, config.local_size)
+        entry = self._cost_memo.get(key)
+        if entry is not None:
+            return entry
         a = self.info.annotations
         if "flops_per_item" not in a and "bytes_per_item" not in a:
             raise InvalidValue(
@@ -340,19 +352,17 @@ class Kernel:
                 f"cost model; cannot estimate launch cost"
             )
         items = config.work_items
-        eff = {
-            kind: a[key] for key, kind in _EFF_KEYS.items() if key in a
-        }
-        return KernelCost(
+        cost = KernelCost(
             flops=a.get("flops_per_item", 0.0) * items,
             bytes=a.get("bytes_per_item", 0.0) * items,
             work_items=items,
             workgroup_size=config.workgroup_size,
             divergence=a.get("divergence", 0.0),
             irregularity=a.get("irregularity", 0.0),
-            efficiency=eff,
-            times={},
+            efficiency={kind: a[k] for k, kind in _EFF_KEYS.items() if k in a},
         )
+        entry = self._cost_memo[key] = (cost, {})
+        return entry
 
     def run_host_function(self, args: Optional[Dict[int, Any]] = None) -> None:
         """Execute the functional payload (if any) against ``args``

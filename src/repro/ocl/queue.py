@@ -310,22 +310,33 @@ def _transfer(dst: Any, src: Any, nbytes: int, elementwise: bool) -> None:
     head[:] = np.frombuffer(np.ascontiguousarray(src), np.uint8)[: head.size]
 
 
-def _sequence_fits(kind: CommandKind, seq: Any, buffer: Buffer, nbytes: int) -> bool:
+def _host_fits(kind: CommandKind, host: Any, buffer: Buffer, nbytes: int) -> bool:
     """Whether :func:`_transfer` can move ``nbytes`` between ``buffer``'s
-    array and ``seq``, a host object without ``nbytes`` (a list or tuple):
-    a read has nowhere to land in it; a whole write must broadcast to the
-    array's shape, a partial one hold ``nbytes`` bytes once converted."""
+    array and ``host`` (a write's source, a read's destination) of another
+    shape.  A whole transfer assigns element by element, so the source's
+    shape must broadcast to the destination's; a partial one moves bytes.
+    A host object without a shape (a list or tuple) is converted: a read
+    has nowhere to land in it, a partial write must hold ``nbytes``."""
     import numpy as np
 
+    if not hasattr(host, "shape"):
+        if kind is CommandKind.READ_BUFFER:
+            return False
+        try:
+            host = np.asarray(host)
+        except ValueError:
+            return False
+        if nbytes < buffer.nbytes:
+            return host.ndim == 0 or host.nbytes >= nbytes
+    elif nbytes < buffer.nbytes:
+        return True
+    src, dst = host.shape, buffer.array.shape
     if kind is CommandKind.READ_BUFFER:
-        return False
+        src, dst = dst, src
     try:
-        src, shape = np.asarray(seq), buffer.array.shape
-        if nbytes >= buffer.nbytes:
-            return np.broadcast_shapes(src.shape, shape) == shape
+        return np.broadcast_shapes(src, dst) == dst
     except ValueError:
         return False
-    return src.ndim == 0 or src.nbytes >= nbytes
 
 
 class CommandQueue:
@@ -391,12 +402,6 @@ class CommandQueue:
         #: hands the same dict to ``submit_kernel``.  :meth:`finish` starts
         #: the next epoch's table; it starts over past 256 entries.
         self._launch_metas: Dict[Optional[str], Dict[str, Any]] = {}
-        #: (kernel, global size, local size, device name) -> an unsplit
-        #: launch's record ``(cost_edits, SimDevice, unscaled seconds)``
-        #: (:meth:`_launch`; seconds ``None`` for a custom cost model,
-        #: priced per launch), valid while the context's ``cost_edits``
-        #: reads what it read; it starts over past 256 entries
-        self._launch_records: Dict[tuple, tuple] = {}
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these; the
@@ -531,8 +536,8 @@ class CommandQueue:
         """Check and enqueue a write, read, fill or copy (``src`` → ``buffer``)
         of ``nbytes`` bytes: by default the whole buffer, for a copy the
         smaller of the two; else ``CL_INVALID_VALUE`` outside that, or when
-        a write's or read's host array holds fewer bytes (a host object
-        without ``nbytes``: when :func:`_sequence_fits` says it cannot)."""
+        a write's or read's host array holds fewer bytes, or when
+        :func:`_host_fits` says its shape cannot take part."""
         self._check_alive()
         limit = buffer.nbytes
         if src is not None:
@@ -544,17 +549,18 @@ class CommandQueue:
         if not 0 < n <= limit:
             raise InvalidValue(f"nbytes {n} outside 1..{limit}")
         if host_array is not None and kind is not CommandKind.FILL_BUFFER:
-            size = getattr(host_array, "nbytes", None)
-            if size is None:
-                if buffer.array is not None and not _sequence_fits(
-                    kind, host_array, buffer, n
-                ):
-                    raise InvalidValue(
-                        f"host {type(host_array).__name__} cannot take part "
-                        f"in a {n}-byte transfer of {buffer.name!r}"
-                    )
-            elif size < n:
+            size = getattr(host_array, "nbytes", n)
+            if size < n:
                 raise InvalidValue(f"host array of {size} bytes, {n} to transfer")
+            array = buffer.array
+            shape = getattr(host_array, "shape", None)
+            if array is not None and shape != array.shape and not _host_fits(
+                kind, host_array, buffer, n
+            ):
+                raise InvalidValue(
+                    f"host {type(host_array).__name__} cannot take part "
+                    f"in a {n}-byte transfer of {buffer.name!r}"
+                )
         if src is not None and (src.parent or src) is (buffer.parent or buffer) and (
             abs(src.origin - buffer.origin) < n
         ):
@@ -579,9 +585,12 @@ class CommandQueue:
         argument buffer resident on it.  Its only dependency is the
         in-order tail (out-of-order: the last barrier), and it leaves the
         queue exactly as :meth:`issue` would.  Any other launch takes the
-        general :meth:`_enqueue` path.
+        general :meth:`_enqueue` path.  A kernel of another context is
+        ``CL_INVALID_CONTEXT``.
         """
         self._check_alive()
+        if kernel.program.context is not self.context:
+            raise InvalidContext(f"kernel {kernel.name!r} is of another context")
         args, buffers, written = kernel._snapshot or kernel.snapshot()
         try:  # normalize's memo, read first; unhashable sizes convert there
             launch = _config_memo.get((global_size, local_size))
@@ -857,24 +866,20 @@ class CommandQueue:
         launch = cmd.launch
         assert kernel is not None and launch is not None
         device_name = self.device
-        key = (kernel, launch.global_size, launch.local_size, device_name)
-        edits = self.context.cost_edits
-        records = self._launch_records
-        record = records.get(key)
-        if record is not None and record[0] == edits:
-            device, seconds = record[1], record[2]
+        device = self.context.platform.node.devices[device_name]
+        config = kernel.device_configs.get(device_name, launch)
+        if kernel._cost_model is None:
+            try:  # Kernel.seconds, read inline: this runs once per launch
+                seconds = kernel._cost_memo[
+                    config.global_size, config.local_size
+                ][1][device]
+            except KeyError:
+                seconds = kernel.seconds(device, config)
         else:
-            if len(records) >= 256:
-                records.clear()
-            device = self.context.platform.node.device(device_name)
-            seconds = None
-            if kernel._cost_model is None:
-                seconds = device.kernel_seconds(kernel.launch_cost(device.spec, launch))
-            records[key] = (edits, device, seconds)
-        cost = None if seconds is not None else kernel.launch_cost(device.spec, launch)
+            seconds = kernel.seconds(device, config)
         task = device.submit_kernel(
-            kernel.name, cost, deps, "kernel", False,
-            self._launch_metas.get(None) or self._launch_meta(None), seconds,
+            kernel.name, seconds, deps, "kernel", False,
+            self._launch_metas.get(None) or self._launch_meta(None),
         )
         # Functional payload runs in dependency (issue) order — see module
         # doc.  Replays after a device failure only re-charge simulated time:
@@ -921,7 +926,7 @@ class CommandQueue:
             dev = node.device(device)
             sub_task = dev.submit_kernel(
                 name=share.name,
-                cost=kernel.config_cost(dev.spec, share.config),
+                seconds=kernel.seconds(dev, share.config),
                 deps=self._make_resident(cmd, device, deps, share),
                 category="kernel",
                 meta=self._launch_meta(share.tag),
@@ -1145,8 +1150,8 @@ COMMAND_KINDS: Dict[str, tuple] = {
         lambda c: (c.arg_buffers, c.written_buffers),
         CommandQueue._issue_kernel,
         2,
-        lambda node, dev, c: dev.kernel_seconds(
-            c.kernel.launch_cost(dev.spec, c.launch)
+        lambda node, dev, c: c.kernel.seconds(
+            dev, c.kernel.device_configs.get(dev.name, c.launch)
         ),
     ),
     CommandKind.WRITE_BUFFER.value: (

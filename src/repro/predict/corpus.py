@@ -33,7 +33,7 @@ from math import log
 from typing import Dict, List, Tuple
 
 from repro.core.profile_store import node_fingerprint
-from repro.hardware.cost import KernelCost
+from repro.hardware.cost import KernelCost, kernel_time
 from repro.hardware.specs import DeviceKind, NodeSpec
 from repro.hardware.topology import SimNode
 from repro.ocl.source import _parse_program_source_uncached
@@ -239,9 +239,8 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
     last = None
     for dev in node.device_list():
         kind = dev.spec.kind.value
-        probe0 = dev.submit_kernel(
-            name="probe:overhead", cost=_OVERHEAD_COST, category=PROBE_CATEGORY
-        )
+        seconds = kernel_time(dev.spec, _OVERHEAD_COST)
+        probe0 = dev.submit_kernel("probe:overhead", seconds, category=PROBE_CATEGORY)
         overhead = probe0.duration
         model = DeviceTimeModel(dev.name, kind, overhead, lam=lam)
         rows = {"compute": ([], []), "memory": ([], [])}
@@ -249,7 +248,7 @@ def fit_model(spec: NodeSpec, lam: float = DEFAULT_LAMBDA) -> PredictorModel:
         for p, feat in zip(probes, feats):
             task = dev.submit_kernel(
                 name=f"probe:{p.name}",
-                cost=_probe_cost(feat, p.work_items),
+                seconds=kernel_time(dev.spec, _probe_cost(feat, p.work_items)),
                 deps=[prev],
                 category=PROBE_CATEGORY,
             )

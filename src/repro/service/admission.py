@@ -10,10 +10,10 @@ Two gates, both enforced *before* work reaches the shared fleet:
 * **Resource quotas** — each tenant carries a :class:`TenantQuota`:
   ``max_resident_bytes`` bounds the bytes of buffers the tenant may hold on
   the fleet, ``max_queues`` bounds its command queues, and
-  ``max_device_seconds`` bounds its cumulative device time.  Byte and queue
-  quotas reject at creation time; the device-time quota is enforced by the
-  arbiter (an over-budget tenant's ready pools stay queued, and a forced
-  trigger raises :class:`QuotaExceeded`).
+  ``max_device_seconds`` bounds the device-seconds the arbiter estimates
+  at dispatch.  Byte and queue quotas reject at creation time; the
+  device-time quota is enforced by the arbiter (an over-budget tenant's
+  ready pools stay queued, and a forced trigger raises :class:`QuotaExceeded`).
 
 Defaults come from the environment so a fleet operator can set one policy
 for every client process: ``MULTICL_TENANT_QUOTA_BYTES`` (per-tenant
@@ -60,9 +60,9 @@ class TenantQuota:
 
     ``max_resident_bytes`` — total bytes of fleet buffers the tenant may
     allocate; ``max_queues`` — command queues it may create;
-    ``max_device_seconds`` — cumulative device busy-seconds it may consume
-    (kernels, transfers and migrations attributed through the trace's
-    tenant tag).
+    ``max_device_seconds`` — device-seconds the fair-share arbiter may
+    charge it, as it estimates them at dispatch (``FairShareArbiter.charged``),
+    not the busy time the trace measures later.
     """
 
     max_resident_bytes: Optional[int] = None

@@ -18,10 +18,10 @@ The algorithm is classic deficit round-robin, weighted:
   pool's estimated cost dispatches the pool and pays the cost.
 * Pool cost is *estimated* as the seconds each command's issue step
   charges, its kind's price in :data:`~repro.ocl.queue.COMMAND_KINDS`
-  (:meth:`~repro.hardware.topology.SimDevice.kernel_seconds` over
-  :meth:`Kernel.launch_cost`, or the link model's transfer time), because
-  the trace-measured usage only materializes after virtual time advances —
-  fairness decisions cannot wait for it.
+  (:meth:`Kernel.seconds <repro.ocl.kernel.Kernel.seconds>`, or the link
+  model's transfer time), because the trace-measured usage only
+  materializes after virtual time advances — fairness decisions cannot
+  wait for it.
 
 Two trigger flavours:
 
@@ -115,11 +115,11 @@ class FairShareArbiter:
         order onto the stored partial sum, so every float equals a fresh
         left-to-right sum from ``0.0``.  A command costs its kind's price
         in :data:`~repro.ocl.queue.COMMAND_KINDS`, the unscaled seconds its
-        issue step charges; a kernel's goes through the memoised
-        :meth:`~repro.hardware.topology.SimDevice.kernel_seconds`, so one
-        kernel and configuration is priced once per device, not once per
-        command per round.  A queue's sums restart from zero
-        when its :attr:`~repro.ocl.queue.CommandQueue.pending_edits` or its
+        issue step charges; a kernel's is the price a launch charges,
+        :meth:`~repro.ocl.kernel.Kernel.seconds`, memoised per device, so
+        one kernel and configuration is priced once per device, not once
+        per command per round.  A queue's sums restart from zero when its
+        :attr:`~repro.ocl.queue.CommandQueue.pending_edits` or its
         context's :attr:`~repro.ocl.context.Context.cost_edits` moves.
         """
         node = context.platform.node

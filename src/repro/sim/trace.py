@@ -212,6 +212,15 @@ class Trace:
         for fn in self._folds:
             fn(batch)
 
+    def clear(self) -> None:
+        """Forget every interval, mark and aggregate: a finished run's
+        objects form cycles, so only a full collection would free its trace
+        otherwise.  Fold consumers receive later intervals only."""
+        self._intervals = []
+        self._folded = 0
+        self._aggregates = {}
+        self.marks = []
+
     def mark(self, time: float, label: str) -> None:
         """Record a named instant (e.g. ``"iteration:3"``)."""
         self.marks.append((time, label))

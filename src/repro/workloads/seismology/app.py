@@ -327,8 +327,10 @@ def run_seismology(
 ) -> WorkloadRun:
     """Run the two-queue FDM-Seismology driver through
     :func:`~repro.workloads.npb.common.run_npb`."""
-    return run_npb(
-        FDMSeismologyApp(layout=layout, steps=steps, functional=functional),
-        mode=mode, devices=devices, node_spec=node_spec, config=config,
+    app = FDMSeismologyApp(layout=layout, steps=steps, functional=functional)
+    run = run_npb(
+        app, mode=mode, devices=devices, node_spec=node_spec, config=config,
         profile_dir=profile_dir,
     )
+    app.context.platform.engine.trace.clear()  # no caller can reach it
+    return run

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.flags import SchedulerConfig
 from repro.core.kernel_profiler import EPOCH_CACHE_SIZE, KernelProfiler
+from repro.hardware.cost import kernel_time
 from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
 from repro.ocl.memory import HOST
 from repro.ocl.platform import Platform
@@ -267,6 +268,6 @@ def test_full_profile_estimates_match_actual_execution(ctx):
         device = ctx.platform.node.device(dev_name)
         kernel, launch = cmd.kernel, cmd.launch
         cost = kernel.launch_cost(device.spec, launch)
-        task = device.submit_kernel("actual", cost)
+        task = device.submit_kernel("actual", kernel_time(device.spec, cost))
         engine.run_until(task)
         assert epoch[dev_name] == pytest.approx(task.duration, rel=1e-9)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.cost import KernelCost
+from repro.hardware.cost import KernelCost, kernel_time, workgroup_time
 from repro.hardware.specs import HardwareError
 
 
@@ -76,8 +76,9 @@ def test_separate_links_transfer_in_parallel(engine, node):
 def test_kernel_execution_on_device_resource(engine, node):
     cost = KernelCost(flops=1e9, bytes=1e8, work_items=1 << 20)
     dev = node.device("gpu0")
-    t = dev.submit_kernel("k", cost)
+    t = dev.submit_kernel("k", kernel_time(dev.spec, cost))
     engine.run_until(t)
+    assert t.duration == kernel_time(dev.spec, cost)
     assert engine.trace.count("dev:gpu0", "kernel") == 1
     assert t.meta["kernel"] == "k"
     assert t.meta["minikernel"] is False
@@ -86,16 +87,20 @@ def test_kernel_execution_on_device_resource(engine, node):
 def test_minikernel_flag_uses_workgroup_time(engine, node):
     cost = KernelCost(flops=1e10, bytes=1e8, work_items=1 << 20)
     dev = node.device("gpu0")
-    full = dev.submit_kernel("k", cost)
-    mini = dev.submit_kernel("k", cost, minikernel=True)
+    full = dev.submit_kernel("k", kernel_time(dev.spec, cost))
+    dev.slowdown = 3.0
+    mini = dev.submit_kernel("k", workgroup_time(dev.spec, cost), minikernel=True)
     engine.run_until_idle()
+    assert mini.meta["minikernel"] is True
+    assert mini.duration == workgroup_time(dev.spec, cost) * 3.0
     assert mini.duration < full.duration / 50
 
 
 def test_kernel_deps_respected_across_resources(engine, node):
     up = node.submit_h2d("gpu0", 1 << 26)
     cost = KernelCost(flops=1e8, bytes=1e6, work_items=1 << 16)
-    k = node.device("gpu0").submit_kernel("k", cost, deps=[up])
+    dev = node.device("gpu0")
+    k = dev.submit_kernel("k", kernel_time(dev.spec, cost), deps=[up])
     engine.run_until(k)
     assert k.start_time == pytest.approx(up.end_time)
 

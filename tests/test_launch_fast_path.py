@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.cost import KernelCost, kernel_time
 from repro.ocl.context import TENANT_PROPERTY_KEY
-from repro.ocl.enums import CommandKind, MemFlag
-from repro.ocl.errors import DeviceNotAvailable
+from repro.core.split import plan_split
+from repro.ocl.enums import CommandKind, MemFlag, SchedFlag
+from repro.ocl.errors import DeviceNotAvailable, InvalidContext
 from repro.ocl.kernel import WorkGroupConfig
 from repro.ocl.platform import Platform
-from repro.ocl.queue import Command, CommandQueue
+from repro.ocl.queue import COMMAND_KINDS, Command, CommandQueue
 from repro.sim.faults import FaultInjector, FaultPlan
 
 N = 1 << 10
@@ -318,3 +319,78 @@ def test_launch_price_follows_every_cost_edit(manual_context):
     ]
     assert durations == pytest.approx(expected, rel=1e-12)
     assert len(set(durations)) == 6
+
+
+def test_one_price_for_arbiter_launch_and_split_share(manual_context):
+    """A kernel with a per-device configuration is charged one unscaled
+    price on that device: the fair-share arbiter's ``COMMAND_KINDS`` price
+    of a deferred launch, an unsplit launch and a split share of the same
+    effective configuration all read it."""
+    ctx = manual_context
+    n = 1 << 20
+    kernel = ctx.create_program(PRICED).build().create_kernel("k")
+    x = ctx.create_buffer(4 * n, flags=MemFlag.COPY_HOST_PTR,
+                          host_array=np.ones(n, np.float32))
+    kernel.set_arg(0, x)
+    kernel.set_arg(1, ctx.create_buffer(4 * n))
+    kernel.set_arg(2, n)
+    # gpu0 runs half the range in work-groups of 256: the configuration an
+    # unsplit launch of (n,) uses there, and that of a [0, n/2) share.
+    kernel.set_work_group_info("gpu0", (n // 2,), (256,))
+    config = kernel.device_configs["gpu0"]
+    launch = WorkGroupConfig.normalize((n,), (64,))
+    plan = plan_split(kernel, launch, ["gpu0", "cpu"], {"gpu0": 1.0, "cpu": 1.0})
+    assert (plan[0].device, plan[0].config) == ("gpu0", config)
+    gpu0 = ctx.platform.node.device("gpu0")
+    expected = kernel_time(gpu0.spec, kernel.config_cost(gpu0.spec, config))
+
+    q = ctx.create_queue("gpu0")
+    with mock.patch.object(gpu0, "submit_kernel", wraps=gpu0.submit_kernel) as submit:
+        unsplit = q.enqueue_nd_range_kernel(kernel, (n,), (64,))
+        args, buffers, written = kernel.snapshot()
+        q._enqueue(Command(
+            kind=CommandKind.NDRANGE_KERNEL, kernel=kernel, launch=launch,
+            args_snapshot=args, arg_buffers=buffers, written_buffers=written,
+            split_plan=plan,
+        ))
+    charged = [
+        (c.kwargs.get("name") or c.args[0], c.kwargs.get("seconds") or c.args[1])
+        for c in submit.call_args_list
+    ]
+    price = COMMAND_KINDS[CommandKind.NDRANGE_KERNEL.value][3]
+    assert charged == [("k", expected), (plan[0].name, expected)]
+    assert unsplit.task.duration == expected
+    assert price(ctx.platform.node, gpu0, unsplit) == expected
+
+
+@pytest.mark.parametrize("auto", (False, True), ids=("manual", "round-robin"))
+def test_kernel_of_another_context_refused_at_enqueue(
+    manual_context, roundrobin, auto
+):
+    """CL_INVALID_CONTEXT: a kernel built in another context is refused
+    before any command exists, so neither context's trace, residency or
+    queue lists change."""
+    if auto:
+        ctx = roundrobin.context
+        q = roundrobin.queue("gpu0", flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    else:
+        ctx = manual_context
+        q = ctx.create_queue("gpu0")
+    other = ctx.platform.create_context()
+    kernel = other.create_program(PRICED).build().create_kernel("k")
+    x = other.create_buffer(64, host_array=np.ones(16, np.float32))
+    kernel.set_arg(0, x)
+    kernel.set_arg(1, other.create_buffer(64))
+    kernel.set_arg(2, 16)
+
+    def state():
+        return (
+            len(ctx.platform.engine.trace), x.valid_on,
+            dict(ctx._resident_bytes), dict(other._resident_bytes),
+            list(q.pending), list(q._inflight), list(q._outstanding),
+        )
+
+    before = state()
+    with pytest.raises(InvalidContext, match="another context"):
+        q.enqueue_nd_range_kernel(kernel, (16,), (16,))
+    assert state() == before

@@ -322,16 +322,20 @@ def test_short_host_array_refused_at_enqueue(manual_context, roundrobin, kind, a
     assert short.tolist() == [1.0] * 8
 
 
-@pytest.mark.parametrize("case", ("whole-write", "partial-write", "read"))
+@pytest.mark.parametrize("case", (
+    "whole-write", "partial-write", "read", "array-write", "array-read",
+))
 @pytest.mark.parametrize("auto", (False, True), ids=("manual", "round-robin"))
 def test_host_sequence_that_cannot_transfer_refused_at_enqueue(
     manual_context, roundrobin, case, auto
 ):
-    """A write or read whose host object has no ``nbytes`` (a list) and
-    could not take part in the transfer raises CL_INVALID_VALUE from the
-    call, leaving no trace of it: a whole write must broadcast to the
-    buffer array's shape, a partial one must hold enough bytes, and a read
-    has nowhere to land."""
+    """A write or read whose host object could not take part in the
+    transfer raises CL_INVALID_VALUE from the call, leaving no trace of
+    it.  A host object without ``nbytes`` (a list): a whole write must
+    broadcast to the buffer array's shape, a partial one must hold enough
+    bytes, and a read has nowhere to land.  A numpy array holding enough
+    bytes: a whole write's must broadcast to the buffer array's shape, and
+    a whole read's shape must take the buffer array's."""
     if auto:
         ctx = roundrobin.context
         q = roundrobin.queue("gpu0", flags=SchedFlag.SCHED_AUTO_DYNAMIC)
@@ -352,14 +356,23 @@ def test_host_sequence_that_cannot_transfer_refused_at_enqueue(
         "whole-write": ([1.0] * 8, None),
         "partial-write": ([1.0] * 2, 32),
         "read": ([0.0] * 16, None),
+        # 64 bytes each, as many as the buffer, in 8 elements, not 16
+        "array-write": (np.ones(8, np.float64), None),
+        "array-read": (np.zeros(8, np.float64), None),
     }[case]
-    enqueue = q.enqueue_read_buffer if case == "read" else q.enqueue_write_buffer
-    with pytest.raises(InvalidValue, match="host list"):
+    enqueue = (
+        q.enqueue_read_buffer if case.endswith("read") else q.enqueue_write_buffer
+    )
+    with pytest.raises(InvalidValue, match=f"host {type(host).__name__}"):
         enqueue(buf, host, nbytes=nbytes)
     assert state() == before
     q.finish()
     assert buf.array.tolist() == list(range(16))
-    # A list that fits still writes, element by element.
+    # A list that fits still writes, element by element, and so does an
+    # array of the buffer's shape in another element type.
     q.enqueue_write_buffer(buf, [2.0] * 16)
     q.finish()
     assert buf.array.tolist() == [2.0] * 16
+    q.enqueue_write_buffer(buf, np.full(16, 3.0))
+    q.finish()
+    assert buf.array.tolist() == [3.0] * 16

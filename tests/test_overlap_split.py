@@ -11,6 +11,7 @@ import repro.ocl.queue as queue_mod
 from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.core.split import SplitShare, plan_split
+from repro.hardware.cost import kernel_time
 from repro.hardware.specs import DeviceKind, DeviceSpec, LinkSpec, NodeSpec
 from repro.ocl.enums import CommandKind, ContextScheduler, SchedFlag
 from repro.ocl.errors import (
@@ -370,7 +371,7 @@ def test_split_sub_kernels_follow_work_group_info(profile_dir, monkeypatch):
         dev = node.device(share.device)
         sub = k.sub_range_config(share.device, launch_config, share.lo, share.hi)
         expected[f"work[{share.lo}:{share.hi}]@{share.device}"] = (
-            dev.kernel_seconds(k.config_cost(dev.spec, sub))
+            kernel_time(dev.spec, k.config_cost(dev.spec, sub))
         )
     assert plan != old_plan
     assert set(new) == set(expected) != set(old)

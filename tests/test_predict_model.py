@@ -325,7 +325,7 @@ def test_fitted_model_is_accurate_on_workload_kernel(fitted_dir):
     from repro.hardware.topology import SimNode
     from repro.ocl.source import parse_program_source
     from repro.sim.engine import SimEngine
-    from repro.hardware.cost import KernelCost
+    from repro.hardware.cost import KernelCost, kernel_time
 
     model, _ = load_or_fit(SPEC, fitted_dir)
     engine = SimEngine()
@@ -352,7 +352,7 @@ def test_fitted_model_is_accurate_on_workload_kernel(fitted_dir):
             irregularity=cost.irregularity,
             efficiency={device.spec.kind: eff},
         )
-        task = device.submit_kernel("probe", true_cost)
+        task = device.submit_kernel("probe", kernel_time(device.spec, true_cost))
         engine.run_until(task)
         truth = task.duration
         rel = abs(predicted[device.name] - truth) / truth

@@ -569,16 +569,20 @@ class TestIncrementalCosting:
         assert context.cost_edits == edits + 1
 
     def test_custom_cost_model_prices_bit_identically(self, service):
-        # A custom cost model's KernelCost carries no times memo, so every
-        # launch is priced afresh.
+        # A custom cost model is never memoised: Kernel.seconds asks it on
+        # every call, so every launch is priced afresh.
         c = Client(service.create_session("t"))
         c.kernel.set_cost_model(_scalar_priced_model(10.0))
         for _ in range(5):
             c.enqueue_epoch()
         context = c.session.context
-        spec = service.platform.node.device_list()[0].spec
+        dev = service.platform.node.device_list()[0]
         cmd = c.queue.pending[0]
-        assert cmd.kernel.launch_cost(spec, cmd.launch).times is None
+        config = cmd.kernel.effective_config(dev.name, cmd.launch)
+        assert cmd.kernel.seconds(dev, config) == kernel_time(
+            dev.spec, cmd.kernel.config_cost(dev.spec, config)
+        )
+        assert not cmd.kernel._cost_memo
         pool = context.pending_queues()
         assert service.arbiter.estimate_pool_seconds(context, pool) == (
             _reference_pool_seconds(context, pool)
@@ -589,7 +593,7 @@ class TestIncrementalCosting:
         context = c.session.context
         node = service.platform.node
         dev = node.device(context.device_names[0])
-        # Fill the times memo through submit_kernel while dev runs slow.
+        # Fill the kernel's price memo through a launch while dev runs slow.
         FaultInjector(context).arm(
             FaultPlan().slow_device(dev.name, at=service.now, duration=1.0, factor=4.0)
         )
@@ -599,9 +603,11 @@ class TestIncrementalCosting:
         c.kernel.set_arg(0, c.buffer)
         c.kernel.set_arg(1, 2.0)
         launched = immediate.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
-        cost = c.kernel.launch_cost(dev.spec, launched.launch)
-        unscaled = kernel_time(dev.spec, cost)
-        assert cost.times[dev] == unscaled
+        config = launched.launch
+        unscaled = kernel_time(dev.spec, c.kernel.config_cost(dev.spec, config))
+        key = (config.global_size, config.local_size)
+        assert c.kernel._cost_memo[key][1][dev] == unscaled
+        assert c.kernel.seconds(dev, config) == unscaled
         assert launched.task.duration == unscaled * 4.0
         for _ in range(3):
             c.queue.enqueue_nd_range_kernel(c.kernel, (N,), (64,))
@@ -629,7 +635,7 @@ class TestIncrementalCosting:
     def test_replay_costs_each_command_once_per_device(
         self, profile_dir, monkeypatch
     ):
-        from repro.hardware import topology
+        from repro.ocl import kernel as kernel_mod
         from repro.replay.runner import ReplayConfig, run_service_replay
 
         calls = [0]
@@ -638,8 +644,8 @@ class TestIncrementalCosting:
             calls[0] += 1
             return kernel_time(spec, cost)
 
-        # SimDevice.kernel_seconds prices for the arbiter and the devices.
-        monkeypatch.setattr(topology, "kernel_time", counting_kernel_time)
+        # Kernel.seconds prices for the arbiter and the devices.
+        monkeypatch.setattr(kernel_mod, "kernel_time", counting_kernel_time)
         config = ReplayConfig(
             commands=100,
             tenants=4,
@@ -654,7 +660,7 @@ class TestIncrementalCosting:
         assert report.total_commands == commands
         devices = SchedulingService(profile_dir=profile_dir).platform.device_names
         assert 0 < calls[0] <= commands * len(devices)
-        # The annotation model's costs memoise kernel_time per device, so
+        # A kernel memoises its annotation-model price per device, so
         # each tenant's kernel families are priced once per device.
         assert calls[0] <= config.tenants * len(config.families) * len(devices)
 

@@ -81,6 +81,23 @@ def test_marks():
     assert t.marks == [(1.0, "epoch:1"), (2.0, "epoch:2")]
 
 
+def test_clear_forgets_everything_recorded(trace):
+    """A cleared trace answers every query as a fresh one does, and keeps
+    counting what is recorded after it."""
+    trace.total_time()  # fold the intervals first
+    trace.mark(1.0, "epoch:1")
+    seen = []
+    trace.add_fold(seen.extend)
+    trace.clear()
+    assert (len(trace), trace.marks, trace.total_time(), trace.resources()) == (
+        0, [], 0.0, []
+    )
+    trace.record("dev:cpu", "k4", "kernel", 3.0, 3.5)
+    assert trace.total_time(category="kernel") == pytest.approx(0.5)
+    assert trace.counts_by_resource() == {"dev:cpu": 1}
+    assert [iv.task for iv in seen] == ["k1", "k2", "k3", "x1", "p1", "k4"]
+
+
 def test_interval_duration():
     iv = TraceInterval("r", "t", "c", 1.0, 3.5)
     assert iv.duration == pytest.approx(2.5)
