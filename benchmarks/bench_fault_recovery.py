@@ -124,6 +124,9 @@ def test_fault_recovery_sweep(run_once):
     # Every degraded point actually exercised the recovery path.
     for r in rows[1:]:
         assert r["replayed"] >= 1 and r["downtime_s"] > 0.0, r
+    # Each GPU hosts one queue, so every dead GPU moves exactly one queue.
+    for r in rows:
+        assert r["remapped"] == r["failed_devices"], r
     assert rows[0]["replayed"] == 0 and rows[0]["downtime_s"] == 0.0
 
 

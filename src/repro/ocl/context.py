@@ -61,10 +61,6 @@ class Context:
             self.device_names = tuple(device_names)
         self.properties: Dict[int, Any] = dict(properties or {})
         self.buffers: List[Buffer] = []
-        #: device name -> bytes of buffers currently resident there, kept
-        #: exact by the Buffer methods that change residency; the
-        #: memory-fit check (:meth:`overcommit`) reads it in O(1).
-        self._resident_bytes: Dict[str, int] = {}
         self.queues: List[CommandQueue] = []
         self.scheduler: Optional[SchedulerBase] = None
         # Re-entrancy guards for _sync_pending: fault injection can fire
@@ -72,7 +68,6 @@ class Context:
         # and request another pass; it folds into the active one.
         self._in_sync = False
         self._resync_needed = False
-        self._post_sync: List[Any] = []
         #: Tenant tag (multi-tenant service mode); stamped into every task
         #: meta this context's queues produce.
         tenant = self.properties.get(TENANT_PROPERTY_KEY)
@@ -154,8 +149,9 @@ class Context:
         self.buffers.append(buffer)
 
     def resident_bytes(self, device: str) -> int:
-        """Total bytes of context buffers with a valid copy on ``device``."""
-        return self._resident_bytes.get(device, 0)
+        """Total bytes of buffers with a valid copy on ``device``, over
+        every context of the platform (they share its memory)."""
+        return self.platform._resident_bytes.get(device, 0)
 
     def overcommit(
         self, device: str, incoming: Iterable[Tuple[Buffer, int]]
@@ -166,7 +162,7 @@ class Context:
         Those bytes are its resident bytes plus the given size (a whole
         buffer or a slice of it) of each distinct ``(buffer, nbytes)`` not
         yet resident there."""
-        total = self._resident_bytes.get(device, 0) + sum(
+        total = self.platform._resident_bytes.get(device, 0) + sum(
             nbytes for buf, nbytes in incoming if not buf.resident_on(device)
         )
         if total > self.platform.node.device(device).spec.mem_size_bytes:
@@ -193,16 +189,6 @@ class Context:
     def active_device_names(self) -> List[str]:
         """Context devices still available (failed devices removed)."""
         return [d for d in self.device_names if self.platform.is_available(d)]
-
-    def after_sync(self, fn) -> None:
-        """Run ``fn()`` once the current (or next) scheduling pass settles.
-
-        If no sync is in flight the callback runs at the end of the next
-        :meth:`_sync_pending` call — or immediately if that call finds an
-        empty pool.  Fault recovery uses this to record queue remaps after
-        the degraded-pool mapping is actually in place.
-        """
-        self._post_sync.append(fn)
 
     def _sync_pending(
         self,
@@ -253,9 +239,6 @@ class Context:
                 pool = None
         finally:
             self._in_sync = False
-        callbacks, self._post_sync = self._post_sync, []
-        for fn in callbacks:
-            fn()
 
     def _sanitize_check(self, pool: Sequence[CommandQueue]) -> None:
         """Runtime sanitizer hook: validate ``pool`` before it is issued.

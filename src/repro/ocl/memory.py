@@ -95,9 +95,9 @@ class Buffer:
         return frozenset(self._valid_on)
 
     def _count(self, holders: Iterable[str], sign: int) -> None:
-        """Move the context's resident-byte counters by ``sign * nbytes``
+        """Move the platform's resident-byte counters by ``sign * nbytes``
         for each device among ``holders`` (host copies are not counted)."""
-        counts = self.context._resident_bytes
+        counts = self.context.platform._resident_bytes
         for h in holders:
             if h != HOST:
                 counts[h] = counts.get(h, 0) + sign * self.nbytes

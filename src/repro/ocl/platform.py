@@ -67,6 +67,10 @@ class Platform:
         self._contexts: List["weakref.ref[Context]"] = []
         #: devices taken offline by fault injection (permanent failures)
         self._failed_devices: set = set()
+        #: device name -> bytes of buffers of every context resident there,
+        #: kept exact by the Buffer methods that change residency; the
+        #: memory-fit check (``Context.overcommit``) reads it in O(1).
+        self._resident_bytes: Dict[str, int] = {}
         #: numbers default buffer names (``buf1``, ...): one engine trace
         #: is one namespace, so names follow only this platform's history
         self._buffer_ids = itertools.count(1)

@@ -49,6 +49,7 @@ from repro.ocl.errors import (
 from repro.ocl.kernel import Kernel, WorkGroupConfig, _config_memo
 from repro.ocl.memory import HOST, Buffer
 from repro.sim.engine import _ABORTED, _DONE
+from repro.sim.trace import RECOVERY_CATEGORY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.split import SplitShare
@@ -462,9 +463,30 @@ class CommandQueue:
                 self.context._sync_pending(trigger_queue=self)
 
     def rebind(self, device_name: str) -> None:
-        """Scheduler-driven device rebinding."""
-        if device_name not in self.context.device_names:
+        """Scheduler-driven device rebinding.
+
+        Every path that moves a queue calls this, so a move off a failed
+        device is recorded here as a remap: a ``recovery`` trace interval
+        that fault-recovery accounting counts (``RunStats.remap_count``).
+        """
+        context = self.context
+        if device_name not in context.device_names:
             raise InvalidValue(f"unknown device {device_name!r}")
+        old = self.device
+        if old != device_name and old in context.platform._failed_devices:
+            engine = context.platform.engine
+            mapping = getattr(context.scheduler, "last_mapping", None)
+            engine.trace.record(
+                "host", f"remap:{self.name}", RECOVERY_CATEGORY,
+                engine.now, engine.now,
+                {
+                    "op": "remap",
+                    "queue": self.name,
+                    "from": old,
+                    "to": device_name,
+                    "repaired": bool(getattr(mapping, "repaired", False)),
+                },
+            )
         self.device = device_name
         self.binding_history.append(device_name)
 

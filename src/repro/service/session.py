@@ -100,6 +100,11 @@ class TenantSession:
         if self.state == "active" and self.context is not None:
             for q in self.context.queues:
                 q.release()
+            # The fleet's memory is one ledger: a closed tenant's buffers
+            # leave every device, as a released OpenCL context's do.
+            for buf in self.context.buffers:
+                for dev in self.context.device_names:
+                    buf.drop_device(dev)
         self.state = "closed"
         self.service._on_session_closed(self)
 

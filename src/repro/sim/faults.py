@@ -20,18 +20,20 @@ virtual timestamps:
   transfers queue behind the outage (modelled as a blocking task on the
   link's FIFO resource).
 
-Recovery accounting rides on the trace: every replayed command and every
-queue remap appends a ``recovery`` interval, and retry backoff is charged
-as simulated host time, so :class:`~repro.core.runtime.RunStats` can report
-remap counts, replayed commands, and downtime without instrumenting the
-workloads.  When no feasible device remains (or a command exhausts its
-replay budget) recovery raises a clean
+Recovery accounting rides on the trace: every replayed command appends a
+``recovery`` interval here, every queue that leaves a failed device appends
+one where it moves (``CommandQueue.rebind``, in whichever scheduling pass
+moves it), and retry backoff is charged as simulated host time, so
+:class:`~repro.core.runtime.RunStats` can report remap counts, replayed
+commands, and downtime without instrumenting the workloads.  When no
+feasible device remains (or a command exhausts its replay budget) recovery
+raises a clean
 :class:`~repro.core.device_mapper.MapperError`.
 
 Layering: this module lives in :mod:`repro.sim` but orchestrates objects
 from the OpenCL layer through duck-typed interfaces (``context.queues``,
-``queue.requeue_unfinished``, ``platform.mark_device_failed``,
-``platform.contexts``); it imports
+``queue.requeue_unfinished``, ``queue.rebind``,
+``platform.mark_device_failed``, ``platform.contexts``); it imports
 nothing from :mod:`repro.ocl` at module scope so the simulation substrate
 stays standalone.
 """
@@ -170,15 +172,21 @@ class FaultInjector:
         self.failures = 0
         #: commands requeued and replayed across all failures
         self.replayed_commands = 0
-        #: queues moved to a different device by recovery
-        self.remapped_queues = 0
-        self.armed: List[FaultEvent] = []
         #: factors of the slowdown windows open on each device
         self._slowdowns: Dict[str, List[float]] = {}
 
     @property
     def engine(self):
         return self.context.platform.engine
+
+    @property
+    def remapped_queues(self) -> int:
+        """Queue moves off failed devices: the trace's ``remap`` intervals,
+        counted as :class:`~repro.core.runtime.RunStats` counts them."""
+        return len(self.engine.trace.filter(
+            category=RECOVERY_CATEGORY,
+            predicate=lambda iv: iv.meta.get("op") == "remap",
+        ))
 
     # ------------------------------------------------------------------
     # Arming
@@ -193,7 +201,6 @@ class FaultInjector:
         for ev in plan.events:
             when = max(ev.time, engine.now)
             engine.schedule_at(when, lambda ev=ev: self._fire(ev))
-            self.armed.append(ev)
         return self
 
     def _fire(self, ev: FaultEvent) -> None:
@@ -325,8 +332,7 @@ class FaultInjector:
             else:
                 recovers = bool(affected)
             if recovers or ctx is context:
-                record = self._remap_recorder(ctx, affected, dev)
-                recoveries.append((ctx, affected, record))
+                recoveries.append((ctx, affected))
         self.replayed_commands += replayed
 
         # Sweep orphaned simulated work (e.g. profiling launches) off the
@@ -345,9 +351,9 @@ class FaultInjector:
 
         # Re-trigger each scheduler over the degraded pool.  If a scheduling
         # pass is already in flight (failure during profiling) the context
-        # folds this request into it; the remap accounting runs after the
-        # pass completes either way.
-        for ctx, affected, record in recoveries:
+        # folds this request into it.  Each queue that leaves the dead
+        # device records its own remap when it is rebound.
+        for ctx, affected in recoveries:
             if ctx.scheduler is not None:
                 ctx._sync_pending()
             else:
@@ -361,32 +367,6 @@ class FaultInjector:
                 for q in affected:
                     q.rebind(live[0])
                 ctx.issue_pool([q for q in affected if q.pending])
-                record()
-
-    def _remap_recorder(self, ctx, affected, dev: str):
-        """Snapshot queue→device of ``affected`` now and return the
-        callback that records their remaps once recovery has mapped them.
-
-        The snapshot is taken at *injection time*, before the backoff
-        elapse can run a nested fault handler: a second failure inside the
-        backoff window triggers a full scheduling pass that already moves
-        this fault's queues, so a later snapshot would under-count remaps
-        and name the wrong origin device.  The guard makes the record
-        idempotent — whichever sync pass completes first (the nested one or
-        ours) does the accounting, exactly once.
-        """
-        before = {q.name: q.device for q in affected}
-        recorded = [False]
-
-        def record() -> None:
-            if recorded[0]:
-                return
-            recorded[0] = True
-            self._record_remaps(ctx, affected, before, dev)
-
-        if ctx.scheduler is not None:
-            ctx.after_sync(record)
-        return record
 
     def _requeue(self, ctx, dev: str, now: float) -> Tuple[list, int]:
         """Requeue ``ctx``'s unfinished commands touching ``dev``; returns
@@ -421,33 +401,3 @@ class FaultInjector:
                 )
             replayed += len(cmds)
         return affected, replayed
-
-    def _record_remaps(self, ctx, affected, before, dev: str) -> None:
-        engine = self.engine
-        now = engine.now
-        repaired = bool(
-            getattr(
-                getattr(ctx.scheduler, "last_mapping", None),
-                "repaired",
-                False,
-            )
-        )
-        for q in affected:
-            old = before.get(q.name)
-            if old is None or q.device == old:
-                continue
-            self.remapped_queues += 1
-            engine.trace.record(
-                resource="host",
-                task=f"remap:{q.name}",
-                category=RECOVERY_CATEGORY,
-                start=now,
-                end=now,
-                meta={
-                    "op": "remap",
-                    "queue": q.name,
-                    "from": old,
-                    "to": q.device,
-                    "repaired": repaired,
-                },
-            )

@@ -311,6 +311,36 @@ def test_two_faults_one_epoch_snapshot_accounting(profile_dir):
         assert m["from"] in (d1, d2), m
 
 
+def test_queue_leaving_dead_device_in_a_later_pass_is_remapped(profile_dir):
+    """A queue bound to the dead device with no work in flight stays bound
+    through the recovery pass and moves at its own next trigger; that move
+    is a remap too, counted alike by the trace, the injector and RunStats."""
+    mcl, (q1, q2), (ka, kb), bufs, counts = _dual_gpu(profile_dir)
+    # One queue per pool: each takes the fastest idle device.
+    for q, k in ((q1, ka), (q2, kb)):
+        q.enqueue_nd_range_kernel(k, (N,), (128,))
+        q.finish()
+    assert q1.device == q2.device == "gpu0"
+    injector = mcl.inject_faults(
+        FaultPlan().fail_device("gpu0", at=mcl.now + 2e-4)
+    )
+    q1.enqueue_nd_range_kernel(ka, (N,), (128,))
+    q1.finish()
+    assert injector.replayed_commands == 1
+    assert (q1.device, q2.device) == ("gpu1", "gpu0")
+    q2.enqueue_nd_range_kernel(kb, (N,), (128,))
+    q2.finish()
+    assert q2.device == "gpu1" and counts == {"a": 2, "b": 2}
+    remaps = [
+        (iv.meta["queue"], iv.meta["from"], iv.meta["to"])
+        for iv in mcl.engine.trace
+        if iv.category == RECOVERY_CATEGORY and iv.meta.get("op") == "remap"
+    ]
+    assert remaps == [("q1", "gpu0", "gpu1"), ("q2", "gpu0", "gpu1")]
+    assert mcl.stats_between(0.0, mcl.now).remap_count == 2
+    assert injector.remapped_queues == 2
+
+
 # ---------------------------------------------------------------------------
 # Scheduler-specific recovery paths
 # ---------------------------------------------------------------------------

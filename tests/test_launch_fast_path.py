@@ -386,7 +386,7 @@ def test_kernel_of_another_context_refused_at_enqueue(
     def state():
         return (
             len(ctx.platform.engine.trace), x.valid_on,
-            dict(ctx._resident_bytes), dict(other._resident_bytes),
+            dict(ctx.platform._resident_bytes),
             list(q.pending), list(q._inflight), list(q._outstanding),
         )
 

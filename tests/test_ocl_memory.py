@@ -98,16 +98,19 @@ def test_auto_names_unique(manual_context):
 
 
 # ---------------------------------------------------------------------------
-# Residency counters: context.resident_bytes must stay exact under every
-# Buffer method that changes residency (the O(1) memory-fit checks depend
-# on it), and nothing else can change it.
+# Residency counters: context.resident_bytes (one ledger per platform)
+# must stay exact under every Buffer method that changes residency (the
+# O(1) memory-fit checks depend on it), and nothing else can change it.
 # ---------------------------------------------------------------------------
 
 
 def _assert_counters_exact(context, devices):
     for dev in devices:
         expected = sum(
-            b.nbytes for b in context.buffers if b.resident_on(dev)
+            b.nbytes
+            for c in context.platform.contexts
+            for b in c.buffers
+            if b.resident_on(dev)
         )
         assert context.resident_bytes(dev) == expected, (
             f"counter for {dev!r}: {context.resident_bytes(dev)} != "
@@ -231,6 +234,50 @@ def test_mapper_never_binds_a_copy_whose_source_cannot_fit(autofit):
     # Source and destination together overflow either 3 GB GPU.
     assert q.device == "cpu"
     assert dst.valid_on == {"cpu"}
+    _assert_within_capacity(ctx)
+
+
+#: Two of these overflow a 3 GB GPU; one fits.
+_FLEET_BYTES = 1_800_000_000
+
+_SCALE = """
+// @multicl flops_per_item=220 bytes_per_item=8 writes=1
+__kernel void scale(__global float* a, int n) {
+  int i = get_global_id(0);
+  a[i] = a[i] * 2.0f;
+}
+"""
+
+
+def test_contexts_of_one_platform_share_device_memory(manual_context):
+    other = manual_context.platform.create_context()
+    manual_context.create_queue("gpu0").enqueue_write_buffer(
+        manual_context.create_buffer(_FLEET_BYTES)
+    )
+    with pytest.raises(MemAllocationFailure, match="'gpu0'"):
+        other.create_queue("gpu0").enqueue_write_buffer(
+            other.create_buffer(_FLEET_BYTES)
+        )
+    assert other.resident_bytes("gpu0") == _FLEET_BYTES
+
+
+def test_mapper_avoids_a_device_another_context_filled(autofit):
+    other = autofit.platform.create_context()
+    other.create_queue("gpu0").enqueue_write_buffer(
+        other.create_buffer(_FLEET_BYTES)
+    )
+    ctx = autofit.context
+    buf = ctx.create_buffer(_FLEET_BYTES)
+    buf.mark_valid(HOST)
+    kernel = ctx.create_program(_SCALE).build().create_kernel("scale")
+    kernel.set_arg(0, buf)
+    kernel.set_arg(1, _FLEET_BYTES // 4)
+    q = autofit.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    q.enqueue_nd_range_kernel(kernel, (_FLEET_BYTES // 4,), (128,))
+    q.finish()
+    # On its own the kernel would take gpu0; gpu0 holds the other
+    # context's buffer, so the two do not fit there together.
+    assert q.device != "gpu0"
     _assert_within_capacity(ctx)
 
 

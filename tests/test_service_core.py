@@ -355,6 +355,16 @@ class TestSessionLifecycle:
         with pytest.raises(AdmissionError, match="closed"):
             s.create_buffer(16)
 
+    def test_closed_session_frees_its_device_memory(self, service):
+        # Two of these overflow the 3 GB gpu0; the fleet shares one ledger.
+        nbytes = 1_800_000_000
+        for name in ("a", "b"):
+            s = service.create_session(name)
+            q = s.create_queue("gpu0", sched_flags=SchedFlag.SCHED_OFF)
+            q.enqueue_write_buffer(s.create_buffer(nbytes))
+            s.close()
+        assert s.context.resident_bytes("gpu0") == 0
+
     def test_closed_name_can_be_reused(self, service):
         service.create_session("t").close()
         again = service.create_session("t")
