@@ -197,7 +197,8 @@ class Context:
     ) -> None:
         """Every scheduler trigger: hand the ready-queue pool (or, for the
         first pass, the given ``pool``) to the scheduler, which must
-        profile, map, and issue.
+        profile, map, and issue; without a scheduler the pool issues as
+        bound.
 
         Re-entrant: if fault injection fires mid-pass (simulated time
         advances inside the profiler) and requeues commands, the request is
@@ -215,10 +216,9 @@ class Context:
                 if not pool:
                     break
                 if self.scheduler is None:
-                    raise InvalidOperation(
-                        "deferred commands exist but the context has no scheduler"
-                    )
-                if self.arbiter is not None:
+                    # Only fault replays defer a manual queue's commands.
+                    self.issue_pool(pool)
+                elif self.arbiter is not None:
                     # Service mode: the arbiter must drain *this* pool (the
                     # host is blocked on it) and may opportunistically
                     # dispatch other tenants' ready pools in fair-share

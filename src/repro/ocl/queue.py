@@ -463,7 +463,7 @@ class CommandQueue:
                 self.context._sync_pending(trigger_queue=self)
 
     def rebind(self, device_name: str) -> None:
-        """Scheduler-driven device rebinding.
+        """Device rebinding, by a scheduler or by :meth:`issue`.
 
         Every path that moves a queue calls this, so a move off a failed
         device is recorded here as a remap: a ``recovery`` trace interval
@@ -735,6 +735,10 @@ class CommandQueue:
     ) -> None:
         """Issue one command to the queue's current device.
 
+        A queue bound to a failed device first moves to its context's first
+        live device (:meth:`rebind` records the remap), or raises
+        :class:`DeviceNotAvailable` when none is left.
+
         ``ordering_deps`` (relaxed queues of the pool issuer,
         :mod:`repro.ocl.issue`) *replaces* the implicit in-order tail /
         out-of-order barrier chaining with an explicit dependency list, and
@@ -754,10 +758,13 @@ class CommandQueue:
                 )
         # Platform.is_available, without the call
         if self.device in self.context.platform._failed_devices:
-            raise DeviceNotAvailable(
-                f"queue {self.name!r}: device {self.device!r} failed; "
-                f"rebind the queue or use an automatic scheduler"
-            )
+            live = self.context.active_device_names
+            if not live:
+                raise DeviceNotAvailable(
+                    f"queue {self.name!r}: device {self.device!r} failed and "
+                    f"no device of the context is left"
+                )
+            self.rebind(live[0])
         if extra_deps:
             deps.extend(extra_deps)
         if ordering_deps is not None:

@@ -11,9 +11,10 @@ virtual timestamps:
   issued-but-unfinished command of the queues it served is requeued, the
   affected kernel/epoch profile-cache entries are invalidated, buffer
   copies that lived only on the dead device fall back to their host shadow,
-  and the context scheduler is re-triggered over the *degraded* device set
-  — on every context of the platform that lost in-flight work there, since
-  they share the device;
+  and each context of the platform that lost in-flight work there (they
+  share the device) is re-triggered over the *degraded* device set; a
+  queue its scheduler does not map leaves the dead device when it next
+  issues (``CommandQueue.issue``), in every context;
 * **transient slowdowns** — a device serves kernels ``factor``× slower for
   a window (thermal throttling, a noisy neighbour);
 * **link outages** — a host↔device link is unavailable for a window, so
@@ -22,8 +23,8 @@ virtual timestamps:
 
 Recovery accounting rides on the trace: every replayed command appends a
 ``recovery`` interval here, every queue that leaves a failed device appends
-one where it moves (``CommandQueue.rebind``, in whichever scheduling pass
-moves it), and retry backoff is charged as simulated host time, so
+one where it moves (``CommandQueue.rebind``, when it is mapped or next
+issues), and retry backoff is charged as simulated host time, so
 :class:`~repro.core.runtime.RunStats` can report remap counts, replayed
 commands, and downtime without instrumenting the workloads.  When no
 feasible device remains (or a command exhausts its replay budget) recovery
@@ -32,7 +33,7 @@ raises a clean
 
 Layering: this module lives in :mod:`repro.sim` but orchestrates objects
 from the OpenCL layer through duck-typed interfaces (``context.queues``,
-``queue.requeue_unfinished``, ``queue.rebind``,
+``context._sync_pending``, ``queue.requeue_unfinished``,
 ``platform.mark_device_failed``, ``platform.contexts``); it imports
 nothing from :mod:`repro.ocl` at module scope so the simulation substrate
 stays standalone.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.sim.trace import FAULT_CATEGORY, RECOVERY_CATEGORY
 
@@ -248,16 +249,16 @@ class FaultInjector:
         engine.schedule_after(ev.duration, restore)
 
     def _notify_slowdown(self, device: str, hook: str) -> None:
-        """Forward a slowdown edge to the scheduler, if it listens.
+        """Forward a slowdown edge to every context's scheduler that listens.
 
         Only the predictor's learned state is affected on the scheduler
         side — measured profile caches stay valid (the slowdown is real
         observed time), so non-predicting runs see no behaviour change.
         """
-        scheduler = self.context.scheduler
-        fn = getattr(scheduler, hook, None)
-        if fn is not None:
-            fn(device)
+        for ctx in self.context.platform.contexts:
+            fn = getattr(ctx.scheduler, hook, None)
+            if fn is not None:
+                fn(device)
 
     def _link_outage(self, ev: FaultEvent) -> None:
         links = self.context.platform.node.links
@@ -304,11 +305,10 @@ class FaultInjector:
         # this injector is armed on.  Each sheds its state on the dead
         # device; the ones that must act now recover below, in creation
         # order, alongside this injector's own.  A scheduler maps deferred
-        # work over the live devices at its next trigger anyway, so only a
-        # context that lost in-flight work is re-triggered — forcing any
-        # other would drain its pool outside fair share (or trip a parked
-        # tenant's quota).  A scheduler-less context issues straight to its
-        # queues' devices, so each one bound to the dead device fails over.
+        # work over the live devices at its next trigger, and a queue leaves
+        # the dead device when it next issues, so only a context that lost
+        # in-flight work is re-triggered — forcing any other would drain
+        # its pool outside fair share (or trip a parked tenant's quota).
         recoveries = []
         replayed = 0
         for ctx in platform.contexts:
@@ -325,14 +325,10 @@ class FaultInjector:
             # the dead device (capped replay accounting per command) —
             # before the orphan sweep below, which would release their
             # waiters onto the dead device.
-            affected, n = self._requeue(ctx, dev, now)
+            n = self._requeue(ctx, dev, now)
             replayed += n
-            if ctx.scheduler is not None:
-                recovers = n > 0
-            else:
-                recovers = bool(affected)
-            if recovers or ctx is context:
-                recoveries.append((ctx, affected))
+            if n or ctx is context:
+                recoveries.append(ctx)
         self.replayed_commands += replayed
 
         # Sweep orphaned simulated work (e.g. profiling launches) off the
@@ -349,37 +345,23 @@ class FaultInjector:
                     backoff, category=RECOVERY_CATEGORY, name=f"backoff:{dev}"
                 )
 
-        # Re-trigger each scheduler over the degraded pool.  If a scheduling
+        # Re-trigger each context over the degraded pool.  If a scheduling
         # pass is already in flight (failure during profiling) the context
-        # folds this request into it.  Each queue that leaves the dead
-        # device records its own remap when it is rebound.
-        for ctx, affected in recoveries:
-            if ctx.scheduler is not None:
-                ctx._sync_pending()
-            else:
-                # Scheduler-less context: simple failover to its first
-                # surviving device.
-                live = ctx.active_device_names
-                if not live:
-                    raise _mapper_error(
-                        f"device {dev!r} failed and no feasible device remains"
-                    )
-                for q in affected:
-                    q.rebind(live[0])
-                ctx.issue_pool([q for q in affected if q.pending])
+        # folds this request into it.  A queue leaves the dead device when
+        # its scheduler maps it or, failing that, when it next issues
+        # (CommandQueue.issue); either way rebind records the remap.
+        for ctx in recoveries:
+            ctx._sync_pending()
 
-    def _requeue(self, ctx, dev: str, now: float) -> Tuple[list, int]:
+    def _requeue(self, ctx, dev: str, now: float) -> int:
         """Requeue ``ctx``'s unfinished commands touching ``dev``; returns
-        (affected queues, replayed command count)."""
+        the replayed command count."""
         engine = self.engine
-        affected = []
         replayed = 0
         for q in ctx.queues:
             if q.released:
                 continue
             cmds = q.requeue_unfinished(dev)
-            if cmds or q.device == dev:
-                affected.append(q)
             for cmd in cmds:
                 if cmd.attempts > self.policy.max_attempts:
                     raise _mapper_error(
@@ -400,4 +382,4 @@ class FaultInjector:
                     },
                 )
             replayed += len(cmds)
-        return affected, replayed
+        return replayed

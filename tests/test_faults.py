@@ -11,16 +11,20 @@ slowdowns and link outages, and the trace/export plumbing.
 import numpy as np
 import pytest
 
+import repro.workloads.npb.common as npb_common
+from repro.analysis.trace_lint import lint_trace
 from repro.core.baselines import KERNEL_GRANULARITY_POLICY
 from repro.core.device_mapper import MapperError
 from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
 from repro.hardware.presets import cpu_only_node, symmetric_dual_gpu_node
-from repro.ocl.enums import ContextScheduler, SchedFlag
-from repro.ocl.errors import InvalidDevice
+from repro.ocl.enums import ContextProperty, ContextScheduler, SchedFlag
+from repro.ocl.errors import DeviceNotAvailable, InvalidDevice
 from repro.sim.export import to_chrome_trace
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan, FaultPolicy
 from repro.sim.trace import FAULT_CATEGORY, RECOVERY_CATEGORY
+from repro.workloads.base import ProblemClass
+from repro.workloads.npb.cg import CG
 
 PROGRAM = """
 // @multicl flops_per_item=220 bytes_per_item=8 writes=1
@@ -437,6 +441,105 @@ def test_scheduler_less_failover(profile_dir):
     assert injector.replayed_commands == 1
 
 
+def _remaps(mcl):
+    return [
+        (iv.meta["queue"], iv.meta["from"], iv.meta["to"])
+        for iv in mcl.engine.trace
+        if iv.category == RECOVERY_CATEGORY and iv.meta.get("op") == "remap"
+    ]
+
+
+def _run_cg(monkeypatch, profile_dir, fail_gpu0_after=None):
+    """CG, class S, on 4 queues for 4 functional iterations in auto mode:
+    iteration 0 is the explicit scheduling region, the rest run with
+    SCHED_OFF.  ``fail_gpu0_after`` fails gpu0 that many seconds after the
+    run's MultiCL is built, so a cold device-profile cache cannot shift
+    it.  Returns the run, its MultiCL and that MultiCL's clock once built."""
+    made = []
+
+    class Armed(MultiCL):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append((self, self.now))
+            if fail_gpu0_after is not None:
+                self.inject_faults(
+                    FaultPlan().fail_device("gpu0", at=self.now + fail_gpu0_after)
+                )
+
+    monkeypatch.setattr(npb_common, "MultiCL", Armed)
+    app = CG(ProblemClass.S, 4, functional=True, iterations_override=4)
+    run = npb_common.run_npb(app, mode="auto", profile_dir=profile_dir)
+    (mcl, built), = made
+    return run, mcl, built
+
+
+@pytest.mark.parametrize("when", ["after_region", "during_build"])
+def test_explicit_region_queue_fails_over_at_next_issue(
+    monkeypatch, profile_dir, when
+):
+    """A queue that its scheduler no longer maps leaves a dead device when
+    it next issues: after the warm-up region (SCHED_OFF) and during program
+    build (before setup's first write), CG's q1 moves off gpu0 once and the
+    run matches the fault-free one."""
+    plain, mcl, built = _run_cg(monkeypatch, profile_dir)
+    t0 = mcl.now - plain.seconds - built
+    its = plain.iteration_seconds
+    at = {
+        "after_region": t0 + its[0] + 0.5 * (its[1] + its[2]),
+        "during_build": 0.5 * t0,
+    }[when]
+    run, mcl, _ = _run_cg(monkeypatch, profile_dir, fail_gpu0_after=at)
+    assert run.checks == plain.checks and run.checks["converged"]
+    assert _remaps(mcl) == [("q1", "gpu0", "cpu")]
+    assert lint_trace(mcl.engine.trace) == []
+
+
+def test_idle_manual_queue_leaves_dead_device_at_next_command(profile_dir):
+    """A scheduler-less queue with nothing in flight stays bound through
+    the failure and moves, recording its one remap, at its next command."""
+    mcl = MultiCL(node_spec=symmetric_dual_gpu_node(), profile_dir=profile_dir)
+    program = mcl.context.create_program(PROGRAM).build()
+    buf = mcl.context.create_buffer(
+        4 * N, host_array=np.ones(N, np.float32), name="a"
+    )
+    k = program.create_kernel("scale_a")
+    k.set_arg(0, buf)
+    k.set_arg(1, N)
+
+    def host(args):
+        args["a"][:] = args["a"] * 2.0
+
+    k.set_host_function(host)
+    q = mcl.queue(device="gpu1", name="manual")
+    q.enqueue_nd_range_kernel(k, (N,), (128,))
+    q.finish()
+    injector = mcl.inject_faults(FaultPlan().fail_device("gpu1", at=mcl.now))
+    mcl.engine.elapse(1e-3)
+    assert injector.failures == 1 and injector.replayed_commands == 0
+    assert q.device == "gpu1" and _remaps(mcl) == []
+    moved_at = mcl.now
+    q.enqueue_nd_range_kernel(k, (N,), (128,))
+    q.finish()
+    assert q.device == "gpu0" and _remaps(mcl) == [("manual", "gpu1", "gpu0")]
+    remap, = [iv for iv in mcl.engine.trace if iv.meta.get("op") == "remap"]
+    assert remap.start == moved_at
+    assert float(buf.array[0]) == 4.0
+
+
+def test_issue_raises_when_no_device_of_the_context_is_left(profile_dir):
+    """Another context of the platform that held only the dead device has
+    nowhere to go: its next command raises DeviceNotAvailable."""
+    mcl = MultiCL(node_spec=symmetric_dual_gpu_node(), profile_dir=profile_dir)
+    other = mcl.platform.create_context(["gpu1"])
+    buf = other.create_buffer(4 * N, name="blob")
+    q = other.create_queue("gpu1", name="stranded")
+    mcl.inject_faults(FaultPlan().fail_device("gpu1", at=mcl.now))
+    mcl.engine.elapse(1e-6)
+    with pytest.raises(DeviceNotAvailable, match="no device of the context"):
+        q.enqueue_write_buffer(buf)
+    assert q.device == "gpu1" and _remaps(mcl) == []
+
+
 # ---------------------------------------------------------------------------
 # Transient faults
 # ---------------------------------------------------------------------------
@@ -511,6 +614,37 @@ def test_overlapping_slowdowns_compound_and_recover_once(profile_dir):
         if iv.category == FAULT_CATEGORY and iv.meta.get("kind") == "slowdown"
     )
     assert windows == [(2.0, pytest.approx(2.0)), (3.0, pytest.approx(9.0))]
+
+
+def test_slowdown_edges_reach_every_context(profile_dir):
+    """A slowdown slows the device for every context of the platform, so
+    each context's scheduler hears both edges, as each hears a failure."""
+    mcl = MultiCL(
+        node_spec=symmetric_dual_gpu_node(),
+        policy=ContextScheduler.AUTO_FIT,
+        profile_dir=profile_dir,
+    )
+    other = mcl.platform.create_context(
+        properties={
+            ContextProperty.CL_CONTEXT_SCHEDULER: ContextScheduler.AUTO_FIT
+        }
+    )
+    edges = []
+    for ctx in (mcl.context, other):
+        for hook in ("on_device_slowdown", "on_device_recovery"):
+            setattr(ctx.scheduler, hook,
+                    lambda d, c=ctx.id, h=hook: edges.append((c, h, d)))
+    t0 = mcl.now
+    mcl.inject_faults(
+        FaultPlan().slow_device("gpu0", at=t0 + 1.0, duration=1.0, factor=2.0)
+    )
+    mcl.engine.run_until_time(t0 + 3.0)
+    ids = (mcl.context.id, other.id)
+    assert edges == [
+        (c, h, "gpu0")
+        for h in ("on_device_slowdown", "on_device_recovery")
+        for c in ids
+    ]
 
 
 def test_link_outage_delays_transfers(profile_dir):

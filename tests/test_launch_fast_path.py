@@ -20,7 +20,7 @@ from repro.hardware.cost import KernelCost, kernel_time
 from repro.ocl.context import TENANT_PROPERTY_KEY
 from repro.core.split import plan_split
 from repro.ocl.enums import CommandKind, MemFlag, SchedFlag
-from repro.ocl.errors import DeviceNotAvailable, InvalidContext
+from repro.ocl.errors import InvalidContext
 from repro.ocl.kernel import WorkGroupConfig
 from repro.ocl.platform import Platform
 from repro.ocl.queue import COMMAND_KINDS, Command, CommandQueue
@@ -255,12 +255,24 @@ def test_resident_launch_skips_the_general_path(launch_setup):
 
 
 def test_launch_falls_back_on_a_failed_device(launch_setup):
+    """A launch on a failed device takes the general path, whose issue
+    moves the queue to the context's first live device and records the
+    remap there."""
     ctx, kernel = launch_setup
     q = ctx.create_queue("gpu0")
     q.enqueue_nd_range_kernel(kernel, (N,))
     ctx.platform.mark_device_failed("gpu0")
-    with pytest.raises(DeviceNotAvailable):
-        q.enqueue_nd_range_kernel(kernel, (N,))
+    with mock.patch.object(CommandQueue, "issue", autospec=True,
+                           side_effect=CommandQueue.issue) as issue:
+        cmd = q.enqueue_nd_range_kernel(kernel, (N,))
+        assert issue.call_count == 1
+    assert q.device == "cpu" and cmd.task.resource.name == "dev:cpu"
+    remaps = [
+        (iv.meta["queue"], iv.meta["from"], iv.meta["to"])
+        for iv in ctx.platform.engine.trace
+        if iv.meta.get("op") == "remap"
+    ]
+    assert remaps == [(q.name, "gpu0", "cpu")]
 
 
 PRICED = """
