@@ -150,6 +150,9 @@ class Command:
     #: multi-device work-splitting plan attached by the scheduler, one
     #: :class:`repro.core.split.SplitShare` per device; ``None`` = unsplit
     split_plan: Optional[Tuple["SplitShare", ...]] = None
+    #: per share of :attr:`split_plan`, each touched buffer's slice bytes
+    #: as the scheduler sized them; ``None`` = sized at issue
+    split_slices: Optional[Tuple[Dict[Buffer, int], ...]] = None
     #: event number, unique and increasing process-wide (``ev#N``)
     id: int = field(init=False, default_factory=_event_ids.__next__)
 
@@ -944,8 +947,14 @@ class CommandQueue:
         node = self.context.platform.node
         engine = self.context.platform.engine
         written = list(dict.fromkeys(cmd.written_buffers))
+        slices = cmd.split_slices
+        if slices is None:
+            touched = dict.fromkeys(b for side in cmd.access_sets() for b in side)
+            slices = [
+                {b: share.slice_bytes(b.nbytes) for b in touched} for share in plan
+            ]
         finals: List["SimTask"] = []
-        for share in plan:
+        for share, sizes in zip(plan, slices):
             device = share.device
             if not self.context.platform.is_available(device):
                 raise DeviceNotAvailable(
@@ -956,13 +965,13 @@ class CommandQueue:
             sub_task = dev.submit_kernel(
                 name=share.name,
                 seconds=kernel.seconds(dev, share.config),
-                deps=self._make_resident(cmd, device, deps, share),
+                deps=self._make_resident(cmd, device, deps, share, sizes),
                 category="kernel",
                 meta=self._launch_meta(share.tag),
             )
             gathers = [
                 node.submit_d2h(
-                    device, share.slice_bytes(b.nbytes),
+                    device, sizes[b],
                     deps=[sub_task], category="transfer",
                     name=f"gather:{b.name}[{share.tag}]", meta=self._tenant_meta,
                 )
@@ -989,10 +998,12 @@ class CommandQueue:
         device: str,
         deps: List["SimTask"],
         share: Optional["SplitShare"] = None,
+        sizes: Optional[Dict[Buffer, int]] = None,
     ) -> List["SimTask"]:
         """The residency step of every command, and of every split share
         ``[lo, hi)`` of a kernel, on ``device``; returns ``deps`` extended
-        by the transfer tasks (``deps`` itself when nothing moves).
+        by the transfer tasks (``deps`` itself when nothing moves).  A
+        share's ``sizes`` are the bytes of each touched buffer's slice.
 
         A command whose buffers (:meth:`Command.access_sets`) are all
         valid on ``device`` lands nothing there, so it has nothing to check
@@ -1011,10 +1022,8 @@ class CommandQueue:
                 break
         else:
             return deps
-        if share is None:
+        if sizes is None:
             sizes = {b: b.nbytes for b in touched}
-        else:
-            sizes = {b: share.slice_bytes(b.nbytes) for b in touched}
         context = self.context
         needed = context.overcommit(device, sizes.items())
         if needed:

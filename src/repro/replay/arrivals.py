@@ -31,6 +31,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Iterator, Sequence, Tuple
 
 __all__ = [
@@ -105,11 +106,12 @@ class ArrivalProcess:
         for fam in families:
             total += fam.weight
             cum.append(total)
-        arrivals = self._arrivals(rng)
         uniform = rng.random
-        for _ in range(limit):
-            t = next(arrivals)
-            yield t, bisect_right(cum, uniform() * total, 0, len(cum) - 1)
+        hi = len(cum) - 1
+        # Each arrival time is drawn before its family, as one ``next`` per
+        # arrival would: ``islice`` pulls the next time only on demand.
+        for t in islice(self._arrivals(rng), limit):
+            yield t, bisect_right(cum, uniform() * total, 0, hi)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ the chunked injection loop, the latency fold and the result types
   its device frees up, whichever is later (Lindley's recursion).  The
   intervals are recorded into the tenant's trace in the order an event
   engine would complete them, so traces and results are exactly those of
-  an event-driven replay.  Tenants are
-  *independent replicas*, which is exactly what makes serial and sharded
-  runs bit-identical — and it scales to millions of commands per run;
+  an event-driven replay.  One loop serves each request in place: it
+  records the intervals that complete before it (one ``Trace.record`` and
+  one ``LatencyHistogram.add`` each), dispatches it and queues its
+  interval.  Tenants are *independent replicas*, which is exactly what
+  makes serial and sharded runs bit-identical — and it scales to
+  millions of commands per run;
 * **service mode** (:func:`run_service_replay`) — all tenants share one
   :class:`~repro.service.core.SchedulingService` fleet and contend through
   the fair-share arbiter, at smaller command counts.  This is the mode
@@ -36,6 +39,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -294,50 +298,96 @@ class _EngineTenant(_ReplayTenant):
         self.profiling_epochs = 0
         self.predicted_epochs = 0
 
-    def _queue(self, dev: int, interval: tuple) -> None:
-        """Append ``interval`` to device ``dev``'s FIFO; on an idle device
-        its service begins now."""
-        fifo = self.fifos[dev]
-        fifo.append(interval)
-        if len(fifo) == 1:
-            heapq.heappush(self.heap, (interval[0], self.seq, dev))
-            self.seq += 1
-
     def record_until(self, time: float, order: float) -> None:
         """Record, in completion order, every head whose ``(end, seq)`` is
         below ``(time, order)``, beginning each successor's service."""
         heap = self.heap
         fifos = self.fifos
+        resources = self.resources
         record = self.trace.record
+        add = self.hist.add
+        last_end = self.last_end
+        seq = self.seq
         key = (time, order)
         while heap and heap[0] < key:
-            dev = heapq.heappop(heap)[2]
+            dev = heappop(heap)[2]
             fifo = fifos[dev]
             end, start, name, category, meta, arrival = fifo.popleft()
-            record(self.resources[dev], name, category, start, end, meta)
+            record(resources[dev], name, category, start, end, meta)
             if arrival is not None:
-                self.fold(arrival, end)
+                add(end - arrival)
+                if end > last_end:
+                    last_end = end
             if fifo:
-                heapq.heappush(heap, (fifo[0][0], self.seq, dev))
-                self.seq += 1
+                heappush(heap, (fifo[0][0], seq, dev))
+                seq += 1
+        self.seq = seq
+        self.last_end = last_end
 
     def inject(self, chunk: List[Tuple[float, int]]) -> None:
-        """Serve one chunk of ``(arrival, family)`` requests, then record
-        every interval that ends by the chunk's last arrival."""
+        """Serve one chunk of ``(arrival, family)`` requests in one loop,
+        then record every interval that ends by the chunk's last arrival."""
+        heap = self.heap
+        fifos = self.fifos
+        free = self.free
+        durations = self.durations
+        names = self.names
+        metas = self.metas
+        resources = self.resources
+        record = self.trace.record
+        add = self.hist.add
+        last_end = self.last_end
+        jsq = self.jsq
+        cold_start = self.cold_start
         base = self.seq
-        self.seq += len(chunk)
+        seq = base + len(chunk)
         last = self.last_arrival
         for j, (now, fam) in enumerate(chunk):
             if not last <= now < _INF:  # also rejects NaN
                 raise SimError(f"arrival at {now} after one at {last}")
             last = now
-            self.record_until(now, base + j)
-            self.arrive(now, fam)
+            key = (now, base + j)
+            while heap and heap[0] < key:
+                dev = heappop(heap)[2]
+                fifo = fifos[dev]
+                end, start, name, category, meta, arrival = fifo.popleft()
+                record(resources[dev], name, category, start, end, meta)
+                if arrival is not None:
+                    add(end - arrival)
+                    if end > last_end:
+                        last_end = end
+                if fifo:
+                    heappush(heap, (fifo[0][0], seq, dev))
+                    seq += 1
+            if cold_start:
+                self.arrivals += 1
+                generation = self.arrivals // self.churn if self.churn else 0
+                sight = fam * 1_000_003 + generation
+                if sight not in self.seen:
+                    self.seen.add(sight)
+                    seq = self._first_sight(fam, now, seq)
+            if jsq:  # the first of the least-loaded devices
+                dev = free.index(min(free))
+            else:
+                dev = self.rr_next
+                self.rr_next = (dev + 1) % len(free)
+            start = free[dev]
+            if start < now:
+                start = now
+            end = free[dev] = start + durations[fam][dev]
+            fifo = fifos[dev]
+            fifo.append((end, start, names[fam], "work", metas[fam], now))
+            if len(fifo) == 1:
+                heappush(heap, (end, seq, dev))
+                seq += 1
+        self.seq = seq
+        self.last_end = last_end
         self.last_arrival = last
         self.record_until(last, _INF)
 
-    def _first_sight(self, fam: int, now: float) -> None:
+    def _first_sight(self, fam: int, now: float, seq: int) -> int:
         """An unseen family arrived: profile it on every device, or predict.
+        Takes sequence numbers from ``seq`` on; returns the next free one.
 
         The measured path mirrors the kernel profiler: one profiling launch
         per device, serialised on each device's FIFO ahead of any pending
@@ -346,7 +396,7 @@ class _EngineTenant(_ReplayTenant):
         """
         if self.predict:
             self.predicted_epochs += 1
-            return
+            return seq
         self.profiling_epochs += 1
         durations = self.durations[fam]
         name = self.prof_names[fam]
@@ -357,33 +407,12 @@ class _EngineTenant(_ReplayTenant):
             if start < now:
                 start = now
             end = free[dev] = start + duration
-            self._queue(dev, (end, start, name, "profile-kernel", meta, None))
-
-    def arrive(self, now: float, fam: int) -> None:
-        """Dispatch one request arriving at ``now``."""
-        if self.cold_start:
-            self.arrivals += 1
-            generation = self.arrivals // self.churn if self.churn else 0
-            key = fam * 1_000_003 + generation
-            if key not in self.seen:
-                self.seen.add(key)
-                self._first_sight(fam, now)
-        free = self.free
-        if self.jsq:
-            dev = 0
-            best = free[0]
-            for i in range(1, len(free)):
-                if free[i] < best:
-                    best = free[i]
-                    dev = i
-        else:
-            dev = self.rr_next
-            self.rr_next = (dev + 1) % len(free)
-        start = free[dev]
-        if start < now:
-            start = now
-        end = free[dev] = start + self.durations[fam][dev]
-        self._queue(dev, (end, start, self.names[fam], "work", self.metas[fam], now))
+            fifo = self.fifos[dev]
+            fifo.append((end, start, name, "profile-kernel", meta, None))
+            if len(fifo) == 1:  # an idle device begins it now
+                heappush(self.heap, (end, seq, dev))
+                seq += 1
+        return seq
 
 
 def _chunks(items: Iterable, size: int) -> Iterator[list]:

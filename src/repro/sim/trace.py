@@ -39,6 +39,8 @@ FAULT_CATEGORY = "fault"
 #: Category for recovery actions (command replays, queue remaps, backoff).
 RECOVERY_CATEGORY = "recovery"
 
+_tuple_new = tuple.__new__
+
 
 class TraceInterval(NamedTuple):
     """One served task on one resource.
@@ -122,13 +124,14 @@ class Trace:
         end: float,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        # Hot path: one tuple construction + one append.  The meta dict is
-        # stored as given (callers hand over ownership); a ``None`` sentinel
-        # normalises to the shared immutable empty mapping.  Folding
-        # happens lazily at the next query.
+        # Hot path: one tuple construction + one append, the tuple built
+        # with ``tuple.__new__`` (the named tuple's own ``__new__`` is a
+        # Python frame).  The meta dict is stored as given (callers hand
+        # over ownership); a ``None`` sentinel normalises to the shared
+        # immutable empty mapping.  Folding happens lazily at the next query.
         self._intervals.append(
-            TraceInterval(resource, task, category, start, end,
-                          meta if meta is not None else EMPTY_META)
+            _tuple_new(TraceInterval, (resource, task, category, start, end,
+                                       meta if meta is not None else EMPTY_META))
         )
         if self._spill_at and len(self._intervals) >= self._spill_at:
             self._spill()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ocl.enums import MemFlag, SchedFlag
+from repro.core.runtime import MultiCL
+from repro.ocl.enums import ContextScheduler, MemFlag, SchedFlag
 from repro.ocl.errors import InvalidValue, MemAllocationFailure, MemCopyOverlap
 from repro.ocl.memory import HOST, Buffer
 from repro.ocl.platform import Platform
@@ -261,23 +262,45 @@ def test_contexts_of_one_platform_share_device_memory(manual_context):
     assert other.resident_bytes("gpu0") == _FLEET_BYTES
 
 
-def test_mapper_avoids_a_device_another_context_filled(autofit):
-    other = autofit.platform.create_context()
+def _launch_beside_another_context(profile_dir, split):
+    """A kernel over one ``_FLEET_BYTES`` buffer, launched on an auto queue
+    after another context filled gpu0 with a buffer as large; returns the
+    context, the buffer, the queue and the launch's event."""
+    mcl = MultiCL(
+        policy=ContextScheduler.AUTO_FIT, profile_dir=profile_dir, split=split
+    )
+    other = mcl.platform.create_context()
     other.create_queue("gpu0").enqueue_write_buffer(
         other.create_buffer(_FLEET_BYTES)
     )
-    ctx = autofit.context
+    ctx = mcl.context
     buf = ctx.create_buffer(_FLEET_BYTES)
     buf.mark_valid(HOST)
     kernel = ctx.create_program(_SCALE).build().create_kernel("scale")
     kernel.set_arg(0, buf)
     kernel.set_arg(1, _FLEET_BYTES // 4)
-    q = autofit.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
-    q.enqueue_nd_range_kernel(kernel, (_FLEET_BYTES // 4,), (128,))
+    q = mcl.queue(flags=SchedFlag.SCHED_AUTO_DYNAMIC)
+    event = q.enqueue_nd_range_kernel(kernel, (_FLEET_BYTES // 4,), (128,))
     q.finish()
+    return ctx, buf, q, event
+
+
+def test_mapper_avoids_a_device_another_context_filled(profile_dir):
+    ctx, _, q, _ = _launch_beside_another_context(profile_dir, split=False)
     # On its own the kernel would take gpu0; gpu0 holds the other
     # context's buffer, so the two do not fit there together.
     assert q.device != "gpu0"
+    _assert_within_capacity(ctx)
+
+
+def test_split_shares_fit_beside_another_context(profile_dir):
+    ctx, buf, _, event = _launch_beside_another_context(profile_dir, split=True)
+    node = ctx.platform.node
+    assert event.split_plan
+    for share in event.split_plan:
+        held = ctx.resident_bytes(share.device)
+        capacity = node.device(share.device).spec.mem_size_bytes
+        assert held + share.slice_bytes(buf.nbytes) <= capacity
     _assert_within_capacity(ctx)
 
 
