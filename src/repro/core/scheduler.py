@@ -398,7 +398,7 @@ class AutoFitScheduler(MultiCLSchedulerBase):
                 return placement
             for q in split:
                 for cmd in q.pending:
-                    cmd.split_plan = cmd.split_slices = None
+                    cmd.split_plan = None
 
     def _place_dynamic(
         self,
@@ -518,18 +518,15 @@ class AutoFitScheduler(MultiCLSchedulerBase):
             if not plan:
                 return None
             whole = _whole_buffers((cmd,))
-            slices = []
             for share in plan:
-                sizes = {b: share.slice_bytes(n) for b, n in whole}
-                if context.overcommit(share.device, sizes.items()):
+                sizes = [(b, share.slice_bytes(n)) for b, n in whole]
+                if context.overcommit(share.device, sizes):
                     return None
-                slices.append(sizes)
-            plans.append((cmd, plan, tuple(slices)))
+            plans.append((cmd, plan))
         if not plans:
             return None
-        for cmd, plan, slices in plans:
+        for cmd, plan in plans:
             cmd.split_plan = plan
-            cmd.split_slices = slices
         pos = {d: i for i, d in enumerate(order)}
         return min(order, key=lambda d: (seconds[d], pos[d]))
 

@@ -10,7 +10,7 @@ global scheduler for the context's automatically scheduled queues.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.ocl.enums import ContextProperty, ContextScheduler, MemFlag, SchedFlag
 from repro.ocl.errors import InvalidDevice, InvalidOperation
@@ -154,23 +154,20 @@ class Context:
         return self.platform._resident_bytes.get(device, 0)
 
     def overcommit(
-        self, device: str, incoming: Collection[Tuple[Buffer, int]]
+        self, device: str, incoming: Iterable[Tuple[Buffer, int]]
     ) -> int:
         """The one memory-fit predicate: the bytes ``device`` would hold
         once ``incoming`` lands, when that exceeds its memory, else 0.
 
         Those bytes are its resident bytes plus the given size (a whole
         buffer or a slice of it) of each distinct ``(buffer, nbytes)`` not
-        yet resident there.  Counting every incoming size is an upper
-        bound, so when that fits the residency walk is skipped."""
-        held = self.platform._resident_bytes.get(device, 0)
-        capacity = self.platform.node.device(device).spec.mem_size_bytes
-        if held + sum(nbytes for _, nbytes in incoming) <= capacity:
-            return 0
-        total = held + sum(
+        yet resident there."""
+        total = self.platform._resident_bytes.get(device, 0) + sum(
             nbytes for buf, nbytes in incoming if not buf.resident_on(device)
         )
-        return total if total > capacity else 0
+        if total > self.platform.node.device(device).spec.mem_size_bytes:
+            return total
+        return 0
 
     def _register_queue(self, queue: CommandQueue) -> None:
         self.queues.append(queue)

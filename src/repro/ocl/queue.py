@@ -150,9 +150,6 @@ class Command:
     #: multi-device work-splitting plan attached by the scheduler, one
     #: :class:`repro.core.split.SplitShare` per device; ``None`` = unsplit
     split_plan: Optional[Tuple["SplitShare", ...]] = None
-    #: per share of :attr:`split_plan`, each touched buffer's slice bytes
-    #: as the scheduler sized them; ``None`` = sized at issue
-    split_slices: Optional[Tuple[Dict[Buffer, int], ...]] = None
     #: event number, unique and increasing process-wide (``ev#N``)
     id: int = field(init=False, default_factory=_event_ids.__next__)
 
@@ -947,14 +944,9 @@ class CommandQueue:
         node = self.context.platform.node
         engine = self.context.platform.engine
         written = list(dict.fromkeys(cmd.written_buffers))
-        slices = cmd.split_slices
-        if slices is None:
-            touched = dict.fromkeys(b for side in cmd.access_sets() for b in side)
-            slices = [
-                {b: share.slice_bytes(b.nbytes) for b in touched} for share in plan
-            ]
+        touched = dict.fromkeys(b for side in cmd.access_sets() for b in side)
         finals: List["SimTask"] = []
-        for share, sizes in zip(plan, slices):
+        for share in plan:
             device = share.device
             if not self.context.platform.is_available(device):
                 raise DeviceNotAvailable(
@@ -962,6 +954,7 @@ class CommandQueue:
                     f"failed device {device!r}"
                 )
             dev = node.device(device)
+            sizes = {b: share.slice_bytes(b.nbytes) for b in touched}
             sub_task = dev.submit_kernel(
                 name=share.name,
                 seconds=kernel.seconds(dev, share.config),

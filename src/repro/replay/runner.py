@@ -298,35 +298,17 @@ class _EngineTenant(_ReplayTenant):
         self.profiling_epochs = 0
         self.predicted_epochs = 0
 
-    def record_until(self, time: float, order: float) -> None:
-        """Record, in completion order, every head whose ``(end, seq)`` is
-        below ``(time, order)``, beginning each successor's service."""
-        heap = self.heap
-        fifos = self.fifos
-        resources = self.resources
-        record = self.trace.record
-        add = self.hist.add
-        last_end = self.last_end
-        seq = self.seq
-        key = (time, order)
-        while heap and heap[0] < key:
-            dev = heappop(heap)[2]
-            fifo = fifos[dev]
-            end, start, name, category, meta, arrival = fifo.popleft()
-            record(resources[dev], name, category, start, end, meta)
-            if arrival is not None:
-                add(end - arrival)
-                if end > last_end:
-                    last_end = end
-            if fifo:
-                heappush(heap, (fifo[0][0], seq, dev))
-                seq += 1
-        self.seq = seq
-        self.last_end = last_end
-
-    def inject(self, chunk: List[Tuple[float, int]]) -> None:
+    def inject(
+        self, chunk: List[Tuple[float, int]], until: Optional[float] = None
+    ) -> None:
         """Serve one chunk of ``(arrival, family)`` requests in one loop,
-        then record every interval that ends by the chunk's last arrival."""
+        then record every interval that ends by ``until`` (by default the
+        chunk's last arrival).
+
+        Before each request, and once more after the last, the loop
+        records in completion order every head whose ``(end, seq)`` is
+        below the request's ``(arrival, base + j)`` (at the end, below
+        ``(until, inf)``), beginning each successor's service."""
         heap = self.heap
         fifos = self.fifos
         free = self.free
@@ -339,14 +321,19 @@ class _EngineTenant(_ReplayTenant):
         last_end = self.last_end
         jsq = self.jsq
         cold_start = self.cold_start
+        n = len(chunk)
         base = self.seq
-        seq = base + len(chunk)
+        seq = base + n
         last = self.last_arrival
-        for j, (now, fam) in enumerate(chunk):
-            if not last <= now < _INF:  # also rejects NaN
-                raise SimError(f"arrival at {now} after one at {last}")
-            last = now
-            key = (now, base + j)
+        for j in range(n + 1):
+            if j < n:
+                now, fam = chunk[j]
+                if not last <= now < _INF:  # also rejects NaN
+                    raise SimError(f"arrival at {now} after one at {last}")
+                last = now
+                key = (now, base + j)
+            else:
+                key = (last if until is None else until, _INF)
             while heap and heap[0] < key:
                 dev = heappop(heap)[2]
                 fifo = fifos[dev]
@@ -359,6 +346,8 @@ class _EngineTenant(_ReplayTenant):
                 if fifo:
                     heappush(heap, (fifo[0][0], seq, dev))
                     seq += 1
+            if j == n:
+                break
             if cold_start:
                 self.arrivals += 1
                 generation = self.arrivals // self.churn if self.churn else 0
@@ -383,7 +372,6 @@ class _EngineTenant(_ReplayTenant):
         self.seq = seq
         self.last_end = last_end
         self.last_arrival = last
-        self.record_until(last, _INF)
 
     def _first_sight(self, fam: int, now: float, seq: int) -> int:
         """An unseen family arrived: profile it on every device, or predict.
@@ -463,7 +451,7 @@ def run_tenant(config: ReplayConfig, index: int) -> TenantResult:
     arrivals = process.stream(config.families, seed, config.commands)
     for chunk in _chunks(arrivals, config.chunk):
         state.inject(chunk)
-    state.record_until(_INF, 0)
+    state.inject([], until=_INF)
 
     device_seconds = trace.by_resource()
     resident = len(trace)
